@@ -6,9 +6,9 @@
      [Trace.generate] yields word-identical traces with the compiled
      refill and with [Trace.use_interpreter] forced;
    - speedup: the compiled path beats the allocating interpreted loop by
-     a conservative floor (best of 3 CPU-time trials — the real margin
-     is measured by emuloop.exe; this only catches the optimization
-     being silently disabled or regressed).
+     a conservative floor (best of 3 CPU-time trials; this only catches
+     the optimization being silently disabled or regressed — end-to-end
+     timing is bench/perf's job).
 
    Wired into [dune runtest] via the @emu-smoke alias. *)
 

@@ -8,8 +8,8 @@
      compiled run, which exercises the pooled-scaffold reset path;
    - speedup: the compiled whole-pipeline path (simulate with pooled
      state) beats the interpreted one by a conservative floor (best of 3
-     CPU-time trials — the real margin is measured by simloop.exe; this
-     only catches the optimization being silently disabled or regressed).
+     CPU-time trials; this only catches the optimization being silently
+     disabled or regressed — end-to-end timing is bench/perf's job).
 
    Wired into [dune runtest] via the @sim-smoke alias. *)
 

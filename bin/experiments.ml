@@ -6,7 +6,6 @@
       experiments --scale 2 -v       # bigger runs, with progress logging
       experiments --timeout 120 --retries 3 --keep-going
       experiments --resume           # skip jobs journaled by an interrupted run
-      experiments --connect /tmp/wishd.sock fig10   # run through a wishd daemon
       experiments cache verify       # integrity-check _wishcache/
       experiments cache prune        # evict stale entries, quarantine corrupt ones
       experiments cache stats        # occupancy: entries, bytes, versions, quarantine *)
@@ -16,67 +15,9 @@ module Lab = Wish_experiments.Lab
 module Figures = Wish_experiments.Figures
 module Ablations = Wish_experiments.Ablations
 module Cache = Wish_experiments.Cache
-module Service = Wish_experiments.Service
-
-(* Run the selection through a wishd daemon, printing tables exactly as
-   the local path would (the daemon's text is byte-identical). Returns
-   the artifacts the daemon did not deliver — connection refused, torn
-   stream, or a failed job — for the caller to re-run locally, in order.
-   The daemon streams tables in request order, so whatever it delivered
-   is a prefix of the selection and the combined output still matches an
-   all-local run. *)
-let remote_run ~socket ~selected ~scale ~benchmarks ~sample ~csv_dir ~verbose =
-  let spec =
-    {
-      Service.sp_artifacts = List.map fst selected;
-      sp_scale = scale;
-      sp_benchmarks = benchmarks;
-      sp_sample = sample;
-    }
-  in
-  match Service.connect ~socket with
-  | Error e ->
-    Fmt.epr "[svc] %s: %s; running locally@." socket e;
-    selected
-  | Ok client ->
-    let printed = Hashtbl.create 8 in
-    let on_row row =
-      if verbose then
-        Fmt.epr "[svc] %s %d/%d %s (%s)@." row.Service.row_artifact
-          row.Service.row_done row.Service.row_total row.Service.row_what
-          row.Service.row_via
-    in
-    let on_table ~artifact ~text ~csv =
-      Hashtbl.replace printed artifact ();
-      print_string text;
-      print_newline ();
-      match csv_dir with
-      | None -> ()
-      | Some dir ->
-        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-        let path = Filename.concat dir (artifact ^ ".csv") in
-        let oc = open_out path in
-        output_string oc csv;
-        close_out oc;
-        Fmt.epr "wrote %s@." path
-    in
-    let result = Service.run_remote client ~spec ~on_row ~on_table () in
-    Service.close client;
-    let remaining = List.filter (fun (n, _) -> not (Hashtbl.mem printed n)) selected in
-    (match result with
-    | Ok st ->
-      if verbose then
-        Fmt.epr
-          "[svc] daemon served %d job row(s): %d computed, %d deduplicated, %d cached@."
-          (st.Service.rs_computed + st.Service.rs_dedup + st.Service.rs_cache)
-          st.Service.rs_computed st.Service.rs_dedup st.Service.rs_cache
-    | Error e ->
-      Fmt.epr "[svc] daemon failed (%s); running %d remaining artifact(s) locally@." e
-        (List.length remaining));
-    remaining
 
 let run names scale verbose benchmarks csv_dir jobs no_cache gc_tune emu_interp timeout retries
-    keep_going resume sample sample_parallel warm_trace connect =
+    keep_going resume sample warm_trace =
   Wish_util.Faultpoint.arm_from_env ();
   if gc_tune then Wish_util.Gc_stats.tune ();
   Wish_emu.Trace.use_interpreter := emu_interp;
@@ -117,22 +58,11 @@ let run names scale verbose benchmarks csv_dir jobs no_cache gc_tune emu_interp 
             exit 2)
         names
   in
-  (* Remote-first when --connect is given: whatever the daemon delivered
-     is done; anything left (daemon down, torn stream, failed job) falls
-     through to the local machinery below. *)
-  let selected =
-    match connect with
-    | None -> selected
-    | Some socket ->
-      remote_run ~socket ~selected ~scale ~benchmarks ~sample ~csv_dir ~verbose
-  in
-  if selected = [] then ()
-  else begin
   let policy = { Lab.default_policy with timeout; retries; keep_going } in
   let cache = if no_cache then None else Some (Cache.create ()) in
   let lab =
     Lab.create ~scale ?names:(if benchmarks = [] then None else Some benchmarks) ~jobs ?cache
-      ~resume ?sample:sampling ~sample_parallel ()
+      ~resume ?sample:sampling ()
   in
   if verbose then Lab.set_logger lab (fun s -> Fmt.epr "[lab] %s@." s);
   if resume then
@@ -201,7 +131,6 @@ let run names scale verbose benchmarks csv_dir jobs no_cache gc_tune emu_interp 
           1)
   in
   if code <> 0 then exit code
-  end
 
 (* ----------------------------------------------------------------- *)
 (* cache verify / cache prune                                         *)
@@ -351,12 +280,6 @@ let run_term =
              ~doc:"Simulate sampled (functional warming + measurement windows): W:D \
                    (warm:detail entries) or 'auto'. Summaries are cached under separate keys")
   in
-  let sample_parallel =
-    Arg.(value & flag
-         & info [ "sample-parallel" ]
-             ~doc:"With --sample: fan each sampled run's measurement windows across the worker \
-                   domains (serial runs only; batched jobs already use the pool)")
-  in
   let warm_trace =
     Arg.(value & flag
          & info [ "warm-trace" ]
@@ -364,18 +287,9 @@ let run_term =
                    the warming hooks fused into the compiled emulator (A/B lever; \
                    estimates are bit-identical, only slower)")
   in
-  let connect =
-    Arg.(value & opt (some string) None
-         & info [ "connect" ] ~docv:"PATH"
-             ~doc:"Run through the wishd daemon listening on this Unix-domain socket. \
-                   Identical jobs from concurrent clients are computed once (single-flight); \
-                   tables stream back byte-identical to a local run. If the daemon is \
-                   unreachable or fails mid-run, the remaining artifacts run locally.")
-  in
   Term.(
     const run $ names $ scale $ verbose $ benchmarks $ csv_dir $ jobs $ no_cache $ gc_tune
-    $ emu_interp $ timeout $ retries $ keep_going $ resume $ sample $ sample_parallel
-    $ warm_trace $ connect)
+    $ emu_interp $ timeout $ retries $ keep_going $ resume $ sample $ warm_trace)
 
 let cmd =
   Cmd.v (Cmd.info "experiments" ~doc:"Regenerate the wish-branches paper's tables and figures")

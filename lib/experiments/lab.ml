@@ -17,7 +17,9 @@
       bit-identical to the serial path;
     - an optional persistent {!Cache}: traces and summaries are looked up
       by (bench, kind, input, scale[, config]) before being recomputed and
-      stored after, making repeated runs incremental across processes.
+      stored after, making repeated runs incremental across processes;
+      concurrent processes on one cache coalesce duplicate jobs through
+      its leases.
 
     Fault tolerance ({!policy}): every batched stage runs under
     supervision — a job that raises (or whose worker domain dies; the
@@ -104,7 +106,7 @@ let sampling_key = function
 
 type t = {
   scale : int;
-  mutable benches : Wish_workloads.Bench.t list;
+  names : string list;
   binaries : (string, Compiler.binaries) Hashtbl.t;
   traces : (string * string * string, Wish_emu.Trace.t) Hashtbl.t;
   results : (string * string * string * Wish_sim.Config.t, Wish_sim.Runner.summary) Hashtbl.t;
@@ -115,14 +117,20 @@ type t = {
   stop : bool Atomic.t;
   stats : batch_stats;
   sample : sampling option;
-  sample_parallel : bool;
 }
 
 let eval_input = "A"
 
-let create ?(scale = 1) ?names ?(jobs = 1) ?cache ?(resume = false) ?sample
-    ?(sample_parallel = false) () =
+let create ?(scale = 1) ?names ?(jobs = 1) ?cache ?(resume = false) ?sample () =
   let names = Option.value names ~default:Wish_workloads.Workloads.names in
+  (* Benches are built on first use, so a process that only reads
+     summaries never pays for one. An unknown name still fails here,
+     with [Workloads.find]'s diagnostic. *)
+  List.iter
+    (fun n ->
+      if not (List.mem n Wish_workloads.Workloads.names) then
+        ignore (Wish_workloads.Workloads.find ~scale n))
+    names;
   let journal =
     match (resume, cache) with
     | true, Some c -> Cache.journal_load c
@@ -130,7 +138,7 @@ let create ?(scale = 1) ?names ?(jobs = 1) ?cache ?(resume = false) ?sample
   in
   {
     scale;
-    benches = List.map (Wish_workloads.Workloads.find ~scale) names;
+    names;
     binaries = Hashtbl.create 16;
     traces = Hashtbl.create 64;
     results = Hashtbl.create 256;
@@ -141,7 +149,6 @@ let create ?(scale = 1) ?names ?(jobs = 1) ?cache ?(resume = false) ?sample
     stop = Atomic.make false;
     stats = { executed = 0; retried = 0; failed = 0; cache_hits = 0; resumed = 0 };
     sample;
-    sample_parallel;
   }
 
 let sampling t = t.sample
@@ -167,13 +174,13 @@ let check_stop t = if Atomic.get t.stop then raise Interrupted
 
 let set_logger t f = t.log <- f
 
-let benches t = t.benches
-let bench_names t = List.map (fun (b : Wish_workloads.Bench.t) -> b.name) t.benches
+let bench_names t = t.names
 
+(* [Workloads.find] memoizes, so every lab in the process shares one
+   build per (bench, scale). *)
 let bench t name =
-  match List.find_opt (fun (b : Wish_workloads.Bench.t) -> b.name = name) t.benches with
-  | Some b -> b
-  | None -> invalid_arg ("Lab: unknown bench " ^ name)
+  if List.mem name t.names then Wish_workloads.Workloads.find ~scale:t.scale name
+  else invalid_arg ("Lab: unknown bench " ^ name)
 
 (* --------------------------------------------------------------- *)
 (* Cache keys                                                       *)
@@ -191,11 +198,8 @@ let summary_cache_key t ~bench ~kind ~input ~config =
   in
   match t.sample with None -> base | Some s -> base ^ "|sample" ^ sampling_key s
 
-(* The exact/sampled switch, shared by the serial and batched paths.
-   [pool] parallelizes the measurement windows inside one simulation —
-   only the serial path passes it (batched jobs already occupy the
-   worker domains). *)
-let simulate_with t ?pool ~config ~trace p =
+(* The exact/sampled switch, shared by the serial and batched paths. *)
+let simulate_with t ~config ~trace p =
   match t.sample with
   | None -> Wish_sim.Runner.simulate ~config ~trace p
   | Some s ->
@@ -204,7 +208,7 @@ let simulate_with t ?pool ~config ~trace p =
       | Sample_spec sp -> sp
       | Sample_auto -> Wish_sim.Sampler.auto ~length:(Wish_emu.Trace.length trace)
     in
-    fst (Wish_sim.Runner.simulate_sampled ?pool ~config ~spec ~trace p)
+    fst (Wish_sim.Runner.simulate_sampled ~config ~spec ~trace p)
 
 let cached_trace t key =
   match t.cache with None -> None | Some c -> Cache.find c ~kind:"trace" ~key
@@ -223,6 +227,35 @@ let store_summary t key s =
   | Some c ->
     Cache.store c ~kind:"summary" ~key s;
     Cache.journal_append c key
+
+let hit_from_concurrent_run t what s =
+  t.stats.cache_hits <- t.stats.cache_hits + 1;
+  t.log (Printf.sprintf "cache hit: summary %s (from a concurrent run)" what);
+  s
+
+(* Seconds between looks at a summary another process holds the lease
+   on. *)
+let lease_poll = 0.05
+
+(* [key]'s summary, computed by [compute] only under its lease. While
+   another live process holds the lease, nothing is built here: the
+   cache is polled until that process's summary lands, or until it dies
+   and the lease can be taken over. *)
+let rec leased_summary t c ~key ~what compute =
+  if Cache.try_lease c ~key then
+    Fun.protect
+      ~finally:(fun () -> Cache.release_lease c ~key)
+      (fun () ->
+        match cached_summary t key with
+        | Some s -> hit_from_concurrent_run t what s
+        | None -> compute ())
+  else
+    match cached_summary t key with
+    | Some s -> hit_from_concurrent_run t what s
+    | None ->
+      check_stop t;
+      Unix.sleepf lease_poll;
+      leased_summary t c ~key ~what compute
 
 (* --------------------------------------------------------------- *)
 (* Serial (memoized, cache-backed) accessors                        *)
@@ -282,16 +315,22 @@ let run t ~bench:name ~kind ?(input = eval_input) ?(config = Wish_sim.Config.def
         t.stats.cache_hits <- t.stats.cache_hits + 1;
         t.log (Printf.sprintf "cache hit: summary %s/%s input %s" name kind_n input);
         s
-      | None ->
-        let tr = trace t ~bench:name ~kind ~input in
-        let p = program t ~bench:name ~kind ~input in
-        t.log
-          (Printf.sprintf "simulating %s/%s input %s (%d dynamic insts)" name kind_n input
-             (Wish_emu.Trace.length tr));
-        let pool = if t.sample_parallel then t.pool else None in
-        let s = simulate_with t ?pool ~config ~trace:tr p in
-        store_summary t ckey s;
-        s
+      | None -> (
+        let compute () =
+          let tr = trace t ~bench:name ~kind ~input in
+          let p = program t ~bench:name ~kind ~input in
+          t.log
+            (Printf.sprintf "simulating %s/%s input %s (%d dynamic insts)" name kind_n input
+               (Wish_emu.Trace.length tr));
+          let s = simulate_with t ~config ~trace:tr p in
+          store_summary t ckey s;
+          s
+        in
+        match t.cache with
+        | None -> compute ()
+        | Some c ->
+          let what = Printf.sprintf "%s/%s input %s" name kind_n input in
+          leased_summary t c ~key:ckey ~what compute)
     in
     Hashtbl.add t.results key s;
     s
@@ -338,9 +377,8 @@ let uniq key xs =
 
 let memo_key j = (j.job_bench, Policy.kind_name j.job_kind, j.job_input, j.job_config)
 
-(* The persistent-cache identity of a job's summary — also the key the
-   service daemon's single-flight table coalesces identical in-flight
-   jobs on, so it must stay in lockstep with [summary_cache_key]. *)
+(* The persistent-cache identity of a job's summary — also the key its
+   lease is taken on. *)
 let summary_key_of_job t j =
   summary_cache_key t ~bench:j.job_bench ~kind:(Policy.kind_name j.job_kind) ~input:j.job_input
     ~config:j.job_config
@@ -437,27 +475,7 @@ let describe_job j =
     order. All memo and cache mutation happens on the calling domain. *)
 let run_batch_results ?(policy = default_policy) t jobs =
   check_stop t;
-  (* Stage 1: compile missing binaries (one job per bench). A bench whose
-     compile exhausts its retries poisons only that bench's jobs. *)
-  let failed_benches : (string, failure) Hashtbl.t = Hashtbl.create 4 in
-  let missing_benches =
-    uniq Fun.id
-      (List.filter_map
-         (fun j -> if Hashtbl.mem t.binaries j.job_bench then None else Some j.job_bench)
-         jobs)
-  in
-  if missing_benches <> [] then
-    List.iter2
-      (fun name -> function
-        | Ok bins -> Hashtbl.replace t.binaries name bins
-        | Error fl -> Hashtbl.replace failed_benches name fl)
-      missing_benches
-      (supervised_map t ~policy ~stage:"compile" ~describe:Fun.id
-         (fun name ->
-           Faultpoint.cut fp_compile;
-           compile t name)
-         missing_benches);
-  (* Stage 2: resolve summaries from memo and disk; what is left needs
+  (* Stage 1: resolve summaries from memo and disk; what is left needs
      simulating. *)
   let todo =
     uniq memo_key (List.filter (fun j -> not (Hashtbl.mem t.results (memo_key j))) jobs)
@@ -465,123 +483,173 @@ let run_batch_results ?(policy = default_policy) t jobs =
   let todo =
     List.filter
       (fun j ->
-        if Hashtbl.mem failed_benches j.job_bench then false
-        else begin
-          let kind_n = Policy.kind_name j.job_kind in
-          let ckey =
-            summary_cache_key t ~bench:j.job_bench ~kind:kind_n ~input:j.job_input
-              ~config:j.job_config
-          in
-          match cached_summary t ckey with
-          | Some s ->
-            t.stats.cache_hits <- t.stats.cache_hits + 1;
-            if Hashtbl.mem t.journal ckey then begin
-              t.stats.resumed <- t.stats.resumed + 1;
-              t.log
-                (Printf.sprintf "resume: skipping %s/%s input %s (journaled)" j.job_bench
-                   kind_n j.job_input)
-            end
-            else
-              t.log
-                (Printf.sprintf "cache hit: summary %s/%s input %s" j.job_bench kind_n
-                   j.job_input);
-            Hashtbl.add t.results (memo_key j) s;
-            false
-          | None -> true
-        end)
-      todo
-  in
-  (* Stage 3: generate missing traces (one job per (bench, kind, input),
-     shared by every configuration of the same binary/input pair). *)
-  let failed_traces : (string * string * string, failure) Hashtbl.t = Hashtbl.create 4 in
-  let trace_todo =
-    uniq
-      (fun (name, kind_n, _, input) -> (name, kind_n, input))
-      (List.filter_map
-         (fun j ->
-           let kind_n = Policy.kind_name j.job_kind in
-           if Hashtbl.mem t.traces (j.job_bench, kind_n, j.job_input) then None
-           else Some (j.job_bench, kind_n, j.job_kind, j.job_input))
-         todo)
-  in
-  let trace_todo =
-    List.filter
-      (fun (name, kind_n, _, input) ->
-        match cached_trace t (trace_cache_key t ~bench:name ~kind:kind_n ~input) with
-        | Some tr ->
+        let ckey = summary_key_of_job t j in
+        match cached_summary t ckey with
+        | Some s ->
           t.stats.cache_hits <- t.stats.cache_hits + 1;
-          t.log (Printf.sprintf "cache hit: trace %s/%s input %s" name kind_n input);
-          Hashtbl.add t.traces (name, kind_n, input) tr;
+          if Hashtbl.mem t.journal ckey then begin
+            t.stats.resumed <- t.stats.resumed + 1;
+            t.log (Printf.sprintf "resume: skipping %s (journaled)" (describe_job j))
+          end
+          else t.log (Printf.sprintf "cache hit: summary %s" (describe_job j));
+          Hashtbl.add t.results (memo_key j) s;
           false
         | None -> true)
-      trace_todo
+      todo
   in
-  if trace_todo <> [] then begin
-    let tasks =
-      List.map
-        (fun (name, kind_n, kind, input) ->
-          t.log (Printf.sprintf "tracing %s/%s input %s" name kind_n input);
-          ((name, kind_n, input), (bench t name).approx_dyn_insts, program t ~bench:name ~kind ~input))
-        trace_todo
-    in
-    List.iter2
-      (fun (key, _, _) -> function
-        | Ok tr ->
-          Hashtbl.replace t.traces key tr;
-          let name, kind_n, input = key in
-          store_trace t (trace_cache_key t ~bench:name ~kind:kind_n ~input) tr
-        | Error fl -> Hashtbl.replace failed_traces key fl)
-      tasks
-      (supervised_map t ~policy ~stage:"trace"
-         ~describe:(fun ((name, kind_n, input), _, _) ->
-           Printf.sprintf "%s/%s input %s" name kind_n input)
-         (fun (_, hint, p) ->
-           Faultpoint.cut fp_trace;
-           fst (Wish_emu.Trace.generate ~hint p))
-         tasks)
-  end;
-  (* Stage 4: simulate. *)
+  let failed_benches : (string, failure) Hashtbl.t = Hashtbl.create 4 in
+  let failed_traces : (string * string * string, failure) Hashtbl.t = Hashtbl.create 4 in
   let failed_runs : (string * string * string * Wish_sim.Config.t, failure) Hashtbl.t =
     Hashtbl.create 4
   in
-  let sim_todo =
-    List.filter
-      (fun j ->
-        let kind_n = Policy.kind_name j.job_kind in
-        Hashtbl.mem t.traces (j.job_bench, kind_n, j.job_input))
-      todo
-  in
-  if sim_todo <> [] then begin
-    let tasks =
-      List.map
+  (* Stages 2-4 for [todo]: compile missing binaries, generate missing
+     traces, then simulate. A job whose binaries or trace already failed
+     in this batch (before its lease was taken over) is not retried. *)
+  let compute todo =
+    let todo =
+      List.filter
+        (fun j ->
+          not
+            (Hashtbl.mem failed_benches j.job_bench
+            || Hashtbl.mem failed_traces (j.job_bench, Policy.kind_name j.job_kind, j.job_input)))
+        todo
+    in
+    (* Stage 2: one compile per bench. A bench whose compile exhausts its
+       retries poisons only that bench's jobs. *)
+    let missing_benches =
+      uniq Fun.id
+        (List.filter_map
+           (fun j -> if Hashtbl.mem t.binaries j.job_bench then None else Some j.job_bench)
+           todo)
+    in
+    if missing_benches <> [] then
+      List.iter2
+        (fun name -> function
+          | Ok bins -> Hashtbl.replace t.binaries name bins
+          | Error fl -> Hashtbl.replace failed_benches name fl)
+        missing_benches
+        (supervised_map t ~policy ~stage:"compile" ~describe:Fun.id
+           (fun name ->
+             Faultpoint.cut fp_compile;
+             compile t name)
+           missing_benches);
+    let todo = List.filter (fun j -> not (Hashtbl.mem failed_benches j.job_bench)) todo in
+    (* Stage 3: one trace per (bench, kind, input), shared by every
+       configuration of the same binary/input pair. *)
+    let trace_todo =
+      uniq
+        (fun (name, kind_n, _, input) -> (name, kind_n, input))
+        (List.filter_map
+           (fun j ->
+             let kind_n = Policy.kind_name j.job_kind in
+             if Hashtbl.mem t.traces (j.job_bench, kind_n, j.job_input) then None
+             else Some (j.job_bench, kind_n, j.job_kind, j.job_input))
+           todo)
+    in
+    let trace_todo =
+      List.filter
+        (fun (name, kind_n, _, input) ->
+          match cached_trace t (trace_cache_key t ~bench:name ~kind:kind_n ~input) with
+          | Some tr ->
+            t.stats.cache_hits <- t.stats.cache_hits + 1;
+            t.log (Printf.sprintf "cache hit: trace %s/%s input %s" name kind_n input);
+            Hashtbl.add t.traces (name, kind_n, input) tr;
+            false
+          | None -> true)
+        trace_todo
+    in
+    if trace_todo <> [] then begin
+      let tasks =
+        List.map
+          (fun (name, kind_n, kind, input) ->
+            t.log (Printf.sprintf "tracing %s/%s input %s" name kind_n input);
+            ( (name, kind_n, input),
+              (bench t name).approx_dyn_insts,
+              program t ~bench:name ~kind ~input ))
+          trace_todo
+      in
+      List.iter2
+        (fun (key, _, _) -> function
+          | Ok tr ->
+            Hashtbl.replace t.traces key tr;
+            let name, kind_n, input = key in
+            store_trace t (trace_cache_key t ~bench:name ~kind:kind_n ~input) tr
+          | Error fl -> Hashtbl.replace failed_traces key fl)
+        tasks
+        (supervised_map t ~policy ~stage:"trace"
+           ~describe:(fun ((name, kind_n, input), _, _) ->
+             Printf.sprintf "%s/%s input %s" name kind_n input)
+           (fun (_, hint, p) ->
+             Faultpoint.cut fp_trace;
+             fst (Wish_emu.Trace.generate ~hint p))
+           tasks)
+    end;
+    (* Stage 4: simulate. *)
+    let sim_todo =
+      List.filter
         (fun j ->
           let kind_n = Policy.kind_name j.job_kind in
-          let tr = Hashtbl.find t.traces (j.job_bench, kind_n, j.job_input) in
-          let p = program t ~bench:j.job_bench ~kind:j.job_kind ~input:j.job_input in
-          t.log
-            (Printf.sprintf "simulating %s/%s input %s (%d dynamic insts)" j.job_bench kind_n
-               j.job_input (Wish_emu.Trace.length tr));
-          (j, tr, p))
-        sim_todo
+          Hashtbl.mem t.traces (j.job_bench, kind_n, j.job_input))
+        todo
     in
-    List.iter2
-      (fun (j, _, _) -> function
-        | Ok s ->
-          Hashtbl.replace t.results (memo_key j) s;
-          let kind_n = Policy.kind_name j.job_kind in
-          store_summary t
-            (summary_cache_key t ~bench:j.job_bench ~kind:kind_n ~input:j.job_input
-               ~config:j.job_config)
-            s
-        | Error fl -> Hashtbl.replace failed_runs (memo_key j) fl)
-      tasks
-      (supervised_map t ~policy ~stage:"simulate" ~describe:(fun (j, _, _) -> describe_job j)
-         (fun (j, tr, p) ->
-           Faultpoint.cut fp_simulate;
-           if Faultpoint.fires fp_slow then Unix.sleepf (Faultpoint.delay_of fp_slow);
-           simulate_with t ~config:j.job_config ~trace:tr p)
-         tasks)
-  end;
+    if sim_todo <> [] then begin
+      let tasks =
+        List.map
+          (fun j ->
+            let kind_n = Policy.kind_name j.job_kind in
+            let tr = Hashtbl.find t.traces (j.job_bench, kind_n, j.job_input) in
+            let p = program t ~bench:j.job_bench ~kind:j.job_kind ~input:j.job_input in
+            t.log
+              (Printf.sprintf "simulating %s (%d dynamic insts)" (describe_job j)
+                 (Wish_emu.Trace.length tr));
+            (j, tr, p))
+          sim_todo
+      in
+      List.iter2
+        (fun (j, _, _) -> function
+          | Ok s ->
+            Hashtbl.replace t.results (memo_key j) s;
+            store_summary t (summary_key_of_job t j) s
+          | Error fl -> Hashtbl.replace failed_runs (memo_key j) fl)
+        tasks
+        (supervised_map t ~policy ~stage:"simulate" ~describe:(fun (j, _, _) -> describe_job j)
+           (fun (j, tr, p) ->
+             Faultpoint.cut fp_simulate;
+             if Faultpoint.fires fp_slow then Unix.sleepf (Faultpoint.delay_of fp_slow);
+             simulate_with t ~config:j.job_config ~trace:tr p)
+           tasks)
+    end
+  in
+  (* With a cache, every miss whose lease this process gets is computed
+     in one pass; a miss whose lease another process holds builds nothing
+     here and is polled for until its summary lands, or until its holder
+     dies and the lease can be taken over. *)
+  let rec settle c pending =
+    if pending <> [] then begin
+      check_stop t;
+      let mine = ref [] and rest = ref [] in
+      List.iter
+        (fun j ->
+          let key = summary_key_of_job t j in
+          let leased = Cache.try_lease c ~key in
+          match cached_summary t key with
+          | Some s ->
+            if leased then Cache.release_lease c ~key;
+            Hashtbl.add t.results (memo_key j) (hit_from_concurrent_run t (describe_job j) s)
+          | None when leased -> mine := j :: !mine
+          | None -> rest := j :: !rest)
+        pending;
+      let mine = List.rev !mine in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter (fun j -> Cache.release_lease c ~key:(summary_key_of_job t j)) mine)
+        (fun () -> compute mine);
+      let rest = List.rev !rest in
+      if mine = [] && rest <> [] then Unix.sleepf lease_poll;
+      settle c rest
+    end
+  in
+  (match t.cache with None -> compute todo | Some c -> settle c todo);
   (* Assemble per-job outcomes, [jobs] order. *)
   List.map
     (fun j ->

@@ -15,6 +15,9 @@
     domains ({!run_batch}/{!prewarm} fan independent jobs across it, with
     results folded back deterministically on the calling domain) and an
     optional persistent {!Cache} consulted before any recomputation.
+    Processes sharing one cache directory coalesce duplicate jobs
+    through the cache's leases (see {!run_batch_results}). Workloads are
+    built, and binaries compiled, only when a job needs them.
 
     Fault tolerance: batched stages run under a supervision {!policy} —
     per-job crash isolation, bounded retry with exponential backoff and
@@ -36,7 +39,7 @@ val eval_input : string
     fixed spec everywhere. *)
 type sampling = Sample_auto | Sample_spec of Wish_sim.Sampler.spec
 
-(** [create ?scale ?names ?jobs ?cache ?resume ?sample ?sample_parallel ()]
+(** [create ?scale ?names ?jobs ?cache ?resume ?sample ()]
     — [names] restricts the benchmark set; [jobs > 1] spawns that many
     worker domains for {!run_batch}/{!prewarm} (default 1 = serial);
     [cache] persists traces and summaries across processes; [resume]
@@ -45,9 +48,7 @@ type sampling = Sample_auto | Sample_spec of Wish_sim.Sampler.spec
     With [sample], every simulation runs sampled
     ({!Wish_sim.Runner.simulate_sampled}) and summaries are cached under
     keys carrying a [|sample...] suffix — exact results keep their
-    historical keys. [sample_parallel] additionally fans each sampled
-    run's measurement windows over the worker pool (serial {!run} path
-    only; batched jobs already occupy the domains). *)
+    historical keys. *)
 val create :
   ?scale:int ->
   ?names:string list ->
@@ -55,7 +56,6 @@ val create :
   ?cache:Cache.t ->
   ?resume:bool ->
   ?sample:sampling ->
-  ?sample_parallel:bool ->
   unit ->
   t
 
@@ -73,7 +73,6 @@ val shutdown : t -> unit
 (** [set_logger t f] — progress callbacks for compilations/simulations. *)
 val set_logger : t -> (string -> unit) -> unit
 
-val benches : t -> Wish_workloads.Bench.t list
 val bench_names : t -> string list
 val bench : t -> string -> Wish_workloads.Bench.t
 
@@ -86,7 +85,10 @@ val program :
 val trace :
   t -> bench:string -> kind:Wish_compiler.Policy.kind -> input:string -> Wish_emu.Trace.t
 
-(** [run t ~bench ~kind ?input ?config ()] — memoized simulation. *)
+(** [run t ~bench ~kind ?input ?config ()] — memoized simulation. With
+    a cache, a miss is simulated only under its {!Cache} lease, like a
+    job of {!run_batch_results}; while another process holds that
+    lease, [run] waits for its summary. *)
 val run :
   t ->
   bench:string ->
@@ -182,14 +184,21 @@ val with_baselines : job list -> job list
 
 (** [summary_key_of_job t j] — the persistent-cache key {!run} stores
     [j]'s summary under (bench, kind, input, scale, config digest, and
-    the sampling suffix when the lab samples). This is the identity the
-    service daemon deduplicates identical in-flight jobs on. *)
+    the sampling suffix when the lab samples). {!run} and
+    {!run_batch_results} take its {!Cache} lease on the same key. *)
 val summary_key_of_job : t -> job -> string
 
 (** [run_batch_results ?policy t jobs] — the supervised parallel twin of
     {!run}: resolves every job (memo table, then disk cache, then
     compile/trace/simulate fanned over the worker pool, each stage under
-    [policy]) and returns per-job outcomes in [jobs] order. A failure in
+    [policy]) and returns per-job outcomes in [jobs] order. With a
+    cache, a job is computed only under its {!Cache.try_lease} lease,
+    taken on {!summary_key_of_job}; a job another live process holds
+    the lease on is awaited (polling the cache, honouring
+    {!request_stop}) rather than recomputed. Every lease the process can
+    get is taken in one pass, before any work starts. Leases are
+    released once the summary is stored, and on failure or
+    interruption. A failure in
     one stage poisons exactly the jobs that needed its product (a failed
     compile fails that bench's jobs, a failed trace the jobs sharing it).
     Under the default fail-fast policy a permanent failure raises

@@ -1,9 +1,8 @@
-(** Minimal JSON for machine-readable perf records
-    ([BENCH_hotloop.json], [BENCH_sim.json], ...). The bench harnesses
-    write these files; the only in-tree reader is [bench/perfgate.exe],
-    which compares fresh timings against the committed baselines — so
-    the parser below accepts exactly the subset [emit] produces (plus
-    whitespace) rather than pulling in a full JSON library. *)
+(** Minimal JSON for machine-readable perf records ([BENCH_regen.json],
+    the [bench/perf] ledger). The in-tree reader is [bench/perf], which
+    loads its ledger records and output pins back — so the parser below
+    accepts exactly the subset [emit] produces (plus whitespace) rather
+    than pulling in a full JSON library. *)
 
 type t =
   | Null

@@ -1,6 +1,7 @@
 (** Minimal JSON for the bench harnesses' machine-readable perf records.
     The parser accepts exactly the subset the emitter produces (plus
-    whitespace); its one in-tree client is [bench/perfgate.exe]. *)
+    whitespace); its in-tree reader is [bench/perf], which reads back
+    its ledger records and [expected.json] pins. *)
 
 type t =
   | Null

@@ -161,7 +161,10 @@ let test_cache_roundtrip () =
 let test_cache_version_invalidation () =
   let dir = cache_dir ^ "_ver" in
   let v1 = Cache.create ~dir ~version:1 () in
+  ignore (Cache.try_lease v1 ~key:"k");
   Cache.clear v1;
+  Alcotest.(check bool) "clear removes the leases" false
+    (Sys.file_exists (Filename.concat dir "lease"));
   Cache.store v1 ~kind:"summary" ~key:"k" (42, "payload");
   check
     Alcotest.(option (pair int string))
@@ -179,9 +182,94 @@ let test_cache_version_invalidation () =
     "stale entry evicted" None
     (Cache.find v1 ~kind:"summary" ~key:"k")
 
+(* ------------------------------------------------------------------ *)
+(* Leases: concurrent processes on one cache                           *)
+(* ------------------------------------------------------------------ *)
+
+(* These tests fork, which OCaml 5 refuses while other domains run, so
+   they are registered before any test that spawns a pool. A child
+   reports through its exit code and never returns into the runner. *)
+let fork_child f =
+  flush_all ();
+  match Unix.fork () with
+  | 0 ->
+    Unix._exit
+      (try f () with e ->
+         prerr_endline (Printexc.to_string e);
+         125)
+  | pid -> pid
+
+let wait_child pid =
+  match Unix.waitpid [] pid with _, Unix.WEXITED n -> n | _ -> -1
+
+(* 0 when a fresh process got the lease on [key], 1 when it was held. *)
+let other_process_leases c key =
+  wait_child (fork_child (fun () -> if Cache.try_lease c ~key then 0 else 1))
+
+let test_lease_acquire_release () =
+  let c = Cache.create ~dir:(cache_dir ^ "_lease") () in
+  Cache.clear c;
+  Alcotest.(check bool) "acquired" true (Cache.try_lease c ~key:"k");
+  Alcotest.(check bool) "its holder may take it again" true (Cache.try_lease c ~key:"k");
+  Alcotest.(check int) "another process finds it held" 1 (other_process_leases c "k");
+  ignore (wait_child (fork_child (fun () -> Cache.release_lease c ~key:"k"; 0)));
+  Alcotest.(check int) "only the holder can release it" 1 (other_process_leases c "k");
+  Cache.release_lease c ~key:"k";
+  Alcotest.(check int) "released" 0
+    (Array.length (Sys.readdir (Filename.concat (Cache.dir c) "lease")));
+  Alcotest.(check int) "then another process gets it" 0 (other_process_leases c "k")
+
+let test_lease_stale_takeover () =
+  let c = Cache.create ~dir:(cache_dir ^ "_stale") () in
+  Cache.clear c;
+  (* The child takes the lease and exits without releasing it; once it
+     is reaped, its pid is dead and the lease is stale. *)
+  Alcotest.(check int) "child took the lease" 0 (other_process_leases c "k");
+  Alcotest.(check bool) "dead holder's lease taken over" true (Cache.try_lease c ~key:"k");
+  Alcotest.(check int) "and now held here" 1 (other_process_leases c "k");
+  Cache.release_lease c ~key:"k"
+
+(* Two processes regenerate fig10 for gzip on one cache at once: the
+   tables agree, and between them every unique job is simulated once. *)
+let test_lease_coalesces_processes () =
+  let dir = cache_dir ^ "_coalesce" in
+  Cache.clear (Cache.create ~dir ());
+  let out i = Filename.concat dir (Printf.sprintf "out%d" i) in
+  let run i =
+    fork_child (fun () ->
+        let lab = Lab.create ~scale:1 ~names:[ "gzip" ] ~cache:(Cache.create ~dir ()) () in
+        let sims = ref 0 in
+        Lab.set_logger lab (fun s -> if String.starts_with ~prefix:"simulating" s then incr sims);
+        Lab.prewarm lab (Figures.jobs_for "fig10" lab);
+        let csv = Wish_util.Table.to_csv (Figures.fig10 lab) in
+        Out_channel.with_open_bin (out i) (fun oc -> Printf.fprintf oc "%d\n%s" !sims csv);
+        0)
+  in
+  let pids = [ run 0; run 1 ] in
+  List.iter (fun pid -> check Alcotest.int "child exit" 0 (wait_child pid)) pids;
+  let read i =
+    let s = In_channel.with_open_bin (out i) In_channel.input_all in
+    let nl = String.index s '\n' in
+    (int_of_string (String.sub s 0 nl), String.sub s (nl + 1) (String.length s - nl - 1))
+  in
+  let sims0, table0 = read 0 and sims1, table1 = read 1 in
+  check Alcotest.string "identical tables" table0 table1;
+  let keys =
+    let lab = Lab.create ~scale:1 ~names:[ "gzip" ] () in
+    List.sort_uniq compare
+      (List.map (Lab.summary_key_of_job lab) (Lab.with_baselines (Figures.jobs_for "fig10" lab)))
+  in
+  check Alcotest.int "each unique job simulated once" (List.length keys) (sims0 + sims1)
+
 let () =
   Alcotest.run "wish_experiments"
     [
+      ( "lease",
+        [
+          Alcotest.test_case "acquire, held, release" `Quick test_lease_acquire_release;
+          Alcotest.test_case "stale takeover" `Quick test_lease_stale_takeover;
+          Alcotest.test_case "two processes coalesce" `Slow test_lease_coalesces_processes;
+        ] );
       ( "lab",
         [
           Alcotest.test_case "caches results" `Quick test_lab_caches_results;

@@ -12,9 +12,6 @@
 
 module FP = Wish_util.Faultpoint
 module Pool = Wish_util.Pool
-module Procpool = Wish_util.Procpool
-module Framing = Wish_util.Framing
-module J = Wish_util.Perf_json
 module Table = Wish_util.Table
 module Cache = Wish_experiments.Cache
 module Lab = Wish_experiments.Lab
@@ -140,11 +137,22 @@ let test_pool_worker_death () =
 
 let value = List.init 2000 (fun k -> (7 * k) land 255)
 
+(* Each cache test runs with a lease held in the same directory: the
+   maintenance walks (scan, verify, prune, stats) must neither count,
+   classify nor move it. *)
+let with_lease c f =
+  Alcotest.(check bool) "lease taken" true (Cache.try_lease c ~key:"in-flight");
+  f ();
+  Alcotest.(check int) "the lease outlives maintenance" 1
+    (Array.length (Sys.readdir (Filename.concat (Cache.dir c) "lease")));
+  Cache.release_lease c ~key:"in-flight"
+
 let test_cache_torn_write () =
   with_reset @@ fun () ->
   let dir = fresh_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let c = Cache.create ~dir () in
+  with_lease c @@ fun () ->
   FP.arm "cache.write.torn" ~times:1;
   Cache.store c ~kind:"t" ~key:"k" value;
   note "cache.write.torn";
@@ -152,6 +160,7 @@ let test_cache_torn_write () =
   | [ (_, Cache.Entry_corrupt reason) ] ->
     Alcotest.(check string) "torn write detected as such" "missing footer (torn write)" reason
   | other -> Alcotest.failf "expected one corrupt entry, scan found %d" (List.length other));
+  Alcotest.(check int) "stats count the one entry" 1 (Cache.stats c).st_entries;
   Alcotest.(check (option (list int))) "torn entry is a miss" None (Cache.find c ~kind:"t" ~key:"k");
   Alcotest.(check int) "torn entry quarantined" 1
     (Array.length (Sys.readdir (Cache.quarantine_dir c)));
@@ -165,6 +174,7 @@ let test_cache_corrupt_write () =
   let dir = fresh_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let c = Cache.create ~dir () in
+  with_lease c @@ fun () ->
   FP.arm "cache.write.corrupt" ~times:1;
   Cache.store c ~kind:"t" ~key:"k" value;
   note "cache.write.corrupt";
@@ -188,9 +198,13 @@ let test_cache_stale_eviction () =
   let old = Cache.create ~dir ~version:2 () in
   Cache.store old ~kind:"t" ~key:"k" value;
   let c = Cache.create ~dir () in
+  with_lease c @@ fun () ->
   (match Cache.scan c with
   | [ (_, Cache.Entry_stale 2) ] -> ()
   | _ -> Alcotest.fail "expected one v2-stale entry");
+  let v = Cache.verify c in
+  Alcotest.(check (pair int int)) "verify: one stale, nothing quarantined" (1, 0)
+    (v.v_stale, v.v_quarantined);
   Alcotest.(check (option (list int))) "stale entry is a miss" None
     (Cache.find c ~kind:"t" ~key:"k");
   Alcotest.(check int) "stale entry evicted, not quarantined" 0 (List.length (Cache.scan c));
@@ -309,6 +323,29 @@ let test_keep_going_reports_failures () =
   note "lab.simulate";
   Alcotest.(check int) "failure counted" 1 (Lab.batch_stats lab).failed
 
+(* A serial lab with a cache computes its misses under leases. A bench
+   whose compile failed must fail every job of that bench, once: the
+   one-shot fault must not be outlived by a second compile. *)
+let test_keep_going_compile_failure_cached () =
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  with_reset @@ fun () ->
+  let c = Cache.create ~dir () in
+  let lab = Lab.create ~names:[ "gzip" ] ~cache:c () in
+  Fun.protect ~finally:(fun () -> Lab.shutdown lab) @@ fun () ->
+  FP.arm "lab.compile" ~times:1;
+  let policy = { fast with retries = 0; keep_going = true } in
+  List.iter
+    (function
+      | Error (fl : Lab.failure) -> Alcotest.(check string) "failed stage" "compile" fl.failed_stage
+      | Ok _ -> Alcotest.fail "a gzip job outlived its bench's failed compile")
+    (Lab.run_batch_results ~policy lab (jj_jobs ()));
+  note "lab.compile";
+  Alcotest.(check int) "the compile ran once" 1 (FP.hits "lab.compile");
+  Alcotest.(check int) "one failure counted" 1 (Lab.batch_stats lab).failed;
+  Alcotest.(check int) "every lease released" 0
+    (Array.length (Sys.readdir (Filename.concat (Cache.dir c) "lease")))
+
 let test_fail_fast_raises () =
   with_reset @@ fun () ->
   let lab = Lab.create ~names:[ "gzip" ] () in
@@ -336,94 +373,6 @@ let test_resume_skips_journaled () =
   Alcotest.(check string) "resumed summaries identical" (digests s0) (digests s1);
   let st = Lab.batch_stats lab in
   Alcotest.(check int) "both jobs served as resumed" 2 st.resumed
-
-(* ----------------------------------------------------------------- *)
-(* Service: worker-process death and torn client connections          *)
-(* ----------------------------------------------------------------- *)
-
-(* The daemon's forked worker pool, driven the way service.ml drives it:
-   submit, select on busy pipes, turn readable pipes into events. An
-   armed [svc.worker] SIGKILLs the worker right after the job frame is
-   handed over; the parent must see the corpse's EOF as a [Died] event
-   carrying the ticket, respawn into the same slot, and complete the
-   resubmitted job — nothing lost, capacity intact. *)
-let test_procpool_worker_death () =
-  with_reset @@ fun () ->
-  (* The doomed job must outlive the parent's SIGKILL (sent right after
-     the job frame is written): an instant echo could race the kill and
-     hand back a completed result instead of a corpse. *)
-  let handler s =
-    if s = "job" then ignore (Unix.select [] [] [] 0.2);
-    "echo:" ^ s
-  in
-  let pool = Procpool.create ~size:2 ~handler () in
-  Fun.protect ~finally:(fun () -> Procpool.shutdown pool) @@ fun () ->
-  let submit payload =
-    match Procpool.try_submit pool payload with
-    | Some tk -> tk
-    | None -> Alcotest.fail "no idle worker"
-  in
-  (* Drive the event loop until [tickets] have all yielded results,
-     resubmitting any job whose worker died with it in flight. *)
-  let collect tickets =
-    let pending = Hashtbl.create 4 in
-    List.iter (fun (tk, payload) -> Hashtbl.replace pending tk payload) tickets;
-    let results = ref [] in
-    let deadline = Unix.gettimeofday () +. 30.0 in
-    while Hashtbl.length pending > 0 do
-      if Unix.gettimeofday () > deadline then Alcotest.fail "job never completed";
-      match Unix.select (Procpool.busy_fds pool) [] [] 5.0 with
-      | [], _, _ -> ()
-      | fd :: _, _, _ -> (
-        match Procpool.handle_readable pool fd with
-        | Some (Procpool.Result (tk, r)) ->
-          if not (Hashtbl.mem pending tk) then Alcotest.fail "result for an unknown ticket";
-          Hashtbl.remove pending tk;
-          results := r :: !results
-        | Some (Procpool.Died (Some tk)) -> (
-          match Hashtbl.find_opt pending tk with
-          | Some payload ->
-            Hashtbl.remove pending tk;
-            Hashtbl.replace pending (submit payload) payload
-          | None -> Alcotest.fail "death reported for an unknown ticket")
-        | Some (Procpool.Died None) | None -> ())
-    done;
-    List.sort compare !results
-  in
-  FP.arm "svc.worker" ~times:1;
-  let tk = submit "job" in
-  let rs = collect [ (tk, "job") ] in
-  note "svc.worker";
-  Alcotest.(check (list string)) "requeued job completed on the respawn" [ "echo:job" ] rs;
-  Alcotest.(check int) "exactly one respawn" 1 (Procpool.respawns pool);
-  (* The healed pool is back at full capacity: both slots take a job. *)
-  let t1 = submit "a" and t2 = submit "b" in
-  Alcotest.(check int) "no idle worker left" 0 (Procpool.idle pool);
-  let rs = collect [ (t1, "a"); (t2, "b") ] in
-  Alcotest.(check (list string)) "both complete" [ "echo:a"; "echo:b" ] rs
-
-(* An armed [svc.conn.torn] makes [send] leave half a frame on the wire
-   and raise the same EPIPE a dying peer would: the sender takes its
-   connection-drop path, and the reader's recv comes back as a
-   structured tear — never a hang, a raise, or a partial value. *)
-let test_conn_torn () =
-  with_reset @@ fun () ->
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ a; b ])
-  @@ fun () ->
-  FP.arm "svc.conn.torn" ~times:1;
-  let v = J.Obj [ ("rows", J.List (List.init 64 (fun i -> J.Int i))) ] in
-  (match Framing.send a v with
-  | () -> Alcotest.fail "armed send must fail like a broken pipe"
-  | exception Unix.Unix_error (Unix.EPIPE, _, _) -> ());
-  note "svc.conn.torn";
-  Unix.close a;
-  match Framing.recv b with
-  | Error (Framing.Torn _) | Error (Framing.Malformed _) -> ()
-  | Error e -> Alcotest.failf "expected Torn/Malformed, got %s" (Framing.error_to_string e)
-  | Ok _ -> Alcotest.fail "recv returned a value from a torn stream"
 
 (* ----------------------------------------------------------------- *)
 (* Emulator-compiler miscompile drill site                            *)
@@ -480,14 +429,6 @@ let () =
             test_faultpoint_determinism;
           Alcotest.test_case "WISH_FAULTS env arming" `Quick test_faultpoint_env;
         ] );
-      (* Before any domain-spawning section: Procpool forks, and OCaml 5
-         forbids [Unix.fork] once other domains exist — the same
-         constraint that keeps the real daemon process domain-free. *)
-      ( "service",
-        [
-          Alcotest.test_case "worker death: requeue + respawn" `Quick test_procpool_worker_death;
-          Alcotest.test_case "torn connection surfaces structurally" `Quick test_conn_torn;
-        ] );
       ( "pool",
         [ Alcotest.test_case "worker death: requeue + respawn" `Quick test_pool_worker_death ] );
       ( "cache",
@@ -505,6 +446,8 @@ let () =
           Alcotest.test_case "timeout detected, retried, identical" `Slow test_timeout_retry;
           Alcotest.test_case "keep-going returns structured failures" `Slow
             test_keep_going_reports_failures;
+          Alcotest.test_case "keep-going compile failure under leases" `Slow
+            test_keep_going_compile_failure_cached;
           Alcotest.test_case "fail-fast raises Job_failed" `Slow test_fail_fast_raises;
           Alcotest.test_case "resume skips journaled jobs" `Slow test_resume_skips_journaled;
         ] );

@@ -297,8 +297,8 @@ let test_perf_json_roundtrip () =
   | Error e -> Alcotest.failf "round-trip parse failed: %s" e
 
 (* [parse] is total: every malformed input must come back as [Error]
-   with a diagnostic, never an exception — perfgate reads baseline
-   files that may be torn or hand-edited. *)
+   with a diagnostic, never an exception — bench/perf reads ledger
+   records that may be torn or hand-edited. *)
 let test_perf_json_malformed () =
   let cases =
     [
@@ -344,113 +344,6 @@ let test_perf_json_members () =
     Alcotest.(check (option (float 1e-9))) "nested member" (Some 12.5) ns;
     Alcotest.(check bool) "missing member" true (Perf_json.member "nope" v = None);
     Alcotest.(check bool) "member on non-object" true (Perf_json.member "x" (Perf_json.Int 1) = None)
-
-(* Framing ------------------------------------------------------------ *)
-
-let framing_error = Alcotest.testable Framing.pp_error ( = )
-
-let with_socketpair f =
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ a; b ])
-    (fun () -> f a b)
-
-let write_raw fd s =
-  let n = String.length s in
-  let rec go off = if off < n then go (off + Unix.write_substring fd s off (n - off)) in
-  go 0
-
-(* Big-endian length word, as the wire carries it. *)
-let length_word n = String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff))
-
-let test_framing_send_recv () =
-  with_socketpair @@ fun a b ->
-  let v =
-    Perf_json.Obj
-      [
-        ("cmd", Perf_json.String "run");
-        ("scale", Perf_json.Int 3);
-        ("benches", Perf_json.List [ Perf_json.String "gzip"; Perf_json.String "mcf" ]);
-      ]
-  in
-  Framing.send a v;
-  match Framing.recv b with
-  | Ok v' -> Alcotest.(check bool) "value survives the wire" true (v = v')
-  | Error e -> Alcotest.failf "recv: %s" (Framing.error_to_string e)
-
-let test_framing_sequencing () =
-  (* Frames on one connection arrive whole and in order even when the
-     reader lags several frames behind the writer. *)
-  with_socketpair @@ fun a b ->
-  let payloads = [ ""; "x"; String.make 4096 'y'; "{\"k\":1}" ] in
-  List.iter (Framing.write_frame a) payloads;
-  List.iteri
-    (fun i p ->
-      match Framing.read_frame b with
-      | Ok p' -> check Alcotest.string (Printf.sprintf "frame %d" i) p p'
-      | Error e -> Alcotest.failf "frame %d: %s" i (Framing.error_to_string e))
-    payloads
-
-let test_framing_closed () =
-  with_socketpair @@ fun a b ->
-  Unix.close a;
-  check
-    (Alcotest.result Alcotest.string framing_error)
-    "EOF at a frame boundary" (Error Framing.Closed) (Framing.read_frame b)
-
-let test_framing_torn_payload () =
-  (* A peer dying mid-payload surfaces as [Torn] — never a hang, raise,
-     or short [Ok]. *)
-  with_socketpair @@ fun a b ->
-  write_raw a (length_word 100);
-  write_raw a "only ten b";
-  Unix.close a;
-  match Framing.read_frame b with
-  | Error (Framing.Torn _) -> ()
-  | Error e -> Alcotest.failf "expected Torn, got %s" (Framing.error_to_string e)
-  | Ok p -> Alcotest.failf "read a %d-byte frame from a torn stream" (String.length p)
-
-let test_framing_torn_header () =
-  with_socketpair @@ fun a b ->
-  write_raw a "\x00\x00";
-  Unix.close a;
-  match Framing.read_frame b with
-  | Error (Framing.Torn _) -> ()
-  | Error e -> Alcotest.failf "expected Torn, got %s" (Framing.error_to_string e)
-  | Ok _ -> Alcotest.fail "read a frame from half a length word"
-
-let test_framing_oversized () =
-  (* The length word is checked before any payload is read: a hostile or
-     corrupt peer cannot make the reader allocate or block for 2 GiB. *)
-  with_socketpair @@ fun a b ->
-  let n = Framing.max_frame + 1 in
-  write_raw a (length_word n);
-  check
-    (Alcotest.result Alcotest.string framing_error)
-    "refused before reading the payload" (Error (Framing.Oversized n)) (Framing.read_frame b)
-
-let test_framing_malformed () =
-  with_socketpair @@ fun a b ->
-  Framing.write_frame a "\xffnot json\x00";
-  match Framing.recv b with
-  | Error (Framing.Malformed _) -> ()
-  | Error e -> Alcotest.failf "expected Malformed, got %s" (Framing.error_to_string e)
-  | Ok _ -> Alcotest.fail "parsed random bytes"
-
-let prop_framing_byte_transparent =
-  (* write_frame/read_frame is byte-transparent for any payload,
-     including NULs, high bytes, and the empty string. *)
-  QCheck.Test.make ~name:"Framing round-trips arbitrary payloads" ~count:100
-    QCheck.(string_of_size Gen.(0 -- 2048))
-    (fun payload ->
-      let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Fun.protect
-        ~finally:(fun () ->
-          List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ a; b ])
-        (fun () ->
-          Framing.write_frame a payload;
-          Framing.read_frame b = Ok payload))
 
 let () =
   Alcotest.run "wish_util"
@@ -508,16 +401,5 @@ let () =
           Alcotest.test_case "malformed is Error" `Quick test_perf_json_malformed;
           Alcotest.test_case "hostile nesting" `Quick test_perf_json_deep_nesting;
           Alcotest.test_case "member access" `Quick test_perf_json_members;
-        ] );
-      ( "framing",
-        [
-          Alcotest.test_case "send/recv round-trip" `Quick test_framing_send_recv;
-          Alcotest.test_case "frame sequencing" `Quick test_framing_sequencing;
-          Alcotest.test_case "closed peer" `Quick test_framing_closed;
-          Alcotest.test_case "torn payload" `Quick test_framing_torn_payload;
-          Alcotest.test_case "torn header" `Quick test_framing_torn_header;
-          Alcotest.test_case "oversized length word" `Quick test_framing_oversized;
-          Alcotest.test_case "malformed JSON payload" `Quick test_framing_malformed;
-          qtest prop_framing_byte_transparent;
         ] );
     ]
