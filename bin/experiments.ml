@@ -17,11 +17,10 @@ module Ablations = Wish_experiments.Ablations
 module Cache = Wish_experiments.Cache
 
 let run names scale verbose benchmarks csv_dir jobs no_cache gc_tune emu_interp timeout retries
-    keep_going resume sample warm_trace =
+    keep_going resume sample =
   Wish_util.Faultpoint.arm_from_env ();
   if gc_tune then Wish_util.Gc_stats.tune ();
   Wish_emu.Trace.use_interpreter := emu_interp;
-  Wish_sim.Sampler.use_fused := not warm_trace;
   let jobs =
     match Wish_util.Pool.jobs_of_string jobs with
     | Ok n -> n
@@ -280,16 +279,9 @@ let run_term =
              ~doc:"Simulate sampled (functional warming + measurement windows): W:D \
                    (warm:detail entries) or 'auto'. Summaries are cached under separate keys")
   in
-  let warm_trace =
-    Arg.(value & flag
-         & info [ "warm-trace" ]
-             ~doc:"Warm sampled runs through the trace-based reference loop instead of \
-                   the warming hooks fused into the compiled emulator (A/B lever; \
-                   estimates are bit-identical, only slower)")
-  in
   Term.(
     const run $ names $ scale $ verbose $ benchmarks $ csv_dir $ jobs $ no_cache $ gc_tune
-    $ emu_interp $ timeout $ retries $ keep_going $ resume $ sample $ warm_trace)
+    $ emu_interp $ timeout $ retries $ keep_going $ resume $ sample)
 
 let cmd =
   Cmd.v (Cmd.info "experiments" ~doc:"Regenerate the wish-branches paper's tables and figures")

@@ -33,9 +33,10 @@ type t = { root : string; version : int }
 
 (* Bump whenever a marshalled payload's in-memory type changes shape or
    the file layout changes (v2: chunked packed trace representation;
-   v3: integrity footer + completion journal). Stale entries self-evict
-   via the header check. *)
-let format_version = 3
+   v3: integrity footer + completion journal; v4: sampled summaries
+   carry whole-run wish_retired/wish_loop_retired). Stale entries
+   self-evict via the header check. *)
+let format_version = 4
 
 let default_dir () =
   match Sys.getenv_opt "WISH_CACHE_DIR" with Some d when d <> "" -> d | _ -> "_wishcache"

@@ -19,7 +19,8 @@
       by (bench, kind, input, scale[, config]) before being recomputed and
       stored after, making repeated runs incremental across processes;
       concurrent processes on one cache coalesce duplicate jobs through
-      its leases.
+      its leases. A sampled lab has no trace stage: its simulations warm
+      trace-free, and it stores summaries only.
 
     Fault tolerance ({!policy}): every batched stage runs under
     supervision — a job that raises (or whose worker domain dies; the
@@ -97,7 +98,7 @@ type batch_stats = {
 }
 
 (** How the lab simulates: [Sample_auto] scales a sampling spec to each
-    trace's length; [Sample_spec] uses one fixed spec everywhere. *)
+    run's dynamic length; [Sample_spec] uses one fixed spec everywhere. *)
 type sampling = Sample_auto | Sample_spec of Wish_sim.Sampler.spec
 
 let sampling_key = function
@@ -198,17 +199,22 @@ let summary_cache_key t ~bench ~kind ~input ~config =
   in
   match t.sample with None -> base | Some s -> base ^ "|sample" ^ sampling_key s
 
-(* The exact/sampled switch, shared by the serial and batched paths. *)
-let simulate_with t ~config ~trace p =
+(* The exact/sampled switch, shared by the serial and batched paths.
+   Exact runs replay the lab's memoized [trace]. Sampled runs get none:
+   [Runner.simulate_sampled] warms inside the compiled emulator and
+   materializes chunks only for each window's span, so a sampled lab
+   never generates, memoizes or stores a trace. *)
+let simulate_with t ~config ?trace p =
   match t.sample with
-  | None -> Wish_sim.Runner.simulate ~config ~trace p
+  | None -> Wish_sim.Runner.simulate ~config ?trace p
   | Some s ->
-    let spec =
-      match s with
-      | Sample_spec sp -> sp
-      | Sample_auto -> Wish_sim.Sampler.auto ~length:(Wish_emu.Trace.length trace)
-    in
-    fst (Wish_sim.Runner.simulate_sampled ~config ~spec ~trace p)
+    let spec = match s with Sample_spec sp -> Some sp | Sample_auto -> None in
+    fst (Wish_sim.Runner.simulate_sampled ~config ?spec p)
+
+(* The [simulating] log line's note on what the run covers. *)
+let run_note = function
+  | Some tr -> Printf.sprintf "%d dynamic insts" (Wish_emu.Trace.length tr)
+  | None -> "sampled, trace-free"
 
 let cached_trace t key =
   match t.cache with None -> None | Some c -> Cache.find c ~kind:"trace" ~key
@@ -301,6 +307,10 @@ let trace t ~bench:name ~kind ~input =
     Hashtbl.add t.traces key tr;
     tr
 
+(* The trace a simulation replays: exact labs only. *)
+let trace_for t ~bench ~kind ~input =
+  match t.sample with None -> Some (trace t ~bench ~kind ~input) | Some _ -> None
+
 (** [run t ~bench ~kind ?input ?config ()] — memoized simulation. *)
 let run t ~bench:name ~kind ?(input = eval_input) ?(config = Wish_sim.Config.default) () =
   let kind_n = Policy.kind_name kind in
@@ -317,12 +327,11 @@ let run t ~bench:name ~kind ?(input = eval_input) ?(config = Wish_sim.Config.def
         s
       | None -> (
         let compute () =
-          let tr = trace t ~bench:name ~kind ~input in
+          let trace = trace_for t ~bench:name ~kind ~input in
           let p = program t ~bench:name ~kind ~input in
           t.log
-            (Printf.sprintf "simulating %s/%s input %s (%d dynamic insts)" name kind_n input
-               (Wish_emu.Trace.length tr));
-          let s = simulate_with t ~config ~trace:tr p in
+            (Printf.sprintf "simulating %s/%s input %s (%s)" name kind_n input (run_note trace));
+          let s = simulate_with t ~config ?trace p in
           store_summary t ckey s;
           s
         in
@@ -534,15 +543,16 @@ let run_batch_results ?(policy = default_policy) t jobs =
              compile t name)
            missing_benches);
     let todo = List.filter (fun j -> not (Hashtbl.mem failed_benches j.job_bench)) todo in
-    (* Stage 3: one trace per (bench, kind, input), shared by every
-       configuration of the same binary/input pair. *)
+    (* Stage 3 (exact labs only): one trace per (bench, kind, input),
+       shared by every configuration of the same binary/input pair. *)
     let trace_todo =
       uniq
         (fun (name, kind_n, _, input) -> (name, kind_n, input))
         (List.filter_map
            (fun j ->
              let kind_n = Policy.kind_name j.job_kind in
-             if Hashtbl.mem t.traces (j.job_bench, kind_n, j.job_input) then None
+             if t.sample <> None || Hashtbl.mem t.traces (j.job_bench, kind_n, j.job_input) then
+               None
              else Some (j.job_bench, kind_n, j.job_kind, j.job_input))
            todo)
     in
@@ -584,25 +594,23 @@ let run_batch_results ?(policy = default_policy) t jobs =
              fst (Wish_emu.Trace.generate ~hint p))
            tasks)
     end;
-    (* Stage 4: simulate. *)
+    (* Stage 4: simulate every job whose trace, if it needs one, did not
+       fail. *)
     let sim_todo =
       List.filter
         (fun j ->
-          let kind_n = Policy.kind_name j.job_kind in
-          Hashtbl.mem t.traces (j.job_bench, kind_n, j.job_input))
+          not
+            (Hashtbl.mem failed_traces (j.job_bench, Policy.kind_name j.job_kind, j.job_input)))
         todo
     in
     if sim_todo <> [] then begin
       let tasks =
         List.map
           (fun j ->
-            let kind_n = Policy.kind_name j.job_kind in
-            let tr = Hashtbl.find t.traces (j.job_bench, kind_n, j.job_input) in
+            let trace = trace_for t ~bench:j.job_bench ~kind:j.job_kind ~input:j.job_input in
             let p = program t ~bench:j.job_bench ~kind:j.job_kind ~input:j.job_input in
-            t.log
-              (Printf.sprintf "simulating %s (%d dynamic insts)" (describe_job j)
-                 (Wish_emu.Trace.length tr));
-            (j, tr, p))
+            t.log (Printf.sprintf "simulating %s (%s)" (describe_job j) (run_note trace));
+            (j, trace, p))
           sim_todo
       in
       List.iter2
@@ -613,10 +621,10 @@ let run_batch_results ?(policy = default_policy) t jobs =
           | Error fl -> Hashtbl.replace failed_runs (memo_key j) fl)
         tasks
         (supervised_map t ~policy ~stage:"simulate" ~describe:(fun (j, _, _) -> describe_job j)
-           (fun (j, tr, p) ->
+           (fun (j, trace, p) ->
              Faultpoint.cut fp_simulate;
              if Faultpoint.fires fp_slow then Unix.sleepf (Faultpoint.delay_of fp_slow);
-             simulate_with t ~config:j.job_config ~trace:tr p)
+             simulate_with t ~config:j.job_config ?trace p)
            tasks)
     end
   in

@@ -35,8 +35,8 @@ type t
 val eval_input : string
 
 (** How the lab simulates: [Sample_auto] scales a sampling spec to each
-    trace's length ({!Wish_sim.Sampler.auto}); [Sample_spec] uses one
-    fixed spec everywhere. *)
+    run's dynamic length ({!Wish_sim.Sampler.auto}); [Sample_spec] uses
+    one fixed spec everywhere. *)
 type sampling = Sample_auto | Sample_spec of Wish_sim.Sampler.spec
 
 (** [create ?scale ?names ?jobs ?cache ?resume ?sample ()]
@@ -48,7 +48,10 @@ type sampling = Sample_auto | Sample_spec of Wish_sim.Sampler.spec
     With [sample], every simulation runs sampled
     ({!Wish_sim.Runner.simulate_sampled}) and summaries are cached under
     keys carrying a [|sample...] suffix — exact results keep their
-    historical keys. *)
+    historical keys. A sampled lab has no trace stage: functional
+    warming runs inside the compiled emulator
+    ({!Wish_sim.Sampler.run_fused}), so it never generates, memoizes or
+    caches a trace and stores summaries only. *)
 val create :
   ?scale:int ->
   ?names:string list ->
@@ -82,6 +85,9 @@ val binaries : t -> string -> Wish_compiler.Compiler.binaries
 val program :
   t -> bench:string -> kind:Wish_compiler.Policy.kind -> input:string -> Wish_isa.Program.t
 
+(** [trace t ~bench ~kind ~input] — the memoized (and cached)
+    materialized trace an exact simulation replays. A sampled lab's runs
+    never call it. *)
 val trace :
   t -> bench:string -> kind:Wish_compiler.Policy.kind -> input:string -> Wish_emu.Trace.t
 
@@ -191,7 +197,8 @@ val summary_key_of_job : t -> job -> string
 (** [run_batch_results ?policy t jobs] — the supervised parallel twin of
     {!run}: resolves every job (memo table, then disk cache, then
     compile/trace/simulate fanned over the worker pool, each stage under
-    [policy]) and returns per-job outcomes in [jobs] order. With a
+    [policy]; a sampled lab skips the trace stage) and returns per-job
+    outcomes in [jobs] order. With a
     cache, a job is computed only under its {!Cache.try_lease} lease,
     taken on {!summary_key_of_job}; a job another live process holds
     the lease on is awaited (polling the cache, honouring

@@ -68,6 +68,15 @@ let simulate ?(config = Config.default) ?(streaming = false) ?trace
      the core retires Halt, so [length] is the full dynamic count here too. *)
   { s with dynamic_insts = Wish_emu.Trace.length trace }
 
+(* The program's exact dynamic length, from one emulator pass that
+   records no entry and runs no warm hook. *)
+let dynamic_length (program : Wish_isa.Program.t) =
+  let n = Wish_isa.Code.length (Wish_isa.Program.code program) in
+  Wish_emu.Trace.warm_to
+    (Wish_emu.Trace.stream program)
+    ~hooks:(Array.make n Wish_emu.Trace.no_hook)
+    ~until:max_int
+
 (** [simulate_sampled] — the sampled counterpart of {!simulate}: same
     summary shape, numbers estimated from the measurement windows, plus
     the full {!Sampler.report}. The headline counters (cycles, retired
@@ -76,13 +85,18 @@ let simulate ?(config = Config.default) ?(streaming = false) ?trace
 let simulate_sampled ?(config = Config.default) ?pool ?(spec : Sampler.spec option)
     ?(streaming = false) ?trace (program : Wish_isa.Program.t) =
   let r =
-    match (trace, spec) with
-    | None, Some spec when !Sampler.use_fused ->
-      (* No caller-supplied trace and an explicit spec: warm trace-free
-         through the fused path (report bit-identical to sampling a
-         streamed trace; [--warm-trace] flips back to the reference). An
-         auto spec ([spec = None]) needs the trace length up front, so it
-         stays on the materialized path below. *)
+    match trace with
+    | None when !Sampler.use_fused ->
+      (* No caller-supplied trace: warm trace-free through the fused path
+         (report bit-identical to sampling a streamed trace; [--warm-trace]
+         flips back to the reference). An auto spec is scaled to the exact
+         dynamic length, which an unrecorded pass counts first. *)
+      let spec =
+        match spec with
+        | Some s -> s
+        | None when streaming -> Sampler.default_spec
+        | None -> Sampler.auto ~length:(dynamic_length program)
+      in
       Sampler.run_fused ?pool ~config ~spec program
     | _ ->
       let trace =
@@ -122,6 +136,10 @@ let simulate_sampled ?(config = Config.default) ?pool ?(spec : Sampler.spec opti
   Wish_util.Stats.set stats "flushes" r.r_measured_flushes;
   Wish_util.Stats.set stats "mispredicts_retired" r.r_measured_mispredicts;
   Wish_util.Stats.set stats "cond_branches_retired" r.r_measured_cond;
+  (* Whole-run estimates, unlike the window sums above: tab4 reads these
+     two as dynamic counts. *)
+  Wish_util.Stats.set stats "wish_retired" (expand r.r_measured_wish);
+  Wish_util.Stats.set stats "wish_loop_retired" (expand r.r_measured_wish_loop);
   let summary =
     {
       cycles = r.r_est_cycles;

@@ -33,12 +33,15 @@ val simulate :
     together with the full sampling report. [spec] defaults to
     {!Sampler.auto} for a materialized trace and {!Sampler.default_spec}
     for a streaming one; [pool] fans detailed windows out in parallel.
-    With no caller-supplied [trace] and an explicit [spec], warming runs
-    trace-free through {!Sampler.run_fused} (bit-identical report;
-    {!Sampler.use_fused} — the [--warm-trace] driver lever — restores the
-    trace-based reference loop). The summary's [stats] bag carries the
-    measured window sums ([sample_windows], [sample_measured_entries],
-    raw counter sums), not whole-run counts. *)
+    With no caller-supplied [trace], warming runs trace-free through
+    {!Sampler.run_fused} (bit-identical report; {!Sampler.use_fused} —
+    wishsim's [--warm-trace] lever — restores the trace-based reference
+    loop); an auto spec is then sized by one unrecorded emulator pass
+    that counts the dynamic length. The summary's [stats] bag carries
+    the measured window sums ([sample_windows],
+    [sample_measured_entries], raw counter sums), not whole-run counts —
+    except [wish_retired] and [wish_loop_retired], which are expanded to
+    whole-run estimates like the summary's secondary counters. *)
 val simulate_sampled :
   ?config:Config.t ->
   ?pool:Wish_util.Pool.t ->

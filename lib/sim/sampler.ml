@@ -92,6 +92,8 @@ type window = {
   w_flushes : int;
   w_mispredicts : int;
   w_cond : int;
+  w_wish : int;
+  w_wish_loop : int;
 }
 
 type report = {
@@ -106,6 +108,8 @@ type report = {
   r_measured_flushes : int;
   r_measured_mispredicts : int;
   r_measured_cond : int;
+  r_measured_wish : int;
+  r_measured_wish_loop : int;
   r_upc : float;
   r_upc_ci : float; (* 95% CI half-width on the per-window µPC *)
   r_misp_per_1k : float;
@@ -486,7 +490,9 @@ let run_window ~config ~program ~trace ~detail ck =
   and f0 = g "fetched_uops"
   and fl0 = g "flushes"
   and m0 = g "mispredicts_retired"
-  and b0 = g "cond_branches_retired" in
+  and b0 = g "cond_branches_retired"
+  and wi0 = g "wish_retired"
+  and wl0 = g "wish_loop_retired" in
   run_until (start + lead + detail);
   let hi = retired_idx () in
   {
@@ -499,6 +505,8 @@ let run_window ~config ~program ~trace ~detail ck =
     w_flushes = g "flushes" - fl0;
     w_mispredicts = g "mispredicts_retired" - m0;
     w_cond = g "cond_branches_retired" - b0;
+    w_wish = g "wish_retired" - wi0;
+    w_wish_loop = g "wish_loop_retired" - wl0;
   }
 
 (* ----------------------------------------------------------------- *)
@@ -590,6 +598,8 @@ let aggregate ~spec ~period ~total_insts ~mem windows =
     r_measured_flushes = sum (fun w -> w.w_flushes) windows;
     r_measured_mispredicts = m;
     r_measured_cond = sum (fun w -> w.w_cond) windows;
+    r_measured_wish = sum (fun w -> w.w_wish) windows;
+    r_measured_wish_loop = sum (fun w -> w.w_wish_loop) windows;
     r_upc = upc;
     r_upc_ci = upc_ci;
     r_misp_per_1k = misp;

@@ -43,6 +43,8 @@ type window = {
   w_flushes : int;
   w_mispredicts : int;
   w_cond : int;
+  w_wish : int;  (** wish branches retired *)
+  w_wish_loop : int;  (** of which wish loops *)
 }
 
 type report = {
@@ -57,6 +59,8 @@ type report = {
   r_measured_flushes : int;
   r_measured_mispredicts : int;
   r_measured_cond : int;
+  r_measured_wish : int;
+  r_measured_wish_loop : int;
   r_upc : float;
   r_upc_ci : float;  (** 95% CI half-width on the per-window µPC *)
   r_misp_per_1k : float;
@@ -73,8 +77,8 @@ val warm_state_at :
 
 (** Run warming fused into the compiled emulator (the default for
     trace-free sampled runs; see {!run_fused}). The trace-based loop
-    stays behind this flag as the golden reference — the [--warm-trace]
-    driver lever, mirroring [--emu-interp]/[--sim-interp]. *)
+    stays behind this flag as the golden reference — wishsim's
+    [--warm-trace] lever, mirroring [--emu-interp]/[--sim-interp]. *)
 val use_fused : bool ref
 
 (** [fused_warm_state_at ~config program i] — {!warm_state_at} computed

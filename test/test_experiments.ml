@@ -183,6 +183,44 @@ let test_cache_version_invalidation () =
     (Cache.find v1 ~kind:"summary" ~key:"k")
 
 (* ------------------------------------------------------------------ *)
+(* Sampled labs                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* A sampled lab warms trace-free: batched and serial runs alike equal
+   sampling a materialized trace, and its cache holds summaries only. *)
+let test_sampled_lab_trace_free () =
+  let spec = Wish_sim.Sampler.spec ~warm:20_000 ~detail:2_000 in
+  List.iter
+    (fun (label, sample, spec) ->
+      let cache = Cache.create ~dir:(cache_dir ^ "_sampled_" ^ label) () in
+      Cache.clear cache;
+      let lab = Lab.create ~scale:1 ~names:[ "gzip" ] ~cache ~sample () in
+      let batch =
+        [ Lab.job ~bench:"gzip" ~kind:Policy.Normal (); Lab.job ~bench:"gzip" ~kind:Policy.Wish_jjl () ]
+      in
+      let batched = Lab.run_batch lab batch in
+      let serial = Lab.run lab ~bench:"gzip" ~kind:Policy.Wish_jj () in
+      let jobs = batch @ [ Lab.job ~bench:"gzip" ~kind:Policy.Wish_jj () ] in
+      List.iter2
+        (fun (j : Lab.job) s ->
+          let p = Lab.program lab ~bench:j.job_bench ~kind:j.job_kind ~input:j.job_input in
+          let trace, _ = Wish_emu.Trace.generate p in
+          let want, _ = Wish_sim.Runner.simulate_sampled ?spec ~trace p in
+          check Alcotest.string
+            (Printf.sprintf "%s %s equals the trace-based run" label
+               (Policy.kind_name j.job_kind))
+            (summary_repr want) (summary_repr s))
+        jobs (batched @ [ serial ]);
+      let entries = List.map fst (Cache.scan cache) in
+      check
+        Alcotest.(list string)
+        (label ^ ": no trace in the cache") []
+        (List.filter (String.starts_with ~prefix:"trace/") entries);
+      check Alcotest.int (label ^ ": one summary per job") (List.length jobs)
+        (List.length (List.filter (String.starts_with ~prefix:"summary/") entries)))
+    [ ("spec", Lab.Sample_spec spec, Some spec); ("auto", Lab.Sample_auto, None) ]
+
+(* ------------------------------------------------------------------ *)
 (* Leases: concurrent processes on one cache                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -282,6 +320,7 @@ let () =
           Alcotest.test_case "round-trip fidelity" `Slow test_cache_roundtrip;
           Alcotest.test_case "version invalidation" `Quick test_cache_version_invalidation;
         ] );
+      ("sampled", [ Alcotest.test_case "lab is trace-free" `Slow test_sampled_lab_trace_free ]);
       ( "direction",
         [
           Alcotest.test_case "perfect bp wins" `Slow test_perfect_bp_wins;

@@ -263,9 +263,9 @@ let test_journal_torn_line () =
 (* Render fig10 for a gzip-only lab (grid prewarmed under [fast]) with
    the given fault schedule armed; returns the CSV text and the
    supervision stats. *)
-let fig10_csv faults =
+let fig10_csv ?sample faults =
   with_reset @@ fun () ->
-  let lab = Lab.create ~names:[ "gzip" ] ~jobs:2 () in
+  let lab = Lab.create ~names:[ "gzip" ] ~jobs:2 ?sample () in
   Fun.protect ~finally:(fun () -> Lab.shutdown lab) @@ fun () ->
   List.iter (fun (site, times) -> FP.arm site ~times) faults;
   Lab.prewarm ~policy:fast lab (Figures.jobs_for "fig10" lab);
@@ -281,6 +281,17 @@ let test_table_identical_under_faults () =
   Alcotest.(check bool)
     (Printf.sprintf "every injected fault was retried (%d retries)" st.retried)
     true (st.retried >= 6)
+
+(* A sampled lab has no trace stage, so [lab.trace] cannot fire there;
+   its compile and simulate stages are supervised all the same. *)
+let test_sampled_table_identical_under_faults () =
+  let sample = Lab.Sample_spec (Wish_sim.Sampler.spec ~warm:20_000 ~detail:2_000) in
+  let clean, _ = fig10_csv ~sample [] in
+  let chaotic, st = fig10_csv ~sample [ ("lab.compile", 1); ("lab.simulate", 3) ] in
+  Alcotest.(check string) "sampled fig10 byte-identical under injected faults" clean chaotic;
+  Alcotest.(check bool)
+    (Printf.sprintf "every injected fault was retried (%d retries)" st.retried)
+    true (st.retried >= 4)
 
 let jj_jobs () = Lab.with_baselines [ Lab.job ~bench:"gzip" ~kind:Wish_compiler.Policy.Wish_jj () ]
 
@@ -443,6 +454,8 @@ let () =
         [
           Alcotest.test_case "fig10 byte-identical under faults" `Slow
             test_table_identical_under_faults;
+          Alcotest.test_case "sampled fig10 byte-identical under faults" `Slow
+            test_sampled_table_identical_under_faults;
           Alcotest.test_case "timeout detected, retried, identical" `Slow test_timeout_retry;
           Alcotest.test_case "keep-going returns structured failures" `Slow
             test_keep_going_reports_failures;

@@ -372,7 +372,12 @@ let test_sampler_tiny_trace_is_exact () =
   check Alcotest.int "one cold window" 1 (List.length r.r_windows);
   check Alcotest.int "every entry measured" r.r_total_insts r.r_measured_entries;
   check Alcotest.int "cycle estimate is the exact count" exact.cycles r.r_est_cycles;
-  check (Alcotest.float 1e-6) "uPC is the exact uPC" exact.upc s.upc
+  check (Alcotest.float 1e-6) "uPC is the exact uPC" exact.upc s.upc;
+  Alcotest.(check bool) "the kernel retires wish branches" true (stat exact "wish_retired" > 0);
+  check Alcotest.int "wish_retired is the exact count" (stat exact "wish_retired")
+    (stat s "wish_retired");
+  check Alcotest.int "wish_loop_retired is the exact count" (stat exact "wish_loop_retired")
+    (stat s "wish_loop_retired")
 
 (* Fused (trace-free) warming --------------------------------------------------------- *)
 
