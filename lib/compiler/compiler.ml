@@ -24,9 +24,10 @@ let binary binaries (kind : Policy.kind) =
 
 let all_kinds = [ Policy.Normal; Policy.Base_def; Policy.Base_max; Policy.Wish_jj; Policy.Wish_jjl ]
 
-(** [compile_kind ?profile ~name ast kind] compiles one flavour. *)
-let compile_kind ?mem_words ?profile ~name ast kind =
-  let policy = Policy.create ?profile kind in
+(** [compile_kind ?profile ?wish_threshold_n ~name ast kind] compiles one
+    flavour. *)
+let compile_kind ?mem_words ?profile ?wish_threshold_n ~name ast kind =
+  let policy = Policy.create ?profile ?wish_threshold_n kind in
   let program, branch_map =
     Codegen.compile ?mem_words ~policy ~name:(name ^ "." ^ Policy.kind_name kind) ast
   in

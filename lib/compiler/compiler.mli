@@ -17,11 +17,15 @@ val binary : binaries -> Policy.kind -> Wish_isa.Program.t
 (** All five kinds, in Table 3 order. *)
 val all_kinds : Policy.kind list
 
-(** [compile_kind ?mem_words ?profile ~name ast kind] compiles one
-    flavour, returning the program and its branch map. *)
+(** [compile_kind ?mem_words ?profile ?wish_threshold_n ~name ast kind]
+    compiles one flavour, returning the program and its branch map.
+    [wish_threshold_n] overrides the policy's wish-jump threshold N
+    (default {!Policy.default_wish_threshold_n}). The wish kinds read no
+    profile, so their code is the same with or without one. *)
 val compile_kind :
   ?mem_words:int ->
   ?profile:Policy.profile ->
+  ?wish_threshold_n:int ->
   name:string ->
   Ast.program ->
   Policy.kind ->

@@ -29,8 +29,10 @@ type t = {
   max_region_size : int; (* refuse to predicate gigantic regions *)
 }
 
-let create ?(misp_penalty = 30) ?(wish_threshold_n = 5) ?(wish_loop_threshold_l = 30)
-    ?(max_region_size = 200) ?profile kind =
+let default_wish_threshold_n = 5
+
+let create ?(misp_penalty = 30) ?(wish_threshold_n = default_wish_threshold_n)
+    ?(wish_loop_threshold_l = 30) ?(max_region_size = 200) ?profile kind =
   { kind; profile; misp_penalty; wish_threshold_n; wish_loop_threshold_l; max_region_size }
 
 let lookup_profile t ~id =

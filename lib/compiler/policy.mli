@@ -17,6 +17,10 @@ type profile = (int, branch_profile) Hashtbl.t
 
 type t
 
+(** The paper's wish-jump threshold N, 5 instructions: what {!create}
+    uses unless told otherwise. *)
+val default_wish_threshold_n : int
+
 val create :
   ?misp_penalty:int ->
   ?wish_threshold_n:int ->

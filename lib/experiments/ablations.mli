@@ -12,7 +12,8 @@ val confidence_threshold : Lab.t -> Wish_util.Table.t
     (paper Section 3.4 forward compatibility). *)
 val no_wish_hardware : Lab.t -> Wish_util.Table.t
 
-(** A4: compiler wish-jump threshold N sweep (recompiles a subset). *)
+(** A4: compiler wish-jump threshold N sweep on a subset of workloads;
+    each variant binary is a memoized, cached {!Lab.run}. *)
 val wish_threshold_n : Lab.t -> Wish_util.Table.t
 
 (** [jobs_for name lab] — the prewarmable simulation grid behind study

@@ -328,10 +328,7 @@ let table4 lab =
     (fun name ->
       let s = Lab.run lab ~bench:name ~kind:Policy.Normal () in
       let sw = Lab.run lab ~bench:name ~kind:Policy.Wish_jjl () in
-      let code k = Wish_isa.Program.code (Compiler.binary (Lab.binaries lab name) k) in
-      let wish_code = code Policy.Wish_jjl in
-      let static_wish = Wish_isa.Code.static_wish_branches wish_code in
-      let static_loops = Wish_isa.Code.static_wish_loops wish_code in
+      let wish = Lab.shape lab ~bench:name ~kind:Policy.Wish_jjl in
       let dyn_wish = Stats.get sw.stats "wish_retired" in
       let dyn_loops = Stats.get sw.stats "wish_loop_retired" in
       let pct_of part whole = if whole = 0 then 0.0 else 100.0 *. float_of_int part /. float_of_int whole in
@@ -340,12 +337,13 @@ let table4 lab =
           name;
           string_of_int s.dynamic_insts;
           string_of_int s.retired_uops;
-          string_of_int (Wish_isa.Code.static_conditional_branches (code Policy.Normal));
+          string_of_int (Lab.shape lab ~bench:name ~kind:Policy.Normal).cond_branches;
           string_of_int s.cond_branches;
           Printf.sprintf "%.1f"
             (1000.0 *. float_of_int s.mispredicts /. float_of_int (max 1 s.retired_uops));
           Printf.sprintf "%.2f" s.upc;
-          Printf.sprintf "%d (%.0f%%)" static_wish (pct_of static_loops static_wish);
+          Printf.sprintf "%d (%.0f%%)" wish.wish_branches
+            (pct_of wish.wish_loops wish.wish_branches);
           Printf.sprintf "%d (%.0f%%)" dyn_wish (pct_of dyn_loops dyn_wish);
         ])
     (Lab.bench_names lab);

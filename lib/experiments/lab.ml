@@ -1,5 +1,6 @@
 (** The lab: compiles each workload's five binaries once, memoizes emulator
-    traces and simulation results, and hands figure generators their data.
+    traces, simulation results and static branch counts, and hands figure
+    generators their data.
 
     Evaluation protocol (mirroring the paper's methodology):
     - binaries are compiled with profile feedback from each workload's
@@ -15,12 +16,12 @@
       fold the results back into the tables on the coordinating domain, so
       the tables are only ever mutated single-threaded and the outputs are
       bit-identical to the serial path;
-    - an optional persistent {!Cache}: traces and summaries are looked up
-      by (bench, kind, input, scale[, config]) before being recomputed and
-      stored after, making repeated runs incremental across processes;
-      concurrent processes on one cache coalesce duplicate jobs through
-      its leases. A sampled lab has no trace stage: its simulations warm
-      trace-free, and it stores summaries only.
+    - an optional persistent {!Cache}: traces, summaries and static
+      shapes are looked up by (bench, kind, input, scale[, config]) before
+      being recomputed and stored after, making repeated runs incremental
+      across processes; concurrent processes on one cache coalesce
+      duplicate jobs through its leases. A sampled lab has no trace stage:
+      its simulations warm trace-free, and it stores no trace.
 
     Fault tolerance ({!policy}): every batched stage runs under
     supervision — a job that raises (or whose worker domain dies; the
@@ -90,7 +91,7 @@ let () =
     | _ -> None)
 
 type batch_stats = {
-  mutable executed : int; (* stage tasks actually run (attempts included) *)
+  mutable executed : int; (* stage tasks actually run, batched or serial (attempts included) *)
   mutable retried : int; (* extra attempts beyond each task's first *)
   mutable failed : int; (* tasks that exhausted their retry budget *)
   mutable cache_hits : int;
@@ -105,12 +106,15 @@ let sampling_key = function
   | Sample_auto -> "auto"
   | Sample_spec s -> Wish_sim.Sampler.to_string s
 
+type shape = { cond_branches : int; wish_branches : int; wish_loops : int }
+
 type t = {
   scale : int;
   names : string list;
   binaries : (string, Compiler.binaries) Hashtbl.t;
   traces : (string * string * string, Wish_emu.Trace.t) Hashtbl.t;
   results : (string * string * string * Wish_sim.Config.t, Wish_sim.Runner.summary) Hashtbl.t;
+  shapes : (string, shape) Hashtbl.t; (* by cache key *)
   mutable log : string -> unit;
   pool : Pool.t option;
   cache : Cache.t option;
@@ -143,6 +147,7 @@ let create ?(scale = 1) ?names ?(jobs = 1) ?cache ?(resume = false) ?sample () =
     binaries = Hashtbl.create 16;
     traces = Hashtbl.create 64;
     results = Hashtbl.create 256;
+    shapes = Hashtbl.create 32;
     log = ignore;
     pool = (if jobs > 1 then Some (Pool.create ~size:jobs ()) else None);
     cache;
@@ -174,6 +179,11 @@ let stop_requested t = Atomic.get t.stop
 let check_stop t = if Atomic.get t.stop then raise Interrupted
 
 let set_logger t f = t.log <- f
+
+(* One stage task (compile, trace or simulate) run outside a batch:
+   counted where it is started, since the batched stages count their own
+   through [supervised_map]. *)
+let serial_task t = t.stats.executed <- t.stats.executed + 1
 
 let bench_names t = t.names
 
@@ -212,15 +222,19 @@ let simulate_with t ~config ?trace p =
     fst (Wish_sim.Runner.simulate_sampled ~config ?spec p)
 
 (* The [simulating] log line's note on what the run covers. *)
-let run_note = function
+let run_note t = function
   | Some tr -> Printf.sprintf "%d dynamic insts" (Wish_emu.Trace.length tr)
-  | None -> "sampled, trace-free"
+  | None when t.sample <> None -> "sampled, trace-free"
+  | None -> "unstored trace"
 
 let cached_trace t key =
   match t.cache with None -> None | Some c -> Cache.find c ~kind:"trace" ~key
 
 let cached_summary t key =
   match t.cache with None -> None | Some c -> Cache.find c ~kind:"summary" ~key
+
+let cached_shape t key =
+  match t.cache with None -> None | Some c -> Cache.find c ~kind:"shape" ~key
 
 let store_trace t key tr =
   match t.cache with None -> () | Some c -> Cache.store c ~kind:"trace" ~key tr
@@ -277,6 +291,7 @@ let binaries t name =
   match Hashtbl.find_opt t.binaries name with
   | Some b -> b
   | None ->
+    serial_task t;
     let bins = compile t name in
     Hashtbl.add t.binaries name bins;
     bins
@@ -300,7 +315,10 @@ let trace t ~bench:name ~kind ~input =
         tr
       | None ->
         let hint = (bench t name).approx_dyn_insts in
-        let tr, _ = Wish_emu.Trace.generate ~hint (program t ~bench:name ~kind ~input) in
+        let p = program t ~bench:name ~kind ~input in
+        t.log (Printf.sprintf "tracing %s/%s input %s" name kind_n input);
+        serial_task t;
+        let tr, _ = Wish_emu.Trace.generate ~hint p in
         store_trace t ckey tr;
         tr
     in
@@ -311,9 +329,33 @@ let trace t ~bench:name ~kind ~input =
 let trace_for t ~bench ~kind ~input =
   match t.sample with None -> Some (trace t ~bench ~kind ~input) | Some _ -> None
 
-(** [run t ~bench ~kind ?input ?config ()] — memoized simulation. *)
-let run t ~bench:name ~kind ?(input = eval_input) ?(config = Wish_sim.Config.default) () =
-  let kind_n = Policy.kind_name kind in
+(* A binary compiled with a non-default wish-jump threshold N, bound to
+   [input]. No profile: the wish kinds read none. It is compiled on each
+   use, and only its summary is ever memoized or stored. *)
+let variant_program t ~bench:name ~kind ~n ~input =
+  let b = bench t name in
+  t.log
+    (Printf.sprintf "compiling %s/%s (wish-jump threshold N=%d)" name (Policy.kind_name kind) n);
+  serial_task t;
+  let code, _ = Compiler.compile_kind ~mem_words:b.mem_words ~wish_threshold_n:n ~name b.ast kind in
+  Wish_workloads.Bench.program_for b code input
+
+(** [run t ~bench ~kind ?wish_threshold_n ?input ?config ()] — memoized
+    simulation. A non-default [wish_threshold_n] names a variant binary,
+    keyed by kind as e.g. [wish-jump-join.n0]; an exact variant simulates
+    from a trace of its own that is never kept. *)
+let run t ~bench:name ~kind ?wish_threshold_n ?(input = eval_input)
+    ?(config = Wish_sim.Config.default) () =
+  let variant =
+    match wish_threshold_n with
+    | Some n when n <> Policy.default_wish_threshold_n -> Some n
+    | _ -> None
+  in
+  let kind_n =
+    match variant with
+    | None -> Policy.kind_name kind
+    | Some n -> Printf.sprintf "%s.n%d" (Policy.kind_name kind) n
+  in
   let key = (name, kind_n, input, config) in
   match Hashtbl.find_opt t.results key with
   | Some s -> s
@@ -327,10 +369,14 @@ let run t ~bench:name ~kind ?(input = eval_input) ?(config = Wish_sim.Config.def
         s
       | None -> (
         let compute () =
-          let trace = trace_for t ~bench:name ~kind ~input in
-          let p = program t ~bench:name ~kind ~input in
+          let trace, p =
+            match variant with
+            | None -> (trace_for t ~bench:name ~kind ~input, program t ~bench:name ~kind ~input)
+            | Some n -> (None, variant_program t ~bench:name ~kind ~n ~input)
+          in
           t.log
-            (Printf.sprintf "simulating %s/%s input %s (%s)" name kind_n input (run_note trace));
+            (Printf.sprintf "simulating %s/%s input %s (%s)" name kind_n input (run_note t trace));
+          serial_task t;
           let s = simulate_with t ~config ?trace p in
           store_summary t ckey s;
           s
@@ -609,7 +655,7 @@ let run_batch_results ?(policy = default_policy) t jobs =
           (fun j ->
             let trace = trace_for t ~bench:j.job_bench ~kind:j.job_kind ~input:j.job_input in
             let p = program t ~bench:j.job_bench ~kind:j.job_kind ~input:j.job_input in
-            t.log (Printf.sprintf "simulating %s (%s)" (describe_job j) (run_note trace));
+            t.log (Printf.sprintf "simulating %s (%s)" (describe_job j) (run_note t trace));
             (j, trace, p))
           sim_todo
       in
@@ -688,6 +734,40 @@ let prewarm ?policy t jobs =
   match (policy : policy option) with
   | Some { keep_going = true; _ } -> ()
   | _ -> List.iter (function Error fl -> raise (Job_failed fl) | Ok _ -> ()) outcomes
+
+(* --------------------------------------------------------------- *)
+(* Static shape                                                     *)
+(* --------------------------------------------------------------- *)
+
+(** [shape t ~bench ~kind] — static branch counts of one binary, memoized
+    and cached under [bench|kind|scaleN]; binaries are compiled only on a
+    miss. *)
+let shape t ~bench:name ~kind =
+  let kind_n = Policy.kind_name kind in
+  let ckey = Printf.sprintf "%s|%s|scale%d" name kind_n t.scale in
+  match Hashtbl.find_opt t.shapes ckey with
+  | Some s -> s
+  | None ->
+    let s =
+      match cached_shape t ckey with
+      | Some s ->
+        t.stats.cache_hits <- t.stats.cache_hits + 1;
+        t.log (Printf.sprintf "cache hit: shape %s/%s" name kind_n);
+        s
+      | None ->
+        let code = Wish_isa.Program.code (Compiler.binary (binaries t name) kind) in
+        let s =
+          {
+            cond_branches = Wish_isa.Code.static_conditional_branches code;
+            wish_branches = Wish_isa.Code.static_wish_branches code;
+            wish_loops = Wish_isa.Code.static_wish_loops code;
+          }
+        in
+        Option.iter (fun c -> Cache.store c ~kind:"shape" ~key:ckey s) t.cache;
+        s
+    in
+    Hashtbl.add t.shapes ckey s;
+    s
 
 (* --------------------------------------------------------------- *)
 (* Derived metrics                                                  *)

@@ -1,6 +1,6 @@
 (** The lab: compiles each workload's five binaries once, memoizes
-    emulator traces and simulation results, and hands figure generators
-    their data.
+    emulator traces, simulation results and static branch counts, and
+    hands figure generators their data.
 
     Evaluation protocol (mirroring the paper's methodology):
     - binaries are compiled with profile feedback from each workload's
@@ -17,7 +17,9 @@
     optional persistent {!Cache} consulted before any recomputation.
     Processes sharing one cache directory coalesce duplicate jobs
     through the cache's leases (see {!run_batch_results}). Workloads are
-    built, and binaries compiled, only when a job needs them.
+    built, and binaries compiled, only on a miss: a lab whose cache
+    holds every summary and {!shape} it is asked for builds, compiles,
+    traces and simulates nothing.
 
     Fault tolerance: batched stages run under a supervision {!policy} —
     per-job crash isolation, bounded retry with exponential backoff and
@@ -77,28 +79,29 @@ val shutdown : t -> unit
 val set_logger : t -> (string -> unit) -> unit
 
 val bench_names : t -> string list
-val bench : t -> string -> Wish_workloads.Bench.t
 
-(** [binaries t name] — compiled (and cached) five binaries. *)
-val binaries : t -> string -> Wish_compiler.Compiler.binaries
-
+(** [program t ~bench ~kind ~input] — one of the bench's five binaries
+    (compiled on first use) bound to [input]. *)
 val program :
   t -> bench:string -> kind:Wish_compiler.Policy.kind -> input:string -> Wish_isa.Program.t
 
-(** [trace t ~bench ~kind ~input] — the memoized (and cached)
-    materialized trace an exact simulation replays. A sampled lab's runs
-    never call it. *)
-val trace :
-  t -> bench:string -> kind:Wish_compiler.Policy.kind -> input:string -> Wish_emu.Trace.t
+(** [run t ~bench ~kind ?wish_threshold_n ?input ?config ()] — memoized
+    simulation. With a cache, a miss is simulated only under its
+    {!Cache} lease, like a job of {!run_batch_results}; while another
+    process holds that lease, [run] waits for its summary.
 
-(** [run t ~bench ~kind ?input ?config ()] — memoized simulation. With
-    a cache, a miss is simulated only under its {!Cache} lease, like a
-    job of {!run_batch_results}; while another process holds that
-    lease, [run] waits for its summary. *)
+    [wish_threshold_n] other than {!Wish_compiler.Policy.default_wish_threshold_n}
+    selects a variant binary compiled with that wish-jump threshold N
+    (without a profile: the wish kinds read none). Its summary is
+    memoized and cached like any other, under the kind [<kind>.n<N>]
+    (e.g. [wish-jump-join.n0]); in an exact lab it simulates from a
+    trace of its own that is never kept, and in a sampled lab it is
+    sampled. The default N is the lab's ordinary run of [kind]. *)
 val run :
   t ->
   bench:string ->
   kind:Wish_compiler.Policy.kind ->
+  ?wish_threshold_n:int ->
   ?input:string ->
   ?config:Wish_sim.Config.t ->
   unit ->
@@ -140,7 +143,10 @@ val pp_failure : Format.formatter -> failure -> unit
 
 (** Cumulative supervision counters since {!create} (a snapshot copy). *)
 type batch_stats = {
-  mutable executed : int;  (** stage tasks actually run, attempts included *)
+  mutable executed : int;
+      (** stage tasks (compile, trace, simulate) actually run, batched or
+          serial, attempts included: 0 when everything came from the
+          cache *)
   mutable retried : int;  (** extra attempts beyond each task's first *)
   mutable failed : int;  (** tasks that exhausted their retry budget *)
   mutable cache_hits : int;
@@ -225,6 +231,20 @@ val run_batch : ?policy:policy -> t -> job list -> Wish_sim.Runner.summary list
     Raises {!Job_failed} on a permanent failure unless [policy] has
     [keep_going] set. *)
 val prewarm : ?policy:policy -> t -> job list -> unit
+
+(** {1 Static shape} *)
+
+(** Static branch counts of one binary (Table 4). *)
+type shape = {
+  cond_branches : int;  (** conditional branches, wish branches included *)
+  wish_branches : int;  (** wish jumps, joins and loops *)
+  wish_loops : int;
+}
+
+(** [shape t ~bench ~kind] — the static shape of [bench]'s [kind]
+    binary: memoized, and cached as kind [shape] under key
+    [bench|kind|scaleN]. Only a miss compiles the bench. *)
+val shape : t -> bench:string -> kind:Wish_compiler.Policy.kind -> shape
 
 (** {1 Derived metrics} *)
 

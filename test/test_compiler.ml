@@ -301,6 +301,31 @@ let test_wish_binary_contains_wish_branches () =
   check Alcotest.int "wish-jjl adds the loop" 3 (wish_count Policy.Wish_jjl);
   check Alcotest.int "wish-jjl loop count" 1 (loop_count Policy.Wish_jjl)
 
+(* The wish kinds decide from sizes alone, never from the profile: on
+   every workload they compile to the same code with and without one, so
+   a variant wish binary needs no profiling run. *)
+let test_wish_kinds_ignore_profile () =
+  List.iter
+    (fun name ->
+      let b = Wish_workloads.Workloads.find ~scale:1 name in
+      let compile ?profile kind =
+        let p, _ = Compiler.compile_kind ~mem_words:b.mem_words ?profile ~name b.ast kind in
+        Format.asprintf "%a" Wish_isa.Code.pp (Wish_isa.Program.code p)
+      in
+      let normal, bmap = Compiler.compile_kind ~mem_words:b.mem_words ~name b.ast Policy.Normal in
+      let profile =
+        Compiler.profile_of_run
+          (Wish_isa.Program.with_data normal (Wish_workloads.Bench.profile_data b))
+          bmap
+      in
+      List.iter
+        (fun kind ->
+          check Alcotest.string
+            (Printf.sprintf "%s %s" name (Policy.kind_name kind))
+            (compile ~profile kind) (compile kind))
+        [ Policy.Wish_jj; Policy.Wish_jjl ])
+    Wish_workloads.Workloads.names
+
 let test_codegen_rejects_call_in_region () =
   (* A call inside a convertible-looking region must be refused. The arms
      here contain calls, so they are not convertible; the If stays a
@@ -495,6 +520,7 @@ let () =
           Alcotest.test_case "spilled variables" `Quick test_spilled_variables;
           Alcotest.test_case "profile changes base-def" `Quick test_profile_changes_base_def;
           Alcotest.test_case "wish branch emission" `Quick test_wish_binary_contains_wish_branches;
+          Alcotest.test_case "wish kinds ignore the profile" `Quick test_wish_kinds_ignore_profile;
           Alcotest.test_case "call blocks conversion" `Quick test_codegen_rejects_call_in_region;
           Alcotest.test_case "undefined function" `Quick test_undefined_function;
         ] );

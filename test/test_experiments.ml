@@ -4,6 +4,7 @@
 
 module Lab = Wish_experiments.Lab
 module Figures = Wish_experiments.Figures
+module Ablations = Wish_experiments.Ablations
 module Cache = Wish_experiments.Cache
 module Policy = Wish_compiler.Policy
 module Config = Wish_sim.Config
@@ -221,6 +222,68 @@ let test_sampled_lab_trace_free () =
     [ ("spec", Lab.Sample_spec spec, Some spec); ("auto", Lab.Sample_auto, None) ]
 
 (* ------------------------------------------------------------------ *)
+(* Ablation A4 and Table 4 through the lab                             *)
+(* ------------------------------------------------------------------ *)
+
+(* The data rows of a table, cells split. *)
+let csv_rows table =
+  match String.split_on_char '\n' (String.trim (Wish_util.Table.to_csv table)) with
+  | _header :: rows -> List.map (String.split_on_char ',') rows
+  | [] -> []
+
+(* A4's N=5 column is the lab's default wish-jj run over the same
+   estimator as its baseline: exact in an exact lab, sampled in a sampled
+   one. *)
+let test_wish_n_default_column () =
+  let sampled =
+    Lab.create ~scale:1 ~names:[ "gzip"; "gap" ]
+      ~sample:(Lab.Sample_spec (Wish_sim.Sampler.spec ~warm:20_000 ~detail:2_000))
+      ()
+  in
+  List.iter
+    (fun (label, lab) ->
+      let rows = csv_rows (Ablations.wish_threshold_n lab) in
+      check Alcotest.int (label ^ ": one row per bench") 2 (List.length rows);
+      List.iter
+        (function
+          | [ bench; _; n5; _ ] ->
+            check Alcotest.string
+              (Printf.sprintf "%s %s: N=5 is the normalized wish-jj run" label bench)
+              (Wish_util.Table.fmt_float ~decimals:3
+                 (Lab.normalized lab ~bench ~kind:Policy.Wish_jj ()))
+              n5
+          | row -> Alcotest.failf "%s: unexpected row %s" label (String.concat "," row))
+        rows)
+    [ ("exact", Lazy.force lab); ("sampled", sampled) ]
+
+(* Table 4's static counts and A4's variant binaries are cached like
+   summaries: a second lab on a warm cache renders the same tables
+   without compiling, tracing or simulating anything, and no variant
+   leaves a trace behind. *)
+let test_warm_lab_computes_nothing () =
+  let cache = Cache.create ~dir:(cache_dir ^ "_warm") () in
+  Cache.clear cache;
+  let render lab =
+    List.map (fun f -> Wish_util.Table.render (f lab)) [ Figures.table4; Ablations.wish_threshold_n ]
+  in
+  let names = [ "gzip"; "gap" ] in
+  let cold = render (Lab.create ~scale:1 ~names ~cache ()) in
+  let warm_lab = Lab.create ~scale:1 ~names ~cache () in
+  let log = ref [] in
+  Lab.set_logger warm_lab (fun s -> log := s :: !log);
+  let warm = render warm_lab in
+  check Alcotest.(list string) "same tables" cold warm;
+  let work s =
+    List.exists (fun p -> String.starts_with ~prefix:p s) [ "compiling"; "tracing"; "simulating" ]
+  in
+  check Alcotest.(list string) "no compiling, tracing or simulating" []
+    (List.filter work (List.rev !log));
+  check Alcotest.int "no task executed" 0 (Lab.batch_stats warm_lab).executed;
+  (* Normal, wish-jj and wish-jjl per bench; the variants keep none. *)
+  let traces = List.filter (fun (e, _) -> String.starts_with ~prefix:"trace/" e) (Cache.scan cache) in
+  check Alcotest.int "traces of the default binaries only" (2 * 3) (List.length traces)
+
+(* ------------------------------------------------------------------ *)
 (* Leases: concurrent processes on one cache                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -321,6 +384,11 @@ let () =
           Alcotest.test_case "version invalidation" `Quick test_cache_version_invalidation;
         ] );
       ("sampled", [ Alcotest.test_case "lab is trace-free" `Slow test_sampled_lab_trace_free ]);
+      ( "ablations",
+        [
+          Alcotest.test_case "wish-n N=5 is the wish-jj run" `Slow test_wish_n_default_column;
+          Alcotest.test_case "warm lab computes nothing" `Slow test_warm_lab_computes_nothing;
+        ] );
       ( "direction",
         [
           Alcotest.test_case "perfect bp wins" `Slow test_perfect_bp_wins;
