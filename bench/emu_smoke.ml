@@ -1,12 +1,14 @@
 (* Emulator smoke: the tier-1 guardrail for the compiled emulator. On
    gzip at scale 1 (wish-jjl binary, input A) it requires:
 
-   - identity: interpreted and compiled execution produce the same
-     per-step fact stream (checksummed) and outcome in both modes, and
-     [Trace.generate] yields word-identical traces with the compiled
-     refill and with [Trace.use_interpreter] forced;
-   - speedup: the compiled path beats the allocating interpreted loop by
-     a conservative floor (best of 3 CPU-time trials; this only catches
+   - identity: the interpreted reference ([Exec.step_into]) and the
+     compiled emulator produce the same per-step fact stream
+     (checksummed) and outcome in both modes, and every entry of the
+     materialized [Trace.generate] trace decodes to exactly the facts the
+     interpreter reports for that step in predicate-through mode (so the
+     pack/decode path is checked against raw facts, not against itself);
+   - speedup: the compiled path beats the interpreted loop by a
+     conservative floor (best of 3 CPU-time trials; this only catches
      the optimization being silently disabled or regressed — end-to-end
      timing is bench/perf's job).
 
@@ -19,32 +21,27 @@ module Trace = Wish_emu.Trace
 
 let min_speedup = 1.3
 
-let[@inline] mix acc ~pc ~guard_true ~taken ~next_pc ~addr =
-  ((acc * 31) + pc)
-  lxor (next_pc + (7 * (addr + 1)) + (if guard_true then 3 else 0) + if taken then 13 else 0)
+let[@inline] mix acc (o : Exec.out) =
+  ((acc * 31) + o.o_pc)
+  lxor (o.o_next_pc + (7 * (o.o_addr + 1)) + (if o.o_guard_true then 3 else 0)
+       + if o.o_taken then 13 else 0)
 
 let run_interp mode program =
   let code = Wish_isa.Program.code program in
   let st = State.create program in
+  let o = Exec.make_out () in
   let acc = ref 0 in
   while not st.halted do
-    let s = Exec.step mode code st in
-    acc :=
-      mix !acc ~pc:s.Exec.pc ~guard_true:s.guard_true ~taken:s.taken ~next_pc:s.next_pc
-        ~addr:s.addr
+    Exec.step_into mode code st o;
+    acc := mix !acc o
   done;
   (st.retired, !acc, State.outcome st)
 
 let run_compiled compiled program =
   let st = State.create program in
-  let o = Exec.make_out () in
   let acc = ref 0 in
-  let sink (o : Exec.out) =
-    acc :=
-      mix !acc ~pc:o.o_pc ~guard_true:o.o_guard_true ~taken:o.o_taken ~next_pc:o.o_next_pc
-        ~addr:o.o_addr
-  in
-  Compiled.run_to_halt compiled st o ~sink ~fuel:max_int;
+  Compiled.run_to_halt compiled st (Exec.make_out ()) ~sink:(fun o -> acc := mix !acc o)
+    ~fuel:max_int;
   (st.retired, !acc, State.outcome st)
 
 let program =
@@ -66,24 +63,25 @@ let check_identity mode tag =
   if ri <> rc then fail "%s: compiled run differs from interpreted" tag
 
 let check_trace_identity () =
-  let with_interp v f =
-    let saved = !Trace.use_interpreter in
-    Trace.use_interpreter := v;
-    Fun.protect ~finally:(fun () -> Trace.use_interpreter := saved) f
-  in
-  let tc, sc = with_interp false (fun () -> Trace.generate program) in
-  let ti, si = with_interp true (fun () -> Trace.generate program) in
-  if State.outcome sc <> State.outcome si then fail "trace outcomes differ";
-  if Trace.length tc <> Trace.length ti then fail "trace lengths differ";
-  for i = 0 to Trace.length tc - 1 do
+  let trace, final = Trace.generate program in
+  let code = Wish_isa.Program.code program in
+  let st = State.create program in
+  let o = Exec.make_out () in
+  let i = ref 0 in
+  while not st.halted do
+    Exec.step_into Exec.Predicate_through code st o;
+    if !i >= Trace.length trace then fail "trace ends at %d, before the interpreter halts" !i;
     if
-      Trace.pc tc i <> Trace.pc ti i
-      || Trace.next_pc tc i <> Trace.next_pc ti i
-      || Trace.addr tc i <> Trace.addr ti i
-      || Trace.guard_true tc i <> Trace.guard_true ti i
-      || Trace.taken tc i <> Trace.taken ti i
-    then fail "trace entry %d differs between compiled and interpreted refill" i
-  done
+      Trace.pc trace !i <> o.o_pc
+      || Trace.next_pc trace !i <> o.o_next_pc
+      || Trace.addr trace !i <> o.o_addr
+      || Trace.guard_true trace !i <> o.o_guard_true
+      || Trace.taken trace !i <> o.o_taken
+    then fail "trace entry %d differs from the interpreter's facts" !i;
+    incr i
+  done;
+  if Trace.length trace <> !i then fail "trace has %d entries, interpreter %d" (Trace.length trace) !i;
+  if State.outcome final <> State.outcome st then fail "trace outcome differs from interpreter"
 
 let time_best_of ~trials f =
   ignore (f ());

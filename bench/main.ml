@@ -9,10 +9,12 @@
    Options:
      bench/main.exe fig10 tab5      regenerate selected artifacts only
      bench/main.exe --scale 2       larger workloads
-     bench/main.exe --jobs 4        fan simulations across 4 domains
+     bench/main.exe --jobs 4        fan simulations across 4 domains ('auto' works too)
      bench/main.exe --no-cache      ignore the on-disk artifact cache
      bench/main.exe --micro-only    skip regeneration, Bechamel only
-     bench/main.exe --quota 0.01    Bechamel per-test time budget (s) *)
+     bench/main.exe --quota 0.01    Bechamel per-test time budget (s)
+
+   A malformed option value is a usage error: one line on stderr, exit 2. *)
 
 module Lab = Wish_experiments.Lab
 module Figures = Wish_experiments.Figures
@@ -209,6 +211,20 @@ let run_micro ~quota () =
         tbl)
     results
 
+let usage_error fmt =
+  Printf.ksprintf
+    (fun m ->
+      prerr_endline ("bench: " ^ m);
+      exit 2)
+    fmt
+
+(* [value flag v parse] — [parse v] or a usage error naming the flag. *)
+let value flag v parse =
+  match parse v with Ok x -> x | Error e -> usage_error "%s %s: %s" flag v e
+
+let int_arg v = Option.to_result ~none:"expected an integer" (int_of_string_opt v)
+let float_arg v = Option.to_result ~none:"expected a number" (float_of_string_opt v)
+
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let scale = ref 1 in
@@ -221,10 +237,10 @@ let () =
   let rec parse = function
     | [] -> ()
     | "--scale" :: v :: rest ->
-      scale := int_of_string v;
+      scale := value "--scale" v int_arg;
       parse rest
     | "--jobs" :: v :: rest ->
-      jobs := int_of_string v;
+      jobs := value "--jobs" v Wish_util.Pool.jobs_of_string;
       parse rest
     | "--no-cache" :: rest ->
       use_cache := false;
@@ -236,7 +252,7 @@ let () =
       no_micro := true;
       parse rest
     | "--quota" :: v :: rest ->
-      quota := float_of_string v;
+      quota := value "--quota" v float_arg;
       parse rest
     | x :: rest ->
       names := x :: !names;

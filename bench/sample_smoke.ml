@@ -2,11 +2,12 @@
    the exact run drifts from the seed constants (the sampled-simulation
    machinery must not perturb exact mode) or if the sampled µPC estimate
    errs by more than 2%. Also reruns the sampled mode with the windows
-   fanned over a 2-domain pool, and a third time through the fused
-   trace-free warming path (Sampler.run_fused, serial and pooled),
-   requiring byte-identical results each time — the interval-parallel
-   schedule and the fused warming hooks are both supposed to be
-   invisible. Wired into [dune runtest] via the @sample-smoke alias. *)
+   fanned over a 2-domain pool, and a third time with no trace, so that
+   warming runs fused into the compiled emulator (Sampler.run, serial and
+   pooled), requiring byte-identical results each time — the
+   interval-parallel schedule and the fused warming hooks are both
+   supposed to be invisible. Wired into [dune runtest] via the
+   @sample-smoke alias. *)
 
 (* Exact-mode seed constants (cycles, retired µops), input A, default
    machine, wish-jjl binary. *)
@@ -53,11 +54,11 @@ let run pool name =
     exit 1);
   (* Fused trace-free warming must reproduce the trace-based report bit
      for bit, serially and with pooled windows. *)
-  let fused = Wish_sim.Sampler.run_fused ~config:Wish_sim.Config.default ~spec program in
+  let fused = Wish_sim.Sampler.run ~config:Wish_sim.Config.default ~spec program in
   if compare fused r <> 0 then (
     Printf.eprintf "FAIL %s: fused-warming sampled run differs from trace-based\n" name;
     exit 1);
-  let fused_par = Wish_sim.Sampler.run_fused ~pool ~config:Wish_sim.Config.default ~spec program in
+  let fused_par = Wish_sim.Sampler.run ~pool ~config:Wish_sim.Config.default ~spec program in
   if compare fused_par r <> 0 then (
     Printf.eprintf "FAIL %s: pooled fused-warming sampled run differs from trace-based\n" name;
     exit 1)

@@ -16,11 +16,10 @@ module Figures = Wish_experiments.Figures
 module Ablations = Wish_experiments.Ablations
 module Cache = Wish_experiments.Cache
 
-let run names scale verbose benchmarks csv_dir jobs no_cache gc_tune emu_interp timeout retries
-    keep_going resume sample =
+let run names scale verbose benchmarks csv_dir jobs no_cache gc_tune timeout retries keep_going
+    resume sample =
   Wish_util.Faultpoint.arm_from_env ();
   if gc_tune then Wish_util.Gc_stats.tune ();
-  Wish_emu.Trace.use_interpreter := emu_interp;
   let jobs =
     match Wish_util.Pool.jobs_of_string jobs with
     | Ok n -> n
@@ -248,12 +247,6 @@ let run_term =
     Arg.(value & flag
          & info [ "gc-tune" ] ~doc:"Size the OCaml minor heap for long simulation runs")
   in
-  let emu_interp =
-    Arg.(value & flag
-         & info [ "emu-interp" ]
-             ~doc:"Generate traces with the interpreted emulator instead of the compiled \
-                   one (A/B lever; outputs are identical, only slower)")
-  in
   let timeout =
     Arg.(value & opt (some float) None
          & info [ "timeout" ]
@@ -281,7 +274,7 @@ let run_term =
   in
   Term.(
     const run $ names $ scale $ verbose $ benchmarks $ csv_dir $ jobs $ no_cache $ gc_tune
-    $ emu_interp $ timeout $ retries $ keep_going $ resume $ sample)
+    $ timeout $ retries $ keep_going $ resume $ sample)
 
 let cmd =
   Cmd.v (Cmd.info "experiments" ~doc:"Regenerate the wish-branches paper's tables and figures")

@@ -8,7 +8,6 @@
     Examples:
       wishfuzz --seed 2005 --count 1000
       wishfuzz --oracle lockstep --oracle sim --count 200
-      wishfuzz --deep --count 20000 -j 8
       wishfuzz --replay test/fuzz_corpus
 
     Exit codes: 0 every checked case passed (or corpus replay green);
@@ -69,39 +68,23 @@ let replay dir =
     end
     else 1
 
-let run root count oracle_ids deep jobs corpus_dir no_corpus shrink_tries max_failures
-    replay_dir_opt verbose =
+let run root count oracle_ids corpus_dir no_corpus shrink_tries max_failures replay_dir_opt
+    verbose =
   Wish_util.Faultpoint.arm_from_env ();
-  let jobs =
-    match Wish_util.Pool.jobs_of_string jobs with
-    | Ok n -> n
-    | Error e ->
-      Fmt.epr "--jobs %s: %s@." jobs e;
-      exit 2
-  in
   match replay_dir_opt with
   | Some dir -> exit (replay dir)
   | None ->
     let oracles = parse_oracles oracle_ids in
     let corpus_dir = if no_corpus then None else Some corpus_dir in
+    let last_tick = ref 0 in
+    let progress n =
+      if n - !last_tick >= 100 then begin
+        last_tick := n;
+        Fmt.epr "  ... %d/%d@." n count
+      end
+    in
     let report =
-      if deep then begin
-        let pool = Wish_util.Pool.create ~size:jobs () in
-        Fun.protect
-          ~finally:(fun () -> Wish_util.Pool.shutdown pool)
-          (fun () ->
-            Fuzz.run_deep ~pool ~oracles ?corpus_dir ~shrink_tries ~max_failures ~root ~count ())
-      end
-      else begin
-        let last_tick = ref 0 in
-        let progress n =
-          if n - !last_tick >= 100 then begin
-            last_tick := n;
-            Fmt.epr "  ... %d/%d@." n count
-          end
-        in
-        Fuzz.run ~oracles ?corpus_dir ~shrink_tries ~max_failures ~progress ~root ~count ()
-      end
+      Fuzz.run ~oracles ?corpus_dir ~shrink_tries ~max_failures ~progress ~root ~count ()
     in
     List.iter (print_failure verbose) report.Fuzz.r_failures;
     Fmt.pr "wishfuzz: root seed %d, oracles [%s]: %s@." root
@@ -120,20 +103,6 @@ let cmd =
       & info [ "o"; "oracle" ]
           ~doc:"Oracle to run: lockstep, binaries, sim, sampled or roundtrip (repeatable; \
                 default all five)")
-  in
-  let deep =
-    Arg.(
-      value & flag
-      & info [ "deep" ]
-          ~doc:"Fan the seed range across a supervised domain pool (pre-release chaos \
-                companion; same cases and verdicts as the serial run)")
-  in
-  let jobs =
-    Arg.(value & opt string "auto"
-         & info [ "j"; "jobs" ]
-             ~doc:"Worker domains for --deep: an integer, or $(b,auto) (the default) for \
-                   the recommended domain count minus one (one hardware thread stays with \
-                   the coordinating domain), never below 1")
   in
   let corpus =
     Arg.(value & opt string "test/fuzz_corpus"
@@ -159,7 +128,7 @@ let cmd =
   Cmd.v
     (Cmd.info "wishfuzz" ~doc:"Differential fuzzing of the WISC compiler/emulator/simulator")
     Term.(
-      const run $ root $ count $ oracle $ deep $ jobs $ corpus $ no_corpus $ shrink_tries
-      $ max_failures $ replay $ verbose)
+      const run $ root $ count $ oracle $ corpus $ no_corpus $ shrink_tries $ max_failures
+      $ replay $ verbose)
 
 let () = exit (Cmd.eval cmd)

@@ -2,14 +2,14 @@
 
     Examples:
       wishsim -b gzip -k wish-jump-join-loop -i A
-      wishsim -b mcf -k base-max --no-wish-hardware --rob 128 --stats *)
+      wishsim -b mcf -k base-max --no-wish-hardware --rob 128 --stats
+      wishsim -b mcf --scale 10 --sample auto -j 2 *)
 
 open Cmdliner
 module Lab = Wish_experiments.Lab
 
 let run bench_name kind_name input scale asm_file rob stages mech_select wish_hw perfect_bp
-    perfect_conf no_depend no_fetch streaming sample sample_parallel warm_trace jobs gc_tune
-    emu_interp sim_interp show_stats show_code =
+    perfect_conf no_depend no_fetch streaming sample jobs gc_tune show_stats show_code =
   Wish_util.Faultpoint.arm_from_env ();
   let jobs =
     match Wish_util.Pool.jobs_of_string jobs with
@@ -19,9 +19,6 @@ let run bench_name kind_name input scale asm_file rob stages mech_select wish_hw
       exit 2
   in
   if gc_tune then Wish_util.Gc_stats.tune ();
-  Wish_emu.Trace.use_interpreter := emu_interp;
-  Wish_sim.Core.use_compiled := not sim_interp;
-  Wish_sim.Sampler.use_fused := not warm_trace;
   let sample_spec =
     (* [None]: exact. [Some None]: sampled, auto spec. [Some (Some s)]:
        sampled with an explicit W:D spec. *)
@@ -84,10 +81,7 @@ let run bench_name kind_name input scale asm_file rob stages mech_select wish_hw
         match sample_spec with
         | None -> (Wish_sim.Runner.simulate ~config ~streaming ?trace program, None)
         | Some spec ->
-          let pool =
-            if sample_parallel && not streaming then Some (Wish_util.Pool.create ~size:jobs ())
-            else None
-          in
+          let pool = if jobs > 1 then Some (Wish_util.Pool.create ~size:jobs ()) else None in
           Fun.protect
             ~finally:(fun () -> Option.iter Wish_util.Pool.shutdown pool)
             (fun () ->
@@ -112,7 +106,7 @@ let run bench_name kind_name input scale asm_file rob stages mech_select wish_hw
           (Wish_sim.Sampler.to_string r.Wish_sim.Sampler.r_spec)
           (List.length r.r_windows) r.r_measured_entries r.r_total_insts
           (100.0 *. float_of_int r.r_measured_entries /. float_of_int (max 1 r.r_total_insts))
-          (if sample_parallel then Fmt.str ", %d window domains" jobs else "");
+          (if jobs > 1 then Fmt.str ", %d window domains" jobs else "");
         Fmt.pr "              uPC %.4f +/- %.4f (95%% CI), misp/1K %.2f +/- %.2f, est cycles %d@."
           r.r_upc r.r_upc_ci r.r_misp_per_1k r.r_misp_ci r.r_est_cycles
       | None -> ());
@@ -165,41 +159,17 @@ let cmd =
              ~doc:"Sampled simulation: functional warming with W:D (warm:detail entries) \
                    measurement windows, or 'auto' to scale the spec to the trace")
   in
-  let sample_parallel =
-    Arg.(value & flag
-         & info [ "sample-parallel" ]
-             ~doc:"Fan the sampled run's measurement windows across worker domains \
-                   (requires --sample; ignored with --stream)")
-  in
-  let warm_trace =
-    Arg.(value & flag
-         & info [ "warm-trace" ]
-             ~doc:"Warm sampled runs through the trace-based reference loop instead of \
-                   the warming hooks fused into the compiled emulator (A/B lever; \
-                   estimates are bit-identical, only slower)")
-  in
   let jobs =
     Arg.(value & opt string "auto"
          & info [ "j"; "jobs" ]
-             ~doc:"Worker domains for --sample-parallel: an integer, or $(b,auto) (the \
-                   default) for the recommended domain count minus one (one hardware \
-                   thread stays with the coordinating domain), never below 1")
+             ~doc:"Worker domains for a sampled run's measurement windows (a pool is used \
+                   when this is above 1): an integer, or $(b,auto) (the default) for the \
+                   recommended domain count minus one (one hardware thread stays with the \
+                   coordinating domain), never below 1")
   in
   let gc_tune =
     Arg.(value & flag
          & info [ "gc-tune" ] ~doc:"Size the OCaml minor heap for long simulation runs")
-  in
-  let emu_interp =
-    Arg.(value & flag
-         & info [ "emu-interp" ]
-             ~doc:"Generate traces with the interpreted emulator instead of the compiled \
-                   one (A/B lever; outputs are identical, only slower)")
-  in
-  let sim_interp =
-    Arg.(value & flag
-         & info [ "sim-interp" ]
-             ~doc:"Run the interpreted timing core instead of the compiled per-pc-template \
-                   one (A/B lever; results are cycle- and stat-identical, only slower)")
   in
   let stats = Arg.(value & flag & info [ "stats" ] ~doc:"Dump raw statistics counters") in
   let code = Arg.(value & flag & info [ "code" ] ~doc:"Print the binary's code listing") in
@@ -207,7 +177,6 @@ let cmd =
     (Cmd.info "wishsim" ~doc:"Cycle-level simulation of wish-branch binaries")
     Term.(
       const run $ bench $ kind $ input $ scale $ asm_file $ rob $ stages $ mech $ wish_hw $ pbp
-      $ pcf $ nd $ nf $ streaming $ sample $ sample_parallel $ warm_trace $ jobs $ gc_tune
-      $ emu_interp $ sim_interp $ stats $ code)
+      $ pcf $ nd $ nf $ streaming $ sample $ jobs $ gc_tune $ stats $ code)
 
 let () = exit (Cmd.eval cmd)

@@ -17,9 +17,10 @@
       {!Exec.out} record, reused across steps: the hot loop allocates
       nothing.
 
-    The interpreted {!Exec.step} remains the golden reference; the
-    [@emu-identity] test group and the [@emu-smoke] bench assert that this
-    module is observably equivalent, step for step and trace for trace.
+    The interpreted {!Exec.step_into} remains the golden reference; the
+    [emu-identity] test group, the [@emu-smoke] bench and the fuzzer's
+    lockstep oracle assert that this module is observably equivalent,
+    step for step and trace for trace.
 
     Register and predicate indices are static instruction fields validated
     once by [Code.create], so the specialized closures use unchecked array

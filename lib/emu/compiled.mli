@@ -6,7 +6,8 @@
     time), straight-line runs are fused so dispatch happens once per
     basic block, and step facts are reported through a single mutable
     {!Exec.out} record reused across steps. Observably equivalent to the
-    interpreted {!Exec.step} — enforced by the [@emu-identity] tests. *)
+    interpreted {!Exec.step_into}, which the [emu-identity] test group,
+    the [@emu-smoke] bench and the fuzzer's lockstep oracle check. *)
 
 type t
 

@@ -16,23 +16,15 @@ open Wish_isa
 type mode = Architectural | Predicate_through
 
 (** Dynamic facts about one executed instruction — exactly what the timing
-    simulator's oracle needs beyond the static code image. *)
-type step = {
-  pc : int;
-  guard_true : bool;
-  taken : bool; (* branch direction; false for non-branches *)
-  next_pc : int; (* successor in this mode's order *)
-  addr : int; (* accessed memory word address, or -1 *)
-}
-
-(** The same facts as a caller-supplied mutable record, reused across
-    steps so the emulator's per-instruction loop allocates nothing. *)
+    simulator's oracle needs beyond the static code image — in a
+    caller-supplied mutable record, reused across steps so the emulator's
+    per-instruction loop allocates nothing. *)
 type out = {
   mutable o_pc : int;
   mutable o_guard_true : bool;
-  mutable o_taken : bool;
-  mutable o_next_pc : int;
-  mutable o_addr : int;
+  mutable o_taken : bool; (* branch direction; false for non-branches *)
+  mutable o_next_pc : int; (* successor in this mode's order *)
+  mutable o_addr : int; (* accessed memory word address, or -1 *)
 }
 
 let make_out () = { o_pc = 0; o_guard_true = false; o_taken = false; o_next_pc = 0; o_addr = -1 }
@@ -128,25 +120,12 @@ let step_at mode code (st : State.t) ~pc (o : out) =
   st.pc <- o.o_next_pc
 
 (** [step_into mode code st o] executes the instruction at [st.pc],
-    updates [st] and writes the dynamic facts into [o] — the allocation-free
-    form of {!step}. Must not be called when [st.halted]. *)
+    updates [st] and writes the dynamic facts into [o]. Must not be
+    called when [st.halted]. *)
 let step_into mode code (st : State.t) (o : out) =
   assert (not st.halted);
   step_at mode code st ~pc:st.pc o;
   st.retired <- st.retired + 1
-
-(** [step mode code st] — thin allocating wrapper over {!step_into} for
-    callers that want an immutable record per instruction. *)
-let step mode code (st : State.t) =
-  let o = make_out () in
-  step_into mode code st o;
-  {
-    pc = o.o_pc;
-    guard_true = o.o_guard_true;
-    taken = o.o_taken;
-    next_pc = o.o_next_pc;
-    addr = o.o_addr;
-  }
 
 exception Out_of_fuel of int
 

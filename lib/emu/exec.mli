@@ -13,23 +13,15 @@
 type mode = Architectural | Predicate_through
 
 (** Dynamic facts about one executed instruction — exactly what the timing
-    simulator's oracle needs beyond the static code image. *)
-type step = {
-  pc : int;
-  guard_true : bool;
-  taken : bool;  (** branch direction; false for non-branches *)
-  next_pc : int;  (** successor in this mode's order *)
-  addr : int;  (** accessed memory word address, or -1 *)
-}
-
-(** The same facts as a caller-supplied mutable record, reused across
-    steps so per-instruction emulation allocates nothing. *)
+    simulator's oracle needs beyond the static code image — in a
+    caller-supplied mutable record, reused across steps so per-instruction
+    emulation allocates nothing. *)
 type out = {
   mutable o_pc : int;
   mutable o_guard_true : bool;
-  mutable o_taken : bool;
-  mutable o_next_pc : int;
-  mutable o_addr : int;
+  mutable o_taken : bool;  (** branch direction; false for non-branches *)
+  mutable o_next_pc : int;  (** successor in this mode's order *)
+  mutable o_addr : int;  (** accessed memory word address, or -1 *)
 }
 
 val make_out : unit -> out
@@ -43,14 +35,9 @@ val eval_cmp : Wish_isa.Inst.cmpop -> int -> int -> bool
 val step_at : mode -> Wish_isa.Code.t -> State.t -> pc:int -> out -> unit
 
 (** [step_into mode code st o] executes the instruction at [st.pc],
-    updates [st] (including [retired]) and writes the facts into [o] —
-    the allocation-free form of {!step}. Must not be called when
-    [st.halted]. *)
+    updates [st] (including [retired]) and writes the facts into [o].
+    Must not be called when [st.halted]. *)
 val step_into : mode -> Wish_isa.Code.t -> State.t -> out -> unit
-
-(** [step mode code st] — thin allocating wrapper over {!step_into} for
-    callers that want an immutable record per instruction. *)
-val step : mode -> Wish_isa.Code.t -> State.t -> step
 
 exception Out_of_fuel of int
 

@@ -82,8 +82,7 @@ let kind_table code =
         k_other)
 
 (** [of_program program] profiles a full architectural run through the
-    compiled emulator ({!Trace.use_interpreter} falls back to the
-    reference interpreter; the counts are identical either way). *)
+    compiled emulator. *)
 let of_program ?(fuel = 200_000_000) program =
   let st = State.create program in
   let code = Program.code program in
@@ -120,17 +119,8 @@ let of_program ?(fuel = 200_000_000) program =
         if guard_true then c.taken <- c.taken + 1
       end
   in
-  let out = Exec.make_out () in
-  if !Trace.use_interpreter then
-    while not st.halted do
-      if st.retired >= fuel then raise (Exec.Out_of_fuel fuel);
-      Exec.step_into Exec.Architectural code st out;
-      sink out
-    done
-  else begin
-    let compiled = Compiled.compile ~mode:Exec.Architectural code in
-    Compiled.run_to_halt compiled st out ~sink ~fuel
-  end;
+  let compiled = Compiled.compile ~mode:Exec.Architectural code in
+  Compiled.run_to_halt compiled st (Exec.make_out ()) ~sink ~fuel;
   (t, st)
 
 let taken_rate t pc =

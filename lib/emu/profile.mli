@@ -23,8 +23,7 @@ val create : unit -> t
 val record : t -> Wish_isa.Code.t -> Exec.out -> unit
 
 (** [of_program ?fuel program] profiles a full architectural run through
-    the compiled emulator ({!Trace.use_interpreter} falls back to the
-    reference interpreter; counts are identical either way). *)
+    the compiled emulator. *)
 val of_program : ?fuel:int -> Wish_isa.Program.t -> t * State.t
 
 val taken_rate : t -> int -> float

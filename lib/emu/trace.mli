@@ -117,13 +117,6 @@ val warm_to : t -> hooks:(Exec.out -> unit) array -> until:int -> int
     straight-line instructions on an already-touched I-line with it. *)
 val no_hook : Exec.out -> unit
 
-(** Force trace generation through the reference interpreter instead of
-    the compiled emulator ({!Wish_emu.Compiled}). Byte-identical output —
-    this is the [--emu-interp] A/B lever of the drivers, and the
-    [@emu-identity] tests exist to keep the claim honest. Consult it at
-    {!generate}/{!stream} time (per trace, not per entry). *)
-val use_interpreter : bool ref
-
 (** [generate ?fuel ?hint program] runs the emulator in predicate-through
     mode to completion and records the materialized trace. [hint] — an
     approximate dynamic length ({!Wish_workloads.Bench} supplies one) —

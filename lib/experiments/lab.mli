@@ -51,9 +51,9 @@ type sampling = Sample_auto | Sample_spec of Wish_sim.Sampler.spec
     ({!Wish_sim.Runner.simulate_sampled}) and summaries are cached under
     keys carrying a [|sample...] suffix — exact results keep their
     historical keys. A sampled lab has no trace stage: functional
-    warming runs inside the compiled emulator
-    ({!Wish_sim.Sampler.run_fused}), so it never generates, memoizes or
-    caches a trace and stores summaries only. *)
+    warming runs inside the compiled emulator ({!Wish_sim.Sampler.run}
+    with no trace), so it never generates, memoizes or caches a trace
+    and stores summaries only. *)
 val create :
   ?scale:int ->
   ?names:string list ->

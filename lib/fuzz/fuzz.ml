@@ -1,7 +1,5 @@
 (** Fuzzing loop — see the interface for the determinism contract. *)
 
-module Pool = Wish_util.Pool
-
 type failure = {
   f_index : int;
   f_seed : int;
@@ -115,51 +113,3 @@ let run ?(oracles = Oracle.all_names) ?corpus_dir ?cache_dir ?shrink_tries ?(max
     progress !done_
   done;
   { r_root = root; r_count = !done_; r_failures = List.rev !failures; r_skips = skips_assoc skips }
-
-let chunk_indices count size =
-  let rec go start acc =
-    if start >= count then List.rev acc
-    else go (start + size) ((start, min size (count - start)) :: acc)
-  in
-  go 0 []
-
-let run_deep ~pool ?(oracles = Oracle.all_names) ?corpus_dir ?cache_dir ?shrink_tries
-    ?(max_failures = 10) ~root ~count () =
-  let base_cache =
-    match cache_dir with
-    | Some d -> d
-    | None ->
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "wishfuzz-deep-%d" (Unix.getpid ()))
-  in
-  (* Fixed-size chunks: the split depends only on [count], never on the
-     pool size, so deep runs are reproducible across machines. *)
-  let chunks = chunk_indices count 50 in
-  let job (chunk_no, (start, len)) =
-    let cache_dir = Printf.sprintf "%s-w%d" base_cache chunk_no in
-    let out =
-      List.init len (fun k ->
-          let idx = start + k in
-          check_case ~oracles ~cache_dir:(Some cache_dir) ~shrink_tries idx
-            (Gen.case_seed ~root idx))
-    in
-    Oracle.remove_cache_dir cache_dir;
-    out
-  in
-  let results = Pool.map pool job (List.mapi (fun i c -> (i, c)) chunks) in
-  let skips = Hashtbl.create 8 in
-  let failures = ref [] in
-  List.iter
-    (fun chunk_out ->
-      List.iter
-        (fun (sk, fo) ->
-          add_skips skips sk;
-          Option.iter (fun f -> failures := f :: !failures) fo)
-        chunk_out)
-    results;
-  let failures =
-    List.rev !failures
-    |> List.filteri (fun i _ -> i < max_failures)
-    |> List.map (save_repro ~corpus_dir)
-  in
-  { r_root = root; r_count = count; r_failures = failures; r_skips = skips_assoc skips }

@@ -1,9 +1,7 @@
 (** The fuzzing loop: generate → check oracles → shrink → save repro.
 
     Seeds are derived per index ({!Gen.case_seed}), so a run is a pure
-    function of [(root, count, oracles)]: the serial loop and the
-    pool-parallel {!run_deep} visit the same cases and report the same
-    failures in the same (index) order. *)
+    function of [(root, count, oracles)]. *)
 
 type failure = {
   f_index : int;  (** case index within the run *)
@@ -43,24 +41,6 @@ val run :
   ?shrink_tries:int ->
   ?max_failures:int ->
   ?progress:(int -> unit) ->
-  root:int ->
-  count:int ->
-  unit ->
-  report
-
-(** [run_deep ~pool ~root ~count ()] — the same run fanned across the
-    supervised domain pool in fixed index chunks; per-chunk throwaway
-    cache directories keep the {!Oracle.Roundtrip} oracle race-free.
-    Shrinking happens in the workers; repros are saved by the
-    coordinating domain in index order, so the corpus and report match
-    the serial run's. *)
-val run_deep :
-  pool:Wish_util.Pool.t ->
-  ?oracles:Oracle.name list ->
-  ?corpus_dir:string ->
-  ?cache_dir:string ->
-  ?shrink_tries:int ->
-  ?max_failures:int ->
   root:int ->
   count:int ->
   unit ->

@@ -238,11 +238,12 @@ let sampled_verdict program =
           walk 0 0 report.r_windows
         in
         let fused_identity () =
-          (* The fused (trace-free) warming path must reproduce the
-             trace-based report bit for bit: same spec, same windows, same
-             estimates, same warming-cache stats. [compare] rather than
-             [=] so an equal-but-NaN CI still counts as identical. *)
-          match run_fused ~config:Config.default ~spec:report.r_spec program with
+          (* A run with no trace warms fused (trace-free) and must
+             reproduce the trace-based report bit for bit: same spec, same
+             windows, same estimates, same warming-cache stats. [compare]
+             rather than [=] so an equal-but-NaN CI still counts as
+             identical. *)
+          match Wish_sim.Sampler.run ~config:Config.default ~spec:report.r_spec program with
           | exception e -> failf "fused-warming sampled run raised: %s" (exn_label e)
           | fused ->
             if compare fused report <> 0 then

@@ -22,9 +22,10 @@
       degenerates to one cold full-length window (short traces — the
       common case for generated programs) the estimate must equal the
       exact cycle count; otherwise it must land within a generous
-      CI-derived band. Either way, re-running the same spec through the
-      fused trace-free warming path ({!Wish_sim.Sampler.run_fused}) must
-      reproduce the trace-based report bit for bit.
+      CI-derived band. Either way, re-running the same spec with no trace
+      ({!Wish_sim.Sampler.run}, whose warming is then fused into the
+      compiled emulator) must reproduce the trace-based report bit for
+      bit.
     - {!Roundtrip} — artifact round-trips: textual
       ({!Wish_isa.Parse.listing_of_program} → parse → listing is a fixed
       point, and the reparsed program reaches the same outcome) and

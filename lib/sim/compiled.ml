@@ -5,9 +5,9 @@
     This module is a line-for-line transcription of the interpreted
     {!Core} — same stage order, same machine-state side effects in the
     same sequence — so the two produce cycle-exact, stat-for-stat
-    identical results (enforced by the lockstep identity suite and the
-    [@sim-smoke] gate). {!Core} stays the golden reference behind
-    [--sim-interp]; change semantics there first, then mirror here.
+    identical results (enforced by the fuzzer's [sim] oracle and the
+    [@sim-smoke] gate). {!Core} stays the golden reference those checks
+    diff against; change semantics there first, then mirror here.
 
     What changes is purely mechanical cost:
     - fetch/decode reads {!Plan} struct-of-arrays templates instead of
@@ -439,7 +439,6 @@ type t = {
   misp_cells : int ref option array; (* per-pc misp@pc cells, first-touch *)
   wish_table : int array;
   fb : fb_out; (* fetch_branch → fetch-stage result channel *)
-  trace_fwd : bool; (* WISH_TRACE_FWD debug stream enabled *)
   mutable cycle : int;
   mutable next_id : int;
   mutable fetch_pc : int;
@@ -462,6 +461,15 @@ type t = {
 
 let nop_drain (_ : int) (_ : int) = ()
 
+(** [create ?warm ?start_cursor ?start_pc ?release_trace config program
+    trace] — the default arguments give the whole-run core. Sampled
+    simulation opens a detailed measurement window mid-trace by
+    supplying pre-warmed long-lived state ([warm]), the trace index to
+    resume the oracle at ([start_cursor]), the matching correct-path
+    fetch PC ([start_pc]), and [release_trace:false] so the window never
+    recycles chunks the coordinating warming pass still has to read.
+    A window core starts with a cold pipeline and a reset wish-FSM — a
+    documented approximation measured by the sample-sweep artifact. *)
 let create ?warm ?(start_cursor = 0) ?start_pc ?(release_trace = true) (config : Config.t)
     (program : Program.t) trace =
   let stats = Stats.create () in
@@ -503,7 +511,6 @@ let create ?warm ?(start_cursor = 0) ?start_pc ?(release_trace = true) (config :
         fb_gen = 0;
         fb_anext = 0;
       };
-    trace_fwd = Sys.getenv_opt "WISH_TRACE_FWD" <> None;
     cycle = 0;
     next_id = 0;
     fetch_pc = Option.value start_pc ~default:program.entry;
@@ -953,13 +960,6 @@ let fetch_stage t =
                   Wish_fsm.set_complement s.fsm ~pt:(Array.unsafe_get plan.cpair_t pc) ~pf:(Array.unsafe_get plan.cpair_f pc)
               end;
               let guard_forwarded = fwd_code >= 0 || knobs.no_depend in
-              if t.trace_fwd then
-                Printf.eprintf "fwd pc=%d guard=%d forwarded=%b mode=%s\n" pc guard
-                  (fwd_code >= 0)
-                  (match Wish_fsm.mode s.fsm with
-                  | Uop.Normal -> "N"
-                  | Uop.High_conf -> "H"
-                  | Uop.Low_conf -> "L");
               let trace_idx = if has_entry then e.b_index else -1 in
               let predicated = guard <> 0 && not guard_forwarded in
               let n =

@@ -28,15 +28,9 @@ type fetch_path = F_correct | F_wrong | F_phantom | F_stopped
 
 exception Deadlock of string
 
-(* Dispatch switch read by {!Runner} and {!Sampler}: [true] selects the
-   compiled core ({!Compiled}); [false] ([--sim-interp]) keeps this
-   interpreted reference. *)
-let use_compiled = ref true
-
 (* Decoded-µop memo: every per-static-PC fact the fetch path derives from
    an instruction, computed once and reused for every dynamic instance.
-   A direct array over the code image (kernel images are small); the
-   toggle exists so the test suite can assert memo-on ≡ memo-off. *)
+   A direct array over the code image (kernel images are small). *)
 type dinfo = {
   d_exec_class : Uop.exec_class;
   d_is_branch : bool;
@@ -47,8 +41,6 @@ type dinfo = {
   d_pred_dests : Reg.preg list;
   d_complement_pair : (Reg.preg * Reg.preg) option;
 }
-
-let decode_memo_enabled = ref true
 
 (* Completion events live in a {!Wheel}: one bucket per future cycle.
    The horizon exceeds any single-access latency (L1+L2+300-cycle
@@ -125,7 +117,8 @@ let hot_counters stats =
   }
 
 (* Long-lived microarchitectural state a sampled simulation keeps warm
-   between detailed windows and hands a window core at creation. *)
+   between detailed windows and hands a compiled window core
+   ({!Compiled.create}) at creation. *)
 type warm_state = {
   warm_hybrid : Hybrid.t;
   warm_btb : Btb.t;
@@ -138,7 +131,7 @@ type warm_state = {
 type t = {
   config : Config.t;
   code : Code.t;
-  decode : dinfo option array; (* per-static-PC µop-translation memo; [||] disables *)
+  decode : dinfo option array; (* per-static-PC µop-translation memo *)
   oracle : Oracle.t;
   hybrid : Hybrid.t;
   btb : Btb.t;
@@ -165,8 +158,6 @@ type t = {
   mutable feq_uops : int; (* occupancy of the fetch-to-rename delay line *)
   mutable halted : bool;
   mutable last_retire_cycle : int;
-  release_trace : bool; (* false inside a detailed sampling window *)
-  mutable retired_trace_idx : int; (* highest trace index retired so far *)
   mem_words : int;
   (* µop free pools (plain / branch-carrying): retired and squashed µops
      are reinitialized instead of reallocated, so steady-state fetch
@@ -176,36 +167,22 @@ type t = {
   mutable pool_branch : Uop.t list;
 }
 
-(** [create ?warm ?start_cursor ?start_pc ?release_trace config program
-    trace] — the default arguments give the classic whole-run core.
-    Sampled simulation opens a detailed measurement window mid-trace by
-    supplying pre-warmed long-lived state ([warm]), the trace index to
-    resume the oracle at ([start_cursor]), the matching correct-path
-    fetch PC ([start_pc]), and [release_trace:false] so the window never
-    recycles chunks the coordinating warming pass still has to read.
-    A window core starts with a cold pipeline and a reset wish-FSM — a
-    documented approximation measured by the sample-sweep artifact. *)
-let create ?warm ?(start_cursor = 0) ?start_pc ?(release_trace = true) config
-    (program : Program.t) trace =
+(** [create config program trace] — a whole-run core from a cold
+    machine. *)
+let create config (program : Program.t) trace =
   let stats = Stats.create () in
   let code = Program.code program in
-  let oracle = Oracle.create code trace in
-  if start_cursor > 0 then Oracle.restore oracle start_cursor;
   {
     config;
     code;
-    decode = (if !decode_memo_enabled then Array.make (Code.length code) None else [||]);
-    oracle;
-    hybrid =
-      (match warm with Some w -> w.warm_hybrid | None -> Hybrid.create config.Config.bpred);
-    btb =
-      (match warm with
-      | Some w -> w.warm_btb
-      | None -> Btb.create ~entries:config.btb_entries ~ways:config.btb_ways);
-    ras = (match warm with Some w -> w.warm_ras | None -> Ras.create ~entries:config.ras_entries);
-    conf = (match warm with Some w -> w.warm_conf | None -> Confidence.create config.conf);
-    loop_pred = (match warm with Some w -> w.warm_loop | None -> Loop_pred.create ());
-    hier = (match warm with Some w -> w.warm_hier | None -> Hierarchy.create config.hier);
+    decode = Array.make (Code.length code) None;
+    oracle = Oracle.create code trace;
+    hybrid = Hybrid.create config.Config.bpred;
+    btb = Btb.create ~entries:config.btb_entries ~ways:config.btb_ways;
+    ras = Ras.create ~entries:config.ras_entries;
+    conf = Confidence.create config.conf;
+    loop_pred = Loop_pred.create ();
+    hier = Hierarchy.create config.hier;
     rat = Rat.create ();
     rob = Ring.create config.rob_size;
     in_flight = Hashtbl.create 2048;
@@ -217,7 +194,7 @@ let create ?warm ?(start_cursor = 0) ?start_pc ?(release_trace = true) config
     hot = hot_counters stats;
     cycle = 0;
     next_id = 0;
-    fetch_pc = Option.value start_pc ~default:program.entry;
+    fetch_pc = program.entry;
     fetch_path = F_correct;
     fetch_stall_until = 0;
     last_fetch_line = -1;
@@ -225,8 +202,6 @@ let create ?warm ?(start_cursor = 0) ?start_pc ?(release_trace = true) config
     feq_uops = 0;
     halted = false;
     last_retire_cycle = 0;
-    release_trace;
-    retired_trace_idx = start_cursor - 1;
     mem_words = program.mem_words;
     pool_plain = [];
     pool_branch = [];
@@ -268,14 +243,12 @@ let dinfo_of (inst : Inst.t) =
 (* The fetch path decodes via this memo; [pc] is always in code range
    there (fetch checks before reading the image). *)
 let dinfo_at t pc (inst : Inst.t) =
-  if Array.length t.decode = 0 then dinfo_of inst
-  else
-    match Array.unsafe_get t.decode pc with
-    | Some d -> d
-    | None ->
-      let d = dinfo_of inst in
-      Array.unsafe_set t.decode pc (Some d);
-      d
+  match Array.unsafe_get t.decode pc with
+  | Some d -> d
+  | None ->
+    let d = dinfo_of inst in
+    Array.unsafe_set t.decode pc (Some d);
+    d
 
 (* Synthesized wrong-path data address: deterministic and in range. *)
 let synth_addr t pc = Wish_util.Rng.hash_int pc mod t.mem_words * Code.word_bytes
@@ -527,13 +500,6 @@ let translate_plain t ~pc ~(inst : Inst.t) ~(di : dinfo) ~path ~(entry : Oracle.
   if pdsts <> [] then
     Wish_fsm.on_decode_writes t.fsm pdsts ~complement_pair:di.d_complement_pair;
   let guard_forwarded = forwarded <> None || knobs.no_depend in
-  if Sys.getenv_opt "WISH_TRACE_FWD" <> None then
-    Printf.eprintf "fwd pc=%d guard=%d forwarded=%b mode=%s\n" pc inst.guard
-      (forwarded <> None)
-      (match Wish_fsm.mode t.fsm with
-      | Uop.Normal -> "N"
-      | Uop.High_conf -> "H"
-      | Uop.Low_conf -> "L");
   let consumes = entry <> None in
   let predicated = inst.guard <> Reg.p0 && not guard_forwarded in
   match t.config.mech with
@@ -1116,13 +1082,8 @@ let retire_stage t =
          is younger than [u], so it was fetched after [u] consumed entry
          [u.trace_idx] — its recovery cursor, and any future oracle scan,
          sits at or above [u.trace_idx + 1]. A streaming trace may
-         therefore recycle everything below that — unless this core is a
-         detailed sampling window, whose coordinating warming pass still
-         has to read those entries and does the releasing itself. *)
-      if u.trace_idx >= 0 then begin
-        if u.trace_idx > t.retired_trace_idx then t.retired_trace_idx <- u.trace_idx;
-        if t.release_trace then Oracle.release t.oracle ~below:(u.trace_idx + 1)
-      end;
+         therefore recycle everything below that. *)
+      if u.trace_idx >= 0 then Oracle.release t.oracle ~below:(u.trace_idx + 1);
       recycle t u
     | Some _ | None -> continue := false
   done
@@ -1169,41 +1130,6 @@ let run t =
   Stats.set t.stats "cycles" t.cycle;
   t
 
-(** [run_until t ~stop_idx] — run until every trace entry below
-    [stop_idx] has been covered by a retired µop (or the program halted /
-    the cycle budget ran out). The last retire group may overshoot the
-    boundary by a few µops; callers measure with {!retired_trace_idx}
-    rather than assuming an exact stop. *)
-let run_until t ~stop_idx =
-  while (not t.halted) && t.retired_trace_idx < stop_idx - 1 && t.cycle < t.config.max_cycles do
-    step t
-  done;
-  Stats.set t.stats "cycles" t.cycle;
-  t
-
-let retired_trace_idx t = t.retired_trace_idx
-let halted t = t.halted
-
-let rob_occupancy t = Ring.length t.rob
 let cycles t = t.cycle
 let stats t = t.stats
 let hier_stats t = Hierarchy.stats t.hier
-
-(** [debug_window t n] — describe the [n] oldest ROB entries (diagnostics). *)
-let debug_window t n =
-  let buf = Buffer.create 256 in
-  let count = min n (Ring.length t.rob) in
-  for k = 0 to count - 1 do
-    let u = Ring.get t.rob k in
-    Buffer.add_string buf
-      (Fmt.str "  id=%d pc=%d [%a] state=%s pending=%d addr=%d complete=%d path=%s\n" u.Uop.id
-         u.pc Inst.pp u.inst
-         (match u.state with
-         | Uop.Waiting -> "waiting"
-         | Uop.In_ready_queue -> "ready"
-         | Uop.Issued -> "issued"
-         | Uop.Done -> "done")
-         u.pending u.byte_addr u.complete_cycle
-         (match u.path with Uop.Correct -> "C" | Uop.Wrong -> "W" | Uop.Phantom -> "P"))
-  done;
-  Buffer.contents buf

@@ -13,16 +13,19 @@
     front-end depth, which sets the ~30-cycle minimum misprediction
     penalty of Table 2.
 
-    Statistics are exposed through {!stats} as named counters; see
-    {!Runner} for the digest most callers want. *)
+    This is the golden reference the compiled core ({!Compiled}) is
+    transcribed from: production runs use {!Compiled}, and the
+    [@sim-smoke] bench and the fuzzer's [sim] oracle diff the two.
+    Statistics are exposed through {!stats} as named counters. *)
 
 type t
 
 exception Deadlock of string
 
-(** Long-lived microarchitectural state handed to a detailed sampling
-    window at creation (built and kept warm by {!Sampler}). The core
-    takes ownership of the structures — give each window its own copies. *)
+(** Long-lived microarchitectural state a sampled simulation keeps warm
+    between detailed windows ({!Sampler}) and hands a compiled window
+    core ({!Compiled.create}) at creation. The core takes ownership of
+    the structures — give each window its own copies. *)
 type warm_state = {
   warm_hybrid : Wish_bpred.Hybrid.t;
   warm_btb : Wish_bpred.Btb.t;
@@ -32,56 +35,16 @@ type warm_state = {
   warm_hier : Wish_mem.Hierarchy.t;
 }
 
-(** Per-static-PC µop-translation memo toggle (default on; the test
-    suite turns it off to assert identical summaries). Read at {!create}
-    time. *)
-val decode_memo_enabled : bool ref
-
-(** Dispatch switch read by {!Runner} and {!Sampler}: [true] (the
-    default) selects the compiled core ({!Compiled}); [false]
-    ([--sim-interp]) keeps this interpreted reference implementation. *)
-val use_compiled : bool ref
-
-(** [create config program trace] — the classic whole-run core. Sampled
-    simulation opens a detailed measurement window mid-trace with [warm]
-    (pre-warmed predictor/cache state), [start_cursor] (trace index to
-    resume the oracle at), [start_pc] (the matching correct-path fetch
-    PC) and [release_trace:false] (the coordinating warming pass still
-    reads the window's entries and releases them itself). *)
-val create :
-  ?warm:warm_state ->
-  ?start_cursor:int ->
-  ?start_pc:int ->
-  ?release_trace:bool ->
-  Config.t ->
-  Wish_isa.Program.t ->
-  Wish_emu.Trace.t ->
-  t
-
-(** [step t] advances one cycle. Raises {!Deadlock} (with a diagnostic
-    dump) if no µop has retired for a very long time. *)
-val step : t -> unit
+(** [create config program trace] — a whole-run core from a cold
+    machine. *)
+val create : Config.t -> Wish_isa.Program.t -> Wish_emu.Trace.t -> t
 
 (** [run t] executes until the program's halt retires (or the cycle
-    budget is exhausted), then records the cycle count in the stats. *)
+    budget is exhausted), then records the cycle count in the stats.
+    Raises {!Deadlock} (with a diagnostic dump) if no µop has retired
+    for a very long time. *)
 val run : t -> t
 
-(** [run_until t ~stop_idx] — run until every trace entry below
-    [stop_idx] is covered by a retired µop (or halt / cycle budget). May
-    overshoot the boundary by up to one retire group; measure with
-    {!retired_trace_idx}. *)
-val run_until : t -> stop_idx:int -> t
-
-(** Highest trace index covered by a retired µop so far ([start_cursor]-1
-    until the first retire). *)
-val retired_trace_idx : t -> int
-
-val halted : t -> bool
-
 val cycles : t -> int
-val rob_occupancy : t -> int
 val stats : t -> Wish_util.Stats.t
 val hier_stats : t -> Wish_mem.Hierarchy.stats
-
-(** [debug_window t n] describes the [n] oldest ROB entries (diagnostics). *)
-val debug_window : t -> int -> string

@@ -15,7 +15,7 @@ type summary = {
   mem : Wish_mem.Hierarchy.stats;
 }
 
-let summarize_parts stats cycles mem =
+let summarize stats cycles mem =
   let g = Wish_util.Stats.get stats in
   {
     cycles;
@@ -31,8 +31,6 @@ let summarize_parts stats cycles mem =
     stats;
     mem;
   }
-
-let summarize core = summarize_parts (Core.stats core) (Core.cycles core) (Core.hier_stats core)
 
 (** [simulate ?config ?streaming ?trace program] — [trace] may be
     supplied to reuse a previously generated trace for the same program.
@@ -52,18 +50,8 @@ let simulate ?(config = Config.default) ?(streaming = false) ?trace
         let t, _final = Wish_emu.Trace.generate program in
         t
   in
-  let s =
-    if !Core.use_compiled then begin
-      let core = Compiled.create config program trace in
-      ignore (Compiled.run core);
-      summarize_parts (Compiled.stats core) (Compiled.cycles core) (Compiled.hier_stats core)
-    end
-    else begin
-      let core = Core.create config program trace in
-      ignore (Core.run core);
-      summarize core
-    end
-  in
+  let core = Compiled.run (Compiled.create config program trace) in
+  let s = summarize (Compiled.stats core) (Compiled.cycles core) (Compiled.hier_stats core) in
   (* A streamed trace has been pulled through its final entry by the time
      the core retires Halt, so [length] is the full dynamic count here too. *)
   { s with dynamic_insts = Wish_emu.Trace.length trace }
@@ -84,41 +72,19 @@ let dynamic_length (program : Wish_isa.Program.t) =
     counters are expanded with the plain measured-fraction ratio. *)
 let simulate_sampled ?(config = Config.default) ?pool ?(spec : Sampler.spec option)
     ?(streaming = false) ?trace (program : Wish_isa.Program.t) =
-  let r =
-    match trace with
-    | None when !Sampler.use_fused ->
-      (* No caller-supplied trace: warm trace-free through the fused path
-         (report bit-identical to sampling a streamed trace; [--warm-trace]
-         flips back to the reference). An auto spec is scaled to the exact
-         dynamic length, which an unrecorded pass counts first. *)
-      let spec =
-        match spec with
-        | Some s -> s
-        | None when streaming -> Sampler.default_spec
-        | None -> Sampler.auto ~length:(dynamic_length program)
-      in
-      Sampler.run_fused ?pool ~config ~spec program
-    | _ ->
-      let trace =
-        match trace with
-        | Some t -> t
-        | None ->
-          if streaming then Wish_emu.Trace.stream program
-          else
-            let t, _final = Wish_emu.Trace.generate program in
-            t
-      in
-      let spec =
-        match spec with
-        | Some s -> s
-        | None ->
-          (* A streaming trace's length is unknown up front; scale the auto
-             spec to it only when it is already materialized. *)
-          if Wish_emu.Trace.is_streaming trace then Sampler.default_spec
-          else Sampler.auto ~length:(Wish_emu.Trace.length trace)
-      in
-      Sampler.run ?pool ~config ~spec program trace
+  (* An auto spec is scaled to the dynamic length: a materialized trace
+     knows it, and without a trace an unrecorded pass counts it first. A
+     streaming run's length is unknown up front. *)
+  let spec =
+    match (spec, trace) with
+    | Some s, _ -> s
+    | None, Some t when not (Wish_emu.Trace.is_streaming t) ->
+      Sampler.auto ~length:(Wish_emu.Trace.length t)
+    | None, Some _ -> Sampler.default_spec
+    | None, None when streaming -> Sampler.default_spec
+    | None, None -> Sampler.auto ~length:(dynamic_length program)
   in
+  let r = Sampler.run ?pool ?trace ~config ~spec program in
   let round f = int_of_float (Float.round f) in
   let expand x =
     if r.Sampler.r_measured_entries = 0 then 0

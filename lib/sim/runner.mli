@@ -29,16 +29,14 @@ val simulate :
 
 (** [simulate_sampled ?pool ?spec ...] — sampled counterpart of
     {!simulate}: functional warming plus detailed measurement windows
-    (see {!Sampler}), returning an estimated summary of the same shape
+    ({!Sampler.run}), returning an estimated summary of the same shape
     together with the full sampling report. [spec] defaults to
     {!Sampler.auto} for a materialized trace and {!Sampler.default_spec}
-    for a streaming one; [pool] fans detailed windows out in parallel.
-    With no caller-supplied [trace], warming runs trace-free through
-    {!Sampler.run_fused} (bit-identical report; {!Sampler.use_fused} —
-    wishsim's [--warm-trace] lever — restores the trace-based reference
-    loop); an auto spec is then sized by one unrecorded emulator pass
-    that counts the dynamic length. The summary's [stats] bag carries
-    the measured window sums ([sample_windows],
+    for a streaming one ([trace] or [~streaming:true]); [pool] fans
+    detailed windows out in parallel. With no caller-supplied [trace],
+    warming runs trace-free and an auto spec is sized by one unrecorded
+    emulator pass that counts the dynamic length. The summary's [stats]
+    bag carries the measured window sums ([sample_windows],
     [sample_measured_entries], raw counter sums), not whole-run counts —
     except [wish_retired] and [wish_loop_retired], which are expanded to
     whole-run estimates like the summary's secondary counters. *)

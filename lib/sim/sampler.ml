@@ -8,10 +8,10 @@
       outcomes, but no µop is allocated, no OOO timing is modelled and no
       event wheel turns. Control-dependent penalties dominate pipeline
       behaviour, so this state must never go cold between measurements.
-    - {e detailed measurement windows}: short stretches run on the real
-      {!Core}, seeded with a copy of the warm state. The first quarter of
-      each window is a detailed-warmup lead (pipeline and ROB fill) that
-      is excluded from measurement.
+    - {e detailed measurement windows}: short stretches run on the
+      compiled cycle-level core ({!Compiled}), seeded with a copy of the
+      warm state. The first quarter of each window is a detailed-warmup
+      lead (pipeline and ROB fill) that is excluded from measurement.
 
     Cycle counts and rates are then extrapolated with a ratio estimator
     (Σcycles/Σentries over the measured windows), and the per-window
@@ -22,9 +22,9 @@
     window results independent of each other, so the checkpointed
     interval-parallel mode (fan the windows over a {!Wish_util.Pool}) is
     byte-identical to the serial mode by construction — scheduling is the
-    only difference. Parallel mode needs a materialized trace (concurrent
-    cursors over a streaming trace would fight over chunk recycling);
-    with a streaming trace the pool is ignored. *)
+    only difference. Over a streaming trace the windows of a batch read
+    pre-recorded entries from a sealed trace and never recycle chunks;
+    the coordinating domain releases them once the batch has run. *)
 
 open Wish_isa
 module Trace = Wish_emu.Trace
@@ -58,6 +58,15 @@ let of_string str =
     | Some w, Some d when w > 0 && d > 0 -> Ok { warm = w; detail = d }
     | _ -> Error "expected positive integers W:D")
 
+(* Detailed-warmup lead: entries simulated in detail at the head of each
+   window but excluded from measurement. This hides more than the
+   cold-pipeline ramp: the warm state is a close but imperfect image of
+   the real machine's (cache recency and predictor details differ
+   slightly), and measured against ground truth the discrepancy heals
+   within ~4K entries as detailed execution retrains the state. Leads
+   much below that floor leave a measurable slow bias in the windows. *)
+let lead_of s = max (s.detail / 4) (min 4_200 s.detail)
+
 (** [auto ~length] — a spec scaled to the trace: 12–64 windows (more on
     longer traces), ≲10% of entries simulated in detail. The detail
     floor matters: a measurement window must span many ROB drain/stall
@@ -70,17 +79,8 @@ let auto ~length =
   let windows = max 12 (min 64 (length / 320_000)) in
   let period = max 1 (length / windows) in
   let detail = max 4_200 (period / 18) in
-  let lead = max (detail / 4) (min 4_200 detail) in
+  let lead = lead_of { warm = 0; detail } in
   { warm = max 1_000 (period - detail - lead); detail }
-
-(* Detailed-warmup lead: entries simulated in detail at the head of each
-   window but excluded from measurement. This hides more than the
-   cold-pipeline ramp: the warm state is a close but imperfect image of
-   the real machine's (cache recency and predictor details differ
-   slightly), and measured against ground truth the discrepancy heals
-   within ~4K entries as detailed execution retrains the state. Leads
-   much below that floor leave a measurable slow bias in the windows. *)
-let lead_of s = max (s.detail / 4) (min 4_200 s.detail)
 
 type window = {
   w_start : int; (* first measured trace index *)
@@ -259,32 +259,28 @@ let warm_entry st _i ~pc ~guard_true ~taken ~addr =
         Btb.insert w.warm_btb ~pc ~target:(Array.unsafe_get st.s_target pc) ~is_wish:false
     end
 
-(* Warm [from, until) (clipped at the end of the trace), pulling a
-   streaming trace forward as needed. Returns the first index not
-   warmed. *)
-let warm_range st trace ~from ~until =
-  let avail = if Trace.ensure trace (until - 1) then until else Trace.length trace in
+(* Warm only what the trace already recorded in [from, until) — never
+   pulls the generator (the unrecorded remainder is the fused path's
+   job). Returns the new cursor. *)
+let warm_recorded st trace ~from ~until =
+  let avail = min until (Trace.length trace) in
   if avail > from then
     Trace.iter_range trace ~from ~until:avail ~f:(fun i ~pc ~guard_true ~taken ~addr ->
         warm_entry st i ~pc ~guard_true ~taken ~addr);
-  avail
+  max from avail
 
 (** [warm_state_at ~config program trace i] — the functional-warming
     state after entries [0, i): what a detailed window opening at [i]
-    receives. Exposed for tests and diagnostics. *)
+    receives. The reference the fused hooks are tested against. *)
 let warm_state_at ~config program trace i =
   let st = create_state config program in
-  ignore (warm_range st trace ~from:0 ~until:i);
+  ignore (Trace.ensure trace (i - 1));
+  ignore (warm_recorded st trace ~from:0 ~until:i);
   st.s_warm
 
 (* ----------------------------------------------------------------- *)
 (* Fused (trace-free) warming                                          *)
 (* ----------------------------------------------------------------- *)
-
-(** Run warming fused into the compiled emulator (the default). The
-    trace-based loop above stays behind this flag as the golden
-    reference, mirroring the [--emu-interp]/[--sim-interp] levers. *)
-let use_fused = ref true
 
 (* Per-pc warm hooks for {!Trace.warm_to}: [warm_entry] re-specialized
    so that everything static — the warm-plan class, the I-line index and
@@ -424,16 +420,6 @@ let build_hooks st ~entry =
           if o.Exec.o_taken then Btb.insert_cached btb ~set:bset ~tag:btag ~slot:bslot bentry
       end)
 
-(* Warm only what the trace already recorded in [from, until) — never
-   pulls the generator (the unrecorded remainder is the fused path's
-   job). Returns the new cursor. *)
-let warm_recorded st trace ~from ~until =
-  let avail = min until (Trace.length trace) in
-  if avail > from then
-    Trace.iter_range trace ~from ~until:avail ~f:(fun i ~pc ~guard_true ~taken ~addr ->
-        warm_entry st i ~pc ~guard_true ~taken ~addr);
-  max from avail
-
 (** [fused_warm_state_at ~config program i] — {!warm_state_at} computed
     by the fused path: no trace entries exist, the warm hooks ran inside
     the emulator. Bit-identical to the trace-based state by contract. *)
@@ -456,35 +442,14 @@ type checkpoint = { c_start : int; c_lead : int; c_warm : Core.warm_state }
 let run_window ~config ~program ~trace ~detail ck =
   let start = ck.c_start in
   let lead = ck.c_lead in
-  let start_pc = Trace.pc trace start in
-  (* Uniform view over the interpreted and compiled cores: window
-     measurement only needs stats access, bounded running, and the
-     retired-entry / cycle cursors. *)
-  let g, run_until, retired_idx, cycles =
-    if !Core.use_compiled then begin
-      let core =
-        Compiled.create ~warm:ck.c_warm ~start_cursor:start ~start_pc ~release_trace:false
-          config program trace
-      in
-      ( Stats.get (Compiled.stats core),
-        (fun stop_idx -> ignore (Compiled.run_until core ~stop_idx)),
-        (fun () -> Compiled.retired_trace_idx core),
-        fun () -> Compiled.cycles core )
-    end
-    else begin
-      let core =
-        Core.create ~warm:ck.c_warm ~start_cursor:start ~start_pc ~release_trace:false config
-          program trace
-      in
-      ( Stats.get (Core.stats core),
-        (fun stop_idx -> ignore (Core.run_until core ~stop_idx)),
-        (fun () -> Core.retired_trace_idx core),
-        fun () -> Core.cycles core )
-    end
+  let core =
+    Compiled.create ~warm:ck.c_warm ~start_cursor:start ~start_pc:(Trace.pc trace start)
+      ~release_trace:false config program trace
   in
-  run_until (start + lead);
-  let lo = retired_idx () in
-  let c0 = cycles () in
+  let g = Stats.get (Compiled.stats core) in
+  ignore (Compiled.run_until core ~stop_idx:(start + lead));
+  let lo = Compiled.retired_trace_idx core in
+  let c0 = Compiled.cycles core in
   let u0 = g "retired_correct"
   and ph0 = g "retired_phantom"
   and f0 = g "fetched_uops"
@@ -493,12 +458,12 @@ let run_window ~config ~program ~trace ~detail ck =
   and b0 = g "cond_branches_retired"
   and wi0 = g "wish_retired"
   and wl0 = g "wish_loop_retired" in
-  run_until (start + lead + detail);
-  let hi = retired_idx () in
+  ignore (Compiled.run_until core ~stop_idx:(start + lead + detail));
+  let hi = Compiled.retired_trace_idx core in
   {
     w_start = lo + 1;
     w_entries = hi - lo;
-    w_cycles = cycles () - c0;
+    w_cycles = Compiled.cycles core - c0;
     w_uops = g "retired_correct" - u0;
     w_phantom = g "retired_phantom" - ph0;
     w_fetched = g "fetched_uops" - f0;
@@ -612,10 +577,23 @@ let aggregate ~spec ~period ~total_insts ~mem windows =
 (* Orchestration                                                       *)
 (* ----------------------------------------------------------------- *)
 
-(** [run ?pool ~config ~spec program trace] — sample the whole trace.
-    With [pool] (and a materialized trace) the detailed windows of each
-    batch fan out across the pool's domains; results are byte-identical
-    to the serial schedule.
+(* Upper bound on how far past its stop index a detailed window's trace
+   cursor can read: the machine's in-flight capacity (ROB plus front-end
+   queue — each in-flight µop consumed one entry), the skippable
+   (guard-false / speculated) runs a predicted-taken wish branch jumps
+   over (each bounded by the static code length), and one final
+   skip-limited oracle scan. Generous by construction, and only load-
+   bearing in pooled runs over a streaming trace, where a violation
+   raises loudly through the trace seal instead of racing the
+   generator. *)
+let read_margin (config : Config.t) (program : Program.t) =
+  let n = Code.length (Program.code program) in
+  config.rob_size
+  + (config.frontend_depth * config.fetch_width)
+  + (2 * Oracle.default_skip_limit)
+  + (8 * n) + 2048
+
+(** [run ?pool ?trace ~config ~spec program] — sample the whole run.
 
     Placement is stratified. The head stratum [0, period) — where the
     initialization ramp lives — is sampled by up to four windows at
@@ -624,92 +602,15 @@ let aggregate ~spec ~period ~total_insts ~mem windows =
     machine's state there). The tail stratum is sampled systematically
     at multiples of the period [warm + lead + detail]. A trace shorter
     than the head stride therefore degenerates to a single full-length
-    cold window: the exact simulation. *)
-let run ?pool ~config ~spec (program : Program.t) trace =
-  let lead = lead_of spec in
-  let span = lead + spec.detail in
-  let period = spec.warm + span in
-  let head_n = max 1 (min 4 (period / span)) in
-  let stride = period / head_n in
-  let start_of idx = if idx < head_n then idx * stride else (idx - head_n + 1) * period in
-  let pool = if Trace.is_streaming trace then None else pool in
-  let batch_size = match pool with Some p -> max 2 (2 * Pool.size p) | None -> 1 in
-  let st = create_state config program in
-  let windows = ref [] (* reversed *) in
-  let pending = ref [] (* reversed *) in
-  let npending = ref 0 in
-  let do_window ck = run_window ~config ~program ~trace ~detail:spec.detail ck in
-  let flush () =
-    if !npending > 0 then begin
-      let cks = List.rev !pending in
-      pending := [];
-      npending := 0;
-      let ws = match pool with Some p -> Pool.map p do_window cks | None -> List.map do_window cks in
-      windows := List.rev_append ws !windows
-    end
-  in
-  let cursor = ref 0 in
-  let idx = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let start = start_of !idx in
-    let avail = warm_range st trace ~from:!cursor ~until:start in
-    cursor := avail;
-    if avail < start || not (Trace.ensure trace avail) then continue := false
-    else begin
-      let ck =
-        if start = 0 then
-          (* Cold window: a second fresh state (not a copy of [st] — the
-             live warming state must keep advancing independently). *)
-          { c_start = 0; c_lead = 0; c_warm = (create_state config program).s_warm }
-        else { c_start = start; c_lead = lead; c_warm = copy_warm st.s_warm }
-      in
-      pending := ck :: !pending;
-      incr npending;
-      let wtarget = start + span in
-      let avail = warm_range st trace ~from:start ~until:wtarget in
-      cursor := avail;
-      if !npending >= batch_size then begin
-        (* Every pending window lies below the warming cursor; once they
-           have run, a streaming trace can recycle everything beneath it. *)
-        flush ();
-        Trace.release trace !cursor
-      end;
-      if avail < wtarget then continue := false;
-      incr idx
-    end
-  done;
-  flush ();
-  Trace.release trace !cursor;
-  let total = Trace.length trace in
-  aggregate ~spec ~period ~total_insts:total
-    ~mem:(Hierarchy.stats st.s_warm.Core.warm_hier)
-    (List.rev !windows)
+    cold window: the exact simulation.
 
-(* Upper bound on how far past its stop index a detailed window's trace
-   cursor can read: the machine's in-flight capacity (ROB plus front-end
-   queue — each in-flight µop consumed one entry), the skippable
-   (guard-false / speculated) runs a predicted-taken wish branch jumps
-   over (each bounded by the static code length), and one final
-   skip-limited oracle scan. Generous by construction, and only load-
-   bearing in pooled fused mode, where a violation raises loudly through
-   the trace seal instead of racing the generator. *)
-let read_margin (config : Config.t) (program : Program.t) =
-  let n = Code.length (Program.code program) in
-  config.rob_size
-  + (config.frontend_depth * config.fetch_width)
-  + (2 * Oracle.default_skip_limit)
-  + (8 * n) + 2048
-
-(** [run_fused ?pool ~config ~spec program] — {!run} with warming fused
-    into the compiled emulator: the schedule, checkpoints, windows and
-    estimates are identical, but warm regions execute through per-pc warm
-    hooks inside {!Wish_emu.Compiled} ({!Trace.warm_to}) instead of
-    round-tripping through packed trace entries, and trace chunks are
-    materialized only for each window's span (lead + detail) plus a
-    bounded read-ahead margin. A window's own span is still warmed from
-    the recorded entries with the reference [warm_entry] — identical
-    content either way, and the chunks are already resident.
+    [trace] defaults to a fresh {!Trace.stream} of [program]. Entries
+    the trace has already recorded (every entry of a materialized trace)
+    warm through the reference [warm_entry]; the unrecorded rest runs
+    fused, through per-pc warm hooks inside {!Wish_emu.Compiled}
+    ({!Trace.warm_to}), and chunks are recorded only for each window's
+    span (lead + detail) plus, when pooled, a bounded read-ahead margin.
+    The report is the same whichever way an entry warms.
 
     With [pool], window batches fan out across domains while the trace is
     sealed (a window out-reading its pre-recorded margin fails loudly
@@ -717,8 +618,8 @@ let read_margin (config : Config.t) (program : Program.t) =
     window pulling the generator a little further is harmless on the
     coordinating domain, and the extra recorded entries are warmed as
     recorded entries on the next iteration. *)
-let run_fused ?pool ~config ~spec (program : Program.t) =
-  let trace = Trace.stream program in
+let run ?pool ?trace ~config ~spec (program : Program.t) =
+  let trace = match trace with Some t -> t | None -> Trace.stream program in
   let lead = lead_of spec in
   let span = lead + spec.detail in
   let period = spec.warm + span in
@@ -751,14 +652,19 @@ let run_fused ?pool ~config ~spec (program : Program.t) =
     end
   in
   let cursor = ref 0 in
+  (* Recorded entries warm as recorded entries, the rest of [cursor,
+     until) runs fused — unless the trace is finished (always, for a
+     materialized one), which leaves nothing to run. *)
+  let warm_until until =
+    cursor := warm_recorded st trace ~from:!cursor ~until;
+    if !cursor < until && not (Trace.finished trace) then
+      cursor := Trace.warm_to trace ~hooks ~until
+  in
   let idx = ref 0 in
   let continue = ref true in
   while !continue do
     let start = start_of !idx in
-    (* Entries a window recorded past the previous span warm as recorded
-       entries; the rest of the gap runs fused. *)
-    cursor := warm_recorded st trace ~from:!cursor ~until:start;
-    if !cursor < start then cursor := Trace.warm_to trace ~hooks ~until:start;
+    warm_until start;
     if !cursor < start || not (Trace.ensure trace start) then continue := false
     else begin
       let ck =
@@ -778,9 +684,10 @@ let run_fused ?pool ~config ~spec (program : Program.t) =
          entry they can touch — span plus read-ahead margin — already
          recorded. *)
       ignore (Trace.ensure trace (if pool = None then wtarget - 1 else wtarget + margin - 1));
-      cursor := warm_recorded st trace ~from:start ~until:wtarget;
-      if !cursor < wtarget then cursor := Trace.warm_to trace ~hooks ~until:wtarget;
+      warm_until wtarget;
       if !npending >= batch_size then begin
+        (* Every pending window lies below the warming cursor; once they
+           have run, a streaming trace can recycle everything beneath it. *)
         flush ();
         Trace.release trace !cursor
       end;

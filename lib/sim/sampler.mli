@@ -3,8 +3,8 @@
     Alternates cheap {e functional-warming} intervals — the trace cursor
     advances at architectural speed, updating only long-lived state
     (predictors, BTB, RAS, confidence estimator, cache tags) — with short
-    {e detailed measurement windows} run on the real {!Core} from a copy
-    of the warm state. Rates (µPC, mispredictions per 1K µops) come from
+    {e detailed measurement windows} run on the compiled cycle-level core
+    ({!Compiled}) from a copy of the warm state. Rates (µPC, mispredictions per 1K µops) come from
     the measured windows with a 95% confidence interval; total cycles are
     extrapolated with a ratio estimator.
 
@@ -29,8 +29,8 @@ val to_string : spec -> string
 val of_string : string -> (spec, string) result
 
 (** A spec scaled to the trace length: 12–64 tail windows (more on
-    longer traces) plus a densely-sampled head stratum, a few percent
-    of entries simulated in detail. *)
+    longer traces) plus a densely-sampled head stratum, ≲10% of entries
+    simulated in detail. *)
 val auto : length:int -> spec
 
 type window = {
@@ -71,45 +71,35 @@ type report = {
 
 (** [warm_state_at ~config program trace i] — the functional-warming
     state after entries [0, i): what a detailed window opening at [i]
-    receives. Exposed for tests and diagnostics. *)
+    receives, computed entry by entry from the trace. The reference that
+    {!fused_warm_state_at} is tested against. *)
 val warm_state_at :
   config:Config.t -> Wish_isa.Program.t -> Wish_emu.Trace.t -> int -> Core.warm_state
-
-(** Run warming fused into the compiled emulator (the default for
-    trace-free sampled runs; see {!run_fused}). The trace-based loop
-    stays behind this flag as the golden reference — wishsim's
-    [--warm-trace] lever, mirroring [--emu-interp]/[--sim-interp]. *)
-val use_fused : bool ref
 
 (** [fused_warm_state_at ~config program i] — {!warm_state_at} computed
     trace-free: per-pc warm hooks run inside the compiled emulator, no
     entry is ever encoded. Bit-identical to the trace-based state. *)
 val fused_warm_state_at : config:Config.t -> Wish_isa.Program.t -> int -> Core.warm_state
 
-(** [run ?pool ~config ~spec program trace] — sample the whole trace.
-    With [pool] (materialized traces only — the pool is ignored for
-    streaming traces) detailed windows fan out across the pool's domains
-    in batches. Placement is stratified: the head region [0, period) —
-    the initialization ramp systematic sampling would otherwise skip or
+(** [run ?pool ?trace ~config ~spec program] — sample the whole run.
+    [trace] defaults to a fresh {!Wish_emu.Trace.stream} of [program].
+    Entries the trace has already recorded (every entry of a
+    materialized trace) warm entry by entry; the rest warms through
+    per-pc hooks fused into the compiled emulator, and chunks are
+    recorded only for each window's span. The report is the same either
+    way. With [pool], detailed windows fan out across the pool's domains
+    in batches (a streaming trace is sealed against generator pulls
+    meanwhile); results are byte-identical to the serial schedule.
+    Placement is stratified: the head region [0, period) — the
+    initialization ramp systematic sampling would otherwise skip or
     over-weight — gets up to four windows of its own (the first cold),
     and the whole-run estimate weights the head and tail strata by
-    length. A trace shorter than the head stride degenerates to a
-    single cold full-length window, i.e. the exact simulation. *)
+    length. A run shorter than the head stride degenerates to a single
+    cold full-length window, i.e. the exact simulation. *)
 val run :
   ?pool:Wish_util.Pool.t ->
+  ?trace:Wish_emu.Trace.t ->
   config:Config.t ->
   spec:spec ->
   Wish_isa.Program.t ->
-  Wish_emu.Trace.t ->
   report
-
-(** [run_fused ?pool ~config ~spec program] — {!run} without a trace:
-    warm regions execute through per-pc warm hooks fused into the
-    compiled emulator, and trace chunks are materialized only for each
-    window's span (lead + detail) plus a bounded read-ahead margin.
-    Same schedule, same checkpoints, same windows: the report is
-    bit-identical to {!run} over this program's streamed trace. With
-    [pool], window batches fan out across domains while the trace is
-    sealed against generator pulls. *)
-val run_fused :
-  ?pool:Wish_util.Pool.t -> config:Config.t -> spec:spec -> Wish_isa.Program.t -> report

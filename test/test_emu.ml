@@ -397,7 +397,7 @@ let test_outcome_ignores_registers () =
 
 (* Compiled-emulator identity -------------------------------------------------
 
-   The interpreted [Exec.step] is the golden reference; [Compiled] must be
+   The interpreted [Exec.step_into] is the golden reference; [Compiled] must be
    observably equivalent step for step. These tests drive both machines in
    lockstep through [Compiled.step] (which crosses a block boundary on
    every instruction a block ends at) and through full-trace generation. *)

@@ -1,9 +1,9 @@
 (* The differential fuzzing stack (@fuzz-smoke): generator and shrinker
    determinism, shrinker invariants, a live injected-miscompile drill
    through the whole loop, a smoke slice of the five oracles, and the
-   forever-replay of the checked-in corpus. The deep (hours-long) runs
-   stay behind [wishfuzz --deep]; this suite is the fast slice wired
-   into [dune runtest]. *)
+   forever-replay of the checked-in corpus. Longer sweeps are plain
+   [wishfuzz --count N] runs; this suite is the fast slice wired into
+   [dune runtest]. *)
 
 module Gen = Wish_fuzz.Gen
 module Shrink = Wish_fuzz.Shrink

@@ -303,19 +303,6 @@ let test_icache_cold_stalls_counted () =
   let s = simulate Asm.[ movi 3 1; halt ] in
   Alcotest.(check bool) "first line fetch missed" true (s.mem.l1i_misses >= 1)
 
-(* Decoded-µop memo ------------------------------------------------------------------- *)
-
-let test_decode_memo_identical () =
-  (* The per-PC decode memo is a pure cache: switching it off must not
-     change a single architectural or timing number. *)
-  let run () = simulate ~data:coin_data (hammock_kernel ~wish:true ~iters:300) in
-  let on = run () in
-  Core.decode_memo_enabled := false;
-  let off = Fun.protect ~finally:(fun () -> Core.decode_memo_enabled := true) run in
-  Alcotest.(check (list int)) "summary identical" (summary_fields on) (summary_fields off);
-  check Alcotest.int "cond branches identical" on.cond_branches off.cond_branches;
-  check Alcotest.int "fetched uops identical" on.fetched_uops off.fetched_uops
-
 (* Sampled simulation ----------------------------------------------------------------- *)
 
 let sampled_fixture =
@@ -349,14 +336,20 @@ let test_sampler_parallel_identical () =
   let program, trace = Lazy.force sampled_fixture in
   let _, r = Runner.simulate_sampled ~spec:sampled_spec ~trace program in
   let pool = Wish_util.Pool.create ~size:2 () in
-  let _, r_par =
+  let pooled trace = snd (Runner.simulate_sampled ~pool ~spec:sampled_spec ~trace program) in
+  (* Small chunks so the pooled streaming run recycles chunks between
+     window batches. *)
+  let r_par, r_stream =
     Fun.protect
       ~finally:(fun () -> Wish_util.Pool.shutdown pool)
-      (fun () -> Runner.simulate_sampled ~pool ~spec:sampled_spec ~trace program)
+      (fun () -> (pooled trace, pooled (Wish_emu.Trace.stream ~chunk_bits:10 program)))
   in
-  Alcotest.(check bool) "window list identical" true (r_par.r_windows = r.r_windows);
-  check (Alcotest.float 0.0) "uPC identical" r.r_upc r_par.r_upc;
-  check Alcotest.int "estimated cycles identical" r.r_est_cycles r_par.r_est_cycles
+  List.iter
+    (fun (tag, (p : Sampler.report)) ->
+      Alcotest.(check bool) (tag ^ ": window list identical") true (p.r_windows = r.r_windows);
+      check (Alcotest.float 0.0) (tag ^ ": uPC identical") r.r_upc p.r_upc;
+      check Alcotest.int (tag ^ ": estimated cycles identical") r.r_est_cycles p.r_est_cycles)
+    [ ("materialized", r_par); ("streamed", r_stream) ]
 
 let test_sampler_tiny_trace_is_exact () =
   (* A detail window longer than the whole trace degenerates to one cold
@@ -453,22 +446,28 @@ let test_fused_warm_state_lockstep () =
     Wish_workloads.Workloads.names
 
 let test_fused_report_identical () =
+  (* A materialized trace warms entry by entry, a caller-supplied
+     streamed one mostly fused, and no trace entirely fused: all three
+     reports must match bit for bit. *)
   let program, trace = Lazy.force sampled_fixture in
   let config = Config.default in
-  let r = Sampler.run ~config ~spec:sampled_spec program trace in
-  let f = Sampler.run_fused ~config ~spec:sampled_spec program in
+  let run ?trace () = Sampler.run ?trace ~config ~spec:sampled_spec program in
+  let r = run ~trace () in
+  let streamed = run ~trace:(Wish_emu.Trace.stream ~chunk_bits:10 program) () in
+  let fused = run () in
   (* [compare], not [=]: an equal-but-NaN CI still counts as identical. *)
-  Alcotest.(check bool) "fused report bit-identical" true (compare f r = 0)
+  Alcotest.(check bool) "streamed report bit-identical" true (compare streamed r = 0);
+  Alcotest.(check bool) "fused report bit-identical" true (compare fused r = 0)
 
 let test_fused_parallel_identical () =
   let program, _ = Lazy.force sampled_fixture in
   let config = Config.default in
-  let serial = Sampler.run_fused ~config ~spec:sampled_spec program in
+  let serial = Sampler.run ~config ~spec:sampled_spec program in
   let pool = Wish_util.Pool.create ~size:2 () in
   let parallel =
     Fun.protect
       ~finally:(fun () -> Wish_util.Pool.shutdown pool)
-      (fun () -> Sampler.run_fused ~pool ~config ~spec:sampled_spec program)
+      (fun () -> Sampler.run ~pool ~config ~spec:sampled_spec program)
   in
   Alcotest.(check bool) "pooled fused run identical" true (compare parallel serial = 0)
 
@@ -517,8 +516,6 @@ let () =
         ] );
       ("select", [ Alcotest.test_case "select-uop expands" `Quick test_select_uop_expands ]);
       ("icache", [ Alcotest.test_case "cold stall" `Quick test_icache_cold_stalls_counted ]);
-      ( "decode_memo",
-        [ Alcotest.test_case "memo on/off identical" `Quick test_decode_memo_identical ] );
       ( "sampling",
         [
           Alcotest.test_case "report well-formed" `Quick test_sampler_report_well_formed;
