@@ -26,14 +26,12 @@ let rec rm_rf d =
     end
     else try Sys.remove d with Sys_error _ -> ()
 
-let policy = { Lab.default_policy with backoff = 0.001 }
-
 let fig10_run ~resume faults =
   Fun.protect ~finally:FP.reset @@ fun () ->
   let lab = Lab.create ~names:[ "gzip" ] ~jobs:2 ~cache:(Cache.create ~dir:cache_dir ()) ~resume () in
   Fun.protect ~finally:(fun () -> Lab.shutdown lab) @@ fun () ->
   List.iter (fun (site, times) -> FP.arm site ~times) faults;
-  Lab.prewarm ~policy lab (Figures.jobs_for "fig10" lab);
+  Lab.prewarm lab (Figures.jobs_for "fig10" lab);
   List.iter
     (fun (site, _) ->
       if FP.injected site = 0 then (

@@ -4,7 +4,7 @@
       experiments                    # everything
       experiments fig10 fig12        # selected artifacts
       experiments --scale 2 -v       # bigger runs, with progress logging
-      experiments --timeout 120 --retries 3 --keep-going
+      experiments --retries 3 --keep-going
       experiments --resume           # skip jobs journaled by an interrupted run
       experiments cache verify       # integrity-check _wishcache/
       experiments cache prune        # evict stale entries, quarantine corrupt ones
@@ -16,8 +16,8 @@ module Figures = Wish_experiments.Figures
 module Ablations = Wish_experiments.Ablations
 module Cache = Wish_experiments.Cache
 
-let run names scale verbose benchmarks csv_dir jobs no_cache gc_tune timeout retries keep_going
-    resume sample =
+let run names scale verbose benchmarks csv_dir jobs no_cache gc_tune retries keep_going resume
+    sample =
   Wish_util.Faultpoint.arm_from_env ();
   if gc_tune then Wish_util.Gc_stats.tune ();
   let jobs =
@@ -27,6 +27,10 @@ let run names scale verbose benchmarks csv_dir jobs no_cache gc_tune timeout ret
       Fmt.epr "--jobs %s: %s@." jobs e;
       exit 2
   in
+  if retries < 0 then begin
+    Fmt.epr "--retries %d: must be at least 0@." retries;
+    exit 2
+  end;
   let sampling =
     match sample with
     | None -> None
@@ -56,11 +60,19 @@ let run names scale verbose benchmarks csv_dir jobs no_cache gc_tune timeout ret
             exit 2)
         names
   in
-  let policy = { Lab.default_policy with timeout; retries; keep_going } in
+  let policy = { Lab.retries; keep_going } in
   let cache = if no_cache then None else Some (Cache.create ()) in
+  (* An unknown -b name or a --scale below 1 fails here, before any
+     worker domain is spawned. *)
   let lab =
-    Lab.create ~scale ?names:(if benchmarks = [] then None else Some benchmarks) ~jobs ?cache
-      ~resume ?sample:sampling ()
+    match
+      Lab.create ~scale ?names:(if benchmarks = [] then None else Some benchmarks) ~jobs ?cache
+        ~resume ?sample:sampling ()
+    with
+    | lab -> lab
+    | exception Invalid_argument e ->
+      Fmt.epr "%s@." e;
+      exit 2
   in
   if verbose then Lab.set_logger lab (fun s -> Fmt.epr "[lab] %s@." s);
   if resume then
@@ -247,14 +259,9 @@ let run_term =
     Arg.(value & flag
          & info [ "gc-tune" ] ~doc:"Size the OCaml minor heap for long simulation runs")
   in
-  let timeout =
-    Arg.(value & opt (some float) None
-         & info [ "timeout" ]
-             ~doc:"Per-job wall-clock budget in seconds; an overrunning job is retried, then reported")
-  in
   let retries =
     Arg.(value & opt int Lab.default_policy.retries
-         & info [ "retries" ] ~doc:"Extra attempts for a failed or timed-out job")
+         & info [ "retries" ] ~doc:"Extra attempts for a failed job (at least 0)")
   in
   let keep_going =
     Arg.(value & flag
@@ -274,7 +281,7 @@ let run_term =
   in
   Term.(
     const run $ names $ scale $ verbose $ benchmarks $ csv_dir $ jobs $ no_cache $ gc_tune
-    $ timeout $ retries $ keep_going $ resume $ sample)
+    $ retries $ keep_going $ resume $ sample)
 
 let cmd =
   Cmd.v (Cmd.info "experiments" ~doc:"Regenerate the wish-branches paper's tables and figures")

@@ -60,7 +60,13 @@ let run bench_name kind_name input scale asm_file rob stages mech_select wish_hw
               Fmt.epr "unknown binary kind %s@." kind_name;
               exit 2
           in
-          let l = Lab.create ~scale ~names:[ bench_name ] () in
+          let l =
+            match Lab.create ~scale ~names:[ bench_name ] () with
+            | l -> l
+            | exception Invalid_argument e ->
+              Fmt.epr "%s@." e;
+              exit 2
+          in
           lab := Some l;
           (Lab.program l ~bench:bench_name ~kind ~input, bench_name)
       in

@@ -10,7 +10,7 @@
     bits) — about 3x smaller than the previous struct-of-arrays layout,
     and growing by appending a chunk instead of copying the whole trace.
     A trace is either *materialized* (every chunk retained, the classic
-    mode, marshal-safe for the artifact cache) or *streaming*: chunks are
+    mode, marshal-safe once finished) or *streaming*: chunks are
     generated on demand from a paused emulator and recycled once the
     consumer {!release}s them, so resident memory stays bounded by the
     consumer's look-back window however long the run is. *)
@@ -53,8 +53,8 @@ type chunk = {
 
 (* The paused emulator a streaming trace pulls entries from. Holds the
    compiled form of the image (closures — which Marshal rejects, but a
-   *finished* trace, the only kind the artifact cache stores, has dropped
-   its gen) plus the single out-record all refills reuse. *)
+   *finished* trace has dropped its gen) plus the single out-record all
+   refills reuse. *)
 type gen = {
   g_state : State.t;
   g_fuel : int;
@@ -388,8 +388,9 @@ let generate ?fuel ?hint program =
   let t = create ?hint ~retain:true ~gen:(Some g) () in
   Compiled.run_to_halt g.g_compiled g.g_state g.g_out ~sink:(gen_sink t g) ~fuel:g.g_fuel;
   t.gen <- None;
-  (* A finished materialized trace may be marshalled into the artifact
-     cache: drop any recycled buffers so they are not serialized. *)
+  (* A finished materialized trace may be marshalled (the lab keeps
+     traces in memory only; bench/perf's traced pass stores them): drop
+     any recycled buffers so they are not serialized. *)
   t.free <- [];
   (t, g.g_state)
 

@@ -11,7 +11,7 @@
     cheap and growth never copies. Two flavours share the type:
 
     - {!generate} builds a *materialized* trace: every chunk retained,
-      random access over the whole run, marshal-safe (cacheable).
+      random access over the whole run, marshal-safe once finished.
     - {!stream} builds a *streaming* trace: chunks are generated on
       demand from a paused emulator ({!ensure}) and recycled once the
       consumer declares them dead ({!release}), keeping resident memory

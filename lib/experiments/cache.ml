@@ -34,9 +34,10 @@ type t = { root : string; version : int }
 (* Bump whenever a marshalled payload's in-memory type changes shape or
    the file layout changes (v2: chunked packed trace representation;
    v3: integrity footer + completion journal; v4: sampled summaries
-   carry whole-run wish_retired/wish_loop_retired). Stale entries
-   self-evict via the header check. *)
-let format_version = 4
+   carry whole-run wish_retired/wish_loop_retired; v5: the lab stores no
+   trace, so [prune] evicts the v4 [trace/] files as stale). Stale
+   entries self-evict via the header check. *)
+let format_version = 5
 
 let default_dir () =
   match Sys.getenv_opt "WISH_CACHE_DIR" with Some d when d <> "" -> d | _ -> "_wishcache"

@@ -16,29 +16,27 @@
       fold the results back into the tables on the coordinating domain, so
       the tables are only ever mutated single-threaded and the outputs are
       bit-identical to the serial path;
-    - an optional persistent {!Cache}: traces, summaries and static
-      shapes are looked up by (bench, kind, input, scale[, config]) before
-      being recomputed and stored after, making repeated runs incremental
+    - an optional persistent {!Cache}: summaries and static shapes are
+      looked up by (bench, kind, input, scale[, config]) before being
+      recomputed and stored after, making repeated runs incremental
       across processes; concurrent processes on one cache coalesce
-      duplicate jobs through its leases. A sampled lab has no trace stage:
-      its simulations warm trace-free, and it stores no trace.
+      duplicate jobs through its leases. Traces are never stored: the
+      emulator regenerates one about as fast as the cache loads it, so a
+      trace lives only in the in-memory memo, shared by every run of its
+      binary and input. A sampled lab has no trace stage at all: its
+      simulations warm trace-free.
 
     Fault tolerance ({!policy}): every batched stage runs under
     supervision — a job that raises (or whose worker domain dies; the
     {!Wish_util.Pool} requeues and respawns underneath us) fails that job
-    only, is retried up to [retries] times with exponential backoff and
-    deterministic jitter, and is reported as a structured {!failure} if it
-    never succeeds. Per-job wall-clock timeouts are cooperative: a running
-    simulation cannot be preempted, but an overrun is detected at
-    completion, its result discarded, and the job retried/reported like
-    any other failure, so a batch never silently absorbs a runaway job.
-    Because every recomputation is deterministic, any fault schedule that
-    eventually succeeds yields byte-identical tables. *)
+    only, is retried up to [retries] times, and is reported as a
+    structured {!failure} if it never succeeds. Because every
+    recomputation is deterministic, a retry runs at once, and any fault
+    schedule that eventually succeeds yields byte-identical tables. *)
 
 open Wish_compiler
 module Pool = Wish_util.Pool
 module Faultpoint = Wish_util.Faultpoint
-module Rng = Wish_util.Rng
 
 let fp_compile =
   Faultpoint.register "lab.compile" ~doc:"a compile job raises mid-batch (fails that bench's jobs)"
@@ -49,24 +47,13 @@ let fp_trace =
 let fp_simulate =
   Faultpoint.register "lab.simulate" ~doc:"a simulation job raises mid-batch"
 
-let fp_slow =
-  Faultpoint.register "lab.slow"
-    ~doc:"a simulation job sleeps (the armed delay, default 50ms) before starting, tripping --timeout budgets"
-
 (* --------------------------------------------------------------- *)
 (* Supervision policy and outcomes                                  *)
 (* --------------------------------------------------------------- *)
 
-type policy = {
-  timeout : float option;
-  retries : int;
-  backoff : float;
-  keep_going : bool;
-  seed : int;
-}
+type policy = { retries : int; keep_going : bool }
 
-let default_policy =
-  { timeout = None; retries = 2; backoff = 0.05; keep_going = false; seed = 1 }
+let default_policy = { retries = 2; keep_going = false }
 
 type failure = {
   failed_stage : string;
@@ -129,13 +116,9 @@ let eval_input = "A"
 let create ?(scale = 1) ?names ?(jobs = 1) ?cache ?(resume = false) ?sample () =
   let names = Option.value names ~default:Wish_workloads.Workloads.names in
   (* Benches are built on first use, so a process that only reads
-     summaries never pays for one. An unknown name still fails here,
-     with [Workloads.find]'s diagnostic. *)
-  List.iter
-    (fun n ->
-      if not (List.mem n Wish_workloads.Workloads.names) then
-        ignore (Wish_workloads.Workloads.find ~scale n))
-    names;
+     summaries never pays for one. An unknown name or a scale below 1
+     still fails here, with [Workloads.check]'s diagnostic. *)
+  List.iter (Wish_workloads.Workloads.check ~scale) names;
   let journal =
     match (resume, cache) with
     | true, Some c -> Cache.journal_load c
@@ -197,9 +180,6 @@ let bench t name =
 (* Cache keys                                                       *)
 (* --------------------------------------------------------------- *)
 
-let trace_cache_key t ~bench ~kind ~input =
-  Printf.sprintf "%s|%s|%s|scale%d" bench kind input t.scale
-
 (* Sampled results live under distinct keys (suffix [|sampleW:D] or
    [|sampleauto]); exact summaries keep their historical keys, so a
    cache survives turning sampling on and off. *)
@@ -225,19 +205,13 @@ let simulate_with t ~config ?trace p =
 let run_note t = function
   | Some tr -> Printf.sprintf "%d dynamic insts" (Wish_emu.Trace.length tr)
   | None when t.sample <> None -> "sampled, trace-free"
-  | None -> "unstored trace"
-
-let cached_trace t key =
-  match t.cache with None -> None | Some c -> Cache.find c ~kind:"trace" ~key
+  | None -> "own trace, not kept"
 
 let cached_summary t key =
   match t.cache with None -> None | Some c -> Cache.find c ~kind:"summary" ~key
 
 let cached_shape t key =
   match t.cache with None -> None | Some c -> Cache.find c ~kind:"shape" ~key
-
-let store_trace t key tr =
-  match t.cache with None -> () | Some c -> Cache.store c ~kind:"trace" ~key tr
 
 (* Summaries are the unit of batch completion: storing one also journals
    its key, which is what lets an interrupted batch resume. *)
@@ -306,22 +280,11 @@ let trace t ~bench:name ~kind ~input =
   match Hashtbl.find_opt t.traces key with
   | Some tr -> tr
   | None ->
-    let ckey = trace_cache_key t ~bench:name ~kind:kind_n ~input in
-    let tr =
-      match cached_trace t ckey with
-      | Some tr ->
-        t.stats.cache_hits <- t.stats.cache_hits + 1;
-        t.log (Printf.sprintf "cache hit: trace %s/%s input %s" name kind_n input);
-        tr
-      | None ->
-        let hint = (bench t name).approx_dyn_insts in
-        let p = program t ~bench:name ~kind ~input in
-        t.log (Printf.sprintf "tracing %s/%s input %s" name kind_n input);
-        serial_task t;
-        let tr, _ = Wish_emu.Trace.generate ~hint p in
-        store_trace t ckey tr;
-        tr
-    in
+    let hint = (bench t name).approx_dyn_insts in
+    let p = program t ~bench:name ~kind ~input in
+    t.log (Printf.sprintf "tracing %s/%s input %s" name kind_n input);
+    serial_task t;
+    let tr, _ = Wish_emu.Trace.generate ~hint p in
     Hashtbl.add t.traces key tr;
     tr
 
@@ -439,20 +402,18 @@ let summary_key_of_job t j =
     ~config:j.job_config
 
 (* Fan [f] over [xs] on the pool under [policy]: each item is attempted
-   up to [1 + retries] times, failed rounds separated by exponential
-   backoff with deterministic jitter; a completion slower than [timeout]
-   counts as a failure (its result is discarded — recomputation is
-   deterministic, so a retried success is bit-identical). Workers never
-   see an exception: every attempt is folded to a [result] inside the
-   task, so one job's crash (or its worker's injected death, handled a
-   layer down by the pool) cannot abandon the batch. Returns per-item
+   up to [1 + retries] times, each failed round retried at once
+   (recomputation is deterministic, so a retried success is
+   bit-identical and waiting buys nothing). Workers never see an
+   exception: every attempt is folded to a [result] inside the task, so
+   one job's crash (or its worker's injected death, handled a layer down
+   by the pool) cannot abandon the batch. Returns per-item
    [Ok y | Error failure] in order; under fail-fast, raises [Job_failed]
    on the first exhausted item instead. *)
 let supervised_map t ~policy ~stage ~describe f xs =
   if xs = [] then []
   else begin
     check_stop t;
-    let jitter = Rng.create (policy.seed lxor 0x5eed) in
     let items = Array.of_list xs in
     let n = Array.length items in
     let results = Array.make n None in
@@ -461,22 +422,11 @@ let supervised_map t ~policy ~stage ~describe f xs =
     let round = ref 0 in
     while !pending <> [] && !round <= policy.retries do
       check_stop t;
-      if !round > 0 then begin
-        let base = policy.backoff *. (2.0 ** float_of_int (!round - 1)) in
-        let factor = 0.5 +. (float_of_int (Rng.int jitter 1024) /. 1024.0) in
-        Unix.sleepf (base *. factor)
-      end;
       let outs =
         pmap t
           (fun i ->
-            let t0 = Unix.gettimeofday () in
             match f items.(i) with
-            | y -> (
-              let dt = Unix.gettimeofday () -. t0 in
-              match policy.timeout with
-              | Some budget when dt > budget ->
-                Error (Printf.sprintf "timeout (%.3fs elapsed, %.3fs budget)" dt budget)
-              | _ -> Ok y)
+            | y -> Ok y
             | exception Faultpoint.Injected { site; hit } ->
               Error (Printf.sprintf "injected fault at %s (hit %d)" site hit)
             | exception e -> Error (Printexc.to_string e))
@@ -526,9 +476,10 @@ let describe_job j =
 (** [run_batch_results t jobs] — the supervised parallel twin of {!run}:
     resolves every job (memo table, then disk cache, then
     compile/trace/simulate fanned over the worker pool, each stage under
-    the retry/timeout policy) and returns per-job outcomes in [jobs]
-    order. All memo and cache mutation happens on the calling domain. *)
+    the retry policy) and returns per-job outcomes in [jobs] order. All
+    memo and cache mutation happens on the calling domain. *)
 let run_batch_results ?(policy = default_policy) t jobs =
+  if policy.retries < 0 then invalid_arg "Lab: policy.retries < 0";
   check_stop t;
   (* Stage 1: resolve summaries from memo and disk; what is left needs
      simulating. *)
@@ -602,18 +553,6 @@ let run_batch_results ?(policy = default_policy) t jobs =
              else Some (j.job_bench, kind_n, j.job_kind, j.job_input))
            todo)
     in
-    let trace_todo =
-      List.filter
-        (fun (name, kind_n, _, input) ->
-          match cached_trace t (trace_cache_key t ~bench:name ~kind:kind_n ~input) with
-          | Some tr ->
-            t.stats.cache_hits <- t.stats.cache_hits + 1;
-            t.log (Printf.sprintf "cache hit: trace %s/%s input %s" name kind_n input);
-            Hashtbl.add t.traces (name, kind_n, input) tr;
-            false
-          | None -> true)
-        trace_todo
-    in
     if trace_todo <> [] then begin
       let tasks =
         List.map
@@ -626,10 +565,7 @@ let run_batch_results ?(policy = default_policy) t jobs =
       in
       List.iter2
         (fun (key, _, _) -> function
-          | Ok tr ->
-            Hashtbl.replace t.traces key tr;
-            let name, kind_n, input = key in
-            store_trace t (trace_cache_key t ~bench:name ~kind:kind_n ~input) tr
+          | Ok tr -> Hashtbl.replace t.traces key tr
           | Error fl -> Hashtbl.replace failed_traces key fl)
         tasks
         (supervised_map t ~policy ~stage:"trace"
@@ -669,7 +605,6 @@ let run_batch_results ?(policy = default_policy) t jobs =
         (supervised_map t ~policy ~stage:"simulate" ~describe:(fun (j, _, _) -> describe_job j)
            (fun (j, trace, p) ->
              Faultpoint.cut fp_simulate;
-             if Faultpoint.fires fp_slow then Unix.sleepf (Faultpoint.delay_of fp_slow);
              simulate_with t ~config:j.job_config ?trace p)
            tasks)
     end

@@ -14,22 +14,23 @@
     Performance machinery: an optional {!Wish_util.Pool} of worker
     domains ({!run_batch}/{!prewarm} fan independent jobs across it, with
     results folded back deterministically on the calling domain) and an
-    optional persistent {!Cache} consulted before any recomputation.
-    Processes sharing one cache directory coalesce duplicate jobs
-    through the cache's leases (see {!run_batch_results}). Workloads are
-    built, and binaries compiled, only on a miss: a lab whose cache
-    holds every summary and {!shape} it is asked for builds, compiles,
-    traces and simulates nothing.
+    optional persistent {!Cache} of summaries and static shapes,
+    consulted before any recomputation. Traces are memoized in memory
+    only and never stored. Processes sharing one cache directory
+    coalesce duplicate jobs through the cache's leases (see
+    {!run_batch_results}). Workloads are built, and binaries compiled,
+    only on a miss: a lab whose cache holds every summary and {!shape}
+    it is asked for builds, compiles, traces and simulates nothing.
 
     Fault tolerance: batched stages run under a supervision {!policy} —
-    per-job crash isolation, bounded retry with exponential backoff and
-    deterministic jitter, cooperative wall-clock timeouts, and structured
+    per-job crash isolation, bounded immediate retry, and structured
     {!failure} reports ({!run_batch_results}) instead of silent
-    corruption. The completion journal kept by the {!Cache} lets an
-    interrupted batch resume ([~resume:true]) and skip finished work.
-    Figure output is bit-identical whatever [jobs] is, whether the cache
-    is cold, warm, or absent, and under any injected-fault schedule that
-    eventually succeeds. *)
+    corruption. An interrupted batch resumes from the cache alone: a
+    rerun finds every summary the interrupted one stored. The completion
+    journal kept by the {!Cache} additionally reports those jobs as
+    resumed ([~resume:true]). Figure output is bit-identical whatever
+    [jobs] is, whether the cache is cold, warm, or absent, and under any
+    injected-fault schedule that eventually succeeds. *)
 
 type t
 
@@ -44,7 +45,7 @@ type sampling = Sample_auto | Sample_spec of Wish_sim.Sampler.spec
 (** [create ?scale ?names ?jobs ?cache ?resume ?sample ()]
     — [names] restricts the benchmark set; [jobs > 1] spawns that many
     worker domains for {!run_batch}/{!prewarm} (default 1 = serial);
-    [cache] persists traces and summaries across processes; [resume]
+    [cache] persists summaries and shapes across processes; [resume]
     (default false, needs [cache]) loads the completion journal so jobs
     finished by an earlier interrupted run are reported as resumed.
     With [sample], every simulation runs sampled
@@ -52,8 +53,9 @@ type sampling = Sample_auto | Sample_spec of Wish_sim.Sampler.spec
     keys carrying a [|sample...] suffix — exact results keep their
     historical keys. A sampled lab has no trace stage: functional
     warming runs inside the compiled emulator ({!Wish_sim.Sampler.run}
-    with no trace), so it never generates, memoizes or caches a trace
-    and stores summaries only. *)
+    with no trace), so it never generates or memoizes a trace. Raises
+    [Invalid_argument] for an unknown benchmark name or a [scale] below
+    1 ({!Wish_workloads.Workloads.check}), before building anything. *)
 val create :
   ?scale:int ->
   ?names:string list ->
@@ -109,23 +111,14 @@ val run :
 
 (** {1 Supervision} *)
 
-(** How batched stages treat misbehaving jobs. [timeout] is a per-job
-    wall-clock budget in seconds (cooperative: an overrun is detected at
-    job completion, the result discarded, and the job retried);
-    [retries] is the number of {e additional} attempts after the first;
-    failed rounds are separated by [backoff *. 2.ⁿ] seconds scaled by a
-    deterministic jitter in [0.5, 1.5) drawn from [seed]. With
-    [keep_going] every job runs to a verdict and failures are returned
-    as data; without it the first exhausted job raises {!Job_failed}. *)
-type policy = {
-  timeout : float option;
-  retries : int;
-  backoff : float;
-  keep_going : bool;
-  seed : int;
-}
+(** How batched stages treat failing jobs. [retries] is the number of
+    {e additional} attempts after the first, made at once: recomputation
+    is deterministic, so there is nothing to wait for. With [keep_going]
+    every job runs to a verdict and failures are returned as data;
+    without it the first exhausted job raises {!Job_failed}. *)
+type policy = { retries : int; keep_going : bool }
 
-(** No timeout, 2 retries, 50 ms backoff base, fail-fast, seed 1. *)
+(** 2 retries, fail-fast. *)
 val default_policy : policy
 
 (** What a job that exhausted its retry budget looked like. *)
@@ -133,7 +126,7 @@ type failure = {
   failed_stage : string;  (** "compile" | "trace" | "simulate" *)
   failed_what : string;  (** e.g. "gzip/wish-jump-join input A" *)
   failed_attempts : int;
-  failed_reason : string;  (** exception text, injected-fault site, or timeout *)
+  failed_reason : string;  (** exception text or injected-fault site *)
 }
 
 exception Job_failed of failure
@@ -162,7 +155,8 @@ val journaled_jobs : t -> int
 (** Ask the current/next batch to stop: signal-handler safe (one atomic
     store). The batch drains the in-flight pool round, then raises
     {!Interrupted} from the coordinating domain; everything already
-    finished is in the memo tables, the cache, and the journal. *)
+    finished is in the memo tables, the cache, and the journal, so a
+    fresh lab on the same cache runs only the jobs left over. *)
 val request_stop : t -> unit
 
 val stop_requested : t -> bool
@@ -215,7 +209,8 @@ val summary_key_of_job : t -> job -> string
     one stage poisons exactly the jobs that needed its product (a failed
     compile fails that bench's jobs, a failed trace the jobs sharing it).
     Under the default fail-fast policy a permanent failure raises
-    {!Job_failed} instead of being returned. *)
+    {!Job_failed} instead of being returned. Raises [Invalid_argument]
+    when [policy.retries] is negative. *)
 val run_batch_results :
   ?policy:policy -> t -> job list -> (Wish_sim.Runner.summary, failure) result list
 

@@ -11,10 +11,7 @@ type plan = {
   mutable remaining : int; (* triggered cuts left to fail *)
   percent : int; (* 100 = every cut triggers *)
   rng : Rng.t; (* gate stream when percent < 100 *)
-  delay : float; (* seconds, for latency-injection sites *)
 }
-
-let default_delay = 0.05
 
 let lock = Mutex.create ()
 let armed_sites = Atomic.make 0
@@ -47,18 +44,14 @@ let bump table site =
 
 let count table site = match Hashtbl.find_opt table site with Some r -> !r | None -> 0
 
-let arm ?(seed = 1) ?(percent = 100) ?(delay = default_delay) site ~times =
+let arm ?(seed = 1) ?(percent = 100) site ~times =
   if times < 0 then invalid_arg "Faultpoint.arm: times < 0";
   if percent < 0 || percent > 100 then invalid_arg "Faultpoint.arm: percent out of range";
   locked (fun () ->
       if not (Hashtbl.mem plans site) then Atomic.incr armed_sites;
-      Hashtbl.replace plans site { remaining = times; percent; rng = Rng.create seed; delay };
+      Hashtbl.replace plans site { remaining = times; percent; rng = Rng.create seed };
       Hashtbl.remove hit_counts site;
       Hashtbl.remove injected_counts site)
-
-let delay_of site =
-  locked (fun () ->
-      match Hashtbl.find_opt plans site with Some p -> p.delay | None -> default_delay)
 
 let disarm site =
   locked (fun () ->

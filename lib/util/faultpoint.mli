@@ -31,15 +31,9 @@ val registered : unit -> (string * string) list
 (** [arm site ~times] — make the next [times] triggered cuts of [site]
     raise. [percent] (with [seed], default 1) makes each cut trigger
     with that probability from a deterministic stream instead of always.
-    [delay] (seconds, default 0.05) parameterizes latency-injection
-    sites — see {!delay_of}. Re-arming a site replaces its previous plan
-    and zeroes its counters. *)
-val arm : ?seed:int -> ?percent:int -> ?delay:float -> string -> times:int -> unit
-
-(** The [delay] the site was armed with (0.05 when unarmed or armed
-    without one); read by sites that inject latency rather than an
-    exception, e.g. [lab.slow]. *)
-val delay_of : string -> float
+    Re-arming a site replaces its previous plan and zeroes its
+    counters. *)
+val arm : ?seed:int -> ?percent:int -> string -> times:int -> unit
 
 (** Disarm one site (its counters survive until {!reset}). *)
 val disarm : string -> unit
@@ -56,8 +50,8 @@ val enabled : unit -> bool
 val cut : string -> unit
 
 (** [fires site] — like {!cut} but returns [true] instead of raising;
-    for sites that inject a delay or a wrong value rather than an
-    exception. *)
+    for sites that inject something other than an exception (a torn
+    write, a worker's death, a miscompile). *)
 val fires : string -> bool
 
 (** Cuts observed at [site] since the last {!reset}. Only counted while

@@ -22,18 +22,20 @@ let names = List.map fst builders
 let memo : (string * int, Bench.t) Hashtbl.t = Hashtbl.create 16
 let memo_lock = Mutex.create ()
 
-let find ~scale name =
-  match List.assoc_opt name builders with
-  | None ->
+let check ~scale name =
+  if scale < 1 then invalid_arg (Printf.sprintf "scale %d: must be at least 1" scale);
+  if not (List.mem_assoc name builders) then
     invalid_arg
       (Printf.sprintf "unknown workload %s (know: %s)" name (String.concat ", " names))
-  | Some build ->
-    Mutex.protect memo_lock (fun () ->
-        match Hashtbl.find_opt memo (name, scale) with
-        | Some b -> b
-        | None ->
-          let b = build ~scale in
-          Hashtbl.add memo (name, scale) b;
-          b)
+
+let find ~scale name =
+  check ~scale name;
+  Mutex.protect memo_lock (fun () ->
+      match Hashtbl.find_opt memo (name, scale) with
+      | Some b -> b
+      | None ->
+        let b = (List.assoc name builders) ~scale in
+        Hashtbl.add memo (name, scale) b;
+        b)
 
 let all ~scale : Bench.t list = List.map (find ~scale) names

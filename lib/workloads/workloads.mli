@@ -8,5 +8,11 @@ val all : scale:int -> Bench.t list
     bzip2, twolf. *)
 val names : string list
 
-(** [find ~scale name] — raises [Invalid_argument] for unknown names. *)
+(** [check ~scale name] — raises [Invalid_argument] with a one-line
+    diagnostic unless [name] is a workload and [scale] is at least 1.
+    Builds nothing. *)
+val check : scale:int -> string -> unit
+
+(** [find ~scale name] — the workload, built once per (name, scale);
+    raises like {!check}. *)
 val find : scale:int -> string -> Bench.t

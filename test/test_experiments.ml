@@ -188,7 +188,8 @@ let test_cache_version_invalidation () =
 (* ------------------------------------------------------------------ *)
 
 (* A sampled lab warms trace-free: batched and serial runs alike equal
-   sampling a materialized trace, and its cache holds summaries only. *)
+   sampling a materialized trace, it logs no tracing, and its cache
+   holds summaries only. *)
 let test_sampled_lab_trace_free () =
   let spec = Wish_sim.Sampler.spec ~warm:20_000 ~detail:2_000 in
   List.iter
@@ -196,6 +197,8 @@ let test_sampled_lab_trace_free () =
       let cache = Cache.create ~dir:(cache_dir ^ "_sampled_" ^ label) () in
       Cache.clear cache;
       let lab = Lab.create ~scale:1 ~names:[ "gzip" ] ~cache ~sample () in
+      let log = ref [] in
+      Lab.set_logger lab (fun s -> log := s :: !log);
       let batch =
         [ Lab.job ~bench:"gzip" ~kind:Policy.Normal (); Lab.job ~bench:"gzip" ~kind:Policy.Wish_jjl () ]
       in
@@ -212,6 +215,10 @@ let test_sampled_lab_trace_free () =
                (Policy.kind_name j.job_kind))
             (summary_repr want) (summary_repr s))
         jobs (batched @ [ serial ]);
+      let logged prefix = List.filter (String.starts_with ~prefix) !log in
+      check Alcotest.int (label ^ ": one simulating line per job") (List.length jobs)
+        (List.length (logged "simulating"));
+      check Alcotest.(list string) (label ^ ": no tracing line") [] (logged "tracing");
       let entries = List.map fst (Cache.scan cache) in
       check
         Alcotest.(list string)
@@ -258,8 +265,8 @@ let test_wish_n_default_column () =
 
 (* Table 4's static counts and A4's variant binaries are cached like
    summaries: a second lab on a warm cache renders the same tables
-   without compiling, tracing or simulating anything, and no variant
-   leaves a trace behind. *)
+   without compiling, tracing or simulating anything. The cache holds no
+   trace: the exact lab traced every default binary, and stored none. *)
 let test_warm_lab_computes_nothing () =
   let cache = Cache.create ~dir:(cache_dir ^ "_warm") () in
   Cache.clear cache;
@@ -279,9 +286,53 @@ let test_warm_lab_computes_nothing () =
   check Alcotest.(list string) "no compiling, tracing or simulating" []
     (List.filter work (List.rev !log));
   check Alcotest.int "no task executed" 0 (Lab.batch_stats warm_lab).executed;
-  (* Normal, wish-jj and wish-jjl per bench; the variants keep none. *)
   let traces = List.filter (fun (e, _) -> String.starts_with ~prefix:"trace/" e) (Cache.scan cache) in
-  check Alcotest.int "traces of the default binaries only" (2 * 3) (List.length traces)
+  check Alcotest.int "no trace stored" 0 (List.length traces)
+
+(* An interrupted regeneration resumes from the cache alone. The second
+   artifact's batch is stopped as it starts simulating, as SIGINT does
+   in [experiments]; a fresh lab on the same cache, created without
+   [~resume], then simulates exactly the jobs left without a stored
+   summary and renders the tables of an uninterrupted run. *)
+let test_interrupted_batch_resumes () =
+  let cache = Cache.create ~dir:(cache_dir ^ "_resume") () in
+  Cache.clear cache;
+  let names = [ "gzip" ] and artifacts = [ "fig10"; "fig12"; "tab5" ] in
+  let regenerate lab =
+    List.map
+      (fun a ->
+        Lab.prewarm lab (Figures.jobs_for a lab);
+        Wish_util.Table.render (List.assoc a Figures.all lab))
+      artifacts
+  in
+  let reference = regenerate (Lab.create ~scale:1 ~names ()) in
+  let stopped = Lab.create ~scale:1 ~names ~cache () in
+  Lab.prewarm stopped (Figures.jobs_for "fig10" stopped);
+  Lab.set_logger stopped (fun s ->
+      if String.starts_with ~prefix:"simulating" s then Lab.request_stop stopped);
+  Alcotest.check_raises "second batch interrupted" Lab.Interrupted (fun () ->
+      Lab.prewarm stopped (Figures.jobs_for "fig12" stopped));
+  let keys =
+    List.concat_map (fun a -> Lab.with_baselines (Figures.jobs_for a stopped)) artifacts
+    |> List.map (Lab.summary_key_of_job stopped)
+    |> List.sort_uniq compare
+  in
+  let missing =
+    List.filter
+      (fun key -> (Cache.find cache ~kind:"summary" ~key : Wish_sim.Runner.summary option) = None)
+      keys
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "interrupted part-way (%d of %d jobs left)" (List.length missing)
+       (List.length keys))
+    true
+    (missing <> [] && List.length missing < List.length keys);
+  let fresh = Lab.create ~scale:1 ~names ~cache () in
+  let sims = ref 0 in
+  Lab.set_logger fresh (fun s -> if String.starts_with ~prefix:"simulating" s then incr sims);
+  check Alcotest.(list string) "same tables as an uninterrupted run" reference (regenerate fresh);
+  check Alcotest.int "simulated exactly the jobs left" (List.length missing) !sims;
+  check Alcotest.int "nothing reported as resumed" 0 (Lab.batch_stats fresh).resumed
 
 (* ------------------------------------------------------------------ *)
 (* Leases: concurrent processes on one cache                           *)
@@ -382,6 +433,7 @@ let () =
         [
           Alcotest.test_case "round-trip fidelity" `Slow test_cache_roundtrip;
           Alcotest.test_case "version invalidation" `Quick test_cache_version_invalidation;
+          Alcotest.test_case "interrupted batch resumes" `Slow test_interrupted_batch_resumes;
         ] );
       ("sampled", [ Alcotest.test_case "lab is trace-free" `Slow test_sampled_lab_trace_free ]);
       ( "ablations",

@@ -50,9 +50,6 @@ let rec rm_rf d =
    consumer. Elements are compared value-by-value instead. *)
 let digests s = String.concat ";" (List.map Cache.digest_of s)
 
-(* A policy tuned for tests: no real backoff sleeps. *)
-let fast = { Lab.default_policy with backoff = 0.001 }
-
 (* ----------------------------------------------------------------- *)
 (* Faultpoint semantics                                               *)
 (* ----------------------------------------------------------------- *)
@@ -74,14 +71,10 @@ let test_faultpoint_semantics () =
   FP.cut "test.a" (* plan exhausted: back to no-op *);
   Alcotest.(check int) "three cuts observed" 3 (FP.hits "test.a");
   Alcotest.(check int) "two faults injected" 2 (FP.injected "test.a");
-  (* fires: the non-raising variant, for delay/corruption sites. *)
+  (* fires: the non-raising variant, for corruption sites. *)
   FP.arm "test.b" ~times:1;
   Alcotest.(check bool) "fires consumes the plan" true (FP.fires "test.b");
   Alcotest.(check bool) "then stays quiet" false (FP.fires "test.b");
-  (* delay_of parameterizes latency sites. *)
-  Alcotest.(check (float 1e-9)) "default delay" 0.05 (FP.delay_of "test.unarmed");
-  FP.arm "test.c" ~times:1 ~delay:1.25;
-  Alcotest.(check (float 1e-9)) "armed delay" 1.25 (FP.delay_of "test.c");
   FP.reset ();
   Alcotest.(check bool) "reset disarms everything" false (FP.enabled ());
   Alcotest.(check int) "reset zeroes counters" 0 (FP.hits "test.a")
@@ -260,15 +253,15 @@ let test_journal_torn_line () =
 (* Lab supervision                                                    *)
 (* ----------------------------------------------------------------- *)
 
-(* Render fig10 for a gzip-only lab (grid prewarmed under [fast]) with
-   the given fault schedule armed; returns the CSV text and the
-   supervision stats. *)
+(* Render fig10 for a gzip-only lab (grid prewarmed under the default
+   policy) with the given fault schedule armed; returns the CSV text and
+   the supervision stats. *)
 let fig10_csv ?sample faults =
   with_reset @@ fun () ->
   let lab = Lab.create ~names:[ "gzip" ] ~jobs:2 ?sample () in
   Fun.protect ~finally:(fun () -> Lab.shutdown lab) @@ fun () ->
   List.iter (fun (site, times) -> FP.arm site ~times) faults;
-  Lab.prewarm ~policy:fast lab (Figures.jobs_for "fig10" lab);
+  Lab.prewarm lab (Figures.jobs_for "fig10" lab);
   List.iter (fun (site, _) -> note site) faults;
   (Table.to_csv (Figures.fig10 lab), Lab.batch_stats lab)
 
@@ -295,25 +288,6 @@ let test_sampled_table_identical_under_faults () =
 
 let jj_jobs () = Lab.with_baselines [ Lab.job ~bench:"gzip" ~kind:Wish_compiler.Policy.Wish_jj () ]
 
-let test_timeout_retry () =
-  with_reset @@ fun () ->
-  let run faults policy =
-    let lab = Lab.create ~names:[ "gzip" ] () in
-    Fun.protect ~finally:(fun () -> Lab.shutdown lab) @@ fun () ->
-    List.iter (fun (site, times, delay) -> FP.arm site ~times ~delay) faults;
-    let s = Lab.run_batch ~policy lab (jj_jobs ()) in
-    (digests s, Lab.batch_stats lab)
-  in
-  let clean, _ = run [] fast in
-  FP.reset ();
-  (* One simulation sleeps 4.5 s against a 2 s budget: the overrun is
-     detected at completion, the result discarded, and the retried run —
-     deterministic — must reproduce the clean summaries exactly. *)
-  let slow, st = run [ ("lab.slow", 1, 4.5) ] { fast with timeout = Some 2.0 } in
-  note "lab.slow";
-  Alcotest.(check string) "summaries identical after timeout+retry" clean slow;
-  Alcotest.(check bool) "the timed-out job was retried" true (st.retried >= 1)
-
 let test_keep_going_reports_failures () =
   with_reset @@ fun () ->
   let lab = Lab.create ~names:[ "gzip" ] () in
@@ -321,7 +295,7 @@ let test_keep_going_reports_failures () =
   FP.arm "lab.simulate" ~times:1;
   (* retries = 0: the one armed fault permanently fails the first
      simulation; keep_going turns that into data, not an exception. *)
-  let policy = { fast with retries = 0; keep_going = true } in
+  let policy = { Lab.retries = 0; keep_going = true } in
   (match Lab.run_batch_results ~policy lab (jj_jobs ()) with
   | [ Error fl; Ok _ ] ->
     Alcotest.(check string) "failed stage" "simulate" fl.failed_stage;
@@ -345,7 +319,7 @@ let test_keep_going_compile_failure_cached () =
   let lab = Lab.create ~names:[ "gzip" ] ~cache:c () in
   Fun.protect ~finally:(fun () -> Lab.shutdown lab) @@ fun () ->
   FP.arm "lab.compile" ~times:1;
-  let policy = { fast with retries = 0; keep_going = true } in
+  let policy = { Lab.retries = 0; keep_going = true } in
   List.iter
     (function
       | Error (fl : Lab.failure) -> Alcotest.(check string) "failed stage" "compile" fl.failed_stage
@@ -362,7 +336,9 @@ let test_fail_fast_raises () =
   let lab = Lab.create ~names:[ "gzip" ] () in
   Fun.protect ~finally:(fun () -> Lab.shutdown lab) @@ fun () ->
   FP.arm "lab.simulate" ~times:1_000_000;
-  let policy = { fast with retries = 1; keep_going = false } in
+  let policy = { Lab.retries = 1; keep_going = false } in
+  Alcotest.check_raises "negative retries rejected" (Invalid_argument "Lab: policy.retries < 0")
+    (fun () -> ignore (Lab.run_batch ~policy:{ policy with retries = -1 } lab (jj_jobs ())));
   match Lab.run_batch ~policy lab (jj_jobs ()) with
   | _ -> Alcotest.fail "inexhaustible fault schedule must raise Job_failed"
   | exception Lab.Job_failed fl ->
@@ -375,12 +351,12 @@ let test_resume_skips_journaled () =
   let s0 =
     let lab = Lab.create ~names:[ "gzip" ] ~cache:(Cache.create ~dir ()) () in
     Fun.protect ~finally:(fun () -> Lab.shutdown lab) @@ fun () ->
-    Lab.run_batch ~policy:fast lab (jj_jobs ())
+    Lab.run_batch lab (jj_jobs ())
   in
   let lab = Lab.create ~names:[ "gzip" ] ~cache:(Cache.create ~dir ()) ~resume:true () in
   Fun.protect ~finally:(fun () -> Lab.shutdown lab) @@ fun () ->
   Alcotest.(check int) "both jobs journaled" 2 (Lab.journaled_jobs lab);
-  let s1 = Lab.run_batch ~policy:fast lab (jj_jobs ()) in
+  let s1 = Lab.run_batch lab (jj_jobs ()) in
   Alcotest.(check string) "resumed summaries identical" (digests s0) (digests s1);
   let st = Lab.batch_stats lab in
   Alcotest.(check int) "both jobs served as resumed" 2 st.resumed
@@ -456,7 +432,6 @@ let () =
             test_table_identical_under_faults;
           Alcotest.test_case "sampled fig10 byte-identical under faults" `Slow
             test_sampled_table_identical_under_faults;
-          Alcotest.test_case "timeout detected, retried, identical" `Slow test_timeout_retry;
           Alcotest.test_case "keep-going returns structured failures" `Slow
             test_keep_going_reports_failures;
           Alcotest.test_case "keep-going compile failure under leases" `Slow
