@@ -122,8 +122,10 @@ let run names scale verbose benchmarks csv_dir jobs no_cache gc_tune retries kee
             selected;
           let st = Lab.batch_stats lab in
           if verbose || st.retried > 0 || st.failed > 0 then
-            Fmt.epr "[lab] supervision: %d task(s) executed, %d retried, %d failed, %d cache hit(s), %d resumed@."
-              st.executed st.retried st.failed st.cache_hits st.resumed;
+            Fmt.epr
+              "[lab] supervision: %d task(s) executed, %d retried, %d failed, %d cache hit(s), %d \
+               resumed, %d same binary@."
+              st.executed st.retried st.failed st.cache_hits st.resumed st.same_binary;
           if verbose then
             Fmt.epr "[lab] gc: %s; peak RSS %d KiB@."
               (Wish_util.Gc_stats.summary_line ())

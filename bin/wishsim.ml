@@ -18,6 +18,14 @@ let run bench_name kind_name input scale asm_file rob stages mech_select wish_hw
       Fmt.epr "--jobs %s: %s@." jobs e;
       exit 2
   in
+  if rob < 1 then begin
+    Fmt.epr "--rob %d: must be at least 1@." rob;
+    exit 2
+  end;
+  if stages < 3 then begin
+    Fmt.epr "--stages %d: must be at least 3@." stages;
+    exit 2
+  end;
   if gc_tune then Wish_util.Gc_stats.tune ();
   let sample_spec =
     (* [None]: exact. [Some None]: sampled, auto spec. [Some (Some s)]:
@@ -60,8 +68,14 @@ let run bench_name kind_name input scale asm_file rob stages mech_select wish_hw
               Fmt.epr "unknown binary kind %s@." kind_name;
               exit 2
           in
+          (* An unknown bench, a scale below 1 or an unknown input is a
+             usage error, caught before anything compiles. *)
           let l =
-            match Lab.create ~scale ~names:[ bench_name ] () with
+            match
+              let b = Wish_workloads.Workloads.find ~scale bench_name in
+              ignore (Wish_workloads.Bench.input b input);
+              Lab.create ~scale ~names:[ bench_name ] ()
+            with
             | l -> l
             | exception Invalid_argument e ->
               Fmt.epr "%s@." e;

@@ -27,9 +27,9 @@ let select_mech c = { c with Config.mech = Config.Select_uop }
 (** Figure 1: execution time of the aggressively predicated (BASE-MAX)
     binary on inputs A/B/C, each normalized to the normal binary on the
     same input. The paper measured ORC's predicated output on an
-    Itanium-II; we use BASE-MAX because our profile-guided BASE-DEF is
-    conservative enough to keep most branches. The point is preserved: the
-    same predicated binary wins on some inputs and loses on others. *)
+    Itanium-II; we use BASE-MAX because our profile-guided BASE-DEF keeps
+    every branch in six of the nine workloads. The point is preserved:
+    the same predicated binary wins on some inputs and loses on others. *)
 let fig1 lab =
   let t =
     Table.create ~title:"Figure 1: predicated (BASE-MAX) binary vs input set"

@@ -24,7 +24,10 @@
       emulator regenerates one about as fast as the cache loads it, so a
       trace lives only in the in-memory memo, shared by every run of its
       binary and input. A sampled lab has no trace stage at all: its
-      simulations warm trace-free.
+      simulations warm trace-free;
+    - identity by content: kinds compiled to the same code and entry are
+      one binary, traced and simulated once per input and config, with
+      the summary stored under each kind's own key.
 
     Fault tolerance ({!policy}): every batched stage runs under
     supervision — a job that raises (or whose worker domain dies; the
@@ -83,6 +86,7 @@ type batch_stats = {
   mutable failed : int; (* tasks that exhausted their retry budget *)
   mutable cache_hits : int;
   mutable resumed : int; (* journaled jobs served from the cache *)
+  mutable same_binary : int; (* runs served by an identical binary's summary *)
 }
 
 (** How the lab simulates: [Sample_auto] scales a sampling spec to each
@@ -99,7 +103,10 @@ type t = {
   scale : int;
   names : string list;
   binaries : (string, Compiler.binaries) Hashtbl.t;
-  traces : (string * string * string, Wish_emu.Trace.t) Hashtbl.t;
+  twins : (string * Policy.kind, Policy.kind) Hashtbl.t;
+      (* (bench, kind) -> the first kind in Table 3 order compiled to the
+         same binary; filled when the bench compiles *)
+  traces : (string * string * string, Wish_emu.Trace.t) Hashtbl.t; (* by identity *)
   results : (string * string * string * Wish_sim.Config.t, Wish_sim.Runner.summary) Hashtbl.t;
   shapes : (string, shape) Hashtbl.t; (* by cache key *)
   mutable log : string -> unit;
@@ -128,6 +135,7 @@ let create ?(scale = 1) ?names ?(jobs = 1) ?cache ?(resume = false) ?sample () =
     scale;
     names;
     binaries = Hashtbl.create 16;
+    twins = Hashtbl.create 64;
     traces = Hashtbl.create 64;
     results = Hashtbl.create 256;
     shapes = Hashtbl.create 32;
@@ -136,7 +144,8 @@ let create ?(scale = 1) ?names ?(jobs = 1) ?cache ?(resume = false) ?sample () =
     cache;
     journal;
     stop = Atomic.make false;
-    stats = { executed = 0; retried = 0; failed = 0; cache_hits = 0; resumed = 0 };
+    stats =
+      { executed = 0; retried = 0; failed = 0; cache_hits = 0; resumed = 0; same_binary = 0 };
     sample;
   }
 
@@ -155,6 +164,7 @@ let batch_stats t =
     failed = s.failed;
     cache_hits = s.cache_hits;
     resumed = s.resumed;
+    same_binary = s.same_binary;
   }
 
 let request_stop t = Atomic.set t.stop true
@@ -261,27 +271,56 @@ let compile t name =
   Compiler.compile_all ~mem_words:b.mem_words ~name
     ~profile_data:(Wish_workloads.Bench.profile_data b) b.ast
 
+(* Equal code at an equal entry is one binary: on the same input and
+   machine it simulates to the same summary, whatever kind it was
+   compiled as. *)
+let same_binary (p : Wish_isa.Program.t) (q : Wish_isa.Program.t) =
+  p.entry = q.entry && Wish_isa.Code.equal p.code q.code
+
+(* The first kind in Table 3 order compiled to [p], if any. *)
+let twin_of bins p =
+  List.find_opt (fun k -> same_binary (Compiler.binary bins k) p) Compiler.all_kinds
+
+let add_binaries t name bins =
+  Hashtbl.replace t.binaries name bins;
+  List.iter
+    (fun k ->
+      Hashtbl.replace t.twins (name, k) (Option.get (twin_of bins (Compiler.binary bins k))))
+    Compiler.all_kinds
+
 let binaries t name =
   match Hashtbl.find_opt t.binaries name with
   | Some b -> b
   | None ->
     serial_task t;
     let bins = compile t name in
-    Hashtbl.add t.binaries name bins;
+    add_binaries t name bins;
     bins
+
+(* A run's identity: the first kind in Table 3 order whose binary is
+   [kind]'s. Compiles the bench on first use. *)
+let canonical t name kind =
+  ignore (binaries t name);
+  Hashtbl.find t.twins (name, kind)
+
+(* The kinds compiled to [canon]'s binary, in Table 3 order. *)
+let class_of t name canon =
+  List.filter (fun k -> canonical t name k = canon) Compiler.all_kinds
 
 let program t ~bench:name ~kind ~input =
   let b = bench t name in
   Wish_workloads.Bench.program_for b (Compiler.binary (binaries t name) kind) input
 
+(* One trace per binary and input: twins share their identity's. *)
 let trace t ~bench:name ~kind ~input =
-  let kind_n = Policy.kind_name kind in
+  let canon = canonical t name kind in
+  let kind_n = Policy.kind_name canon in
   let key = (name, kind_n, input) in
   match Hashtbl.find_opt t.traces key with
   | Some tr -> tr
   | None ->
     let hint = (bench t name).approx_dyn_insts in
-    let p = program t ~bench:name ~kind ~input in
+    let p = program t ~bench:name ~kind:canon ~input in
     t.log (Printf.sprintf "tracing %s/%s input %s" name kind_n input);
     serial_task t;
     let tr, _ = Wish_emu.Trace.generate ~hint p in
@@ -291,6 +330,24 @@ let trace t ~bench:name ~kind ~input =
 (* The trace a simulation replays: exact labs only. *)
 let trace_for t ~bench ~kind ~input =
   match t.sample with None -> Some (trace t ~bench ~kind ~input) | Some _ -> None
+
+(* The first of [kinds] (in Table 3 order) whose summary [find] has,
+   given the kind's label. *)
+let first_twin find kinds =
+  List.find_map (fun k -> Option.map (fun s -> (k, s)) (find (Policy.kind_name k))) kinds
+
+(* A summary one of [kinds] already has on [input] and [config]:
+   memoized in this process, or stored in the cache. *)
+let memo_twin t ~bench ~input ~config =
+  first_twin (fun kind -> Hashtbl.find_opt t.results (bench, kind, input, config))
+
+let cached_twin t ~bench ~input ~config =
+  first_twin (fun kind -> cached_summary t (summary_cache_key t ~bench ~kind ~input ~config))
+
+let served_by_twin t ~bench ~twin what s =
+  t.stats.same_binary <- t.stats.same_binary + 1;
+  t.log (Printf.sprintf "same binary as %s/%s: %s" bench (Policy.kind_name twin) what);
+  s
 
 (* A binary compiled with a non-default wish-jump threshold N, bound to
    [input]. No profile: the wish kinds read none. It is compiled on each
@@ -305,8 +362,11 @@ let variant_program t ~bench:name ~kind ~n ~input =
 
 (** [run t ~bench ~kind ?wish_threshold_n ?input ?config ()] — memoized
     simulation. A non-default [wish_threshold_n] names a variant binary,
-    keyed by kind as e.g. [wish-jump-join.n0]; an exact variant simulates
-    from a trace of its own that is never kept. *)
+    keyed by kind as e.g. [wish-jump-join.n0]. A run whose binary one of
+    the five kinds also compiles to is served by that kind's summary
+    when one is memoized or stored; otherwise it simulates, from its
+    identity's trace, or from a trace of its own that is never kept for
+    a variant that equals no default binary. *)
 let run t ~bench:name ~kind ?wish_threshold_n ?(input = eval_input)
     ?(config = Wish_sim.Config.default) () =
   let variant =
@@ -324,31 +384,51 @@ let run t ~bench:name ~kind ?wish_threshold_n ?(input = eval_input)
   | Some s -> s
   | None ->
     let ckey = summary_cache_key t ~bench:name ~kind:kind_n ~input ~config in
+    let what = Printf.sprintf "%s/%s input %s" name kind_n input in
     let s =
       match cached_summary t ckey with
       | Some s ->
         t.stats.cache_hits <- t.stats.cache_hits + 1;
-        t.log (Printf.sprintf "cache hit: summary %s/%s input %s" name kind_n input);
+        t.log (Printf.sprintf "cache hit: summary %s" what);
         s
       | None -> (
         let compute () =
-          let trace, p =
+          (* The binary to simulate, the default kind naming it if any,
+             and the other kinds compiled to it. *)
+          let p, identity =
             match variant with
-            | None -> (trace_for t ~bench:name ~kind ~input, program t ~bench:name ~kind ~input)
-            | Some n -> (None, variant_program t ~bench:name ~kind ~n ~input)
+            | None -> (program t ~bench:name ~kind ~input, Some (canonical t name kind))
+            | Some n ->
+              let p = variant_program t ~bench:name ~kind ~n ~input in
+              (p, twin_of (binaries t name) p)
           in
-          t.log
-            (Printf.sprintf "simulating %s/%s input %s (%s)" name kind_n input (run_note t trace));
-          serial_task t;
-          let s = simulate_with t ~config ?trace p in
+          let twins =
+            match identity with
+            | None -> []
+            | Some c -> List.filter (fun k -> Policy.kind_name k <> kind_n) (class_of t name c)
+          in
+          let twin =
+            match memo_twin t ~bench:name ~input ~config twins with
+            | Some _ as hit -> hit
+            | None -> cached_twin t ~bench:name ~input ~config twins
+          in
+          let s =
+            match twin with
+            | Some (twin, s) -> served_by_twin t ~bench:name ~twin what s
+            | None ->
+              let trace =
+                Option.bind identity (fun kind -> trace_for t ~bench:name ~kind ~input)
+              in
+              t.log (Printf.sprintf "simulating %s (%s)" what (run_note t trace));
+              serial_task t;
+              simulate_with t ~config ?trace p
+          in
           store_summary t ckey s;
           s
         in
         match t.cache with
         | None -> compute ()
-        | Some c ->
-          let what = Printf.sprintf "%s/%s input %s" name kind_n input in
-          leased_summary t c ~key:ckey ~what compute)
+        | Some c -> leased_summary t c ~key:ckey ~what compute)
     in
     Hashtbl.add t.results key s;
     s
@@ -473,11 +553,89 @@ let supervised_map t ~policy ~stage ~describe f xs =
 let describe_job j =
   Printf.sprintf "%s/%s input %s" j.job_bench (Policy.kind_name j.job_kind) j.job_input
 
+(* A job served by the summary of the identical binary [twin] compiled
+   to: memoized, and stored under the job's own key. *)
+let serve t j ~twin s =
+  let s = served_by_twin t ~bench:j.job_bench ~twin (describe_job j) s in
+  Hashtbl.replace t.results (memo_key j) s;
+  store_summary t (summary_key_of_job t j) s
+
+(* A batch's unit of simulation: the jobs of one binary, input and
+   configuration. Only the leader, the member whose kind comes first in
+   Table 3 order, is simulated. *)
+type group = { leader : job; members : job list }
+
+(* [todo] grouped by bench, identity, input and configuration, in order
+   of first appearance. Every job's bench must be compiled. *)
+let group_by_binary t todo =
+  let groups = Hashtbl.create 16 and order = ref [] in
+  List.iter
+    (fun j ->
+      let g = (j.job_bench, canonical t j.job_bench j.job_kind, j.job_input, j.job_config) in
+      match Hashtbl.find_opt groups g with
+      | Some js -> Hashtbl.replace groups g (j :: js)
+      | None ->
+        Hashtbl.add groups g [ j ];
+        order := g :: !order)
+    todo;
+  List.rev_map
+    (fun g ->
+      let members = List.rev (Hashtbl.find groups g) in
+      let first k = List.find_opt (fun j -> j.job_kind = k) members in
+      { leader = Option.get (List.find_map first Compiler.all_kinds); members })
+    !order
+
+(* The kinds compiled to [g]'s binary, in Table 3 order. *)
+let group_class t { leader = j; _ } = class_of t j.job_bench (canonical t j.job_bench j.job_kind)
+
+(* With a cache, the earliest kind wins across processes. A group waits
+   while another live process holds the lease of a kind before its
+   leader that compiles to the same binary. Otherwise it takes those
+   leases into [guards], to hold until its summary is stored, so that no
+   concurrent run starts the binary under an earlier label; and under
+   them, a summary a concurrent run stored for any other twin serves it.
+   Returns the groups left to simulate here and the jobs to wait for. *)
+let claim_groups t c ~guards groups =
+  (* All or none: a group that waits holds no lease. *)
+  let take_guards g =
+    let rec before = function k :: rest when k <> g.leader.job_kind -> k :: before rest | _ -> [] in
+    let rec take taken = function
+      | [] ->
+        guards := taken @ !guards;
+        true
+      | key :: rest ->
+        if Cache.try_lease c ~key then take (key :: taken) rest
+        else begin
+          List.iter (fun key -> Cache.release_lease c ~key) taken;
+          false
+        end
+    in
+    take []
+      (List.map
+         (fun k -> summary_key_of_job t { g.leader with job_kind = k })
+         (before (group_class t g)))
+  in
+  let served g =
+    let l = g.leader in
+    let others =
+      List.filter (fun k -> not (List.exists (fun j -> j.job_kind = k) g.members)) (group_class t g)
+    in
+    match cached_twin t ~bench:l.job_bench ~input:l.job_input ~config:l.job_config others with
+    | Some (twin, s) ->
+      List.iter (fun j -> serve t j ~twin s) g.members;
+      true
+    | None -> false
+  in
+  let ready, waiting = List.partition take_guards groups in
+  (List.filter (fun g -> not (served g)) ready, List.concat_map (fun g -> g.members) waiting)
+
 (** [run_batch_results t jobs] — the supervised parallel twin of {!run}:
     resolves every job (memo table, then disk cache, then
     compile/trace/simulate fanned over the worker pool, each stage under
-    the retry policy) and returns per-job outcomes in [jobs] order. All
-    memo and cache mutation happens on the calling domain. *)
+    the retry policy) and returns per-job outcomes in [jobs] order. Jobs
+    whose kinds compile to one binary share one trace and one
+    simulation. All memo and cache mutation happens on the calling
+    domain. *)
 let run_batch_results ?(policy = default_policy) t jobs =
   if policy.retries < 0 then invalid_arg "Lab: policy.retries < 0";
   check_stop t;
@@ -508,16 +666,22 @@ let run_batch_results ?(policy = default_policy) t jobs =
   let failed_runs : (string * string * string * Wish_sim.Config.t, failure) Hashtbl.t =
     Hashtbl.create 4
   in
-  (* Stages 2-4 for [todo]: compile missing binaries, generate missing
-     traces, then simulate. A job whose binaries or trace already failed
-     in this batch (before its lease was taken over) is not retried. *)
+  (* A job replays its identity's trace; a job whose bench is not
+     compiled has none yet. *)
+  let trace_failure j =
+    match Hashtbl.find_opt t.twins (j.job_bench, j.job_kind) with
+    | None -> None
+    | Some c -> Hashtbl.find_opt failed_traces (j.job_bench, Policy.kind_name c, j.job_input)
+  in
+  (* Stages 2-5 for [todo]: compile missing binaries, serve jobs whose
+     binary already has a summary, generate missing traces, then
+     simulate one job per group. A job whose binaries or trace already
+     failed in this batch (before its lease was taken over) is not
+     retried. Returns the jobs left to a concurrent run (cache only). *)
   let compute todo =
     let todo =
       List.filter
-        (fun j ->
-          not
-            (Hashtbl.mem failed_benches j.job_bench
-            || Hashtbl.mem failed_traces (j.job_bench, Policy.kind_name j.job_kind, j.job_input)))
+        (fun j -> not (Hashtbl.mem failed_benches j.job_bench || trace_failure j <> None))
         todo
     in
     (* Stage 2: one compile per bench. A bench whose compile exhausts its
@@ -531,7 +695,7 @@ let run_batch_results ?(policy = default_policy) t jobs =
     if missing_benches <> [] then
       List.iter2
         (fun name -> function
-          | Ok bins -> Hashtbl.replace t.binaries name bins
+          | Ok bins -> add_binaries t name bins
           | Error fl -> Hashtbl.replace failed_benches name fl)
         missing_benches
         (supervised_map t ~policy ~stage:"compile" ~describe:Fun.id
@@ -540,74 +704,98 @@ let run_batch_results ?(policy = default_policy) t jobs =
              compile t name)
            missing_benches);
     let todo = List.filter (fun j -> not (Hashtbl.mem failed_benches j.job_bench)) todo in
-    (* Stage 3 (exact labs only): one trace per (bench, kind, input),
-       shared by every configuration of the same binary/input pair. *)
-    let trace_todo =
-      uniq
-        (fun (name, kind_n, _, input) -> (name, kind_n, input))
-        (List.filter_map
-           (fun j ->
-             let kind_n = Policy.kind_name j.job_kind in
-             if t.sample <> None || Hashtbl.mem t.traces (j.job_bench, kind_n, j.job_input) then
-               None
-             else Some (j.job_bench, kind_n, j.job_kind, j.job_input))
-           todo)
-    in
-    if trace_todo <> [] then begin
-      let tasks =
-        List.map
-          (fun (name, kind_n, kind, input) ->
-            t.log (Printf.sprintf "tracing %s/%s input %s" name kind_n input);
-            ( (name, kind_n, input),
-              (bench t name).approx_dyn_insts,
-              program t ~bench:name ~kind ~input ))
-          trace_todo
-      in
-      List.iter2
-        (fun (key, _, _) -> function
-          | Ok tr -> Hashtbl.replace t.traces key tr
-          | Error fl -> Hashtbl.replace failed_traces key fl)
-        tasks
-        (supervised_map t ~policy ~stage:"trace"
-           ~describe:(fun ((name, kind_n, input), _, _) ->
-             Printf.sprintf "%s/%s input %s" name kind_n input)
-           (fun (_, hint, p) ->
-             Faultpoint.cut fp_trace;
-             fst (Wish_emu.Trace.generate ~hint p))
-           tasks)
-    end;
-    (* Stage 4: simulate every job whose trace, if it needs one, did not
-       fail. *)
-    let sim_todo =
+    (* Stage 3: a job whose binary an earlier batch simulated as another
+       kind is served by that summary. *)
+    let todo =
       List.filter
         (fun j ->
-          not
-            (Hashtbl.mem failed_traces (j.job_bench, Policy.kind_name j.job_kind, j.job_input)))
+          let canon = canonical t j.job_bench j.job_kind in
+          let twins = List.filter (( <> ) j.job_kind) (class_of t j.job_bench canon) in
+          match memo_twin t ~bench:j.job_bench ~input:j.job_input ~config:j.job_config twins with
+          | Some (twin, s) ->
+            serve t j ~twin s;
+            false
+          | None -> true)
         todo
     in
-    if sim_todo <> [] then begin
-      let tasks =
-        List.map
-          (fun j ->
-            let trace = trace_for t ~bench:j.job_bench ~kind:j.job_kind ~input:j.job_input in
-            let p = program t ~bench:j.job_bench ~kind:j.job_kind ~input:j.job_input in
-            t.log (Printf.sprintf "simulating %s (%s)" (describe_job j) (run_note t trace));
-            (j, trace, p))
-          sim_todo
-      in
-      List.iter2
-        (fun (j, _, _) -> function
-          | Ok s ->
-            Hashtbl.replace t.results (memo_key j) s;
-            store_summary t (summary_key_of_job t j) s
-          | Error fl -> Hashtbl.replace failed_runs (memo_key j) fl)
-        tasks
-        (supervised_map t ~policy ~stage:"simulate" ~describe:(fun (j, _, _) -> describe_job j)
-           (fun (j, trace, p) ->
-             Faultpoint.cut fp_simulate;
-             simulate_with t ~config:j.job_config ?trace p)
-           tasks)
-    end
+    let groups = group_by_binary t todo in
+    let guards = ref [] in
+    Fun.protect
+      ~finally:(fun () ->
+        Option.iter (fun c -> List.iter (fun key -> Cache.release_lease c ~key) !guards) t.cache)
+      (fun () ->
+        let groups, deferred =
+          match t.cache with None -> (groups, []) | Some c -> claim_groups t c ~guards groups
+        in
+        (* Stage 4 (exact labs only): one trace per (bench, identity,
+           input), shared by every kind and configuration it serves. *)
+        let trace_todo =
+          uniq fst
+            (List.filter_map
+               (fun { leader = j; _ } ->
+                 let canon = canonical t j.job_bench j.job_kind in
+                 let key = (j.job_bench, Policy.kind_name canon, j.job_input) in
+                 if t.sample <> None || Hashtbl.mem t.traces key then None else Some (key, canon))
+               groups)
+        in
+        if trace_todo <> [] then begin
+          let tasks =
+            List.map
+              (fun (((name, kind_n, input) as key), canon) ->
+                t.log (Printf.sprintf "tracing %s/%s input %s" name kind_n input);
+                (key, (bench t name).approx_dyn_insts, program t ~bench:name ~kind:canon ~input))
+              trace_todo
+          in
+          List.iter2
+            (fun (key, _, _) -> function
+              | Ok tr -> Hashtbl.replace t.traces key tr
+              | Error fl -> Hashtbl.replace failed_traces key fl)
+            tasks
+            (supervised_map t ~policy ~stage:"trace"
+               ~describe:(fun ((name, kind_n, input), _, _) ->
+                 Printf.sprintf "%s/%s input %s" name kind_n input)
+               (fun (_, hint, p) ->
+                 Faultpoint.cut fp_trace;
+                 fst (Wish_emu.Trace.generate ~hint p))
+               tasks)
+        end;
+        (* Stage 5: simulate each group's leader whose trace, if it needs
+           one, did not fail; every member gets its summary, or its
+           failure. *)
+        let sim_groups = List.filter (fun g -> trace_failure g.leader = None) groups in
+        if sim_groups <> [] then begin
+          let tasks =
+            List.map
+              (fun g ->
+                let j = g.leader in
+                let trace = trace_for t ~bench:j.job_bench ~kind:j.job_kind ~input:j.job_input in
+                let p = program t ~bench:j.job_bench ~kind:j.job_kind ~input:j.job_input in
+                t.log (Printf.sprintf "simulating %s (%s)" (describe_job j) (run_note t trace));
+                (g, trace, p))
+              sim_groups
+          in
+          List.iter2
+            (fun (g, _, _) -> function
+              | Ok s ->
+                List.iter
+                  (fun j ->
+                    if j.job_kind = g.leader.job_kind then begin
+                      Hashtbl.replace t.results (memo_key j) s;
+                      store_summary t (summary_key_of_job t j) s
+                    end
+                    else serve t j ~twin:g.leader.job_kind s)
+                  g.members
+              | Error fl ->
+                List.iter (fun j -> Hashtbl.replace failed_runs (memo_key j) fl) g.members)
+            tasks
+            (supervised_map t ~policy ~stage:"simulate"
+               ~describe:(fun (g, _, _) -> describe_job g.leader)
+               (fun (g, trace, p) ->
+                 Faultpoint.cut fp_simulate;
+                 simulate_with t ~config:g.leader.job_config ?trace p)
+               tasks)
+        end;
+        deferred)
   in
   (* With a cache, every miss whose lease this process gets is computed
      in one pass; a miss whose lease another process holds builds nothing
@@ -629,32 +817,34 @@ let run_batch_results ?(policy = default_policy) t jobs =
           | None -> rest := j :: !rest)
         pending;
       let mine = List.rev !mine in
-      Fun.protect
-        ~finally:(fun () ->
-          List.iter (fun j -> Cache.release_lease c ~key:(summary_key_of_job t j)) mine)
-        (fun () -> compute mine);
-      let rest = List.rev !rest in
-      if mine = [] && rest <> [] then Unix.sleepf lease_poll;
+      let deferred =
+        Fun.protect
+          ~finally:(fun () ->
+            List.iter (fun j -> Cache.release_lease c ~key:(summary_key_of_job t j)) mine)
+          (fun () -> compute mine)
+      in
+      let rest = deferred @ List.rev !rest in
+      (* Nothing settled this round: give the other runs time. *)
+      if List.length deferred = List.length mine && rest <> [] then Unix.sleepf lease_poll;
       settle c rest
     end
   in
-  (match t.cache with None -> compute todo | Some c -> settle c todo);
+  (match t.cache with None -> ignore (compute todo) | Some c -> settle c todo);
   (* Assemble per-job outcomes, [jobs] order. *)
   List.map
     (fun j ->
       match Hashtbl.find_opt t.results (memo_key j) with
       | Some s -> Ok s
       | None -> (
-        match Hashtbl.find_opt failed_runs (memo_key j) with
-        | Some fl -> Error fl
-        | None -> (
-          let kind_n = Policy.kind_name j.job_kind in
-          match Hashtbl.find_opt failed_traces (j.job_bench, kind_n, j.job_input) with
-          | Some fl -> Error fl
+        let failure =
+          match Hashtbl.find_opt failed_runs (memo_key j) with
+          | Some _ as fl -> fl
           | None -> (
             match Hashtbl.find_opt failed_benches j.job_bench with
-            | Some fl -> Error fl
-            | None -> assert false))))
+            | Some _ as fl -> fl
+            | None -> trace_failure j)
+        in
+        match failure with Some fl -> Error fl | None -> assert false))
     jobs
 
 (** [run_batch t jobs] — {!run_batch_results}, failures raised: the first

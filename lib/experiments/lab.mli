@@ -22,6 +22,14 @@
     only on a miss: a lab whose cache holds every summary and {!shape}
     it is asked for builds, compiles, traces and simulates nothing.
 
+    A run is identified by its binary's content, not its kind label:
+    once a bench compiles, each kind maps to the first kind in Table 3
+    order whose code and entry are equal, and an ablation variant maps
+    the same way once it compiles. Kinds with one binary share one trace
+    per input and one simulation per input and machine; every kind's
+    summary is still memoized and stored under its own key, so cache
+    keys and bytes are those of simulating each kind separately.
+
     Fault tolerance: batched stages run under a supervision {!policy} —
     per-job crash isolation, bounded immediate retry, and structured
     {!failure} reports ({!run_batch_results}) instead of silent
@@ -98,7 +106,12 @@ val program :
     memoized and cached like any other, under the kind [<kind>.n<N>]
     (e.g. [wish-jump-join.n0]); in an exact lab it simulates from a
     trace of its own that is never kept, and in a sampled lab it is
-    sampled. The default N is the lab's ordinary run of [kind]. *)
+    sampled. The default N is the lab's ordinary run of [kind].
+
+    A miss whose binary another kind also compiles to is served, without
+    simulating, by that kind's summary when the memo table or the cache
+    holds one; the log says [same binary as bench/kind: ...]. Otherwise
+    it simulates from its identity's trace, which it shares. *)
 val run :
   t ->
   bench:string ->
@@ -144,6 +157,9 @@ type batch_stats = {
   mutable failed : int;  (** tasks that exhausted their retry budget *)
   mutable cache_hits : int;
   mutable resumed : int;  (** journaled jobs served from the cache *)
+  mutable same_binary : int;
+      (** runs served, without simulating, by the summary of an
+          identical binary compiled as another kind *)
 }
 
 val batch_stats : t -> batch_stats
@@ -207,7 +223,17 @@ val summary_key_of_job : t -> job -> string
     released once the summary is stored, and on failure or
     interruption. A failure in
     one stage poisons exactly the jobs that needed its product (a failed
-    compile fails that bench's jobs, a failed trace the jobs sharing it).
+    compile fails that bench's jobs, a failed trace the jobs sharing it,
+    a failed simulation every job of its binary).
+
+    Jobs whose kinds compile to one binary form a group per input and
+    config: one trace, and one simulation of the member whose kind comes
+    first in Table 3 order, serve them all. A job whose binary an earlier
+    batch simulated, or the cache holds a summary for, under another
+    kind is served without simulating. With a cache the earliest kind
+    wins across processes: a group waits while another live process
+    holds the lease of an earlier kind with the same binary, and
+    otherwise holds those leases until its summary is stored.
     Under the default fail-fast policy a permanent failure raises
     {!Job_failed} instead of being returned. Raises [Invalid_argument]
     when [policy.retries] is negative. *)

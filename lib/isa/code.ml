@@ -73,6 +73,9 @@ let byte_pc pc = pc * bytes_per_inst
 
 let iteri t f = Array.iteri f t.insts
 
+let equal a b =
+  Array.length a.insts = Array.length b.insts && Array.for_all2 Inst.equal a.insts b.insts
+
 (* ----------------------------------------------------------------- *)
 (* Static basic-block structure                                       *)
 (* ----------------------------------------------------------------- *)

@@ -31,6 +31,9 @@ val in_range : t -> int -> bool
 val byte_pc : int -> int
 val iteri : t -> (int -> Inst.t -> unit) -> unit
 
+(** [equal a b] — the same instructions at the same PCs. *)
+val equal : t -> t -> bool
+
 (** Static basic-block structure, shared by the pre-decoding emulator
     and block-level reports. [fuse_wish] models the emulator's
     predicate-through regime, where wish jumps/joins always fall through

@@ -72,13 +72,26 @@ let ast scale =
    the interesting inputs sit at 99+%. *)
 let build_input ~seed ~bias =
   let rng = Wish_util.Rng.create seed in
-  Bench.array_at idx_base
-    (List.init idx_len (fun _ -> Wish_util.Rng.int rng big_len))
-  @ Bench.array_at cost_base
-      (List.init big_len (fun _ ->
-           if Wish_util.Rng.int rng 1000 < bias then 101 + Wish_util.Rng.int rng 900
-           else Wish_util.Rng.int rng 100))
-  @ Bench.array_at tree_base (List.init big_len (fun _ -> Wish_util.Rng.int rng 4096))
+  (* The draw order (tree, then cost, then idx) fixes the inputs'
+     values. The pairs list idx, cost and tree in ascending address
+     order, consed back to front. *)
+  let tree = Array.init big_len (fun _ -> Wish_util.Rng.int rng 4096) in
+  let cost =
+    Array.init big_len (fun _ ->
+        if Wish_util.Rng.int rng 1000 < bias then 101 + Wish_util.Rng.int rng 900
+        else Wish_util.Rng.int rng 100)
+  in
+  let idx = Array.init idx_len (fun _ -> Wish_util.Rng.int rng big_len) in
+  let pairs = ref [] in
+  let prepend base a =
+    for k = Array.length a - 1 downto 0 do
+      pairs := (base + k, a.(k)) :: !pairs
+    done
+  in
+  prepend tree_base tree;
+  prepend cost_base cost;
+  prepend idx_base idx;
+  !pairs
 
 let bench ~scale =
   {

@@ -506,6 +506,67 @@ let prop_branch_numbering_stable =
       in
       compile () = compile ())
 
+(* Identical binaries ------------------------------------------------------ *)
+
+(* Which kinds compile each workload to the same binary at scale 1, and
+   which kind the wish-jj binary compiled with threshold N=0 or N=100
+   (Ablation A4) equals. A run is identified by its binary's code and
+   entry, the first kind in Table 3 order naming it, so a compiler
+   change that splits or merges twins changes what the lab simulates:
+   it shows up here first. *)
+let test_twin_table () =
+  let row name =
+    let b = Wish_workloads.Workloads.find ~scale:1 name in
+    let bins =
+      Compiler.compile_all ~mem_words:b.mem_words ~name
+        ~profile_data:(Wish_workloads.Bench.profile_data b) b.ast
+    in
+    let twin (p : Wish_isa.Program.t) =
+      match
+        List.find_opt
+          (fun k ->
+            let q = Compiler.binary bins k in
+            q.entry = p.entry && Wish_isa.Code.equal q.code p.code)
+          Compiler.all_kinds
+      with
+      | Some k -> Policy.kind_name k
+      | None -> "own"
+    in
+    let kinds =
+      List.filter_map
+        (fun k ->
+          let t = twin (Compiler.binary bins k) in
+          if t = Policy.kind_name k then None else Some (Policy.kind_name k ^ "=" ^ t))
+        Compiler.all_kinds
+    in
+    let variants =
+      List.map
+        (fun n ->
+          let p, _ =
+            Compiler.compile_kind ~mem_words:b.mem_words ~wish_threshold_n:n ~name b.ast
+              Policy.Wish_jj
+          in
+          Printf.sprintf "n%d=%s" n (twin p))
+        [ 0; 100 ]
+    in
+    String.concat " " ((name ^ ":") :: (kinds @ variants))
+  in
+  check
+    Alcotest.(list string)
+    "twins"
+    [
+      "gzip: base-def=normal n0=wish-jump-join n100=base-max";
+      "vpr: base-def=normal n0=wish-jump-join n100=base-max";
+      "mcf: base-def=normal wish-jump-join-loop=wish-jump-join n0=wish-jump-join n100=base-max";
+      "crafty: n0=wish-jump-join n100=base-max";
+      "parser: base-def=normal n0=wish-jump-join n100=base-max";
+      "gap: base-def=normal n0=wish-jump-join n100=base-max";
+      "vortex: base-def=normal wish-jump-join-loop=wish-jump-join n0=wish-jump-join n100=base-max";
+      "bzip2: base-max=base-def n0=wish-jump-join n100=base-def";
+      "twolf: wish-jump-join-loop=wish-jump-join n0=wish-jump-join n100=base-max";
+    ]
+    (List.map row Wish_workloads.Workloads.names)
+
 let () =
   Alcotest.run "wish_compiler"
     [
@@ -532,4 +593,5 @@ let () =
         ] );
       ( "property",
         [ qtest prop_five_binaries_equivalent; qtest prop_branch_numbering_stable ] );
+      ("identity", [ Alcotest.test_case "scale-1 twin table" `Quick test_twin_table ]);
     ]

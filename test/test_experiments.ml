@@ -184,6 +184,119 @@ let test_cache_version_invalidation () =
     (Cache.find v1 ~kind:"summary" ~key:"k")
 
 (* ------------------------------------------------------------------ *)
+(* Identical binaries                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let logged log prefix = List.filter (String.starts_with ~prefix) (List.rev !log)
+
+(* A fig10 batch simulates each distinct (binary, input, config) once,
+   with the count derived from the programs' code rather than pinned,
+   stores a summary under every job's key, and serves each twin the
+   summary its own program simulates to. *)
+let test_distinct_binaries_simulated_once () =
+  let cache = Cache.create ~dir:(cache_dir ^ "_twins") () in
+  Cache.clear cache;
+  let lab = Lab.create ~scale:1 ~names:[ "gzip"; "mcf"; "bzip2" ] ~jobs:2 ~cache () in
+  let log = ref [] in
+  Lab.set_logger lab (fun s -> log := s :: !log);
+  let jobs =
+    let keys = Hashtbl.create 16 in
+    List.filter
+      (fun j ->
+        let k = Lab.summary_key_of_job lab j in
+        (not (Hashtbl.mem keys k)) && (Hashtbl.add keys k (); true))
+      (Lab.with_baselines (Figures.jobs_for "fig10" lab))
+  in
+  let summaries = Lab.run_batch lab jobs in
+  Lab.shutdown lab;
+  let program (j : Lab.job) =
+    Lab.program lab ~bench:j.job_bench ~kind:j.job_kind ~input:j.job_input
+  in
+  let same_run (a : Lab.job) (b : Lab.job) =
+    let p = program a and q = program b in
+    a.job_bench = b.job_bench && a.job_input = b.job_input && a.job_config = b.job_config
+    && p.entry = q.entry
+    && Wish_isa.Code.equal p.code q.code
+  in
+  let distinct =
+    List.fold_left (fun acc j -> if List.exists (same_run j) acc then acc else j :: acc) [] jobs
+  in
+  check Alcotest.int "fig10's jobs" 15 (List.length jobs);
+  check Alcotest.int "one simulating line per distinct binary, input and config"
+    (List.length distinct)
+    (List.length (logged log "simulating"));
+  check Alcotest.int "one same-binary line per other job"
+    (List.length jobs - List.length distinct)
+    (List.length (logged log "same binary as"));
+  check Alcotest.int "counted" (List.length jobs - List.length distinct)
+    (Lab.batch_stats lab).same_binary;
+  let stored =
+    List.filter (fun (e, _) -> String.starts_with ~prefix:"summary/" e) (Cache.scan cache)
+  in
+  check Alcotest.int "a summary stored per job" (List.length jobs) (List.length stored);
+  let reused =
+    List.map
+      (fun l -> List.nth (String.split_on_char ':' l) 1 |> String.trim)
+      (logged log "same binary as")
+  in
+  List.iter2
+    (fun (j : Lab.job) s ->
+      let what =
+        Printf.sprintf "%s/%s input %s" j.job_bench (Policy.kind_name j.job_kind) j.job_input
+      in
+      if List.mem what reused then
+        check Alcotest.string (what ^ " equals its own program's run")
+          (summary_repr (Wish_sim.Runner.simulate ~config:j.job_config (program j)))
+          (summary_repr s))
+    jobs summaries
+
+(* A summary the cache holds for gzip's normal binary serves a fresh
+   lab's BASE-DEF job, batched or not, without simulating. *)
+let test_cached_twin_serves_fresh_lab () =
+  List.iter
+    (fun (label, base_def) ->
+      let cache = Cache.create ~dir:(cache_dir ^ "_cached_twin_" ^ label) () in
+      Cache.clear cache;
+      let lab () = Lab.create ~scale:1 ~names:[ "gzip" ] ~cache () in
+      let normal = Lab.run (lab ()) ~bench:"gzip" ~kind:Policy.Normal () in
+      let fresh = lab () in
+      let log = ref [] in
+      Lab.set_logger fresh (fun s -> log := s :: !log);
+      check Alcotest.string (label ^ ": normal's summary") (summary_repr normal)
+        (summary_repr (base_def fresh));
+      check Alcotest.(list string) (label ^ ": no simulation") [] (logged log "simulating");
+      check
+        Alcotest.(list string)
+        (label ^ ": served by the stored twin")
+        [ "same binary as gzip/normal: gzip/base-def input A" ]
+        (logged log "same binary as"))
+    [
+      ( "batched",
+        fun lab -> List.hd (Lab.run_batch lab [ Lab.job ~bench:"gzip" ~kind:Policy.Base_def () ]) );
+      ("serial", fun lab -> Lab.run lab ~bench:"gzip" ~kind:Policy.Base_def ());
+    ]
+
+(* After fig10, abl-wish-n over gap simulates nothing: its N=0 and N=100
+   variants are gap's WISH-JJ and BASE-MAX binaries, which fig10 ran. *)
+let test_wish_n_variants_reuse_fig10 () =
+  let lab = Lab.create ~scale:1 ~names:[ "gap" ] () in
+  Lab.prewarm lab (Figures.jobs_for "fig10" lab);
+  ignore (Figures.fig10 lab);
+  let log = ref [] in
+  Lab.set_logger lab (fun s -> log := s :: !log);
+  Lab.prewarm lab (Ablations.jobs_for "abl-wish-n" lab);
+  ignore (Ablations.wish_threshold_n lab);
+  check Alcotest.(list string) "no simulation" [] (logged log "simulating");
+  check
+    Alcotest.(list string)
+    "each variant served by its default twin"
+    [
+      "same binary as gap/wish-jump-join: gap/wish-jump-join.n0 input A";
+      "same binary as gap/base-max: gap/wish-jump-join.n100 input A";
+    ]
+    (logged log "same binary as")
+
+(* ------------------------------------------------------------------ *)
 (* Sampled labs                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -322,16 +435,16 @@ let test_interrupted_batch_resumes () =
       (fun key -> (Cache.find cache ~kind:"summary" ~key : Wish_sim.Runner.summary option) = None)
       keys
   in
-  Alcotest.(check bool)
-    (Printf.sprintf "interrupted part-way (%d of %d jobs left)" (List.length missing)
-       (List.length keys))
-    true
-    (missing <> [] && List.length missing < List.length keys);
+  (* fig10 stored all 5 of its jobs; fig12 adds wish-jjl real-conf and
+     perf-conf, two binaries of their own in gzip, and stopped before
+     simulating either. *)
+  check Alcotest.int "jobs in the three artifacts" 7 (List.length keys);
+  check Alcotest.int "jobs left without a summary" 2 (List.length missing);
   let fresh = Lab.create ~scale:1 ~names ~cache () in
   let sims = ref 0 in
   Lab.set_logger fresh (fun s -> if String.starts_with ~prefix:"simulating" s then incr sims);
   check Alcotest.(list string) "same tables as an uninterrupted run" reference (regenerate fresh);
-  check Alcotest.int "simulated exactly the jobs left" (List.length missing) !sims;
+  check Alcotest.int "simulated exactly the jobs left" 2 !sims;
   check Alcotest.int "nothing reported as resumed" 0 (Lab.batch_stats fresh).resumed
 
 (* ------------------------------------------------------------------ *)
@@ -382,7 +495,10 @@ let test_lease_stale_takeover () =
   Cache.release_lease c ~key:"k"
 
 (* Two processes regenerate fig10 for gzip on one cache at once: the
-   tables agree, and between them every unique job is simulated once. *)
+   tables agree, and between them every distinct binary is simulated
+   once. fig10's 5 gzip jobs are 4 binaries (BASE-DEF is the normal
+   binary), whichever process leases which job: a process waits while
+   another holds the lease of an earlier kind with its job's binary. *)
 let test_lease_coalesces_processes () =
   let dir = cache_dir ^ "_coalesce" in
   Cache.clear (Cache.create ~dir ());
@@ -406,12 +522,49 @@ let test_lease_coalesces_processes () =
   in
   let sims0, table0 = read 0 and sims1, table1 = read 1 in
   check Alcotest.string "identical tables" table0 table1;
-  let keys =
-    let lab = Lab.create ~scale:1 ~names:[ "gzip" ] () in
-    List.sort_uniq compare
-      (List.map (Lab.summary_key_of_job lab) (Lab.with_baselines (Figures.jobs_for "fig10" lab)))
+  check Alcotest.int "each distinct binary simulated once" 4 (sims0 + sims1);
+  let summaries =
+    List.filter
+      (fun (e, _) -> String.starts_with ~prefix:"summary/" e)
+      (Cache.scan (Cache.create ~dir ()))
   in
-  check Alcotest.int "each unique job simulated once" (List.length keys) (sims0 + sims1)
+  check Alcotest.int "a summary stored for each of the 5 jobs" 5 (List.length summaries)
+
+(* While another live process holds the lease of gzip/normal, a process
+   whose job is gzip/base-def, the same binary, waits instead of
+   simulating it, and is then served the summary stored under normal. *)
+let test_lease_earliest_kind_wins () =
+  let dir = cache_dir ^ "_earliest" in
+  let c = Cache.create ~dir () in
+  Cache.clear c;
+  let normal = Lab.job ~bench:"gzip" ~kind:Policy.Normal () in
+  let lab = Lab.create ~scale:1 ~names:[ "gzip" ] () in
+  let summary = List.hd (Lab.run_batch lab [ normal ]) in
+  let key = Lab.summary_key_of_job lab normal in
+  Alcotest.(check bool) "normal leased here" true (Cache.try_lease c ~key);
+  let out = Filename.concat dir "log" in
+  let pid =
+    fork_child (fun () ->
+        let lab = Lab.create ~scale:1 ~names:[ "gzip" ] ~cache:(Cache.create ~dir ()) () in
+        let log = ref [] in
+        Lab.set_logger lab (fun s -> log := s :: !log);
+        ignore (Lab.run_batch lab [ Lab.job ~bench:"gzip" ~kind:Policy.Base_def () ]);
+        Out_channel.with_open_bin out (fun oc ->
+            List.iter (fun l -> output_string oc (l ^ "\n")) (List.rev !log));
+        0)
+  in
+  (* Time for the child to compile gzip and reach its job. *)
+  Unix.sleepf 0.5;
+  Cache.store c ~kind:"summary" ~key summary;
+  Cache.release_lease c ~key;
+  check Alcotest.int "child exit" 0 (wait_child pid);
+  let log = ref (List.rev (In_channel.with_open_bin out In_channel.input_lines)) in
+  check Alcotest.(list string) "never simulated" [] (logged log "simulating");
+  check
+    Alcotest.(list string)
+    "served by the earlier kind"
+    [ "same binary as gzip/normal: gzip/base-def input A" ]
+    (logged log "same binary as")
 
 let () =
   Alcotest.run "wish_experiments"
@@ -421,6 +574,7 @@ let () =
           Alcotest.test_case "acquire, held, release" `Quick test_lease_acquire_release;
           Alcotest.test_case "stale takeover" `Quick test_lease_stale_takeover;
           Alcotest.test_case "two processes coalesce" `Slow test_lease_coalesces_processes;
+          Alcotest.test_case "earliest kind wins" `Slow test_lease_earliest_kind_wins;
         ] );
       ( "lab",
         [
@@ -429,6 +583,14 @@ let () =
         ] );
       ( "parallel",
         [ Alcotest.test_case "run_batch = serial run" `Slow test_run_batch_matches_serial ] );
+      ( "identity",
+        [
+          Alcotest.test_case "each distinct binary simulated once" `Slow
+            test_distinct_binaries_simulated_once;
+          Alcotest.test_case "a cached twin serves a fresh lab" `Slow
+            test_cached_twin_serves_fresh_lab;
+          Alcotest.test_case "wish-n variants reuse fig10" `Slow test_wish_n_variants_reuse_fig10;
+        ] );
       ( "cache",
         [
           Alcotest.test_case "round-trip fidelity" `Slow test_cache_roundtrip;

@@ -308,6 +308,27 @@ let test_keep_going_reports_failures () =
   note "lab.simulate";
   Alcotest.(check int) "failure counted" 1 (Lab.batch_stats lab).failed
 
+(* gzip's BASE-DEF binary is its normal binary, so a batch of the two
+   is one simulation. With retries = 0 the one armed fault fails it for
+   good, and both jobs report that failure. *)
+let test_keep_going_twin_group_failure () =
+  with_reset @@ fun () ->
+  let lab = Lab.create ~names:[ "gzip" ] () in
+  Fun.protect ~finally:(fun () -> Lab.shutdown lab) @@ fun () ->
+  FP.arm "lab.simulate" ~times:1;
+  let policy = { Lab.retries = 0; keep_going = true } in
+  let jobs =
+    Lab.with_baselines [ Lab.job ~bench:"gzip" ~kind:Wish_compiler.Policy.Base_def () ]
+  in
+  (match Lab.run_batch_results ~policy lab jobs with
+  | [ Error a; Error b ] ->
+    Alcotest.(check string) "failed stage" "simulate" a.failed_stage;
+    Alcotest.(check string) "the group's simulated job" "gzip/normal input A" a.failed_what;
+    Alcotest.(check bool) "the same failure for both members" true (a = b)
+  | _ -> Alcotest.fail "expected [Error; Error]");
+  note "lab.simulate";
+  Alcotest.(check int) "one simulation failed" 1 (Lab.batch_stats lab).failed
+
 (* A serial lab with a cache computes its misses under leases. A bench
    whose compile failed must fail every job of that bench, once: the
    one-shot fault must not be outlived by a second compile. *)
@@ -434,6 +455,8 @@ let () =
             test_sampled_table_identical_under_faults;
           Alcotest.test_case "keep-going returns structured failures" `Slow
             test_keep_going_reports_failures;
+          Alcotest.test_case "keep-going fails every twin of a failed group" `Slow
+            test_keep_going_twin_group_failure;
           Alcotest.test_case "keep-going compile failure under leases" `Slow
             test_keep_going_compile_failure_cached;
           Alcotest.test_case "fail-fast raises Job_failed" `Slow test_fail_fast_raises;
