@@ -33,6 +33,5 @@ let run name =
     exit 1)
 
 let () =
-  Wish_util.Gc_stats.tune ();
   run "gzip";
   run "mcf"

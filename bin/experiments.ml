@@ -5,7 +5,6 @@
       experiments fig10 fig12        # selected artifacts
       experiments --scale 2 -v       # bigger runs, with progress logging
       experiments --retries 3 --keep-going
-      experiments --resume           # skip jobs journaled by an interrupted run
       experiments cache verify       # integrity-check _wishcache/
       experiments cache prune        # evict stale entries, quarantine corrupt ones
       experiments cache stats        # occupancy: entries, bytes, versions, quarantine *)
@@ -16,10 +15,8 @@ module Figures = Wish_experiments.Figures
 module Ablations = Wish_experiments.Ablations
 module Cache = Wish_experiments.Cache
 
-let run names scale verbose benchmarks csv_dir jobs no_cache gc_tune retries keep_going resume
-    sample =
+let run names scale verbose benchmarks csv_dir jobs no_cache retries keep_going sample =
   Wish_util.Faultpoint.arm_from_env ();
-  if gc_tune then Wish_util.Gc_stats.tune ();
   let jobs =
     match Wish_util.Pool.jobs_of_string jobs with
     | Ok n -> n
@@ -60,14 +57,26 @@ let run names scale verbose benchmarks csv_dir jobs no_cache gc_tune retries kee
             exit 2)
         names
   in
-  let policy = { Lab.retries; keep_going } in
+  (* --csv's directory exists before any work, so a path that cannot be
+     one fails as a usage error rather than after the first artifact. *)
+  Option.iter
+    (fun dir ->
+      match if not (Sys.file_exists dir) then Sys.mkdir dir 0o755 with
+      | () when Sys.is_directory dir -> ()
+      | () ->
+        Fmt.epr "--csv %s: not a directory@." dir;
+        exit 2
+      | exception Sys_error e ->
+        Fmt.epr "--csv %s@." e;
+        exit 2)
+    csv_dir;
   let cache = if no_cache then None else Some (Cache.create ()) in
   (* An unknown -b name or a --scale below 1 fails here, before any
      worker domain is spawned. *)
   let lab =
     match
       Lab.create ~scale ?names:(if benchmarks = [] then None else Some benchmarks) ~jobs ?cache
-        ~resume ?sample:sampling ()
+        ~policy:{ Lab.retries; keep_going } ?sample:sampling ()
     with
     | lab -> lab
     | exception Invalid_argument e ->
@@ -75,17 +84,14 @@ let run names scale verbose benchmarks csv_dir jobs no_cache gc_tune retries kee
       exit 2
   in
   if verbose then Lab.set_logger lab (fun s -> Fmt.epr "[lab] %s@." s);
-  if resume then
-    Fmt.epr "[lab] resume: %d completed job(s) journaled in %s@." (Lab.journaled_jobs lab)
-      (match cache with Some c -> Cache.dir c | None -> "(no cache)");
   (* SIGINT drains gracefully: the handler only flips an atomic flag; the
      batch finishes its in-flight pool round, raises [Interrupted] on the
      coordinating domain, and the [Fun.protect] below joins the workers.
-     Finished jobs are already in the cache and the journal. *)
+     Finished jobs are already in the cache, so a rerun continues. *)
   Sys.set_signal Sys.sigint
     (Sys.Signal_handle
        (fun _ ->
-         Fmt.epr "@.[lab] interrupt: draining in-flight jobs (re-run with --resume to continue)@.";
+         Fmt.epr "@.[lab] interrupt: draining in-flight jobs (re-run to continue)@.";
          Lab.request_stop lab));
   let code =
     Fun.protect
@@ -101,7 +107,7 @@ let run names scale verbose benchmarks csv_dir jobs no_cache gc_tune retries kee
                 | _ -> assert false
               in
               match
-                if jobs_for <> [] then Lab.prewarm ~policy lab jobs_for;
+                if jobs_for <> [] then Lab.prewarm lab jobs_for;
                 f lab
               with
               | exception Lab.Job_failed fl ->
@@ -113,7 +119,6 @@ let run names scale verbose benchmarks csv_dir jobs no_cache gc_tune retries kee
                 (match csv_dir with
                 | None -> ()
                 | Some dir ->
-                  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
                   let path = Filename.concat dir (name ^ ".csv") in
                   let oc = open_out path in
                   output_string oc (Wish_util.Table.to_csv table);
@@ -124,8 +129,8 @@ let run names scale verbose benchmarks csv_dir jobs no_cache gc_tune retries kee
           if verbose || st.retried > 0 || st.failed > 0 then
             Fmt.epr
               "[lab] supervision: %d task(s) executed, %d retried, %d failed, %d cache hit(s), %d \
-               resumed, %d same binary@."
-              st.executed st.retried st.failed st.cache_hits st.resumed st.same_binary;
+               same binary@."
+              st.executed st.retried st.failed st.cache_hits st.same_binary;
           if verbose then
             Fmt.epr "[lab] gc: %s; peak RSS %d KiB@."
               (Wish_util.Gc_stats.summary_line ())
@@ -134,7 +139,9 @@ let run names scale verbose benchmarks csv_dir jobs no_cache gc_tune retries kee
         with
         | Lab.Interrupted ->
           let st = Lab.batch_stats lab in
-          Fmt.epr "[lab] interrupted: journal has the completed jobs (%d cache hit(s) this run); re-run with --resume@."
+          Fmt.epr
+            "[lab] interrupted: the cache has the completed jobs (%d cache hit(s) this run); \
+             re-run to continue@."
             st.cache_hits;
           130
         | Lab.Job_failed fl ->
@@ -257,10 +264,6 @@ let run_term =
   let no_cache =
     Arg.(value & flag & info [ "no-cache" ] ~doc:"Ignore the persistent artifact cache")
   in
-  let gc_tune =
-    Arg.(value & flag
-         & info [ "gc-tune" ] ~doc:"Size the OCaml minor heap for long simulation runs")
-  in
   let retries =
     Arg.(value & opt int Lab.default_policy.retries
          & info [ "retries" ] ~doc:"Extra attempts for a failed job (at least 0)")
@@ -270,11 +273,6 @@ let run_term =
          & info [ "keep-going" ]
              ~doc:"Report failed jobs and continue with the remaining artifacts (default: fail fast)")
   in
-  let resume =
-    Arg.(value & flag
-         & info [ "resume" ]
-             ~doc:"Load the completion journal and skip jobs finished by an earlier (interrupted) run")
-  in
   let sample =
     Arg.(value & opt (some string) None
          & info [ "sample" ]
@@ -282,8 +280,8 @@ let run_term =
                    (warm:detail entries) or 'auto'. Summaries are cached under separate keys")
   in
   Term.(
-    const run $ names $ scale $ verbose $ benchmarks $ csv_dir $ jobs $ no_cache $ gc_tune
-    $ retries $ keep_going $ resume $ sample)
+    const run $ names $ scale $ verbose $ benchmarks $ csv_dir $ jobs $ no_cache $ retries
+    $ keep_going $ sample)
 
 let cmd =
   Cmd.v (Cmd.info "experiments" ~doc:"Regenerate the wish-branches paper's tables and figures")

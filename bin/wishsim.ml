@@ -9,7 +9,7 @@ open Cmdliner
 module Lab = Wish_experiments.Lab
 
 let run bench_name kind_name input scale asm_file rob stages mech_select wish_hw perfect_bp
-    perfect_conf no_depend no_fetch streaming sample jobs gc_tune show_stats show_code =
+    perfect_conf no_depend no_fetch streaming sample jobs show_stats show_code =
   Wish_util.Faultpoint.arm_from_env ();
   let jobs =
     match Wish_util.Pool.jobs_of_string jobs with
@@ -26,7 +26,6 @@ let run bench_name kind_name input scale asm_file rob stages mech_select wish_hw
     Fmt.epr "--stages %d: must be at least 3@." stages;
     exit 2
   end;
-  if gc_tune then Wish_util.Gc_stats.tune ();
   let sample_spec =
     (* [None]: exact. [Some None]: sampled, auto spec. [Some (Some s)]:
        sampled with an explicit W:D spec. *)
@@ -53,6 +52,9 @@ let run bench_name kind_name input scale asm_file rob stages mech_select wish_hw
           let p = try Wish_isa.Parse.program_of_file path with
             | Wish_isa.Parse.Parse_error { line; message } ->
               Fmt.epr "%s:%d: %s@." path line message;
+              exit 2
+            | Sys_error e ->
+              Fmt.epr "%s@." e;
               exit 2
           in
           (p, path)
@@ -187,16 +189,12 @@ let cmd =
                    recommended domain count minus one (one hardware thread stays with the \
                    coordinating domain), never below 1")
   in
-  let gc_tune =
-    Arg.(value & flag
-         & info [ "gc-tune" ] ~doc:"Size the OCaml minor heap for long simulation runs")
-  in
   let stats = Arg.(value & flag & info [ "stats" ] ~doc:"Dump raw statistics counters") in
   let code = Arg.(value & flag & info [ "code" ] ~doc:"Print the binary's code listing") in
   Cmd.v
     (Cmd.info "wishsim" ~doc:"Cycle-level simulation of wish-branch binaries")
     Term.(
       const run $ bench $ kind $ input $ scale $ asm_file $ rob $ stages $ mech $ wish_hw $ pbp
-      $ pcf $ nd $ nf $ streaming $ sample $ jobs $ gc_tune $ stats $ code)
+      $ pcf $ nd $ nf $ streaming $ sample $ jobs $ stats $ code)
 
 let () = exit (Cmd.eval cmd)

@@ -112,10 +112,11 @@ let wish_threshold_n lab =
   t
 
 (** The prewarmable simulation grid behind each study. A4's variant
-    binaries (N other than 5) are lab runs made while its table renders:
-    a {!Lab.job} names only the lab's five default binaries, and every
-    job listed here may be simulated on the default binary of its kind.
-    Its N=5 column and normalization baselines are ordinary jobs. *)
+    binaries (N other than 5) are not listed: its table makes them as
+    one-job batches ({!Lab.run}) while it renders, because every job
+    listed here may be simulated on the default binary of its kind
+    (bench/perf's traced pass does so). Its N=5 column and normalization
+    baselines are ordinary jobs. *)
 let jobs =
   [
     ("abl-loop-pred", fun lab -> Figures.bar_jobs lab a1_bars);

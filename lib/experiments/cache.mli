@@ -23,8 +23,9 @@
     worst waste work: readers only ever observe a complete entry.
 
     The cache also hosts a small append-only {e journal} of completed
-    job keys ({!journal_append}/{!journal_load}) that lets an
-    interrupted batch resume and skip finished work; lines are
+    job keys ({!journal_append}/{!journal_load}). The lab neither writes
+    nor reads it (the cache alone makes an interrupted batch resumable);
+    bench/perf's traced pass still appends to it. Lines are
     version-stamped and checksummed like entries, and a line torn by a
     crash is skipped on load and newline-terminated by the next append.
 

@@ -11,16 +11,18 @@
       under the same machine configuration (oracle knobs stripped from
       the baseline).
 
-    Performance machinery: an optional {!Wish_util.Pool} of worker
-    domains ({!run_batch}/{!prewarm} fan independent jobs across it, with
-    results folded back deterministically on the calling domain) and an
-    optional persistent {!Cache} of summaries and static shapes,
-    consulted before any recomputation. Traces are memoized in memory
-    only and never stored. Processes sharing one cache directory
-    coalesce duplicate jobs through the cache's leases (see
-    {!run_batch_results}). Workloads are built, and binaries compiled,
-    only on a miss: a lab whose cache holds every summary and {!shape}
-    it is asked for builds, compiles, traces and simulates nothing.
+    One miss path: {!run} is a memo lookup or a one-job batch, so every
+    summary comes out of {!run_batch_results}. Performance machinery: an
+    optional {!Wish_util.Pool} of worker domains (a batch fans its
+    independent tasks across it, with results folded back
+    deterministically on the calling domain) and an optional persistent
+    {!Cache} of summaries and static shapes, consulted before any
+    recomputation. Traces are memoized in memory only and never stored.
+    Processes sharing one cache directory coalesce duplicate jobs
+    through the cache's leases (see {!run_batch_results}). Workloads are
+    built, and binaries compiled, only on a miss: a lab whose cache
+    holds every summary and {!shape} it is asked for builds, compiles,
+    traces and simulates nothing.
 
     A run is identified by its binary's content, not its kind label:
     once a bench compiles, each kind maps to the first kind in Table 3
@@ -30,15 +32,14 @@
     summary is still memoized and stored under its own key, so cache
     keys and bytes are those of simulating each kind separately.
 
-    Fault tolerance: batched stages run under a supervision {!policy} —
-    per-job crash isolation, bounded immediate retry, and structured
-    {!failure} reports ({!run_batch_results}) instead of silent
-    corruption. An interrupted batch resumes from the cache alone: a
-    rerun finds every summary the interrupted one stored. The completion
-    journal kept by the {!Cache} additionally reports those jobs as
-    resumed ([~resume:true]). Figure output is bit-identical whatever
-    [jobs] is, whether the cache is cold, warm, or absent, and under any
-    injected-fault schedule that eventually succeeds. *)
+    Fault tolerance: every stage runs under the lab's supervision
+    {!policy} — per-job crash isolation, bounded immediate retry, and
+    structured {!failure} reports ({!run_batch_results}) instead of
+    silent corruption. An interrupted batch resumes from the cache
+    alone: a rerun finds every summary the interrupted one stored.
+    Figure output is bit-identical whatever [jobs] is, whether the cache
+    is cold, warm, or absent, and under any injected-fault schedule that
+    eventually succeeds. *)
 
 type t
 
@@ -50,32 +51,39 @@ val eval_input : string
     one fixed spec everywhere. *)
 type sampling = Sample_auto | Sample_spec of Wish_sim.Sampler.spec
 
-(** [create ?scale ?names ?jobs ?cache ?resume ?sample ()]
+(** How the lab's stages treat failing jobs. [retries] is the number of
+    {e additional} attempts after the first, made at once: recomputation
+    is deterministic, so there is nothing to wait for. With [keep_going]
+    every job runs to a verdict and failures are returned as data;
+    without it the first exhausted job raises {!Job_failed}. *)
+type policy = { retries : int; keep_going : bool }
+
+(** 2 retries, fail-fast. *)
+val default_policy : policy
+
+(** [create ?scale ?names ?jobs ?cache ?policy ?sample ()]
     — [names] restricts the benchmark set; [jobs > 1] spawns that many
-    worker domains for {!run_batch}/{!prewarm} (default 1 = serial);
-    [cache] persists summaries and shapes across processes; [resume]
-    (default false, needs [cache]) loads the completion journal so jobs
-    finished by an earlier interrupted run are reported as resumed.
-    With [sample], every simulation runs sampled
+    worker domains for the batches (default 1 = serial); [cache]
+    persists summaries and shapes across processes; [policy] (default
+    {!default_policy}) governs every stage of every batch, {!run}'s
+    included. With [sample], every simulation runs sampled
     ({!Wish_sim.Runner.simulate_sampled}) and summaries are cached under
     keys carrying a [|sample...] suffix — exact results keep their
     historical keys. A sampled lab has no trace stage: functional
     warming runs inside the compiled emulator ({!Wish_sim.Sampler.run}
     with no trace), so it never generates or memoizes a trace. Raises
-    [Invalid_argument] for an unknown benchmark name or a [scale] below
-    1 ({!Wish_workloads.Workloads.check}), before building anything. *)
+    [Invalid_argument] for an unknown benchmark name, a [scale] below 1
+    ({!Wish_workloads.Workloads.check}) or a negative [policy.retries],
+    before building anything or spawning a worker. *)
 val create :
   ?scale:int ->
   ?names:string list ->
   ?jobs:int ->
   ?cache:Cache.t ->
-  ?resume:bool ->
+  ?policy:policy ->
   ?sample:sampling ->
   unit ->
   t
-
-(** The sampling mode the lab was created with (None = exact). *)
-val sampling : t -> sampling option
 
 (** Worker-domain count the lab was created with (1 = serial). *)
 val jobs : t -> int
@@ -95,44 +103,7 @@ val bench_names : t -> string list
 val program :
   t -> bench:string -> kind:Wish_compiler.Policy.kind -> input:string -> Wish_isa.Program.t
 
-(** [run t ~bench ~kind ?wish_threshold_n ?input ?config ()] — memoized
-    simulation. With a cache, a miss is simulated only under its
-    {!Cache} lease, like a job of {!run_batch_results}; while another
-    process holds that lease, [run] waits for its summary.
-
-    [wish_threshold_n] other than {!Wish_compiler.Policy.default_wish_threshold_n}
-    selects a variant binary compiled with that wish-jump threshold N
-    (without a profile: the wish kinds read none). Its summary is
-    memoized and cached like any other, under the kind [<kind>.n<N>]
-    (e.g. [wish-jump-join.n0]); in an exact lab it simulates from a
-    trace of its own that is never kept, and in a sampled lab it is
-    sampled. The default N is the lab's ordinary run of [kind].
-
-    A miss whose binary another kind also compiles to is served, without
-    simulating, by that kind's summary when the memo table or the cache
-    holds one; the log says [same binary as bench/kind: ...]. Otherwise
-    it simulates from its identity's trace, which it shares. *)
-val run :
-  t ->
-  bench:string ->
-  kind:Wish_compiler.Policy.kind ->
-  ?wish_threshold_n:int ->
-  ?input:string ->
-  ?config:Wish_sim.Config.t ->
-  unit ->
-  Wish_sim.Runner.summary
-
 (** {1 Supervision} *)
-
-(** How batched stages treat failing jobs. [retries] is the number of
-    {e additional} attempts after the first, made at once: recomputation
-    is deterministic, so there is nothing to wait for. With [keep_going]
-    every job runs to a verdict and failures are returned as data;
-    without it the first exhausted job raises {!Job_failed}. *)
-type policy = { retries : int; keep_going : bool }
-
-(** 2 retries, fail-fast. *)
-val default_policy : policy
 
 (** What a job that exhausted its retry budget looked like. *)
 type failure = {
@@ -156,7 +127,6 @@ type batch_stats = {
   mutable retried : int;  (** extra attempts beyond each task's first *)
   mutable failed : int;  (** tasks that exhausted their retry budget *)
   mutable cache_hits : int;
-  mutable resumed : int;  (** journaled jobs served from the cache *)
   mutable same_binary : int;
       (** runs served, without simulating, by the summary of an
           identical binary compiled as another kind *)
@@ -164,34 +134,37 @@ type batch_stats = {
 
 val batch_stats : t -> batch_stats
 
-(** Number of completed-job keys loaded from the journal (0 unless
-    created with [~resume:true] and a cache). *)
-val journaled_jobs : t -> int
-
 (** Ask the current/next batch to stop: signal-handler safe (one atomic
     store). The batch drains the in-flight pool round, then raises
     {!Interrupted} from the coordinating domain; everything already
-    finished is in the memo tables, the cache, and the journal, so a
-    fresh lab on the same cache runs only the jobs left over. *)
+    finished is in the memo tables and the cache, so a fresh lab on the
+    same cache runs only the jobs left over. *)
 val request_stop : t -> unit
-
-val stop_requested : t -> bool
 
 (** {1 Batched execution} *)
 
-(** One unit of simulation work for {!run_batch}. *)
+(** One unit of simulation work: a binary run on an input and machine.
+    [job_wish_n = Some n] names a variant binary: [job_kind] compiled
+    with wish-jump threshold N = [n] (ablation A4), never the default N. *)
 type job = {
   job_bench : string;
   job_kind : Wish_compiler.Policy.kind;
+  job_wish_n : int option;
   job_input : string;
   job_config : Wish_sim.Config.t;
 }
 
-(** [job ~bench ~kind ?input ?config ()] — [input] defaults to
-    {!eval_input}, [config] to {!Wish_sim.Config.default}. *)
+(** [job ~bench ~kind ?wish_threshold_n ?input ?config ()] — [input]
+    defaults to {!eval_input}, [config] to {!Wish_sim.Config.default}.
+    A [wish_threshold_n] other than
+    {!Wish_compiler.Policy.default_wish_threshold_n} names the variant
+    binary compiled with that wish-jump threshold N (without a profile:
+    the wish kinds read none); the default N names the ordinary binary
+    of [kind]. *)
 val job :
   bench:string ->
   kind:Wish_compiler.Policy.kind ->
+  ?wish_threshold_n:int ->
   ?input:string ->
   ?config:Wish_sim.Config.t ->
   unit ->
@@ -204,54 +177,68 @@ val baseline_of : job -> job
 (** [with_baselines js] — each job followed by its {!baseline_of}. *)
 val with_baselines : job list -> job list
 
-(** [summary_key_of_job t j] — the persistent-cache key {!run} stores
-    [j]'s summary under (bench, kind, input, scale, config digest, and
-    the sampling suffix when the lab samples). {!run} and
-    {!run_batch_results} take its {!Cache} lease on the same key. *)
+(** [summary_key_of_job t j] — the persistent-cache key [j]'s summary is
+    stored under (bench, kind, input, scale, config digest, and the
+    sampling suffix when the lab samples), a variant's kind written
+    [<kind>.n<N>] (e.g. [wish-jump-join.n0]). {!run_batch_results} takes
+    its {!Cache} lease on the same key. *)
 val summary_key_of_job : t -> job -> string
 
-(** [run_batch_results ?policy t jobs] — the supervised parallel twin of
-    {!run}: resolves every job (memo table, then disk cache, then
+(** [run_batch_results t jobs] — the one place the lab computes a
+    summary: resolves every job (memo table, then disk cache, then
     compile/trace/simulate fanned over the worker pool, each stage under
-    [policy]; a sampled lab skips the trace stage) and returns per-job
-    outcomes in [jobs] order. With a
-    cache, a job is computed only under its {!Cache.try_lease} lease,
-    taken on {!summary_key_of_job}; a job another live process holds
-    the lease on is awaited (polling the cache, honouring
-    {!request_stop}) rather than recomputed. Every lease the process can
-    get is taken in one pass, before any work starts. Leases are
-    released once the summary is stored, and on failure or
-    interruption. A failure in
-    one stage poisons exactly the jobs that needed its product (a failed
-    compile fails that bench's jobs, a failed trace the jobs sharing it,
-    a failed simulation every job of its binary).
+    the lab's policy; a sampled lab skips the trace stage) and returns
+    per-job outcomes in [jobs] order. The compile stage compiles each
+    missing bench's five binaries, then each variant, and maps every
+    binary to its identity. With a cache, a job is computed only under
+    its {!Cache.try_lease} lease, taken on {!summary_key_of_job}; a job
+    another live process holds the lease on is awaited (polling the
+    cache, honouring {!request_stop}) rather than recomputed. Every
+    lease the process can get is taken in one pass, before any work
+    starts. Leases are released once the summary is stored, and on
+    failure or interruption. A failure in one stage poisons exactly the
+    jobs that needed its product (a failed compile fails that bench's
+    jobs, or that variant's, a failed trace the jobs sharing it, a
+    failed simulation every job of its binary).
 
-    Jobs whose kinds compile to one binary form a group per input and
-    config: one trace, and one simulation of the member whose kind comes
-    first in Table 3 order, serve them all. A job whose binary an earlier
-    batch simulated, or the cache holds a summary for, under another
-    kind is served without simulating. With a cache the earliest kind
-    wins across processes: a group waits while another live process
-    holds the lease of an earlier kind with the same binary, and
-    otherwise holds those leases until its summary is stored.
-    Under the default fail-fast policy a permanent failure raises
-    {!Job_failed} instead of being returned. Raises [Invalid_argument]
-    when [policy.retries] is negative. *)
-val run_batch_results :
-  ?policy:policy -> t -> job list -> (Wish_sim.Runner.summary, failure) result list
+    Jobs whose binaries are one binary (equal code and entry) form a
+    group per input and config: one trace, and one simulation of the
+    member whose kind comes first in Table 3 order (or of the first
+    variant, when no member is a default kind), serve them all. A job
+    whose binary an earlier batch simulated, or the cache holds a
+    summary for, under another kind is served without simulating; the
+    log says [same binary as bench/kind: ...]. With a cache the earliest
+    kind wins across processes: a group waits while another live
+    process holds the lease of an earlier kind with the same binary
+    (every such kind, for a variant), and otherwise holds those leases
+    until its summary is stored. Under a fail-fast policy a permanent
+    failure raises {!Job_failed} instead of being returned. *)
+val run_batch_results : t -> job list -> (Wish_sim.Runner.summary, failure) result list
 
-(** [run_batch ?policy t jobs] — {!run_batch_results} with failures
-    raised: the first failing job (in [jobs] order) aborts with
-    {!Job_failed}. Successful output is identical to what serial {!run}
-    calls would produce. *)
-val run_batch : ?policy:policy -> t -> job list -> Wish_sim.Runner.summary list
+(** [run_batch t jobs] — {!run_batch_results} with failures raised: the
+    first failing job (in [jobs] order) aborts with {!Job_failed}. *)
+val run_batch : t -> job list -> Wish_sim.Runner.summary list
 
-(** [prewarm ?policy t jobs] — {!run_batch_results} over
-    [with_baselines jobs], results discarded: populates the memo tables
-    so a figure generator's serial {!run}/{!normalized} calls all hit.
-    Raises {!Job_failed} on a permanent failure unless [policy] has
-    [keep_going] set. *)
-val prewarm : ?policy:policy -> t -> job list -> unit
+(** [prewarm t jobs] — {!run_batch_results} over [with_baselines jobs],
+    results discarded: populates the memo tables so a figure generator's
+    {!run}/{!normalized} calls all hit. Raises {!Job_failed} on a
+    permanent failure unless the lab's policy keeps going. *)
+val prewarm : t -> job list -> unit
+
+(** [run t ~bench ~kind ?wish_threshold_n ?input ?config ()] — the
+    summary of the {!job} with those arguments: a memo lookup, or a
+    one-job {!run_batch}, so a miss is computed, retried, leased and
+    served by an identical binary exactly as in a batch, and a permanent
+    failure raises {!Job_failed}. *)
+val run :
+  t ->
+  bench:string ->
+  kind:Wish_compiler.Policy.kind ->
+  ?wish_threshold_n:int ->
+  ?input:string ->
+  ?config:Wish_sim.Config.t ->
+  unit ->
+  Wish_sim.Runner.summary
 
 (** {1 Static shape} *)
 
@@ -281,7 +268,3 @@ val normalized :
   float
 
 val mean : float list -> float
-
-(** [avg_rows names values] — the paper's AVG / AVGnomcf convention
-    (footnote 2: mcf skews the mean). *)
-val avg_rows : string list -> (string -> float) -> (string * float) list

@@ -3,10 +3,8 @@
     Simulation runs are allocation-sensitive: the timing core recycles
     µops precisely so the minor heap stays quiet, and the streaming trace
     bounds the major heap. This module makes both claims measurable —
-    words allocated, peak heap, and the process resident high-water mark —
-    and provides the one knob worth turning ({!tune}: a larger minor heap
-    so short-lived per-cycle garbage dies young instead of being
-    promoted). *)
+    words allocated, peak heap, and the process resident high-water
+    mark. *)
 
 type snapshot = {
   minor_words : float;
@@ -76,11 +74,3 @@ let peak_rss_kb_opt () =
 (** [peak_rss_kb ()] — like {!peak_rss_kb_opt} but returns [-1] when the
     probe is unavailable (legacy shape for printf call sites). *)
 let peak_rss_kb () = Option.value (peak_rss_kb_opt ()) ~default:(-1)
-
-(** [tune ()] — size the minor heap for simulation (32 MiB instead of the
-    2 MiB default): per-cycle garbage then dies in the minor heap rather
-    than being promoted, cutting major collections on long runs. *)
-let tune () =
-  let g = Gc.get () in
-  if g.Gc.minor_heap_size < 1 lsl 22 then
-    Gc.set { g with Gc.minor_heap_size = 1 lsl 22; space_overhead = 200 }

@@ -1,6 +1,5 @@
 (** GC and memory telemetry for the simulation harnesses: words
-    allocated, collection counts, peak heap, process peak RSS, and the
-    minor-heap sizing knob used by the drivers' [--gc-tune]. *)
+    allocated, collection counts, peak heap and process peak RSS. *)
 
 type snapshot = {
   minor_words : float;
@@ -31,7 +30,3 @@ val peak_rss_kb_opt : unit -> int option
 
 (** Like {!peak_rss_kb_opt} but [-1] when unavailable. *)
 val peak_rss_kb : unit -> int
-
-(** Size the minor heap for simulation runs (32 MiB; no-op if already at
-    least that): per-cycle garbage dies young instead of being promoted. *)
-val tune : unit -> unit

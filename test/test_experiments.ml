@@ -296,6 +296,55 @@ let test_wish_n_variants_reuse_fig10 () =
     ]
     (logged log "same binary as")
 
+(* gzip's WISH-JJL compiled with N=100 is none of gzip's five binaries.
+   Its jobs batch like any other: one compile and one trace under the
+   variant's own label, one simulation per config, each equal to
+   simulating the variant directly; a fresh lab on the cache hits. *)
+let test_variant_of_its_own () =
+  let cache = Cache.create ~dir:(cache_dir ^ "_own_variant") () in
+  Cache.clear cache;
+  let lab = Lab.create ~scale:1 ~names:[ "gzip" ] ~cache () in
+  let log = ref [] in
+  Lab.set_logger lab (fun s -> log := s :: !log);
+  let configs = [ Config.default; Config.with_rob Config.default 128 ] in
+  let jobs =
+    List.map
+      (fun config -> Lab.job ~bench:"gzip" ~kind:Policy.Wish_jjl ~wish_threshold_n:100 ~config ())
+      configs
+  in
+  let summaries = Lab.run_batch lab jobs in
+  let variant =
+    let b = Wish_workloads.Workloads.find ~scale:1 "gzip" in
+    let code, _ =
+      Wish_compiler.Compiler.compile_kind ~mem_words:b.mem_words ~wish_threshold_n:100
+        ~name:"gzip" b.ast Policy.Wish_jjl
+    in
+    Wish_workloads.Bench.program_for b code Lab.eval_input
+  in
+  List.iter2
+    (fun config s ->
+      check Alcotest.string "the variant's own run"
+        (summary_repr (Wish_sim.Runner.simulate ~config variant))
+        (summary_repr s))
+    configs summaries;
+  check
+    Alcotest.(list string)
+    "one variant compile"
+    [ "compiling gzip/wish-jump-join-loop (wish-jump threshold N=100)" ]
+    (logged log "compiling gzip/");
+  check
+    Alcotest.(list string)
+    "one trace, under the variant's label"
+    [ "tracing gzip/wish-jump-join-loop.n100 input A" ]
+    (logged log "tracing");
+  check Alcotest.int "one simulation per config" 2 (List.length (logged log "simulating"));
+  check Alcotest.(list string) "no twin" [] (logged log "same binary as");
+  let fresh = Lab.create ~scale:1 ~names:[ "gzip" ] ~cache () in
+  check Alcotest.string "served from the cache"
+    (summary_repr (List.hd summaries))
+    (summary_repr (Lab.run fresh ~bench:"gzip" ~kind:Policy.Wish_jjl ~wish_threshold_n:100 ()));
+  check Alcotest.int "nothing executed" 0 (Lab.batch_stats fresh).executed
+
 (* ------------------------------------------------------------------ *)
 (* Sampled labs                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -404,9 +453,9 @@ let test_warm_lab_computes_nothing () =
 
 (* An interrupted regeneration resumes from the cache alone. The second
    artifact's batch is stopped as it starts simulating, as SIGINT does
-   in [experiments]; a fresh lab on the same cache, created without
-   [~resume], then simulates exactly the jobs left without a stored
-   summary and renders the tables of an uninterrupted run. *)
+   in [experiments]; a fresh lab on the same cache then simulates
+   exactly the jobs left without a stored summary and renders the
+   tables of an uninterrupted run. *)
 let test_interrupted_batch_resumes () =
   let cache = Cache.create ~dir:(cache_dir ^ "_resume") () in
   Cache.clear cache;
@@ -444,8 +493,7 @@ let test_interrupted_batch_resumes () =
   let sims = ref 0 in
   Lab.set_logger fresh (fun s -> if String.starts_with ~prefix:"simulating" s then incr sims);
   check Alcotest.(list string) "same tables as an uninterrupted run" reference (regenerate fresh);
-  check Alcotest.int "simulated exactly the jobs left" 2 !sims;
-  check Alcotest.int "nothing reported as resumed" 0 (Lab.batch_stats fresh).resumed
+  check Alcotest.int "simulated exactly the jobs left" 2 !sims
 
 (* ------------------------------------------------------------------ *)
 (* Leases: concurrent processes on one cache                           *)
@@ -531,40 +579,48 @@ let test_lease_coalesces_processes () =
   check Alcotest.int "a summary stored for each of the 5 jobs" 5 (List.length summaries)
 
 (* While another live process holds the lease of gzip/normal, a process
-   whose job is gzip/base-def, the same binary, waits instead of
-   simulating it, and is then served the summary stored under normal. *)
+   whose job is gzip/base-def, the same binary, batched or not, waits
+   instead of simulating it, and is then served the summary stored
+   under normal. *)
 let test_lease_earliest_kind_wins () =
-  let dir = cache_dir ^ "_earliest" in
-  let c = Cache.create ~dir () in
-  Cache.clear c;
   let normal = Lab.job ~bench:"gzip" ~kind:Policy.Normal () in
   let lab = Lab.create ~scale:1 ~names:[ "gzip" ] () in
   let summary = List.hd (Lab.run_batch lab [ normal ]) in
   let key = Lab.summary_key_of_job lab normal in
-  Alcotest.(check bool) "normal leased here" true (Cache.try_lease c ~key);
-  let out = Filename.concat dir "log" in
-  let pid =
-    fork_child (fun () ->
-        let lab = Lab.create ~scale:1 ~names:[ "gzip" ] ~cache:(Cache.create ~dir ()) () in
-        let log = ref [] in
-        Lab.set_logger lab (fun s -> log := s :: !log);
-        ignore (Lab.run_batch lab [ Lab.job ~bench:"gzip" ~kind:Policy.Base_def () ]);
-        Out_channel.with_open_bin out (fun oc ->
-            List.iter (fun l -> output_string oc (l ^ "\n")) (List.rev !log));
-        0)
-  in
-  (* Time for the child to compile gzip and reach its job. *)
-  Unix.sleepf 0.5;
-  Cache.store c ~kind:"summary" ~key summary;
-  Cache.release_lease c ~key;
-  check Alcotest.int "child exit" 0 (wait_child pid);
-  let log = ref (List.rev (In_channel.with_open_bin out In_channel.input_lines)) in
-  check Alcotest.(list string) "never simulated" [] (logged log "simulating");
-  check
-    Alcotest.(list string)
-    "served by the earlier kind"
-    [ "same binary as gzip/normal: gzip/base-def input A" ]
-    (logged log "same binary as")
+  List.iter
+    (fun (label, base_def) ->
+      let dir = cache_dir ^ "_earliest_" ^ label in
+      let c = Cache.create ~dir () in
+      Cache.clear c;
+      Alcotest.(check bool) (label ^ ": normal leased here") true (Cache.try_lease c ~key);
+      let out = Filename.concat dir "log" in
+      let pid =
+        fork_child (fun () ->
+            let lab = Lab.create ~scale:1 ~names:[ "gzip" ] ~cache:(Cache.create ~dir ()) () in
+            let log = ref [] in
+            Lab.set_logger lab (fun s -> log := s :: !log);
+            base_def lab;
+            Out_channel.with_open_bin out (fun oc ->
+                List.iter (fun l -> output_string oc (l ^ "\n")) (List.rev !log));
+            0)
+      in
+      (* Time for the child to compile gzip and reach its job. *)
+      Unix.sleepf 0.5;
+      Cache.store c ~kind:"summary" ~key summary;
+      Cache.release_lease c ~key;
+      check Alcotest.int (label ^ ": child exit") 0 (wait_child pid);
+      let log = ref (List.rev (In_channel.with_open_bin out In_channel.input_lines)) in
+      check Alcotest.(list string) (label ^ ": never simulated") [] (logged log "simulating");
+      check
+        Alcotest.(list string)
+        (label ^ ": served by the earlier kind")
+        [ "same binary as gzip/normal: gzip/base-def input A" ]
+        (logged log "same binary as"))
+    [
+      ( "batched",
+        fun lab -> ignore (Lab.run_batch lab [ Lab.job ~bench:"gzip" ~kind:Policy.Base_def () ]) );
+      ("serial", fun lab -> ignore (Lab.run lab ~bench:"gzip" ~kind:Policy.Base_def ()));
+    ]
 
 let () =
   Alcotest.run "wish_experiments"
@@ -590,6 +646,7 @@ let () =
           Alcotest.test_case "a cached twin serves a fresh lab" `Slow
             test_cached_twin_serves_fresh_lab;
           Alcotest.test_case "wish-n variants reuse fig10" `Slow test_wish_n_variants_reuse_fig10;
+          Alcotest.test_case "a variant of its own binary" `Slow test_variant_of_its_own;
         ] );
       ( "cache",
         [

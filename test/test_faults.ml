@@ -288,15 +288,16 @@ let test_sampled_table_identical_under_faults () =
 
 let jj_jobs () = Lab.with_baselines [ Lab.job ~bench:"gzip" ~kind:Wish_compiler.Policy.Wish_jj () ]
 
+(* retries = 0: one armed fault permanently fails a task; keep_going
+   turns that into data, not an exception. *)
+let keep_going = { Lab.retries = 0; keep_going = true }
+
 let test_keep_going_reports_failures () =
   with_reset @@ fun () ->
-  let lab = Lab.create ~names:[ "gzip" ] () in
+  let lab = Lab.create ~names:[ "gzip" ] ~policy:keep_going () in
   Fun.protect ~finally:(fun () -> Lab.shutdown lab) @@ fun () ->
   FP.arm "lab.simulate" ~times:1;
-  (* retries = 0: the one armed fault permanently fails the first
-     simulation; keep_going turns that into data, not an exception. *)
-  let policy = { Lab.retries = 0; keep_going = true } in
-  (match Lab.run_batch_results ~policy lab (jj_jobs ()) with
+  (match Lab.run_batch_results lab (jj_jobs ()) with
   | [ Error fl; Ok _ ] ->
     Alcotest.(check string) "failed stage" "simulate" fl.failed_stage;
     Alcotest.(check int) "single attempt" 1 fl.failed_attempts;
@@ -313,14 +314,13 @@ let test_keep_going_reports_failures () =
    good, and both jobs report that failure. *)
 let test_keep_going_twin_group_failure () =
   with_reset @@ fun () ->
-  let lab = Lab.create ~names:[ "gzip" ] () in
+  let lab = Lab.create ~names:[ "gzip" ] ~policy:keep_going () in
   Fun.protect ~finally:(fun () -> Lab.shutdown lab) @@ fun () ->
   FP.arm "lab.simulate" ~times:1;
-  let policy = { Lab.retries = 0; keep_going = true } in
   let jobs =
     Lab.with_baselines [ Lab.job ~bench:"gzip" ~kind:Wish_compiler.Policy.Base_def () ]
   in
-  (match Lab.run_batch_results ~policy lab jobs with
+  (match Lab.run_batch_results lab jobs with
   | [ Error a; Error b ] ->
     Alcotest.(check string) "failed stage" "simulate" a.failed_stage;
     Alcotest.(check string) "the group's simulated job" "gzip/normal input A" a.failed_what;
@@ -337,50 +337,64 @@ let test_keep_going_compile_failure_cached () =
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   with_reset @@ fun () ->
   let c = Cache.create ~dir () in
-  let lab = Lab.create ~names:[ "gzip" ] ~cache:c () in
+  let lab = Lab.create ~names:[ "gzip" ] ~cache:c ~policy:keep_going () in
   Fun.protect ~finally:(fun () -> Lab.shutdown lab) @@ fun () ->
   FP.arm "lab.compile" ~times:1;
-  let policy = { Lab.retries = 0; keep_going = true } in
   List.iter
     (function
       | Error (fl : Lab.failure) -> Alcotest.(check string) "failed stage" "compile" fl.failed_stage
       | Ok _ -> Alcotest.fail "a gzip job outlived its bench's failed compile")
-    (Lab.run_batch_results ~policy lab (jj_jobs ()));
+    (Lab.run_batch_results lab (jj_jobs ()));
   note "lab.compile";
   Alcotest.(check int) "the compile ran once" 1 (FP.hits "lab.compile");
   Alcotest.(check int) "one failure counted" 1 (Lab.batch_stats lab).failed;
   Alcotest.(check int) "every lease released" 0
     (Array.length (Sys.readdir (Filename.concat (Cache.dir c) "lease")))
 
+(* A variant's binary is compiled by the batch's compile stage, under
+   the lab's policy: its failed compile fails that variant's jobs only. *)
+let test_keep_going_variant_compile_failure () =
+  with_reset @@ fun () ->
+  let lab = Lab.create ~names:[ "gzip" ] ~policy:keep_going () in
+  let normal = Lab.job ~bench:"gzip" ~kind:Wish_compiler.Policy.Normal () in
+  ignore (Lab.run_batch lab [ normal ]);
+  FP.arm "lab.compile" ~times:1;
+  let variant = Lab.job ~bench:"gzip" ~kind:Wish_compiler.Policy.Wish_jj ~wish_threshold_n:0 () in
+  (match Lab.run_batch_results lab [ variant; normal ] with
+  | [ Error fl; Ok _ ] ->
+    Alcotest.(check string) "failed stage" "compile" fl.failed_stage;
+    Alcotest.(check string) "the variant's binary" "gzip/wish-jump-join.n0" fl.failed_what
+  | _ -> Alcotest.fail "expected [Error; Ok]");
+  note "lab.compile";
+  Alcotest.(check int) "one failure counted" 1 (Lab.batch_stats lab).failed
+
 let test_fail_fast_raises () =
   with_reset @@ fun () ->
-  let lab = Lab.create ~names:[ "gzip" ] () in
-  Fun.protect ~finally:(fun () -> Lab.shutdown lab) @@ fun () ->
-  FP.arm "lab.simulate" ~times:1_000_000;
   let policy = { Lab.retries = 1; keep_going = false } in
   Alcotest.check_raises "negative retries rejected" (Invalid_argument "Lab: policy.retries < 0")
-    (fun () -> ignore (Lab.run_batch ~policy:{ policy with retries = -1 } lab (jj_jobs ())));
-  match Lab.run_batch ~policy lab (jj_jobs ()) with
+    (fun () -> ignore (Lab.create ~names:[ "gzip" ] ~policy:{ policy with retries = -1 } ()));
+  let lab = Lab.create ~names:[ "gzip" ] ~policy () in
+  Fun.protect ~finally:(fun () -> Lab.shutdown lab) @@ fun () ->
+  FP.arm "lab.simulate" ~times:1_000_000;
+  match Lab.run_batch lab (jj_jobs ()) with
   | _ -> Alcotest.fail "inexhaustible fault schedule must raise Job_failed"
   | exception Lab.Job_failed fl ->
     Alcotest.(check string) "failed stage" "simulate" fl.failed_stage;
     Alcotest.(check int) "all attempts spent" 2 fl.failed_attempts
 
-let test_resume_skips_journaled () =
-  let dir = fresh_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let s0 =
-    let lab = Lab.create ~names:[ "gzip" ] ~cache:(Cache.create ~dir ()) () in
-    Fun.protect ~finally:(fun () -> Lab.shutdown lab) @@ fun () ->
-    Lab.run_batch lab (jj_jobs ())
-  in
-  let lab = Lab.create ~names:[ "gzip" ] ~cache:(Cache.create ~dir ()) ~resume:true () in
-  Fun.protect ~finally:(fun () -> Lab.shutdown lab) @@ fun () ->
-  Alcotest.(check int) "both jobs journaled" 2 (Lab.journaled_jobs lab);
-  let s1 = Lab.run_batch lab (jj_jobs ()) in
-  Alcotest.(check string) "resumed summaries identical" (digests s0) (digests s1);
-  let st = Lab.batch_stats lab in
-  Alcotest.(check int) "both jobs served as resumed" 2 st.resumed
+(* [Lab.run] is a one-job batch: a simulation fault on its miss is
+   retried under the lab's (default) policy like any batched job's. *)
+let test_run_retries_under_policy () =
+  with_reset @@ fun () ->
+  let run lab = Lab.run lab ~bench:"gzip" ~kind:Wish_compiler.Policy.Normal () in
+  let clean = run (Lab.create ~names:[ "gzip" ] ()) in
+  let lab = Lab.create ~names:[ "gzip" ] () in
+  FP.arm "lab.simulate" ~times:1;
+  let s = run lab in
+  note "lab.simulate";
+  Alcotest.(check string) "the clean summary" (digests [ clean ]) (digests [ s ]);
+  Alcotest.(check int) "one retry" 1 (Lab.batch_stats lab).retried;
+  Alcotest.(check int) "no failure" 0 (Lab.batch_stats lab).failed
 
 (* ----------------------------------------------------------------- *)
 (* Emulator-compiler miscompile drill site                            *)
@@ -459,8 +473,11 @@ let () =
             test_keep_going_twin_group_failure;
           Alcotest.test_case "keep-going compile failure under leases" `Slow
             test_keep_going_compile_failure_cached;
+          Alcotest.test_case "keep-going variant compile failure" `Slow
+            test_keep_going_variant_compile_failure;
           Alcotest.test_case "fail-fast raises Job_failed" `Slow test_fail_fast_raises;
-          Alcotest.test_case "resume skips journaled jobs" `Slow test_resume_skips_journaled;
+          Alcotest.test_case "run retries a fault under the lab's policy" `Slow
+            test_run_retries_under_policy;
         ] );
       ("emu", [ Alcotest.test_case "compile-bug drill site" `Quick test_emu_compile_bug ]);
       ("coverage", [ Alcotest.test_case "every faultpoint exercised" `Quick test_coverage ]);
