@@ -5,7 +5,10 @@
      interpreted reference ({!Wish_sim.Core}) produce the same cycle
      count, the same full stats bag (names, values and insertion order)
      and the same memory-hierarchy counters — including a repeated
-     compiled run, which exercises the pooled-scaffold reset path;
+     compiled run, which exercises the pooled-scaffold reset path — under
+     the default configuration and under one whose memory latency exceeds
+     the completion wheel's horizon, so both cores' drains cross the
+     wheel's overflow path;
    - speedup: a compiled whole run ([Compiled.run], pooled state) beats
      an interpreted one ([Core.run]) by a conservative floor (best of 3
      CPU-time trials; this only catches the optimization being silently
@@ -39,8 +42,8 @@ let run_compiled config program trace =
   ignore (Compiled.run core);
   (Compiled.cycles core, Stats.to_assoc (Compiled.stats core), Compiled.hier_stats core)
 
-let check_identity name kind config =
-  let tag = Printf.sprintf "%s/%s" name (Wish_compiler.Policy.kind_name kind) in
+let check_identity ?(label = "") name kind config =
+  let tag = Printf.sprintf "%s/%s%s" name (Wish_compiler.Policy.kind_name kind) label in
   let program = program_for name kind in
   let trace, _final = Wish_emu.Trace.generate program in
   let ci, si, mi = run_interp config program trace in
@@ -103,5 +106,12 @@ let () =
       ("mcf", Wish_compiler.Policy.Base_def);
       ("twolf", Wish_compiler.Policy.Wish_jj);
     ];
+  (* No default-config run schedules a completion past the wheel's
+     1024-cycle horizon; a 1500-cycle memory latency sends every L2 miss
+     through the overflow table. *)
+  let far = { config with hier = { config.hier with memory_latency = 1500 } } in
+  List.iter
+    (fun (name, kind) -> check_identity ~label:" (memory latency 1500)" name kind far)
+    [ ("gzip", Wish_compiler.Policy.Normal); ("mcf", Wish_compiler.Policy.Base_def) ];
   check_speedup ();
   print_endline "sim-smoke: OK"

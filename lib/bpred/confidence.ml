@@ -46,7 +46,7 @@ let create config =
     table = Wish_util.Lru.create ~sets:config.sets ~ways:config.ways ~default:(fun () -> 0);
     config;
     set_bits = (if config.sets land (config.sets - 1) = 0 then log2 config.sets else -1);
-    f_correct = (fun c -> min max_c (c + 1));
+    f_correct = (fun c -> Int.min max_c (c + 1));
     f_wrong = (fun _ -> 0);
   }
 

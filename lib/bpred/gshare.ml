@@ -26,7 +26,8 @@ let predict t ~pc ~history = predict_at t (index t ~pc ~history)
 
 let train_at t idx ~taken =
   let c = Char.code (Bytes.unsafe_get t.pht idx) in
-  Bytes.unsafe_set t.pht idx (Char.unsafe_chr (if taken then min 3 (c + 1) else max 0 (c - 1)))
+  Bytes.unsafe_set t.pht idx
+    (Char.unsafe_chr (if taken then Int.min 3 (c + 1) else Int.max 0 (c - 1)))
 
 let train t ~pc ~history ~taken = train_at t (index t ~pc ~history) ~taken
 

@@ -112,7 +112,7 @@ let train t (l : lookup) ~taken =
   if l.g_taken <> l.p_taken then begin
     let c = Char.code (Bytes.unsafe_get t.selector l.s_index) in
     Bytes.unsafe_set t.selector l.s_index
-      (Char.unsafe_chr (if l.g_taken = taken then min 3 (c + 1) else max 0 (c - 1)))
+      (Char.unsafe_chr (if l.g_taken = taken then Int.min 3 (c + 1) else Int.max 0 (c - 1)))
   end
 
 (* ----- buffer-based protocol (allocation-free mirror of the above) ----- *)
@@ -150,7 +150,7 @@ let train_b t (d : lbuf) ~taken =
   if d.b_g_taken <> d.b_p_taken then begin
     let c = Char.code (Bytes.unsafe_get t.selector d.b_s_index) in
     Bytes.unsafe_set t.selector d.b_s_index
-      (Char.unsafe_chr (if d.b_g_taken = taken then min 3 (c + 1) else max 0 (c - 1)))
+      (Char.unsafe_chr (if d.b_g_taken = taken then Int.min 3 (c + 1) else Int.max 0 (c - 1)))
   end
 
 (** [warm_train_b t d ~pc ~dir ~taken] — the training half of a fused
@@ -216,7 +216,7 @@ let warm_fast t ~dir ~pc ~taken =
   if g_taken <> p_taken then begin
     let c = Char.code (Bytes.unsafe_get t.selector s_index) in
     Bytes.unsafe_set t.selector s_index
-      (Char.unsafe_chr (if g_taken = taken then min 3 (c + 1) else max 0 (c - 1)))
+      (Char.unsafe_chr (if g_taken = taken then Int.min 3 (c + 1) else Int.max 0 (c - 1)))
   end;
   t.history <- ((t.history lsl 1) lor if dir then 1 else 0) land t.history_mask;
   ignore (Pas.spec_update t.pas ~pc ~taken:dir);

@@ -59,7 +59,8 @@ let restore t ~pc ~old = t.bht.(bht_index t ~pc) <- old
 
 let train_at t idx ~taken =
   let c = Char.code (Bytes.unsafe_get t.pht idx) in
-  Bytes.unsafe_set t.pht idx (Char.unsafe_chr (if taken then min 3 (c + 1) else max 0 (c - 1)))
+  Bytes.unsafe_set t.pht idx
+    (Char.unsafe_chr (if taken then Int.min 3 (c + 1) else Int.max 0 (c - 1)))
 
 (** [warm t ~pc ~taken] — functional-warming update: predict, train the
     indexed counter on the outcome, and shift the outcome (not the

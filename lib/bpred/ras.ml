@@ -24,7 +24,7 @@ let pop t =
   end
 
 let snapshot t = t.top
-let restore t top = t.top <- max 0 top
+let restore t top = t.top <- Int.max 0 top
 let copy t = { data = Array.copy t.data; top = t.top }
 
 (** [reset t] restores the exact just-created state in place. *)

@@ -4,11 +4,12 @@
     of execution:
 
     - every static instruction becomes an OCaml closure with its operand
-      shape, guard register, ALU/CMP operation and immediates resolved at
-      compile time — executing it performs no variant matching;
-    - straight-line runs are fused into superblocks: each closure tail-calls
-      the next instruction's closure directly, so the fetch/dispatch loop
-      in {!run} executes once per block instead of once per instruction.
+      shape, guard register, destinations and immediates resolved at
+      compile time — executing it matches on nothing but its ALU/CMP
+      operation, and ends by tail-calling the per-step sink;
+    - straight-line runs are fused into superblocks: the driver in {!run}
+      looks up the block at [st.pc] once, calls its closures in order,
+      and updates [st.pc] and [st.retired] once per block.
       Blocks end at control transfers ({!Wish_isa.Code.ends_block});
       in [Predicate_through] mode wish jumps and wish joins always fall
       through, so they are fused and the mode gets its own, coarser block
@@ -43,23 +44,45 @@ let bug_site =
 
 type sink = Exec.out -> unit
 
-(* Physical-identity sentinel: [run ~sink:no_sink] skips the per-step
-   callback entirely instead of paying an indirect call into a no-op. *)
+(* The sink for callers that need no per-step facts. *)
 let no_sink : sink = fun _ -> ()
+
+(* One run's machine state, fact record and per-step consumer: the single
+   argument of every specialized closure. A one-argument call of an
+   unknown closure enters its code pointer directly, where a
+   two-argument one goes through [caml_apply2]'s arity check; and since
+   each closure ends by tail-calling [sink], the block loop makes one
+   call per instruction, not two. *)
+type ctx = { st : State.t; out : Exec.out; sink : sink }
 
 type t = {
   mode : Exec.mode;
   checked : bool;
   n : int;
-  core : (State.t -> Exec.out -> unit) array;
-      (* specialized closures: facts + state effects; [st.pc] is
-         maintained by the block driver, once per block *)
-  steps : (State.t -> Exec.out -> unit) array;
+  core : (ctx -> unit) array;
+      (* specialized closures: state effects, facts, then [sink]; [st.pc]
+         is maintained by the block driver, once per block *)
+  steps : (ctx -> unit) array;
       (* single-instruction closures: core + [st.pc] update *)
   suffix_len : int array; (* instructions from pc to its block's end *)
   leaders : bool array;
   blocks : int; (* static basic blocks in this mode's graph *)
+  mutable last : ctx option;
+      (* the last run's context: a trace generator calls {!run} once per
+         block it records, always with the same state, record and sink *)
 }
+
+(* The context for one run, reused from the previous run when all three
+   parts are physically the same. A domain racing on [last] reads one
+   fully built context or the other, and uses it only if its parts are
+   its own. *)
+let ctx t st out sink =
+  match t.last with
+  | Some c when c.st == st && c.out == out && c.sink == sink -> c
+  | _ ->
+    let c = { st; out; sink } in
+    t.last <- Some c;
+    c
 
 let mode t = t.mode
 let is_checked t = t.checked
@@ -77,336 +100,176 @@ let[@inline] wr (st : State.t) r v = Array.unsafe_set st.regs r v
 let[@inline] rp (st : State.t) p = Array.unsafe_get st.pregs p
 let[@inline] wp (st : State.t) p v = Array.unsafe_set st.pregs p v
 
-(* Specialize the instruction at [pc] into a closure computing its facts
-   and state effects. Leaves [st.pc] alone (the block driver maintains
-   it) and never touches [st.retired] (counted per block).
+(* An instruction's last act: store its five facts and tail-call the
+   sink. Inlined into every closure below. *)
+let[@inline] emit c ~pc ~guard_true ~taken ~next_pc ~addr =
+  let out = c.out in
+  out.Exec.o_pc <- pc;
+  out.o_guard_true <- guard_true;
+  out.o_taken <- taken;
+  out.o_next_pc <- next_pc;
+  out.o_addr <- addr;
+  c.sink out
 
-   The closure bodies below spell the five fact stores out instead of
-   sharing a [set_facts] helper: a shared helper would be a separate
-   closure, and each call costs an indirect jump on the per-instruction
-   path — comparable to the stores themselves. Same reason the guard
-   test is duplicated per arm instead of wrapped by a combinator, and
-   the cmp/pset destinations are -1-encoded ints tested inline rather
-   than a specialized write-back closure. *)
-let specialize (m : Exec.mode) code pc : State.t -> Exec.out -> unit =
+(* ALU and compare semantics, written out here rather than shared with
+   {!Exec}: the interpreter is the reference the lockstep checks compare
+   against, so a slip in one copy shows up as a divergence. *)
+let[@inline] alu op a b =
+  match op with
+  | Inst.Add -> a + b
+  | Inst.Sub -> a - b
+  | Inst.Mul -> a * b
+  | Inst.And -> a land b
+  | Inst.Or -> a lor b
+  | Inst.Xor -> a lxor b
+  | Inst.Shl -> a lsl (b land 63)
+  | Inst.Shr -> a asr (b land 63)
+
+let[@inline] cmp op (a : int) b =
+  match op with
+  | Inst.Eq -> a = b
+  | Inst.Ne -> a <> b
+  | Inst.Lt -> a < b
+  | Inst.Le -> a <= b
+  | Inst.Gt -> a > b
+  | Inst.Ge -> a >= b
+
+(* A compare's destination writes; [dt]/[df] are -1 when discarded (p0
+   or absent). *)
+let[@inline] write_cmp st dt df v =
+  if dt >= 0 then wp st dt v;
+  if df >= 0 then wp st df (not v)
+
+(* Specialize the instruction at [pc] into a closure applying its state
+   effects and reporting its facts. Leaves [st.pc] alone (the block
+   driver maintains it) and never touches [st.retired] (counted per
+   block). Everything static — operand shape, guard, destinations,
+   successor — is resolved here; an ALU or compare operation is a jump
+   table on [op] inside the closure ([alu]/[cmp], inlined), not a nested
+   closure call. *)
+let specialize (m : Exec.mode) code pc : ctx -> unit =
   let i = Code.get code pc in
   let fall = pc + 1 in
   let g = i.Inst.guard in
-  let open Exec in
   match i.op with
   | Inst.Nop ->
-    if g = Reg.p0 then (fun _st out ->
-      out.o_pc <- pc;
-      out.o_guard_true <- true;
-      out.o_taken <- false;
-      out.o_next_pc <- fall;
-      out.o_addr <- -1)
-    else
-      fun st out ->
-        out.o_pc <- pc;
-        out.o_guard_true <- rp st g;
-        out.o_taken <- false;
-        out.o_next_pc <- fall;
-        out.o_addr <- -1
-  | Inst.Alu { op; dst; src1; src2 } ->
-    let work =
-      if dst = Reg.r0 then fun _ -> ()
-      else begin
-        match src2 with
-        | Inst.Imm k -> (
-          match op with
-          | Inst.Add ->
-            let k = if Wish_util.Faultpoint.fires bug_site then k + 1 else k in
-            fun st -> wr st dst (rd st src1 + k)
-          | Inst.Sub -> fun st -> wr st dst (rd st src1 - k)
-          | Inst.Mul -> fun st -> wr st dst (rd st src1 * k)
-          | Inst.And -> fun st -> wr st dst (rd st src1 land k)
-          | Inst.Or -> fun st -> wr st dst (rd st src1 lor k)
-          | Inst.Xor -> fun st -> wr st dst (rd st src1 lxor k)
-          | Inst.Shl ->
-            let k = k land 63 in
-            fun st -> wr st dst (rd st src1 lsl k)
-          | Inst.Shr ->
-            let k = k land 63 in
-            fun st -> wr st dst (rd st src1 asr k))
-        | Inst.Reg r2 -> (
-          match op with
-          | Inst.Add -> fun st -> wr st dst (rd st src1 + rd st r2)
-          | Inst.Sub -> fun st -> wr st dst (rd st src1 - rd st r2)
-          | Inst.Mul -> fun st -> wr st dst (rd st src1 * rd st r2)
-          | Inst.And -> fun st -> wr st dst (rd st src1 land rd st r2)
-          | Inst.Or -> fun st -> wr st dst (rd st src1 lor rd st r2)
-          | Inst.Xor -> fun st -> wr st dst (rd st src1 lxor rd st r2)
-          | Inst.Shl -> fun st -> wr st dst (rd st src1 lsl (rd st r2 land 63))
-          | Inst.Shr -> fun st -> wr st dst (rd st src1 asr (rd st r2 land 63)))
-      end
-    in
-    if g = Reg.p0 then (fun st out ->
-      work st;
-      out.o_pc <- pc;
-      out.o_guard_true <- true;
-      out.o_taken <- false;
-      out.o_next_pc <- fall;
-      out.o_addr <- -1)
-    else
-      fun st out ->
-        (if rp st g then begin
-           work st;
-           out.o_guard_true <- true
-         end
-         else out.o_guard_true <- false);
-        out.o_pc <- pc;
-        out.o_taken <- false;
-        out.o_next_pc <- fall;
-        out.o_addr <- -1
+    if g = Reg.p0 then fun c -> emit c ~pc ~guard_true:true ~taken:false ~next_pc:fall ~addr:(-1)
+    else fun c -> emit c ~pc ~guard_true:(rp c.st g) ~taken:false ~next_pc:fall ~addr:(-1)
+  | Inst.Alu { op; dst; src1; src2 = Inst.Imm k } ->
+    let dst = if dst = Reg.r0 then -1 else dst in
+    let k = if dst >= 0 && op = Inst.Add && Wish_util.Faultpoint.fires bug_site then k + 1 else k in
+    if g = Reg.p0 then (fun c ->
+      if dst >= 0 then wr c.st dst (alu op (rd c.st src1) k);
+      emit c ~pc ~guard_true:true ~taken:false ~next_pc:fall ~addr:(-1))
+    else fun c ->
+      let t = rp c.st g in
+      if t && dst >= 0 then wr c.st dst (alu op (rd c.st src1) k);
+      emit c ~pc ~guard_true:t ~taken:false ~next_pc:fall ~addr:(-1)
+  | Inst.Alu { op; dst; src1; src2 = Inst.Reg r2 } ->
+    let dst = if dst = Reg.r0 then -1 else dst in
+    if g = Reg.p0 then (fun c ->
+      if dst >= 0 then wr c.st dst (alu op (rd c.st src1) (rd c.st r2));
+      emit c ~pc ~guard_true:true ~taken:false ~next_pc:fall ~addr:(-1))
+    else fun c ->
+      let t = rp c.st g in
+      if t && dst >= 0 then wr c.st dst (alu op (rd c.st src1) (rd c.st r2));
+      emit c ~pc ~guard_true:t ~taken:false ~next_pc:fall ~addr:(-1)
   | Inst.Cmp { op; dst_true; dst_false; src1; src2; unc } ->
-    let value =
-      match src2 with
-      | Inst.Imm k -> (
-        match op with
-        | Inst.Eq -> fun st -> rd st src1 = k
-        | Inst.Ne -> fun st -> rd st src1 <> k
-        | Inst.Lt -> fun st -> rd st src1 < k
-        | Inst.Le -> fun st -> rd st src1 <= k
-        | Inst.Gt -> fun st -> rd st src1 > k
-        | Inst.Ge -> fun st -> rd st src1 >= k)
-      | Inst.Reg r2 -> (
-        match op with
-        | Inst.Eq -> fun st -> rd st src1 = rd st r2
-        | Inst.Ne -> fun st -> rd st src1 <> rd st r2
-        | Inst.Lt -> fun st -> rd st src1 < rd st r2
-        | Inst.Le -> fun st -> rd st src1 <= rd st r2
-        | Inst.Gt -> fun st -> rd st src1 > rd st r2
-        | Inst.Ge -> fun st -> rd st src1 >= rd st r2)
-    in
-    (* Destination predicates as ints, -1 encoding "discarded" (p0 or
-       absent). *)
     let dt = if dst_true = Reg.p0 then -1 else dst_true in
     let df = match dst_false with Some p when p <> Reg.p0 -> p | _ -> -1 in
-    if g = Reg.p0 then (fun st out ->
-      let v = value st in
-      if dt >= 0 then wp st dt v;
-      if df >= 0 then wp st df (not v);
-      out.o_pc <- pc;
-      out.o_guard_true <- true;
-      out.o_taken <- false;
-      out.o_next_pc <- fall;
-      out.o_addr <- -1)
-    else if unc then (fun st out ->
-      (if rp st g then begin
-         let v = value st in
-         if dt >= 0 then wp st dt v;
-         if df >= 0 then wp st df (not v);
-         out.o_guard_true <- true
-       end
-       else begin
-         (* cmp.unc with a false guard clears both destinations. *)
-         if dt >= 0 then wp st dt false;
-         if df >= 0 then wp st df false;
-         out.o_guard_true <- false
-       end);
-      out.o_pc <- pc;
-      out.o_taken <- false;
-      out.o_next_pc <- fall;
-      out.o_addr <- -1)
-    else
-      fun st out ->
-        (if rp st g then begin
-           let v = value st in
-           if dt >= 0 then wp st dt v;
-           if df >= 0 then wp st df (not v);
-           out.o_guard_true <- true
-         end
-         else out.o_guard_true <- false);
-        out.o_pc <- pc;
-        out.o_taken <- false;
-        out.o_next_pc <- fall;
-        out.o_addr <- -1
+    let imm, k, r2 = match src2 with Inst.Imm k -> (true, k, 0) | Inst.Reg r -> (false, 0, r) in
+    if g = Reg.p0 then (fun c ->
+      let st = c.st in
+      write_cmp st dt df (cmp op (rd st src1) (if imm then k else rd st r2));
+      emit c ~pc ~guard_true:true ~taken:false ~next_pc:fall ~addr:(-1))
+    else if unc then (fun c ->
+      let st = c.st in
+      let t = rp st g in
+      if t then write_cmp st dt df (cmp op (rd st src1) (if imm then k else rd st r2))
+      else begin
+        (* cmp.unc with a false guard clears both destinations. *)
+        if dt >= 0 then wp st dt false;
+        if df >= 0 then wp st df false
+      end;
+      emit c ~pc ~guard_true:t ~taken:false ~next_pc:fall ~addr:(-1))
+    else fun c ->
+      let st = c.st in
+      let t = rp st g in
+      if t then write_cmp st dt df (cmp op (rd st src1) (if imm then k else rd st r2));
+      emit c ~pc ~guard_true:t ~taken:false ~next_pc:fall ~addr:(-1)
   | Inst.Pset { dst; value } ->
     let dst = if dst = Reg.p0 then -1 else dst in
-    if g = Reg.p0 then (fun st out ->
-      if dst >= 0 then wp st dst value;
-      out.o_pc <- pc;
-      out.o_guard_true <- true;
-      out.o_taken <- false;
-      out.o_next_pc <- fall;
-      out.o_addr <- -1)
-    else
-      fun st out ->
-        (if rp st g then begin
-           if dst >= 0 then wp st dst value;
-           out.o_guard_true <- true
-         end
-         else out.o_guard_true <- false);
-        out.o_pc <- pc;
-        out.o_taken <- false;
-        out.o_next_pc <- fall;
-        out.o_addr <- -1
+    if g = Reg.p0 then (fun c ->
+      if dst >= 0 then wp c.st dst value;
+      emit c ~pc ~guard_true:true ~taken:false ~next_pc:fall ~addr:(-1))
+    else fun c ->
+      let t = rp c.st g in
+      if t && dst >= 0 then wp c.st dst value;
+      emit c ~pc ~guard_true:t ~taken:false ~next_pc:fall ~addr:(-1)
   | Inst.Load { dst; base; offset } ->
     (* A load to r0 still performs the read (it can fault); only the
        write-back is discarded. *)
     let dst = if dst = Reg.r0 then -1 else dst in
-    if g = Reg.p0 then (fun st out ->
+    let load c =
+      let st = c.st in
       let addr = rd st base + offset in
       let v = Memory.read st.State.mem addr in
       if dst >= 0 then wr st dst v;
-      out.o_pc <- pc;
-      out.o_guard_true <- true;
-      out.o_taken <- false;
-      out.o_next_pc <- fall;
-      out.o_addr <- addr)
-    else
-      fun st out ->
-        (if rp st g then begin
-           let addr = rd st base + offset in
-           let v = Memory.read st.State.mem addr in
-           if dst >= 0 then wr st dst v;
-           out.o_guard_true <- true;
-           out.o_addr <- addr
-         end
-         else begin
-           out.o_guard_true <- false;
-           out.o_addr <- -1
-         end);
-        out.o_pc <- pc;
-        out.o_taken <- false;
-        out.o_next_pc <- fall
+      emit c ~pc ~guard_true:true ~taken:false ~next_pc:fall ~addr
+    in
+    if g = Reg.p0 then load
+    else fun c ->
+      if rp c.st g then load c
+      else emit c ~pc ~guard_true:false ~taken:false ~next_pc:fall ~addr:(-1)
   | Inst.Store { src; base; offset } ->
-    if g = Reg.p0 then (fun st out ->
+    let store c =
+      let st = c.st in
       let addr = rd st base + offset in
       Memory.write st.State.mem addr (rd st src);
-      out.o_pc <- pc;
-      out.o_guard_true <- true;
-      out.o_taken <- false;
-      out.o_next_pc <- fall;
-      out.o_addr <- addr)
-    else
-      fun st out ->
-        (if rp st g then begin
-           let addr = rd st base + offset in
-           Memory.write st.State.mem addr (rd st src);
-           out.o_guard_true <- true;
-           out.o_addr <- addr
-         end
-         else begin
-           out.o_guard_true <- false;
-           out.o_addr <- -1
-         end);
-        out.o_pc <- pc;
-        out.o_taken <- false;
-        out.o_next_pc <- fall
-  | Inst.Branch { kind; target } ->
+      emit c ~pc ~guard_true:true ~taken:false ~next_pc:fall ~addr
+    in
+    if g = Reg.p0 then store
+    else fun c ->
+      if rp c.st g then store c
+      else emit c ~pc ~guard_true:false ~taken:false ~next_pc:fall ~addr:(-1)
+  | Inst.Branch { target = next_pc; _ } | Inst.Jump { target = next_pc } ->
     (* The successor of a taken branch is static — including the forced
        fall-through of wish jumps/joins in predicate-through mode. *)
-    let follow =
-      match (m, kind) with
-      | Exec.Predicate_through, (Inst.Wish_jump | Inst.Wish_join) -> fall
-      | _, (Inst.Cond | Inst.Wish_jump | Inst.Wish_join | Inst.Wish_loop) -> target
+    let next_pc =
+      match (m, i.op) with
+      | Exec.Predicate_through, Inst.Branch { kind = Inst.Wish_jump | Inst.Wish_join; _ } -> fall
+      | _ -> next_pc
     in
-    if g = Reg.p0 then (fun _st out ->
-      out.o_pc <- pc;
-      out.o_guard_true <- true;
-      out.o_taken <- true;
-      out.o_next_pc <- follow;
-      out.o_addr <- -1)
-    else
-      fun st out ->
-        (if rp st g then begin
-           out.o_guard_true <- true;
-           out.o_taken <- true;
-           out.o_next_pc <- follow
-         end
-         else begin
-           out.o_guard_true <- false;
-           out.o_taken <- false;
-           out.o_next_pc <- fall
-         end);
-        out.o_pc <- pc;
-        out.o_addr <- -1
-  | Inst.Jump { target } ->
-    if g = Reg.p0 then (fun _st out ->
-      out.o_pc <- pc;
-      out.o_guard_true <- true;
-      out.o_taken <- true;
-      out.o_next_pc <- target;
-      out.o_addr <- -1)
-    else
-      fun st out ->
-        (if rp st g then begin
-           out.o_guard_true <- true;
-           out.o_taken <- true;
-           out.o_next_pc <- target
-         end
-         else begin
-           out.o_guard_true <- false;
-           out.o_taken <- false;
-           out.o_next_pc <- fall
-         end);
-        out.o_pc <- pc;
-        out.o_addr <- -1
+    if g = Reg.p0 then fun c -> emit c ~pc ~guard_true:true ~taken:true ~next_pc ~addr:(-1)
+    else fun c ->
+      if rp c.st g then emit c ~pc ~guard_true:true ~taken:true ~next_pc ~addr:(-1)
+      else emit c ~pc ~guard_true:false ~taken:false ~next_pc:fall ~addr:(-1)
   | Inst.Call { target } ->
-    if g = Reg.p0 then (fun st out ->
-      State.push_ra st fall;
-      out.o_pc <- pc;
-      out.o_guard_true <- true;
-      out.o_taken <- true;
-      out.o_next_pc <- target;
-      out.o_addr <- -1)
-    else
-      fun st out ->
-        (if rp st g then begin
-           State.push_ra st fall;
-           out.o_guard_true <- true;
-           out.o_taken <- true;
-           out.o_next_pc <- target
-         end
-         else begin
-           out.o_guard_true <- false;
-           out.o_taken <- false;
-           out.o_next_pc <- fall
-         end);
-        out.o_pc <- pc;
-        out.o_addr <- -1
+    let call c =
+      State.push_ra c.st fall;
+      emit c ~pc ~guard_true:true ~taken:true ~next_pc:target ~addr:(-1)
+    in
+    if g = Reg.p0 then call
+    else fun c ->
+      if rp c.st g then call c
+      else emit c ~pc ~guard_true:false ~taken:false ~next_pc:fall ~addr:(-1)
   | Inst.Return ->
-    if g = Reg.p0 then (fun st out ->
-      out.o_pc <- pc;
-      out.o_guard_true <- true;
-      out.o_taken <- true;
-      out.o_next_pc <- State.pop_ra st;
-      out.o_addr <- -1)
-    else
-      fun st out ->
-        (if rp st g then begin
-           out.o_guard_true <- true;
-           out.o_taken <- true;
-           out.o_next_pc <- State.pop_ra st
-         end
-         else begin
-           out.o_guard_true <- false;
-           out.o_taken <- false;
-           out.o_next_pc <- fall
-         end);
-        out.o_pc <- pc;
-        out.o_addr <- -1
+    let return c =
+      let next_pc = State.pop_ra c.st in
+      emit c ~pc ~guard_true:true ~taken:true ~next_pc ~addr:(-1)
+    in
+    if g = Reg.p0 then return
+    else fun c ->
+      if rp c.st g then return c
+      else emit c ~pc ~guard_true:false ~taken:false ~next_pc:fall ~addr:(-1)
   | Inst.Halt ->
-    if g = Reg.p0 then (fun st out ->
-      st.State.halted <- true;
-      out.o_pc <- pc;
-      out.o_guard_true <- true;
-      out.o_taken <- false;
-      out.o_next_pc <- fall;
-      out.o_addr <- -1)
-    else
-      fun st out ->
-        (if rp st g then begin
-           st.State.halted <- true;
-           out.o_guard_true <- true
-         end
-         else out.o_guard_true <- false);
-        out.o_pc <- pc;
-        out.o_taken <- false;
-        out.o_next_pc <- fall;
-        out.o_addr <- -1
+    if g = Reg.p0 then (fun c ->
+      c.st.State.halted <- true;
+      emit c ~pc ~guard_true:true ~taken:false ~next_pc:fall ~addr:(-1))
+    else fun c ->
+      let t = rp c.st g in
+      if t then c.st.State.halted <- true;
+      emit c ~pc ~guard_true:t ~taken:false ~next_pc:fall ~addr:(-1)
 
 (** [compile ?checked ~mode code] — one-time translation of [code] for
     [mode]. [checked] (default: the [WISH_EMU_CHECKED] environment flag)
@@ -420,15 +283,17 @@ let compile ?checked ~mode code =
        [Code.create] (the only constructor of a [Code.t]); that is what
        licenses the unchecked accesses inside [specialize]. *)
     Array.init n (fun pc ->
-        if checked then fun st out -> Exec.step_at mode code st ~pc out
+        if checked then fun c ->
+          Exec.step_at mode code c.st ~pc c.out;
+          c.sink c.out
         else specialize mode code pc)
   in
   let steps =
     Array.map
       (fun f ->
-        fun st (out : Exec.out) ->
-          f st out;
-          st.State.pc <- out.o_next_pc)
+        fun c ->
+          f c;
+          c.st.State.pc <- c.out.o_next_pc)
       core
   in
   let fuse_wish = mode = Exec.Predicate_through in
@@ -441,7 +306,7 @@ let compile ?checked ~mode code =
   done;
   let leaders = Code.block_leaders ~fuse_wish code in
   let blocks = Array.fold_left (fun acc l -> if l then acc + 1 else acc) 0 leaders in
-  { mode; checked; n; core; steps; suffix_len; leaders; blocks }
+  { mode; checked; n; core; steps; suffix_len; leaders; blocks; last = None }
 
 (** [step t st out] — execute exactly one instruction, mirroring
     {!Exec.step_into} (facts into [out], [st.pc]/[st.retired] updated).
@@ -451,16 +316,14 @@ let step t (st : State.t) out =
   let pc = st.pc in
   if pc < 0 || pc >= t.n then
     invalid_arg (Printf.sprintf "Compiled.step: pc %d outside [0, %d)" pc t.n);
-  (Array.unsafe_get t.steps pc) st out;
+  (Array.unsafe_get t.steps pc) (ctx t st out no_sink);
   st.retired <- st.retired + 1
 
 (** [run t st out ~sink ~fuel ~steps] — execute whole blocks until the
     machine halts or at least [steps] more instructions have retired
     (block fusion may overshoot to the end of the final block). [sink] is
     invoked once per instruction with the shared [out] record — it must
-    copy what it needs and must not mutate [st]; pass {!no_sink} (that
-    exact closure, compared physically) to run without per-step
-    emission. Raises
+    copy what it needs and must not mutate [st]. Raises
     {!Exec.Out_of_fuel} exactly where the interpreted loop would: blocks
     that would cross the fuel line fall back to fuel-checked
     single-stepping. *)
@@ -471,6 +334,7 @@ let run t (st : State.t) out ~(sink : sink) ~fuel ~steps =
   in
   let core = t.core and slen = t.suffix_len and stepa = t.steps in
   let checked = t.checked in
+  let c = ctx t st out sink in
   if fuel = max_int && target = max_int && not checked then
     (* Unbounded fast path: no fuel or step accounting per block. This is
        the run-to-completion configuration (Trace.generate, Profile,
@@ -480,15 +344,9 @@ let run t (st : State.t) out ~(sink : sink) ~fuel ~steps =
     while not st.halted do
       let pc = st.pc in
       let len = Array.unsafe_get slen pc in
-      if sink == no_sink then
-        for p = pc to pc + len - 1 do
-          (Array.unsafe_get core p) st out
-        done
-      else
-        for p = pc to pc + len - 1 do
-          (Array.unsafe_get core p) st out;
-          sink out
-        done;
+      for p = pc to pc + len - 1 do
+        (Array.unsafe_get core p) c
+      done;
       st.pc <- out.o_next_pc;
       st.retired <- st.retired + len
     done
@@ -501,23 +359,16 @@ let run t (st : State.t) out ~(sink : sink) ~fuel ~steps =
     if st.retired + len > fuel then begin
       (* Fuel-exact fallback: same raise point as the interpreter. *)
       if st.retired >= fuel then raise (Exec.Out_of_fuel fuel);
-      (Array.unsafe_get stepa pc) st out;
-      sink out;
+      (Array.unsafe_get stepa pc) c;
       st.retired <- st.retired + 1
     end
     else begin
       (* One dispatch per block: the inner loop walks the straight-line
          run to the block's end; [st.pc] is updated once, from the
          terminal instruction's successor. *)
-      if sink == no_sink then
-        for p = pc to pc + len - 1 do
-          (Array.unsafe_get core p) st out
-        done
-      else
-        for p = pc to pc + len - 1 do
-          (Array.unsafe_get core p) st out;
-          sink out
-        done;
+      for p = pc to pc + len - 1 do
+        (Array.unsafe_get core p) c
+      done;
       st.pc <- out.o_next_pc;
       st.retired <- st.retired + len
     end
@@ -543,6 +394,7 @@ let run_hooked t (st : State.t) out ~(hooks : sink array) ~fuel ~steps =
   in
   let core = t.core and slen = t.suffix_len and stepa = t.steps in
   let checked = t.checked in
+  let c = ctx t st out no_sink in
   while (not st.halted) && st.retired < target do
     let pc = st.pc in
     if checked && (pc < 0 || pc >= t.n) then
@@ -551,7 +403,7 @@ let run_hooked t (st : State.t) out ~(hooks : sink array) ~fuel ~steps =
     if st.retired + len > fuel then begin
       (* Fuel-exact fallback: same raise point as the interpreter. *)
       if st.retired >= fuel then raise (Exec.Out_of_fuel fuel);
-      (Array.unsafe_get stepa pc) st out;
+      (Array.unsafe_get stepa pc) c;
       let h = Array.unsafe_get hooks pc in
       if h != no_sink then h out;
       st.retired <- st.retired + 1
@@ -559,14 +411,14 @@ let run_hooked t (st : State.t) out ~(hooks : sink array) ~fuel ~steps =
     else if st.retired + len > target then begin
       (* Exact-stop fallback: the block would overshoot [target], so walk
          its head instruction by instruction. *)
-      (Array.unsafe_get stepa pc) st out;
+      (Array.unsafe_get stepa pc) c;
       let h = Array.unsafe_get hooks pc in
       if h != no_sink then h out;
       st.retired <- st.retired + 1
     end
     else begin
       for p = pc to pc + len - 1 do
-        (Array.unsafe_get core p) st out;
+        (Array.unsafe_get core p) c;
         (* [no_sink] marks pcs whose warm step is statically nothing
            (straight-line instructions on an already-touched I-line): a
            pointer compare instead of an indirect call, on the ~3/4 of a

@@ -16,9 +16,9 @@ type t
     mutate the machine state. *)
 type sink = Exec.out -> unit
 
-(** Sentinel sink for callers that need no per-step facts (pure
-    fast-forwarding, throughput benchmarks). Recognized by physical
-    identity inside {!run}, which then skips the callback entirely. *)
+(** The sink for callers that need no per-step facts (pure
+    fast-forwarding, throughput benchmarks). {!run_hooked} recognizes it
+    by physical identity and skips the call. *)
 val no_sink : sink
 
 (** [compile ?checked ~mode code] translates [code] once for [mode].

@@ -45,7 +45,7 @@ let create config =
 
 let memory_latency t ~now ~byte_addr =
   let bank = (byte_addr lsr 6) mod t.config.memory_banks in
-  let start = max now t.bank_free_at.(bank) in
+  let start = Int.max now t.bank_free_at.(bank) in
   t.bank_free_at.(bank) <- start + t.config.bank_busy;
   (start - now) + t.config.memory_latency
 

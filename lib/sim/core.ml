@@ -49,9 +49,6 @@ type dinfo = {
    overflow table. *)
 let wheel_horizon = 1024
 
-(* Fills vacated wheel payload slots; never scheduled or mutated. *)
-let dummy_uop = Uop.fresh ~branch:false
-
 (* A fetch group: µops in fetch order, consumed from [next] by rename.
    Plain array + cursor instead of the previous [Uop.t list ref]. *)
 type fgroup = { ready_cycle : int; uops : Uop.t array; mutable next : int }
@@ -143,7 +140,7 @@ type t = {
   rob : Uop.t Ring.t;
   in_flight : (int, Uop.t) Hashtbl.t;
   ready : Heap.t;
-  events : Uop.t Wheel.t; (* completion calendar wheel *)
+  events : Wheel.t; (* completion calendar wheel, µop ids *)
   pending_stores : (int, ibuf) Hashtbl.t; (* byte addr -> store µop ids *)
   fsm : Wish_fsm.t;
   stats : Stats.t;
@@ -187,7 +184,7 @@ let create config (program : Program.t) trace =
     rob = Ring.create config.rob_size;
     in_flight = Hashtbl.create 2048;
     ready = Heap.create ();
-    events = Wheel.create ~horizon:wheel_horizon ~dummy:dummy_uop;
+    events = Wheel.create ~horizon:wheel_horizon;
     pending_stores = Hashtbl.create 64;
     fsm = Wish_fsm.create ();
     stats;
@@ -819,7 +816,7 @@ let rename_stage t =
 let schedule_completion t (u : Uop.t) latency =
   let c = t.cycle + max 1 latency in
   u.complete_cycle <- c;
-  Wheel.schedule t.events ~now:t.cycle ~due:c ~id:u.id u
+  Wheel.schedule t.events ~now:t.cycle ~due:c ~id:u.id
 
 (* Loads wait for older incomplete stores to the same address (addresses
    are known at rename, so disambiguation is idealized-perfect). *)
@@ -998,10 +995,12 @@ let complete_uop t (u : Uop.t) =
 
 let process_events t =
   (* Ascending-id drain: oldest-first so the oldest misprediction wins the
-     flush. A recycled µop no longer matches its scheduled id; a squashed
-     one is marked flushed — both are stale events to skip. *)
-  Wheel.drain t.events ~now:t.cycle ~f:(fun id u ->
-      if u.Uop.id = id && not u.Uop.flushed then complete_uop t u)
+     flush. A squashed µop left [in_flight] when it was marked flushed, and
+     a recycled one carries a fresh id: both are stale events to skip. *)
+  Wheel.drain t.events ~now:t.cycle ~f:(fun id ->
+      match Hashtbl.find t.in_flight id with
+      | u -> complete_uop t u
+      | exception Not_found -> ())
 
 let count_wish_retirement t (u : Uop.t) (b : Uop.branch_rec) =
   match b.wish_kind with

@@ -1,4 +1,5 @@
-(** A calendar wheel of completion events carrying payloads.
+(** A calendar wheel of completion events, each an int id (a µop id; the
+    caller resolves it).
 
     One bucket per future cycle, indexed by [due land (horizon - 1)].
     Events due beyond the horizon go to an overflow table indexed by
@@ -7,25 +8,22 @@
     O(events maturing), not O(all far events) as a linear overflow list
     would be. Draining delivers events in ascending-id order. *)
 
-type 'a t
+type t
 
-(** [create ~horizon ~dummy] — [horizon] must be a positive power of two;
-    [dummy] fills vacated payload slots so the wheel never pins dead
-    payloads. *)
-val create : horizon:int -> dummy:'a -> 'a t
+(** [create ~horizon] — [horizon] must be a positive power of two. *)
+val create : horizon:int -> t
 
-val horizon : 'a t -> int
+val horizon : t -> int
 
-(** [schedule t ~now ~due ~id payload] — [due] must be > [now]. *)
-val schedule : 'a t -> now:int -> due:int -> id:int -> 'a -> unit
+(** [schedule t ~now ~due ~id] — [due] must be > [now]. *)
+val schedule : t -> now:int -> due:int -> id:int -> unit
 
-(** [drain t ~now ~f] calls [f id payload] for every event due at [now] in
+(** [drain t ~now ~f] calls [f id] for every event due at [now] in
     ascending id order and empties the bucket. [f] may schedule further
     events (all due later than [now]). Must be called with consecutive
     [now] values — rotation sweeps happen as [now] crosses multiples of
     the horizon. *)
-val drain : 'a t -> now:int -> f:(int -> 'a -> unit) -> unit
+val drain : t -> now:int -> f:(int -> unit) -> unit
 
-(** [clear t] empties every bucket, dropping payload references (pooled
-    reuse across runs). *)
-val clear : 'a t -> unit
+(** [clear t] drops every pending event (pooled reuse across runs). *)
+val clear : t -> unit

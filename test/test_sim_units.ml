@@ -1,6 +1,6 @@
 (* Unit tests for the simulator's internal components: the oracle cursor
-   (matching and skip rules), the wish-branch front-end state machine, and
-   the register alias table. *)
+   (matching and skip rules), the wish-branch front-end state machine, the
+   completion event wheel and the register alias table. *)
 
 open Wish_isa
 open Wish_sim
@@ -299,13 +299,12 @@ let test_fsm_loop_classes () =
    just under it, several rotations out, and bursts sharing one far cycle
    must all fire exactly at their due cycle, in ascending-id order. *)
 let test_wheel_overflow_latencies () =
-  let horizon = Wheel.horizon (Wheel.create ~horizon:1024 ~dummy:0) in
-  check Alcotest.int "horizon under test" 1024 horizon;
-  let w = Wheel.create ~horizon:1024 ~dummy:0 in
+  let w = Wheel.create ~horizon:1024 in
+  check Alcotest.int "horizon under test" 1024 (Wheel.horizon w);
   let fired = ref [] in
   let expect = Hashtbl.create 16 in
   let schedule ~now ~due ~id =
-    Wheel.schedule w ~now ~due ~id 0;
+    Wheel.schedule w ~now ~due ~id;
     Hashtbl.replace expect id due
   in
   (* From cycle 0: just inside the horizon, the exact boundary, just
@@ -325,7 +324,7 @@ let test_wheel_overflow_latencies () =
   schedule ~now:1000 ~due:2047 ~id:30;
   schedule ~now:1000 ~due:2048 ~id:31;
   for now = 1 to 6000 do
-    Wheel.drain w ~now ~f:(fun id _ -> fired := (now, id) :: !fired)
+    Wheel.drain w ~now ~f:(fun id -> fired := (now, id) :: !fired)
   done;
   let fired = List.rev !fired in
   check Alcotest.int "every event fired exactly once" (Hashtbl.length expect)
@@ -350,15 +349,101 @@ let test_wheel_overflow_latencies () =
 (* An event rescheduled from within a drain callback (dependent wakeups)
    must land in a later cycle, including across the horizon. *)
 let test_wheel_reschedule_from_drain () =
-  let w = Wheel.create ~horizon:1024 ~dummy:0 in
-  Wheel.schedule w ~now:0 ~due:10 ~id:1 0;
+  let w = Wheel.create ~horizon:1024 in
+  Wheel.schedule w ~now:0 ~due:10 ~id:1;
   let second = ref (-1) in
   for now = 1 to 3000 do
-    Wheel.drain w ~now ~f:(fun id _ ->
-        if id = 1 then Wheel.schedule w ~now ~due:(now + 1024) ~id:2 0
+    Wheel.drain w ~now ~f:(fun id ->
+        if id = 1 then Wheel.schedule w ~now ~due:(now + 1024) ~id:2
         else if id = 2 then second := now)
   done;
   check Alcotest.int "chained far event fires at due" 1034 !second
+
+(* Random schedules against a naive model. A case is a horizon and a list
+   of events [(at, delay, child)]: the event is scheduled at cycle [at]
+   (after that cycle's drain, as the issue stage does) for [at + delay];
+   a [Some d] child is scheduled from inside the drain that fires its
+   parent, for [d] cycles later. Delays are near (under the horizon),
+   exactly the horizon, or past it, so far events cross rotations. The
+   model is the sorted list of (due, id): the wheel must fire every id
+   exactly once, at its due cycle, ascending by id within a cycle. *)
+let wheel_case_gen =
+  let open QCheck.Gen in
+  let* bits = int_range 1 6 in
+  let horizon = 1 lsl bits in
+  let delay =
+    frequency
+      [
+        (3, int_range 1 (horizon - 1));
+        (1, return horizon);
+        (2, int_range (horizon + 1) (4 * horizon));
+      ]
+  in
+  let* events = list_size (int_range 1 40) (triple (int_range 0 (3 * horizon)) delay (opt delay)) in
+  let n = List.length events in
+  (* Ids: a random permutation, so neither the scheduling order nor the
+     due order follows the id order. *)
+  let* ids = shuffle_l (List.init (2 * n) Fun.id) in
+  let parents = List.filteri (fun i _ -> i < n) ids
+  and children = List.filteri (fun i _ -> i >= n) ids in
+  return
+    ( horizon,
+      List.map2 (fun (at, d, c) (pid, cid) -> (at, d, pid, Option.map (fun cd -> (cid, cd)) c))
+        events (List.combine parents children) )
+
+let print_wheel_case (horizon, events) =
+  Printf.sprintf "horizon %d: %s" horizon
+    (String.concat "; "
+       (List.map
+          (fun (at, d, id, c) ->
+            Printf.sprintf "id %d at %d +%d%s" id at d
+              (match c with Some (cid, cd) -> Printf.sprintf " -> id %d +%d" cid cd | None -> ""))
+          events))
+
+let prop_wheel_model =
+  QCheck.Test.make ~name:"wheel fires like a sorted list" ~count:300
+    (QCheck.make ~print:print_wheel_case wheel_case_gen) (fun (horizon, events) ->
+      let expected =
+        List.concat_map
+          (fun (at, d, id, c) ->
+            (at + d, id) :: (match c with Some (cid, cd) -> [ (at + d + cd, cid) ] | None -> []))
+          events
+        |> List.sort compare
+      in
+      let children = Hashtbl.create 16 in
+      List.iter
+        (fun (_, _, id, c) -> Option.iter (fun child -> Hashtbl.replace children id child) c)
+        events;
+      let w = Wheel.create ~horizon in
+      let fired = ref [] in
+      let last = List.fold_left (fun m (due, _) -> max m due) 0 expected in
+      for now = 0 to last do
+        Wheel.drain w ~now ~f:(fun id ->
+            fired := (now, id) :: !fired;
+            match Hashtbl.find_opt children id with
+            | Some (cid, cd) -> Wheel.schedule w ~now ~due:(now + cd) ~id:cid
+            | None -> ());
+        List.iter
+          (fun (at, d, id, _) -> if at = now then Wheel.schedule w ~now ~due:(now + d) ~id)
+          events
+      done;
+      List.rev !fired = expected)
+
+(* [clear] drops every pending event, near and far, and leaves the wheel
+   usable for the next run. *)
+let test_wheel_clear () =
+  let w = Wheel.create ~horizon:16 in
+  Wheel.schedule w ~now:0 ~due:3 ~id:1;
+  Wheel.schedule w ~now:0 ~due:16 ~id:2;
+  Wheel.schedule w ~now:0 ~due:40 ~id:3;
+  Wheel.drain w ~now:0 ~f:(fun id -> Alcotest.failf "id %d fired before clear" id);
+  Wheel.clear w;
+  let fired = ref [] in
+  for now = 0 to 100 do
+    Wheel.drain w ~now ~f:(fun id -> fired := (now, id) :: !fired);
+    if now = 50 then Wheel.schedule w ~now ~due:70 ~id:4
+  done;
+  check Alcotest.(list (pair int int)) "only the post-clear event fires" [ (70, 4) ] !fired
 
 (* RAT ------------------------------------------------------------------------ *)
 
@@ -439,6 +524,8 @@ let () =
         [
           Alcotest.test_case "overflow latencies" `Quick test_wheel_overflow_latencies;
           Alcotest.test_case "reschedule from drain" `Quick test_wheel_reschedule_from_drain;
+          Alcotest.test_case "clear drops pending events" `Quick test_wheel_clear;
+          QCheck_alcotest.to_alcotest ~speed_level:`Quick prop_wheel_model;
         ] );
       ( "rat",
         [
