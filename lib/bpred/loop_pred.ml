@@ -21,19 +21,17 @@ type entry = {
   mutable trained : bool;
 }
 
-module Int_tbl = Wish_util.Int_tbl
-
-type t = { table : entry Int_tbl.t; bias : int; conf_threshold : int }
+type t = { table : (int, entry) Hashtbl.t; bias : int; conf_threshold : int }
 
 let create ?(bias = 3) ?(conf_threshold = 2) () =
-  { table = Int_tbl.create 64; bias; conf_threshold }
+  { table = Hashtbl.create 64; bias; conf_threshold }
 
 let entry t pc =
-  match Int_tbl.find t.table pc with
+  match Hashtbl.find t.table pc with
   | e -> e
   | exception Not_found ->
     let e = { last_trip = 0; ema8 = 0; conf = 0; current = 0; spec_count = 0; trained = false } in
-    Int_tbl.add t.table pc e;
+    Hashtbl.add t.table pc e;
     e
 
 (** Prediction quality: [Exact] — the loop has a stable trip count and the
@@ -75,7 +73,7 @@ let squash t ~pc =
   let e = entry t pc in
   e.spec_count <- e.current
 
-let squash_all t = Int_tbl.iter (fun _ e -> e.spec_count <- e.current) t.table
+let squash_all t = Hashtbl.iter (fun _ e -> e.spec_count <- e.current) t.table
 
 (* One retired outcome applied to an already-resolved entry; [train] and
    [warm] share this so warming pays a single table lookup. *)
@@ -118,15 +116,15 @@ let warm_entry e ~taken =
 let resolve = entry
 
 (** [reset t] restores the exact just-created state in place. *)
-let reset t = Int_tbl.reset t.table
+let reset t = Hashtbl.reset t.table
 
 let copy t =
   {
     t with
     table =
-      Int_tbl.fold
+      Hashtbl.fold
         (fun pc e acc ->
-          Int_tbl.add acc pc
+          Hashtbl.add acc pc
             {
               last_trip = e.last_trip;
               ema8 = e.ema8;
@@ -137,5 +135,5 @@ let copy t =
             };
           acc)
         t.table
-        (Int_tbl.create (Int_tbl.length t.table));
+        (Hashtbl.create (Hashtbl.length t.table));
   }

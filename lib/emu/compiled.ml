@@ -55,6 +55,8 @@ let no_sink : sink = fun _ -> ()
    call per instruction, not two. *)
 type ctx = { st : State.t; out : Exec.out; sink : sink }
 
+let context st out ~sink = { st; out; sink }
+
 type t = {
   mode : Exec.mode;
   checked : bool;
@@ -67,22 +69,7 @@ type t = {
   suffix_len : int array; (* instructions from pc to its block's end *)
   leaders : bool array;
   blocks : int; (* static basic blocks in this mode's graph *)
-  mutable last : ctx option;
-      (* the last run's context: a trace generator calls {!run} once per
-         block it records, always with the same state, record and sink *)
 }
-
-(* The context for one run, reused from the previous run when all three
-   parts are physically the same. A domain racing on [last] reads one
-   fully built context or the other, and uses it only if its parts are
-   its own. *)
-let ctx t st out sink =
-  match t.last with
-  | Some c when c.st == st && c.out == out && c.sink == sink -> c
-  | _ ->
-    let c = { st; out; sink } in
-    t.last <- Some c;
-    c
 
 let mode t = t.mode
 let is_checked t = t.checked
@@ -306,7 +293,7 @@ let compile ?checked ~mode code =
   done;
   let leaders = Code.block_leaders ~fuse_wish code in
   let blocks = Array.fold_left (fun acc l -> if l then acc + 1 else acc) 0 leaders in
-  { mode; checked; n; core; steps; suffix_len; leaders; blocks; last = None }
+  { mode; checked; n; core; steps; suffix_len; leaders; blocks }
 
 (** [step t st out] — execute exactly one instruction, mirroring
     {!Exec.step_into} (facts into [out], [st.pc]/[st.retired] updated).
@@ -316,25 +303,25 @@ let step t (st : State.t) out =
   let pc = st.pc in
   if pc < 0 || pc >= t.n then
     invalid_arg (Printf.sprintf "Compiled.step: pc %d outside [0, %d)" pc t.n);
-  (Array.unsafe_get t.steps pc) (ctx t st out no_sink);
+  (Array.unsafe_get t.steps pc) (context st out ~sink:no_sink);
   st.retired <- st.retired + 1
 
-(** [run t st out ~sink ~fuel ~steps] — execute whole blocks until the
-    machine halts or at least [steps] more instructions have retired
-    (block fusion may overshoot to the end of the final block). [sink] is
-    invoked once per instruction with the shared [out] record — it must
-    copy what it needs and must not mutate [st]. Raises
+(** [run t c ~fuel ~steps] — execute whole blocks of [c]'s machine until
+    it halts or at least [steps] more instructions have retired (block
+    fusion may overshoot to the end of the final block). [c]'s sink is
+    invoked once per instruction with the shared fact record — it must
+    copy what it needs and must not mutate the state. Raises
     {!Exec.Out_of_fuel} exactly where the interpreted loop would: blocks
     that would cross the fuel line fall back to fuel-checked
     single-stepping. *)
-let run t (st : State.t) out ~(sink : sink) ~fuel ~steps =
+let run t c ~fuel ~steps =
+  let st = c.st and out = c.out in
   let target =
     let tgt = st.retired + steps in
     if tgt < st.retired then max_int else tgt (* overflow clamp *)
   in
   let core = t.core and slen = t.suffix_len and stepa = t.steps in
   let checked = t.checked in
-  let c = ctx t st out sink in
   if fuel = max_int && target = max_int && not checked then
     (* Unbounded fast path: no fuel or step accounting per block. This is
        the run-to-completion configuration (Trace.generate, Profile,
@@ -375,7 +362,7 @@ let run t (st : State.t) out ~(sink : sink) ~fuel ~steps =
   done
 
 (** [run_to_halt t st out ~sink ~fuel] — {!run} with no step bound. *)
-let run_to_halt t st out ~sink ~fuel = run t st out ~sink ~fuel ~steps:max_int
+let run_to_halt t st out ~sink ~fuel = run t (context st out ~sink) ~fuel ~steps:max_int
 
 (** [run_hooked t st out ~hooks ~fuel ~steps] — the warm-sink execution
     mode: like {!run} but the per-instruction consumer is selected per pc
@@ -394,7 +381,7 @@ let run_hooked t (st : State.t) out ~(hooks : sink array) ~fuel ~steps =
   in
   let core = t.core and slen = t.suffix_len and stepa = t.steps in
   let checked = t.checked in
-  let c = ctx t st out no_sink in
+  let c = context st out ~sink:no_sink in
   while (not st.halted) && st.retired < target do
     let pc = st.pc in
     if checked && (pc < 0 || pc >= t.n) then
@@ -421,8 +408,9 @@ let run_hooked t (st : State.t) out ~(hooks : sink array) ~fuel ~steps =
         (Array.unsafe_get core p) c;
         (* [no_sink] marks pcs whose warm step is statically nothing
            (straight-line instructions on an already-touched I-line): a
-           pointer compare instead of an indirect call, on the ~3/4 of a
-           typical stream that retires through here. *)
+           pointer compare instead of a call into a hook, on the ~3/4 of
+           a typical stream that retires through here. The closure
+           itself still ends by calling the context's sink, [no_sink]. *)
         let h = Array.unsafe_get hooks p in
         if h != no_sink then h out
       done;

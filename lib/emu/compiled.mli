@@ -17,9 +17,19 @@ type t
 type sink = Exec.out -> unit
 
 (** The sink for callers that need no per-step facts (pure
-    fast-forwarding, throughput benchmarks). {!run_hooked} recognizes it
-    by physical identity and skips the call. *)
+    fast-forwarding, throughput benchmarks). Every specialized closure
+    ends by calling its run's sink, so running with [no_sink] still
+    makes that (empty) call once per instruction; {!run_hooked} skips
+    only the hook call for a hook that is physically [no_sink]. *)
 val no_sink : sink
+
+(** One run's machine state, fact record and sink: the argument every
+    specialized closure takes. A caller that resumes the same run many
+    times (a streaming trace's generator, once per refill) builds it
+    once. *)
+type ctx
+
+val context : State.t -> Exec.out -> sink:sink -> ctx
 
 (** [compile ?checked ~mode code] translates [code] once for [mode].
     [checked] defaults to {!State.checked} (env [WISH_EMU_CHECKED]);
@@ -42,12 +52,12 @@ val mean_block_len : t -> float
     lockstep probe used for equivalence testing. *)
 val step : t -> State.t -> Exec.out -> unit
 
-(** [run t st out ~sink ~fuel ~steps] — execute whole blocks until the
-    machine halts or at least [steps] more instructions retire (block
+(** [run t c ~fuel ~steps] — execute whole blocks of [c]'s machine
+    until it halts or at least [steps] more instructions retire (block
     fusion may overshoot to the end of the final block). Raises
     {!Exec.Out_of_fuel} at exactly the instruction where the interpreted
     loop would. *)
-val run : t -> State.t -> Exec.out -> sink:sink -> fuel:int -> steps:int -> unit
+val run : t -> ctx -> fuel:int -> steps:int -> unit
 
 val run_to_halt : t -> State.t -> Exec.out -> sink:sink -> fuel:int -> unit
 
@@ -57,7 +67,7 @@ val run_to_halt : t -> State.t -> Exec.out -> sink:sink -> fuel:int -> unit
     lands precisely on the requested count (sampled-run checkpoints cut
     at precise trace indices). [hooks] must have one entry per static
     instruction; hooks must not mutate the machine state. A hook that is
-    physically {!no_sink} is skipped without the indirect call — warming
-    plans mark statically-inert pcs with it. Raises
+    physically {!no_sink} is not called — warming plans mark
+    statically-inert pcs with it. Raises
     {!Exec.Out_of_fuel} at exactly the interpreter's instruction. *)
 val run_hooked : t -> State.t -> Exec.out -> hooks:sink array -> fuel:int -> steps:int -> unit

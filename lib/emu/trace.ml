@@ -60,7 +60,7 @@ type gen = {
   g_fuel : int;
   g_out : Exec.out;
   g_compiled : Compiled.t;
-  mutable g_sink : (Exec.out -> unit) option; (* built on first refill *)
+  mutable g_ctx : Compiled.ctx option; (* built on first refill *)
 }
 
 type t = {
@@ -283,13 +283,15 @@ let iter_range t ~from ~until ~f =
 
 exception Out_of_fuel = Exec.Out_of_fuel
 
-let gen_sink t g =
-  match g.g_sink with
-  | Some s -> s
+(* The generator's run context, whose sink records into [t]: built once,
+   since a streaming trace resumes the run once per refill. *)
+let gen_ctx t g =
+  match g.g_ctx with
+  | Some c -> c
   | None ->
-    let s o = push_out t o in
-    g.g_sink <- Some s;
-    s
+    let c = Compiled.context g.g_state g.g_out ~sink:(fun o -> push_out t o) in
+    g.g_ctx <- Some c;
+    c
 
 (** [ensure t i] makes entry [i] available, pulling the paused emulator
     forward as needed; [false] means the trace ends before [i]. The
@@ -312,8 +314,7 @@ let ensure t i =
          [st.retired] = [t.total] and a retired-count target is an
          entry-count target. *)
       if t.total <= i && not st.State.halted then
-        Compiled.run g.g_compiled st g.g_out ~sink:(gen_sink t g) ~fuel:g.g_fuel
-          ~steps:(i + 1 - t.total);
+        Compiled.run g.g_compiled (gen_ctx t g) ~fuel:g.g_fuel ~steps:(i + 1 - t.total);
       if st.halted then t.gen <- None;
       i < t.total
 
@@ -374,7 +375,7 @@ let mk_gen ?(fuel = default_fuel) program =
     g_fuel = fuel;
     g_out = Exec.make_out ();
     g_compiled = Compiled.compile ~mode:Exec.Predicate_through (Program.code program);
-    g_sink = None;
+    g_ctx = None;
   }
 
 (** [generate ?fuel ?hint program] runs the emulator in predicate-through
@@ -386,7 +387,9 @@ let mk_gen ?(fuel = default_fuel) program =
 let generate ?fuel ?hint program =
   let g = mk_gen ?fuel program in
   let t = create ?hint ~retain:true ~gen:(Some g) () in
-  Compiled.run_to_halt g.g_compiled g.g_state g.g_out ~sink:(gen_sink t g) ~fuel:g.g_fuel;
+  Compiled.run_to_halt g.g_compiled g.g_state g.g_out
+    ~sink:(fun o -> push_out t o)
+    ~fuel:g.g_fuel;
   t.gen <- None;
   (* A finished materialized trace may be marshalled (the lab keeps
      traces in memory only; bench/perf's traced pass stores them): drop

@@ -42,7 +42,6 @@ module Ras = Wish_bpred.Ras
 module Confidence = Wish_bpred.Confidence
 module Loop_pred = Wish_bpred.Loop_pred
 module Hierarchy = Wish_mem.Hierarchy
-module Int_tbl = Wish_util.Int_tbl
 
 type fetch_path = F_correct | F_wrong | F_phantom | F_stopped
 
@@ -204,23 +203,6 @@ let hot_counters stats =
     c_wish_loop_retired = c "wish_loop_retired";
   }
 
-(* The retired-wish-branch buckets of {!Core.count_wish_retirement},
-   indexed as below; each cell is created on first touch, when {!Core}'s
-   [Stats.incr] would create it, so the bag's order is unchanged. *)
-let wish_bucket_names =
-  [|
-    "wish_high_correct";
-    "wish_high_mispred";
-    "wish_low_correct";
-    "wish_low_mispred";
-    "loop_high_correct";
-    "loop_high_mispred";
-    "loop_low_early";
-    "loop_low_late";
-    "loop_low_noexit";
-    "loop_low_correct";
-  |]
-
 (* ----------------------------------------------------------------- *)
 (* Per-domain pools                                                   *)
 (* ----------------------------------------------------------------- *)
@@ -244,7 +226,7 @@ type scaffold = {
   mutable rob_count : int;
   wheel : Wheel.t;
   ready : pheap;
-  pending_stores : ibuf Int_tbl.t; (* byte addr -> store µop ids *)
+  pending_stores : (int, ibuf) Hashtbl.t; (* byte addr -> store µop ids *)
   feq : cgroup array;
   mutable feq_head : int;
   mutable feq_count : int;
@@ -296,7 +278,7 @@ let scaffold_build (config : Config.t) =
     rob_count = 0;
     wheel = Wheel.create ~horizon:wheel_horizon;
     ready = hp_create ();
-    pending_stores = Int_tbl.create 64;
+    pending_stores = Hashtbl.create 64;
     feq =
       Array.init (feq_group_cap config) (fun _ ->
           {
@@ -329,7 +311,7 @@ let scaffold_reset s =
   s.rob_count <- 0;
   Wheel.clear s.wheel;
   hp_clear s.ready;
-  Int_tbl.reset s.pending_stores;
+  Hashtbl.reset s.pending_stores;
   Array.iter
     (fun g ->
       g.glen <- 0;
@@ -455,7 +437,6 @@ type t = {
   hot : hot_counters;
   flush_cells : int ref option array; (* per-pc flush@pc cells, first-touch *)
   misp_cells : int ref option array; (* per-pc misp@pc cells, first-touch *)
-  wish_cells : int ref option array; (* {!wish_bucket_names} cells, first-touch *)
   wish_table : int array;
   fb : fb_out; (* fetch_branch → fetch-stage result channel *)
   mutable cycle : int;
@@ -518,7 +499,6 @@ let create ?warm ?(start_cursor = 0) ?start_pc ?(release_trace = true) (config :
     hot = hot_counters stats;
     flush_cells = Array.make plan.npcs None;
     misp_cells = Array.make plan.npcs None;
-    wish_cells = Array.make (Array.length wish_bucket_names) None;
     wish_table = Plan.wish_table;
     fb =
       {
@@ -1052,11 +1032,11 @@ let mark_ready t (u : Uop.t) =
 let track_store t (u : Uop.t) =
   if u.Uop.exec_class == Uop.Ec_store && u.byte_addr >= 0 && not u.guard_false then begin
     let buf =
-      match Int_tbl.find t.s.pending_stores u.byte_addr with
+      match Hashtbl.find t.s.pending_stores u.byte_addr with
       | b -> b
       | exception Not_found ->
         let b = { ids = Array.make 4 0; len = 0 } in
-        Int_tbl.add t.s.pending_stores u.byte_addr b;
+        Hashtbl.add t.s.pending_stores u.byte_addr b;
         b
     in
     if buf.len = Array.length buf.ids then begin
@@ -1079,7 +1059,7 @@ let rec untrack_loop (buf : ibuf) uid i =
 
 let untrack_store t (u : Uop.t) =
   if u.Uop.exec_class == Uop.Ec_store && u.byte_addr >= 0 && not u.guard_false then begin
-    match Int_tbl.find t.s.pending_stores u.byte_addr with
+    match Hashtbl.find t.s.pending_stores u.byte_addr with
     | exception Not_found -> ()
     | buf -> untrack_loop buf u.id 0
   end
@@ -1200,7 +1180,7 @@ let rec older_store (buf : ibuf) uid i =
 let load_blocked t (u : Uop.t) =
   u.Uop.byte_addr >= 0
   &&
-  match Int_tbl.find t.s.pending_stores u.byte_addr with
+  match Hashtbl.find t.s.pending_stores u.byte_addr with
   | exception Not_found -> false
   | buf -> older_store buf u.id 0
 
@@ -1428,14 +1408,6 @@ let process_events t =
         end);
   Wheel.drain t.s.wheel ~now:t.cycle ~f:t.drain_f
 
-let incr_wish_bucket t i =
-  match t.wish_cells.(i) with
-  | Some c -> incr c
-  | None ->
-    let c = Stats.counter t.stats wish_bucket_names.(i) in
-    t.wish_cells.(i) <- Some c;
-    incr c
-
 let count_wish_retirement t (b : Uop.branch_rec) =
   match b.wish_kind with
   | None -> ()
@@ -1443,22 +1415,26 @@ let count_wish_retirement t (b : Uop.branch_rec) =
     incr t.hot.c_wish_retired;
     let predictor_correct = if b.lu_valid then b.lu.b_taken = b.actual_taken else true in
     let conf = match b.conf_high with Some c -> c | None -> false in
-    incr_wish_bucket t
-      (match (conf, predictor_correct) with
-      | true, true -> 0
-      | true, false -> 1
-      | false, true -> 2
-      | false, false -> 3);
+    let bucket =
+      match (conf, predictor_correct) with
+      | true, true -> "wish_high_correct"
+      | true, false -> "wish_high_mispred"
+      | false, true -> "wish_low_correct"
+      | false, false -> "wish_low_mispred"
+    in
+    Stats.incr t.stats bucket;
     if kind == Inst.Wish_loop then begin
       incr t.hot.c_wish_loop_retired;
-      incr_wish_bucket t
-        (match (conf, b.loop_class, predictor_correct) with
-        | true, _, true -> 4
-        | true, _, false -> 5
-        | false, Uop.Lc_early, _ -> 6
-        | false, Uop.Lc_late, _ -> 7
-        | false, Uop.Lc_no_exit, _ -> 8
-        | false, Uop.Lc_none, _ -> 9)
+      let lbucket =
+        match (conf, b.loop_class, predictor_correct) with
+        | true, _, true -> "loop_high_correct"
+        | true, _, false -> "loop_high_mispred"
+        | false, Uop.Lc_early, _ -> "loop_low_early"
+        | false, Uop.Lc_late, _ -> "loop_low_late"
+        | false, Uop.Lc_no_exit, _ -> "loop_low_noexit"
+        | false, Uop.Lc_none, _ -> "loop_low_correct"
+      in
+      Stats.incr t.stats lbucket
     end
 
 let misp_cell t pc =

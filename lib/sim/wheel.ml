@@ -14,8 +14,6 @@
     id to its µop, so a bucket holds no pointer and is emptied by resetting
     its length. *)
 
-module Int_tbl = Wish_util.Int_tbl
-
 type buf = { mutable ids : int array; mutable len : int }
 
 type t = {
@@ -23,7 +21,7 @@ type t = {
   mask : int;
   bits : int; (* log2 horizon *)
   slots : buf array;
-  overflow : buf Int_tbl.t; (* rotation number -> far events *)
+  overflow : (int, buf) Hashtbl.t; (* rotation number -> far events *)
 }
 
 let log2 n =
@@ -38,7 +36,7 @@ let create ~horizon =
     mask = horizon - 1;
     bits = log2 horizon;
     slots = Array.init horizon (fun _ -> { ids = [||]; len = 0 });
-    overflow = Int_tbl.create 8;
+    overflow = Hashtbl.create 8;
   }
 
 let horizon t = t.horizon
@@ -58,11 +56,11 @@ let schedule t ~now ~due ~id =
   else begin
     let rotation = due lsr t.bits in
     let b =
-      match Int_tbl.find t.overflow rotation with
+      match Hashtbl.find t.overflow rotation with
       | b -> b
       | exception Not_found ->
         let b = { ids = [||]; len = 0 } in
-        Int_tbl.add t.overflow rotation b;
+        Hashtbl.add t.overflow rotation b;
         b
     in
     (* A far event needs its exact due cycle at sweep time: an overflow
@@ -73,10 +71,10 @@ let schedule t ~now ~due ~id =
 
 let sweep t ~now =
   let rotation = now lsr t.bits in
-  match Int_tbl.find t.overflow rotation with
+  match Hashtbl.find t.overflow rotation with
   | exception Not_found -> ()
   | b ->
-    Int_tbl.remove t.overflow rotation;
+    Hashtbl.remove t.overflow rotation;
     let i = ref 0 in
     while !i < b.len do
       let due = b.ids.(!i) and id = b.ids.(!i + 1) in
@@ -117,4 +115,4 @@ let drain t ~now ~f =
 (** [clear t] empties every bucket for pooled reuse. *)
 let clear t =
   Array.iter (fun b -> b.len <- 0) t.slots;
-  Int_tbl.reset t.overflow
+  Hashtbl.reset t.overflow

@@ -248,27 +248,6 @@ let test_stats_order () =
   Stats.incr s "second";
   check Alcotest.(list string) "insertion order" [ "first"; "second" ] (Stats.names s)
 
-(* Int_tbl ------------------------------------------------------------ *)
-
-(* Word-aligned byte addresses, the timing core's store-queue keys, all
-   share their low three bits, and a bucket index keeps only low bits:
-   the hash must spread such keys anyway (an identity hash would leave
-   seven buckets in eight empty). *)
-let test_int_tbl_aligned_keys () =
-  let t = Wish_util.Int_tbl.create 64 in
-  for k = 0 to 4095 do
-    Wish_util.Int_tbl.replace t (8 * k) k
-  done;
-  for k = 0 to 4095 do
-    check Alcotest.int "find" k (Wish_util.Int_tbl.find t (8 * k))
-  done;
-  let st = Wish_util.Int_tbl.stats t in
-  let used = st.num_buckets - st.bucket_histogram.(0) in
-  Alcotest.(check bool)
-    (Printf.sprintf "%d of %d buckets used" used st.num_buckets)
-    true
-    (2 * used >= st.num_buckets)
-
 (* Table -------------------------------------------------------------- *)
 
 let contains s sub =
@@ -410,7 +389,6 @@ let () =
           Alcotest.test_case "ratio" `Quick test_stats_ratio;
           Alcotest.test_case "order" `Quick test_stats_order;
         ] );
-      ("int_tbl", [ Alcotest.test_case "aligned keys spread" `Quick test_int_tbl_aligned_keys ]);
       ( "table",
         [
           Alcotest.test_case "render" `Quick test_table_render;
