@@ -160,7 +160,7 @@ let micro_tests () =
        (Staged.stage (fun () ->
             incr i;
             for _ = 1 to 4 do
-              ignore (Loop_pred.predict lp ~pc:7);
+              ignore (Loop_pred.predict_code lp ~pc:7);
               Loop_pred.spec_iterate lp ~pc:7 ~taken:true;
               Loop_pred.train lp ~pc:7 ~taken:true
             done;

@@ -5,7 +5,7 @@
      interpreted reference ({!Wish_sim.Core}) produce the same cycle
      count, the same full stats bag (names, values and insertion order)
      and the same memory-hierarchy counters — including a repeated
-     compiled run, which exercises the pooled-scaffold reset path — under
+     compiled run, which exercises the machine pool's reset path — under
      the default configuration and under one whose memory latency exceeds
      the completion wheel's horizon, so both cores' drains cross the
      wheel's overflow path;
@@ -66,7 +66,7 @@ let check_identity ?(label = "") name kind config =
        fail "%s: stats orders differ (same contents)" tag
      else fail "%s: stats differ" tag
    end);
-  (* Second compiled run on the pooled scaffold and machine tables must
+  (* A second compiled run reuses the pooled machine tables: it must
      reproduce the same numbers exactly (the reset-to-cold guarantee). *)
   let cc2, sc2, mc2 = run_compiled config program trace in
   if (cc, sc, mc) <> (cc2, sc2, mc2) then fail "%s: pooled re-run differs" tag
@@ -85,7 +85,7 @@ let check_speedup () =
   let program = program_for "gzip" Wish_compiler.Policy.Wish_jjl in
   let trace, _final = Wish_emu.Trace.generate program in
   let config = Wish_sim.Config.default in
-  (* One warm-up run per path (plan compilation, pool growth). *)
+  (* One warm-up run per path (fills the machine pool). *)
   ignore (run_compiled config program trace);
   ignore (run_interp config program trace);
   let tc = time_best (fun () -> ignore (Compiled.run (Compiled.create config program trace))) in

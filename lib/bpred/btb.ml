@@ -1,12 +1,11 @@
-(** Branch target buffer: set-associative, LRU, tagged by PC. An entry also
-    caches the branch's static kind so the front end knows it fetched a wish
-    branch before full decode (paper Section 3.5.1: "A BTB entry is extended
-    to indicate whether or not the branch is a wish branch and the type of
-    the wish branch"). *)
+(** Branch target buffer: set-associative, LRU, tagged by PC.
 
-type entry = { target : int; is_wish : bool }
+    The BTB is a presence filter: a taken branch that misses it pays the
+    fetch bubble. The paper's entry also holds the target and the wish
+    kind (Section 3.5.1), but both timing cores take those from decode,
+    so no entry stores a payload. *)
 
-type t = { table : entry Wish_util.Lru.t; sets : int; set_bits : int }
+type t = { table : unit Wish_util.Lru.t; sets : int; set_bits : int }
 
 let log2 n =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
@@ -16,8 +15,7 @@ let create ~entries ~ways =
   assert (entries mod ways = 0);
   let sets = entries / ways in
   {
-    table =
-      Wish_util.Lru.create ~sets ~ways ~default:(fun () -> { target = 0; is_wish = false });
+    table = Wish_util.Lru.create ~sets ~ways ~default:(fun () -> ());
     sets;
     set_bits = (if sets land (sets - 1) = 0 then log2 sets else -1);
   }
@@ -27,43 +25,28 @@ let create ~entries ~ways =
 let set_of t pc = if t.set_bits >= 0 then pc land (t.sets - 1) else pc mod t.sets
 let tag_of t pc = if t.set_bits >= 0 then pc lsr t.set_bits else pc / t.sets
 
-let lookup t ~pc = Wish_util.Lru.find t.table ~set:(set_of t pc) ~tag:(tag_of t pc)
-
-let insert t ~pc ~target ~is_wish =
-  ignore (Wish_util.Lru.insert t.table ~set:(set_of t pc) ~tag:(tag_of t pc) { target; is_wish })
+let insert t ~pc = Wish_util.Lru.insert_quiet t.table ~set:(set_of t pc) ~tag:(tag_of t pc) ()
 
 (** [index t ~pc] — the set/tag pair for [pc], resolved once at plan time
-    for {!insert_at}. *)
+    for {!insert_cached}. *)
 let index t ~pc = (set_of t pc, tag_of t pc)
 
-(** [insert_at t ~set ~tag e] is {!insert} with the index and the entry
-    record pre-resolved: the fused warming path allocates one immutable
-    [entry] per static branch at plan time and reinserts it per retired
-    taken branch with no allocation. Identical replacement decisions. *)
-let insert_at t ~set ~tag (e : entry) = Wish_util.Lru.insert_quiet t.table ~set ~tag e
-
-(** [insert_cached t ~set ~tag ~slot e] — {!insert_at} through a cached
-    slot handle ([!slot], [-1] when unknown). A handle that still holds
-    this tag is refreshed in place — the exact recency bump and payload
-    store of {!insert_at}'s hit path, minus the way scan; otherwise the
-    full insert runs and the handle is re-resolved. A hot static branch
-    stays resident between retirements, so the scan is skipped almost
-    always. *)
-let insert_cached t ~set ~tag ~slot (e : entry) =
+(** [insert_cached t ~set ~tag ~slot] — {!insert} through a cached slot
+    handle ([!slot], [-1] when unknown). A handle that still holds this
+    tag gets the exact recency bump of {!insert}'s hit path, minus the
+    way scan; otherwise the full insert runs and the handle is
+    re-resolved. A hot static branch stays resident between
+    retirements, so the scan is skipped almost always. *)
+let insert_cached t ~set ~tag ~slot =
   let module L = Wish_util.Lru in
   let s = !slot in
-  if s >= 0 && L.slot_matches t.table s ~tag then begin
-    L.touch_slot t.table s;
-    L.set_slot_payload t.table s e
-  end
+  if s >= 0 && L.slot_matches t.table s ~tag then L.touch_slot t.table s
   else begin
-    L.insert_quiet t.table ~set ~tag e;
+    L.insert_quiet t.table ~set ~tag ();
     slot := L.find_slot t.table ~set ~tag
   end
 
-(** [hit t ~pc] — presence with the same LRU-recency refresh as [lookup],
-    without boxing the entry (the core's bubble decision only needs the
-    hit/miss bit). *)
+(** [hit t ~pc] — presence, refreshing the entry's LRU recency on a hit. *)
 let hit t ~pc = Wish_util.Lru.hit t.table ~set:(set_of t pc) ~tag:(tag_of t pc)
 
 let copy t = { t with table = Wish_util.Lru.copy t.table }

@@ -1,33 +1,28 @@
-(** Branch target buffer: set-associative, LRU, tagged by PC. An entry also
-    caches the branch's static kind so the front end knows it fetched a
-    wish branch before full decode (paper Section 3.5.1). *)
+(** Branch target buffer: set-associative, LRU, tagged by PC. A presence
+    filter: it decides only whether a taken branch pays the fetch bubble.
+    Targets and wish kinds come from decode, so entries hold no payload. *)
 
-type entry = { target : int; is_wish : bool }
 type t
 
 (** [create ~entries ~ways] — [entries] must be a multiple of [ways]. *)
 val create : entries:int -> ways:int -> t
 
-val lookup : t -> pc:int -> entry option
-
-(** [hit t ~pc] — presence with the same recency refresh as [lookup],
-    without boxing the entry. *)
+(** [hit t ~pc] — presence, refreshing the entry's recency on a hit. *)
 val hit : t -> pc:int -> bool
 
-val insert : t -> pc:int -> target:int -> is_wish:bool -> unit
+(** [insert t ~pc] — make [pc] present (the most recent in its set),
+    evicting the set's LRU entry if needed. *)
+val insert : t -> pc:int -> unit
 
-(** [index t ~pc] — the set/tag pair for [pc], for {!insert_at}. *)
+(** [index t ~pc] — the set/tag pair for [pc], for {!insert_cached}. *)
 val index : t -> pc:int -> int * int
 
-(** [insert_at t ~set ~tag e] — {!insert} with index and entry record
-    pre-resolved: identical replacement decisions, zero allocation. *)
-val insert_at : t -> set:int -> tag:int -> entry -> unit
-
-(** [insert_cached t ~set ~tag ~slot e] — {!insert_at} through a cached
-    slot handle ([!slot], [-1] when unknown): a handle still holding this
-    tag is refreshed in place without a way scan; otherwise the full
-    insert runs and the handle is re-resolved. Identical mutations. *)
-val insert_cached : t -> set:int -> tag:int -> slot:int ref -> entry -> unit
+(** [insert_cached t ~set ~tag ~slot] — {!insert} with the index
+    pre-resolved, through a cached slot handle ([!slot], [-1] when
+    unknown): a handle still holding this tag is refreshed in place
+    without a way scan; otherwise the full insert runs and the handle is
+    re-resolved. Identical mutations. *)
+val insert_cached : t -> set:int -> tag:int -> slot:int ref -> unit
 
 (** [reset t] restores the exact just-created state in place. *)
 val reset : t -> unit

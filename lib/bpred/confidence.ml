@@ -90,13 +90,8 @@ let train t ~pc ~history ~correct =
   if not updated then
     Wish_util.Lru.insert_quiet t.table ~set ~tag (if correct then 1 else 0)
 
-(** [warm] — the estimator's retirement update is already purely
-    architectural; the alias keeps the five predictors' warming API
-    uniform. *)
-let warm = train
-
 (** [warm_probe t ~pc ~history ~correct] — {!is_high_confidence} followed
-    by {!warm}, in one table scan instead of three: returns the
+    by {!train}, in one table scan instead of three: returns the
     pre-training high-confidence bit and applies the resetting-counter
     update. The recency/clock sequence is exactly the two separate
     calls' (probe refresh, then train refresh; a probe miss refreshes

@@ -30,12 +30,8 @@ val is_high_confidence : t -> pc:int -> history:int -> bool
     inserting the entry on first sight. *)
 val train : t -> pc:int -> history:int -> correct:bool -> unit
 
-(** Functional-warming update (same as [train]; kept for API uniformity
-    across the predictor suite). *)
-val warm : t -> pc:int -> history:int -> correct:bool -> unit
-
 (** [warm_probe t ~pc ~history ~correct] — [is_high_confidence] followed
-    by [warm] in one table scan: returns the pre-training
+    by [train] in one table scan: returns the pre-training
     high-confidence bit and applies the counter update, with a
     recency/clock sequence identical to the two separate calls. *)
 val warm_probe : t -> pc:int -> history:int -> correct:bool -> bool

@@ -22,24 +22,10 @@ let index t ~pc ~history = (pc lxor history) land ((1 lsl t.index_bits) - 1)
 
 let predict_at t idx = Bytes.unsafe_get t.pht idx >= weakly_taken
 
-let predict t ~pc ~history = predict_at t (index t ~pc ~history)
-
 let train_at t idx ~taken =
   let c = Char.code (Bytes.unsafe_get t.pht idx) in
   Bytes.unsafe_set t.pht idx
     (Char.unsafe_chr (if taken then Int.min 3 (c + 1) else Int.max 0 (c - 1)))
-
-let train t ~pc ~history ~taken = train_at t (index t ~pc ~history) ~taken
-
-(** [warm t ~pc ~history ~taken] — functional-warming update: predict and
-    immediately train on the architectural outcome, with none of the
-    fetch/retire split the detailed core needs. Returns the direction
-    that was predicted (before training). *)
-let warm t ~pc ~history ~taken =
-  let idx = index t ~pc ~history in
-  let p = predict_at t idx in
-  train_at t idx ~taken;
-  p
 
 let copy t = { t with pht = Bytes.copy t.pht }
 

@@ -10,13 +10,7 @@ type t
 val create : index_bits:int -> t
 val index : t -> pc:int -> history:int -> int
 val predict_at : t -> int -> bool
-val predict : t -> pc:int -> history:int -> bool
 val train_at : t -> int -> taken:bool -> unit
-val train : t -> pc:int -> history:int -> taken:bool -> unit
-
-(** [warm t ~pc ~history ~taken] — predict-then-train in one step for
-    functional warming; returns the pre-training prediction. *)
-val warm : t -> pc:int -> history:int -> taken:bool -> bool
 
 (** Independent deep copy (for sampled-simulation checkpoints). *)
 val copy : t -> t

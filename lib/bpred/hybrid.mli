@@ -2,16 +2,22 @@
     paper's baseline "64K-entry gshare/PAs hybrid, 64K-entry selector"
     (Table 2).
 
-    Protocol with the out-of-order core:
-    + [predict] at fetch returns the direction plus a {!lookup} capturing
-      every table index consulted; the core stores it in the branch µop.
-    + [spec_update] immediately afterwards shifts the followed direction
-      into the global and local histories, returning a {!snapshot} that
-      undoes exactly this branch's effects.
-    + [restore] is called youngest-first over squashed branches.
-    + [train] at retirement updates pattern tables and selector using the
-      indices captured at fetch (the history the prediction actually
-      used). *)
+    One protocol serves both timing cores and the warming paths. The
+    caller owns the two buffers: a branch µop carries one of each and
+    refills them in place, so no operation allocates.
+    + [predict_into] at fetch fills an {!lbuf} with the direction and
+      every table index consulted.
+    + [spec_update_into] immediately afterwards shifts the followed
+      direction into the global and local histories, and fills an
+      {!sbuf} that undoes exactly this branch's shift.
+    + [restore_b] is called youngest-first over squashed branches;
+      [correct_b] repairs the recovering branch itself.
+    + [train_b] at retirement updates the pattern tables and the selector
+      at the indices captured at fetch (the history the prediction
+      actually used).
+
+    Functional warming has no wrong path, so it pairs [predict_into]
+    with [warm_train_b]: train at once, then shift. *)
 
 type config = {
   gshare_bits : int;  (** log2 gshare PHT entries = global history length *)
@@ -25,20 +31,8 @@ val default_config : config
 
 type t
 
-type lookup = {
-  taken : bool;
-  g_taken : bool;
-  p_taken : bool;
-  g_index : int;
-  p_index : int;
-  s_index : int;
-}
-
-type snapshot
-
-(** Flattened, caller-owned forms of {!lookup}/{!snapshot}: one buffer
-    lives inside each pooled branch µop of the compiled core and is
-    refilled in place, so steady-state prediction allocates nothing. *)
+(** One prediction: the combined direction, each component's direction,
+    and the gshare, PAs and selector indices it read. *)
 type lbuf = {
   mutable b_taken : bool;
   mutable b_g_taken : bool;
@@ -48,6 +42,7 @@ type lbuf = {
   mutable b_s_index : int;
 }
 
+(** The undo record of one history shift. *)
 type sbuf = { mutable b_old_history : int; mutable b_snap_pc : int; mutable b_old_local : int }
 
 val fresh_lbuf : unit -> lbuf
@@ -55,53 +50,31 @@ val fresh_sbuf : unit -> sbuf
 
 val create : config -> t
 val global_history : t -> int
-val predict : t -> pc:int -> lookup
 
-(** [spec_update t ~pc ~dir] — [dir] is the direction the front end
-    follows (or, for low-confidence-forced wish branches, the predictor's
-    own output; see the core). *)
-val spec_update : t -> pc:int -> dir:bool -> snapshot
-
-val restore : t -> snapshot -> unit
-
-(** [correct t snap ~dir] — restore, then re-apply the actual outcome
-    (used at misprediction recovery). *)
-val correct : t -> snapshot -> dir:bool -> unit
-
-val train : t -> lookup -> taken:bool -> unit
-
-(** [warm t ?dir ~pc ~taken ()] — one-step architectural update for
-    functional warming: predict, train all tables on the outcome [taken],
-    shift [dir] (default [taken]) into both histories. [dir] differs from
-    [taken] only for low-confidence wish branches, which retire with the
-    predictor's uncorrected output in the history (predicated execution
-    never flushes, so recovery never repairs it). Returns the
-    pre-training prediction. *)
-val warm : t -> ?dir:bool -> pc:int -> taken:bool -> unit -> bool
-
-(** [predict_taken t ~pc] — the combined direction at the current
-    history; pure peek, nothing allocated, no state touched. *)
-val predict_taken : t -> pc:int -> bool
-
-(** [warm_fast t ~dir ~pc ~taken] — {!warm} without the lookup record:
-    identical table updates in identical order, identical return value,
-    zero allocation (the fused warming path). *)
-val warm_fast : t -> dir:bool -> pc:int -> taken:bool -> bool
-
-(* Buffer-based protocol: allocation-free mirrors of
-   predict / spec_update / restore / correct / train. *)
-
+(** [predict_into t ~pc d] — the prediction at the current history, into
+    [d]. Reads only: no table, history or recency changes. *)
 val predict_into : t -> pc:int -> lbuf -> unit
+
+(** [spec_update_into t ~pc ~dir d] — [dir] is the direction the front
+    end follows (or, for low-confidence-forced wish branches, the
+    predictor's own output; see the core). *)
 val spec_update_into : t -> pc:int -> dir:bool -> sbuf -> unit
+
 val restore_b : t -> sbuf -> unit
+
+(** [correct_b t d ~dir] — restore, then shift the actual outcome (used
+    at misprediction recovery). [d] still undoes the branch afterwards. *)
 val correct_b : t -> sbuf -> dir:bool -> unit
+
 val train_b : t -> lbuf -> taken:bool -> unit
 
-(** [warm_train_b t d ~pc ~dir ~taken] — the training half of a fused
-    warming step probed with {!predict_into}: train at the captured
-    indices, then shift [dir] into the histories. The pair performs
-    exactly {!warm_fast}'s reads and updates in the same order, letting
-    the caller consult a confidence estimator between the halves. *)
+(** [warm_train_b t d ~pc ~dir ~taken] — the training half of a warming
+    step probed with {!predict_into}: train on [taken] at the captured
+    indices, then shift [dir] into both histories. [dir] differs from
+    [taken] only for low-confidence wish branches, which retire with the
+    predictor's output in the history (predicated execution never
+    flushes, so recovery never repairs it). The caller may consult a
+    confidence estimator between the two halves. *)
 val warm_train_b : t -> lbuf -> pc:int -> dir:bool -> taken:bool -> unit
 
 (** [reset t] restores the exact just-created state in place (machine

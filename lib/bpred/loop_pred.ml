@@ -34,27 +34,18 @@ let entry t pc =
     Hashtbl.add t.table pc e;
     e
 
-(** Prediction quality: [Exact] — the loop has a stable trip count and the
-    prediction is trustworthy in any mode; [Biased] — a deliberate
-    overestimate, only useful in low-confidence (predicated) mode where a
-    late exit costs a short phantom tail instead of a flush. *)
-type prediction = No_prediction | Exact of bool | Biased of bool
-
-let predict t ~pc =
-  let e = entry t pc in
-  if not e.trained then No_prediction
-  else if e.conf >= t.conf_threshold then Exact (e.spec_count < e.last_trip)
-  else Biased (e.spec_count < (e.ema8 / 8) + t.bias)
-
-(* Integer-coded predictions for the allocation-free fetch path. *)
+(* Prediction codes. Exact: the loop has a stable trip count and the
+   prediction is trustworthy in any mode. Biased: a deliberate
+   overestimate, only useful in low-confidence (predicated) mode where a
+   late exit costs a short phantom tail instead of a flush. The [_t]/[_f]
+   suffix is the predicted direction (taken = keep iterating). *)
 let p_none = 0
 and p_exact_f = 1
 and p_exact_t = 2
 and p_biased_f = 3
 and p_biased_t = 4
 
-(** [predict_code t ~pc] — {!predict} without the variant box: one of the
-    [p_*] codes above. *)
+(** [predict_code t ~pc] — one of the [p_*] codes above. *)
 let predict_code t ~pc =
   let e = entry t pc in
   if not e.trained then p_none
@@ -68,15 +59,10 @@ let spec_iterate t ~pc ~taken =
   let e = entry t pc in
   if taken then e.spec_count <- e.spec_count + 1 else e.spec_count <- 0
 
-(** [squash t ~pc] rewinds the front-end view to retirement state. *)
-let squash t ~pc =
-  let e = entry t pc in
-  e.spec_count <- e.current
-
+(** [squash_all t] rewinds every front-end view to retirement state. *)
 let squash_all t = Hashtbl.iter (fun _ e -> e.spec_count <- e.current) t.table
 
-(* One retired outcome applied to an already-resolved entry; [train] and
-   [warm] share this so warming pays a single table lookup. *)
+(* One retired outcome applied to an already-resolved entry. *)
 let train_entry e ~taken =
   if taken then e.current <- e.current + 1
   else begin
@@ -96,19 +82,13 @@ let train_entry e ~taken =
 (** [train t ~pc ~taken] consumes a retired loop-branch outcome. *)
 let train t ~pc ~taken = train_entry (entry t pc) ~taken
 
-(** [warm t ~pc ~taken] — functional-warming update: train on the
-    architectural outcome and keep the speculative view pinned to the
-    retirement view (there is no front end running ahead while warming). *)
-let warm t ~pc ~taken =
-  let e = entry t pc in
-  train_entry e ~taken;
-  e.spec_count <- e.current
-
-(** [warm_entry e ~taken] — {!warm} on a pre-resolved entry. Entries are
-    mutated in place and never replaced, so a fused warming hook can
-    resolve its static branch's entry once (with {!entry}, on the first
-    retirement — exactly when {!warm} would create it) and skip the
-    hash lookup on every later one. *)
+(** [warm_entry e ~taken] — functional-warming update of a resolved
+    entry: train on the architectural outcome and keep the speculative
+    view pinned to the retirement view (there is no front end running
+    ahead while warming). Entries are mutated in place and never
+    replaced, so a fused warming hook can resolve its static branch's
+    entry once, on the first retirement, and skip the hash lookup on
+    every later one. *)
 let warm_entry e ~taken =
   train_entry e ~taken;
   e.spec_count <- e.current

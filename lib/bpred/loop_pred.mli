@@ -11,39 +11,30 @@ type t
 
 val create : ?bias:int -> ?conf_threshold:int -> unit -> t
 
-(** Prediction quality: [Exact] is trustworthy in any mode; [Biased] is a
-    deliberate overestimate, only useful in low-confidence (predicated)
-    mode. *)
-type prediction = No_prediction | Exact of bool | Biased of bool
-
-val predict : t -> pc:int -> prediction
-
-(* Integer codes for {!predict_code}: the allocation-free fetch path. *)
+(** Prediction codes for {!predict_code}. [p_exact_*] is trustworthy in
+    any mode; [p_biased_*] is a deliberate overestimate, only useful in
+    low-confidence (predicated) mode. The [_t]/[_f] suffix is the
+    predicted direction (taken = keep iterating). *)
 val p_none : int
 val p_exact_f : int
 val p_exact_t : int
 val p_biased_f : int
 val p_biased_t : int
 
-(** [predict_code t ~pc] — {!predict} without the variant box. *)
+(** [predict_code t ~pc] — the prediction for [pc]'s next fetch, one of
+    the [p_*] codes. Creates [pc]'s entry on first sight. *)
 val predict_code : t -> pc:int -> int
 
 (** [spec_iterate t ~pc ~taken] advances the front-end visit view with the
     followed direction. *)
 val spec_iterate : t -> pc:int -> taken:bool -> unit
 
-(** [squash t ~pc] / [squash_all t] rewind the front-end view to
-    retirement state after a pipeline flush. *)
-val squash : t -> pc:int -> unit
-
+(** [squash_all t] rewinds every front-end view to retirement state
+    after a pipeline flush. *)
 val squash_all : t -> unit
 
 (** [train t ~pc ~taken] consumes a retired loop-branch outcome. *)
 val train : t -> pc:int -> taken:bool -> unit
-
-(** [warm t ~pc ~taken] — train and keep the speculative view pinned to
-    retirement state (functional warming has no front end running ahead). *)
-val warm : t -> pc:int -> taken:bool -> unit
 
 (** The mutable per-static-branch record behind [pc]; created on first
     resolution, mutated in place and never replaced afterwards. *)
@@ -51,8 +42,9 @@ type entry
 
 val resolve : t -> int -> entry
 
-(** [warm_entry e ~taken] — [warm] on a pre-resolved entry: one hash
-    lookup per static branch instead of one per retirement. *)
+(** [warm_entry e ~taken] — train and keep the speculative view pinned to
+    retirement state (functional warming has no front end running
+    ahead). A warming hook resolves its entry once per static branch. *)
 val warm_entry : entry -> taken:bool -> unit
 
 (** [reset t] restores the exact just-created state in place. *)

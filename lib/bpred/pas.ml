@@ -38,12 +38,7 @@ let pht_index t ~pc ~local =
 
 let local_history t ~pc = t.bht.(bht_index t ~pc)
 
-let predict t ~pc =
-  let idx = pht_index t ~pc ~local:(local_history t ~pc) in
-  (Bytes.unsafe_get t.pht idx >= '\002', idx)
-
-(* Tuple-free probes for the allocation-free fetch path: the index is
-   computed once and the direction read from it. *)
+(* The index is computed once and the direction read from it. *)
 let predict_index t ~pc = pht_index t ~pc ~local:(local_history t ~pc)
 let taken_at t idx = Bytes.unsafe_get t.pht idx >= '\002'
 
@@ -61,16 +56,6 @@ let train_at t idx ~taken =
   let c = Char.code (Bytes.unsafe_get t.pht idx) in
   Bytes.unsafe_set t.pht idx
     (Char.unsafe_chr (if taken then Int.min 3 (c + 1) else Int.max 0 (c - 1)))
-
-(** [warm t ~pc ~taken] — functional-warming update: predict, train the
-    indexed counter on the outcome, and shift the outcome (not the
-    prediction — warming is never on a wrong path) into the local
-    history. Returns the pre-training prediction. *)
-let warm t ~pc ~taken =
-  let p, idx = predict t ~pc in
-  train_at t idx ~taken;
-  ignore (spec_update t ~pc ~taken);
-  p
 
 let copy t = { t with bht = Array.copy t.bht; pht = Bytes.copy t.pht }
 

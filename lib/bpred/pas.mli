@@ -9,12 +9,9 @@ type t
 val create : bht_bits:int -> hist_bits:int -> pht_bits:int -> t
 val local_history : t -> pc:int -> int
 
-(** [predict t ~pc] returns the direction and the PHT index used (keep it
-    for retirement-time {!train_at}). *)
-val predict : t -> pc:int -> bool * int
-
-(** [predict_index]/[taken_at] split {!predict} so the caller needs no
-    tuple: probe the index once, read the direction from it. *)
+(** [predict_index t ~pc] — the PHT index [pc]'s local history selects
+    (keep it for retirement-time {!train_at}); [taken_at] reads the
+    direction there. *)
 val predict_index : t -> pc:int -> int
 
 val taken_at : t -> int -> bool
@@ -25,11 +22,6 @@ val spec_update : t -> pc:int -> taken:bool -> int
 
 val restore : t -> pc:int -> old:int -> unit
 val train_at : t -> int -> taken:bool -> unit
-
-(** [warm t ~pc ~taken] — predict, train, and shift the outcome into the
-    local history in one step for functional warming; returns the
-    pre-training prediction. *)
-val warm : t -> pc:int -> taken:bool -> bool
 
 (** Independent deep copy (for sampled-simulation checkpoints). *)
 val copy : t -> t

@@ -30,7 +30,6 @@
 
 module Util = struct
   module Rng = Wish_util.Rng
-  module Counter = Wish_util.Counter
   module Ring = Wish_util.Ring
   module Heap = Wish_util.Heap
   module Lru = Wish_util.Lru

@@ -15,8 +15,6 @@
       lists, r0/p0 already elided);
     - wish-branch mode transitions use the compiled 48-entry transition
       table ({!Plan.wish_table} + {!Wish_fsm.apply_packed});
-    - branch predictor lookups/snapshots fill per-µop buffers
-      ([Uop.branch_rec.lu]/[sn]) instead of allocating records;
     - the ready queue, ROB, fetch queue, wheel, waiter lists and register
       alias table carry plain µop ids, resolved through one flat in-flight
       table ([id land mask]) — no hashtable, and no per-slot pointer
@@ -25,13 +23,13 @@
     - misprediction recovery repairs the register alias table from a
       per-ROB-slot undo log (previous producer of every destination
       written), so rename never copies a full RAT checkpoint;
-    - machine tables (predictors, caches) and the pipeline scaffold are
-      pooled per domain and exactly reset between runs, so repeated runs
-      skip {!Core.create}'s table construction entirely.
+    - machine tables (predictors, caches) are pooled per domain and
+      exactly reset between runs, so repeated runs skip {!Core.create}'s
+      table construction; the pipeline scaffold is built per core.
 
-    Identity argument for the pooled tables: every pooled structure has a
-    [reset]/[hard_reset] that provably restores the just-created state
-    (pinned by the predictor unit tests and the seed-pinned sampled
+    Identity argument for the pooled tables: every pooled table has a
+    [reset] that restores the just-created state (pinned by
+    [@sim-smoke]'s repeated compiled run and the seed-pinned sampled
     estimates), so a pooled run is indistinguishable from a fresh one. *)
 
 open Wish_isa
@@ -68,8 +66,6 @@ let wheel_horizon = 1024
 type pheap = { mutable hid : int array; mutable hlen : int }
 
 let hp_create () = { hid = Array.make 64 0; hlen = 0 }
-
-let hp_clear h = h.hlen <- 0
 
 (* The sift loops are top-level recursions (not local closures, not refs)
    so a push/pop allocates nothing. *)
@@ -131,10 +127,6 @@ let crat_create () =
     int_id = Array.make Reg.int_reg_count (-1);
     pred_id = Array.make Reg.pred_reg_count (-1);
   }
-
-let crat_clear r =
-  Array.fill r.int_id 0 Reg.int_reg_count (-1);
-  Array.fill r.pred_id 0 Reg.pred_reg_count (-1)
 
 (* A fetch group slot in the preallocated fetch-to-rename ring. Carries
    µop ids; the records live in the in-flight table. *)
@@ -204,11 +196,11 @@ let hot_counters stats =
   }
 
 (* ----------------------------------------------------------------- *)
-(* Per-domain pools                                                   *)
+(* Pipeline scaffold and machine pool                                 *)
 (* ----------------------------------------------------------------- *)
 
 (* The pipeline scaffold: every structure whose size depends only on the
-   configuration. Pooled per domain and reset between runs.
+   configuration, built afresh for each core.
 
    The in-flight table [infl_ids]/[infl_us] is the one place µop records
    are reachable from: the ROB, fetch queue, RAT, undo log, ready heap,
@@ -220,7 +212,6 @@ let hot_counters stats =
    (the insert) replaces the dozen-plus the pointer-carrying structures
    paid. *)
 type scaffold = {
-  s_config : Config.t;
   rob : int array; (* µop ids; slots beyond [rob_count] are garbage *)
   mutable rob_head : int;
   mutable rob_count : int;
@@ -272,7 +263,6 @@ let infl_capacity config =
 let scaffold_build (config : Config.t) =
   let icap = infl_capacity config in
   {
-    s_config = config;
     rob = Array.make config.rob_size (-1);
     rob_head = 0;
     rob_count = 0;
@@ -305,28 +295,6 @@ let scaffold_build (config : Config.t) =
     infl_us = Array.make icap dummy_uop;
     infl_mask = icap - 1;
   }
-
-let scaffold_reset s =
-  s.rob_head <- 0;
-  s.rob_count <- 0;
-  Wheel.clear s.wheel;
-  hp_clear s.ready;
-  Hashtbl.reset s.pending_stores;
-  Array.iter
-    (fun g ->
-      g.glen <- 0;
-      g.gnext <- 0)
-    s.feq;
-  s.feq_head <- 0;
-  s.feq_count <- 0;
-  crat_clear s.rat;
-  Wish_fsm.hard_reset s.fsm;
-  s.def_len <- 0;
-  (* Ids restart from 0 every run: stale table entries from the previous
-     run would alias fresh ids, so the id column must be wiped. The record
-     column is wiped too so the pool is the only owner of idle records. *)
-  Array.fill s.infl_ids 0 (Array.length s.infl_ids) (-1);
-  Array.fill s.infl_us 0 (Array.length s.infl_us) dummy_uop
 
 (* Machine tables, pooled per domain when the caller does not supply
    pre-warmed state. [reset] on every table restores the exact
@@ -361,26 +329,15 @@ let machine_reset m =
   Loop_pred.reset m.m_loop;
   Hierarchy.reset m.m_hier
 
-let scaffold_slot : scaffold option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
 let machine_slot : machine option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let plan_slot : (Code.t * Config.t * int * Plan.t) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let acquire_scaffold config =
-  let slot = Domain.DLS.get scaffold_slot in
-  match !slot with
-  | Some s when s.s_config = config ->
-    scaffold_reset s;
-    s
-  | _ ->
-    let s = scaffold_build config in
-    slot := Some s;
-    s
-
+(* The pooled tables are the 64K-entry predictor tables and the cache
+   hierarchy's tag arrays. Building them per run instead raised the peak
+   RSS of a cold `experiments -j 2 --no-cache` regeneration from
+   382/398 MB to 447/448 MB, and from 399/400 MB to 457/457 MB in a
+   second measurement (two runs a side each, 2-core Xeon). The scaffold
+   is not pooled: building it per core cost no measurable time. *)
 let acquire_machine config =
   let slot = Domain.DLS.get machine_slot in
   match !slot with
@@ -391,16 +348,6 @@ let acquire_machine config =
     let m = machine_build config in
     slot := Some m;
     m
-
-let plan_for config (program : Program.t) =
-  let code = Program.code program in
-  let slot = Domain.DLS.get plan_slot in
-  match !slot with
-  | Some (c, cfg, mw, plan) when c == code && cfg = config && mw = program.mem_words -> plan
-  | _ ->
-    let plan = Plan.build config program in
-    slot := Some (code, config, program.mem_words, plan);
-    plan
 
 (* ----------------------------------------------------------------- *)
 (* Core state                                                         *)
@@ -473,10 +420,10 @@ let nop_drain (_ : int) = ()
 let create ?warm ?(start_cursor = 0) ?start_pc ?(release_trace = true) (config : Config.t)
     (program : Program.t) trace =
   let stats = Stats.create () in
-  let plan = plan_for config program in
+  let plan = Plan.build config program in
   let oracle = Oracle.create (Program.code program) trace in
   if start_cursor > 0 then Oracle.restore oracle start_cursor;
-  let s = acquire_scaffold config in
+  let s = scaffold_build config in
   let hybrid, btb, ras, conf, loop_pred, hier =
     match (warm : Core.warm_state option) with
     | Some w -> (w.warm_hybrid, w.warm_btb, w.warm_ras, w.warm_conf, w.warm_loop, w.warm_hier)
@@ -1328,13 +1275,10 @@ let recover t (u : Uop.t) =
 (* ----------------------------------------------------------------- *)
 
 let resolve_branch t (u : Uop.t) =
-  let plan = t.plan in
   let b = match u.Uop.br with Some b -> b | None -> assert false in
   b.resolved <- true;
   (* Train the BTB with taken branches (wrong-path ones excluded). *)
-  if u.path != Uop.Wrong && b.actual_taken then
-    Btb.insert t.btb ~pc:u.pc ~target:plan.target_or_next.(u.pc)
-      ~is_wish:plan.is_wish_static.(u.pc);
+  if u.path != Uop.Wrong && b.actual_taken then Btb.insert t.btb ~pc:u.pc;
   if u.path == Uop.Wrong then ()
   else if Uop.mispredicted b then begin
     incr t.hot.c_misp_resolved;

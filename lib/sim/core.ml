@@ -37,7 +37,6 @@ type dinfo = {
   d_is_cond : bool;
   d_kind : Inst.branch_kind option;
   d_target : int option;
-  d_is_wish : bool;
   d_pred_dests : Reg.preg list;
   d_complement_pair : (Reg.preg * Reg.preg) option;
 }
@@ -229,7 +228,6 @@ let dinfo_of (inst : Inst.t) =
     d_is_cond = Inst.is_conditional inst;
     d_kind = Inst.branch_kind inst;
     d_target = Inst.direct_target inst;
-    d_is_wish = Inst.is_wish inst;
     d_pred_dests = Inst.pred_dests inst;
     d_complement_pair =
       (match inst.op with
@@ -299,27 +297,31 @@ let make_uop t ~pc ~(inst : Inst.t) ~exec_class ~path ~guard_false ~guard_forwar
    references in the ready heap, the event wheel, and producers' waiter
    arrays hold only its now-dead id, which can no longer match anything
    in [in_flight]; the storage is safe to reuse under a fresh id at once.
-   The predictor records are dropped eagerly; the RAT checkpoint buffer
-   is kept for {!Rat.copy_into} at the next incarnation's rename. *)
+   The predictor buffers are refilled at the next incarnation's fetch and
+   the RAT checkpoint buffer at its rename ({!Rat.copy_into}). *)
 let recycle t (u : Uop.t) =
   match u.Uop.br with
   | None -> t.pool_plain <- u :: t.pool_plain
-  | Some b ->
-    b.lookup <- None;
-    b.snapshot <- None;
-    t.pool_branch <- u :: t.pool_branch
+  | Some _ -> t.pool_branch <- u :: t.pool_branch
 
 let trace_idx_of (entry : Oracle.entry option) =
   match entry with Some e -> e.index | None -> -1
 
 (* Decide the fetch-time facts of a branch: prediction, wish-mode
    transition, RAS and BTB effects. Returns the µop, the followed
-   direction, the next fetch pc, any BTB bubble, and the oracle direction. *)
+   direction, the next fetch pc, any BTB bubble, and the oracle direction.
+   The µop comes first so the predictor can fill its buffers. *)
 let fetch_branch t ~pc ~(inst : Inst.t) ~(di : dinfo) ~path ~(entry : Oracle.entry option) =
   let knobs = t.config.Config.knobs in
   let guard_false =
     match entry with Some e -> not e.guard_true | None -> path = F_phantom
   in
+  let uop =
+    make_uop t ~pc ~inst ~exec_class:di.d_exec_class ~path:(uop_path_of path) ~guard_false
+      ~guard_forwarded:false ~byte_addr:(-1) ~consumes_trace:(entry <> None)
+      ~trace_idx:(trace_idx_of entry) ~is_select:false ~is_pair_compute:false ~branch:true
+  in
+  let b = match uop.Uop.br with Some b -> b | None -> assert false in
   let is_cond = di.d_is_cond in
   let kind = di.d_kind in
   let is_wish_hw =
@@ -330,18 +332,19 @@ let fetch_branch t ~pc ~(inst : Inst.t) ~(di : dinfo) ~path ~(entry : Oracle.ent
     | Some Inst.Cond | None -> false
   in
   let static_target = di.d_target in
-  let lookup = if is_cond then Some (Hybrid.predict t.hybrid ~pc) else None in
+  if is_cond then Hybrid.predict_into t.hybrid ~pc b.lu;
+  b.lu_valid <- is_cond;
+  b.sn_valid <- false;
   let conf_history = Hybrid.global_history t.hybrid in
   let base_dir =
     match inst.op with
     | Inst.Branch _ ->
-      let l = Option.get lookup in
       if knobs.perfect_bp then
         (match (path, entry) with
         | _, Some e -> e.taken
         | F_phantom, None -> false
-        | _, None -> l.taken)
-      else l.taken
+        | _, None -> b.lu.b_taken)
+      else b.lu.b_taken
     | Inst.Jump _ | Inst.Call _ | Inst.Return -> true
     | _ -> assert false
   in
@@ -349,20 +352,22 @@ let fetch_branch t ~pc ~(inst : Inst.t) ~(di : dinfo) ~path ~(entry : Oracle.ent
      direction predictor in any mode; the overestimate-biased prediction is
      only followed in low-confidence mode, where overshooting turns flushes
      into cheap late-exits (paper Section 3.2). *)
-  let loop_prediction =
+  let lp =
     if
       t.config.use_loop_predictor && kind = Some Inst.Wish_loop && t.config.wish_hardware
       && not knobs.perfect_bp
-    then Loop_pred.predict t.loop_pred ~pc
-    else Loop_pred.No_prediction
+    then Loop_pred.predict_code t.loop_pred ~pc
+    else Loop_pred.p_none
   in
   let dir_high =
-    match loop_prediction with Loop_pred.Exact d -> d | _ -> base_dir
+    if lp = Loop_pred.p_exact_t then true
+    else if lp = Loop_pred.p_exact_f then false
+    else base_dir
   in
   let dir_low =
-    match loop_prediction with
-    | Loop_pred.Exact d | Loop_pred.Biased d -> d
-    | Loop_pred.No_prediction -> base_dir
+    if lp = Loop_pred.p_exact_t || lp = Loop_pred.p_biased_t then true
+    else if lp = Loop_pred.p_exact_f || lp = Loop_pred.p_biased_f then false
+    else base_dir
   in
   let conf_high, final_dir, loop_gen =
     if is_wish_hw then begin
@@ -390,18 +395,15 @@ let fetch_branch t ~pc ~(inst : Inst.t) ~(di : dinfo) ~path ~(entry : Oracle.ent
     end
     else (None, base_dir, 0)
   in
-  let snapshot =
-    (* Global history is updated with the predictor's output; the forced
-       not-taken of low-confidence mode is an override mux downstream of
-       the predictor and does not rewrite history, which preserves
-       cross-branch correlations for later branches. *)
-    let history_dir =
-      match (lookup, conf_high) with
-      | Some l, Some false -> l.Hybrid.taken
-      | _ -> final_dir
-    in
-    if is_cond then Some (Hybrid.spec_update t.hybrid ~pc ~dir:history_dir) else None
-  in
+  (* Global history is updated with the predictor's output; the forced
+     not-taken of low-confidence mode is an override mux downstream of
+     the predictor and does not rewrite history, which preserves
+     cross-branch correlations for later branches. *)
+  if is_cond then begin
+    let history_dir = if conf_high = Some false then b.lu.b_taken else final_dir in
+    Hybrid.spec_update_into t.hybrid ~pc ~dir:history_dir b.sn;
+    b.sn_valid <- true
+  end;
   if t.config.use_loop_predictor && kind = Some Inst.Wish_loop then
     Loop_pred.spec_iterate t.loop_pred ~pc ~taken:final_dir;
   (match inst.op with Inst.Call _ -> Ras.push t.ras (pc + 1) | _ -> ());
@@ -427,27 +429,21 @@ let fetch_branch t ~pc ~(inst : Inst.t) ~(di : dinfo) ~path ~(entry : Oracle.ent
     | _, None -> (final_dir, predicted_target)
   in
   let btb_bubble =
-    if final_dir && not knobs.perfect_bp then begin
-      match Btb.lookup t.btb ~pc with
-      | Some _ -> 0
-      | None ->
+    if final_dir && not knobs.perfect_bp then
+      if Btb.hit t.btb ~pc then 0
+      else begin
         incr t.hot.c_btb_misses;
         t.config.btb_miss_penalty
-    end
+      end
     else 0
   in
-  let uop =
-    make_uop t ~pc ~inst ~exec_class:di.d_exec_class ~path:(uop_path_of path) ~guard_false
-      ~guard_forwarded:false ~byte_addr:(-1) ~consumes_trace:(entry <> None)
-      ~trace_idx:(trace_idx_of entry) ~is_select:false ~is_pair_compute:false ~branch:true
-  in
-  let b = match uop.Uop.br with Some b -> b | None -> assert false in
+  (* The µop was made before the wish-FSM transition; its fetch mode is
+     the one after it. *)
+  uop.mode_at_fetch <- Wish_fsm.mode t.fsm;
   b.predicted_taken <- final_dir;
   b.predicted_target <- predicted_target;
   b.actual_taken <- actual_taken;
   b.actual_next <- actual_next;
-  b.lookup <- lookup;
-  b.snapshot <- snapshot;
   b.ras_top <- ras_top;
   b.cursor_next <- Oracle.cursor t.oracle;
   (* Attribute a wish branch to the mode its own confidence estimate
@@ -880,8 +876,7 @@ let issue_stage t =
    youngest-first over everything younger than the recovering branch). *)
 let undo_speculative t (u : Uop.t) =
   match u.br with
-  | Some b -> (
-    match b.snapshot with Some s -> Hybrid.restore t.hybrid s | None -> ())
+  | Some b -> if b.sn_valid then Hybrid.restore_b t.hybrid b.sn
   | None -> ()
 
 let recover t (u : Uop.t) =
@@ -915,9 +910,7 @@ let recover t (u : Uop.t) =
         recycle t d)
       (List.rev dropped));
   (* Repair this branch's own history with the actual outcome. *)
-  (match b.snapshot with
-  | Some s -> Hybrid.correct t.hybrid s ~dir:b.actual_taken
-  | None -> ());
+  if b.sn_valid then Hybrid.correct_b t.hybrid b.sn ~dir:b.actual_taken;
   (match b.rat_ckpt with Some s -> Rat.restore t.rat s | None -> assert false);
   Ras.restore t.ras b.ras_top;
   Oracle.restore t.oracle b.cursor_next;
@@ -936,11 +929,7 @@ let resolve_branch t (u : Uop.t) =
   let b = Option.get u.br in
   b.resolved <- true;
   (* Train the BTB with taken branches (wrong-path ones excluded). *)
-  (if u.path <> Uop.Wrong && b.actual_taken then
-     let di = dinfo_at t u.pc u.inst in
-     Btb.insert t.btb ~pc:u.pc
-       ~target:(Option.value di.d_target ~default:(u.pc + 1))
-       ~is_wish:di.d_is_wish);
+  if u.path <> Uop.Wrong && b.actual_taken then Btb.insert t.btb ~pc:u.pc;
   if u.path = Uop.Wrong then ()
   else if Uop.mispredicted b then begin
     incr t.hot.c_misp_resolved;
@@ -1007,9 +996,7 @@ let count_wish_retirement t (u : Uop.t) (b : Uop.branch_rec) =
   | None -> ()
   | Some kind ->
     incr t.hot.c_wish_retired;
-    let predictor_correct =
-      match b.lookup with Some l -> l.taken = b.actual_taken | None -> true
-    in
+    let predictor_correct = if b.lu_valid then b.lu.b_taken = b.actual_taken else true in
     let conf = Option.value b.conf_high ~default:false in
     let bucket =
       match (conf, predictor_correct) with
@@ -1055,16 +1042,14 @@ let retire_stage t =
       (match u.br with
       | Some b when u.path = Uop.Correct ->
         (* Retirement-time training keeps the tables non-speculative. *)
-        (match b.lookup with
-        | Some l -> Hybrid.train t.hybrid l ~taken:b.actual_taken
-        | None -> ());
+        if b.lu_valid then Hybrid.train_b t.hybrid b.lu ~taken:b.actual_taken;
         if Uop.mispredicted b then begin
           incr t.hot.c_misp_retired;
           Stats.incr t.stats (Printf.sprintf "misp@pc%d" u.pc)
         end;
         if b.wish_kind <> None && not t.config.knobs.perfect_conf then begin
           let predictor_correct =
-            match b.lookup with Some l -> l.taken = b.actual_taken | None -> true
+            if b.lu_valid then b.lu.b_taken = b.actual_taken else true
           in
           Confidence.train t.conf ~pc:u.pc ~history:b.conf_history
             ~correct:predictor_correct

@@ -136,7 +136,6 @@ type t = {
   src2 : int array;
   idst : int array; (* integer destination (r0 elided), or -1 *)
   is_mem : bool array;
-  is_wish_static : bool array; (* wish-annotated in the image (BTB flag) *)
   sel_eligible : bool array; (* select-µop split candidate under Select_uop *)
   old_dest_single : bool array; (* static old-dest need, unsplit µop *)
   old_dest_select : bool; (* old-dest need of a select µop *)
@@ -168,7 +167,6 @@ let build (config : Config.t) (program : Program.t) =
   let src2 = Array.make npcs (-1) in
   let idst = Array.make npcs (-1) in
   let is_mem = Array.make npcs false in
-  let is_wish_static = Array.make npcs false in
   let sel_eligible = Array.make npcs false in
   let old_dest_single = Array.make npcs false in
   let line = Array.make npcs 0 in
@@ -197,7 +195,6 @@ let build (config : Config.t) (program : Program.t) =
       kind_opt.(pc) <- Some k;
       is_wish_hw.(pc) <- (config.wish_hardware && k <> Inst.Cond)
     | None -> ());
-    is_wish_static.(pc) <- Inst.is_wish inst;
     bshape.(pc) <-
       (match inst.op with
       | Inst.Branch _ -> bs_cond
@@ -272,7 +269,6 @@ let build (config : Config.t) (program : Program.t) =
     src2;
     idst;
     is_mem;
-    is_wish_static;
     sel_eligible;
     old_dest_single;
     old_dest_select = not knobs.no_depend;

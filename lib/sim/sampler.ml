@@ -144,8 +144,8 @@ type state = {
   s_code : Code.t;
   s_warm : Core.warm_state;
   s_kind : int array; (* warm-plan class, one of the k_* above *)
-  s_target : int array; (* BTB insert target: direct target or pc+1 *)
   s_line : int array; (* I-cache line index of the pc *)
+  s_lu : Hybrid.lbuf; (* [warm_entry]'s direction-predictor probe *)
   mutable s_last_line : int;
 }
 
@@ -153,13 +153,11 @@ let create_state (config : Config.t) (program : Program.t) =
   let code = Program.code program in
   let n = Code.length code in
   let s_kind = Array.make n k_inert in
-  let s_target = Array.make n 0 in
   let s_line = Array.make n 0 in
   let line_bytes = config.hier.l1i.line_bytes in
   for pc = 0 to n - 1 do
     let inst = Code.get code pc in
     s_line.(pc) <- Code.byte_pc pc / line_bytes;
-    s_target.(pc) <- (match Inst.direct_target inst with Some t -> t | None -> pc + 1);
     s_kind.(pc) <-
       (match inst.Inst.op with
       | Inst.Branch { kind = Inst.Cond; _ } -> k_cond
@@ -185,8 +183,8 @@ let create_state (config : Config.t) (program : Program.t) =
         warm_hier = Hierarchy.create config.hier;
       };
     s_kind;
-    s_target;
     s_line;
+    s_lu = Hybrid.fresh_lbuf ();
     s_last_line = -1;
   }
 
@@ -229,11 +227,14 @@ let warm_entry st _i ~pc ~guard_true ~taken ~addr =
       (* A low-confidence wish branch executes predicated: no flush ever
          repairs its speculatively-shifted history, so the architectural
          history stream carries the predictor's output there — everywhere
-         else, recovery leaves the actual outcome. Peeking the prediction
-         (predict is read-only) decides which direction to shift. *)
+         else, recovery leaves the actual outcome. The probe is read-only,
+         so the confidence estimate can decide the shift between it and
+         the training half. *)
+      let lu = st.s_lu in
+      Hybrid.predict_into w.warm_hybrid ~pc lu;
+      let predicted = lu.Hybrid.b_taken in
       let dir =
         if is_wish_hw then begin
-          let predicted = (Hybrid.predict w.warm_hybrid ~pc).Hybrid.taken in
           let conf_high =
             if cfg.knobs.perfect_conf then predicted = taken
             else Confidence.is_high_confidence w.warm_conf ~pc ~history
@@ -242,21 +243,18 @@ let warm_entry st _i ~pc ~guard_true ~taken ~addr =
         end
         else taken
       in
-      let predicted = Hybrid.warm w.warm_hybrid ~dir ~pc ~taken () in
+      Hybrid.warm_train_b w.warm_hybrid lu ~pc ~dir ~taken;
       if is_wish_hw && not cfg.knobs.perfect_conf then
-        Confidence.warm w.warm_conf ~pc ~history ~correct:(predicted = taken);
+        Confidence.train w.warm_conf ~pc ~history ~correct:(predicted = taken);
       if is_wish_hw && cfg.use_loop_predictor && k = k_wloop then
-        Loop_pred.warm w.warm_loop ~pc ~taken;
-      if taken then
-        Btb.insert w.warm_btb ~pc ~target:(Array.unsafe_get st.s_target pc)
-          ~is_wish:(k >= k_wjump)
+        Loop_pred.warm_entry (Loop_pred.resolve w.warm_loop pc) ~taken;
+      if taken then Btb.insert w.warm_btb ~pc
     end
     else begin
       (* Indirect control: jump / call / return. *)
       if k = k_call then Ras.push w.warm_ras (pc + 1)
       else if k = k_return then ignore (Ras.pop w.warm_ras);
-      if taken then
-        Btb.insert w.warm_btb ~pc ~target:(Array.unsafe_get st.s_target pc) ~is_wish:false
+      if taken then Btb.insert w.warm_btb ~pc
     end
 
 (* Warm only what the trace already recorded in [from, until) — never
@@ -284,11 +282,11 @@ let warm_state_at ~config program trace i =
 
 (* Per-pc warm hooks for {!Trace.warm_to}: [warm_entry] re-specialized
    so that everything static — the warm-plan class, the I-line index and
-   its L1I set/tag, the BTB set/tag and entry record, the wish/loop/conf
-   mode bits — is resolved here, at plan time, once per static
-   instruction. The emulator then feeds each retired instruction's
-   {!Exec.out} straight into the hook: no trace encode, no decode, no
-   per-entry class dispatch. Every hook must mutate the warm structures
+   its L1I set/tag, the BTB set/tag, the wish/loop/conf mode bits — is
+   resolved here, at plan time, once per static instruction. The
+   emulator then feeds each retired instruction's {!Exec.out} straight
+   into the hook: no trace encode, no decode, no per-entry class
+   dispatch. Every hook must mutate the warm structures
    in exactly [warm_entry]'s order (including LRU-recency touches), so
    fused warm state is bit-identical to trace-based warm state; the
    [fused] test group in test_sim holds this to account. *)
@@ -344,25 +342,23 @@ let build_hooks st ~entry =
           Hierarchy.warm_data hier ~byte_addr:(o.Exec.o_addr * Code.word_bytes))
       else if k <= k_wloop then begin
         (* Branch family (cond / wish jump / wish join / wish loop). *)
-        let is_wish = k >= k_wjump in
-        let is_wish_hw = cfg.Config.wish_hardware && is_wish in
+        let is_wish_hw = cfg.Config.wish_hardware && k >= k_wjump in
         let perfect_conf = cfg.knobs.perfect_conf in
         let do_loop = is_wish_hw && cfg.use_loop_predictor && k = k_wloop in
         let bset, btag = Btb.index btb ~pc in
-        let bentry = { Btb.target = st.s_target.(pc); is_wish } in
-        if not is_wish_hw then begin
-          let bslot = ref (-1) in
-          fun (o : Exec.out) ->
-            (* Plain conditional (or wish branch with the hardware knob
-               off): outcome into the histories, one fused pass. *)
-            if line <> st.s_last_line then begin
-              Hierarchy.warm_inst_at hier ~set:iset ~tag:itag ~byte_addr:byte_pc;
-              st.s_last_line <- line
-            end;
-            let taken = o.Exec.o_taken in
-            ignore (Hybrid.warm_fast hybrid ~dir:taken ~pc ~taken);
-            if taken then Btb.insert_cached btb ~set:bset ~tag:btag ~slot:bslot bentry
-        end
+        let lb = Hybrid.fresh_lbuf () in
+        let bslot = ref (-1) in
+        if not is_wish_hw then (fun (o : Exec.out) ->
+          (* Plain conditional (or wish branch with the hardware knob
+             off): outcome into the histories. *)
+          if line <> st.s_last_line then begin
+            Hierarchy.warm_inst_at hier ~set:iset ~tag:itag ~byte_addr:byte_pc;
+            st.s_last_line <- line
+          end;
+          let taken = o.Exec.o_taken in
+          Hybrid.predict_into hybrid ~pc lb;
+          Hybrid.warm_train_b hybrid lb ~pc ~dir:taken ~taken;
+          if taken then Btb.insert_cached btb ~set:bset ~tag:btag ~slot:bslot)
         else begin
           (* Wish branch under wish hardware. The hybrid probe and train
              are split around the confidence estimate (the shifted
@@ -372,9 +368,7 @@ let build_hooks st ~entry =
              first retirement (exactly when [warm_entry] would create
              it) and is a direct record reference afterwards. Each
              structure sees exactly [warm_entry]'s op sequence. *)
-          let lb = Hybrid.fresh_lbuf () in
           let lentry = ref None in
-          let bslot = ref (-1) in
           fun (o : Exec.out) ->
             if line <> st.s_last_line then begin
               Hierarchy.warm_inst_at hier ~set:iset ~tag:itag ~byte_addr:byte_pc;
@@ -401,13 +395,12 @@ let build_hooks st ~entry =
               in
               Loop_pred.warm_entry e ~taken
             end;
-            if taken then Btb.insert_cached btb ~set:bset ~tag:btag ~slot:bslot bentry
+            if taken then Btb.insert_cached btb ~set:bset ~tag:btag ~slot:bslot
         end
       end
       else begin
         (* Indirect control: jump / call / return. *)
         let bset, btag = Btb.index btb ~pc in
-        let bentry = { Btb.target = st.s_target.(pc); is_wish = false } in
         let is_call = k = k_call and is_return = k = k_return in
         let bslot = ref (-1) in
         fun (o : Exec.out) ->
@@ -417,7 +410,7 @@ let build_hooks st ~entry =
           end;
           if is_call then Ras.push ras (pc + 1)
           else if is_return then ignore (Ras.pop ras);
-          if o.Exec.o_taken then Btb.insert_cached btb ~set:bset ~tag:btag ~slot:bslot bentry
+          if o.Exec.o_taken then Btb.insert_cached btb ~set:bset ~tag:btag ~slot:bslot
       end)
 
 (** [fused_warm_state_at ~config program i] — {!warm_state_at} computed

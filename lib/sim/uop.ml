@@ -35,8 +35,6 @@ type branch_rec = {
   mutable predicted_target : int;
   mutable actual_taken : bool; (* oracle direction; = predicted for wrong-path *)
   mutable actual_next : int; (* architectural successor pc *)
-  mutable lookup : Wish_bpred.Hybrid.lookup option; (* present iff predictor consulted *)
-  mutable snapshot : Wish_bpred.Hybrid.snapshot option; (* history undo record *)
   mutable ras_top : int;
   mutable cursor_next : int; (* oracle cursor right after this branch *)
   mutable fetch_mode : mode;
@@ -48,15 +46,14 @@ type branch_rec = {
   mutable rat_ckpt : Rat.snapshot option; (* filled at rename; buffer reused *)
   mutable resolved : bool;
   mutable loop_class : loop_class;
-  (* Compiled-core fields: the buffer-based predictor protocol and the
-     pooled RAT-checkpoint slot replace the option-boxed [lookup],
-     [snapshot] and [rat_ckpt] above. The interpreted core never touches
-     them. *)
+  (* The direction predictor's buffers, part of the pooled identity like
+     [br] itself: refilled in place at every fetch, so predicting
+     allocates nothing. The [_valid] flags are set for conditional
+     branches, the only ones the predictor sees. *)
   lu : Wish_bpred.Hybrid.lbuf;
   mutable lu_valid : bool;
   sn : Wish_bpred.Hybrid.sbuf;
   mutable sn_valid : bool;
-  mutable ckpt_slot : int; (* compiled RAT checkpoint pool slot, or -1 *)
 }
 
 type t = {
@@ -114,8 +111,6 @@ let fresh_branch_rec () =
     predicted_target = 0;
     actual_taken = false;
     actual_next = 0;
-    lookup = None;
-    snapshot = None;
     ras_top = -1;
     cursor_next = 0;
     fetch_mode = Normal;
@@ -131,7 +126,6 @@ let fresh_branch_rec () =
     lu_valid = false;
     sn = Wish_bpred.Hybrid.fresh_sbuf ();
     sn_valid = false;
-    ckpt_slot = -1;
   }
 
 let fresh ~branch =

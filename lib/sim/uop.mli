@@ -30,9 +30,6 @@ type branch_rec = {
   mutable predicted_target : int;
   mutable actual_taken : bool;  (** oracle direction; = predicted for wrong-path *)
   mutable actual_next : int;  (** architectural successor pc *)
-  mutable lookup : Wish_bpred.Hybrid.lookup option;
-      (** present iff predictor consulted *)
-  mutable snapshot : Wish_bpred.Hybrid.snapshot option;  (** history undo record *)
   mutable ras_top : int;
   mutable cursor_next : int;  (** oracle cursor right after this branch *)
   mutable fetch_mode : mode;
@@ -45,12 +42,10 @@ type branch_rec = {
   mutable resolved : bool;
   mutable loop_class : loop_class;
   lu : Wish_bpred.Hybrid.lbuf;
-      (** compiled core: unboxed predictor lookup (replaces [lookup]) *)
-  mutable lu_valid : bool;
-  sn : Wish_bpred.Hybrid.sbuf;
-      (** compiled core: unboxed history snapshot (replaces [snapshot]) *)
-  mutable sn_valid : bool;
-  mutable ckpt_slot : int;  (** compiled core: pooled RAT checkpoint slot, or -1 *)
+      (** the direction predictor's probe at fetch, refilled in place *)
+  mutable lu_valid : bool;  (** [lu] holds this branch's probe (conditional branches) *)
+  sn : Wish_bpred.Hybrid.sbuf;  (** the undo record of this branch's history shift *)
+  mutable sn_valid : bool;  (** [sn] undoes a shift (conditional branches) *)
 }
 
 type t = {

@@ -111,8 +111,3 @@ let drain t ~now ~f =
     done;
     b.len <- 0
   end
-
-(** [clear t] empties every bucket for pooled reuse. *)
-let clear t =
-  Array.iter (fun b -> b.len <- 0) t.slots;
-  Hashtbl.reset t.overflow

@@ -24,6 +24,3 @@ val schedule : t -> now:int -> due:int -> id:int -> unit
     [now] values — rotation sweeps happen as [now] crosses multiples of
     the horizon. *)
 val drain : t -> now:int -> f:(int -> unit) -> unit
-
-(** [clear t] drops every pending event (pooled reuse across runs). *)
-val clear : t -> unit

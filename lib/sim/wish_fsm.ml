@@ -55,12 +55,6 @@ let reset t =
   Array.fill t.forward 0 (Array.length t.forward) (-1);
   t.epoch <- t.epoch + 1
 
-(** [hard_reset t] restores the exact just-created state in place (for
-    pooled reuse across runs): {!reset} plus the complement map. *)
-let hard_reset t =
-  reset t;
-  Array.fill t.complement 0 (Array.length t.complement) (-1)
-
 (* Allocation-free primitives used by both the list-based decode hook below
    and the compiled core's pre-decoded templates. *)
 

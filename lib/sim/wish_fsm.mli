@@ -21,10 +21,6 @@ val mode : t -> Uop.mode
     complement map survives (it mirrors decoded compares). *)
 val reset : t -> unit
 
-(** [hard_reset t] restores the exact just-created state in place,
-    complement map included (for pooled reuse across runs). *)
-val hard_reset : t -> unit
-
 (** [on_decode_writes t pregs ~complement_pair] — decoding an instruction
     that writes a predicate register invalidates its forwarded value; a
     two-destination compare also refreshes the complement map. *)

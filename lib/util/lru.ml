@@ -62,17 +62,7 @@ let slot_of t ~set ~tag =
   let b = base t set in
   scan_way t tag (b + t.ways) b
 
-(** [find t ~set ~tag] looks up an entry and updates its recency on hit. *)
-let find t ~set ~tag =
-  let i = slot_of t ~set ~tag in
-  if i < 0 then None
-  else begin
-    touch t i;
-    Some t.payloads.(i)
-  end
-
-(** [hit t ~set ~tag] is [find <> None] without the option box: recency is
-    refreshed exactly as by [find], but only presence is reported. *)
+(** [hit t ~set ~tag] reports presence and refreshes recency on a hit. *)
 let hit t ~set ~tag =
   let i = slot_of t ~set ~tag in
   i >= 0
@@ -81,8 +71,8 @@ let hit t ~set ~tag =
        true
      end
 
-(** [find_default t ~set ~tag ~default] — like [find] but returns
-    [default] on a miss instead of boxing the payload in an option. *)
+(** [find_default t ~set ~tag ~default] — the payload on a hit
+    (refreshing recency), [default] on a miss. *)
 let find_default t ~set ~tag ~default =
   let i = slot_of t ~set ~tag in
   if i < 0 then default
@@ -131,25 +121,9 @@ let fill_slot t i ~tag payload =
   t.payloads.(i) <- payload;
   touch t i
 
-(** [insert t ~set ~tag payload] inserts, evicting the LRU way if needed.
-    Returns the evicted [(tag, payload)] if a valid entry was displaced. *)
-let insert t ~set ~tag payload =
-  let b = base t set in
-  match last_match_way t tag b (b + t.ways - 1) with
-  | i when i >= 0 ->
-    touch t i;
-    t.payloads.(i) <- payload;
-    None
-  | _ ->
-    let v = victim_way t (b + t.ways) b (b + 1) in
-    let evicted = if valid_at t v then Some (t.tags.(v), t.payloads.(v)) else None in
-    fill_slot t v ~tag payload;
-    evicted
-
-(** [insert_quiet t ~set ~tag payload] is {!insert} with the eviction
-    report dropped: identical replacement decisions and recency updates,
-    but allocation-free (no option/tuple boxing) — the warming hot paths
-    live on this. *)
+(** [insert_quiet t ~set ~tag payload] inserts, evicting the LRU way if
+    needed; inserting a present tag refreshes it and replaces its
+    payload. Allocation-free. *)
 let insert_quiet t ~set ~tag payload =
   let b = base t set in
   let i = last_match_way t tag b (b + t.ways - 1) in
@@ -158,16 +132,6 @@ let insert_quiet t ~set ~tag payload =
     t.payloads.(i) <- payload
   end
   else fill_slot t (victim_way t (b + t.ways) b (b + 1)) ~tag payload
-
-(** [invalidate t ~set ~tag] removes an entry if present. *)
-let invalidate t ~set ~tag =
-  let b = base t set in
-  for i = b to b + t.ways - 1 do
-    if valid_at t i && t.tags.(i) = tag then begin
-      Bytes.unsafe_set t.valids i '\000';
-      t.payloads.(i) <- t.default ()
-    end
-  done
 
 let clear t =
   Bytes.fill t.valids 0 (Bytes.length t.valids) '\000';
@@ -191,21 +155,13 @@ let copy t =
     payloads = Array.copy t.payloads;
   }
 
-(** [count_valid t] returns the number of valid entries (for tests/stats). *)
-let count_valid t =
-  let n = ref 0 in
-  for i = 0 to Bytes.length t.valids - 1 do
-    if valid_at t i then incr n
-  done;
-  !n
-
 (* ----------------------------------------------------------------- *)
 (* Slot-level access                                                   *)
 (* ----------------------------------------------------------------- *)
 
 (** [find_slot t ~set ~tag] — the slot handle of the matching entry, or
     [-1] on a miss, with no recency update. Slot handles stay valid until
-    the entry is evicted or invalidated; fused hot paths use them to
+    the entry is evicted or cleared; fused hot paths use them to
     probe once and then apply several recency/payload steps to the same
     entry without rescanning the ways. *)
 let find_slot t ~set ~tag = slot_of t ~set ~tag

@@ -13,16 +13,12 @@ val create : sets:int -> ways:int -> default:(unit -> 'a) -> 'a t
 val sets : 'a t -> int
 val ways : 'a t -> int
 
-(** [find t ~set ~tag] looks up an entry and refreshes its recency on hit.
-    [set] is reduced modulo the set count. *)
-val find : 'a t -> set:int -> tag:int -> 'a option
-
-(** [hit t ~set ~tag] is [find <> None] without the option box: recency
-    is refreshed exactly as by [find], but only presence is reported. *)
+(** [hit t ~set ~tag] reports presence and refreshes the entry's recency
+    on a hit. [set] is reduced modulo the set count. *)
 val hit : 'a t -> set:int -> tag:int -> bool
 
-(** [find_default t ~set ~tag ~default] — like [find] but returns
-    [default] on a miss instead of boxing the payload in an option. *)
+(** [find_default t ~set ~tag ~default] — the payload on a hit
+    (refreshing recency), [default] on a miss. *)
 val find_default : 'a t -> set:int -> tag:int -> default:'a -> 'a
 
 (** [mem t ~set ~tag] checks presence without touching recency. *)
@@ -32,19 +28,13 @@ val mem : 'a t -> set:int -> tag:int -> bool
     recency); returns whether the entry was present. *)
 val update : 'a t -> set:int -> tag:int -> f:('a -> 'a) -> bool
 
-(** [insert t ~set ~tag payload] inserts, evicting the LRU way if needed;
-    returns the evicted [(tag, payload)] if a valid entry was displaced.
-    Inserting an existing tag replaces its payload without eviction. *)
-val insert : 'a t -> set:int -> tag:int -> 'a -> (int * 'a) option
-
-(** [insert_quiet t ~set ~tag payload] — {!insert} minus the eviction
-    report: identical replacement decisions and recency updates, but
-    allocation-free (warming hot paths). *)
+(** [insert_quiet t ~set ~tag payload] inserts, evicting the set's LRU
+    way (an invalid way first) if needed; inserting a present tag
+    refreshes it and replaces its payload without eviction. *)
 val insert_quiet : 'a t -> set:int -> tag:int -> 'a -> unit
 
-(** [invalidate t ~set ~tag] removes an entry if present. *)
-val invalidate : 'a t -> set:int -> tag:int -> unit
-
+(** [clear t] restores the just-created state: no valid entry, recency
+    clock at zero. *)
 val clear : 'a t -> unit
 
 (** [copy t] — an independent structure with the same contents; payloads
@@ -52,22 +42,19 @@ val clear : 'a t -> unit
     closure, so marshalling cannot substitute for this.) *)
 val copy : 'a t -> 'a t
 
-(** [count_valid t] returns the number of valid entries (tests/stats). *)
-val count_valid : 'a t -> int
-
 (** {1 Slot-level access}
 
     For fused warming paths that probe an entry and then apply several
     recency/payload steps to it without rescanning the ways. A slot
     handle from {!find_slot} stays valid until that entry is evicted or
-    invalidated. *)
+    cleared. *)
 
 (** [find_slot t ~set ~tag] — the matching entry's slot handle, or [-1]
     on a miss; no recency update. *)
 val find_slot : 'a t -> set:int -> tag:int -> int
 
 (** [touch_slot t slot] — exactly one recency refresh (the same clock
-    bump {!find} or {!update} would apply). *)
+    bump {!hit} or {!update} would apply). *)
 val touch_slot : 'a t -> int -> unit
 
 (** [slot_matches t slot ~tag] — does [slot] still hold a valid entry

@@ -399,10 +399,12 @@ let assert_warm_equal label n (a : Core.warm_state) (b : Core.warm_state) =
     (H.global_history a.Core.warm_hybrid)
     (H.global_history b.Core.warm_hybrid);
   let gh = H.global_history a.Core.warm_hybrid in
+  let la = H.fresh_lbuf () and lb = H.fresh_lbuf () in
   for pc = 0 to n - 1 do
-    if H.predict_taken a.Core.warm_hybrid ~pc <> H.predict_taken b.Core.warm_hybrid ~pc then
-      fail_pc "hybrid direction" pc;
-    if B.lookup a.Core.warm_btb ~pc <> B.lookup b.Core.warm_btb ~pc then fail_pc "BTB entry" pc;
+    H.predict_into a.Core.warm_hybrid ~pc la;
+    H.predict_into b.Core.warm_hybrid ~pc lb;
+    if la <> lb then fail_pc "hybrid prediction" pc;
+    if B.hit a.Core.warm_btb ~pc <> B.hit b.Core.warm_btb ~pc then fail_pc "BTB presence" pc;
     if
       C.is_high_confidence a.Core.warm_conf ~pc ~history:gh
       <> C.is_high_confidence b.Core.warm_conf ~pc ~history:gh

@@ -429,22 +429,6 @@ let prop_wheel_model =
       done;
       List.rev !fired = expected)
 
-(* [clear] drops every pending event, near and far, and leaves the wheel
-   usable for the next run. *)
-let test_wheel_clear () =
-  let w = Wheel.create ~horizon:16 in
-  Wheel.schedule w ~now:0 ~due:3 ~id:1;
-  Wheel.schedule w ~now:0 ~due:16 ~id:2;
-  Wheel.schedule w ~now:0 ~due:40 ~id:3;
-  Wheel.drain w ~now:0 ~f:(fun id -> Alcotest.failf "id %d fired before clear" id);
-  Wheel.clear w;
-  let fired = ref [] in
-  for now = 0 to 100 do
-    Wheel.drain w ~now ~f:(fun id -> fired := (now, id) :: !fired);
-    if now = 50 then Wheel.schedule w ~now ~due:70 ~id:4
-  done;
-  check Alcotest.(list (pair int int)) "only the post-clear event fires" [ (70, 4) ] !fired
-
 (* RAT ------------------------------------------------------------------------ *)
 
 let test_rat_producers () =
@@ -524,7 +508,6 @@ let () =
         [
           Alcotest.test_case "overflow latencies" `Quick test_wheel_overflow_latencies;
           Alcotest.test_case "reschedule from drain" `Quick test_wheel_reschedule_from_drain;
-          Alcotest.test_case "clear drops pending events" `Quick test_wheel_clear;
           QCheck_alcotest.to_alcotest ~speed_level:`Quick prop_wheel_model;
         ] );
       ( "rat",

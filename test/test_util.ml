@@ -62,34 +62,6 @@ let test_rng_chance_extremes () =
     Alcotest.(check bool) "100% always" true (Rng.chance r ~percent:100)
   done
 
-(* Counter ------------------------------------------------------------ *)
-
-let test_counter_saturation () =
-  let c = Counter.create ~bits:2 () in
-  check Alcotest.int "weakly-taken init" 2 (Counter.value c);
-  for _ = 1 to 10 do
-    Counter.increment c
-  done;
-  check Alcotest.int "saturates high" 3 (Counter.value c);
-  Alcotest.(check bool) "saturated" true (Counter.is_saturated_high c);
-  for _ = 1 to 10 do
-    Counter.decrement c
-  done;
-  check Alcotest.int "saturates low" 0 (Counter.value c)
-
-let test_counter_direction () =
-  let c = Counter.create ~bits:2 ~init:0 () in
-  Alcotest.(check bool) "0 = not taken" false (Counter.is_taken c);
-  Counter.update c ~taken:true;
-  Counter.update c ~taken:true;
-  Alcotest.(check bool) "2 = taken" true (Counter.is_taken c)
-
-let test_counter_reset () =
-  let c = Counter.create ~bits:4 () in
-  Counter.reset c 15;
-  check Alcotest.int "reset value" 15 (Counter.value c);
-  check Alcotest.int "max value" 15 (Counter.max_value c)
-
 (* Ring --------------------------------------------------------------- *)
 
 let test_ring_fifo_order () =
@@ -185,44 +157,48 @@ let test_heap_interleaved () =
 
 let test_lru_hit_and_miss () =
   let l = Lru.create ~sets:2 ~ways:2 ~default:(fun () -> 0) in
-  Alcotest.(check (option int)) "cold miss" None (Lru.find l ~set:0 ~tag:1);
-  ignore (Lru.insert l ~set:0 ~tag:1 42);
-  Alcotest.(check (option int)) "hit" (Some 42) (Lru.find l ~set:0 ~tag:1)
+  Alcotest.(check bool) "cold miss" false (Lru.hit l ~set:0 ~tag:1);
+  check Alcotest.int "miss reads the default" (-1) (Lru.find_default l ~set:0 ~tag:1 ~default:(-1));
+  Lru.insert_quiet l ~set:0 ~tag:1 42;
+  Alcotest.(check bool) "hit" true (Lru.hit l ~set:0 ~tag:1);
+  check Alcotest.int "payload" 42 (Lru.find_default l ~set:0 ~tag:1 ~default:(-1))
 
 let test_lru_eviction_order () =
   let l = Lru.create ~sets:1 ~ways:2 ~default:(fun () -> 0) in
-  ignore (Lru.insert l ~set:0 ~tag:1 1);
-  ignore (Lru.insert l ~set:0 ~tag:2 2);
+  Lru.insert_quiet l ~set:0 ~tag:1 1;
+  Lru.insert_quiet l ~set:0 ~tag:2 2;
   (* Touch tag 1 so tag 2 becomes LRU. *)
-  ignore (Lru.find l ~set:0 ~tag:1);
-  let evicted = Lru.insert l ~set:0 ~tag:3 3 in
-  check Alcotest.(option (pair int int)) "evicts LRU (tag 2)" (Some (2, 2)) evicted;
-  Alcotest.(check (option int)) "tag 1 kept" (Some 1) (Lru.find l ~set:0 ~tag:1)
+  ignore (Lru.hit l ~set:0 ~tag:1);
+  Lru.insert_quiet l ~set:0 ~tag:3 3;
+  Alcotest.(check bool) "evicts LRU (tag 2)" false (Lru.mem l ~set:0 ~tag:2);
+  check Alcotest.int "tag 1 kept" 1 (Lru.find_default l ~set:0 ~tag:1 ~default:(-1));
+  Alcotest.(check bool) "tag 3 filled" true (Lru.mem l ~set:0 ~tag:3)
 
 let test_lru_update () =
   let l = Lru.create ~sets:1 ~ways:2 ~default:(fun () -> 0) in
   Alcotest.(check bool) "update miss" false (Lru.update l ~set:0 ~tag:7 ~f:(fun v -> v + 1));
-  ignore (Lru.insert l ~set:0 ~tag:7 10);
+  Lru.insert_quiet l ~set:0 ~tag:7 10;
   Alcotest.(check bool) "update hit" true (Lru.update l ~set:0 ~tag:7 ~f:(fun v -> v + 1));
-  Alcotest.(check (option int)) "updated" (Some 11) (Lru.find l ~set:0 ~tag:7)
+  check Alcotest.int "updated" 11 (Lru.find_default l ~set:0 ~tag:7 ~default:(-1))
 
 let test_lru_insert_same_tag_replaces () =
   let l = Lru.create ~sets:1 ~ways:2 ~default:(fun () -> 0) in
-  ignore (Lru.insert l ~set:0 ~tag:5 1);
-  let evicted = Lru.insert l ~set:0 ~tag:5 2 in
-  Alcotest.(check (option (pair int int))) "no eviction" None evicted;
-  Alcotest.(check (option int)) "replaced" (Some 2) (Lru.find l ~set:0 ~tag:5);
-  check Alcotest.int "one valid entry" 1 (Lru.count_valid l)
+  Lru.insert_quiet l ~set:0 ~tag:5 1;
+  Lru.insert_quiet l ~set:0 ~tag:5 2;
+  check Alcotest.int "replaced" 2 (Lru.find_default l ~set:0 ~tag:5 ~default:(-1));
+  (* The second way is still free: a new tag fills it without evicting 5. *)
+  Lru.insert_quiet l ~set:0 ~tag:6 6;
+  Alcotest.(check bool) "no eviction" true (Lru.mem l ~set:0 ~tag:5 && Lru.mem l ~set:0 ~tag:6)
 
-let test_lru_invalidate_and_clear () =
+let test_lru_clear () =
   let l = Lru.create ~sets:2 ~ways:2 ~default:(fun () -> 0) in
-  ignore (Lru.insert l ~set:0 ~tag:1 1);
-  ignore (Lru.insert l ~set:1 ~tag:2 2);
-  Lru.invalidate l ~set:0 ~tag:1;
-  Alcotest.(check (option int)) "invalidated" None (Lru.find l ~set:0 ~tag:1);
-  check Alcotest.int "one left" 1 (Lru.count_valid l);
+  Lru.insert_quiet l ~set:0 ~tag:1 1;
+  Lru.insert_quiet l ~set:1 ~tag:2 2;
   Lru.clear l;
-  check Alcotest.int "cleared" 0 (Lru.count_valid l)
+  Alcotest.(check bool) "set 0 cleared" false (Lru.mem l ~set:0 ~tag:1);
+  Alcotest.(check bool) "set 1 cleared" false (Lru.mem l ~set:1 ~tag:2);
+  Lru.insert_quiet l ~set:0 ~tag:3 3;
+  check Alcotest.int "usable after clear" 3 (Lru.find_default l ~set:0 ~tag:3 ~default:(-1))
 
 (* Stats -------------------------------------------------------------- *)
 
@@ -359,12 +335,6 @@ let () =
           qtest prop_rng_int_range;
           qtest prop_rng_range;
         ] );
-      ( "counter",
-        [
-          Alcotest.test_case "saturation" `Quick test_counter_saturation;
-          Alcotest.test_case "direction" `Quick test_counter_direction;
-          Alcotest.test_case "reset" `Quick test_counter_reset;
-        ] );
       ( "ring",
         [
           Alcotest.test_case "fifo order" `Quick test_ring_fifo_order;
@@ -381,7 +351,7 @@ let () =
           Alcotest.test_case "eviction order" `Quick test_lru_eviction_order;
           Alcotest.test_case "update" `Quick test_lru_update;
           Alcotest.test_case "same tag replaces" `Quick test_lru_insert_same_tag_replaces;
-          Alcotest.test_case "invalidate and clear" `Quick test_lru_invalidate_and_clear;
+          Alcotest.test_case "clear" `Quick test_lru_clear;
         ] );
       ( "stats",
         [
