@@ -42,14 +42,26 @@ let run names scale verbose benchmarks csv_dir jobs no_cache retries keep_going 
   (* Resolve the artifact selection before spawning any worker domain, so
      a typo cannot leak a pool. Named lookup also covers the on-demand
      extras (scale-sweep); the no-argument run sticks to the default
-     catalog. *)
+     catalog. A sampled summary records none of the wish/loop class
+     counters that Figures 11 and 13 classify, so a sampled run leaves
+     them out rather than print zeros. *)
   let catalog = Figures.all @ Figures.extras @ Ablations.all in
+  let unsampled = [ "fig11"; "fig13" ] in
   let selected =
-    if names = [] then Figures.all @ Ablations.all
+    if names = [] then
+      if Option.is_none sampling then Figures.all @ Ablations.all
+      else begin
+        Fmt.epr "--sample: leaving out %s (a sampled run records no class counters)@."
+          (String.concat " and " unsampled);
+        List.filter (fun (n, _) -> not (List.mem n unsampled)) (Figures.all @ Ablations.all)
+      end
     else
       List.map
         (fun n ->
           match List.assoc_opt n catalog with
+          | Some _ when Option.is_some sampling && List.mem n unsampled ->
+            Fmt.epr "--sample: %s needs class counters a sampled run does not record@." n;
+            exit 2
           | Some f -> (n, f)
           | None ->
             Fmt.epr "unknown artifact %s (know: %s)@." n

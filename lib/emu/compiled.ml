@@ -72,12 +72,8 @@ type t = {
 }
 
 let mode t = t.mode
-let is_checked t = t.checked
 let block_count t = t.blocks
 let block_leaders t = t.leaders
-
-(** Mean static instructions per block in this mode's block graph. *)
-let mean_block_len t = float_of_int t.n /. float_of_int (max 1 t.blocks)
 
 (* Unchecked register-file primitives. Safe: every index passed below is
    a static field of a [Code.create]-validated instruction, and writes to

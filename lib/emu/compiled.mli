@@ -38,14 +38,12 @@ val context : State.t -> Exec.out -> sink:sink -> ctx
 val compile : ?checked:bool -> mode:Exec.mode -> Wish_isa.Code.t -> t
 
 val mode : t -> Exec.mode
-val is_checked : t -> bool
 
 (** Static basic blocks in this mode's block graph (wish jumps/joins are
     fused in [Predicate_through] mode, so its graph is coarser). *)
 val block_count : t -> int
 
 val block_leaders : t -> bool array
-val mean_block_len : t -> float
 
 (** [step t st out] — execute exactly one instruction; mirrors
     {!Exec.step_into} ([st.pc], [st.retired], facts into [out]). The

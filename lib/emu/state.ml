@@ -31,11 +31,7 @@ let create (p : Program.t) =
 
 let read_reg t r = t.regs.(r)
 
-let write_reg t r v = if r <> Reg.r0 then t.regs.(r) <- v
-
 let read_pred t p = t.pregs.(p)
-
-let write_pred t p v = if p <> Reg.p0 then t.pregs.(p) <- v
 
 (* Debug-mode flag: WISH_EMU_CHECKED=1 keeps every register/predicate
    access of the emulator hot paths bounds-checked. Off by default: the

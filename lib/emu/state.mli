@@ -16,13 +16,7 @@ val ra_stack_limit : int
 val create : Wish_isa.Program.t -> t
 val read_reg : t -> Wish_isa.Reg.ireg -> int
 
-(** [write_reg] discards writes to r0. *)
-val write_reg : t -> Wish_isa.Reg.ireg -> int -> unit
-
 val read_pred : t -> Wish_isa.Reg.preg -> bool
-
-(** [write_pred] discards writes to p0. *)
-val write_pred : t -> Wish_isa.Reg.preg -> bool -> unit
 
 (** Debug-mode flag (env [WISH_EMU_CHECKED]): when set, the [fast_*]
     accessors below keep their bounds checks. Off by default — the

@@ -108,10 +108,6 @@ let chunk_capacity t = t.cmask + 1
 let resident_entries t = t.total - (t.dir_base lsl t.cbits)
 let peak_resident_entries t = t.peak
 
-(* Retained buffer footprint in words, directory and free list included. *)
-let resident_words t =
-  ((t.ndir + List.length t.free) * (t.cmask + 1)) + Array.length t.dir
-
 let fresh_chunk t base =
   match t.free with
   | c :: rest ->

@@ -88,9 +88,6 @@ val resident_entries : t -> int
 
 val peak_resident_entries : t -> int
 
-(** Approximate retained buffer footprint in memory words. *)
-val resident_words : t -> int
-
 exception Out_of_fuel of int
 
 (** [set_sealed t flag] — while sealed, an {!ensure} that would need the

@@ -44,54 +44,22 @@ let fig1 lab =
   t
 
 (* ------------------------------------------------------------------ *)
-(* Figure 2: idealized predication overheads                           *)
-(* ------------------------------------------------------------------ *)
-
-let fig2_cases =
-  [
-    ("BASE-MAX", Policy.Base_max, Config.no_knobs);
-    ("NO-DEPEND", Policy.Base_max, { Config.no_knobs with Config.no_depend = true });
-    ( "NO-DEPEND+NO-FETCH",
-      Policy.Base_max,
-      { Config.no_knobs with Config.no_depend = true; no_fetch = true } );
-    ("PERFECT-CBP", Policy.Normal, { Config.no_knobs with Config.perfect_bp = true });
-  ]
-
-(** Figure 2: execution time when the sources of predication overhead are
-    ideally removed (oracle knobs), plus perfect conditional branch
-    prediction, normalized to the normal binary. *)
-let fig2 lab =
-  let t =
-    Table.create ~title:"Figure 2: idealized elimination of predication overhead"
-      ~header:("benchmark" :: List.map (fun (l, _, _) -> l) fig2_cases)
-      ~aligns:(Table.Left :: List.map (fun _ -> Table.Right) fig2_cases)
-  in
-  let value name (_, kind, knobs) =
-    Lab.normalized lab ~bench:name ~kind ~config:(with_knobs knobs) ()
-  in
-  List.iter
-    (fun name -> Table.add_row t (name :: List.map (fun c -> f3 (value name c)) fig2_cases))
-    (Lab.bench_names lab);
-  Table.add_separator t;
-  List.iter
-    (fun (label, get) ->
-      Table.add_row t (label :: List.map (fun c -> f3 (get c)) fig2_cases))
-    [
-      ("AVG", fun c -> Lab.mean (List.map (fun n -> value n c) (Lab.bench_names lab)));
-      ( "AVGnomcf",
-        fun c ->
-          Lab.mean
-            (List.filter_map
-               (fun n -> if n = "mcf" then None else Some (value n c))
-               (Lab.bench_names lab)) );
-    ];
-  t
-
-(* ------------------------------------------------------------------ *)
-(* Execution-time comparisons (Figures 10, 12, 14, 15, 16)             *)
+(* Execution-time comparisons (Figures 2, 10, 12, 14, 15, 16)          *)
 (* ------------------------------------------------------------------ *)
 
 type bar = { label : string; kind : Policy.kind; config : Config.t }
+
+(** Figure 2's cases: the sources of predication overhead ideally
+    removed (oracle knobs), plus perfect conditional branch prediction. *)
+let bars_fig2 =
+  let knobs label kind k = { label; kind; config = with_knobs k } in
+  [
+    knobs "BASE-MAX" Policy.Base_max Config.no_knobs;
+    knobs "NO-DEPEND" Policy.Base_max { Config.no_knobs with Config.no_depend = true };
+    knobs "NO-DEPEND+NO-FETCH" Policy.Base_max
+      { Config.no_knobs with Config.no_depend = true; no_fetch = true };
+    knobs "PERFECT-CBP" Policy.Normal { Config.no_knobs with Config.perfect_bp = true };
+  ]
 
 let bars_fig10 =
   [
@@ -110,6 +78,17 @@ let bars_fig12 =
     { label = "wish-jjl (perf-conf)"; kind = Policy.Wish_jjl; config = perfect_conf Config.default };
   ]
 
+(* [value lab name bar] — [bar]'s execution time on benchmark [name],
+   normalized to the normal binary under the same configuration. *)
+let value lab name bar = Lab.normalized lab ~bench:name ~kind:bar.kind ~config:bar.config ()
+
+(* The paper's two averages, each with the benchmarks it keeps. *)
+let averages = [ ("AVG", fun _ -> true); ("AVGnomcf", fun n -> n <> "mcf") ]
+
+let average lab keep bar =
+  let kept = List.filter keep (Lab.bench_names lab) in
+  Lab.mean (List.map (fun n -> value lab n bar) kept)
+
 (** Shared renderer: one column per bar, one row per benchmark plus the
     AVG / AVGnomcf rows; values normalized per-benchmark to the normal
     binary under the same configuration. *)
@@ -119,32 +98,26 @@ let exec_time_table lab ~title bars =
       ~header:("benchmark" :: List.map (fun b -> b.label) bars)
       ~aligns:(Table.Left :: List.map (fun _ -> Table.Right) bars)
   in
-  let value name bar = Lab.normalized lab ~bench:name ~kind:bar.kind ~config:bar.config () in
   List.iter
-    (fun name -> Table.add_row t (name :: List.map (fun b -> f3 (value name b)) bars))
+    (fun name -> Table.add_row t (name :: List.map (fun b -> f3 (value lab name b)) bars))
     (Lab.bench_names lab);
   Table.add_separator t;
-  Table.add_row t
-    ("AVG" :: List.map (fun b -> f3 (Lab.mean (List.map (fun n -> value n b) (Lab.bench_names lab)))) bars);
-  Table.add_row t
-    ("AVGnomcf"
-    :: List.map
-         (fun b ->
-           f3
-             (Lab.mean
-                (List.filter_map
-                   (fun n -> if n = "mcf" then None else Some (value n b))
-                   (Lab.bench_names lab))))
-         bars);
+  List.iter
+    (fun (label, keep) ->
+      Table.add_row t (label :: List.map (fun b -> f3 (average lab keep b)) bars))
+    averages;
   t
+
+let fig2 lab =
+  exec_time_table lab ~title:"Figure 2: idealized elimination of predication overhead" bars_fig2
 
 let fig10 lab = exec_time_table lab ~title:"Figure 10: performance of wish jump/join binaries" bars_fig10
 
 let fig12 lab =
   exec_time_table lab ~title:"Figure 12: performance of wish jump/join/loop binaries" bars_fig12
 
-let bars_fig14 rob =
-  let base = Config.with_rob Config.default rob in
+(* The bars of Figures 14 and 15 on one base configuration. *)
+let sweep_bars base =
   [
     { label = "BASE-DEF"; kind = Policy.Base_def; config = base };
     { label = "BASE-MAX"; kind = Policy.Base_max; config = base };
@@ -152,73 +125,44 @@ let bars_fig14 rob =
     { label = "wish-jjl (perf-conf)"; kind = Policy.Wish_jjl; config = perfect_conf base };
   ]
 
-(** Figure 14: effect of instruction window size (128/256/512). Reports
-    AVG and AVGnomcf per window size, normalized to the normal binary on
-    the same window size. *)
-let fig14 lab =
-  let bars = bars_fig14 in
+let windows = [ 128; 256; 512 ]
+let bars_fig14 rob = sweep_bars (Config.with_rob Config.default rob)
+let depths = [ 10; 20; 30 ]
+
+let bars_fig15 stages =
+  sweep_bars (Config.with_pipeline_stages (Config.with_rob Config.default 256) stages)
+
+(** Sweep renderer (Figures 14 and 15): for each swept value [v], the
+    AVG and AVGnomcf rows of [bars v], labelled [row v] in the [axis]
+    column. *)
+let sweep_table lab ~title ~axis ~row values bars =
   let t =
-    Table.create ~title:"Figure 14: effect of instruction window size"
-      ~header:[ "window"; "average"; "BASE-DEF"; "BASE-MAX"; "wish-jjl (real)"; "wish-jjl (perf)" ]
+    Table.create ~title
+      ~header:[ axis; "average"; "BASE-DEF"; "BASE-MAX"; "wish-jjl (real)"; "wish-jjl (perf)" ]
       ~aligns:[ Table.Left; Table.Left; Table.Right; Table.Right; Table.Right; Table.Right ]
   in
   List.iter
-    (fun rob ->
-      let bars = bars rob in
-      let value name bar = Lab.normalized lab ~bench:name ~kind:bar.kind ~config:bar.config () in
-      let avg filter =
-        List.map
-          (fun b ->
-            f3
-              (Lab.mean
-                 (List.filter_map
-                    (fun n -> if filter n then Some (value n b) else None)
-                    (Lab.bench_names lab))))
-          bars
-      in
-      Table.add_row t ((string_of_int rob ^ "-entry") :: "AVG" :: avg (fun _ -> true));
-      Table.add_row t
-        ((string_of_int rob ^ "-entry") :: "AVGnomcf" :: avg (fun n -> n <> "mcf")))
-    [ 128; 256; 512 ];
+    (fun v ->
+      List.iter
+        (fun (label, keep) ->
+          Table.add_row t (row v :: label :: List.map (fun b -> f3 (average lab keep b)) (bars v)))
+        averages)
+    values;
   t
 
-let bars_fig15 stages =
-  let base = Config.with_pipeline_stages (Config.with_rob Config.default 256) stages in
-  [
-    { label = "BASE-DEF"; kind = Policy.Base_def; config = base };
-    { label = "BASE-MAX"; kind = Policy.Base_max; config = base };
-    { label = "wish-jjl (real-conf)"; kind = Policy.Wish_jjl; config = base };
-    { label = "wish-jjl (perf-conf)"; kind = Policy.Wish_jjl; config = perfect_conf base };
-  ]
+(** Figure 14: effect of instruction window size (128/256/512),
+    normalized to the normal binary on the same window size. *)
+let fig14 lab =
+  sweep_table lab ~title:"Figure 14: effect of instruction window size" ~axis:"window"
+    ~row:(fun rob -> string_of_int rob ^ "-entry")
+    windows bars_fig14
 
 (** Figure 15: effect of pipeline depth (10/20/30 stages, 256-entry
     window). *)
 let fig15 lab =
-  let bars = bars_fig15 in
-  let t =
-    Table.create ~title:"Figure 15: effect of pipeline depth (256-entry window)"
-      ~header:[ "stages"; "average"; "BASE-DEF"; "BASE-MAX"; "wish-jjl (real)"; "wish-jjl (perf)" ]
-      ~aligns:[ Table.Left; Table.Left; Table.Right; Table.Right; Table.Right; Table.Right ]
-  in
-  List.iter
-    (fun stages ->
-      let bars = bars stages in
-      let value name bar = Lab.normalized lab ~bench:name ~kind:bar.kind ~config:bar.config () in
-      let avg filter =
-        List.map
-          (fun b ->
-            f3
-              (Lab.mean
-                 (List.filter_map
-                    (fun n -> if filter n then Some (value n b) else None)
-                    (Lab.bench_names lab))))
-          bars
-      in
-      Table.add_row t ((string_of_int stages ^ "-stage") :: "AVG" :: avg (fun _ -> true));
-      Table.add_row t
-        ((string_of_int stages ^ "-stage") :: "AVGnomcf" :: avg (fun n -> n <> "mcf")))
-    [ 10; 20; 30 ];
-  t
+  sweep_table lab ~title:"Figure 15: effect of pipeline depth (256-entry window)" ~axis:"stages"
+    ~row:(fun stages -> string_of_int stages ^ "-stage")
+    depths bars_fig15
 
 let bars_fig16 =
   let c = select_mech Config.default in
@@ -422,21 +366,13 @@ let jobs =
               (fun input -> Lab.job ~bench:name ~kind:Policy.Base_max ~input ())
               [ "A"; "B"; "C" ])
           (Lab.bench_names lab) );
-    ( "fig2",
-      fun lab ->
-        List.concat_map
-          (fun name ->
-            List.map
-              (fun (_, kind, knobs) -> Lab.job ~bench:name ~kind ~config:(with_knobs knobs) ())
-              fig2_cases)
-          (Lab.bench_names lab) );
+    ("fig2", fun lab -> bar_jobs lab bars_fig2);
     ("fig10", fun lab -> bar_jobs lab bars_fig10);
     ("fig11", fun lab -> plain_jobs lab [ Policy.Wish_jj ]);
     ("fig12", fun lab -> bar_jobs lab bars_fig12);
     ("fig13", fun lab -> plain_jobs lab [ Policy.Wish_jjl ]);
-    ("fig14", fun lab -> List.concat_map (fun rob -> bar_jobs lab (bars_fig14 rob)) [ 128; 256; 512 ]);
-    ( "fig15",
-      fun lab -> List.concat_map (fun st -> bar_jobs lab (bars_fig15 st)) [ 10; 20; 30 ] );
+    ("fig14", fun lab -> List.concat_map (fun rob -> bar_jobs lab (bars_fig14 rob)) windows);
+    ("fig15", fun lab -> List.concat_map (fun st -> bar_jobs lab (bars_fig15 st)) depths);
     ("fig16", fun lab -> bar_jobs lab bars_fig16);
     ("tab4", fun lab -> plain_jobs lab [ Policy.Normal; Policy.Wish_jjl ]);
     ( "tab5",

@@ -22,11 +22,6 @@ module Cache = Wish_experiments.Cache
 
 type verdict = Pass | Skip of string | Fail of string
 
-let verdict_to_string = function
-  | Pass -> "pass"
-  | Skip r -> "skip: " ^ r
-  | Fail r -> "FAIL: " ^ r
-
 type name = Lockstep | Binaries | Sim_identity | Sampled | Roundtrip
 
 let all_names = [ Lockstep; Binaries; Sim_identity; Sampled; Roundtrip ]

@@ -40,8 +40,6 @@
 
 type verdict = Pass | Skip of string | Fail of string
 
-val verdict_to_string : verdict -> string
-
 type name = Lockstep | Binaries | Sim_identity | Sampled | Roundtrip
 
 (** All five, in the order above (cheap and sharp first). *)

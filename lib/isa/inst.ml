@@ -122,7 +122,6 @@ let int_srcs i =
 let pred_srcs i = if i.guard = Reg.p0 then [] else [ i.guard ]
 
 let writes_memory i = match i.op with Store _ -> true | _ -> false
-let reads_memory i = match i.op with Load _ -> true | _ -> false
 
 let pp_aluop ppf op =
   Fmt.string ppf

@@ -86,7 +86,6 @@ val int_srcs : t -> Reg.ireg list
 val pred_srcs : t -> Reg.preg list
 
 val writes_memory : t -> bool
-val reads_memory : t -> bool
 val pp_aluop : Format.formatter -> aluop -> unit
 val pp_cmpop : Format.formatter -> cmpop -> unit
 val pp_operand : Format.formatter -> operand -> unit

@@ -33,8 +33,6 @@ let with_data t data =
     data;
   { t with data }
 
-let with_name t name = { t with name }
-
 let pp ppf t =
   Fmt.pf ppf "program %s (entry=%d, %d insts)@.%a" t.name t.entry (Code.length t.code)
     Code.pp t.code

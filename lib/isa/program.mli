@@ -24,5 +24,4 @@ val name : t -> string
     run with a different input set. *)
 val with_data : t -> (int * int) list -> t
 
-val with_name : t -> string -> t
 val pp : Format.formatter -> t -> unit

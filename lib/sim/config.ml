@@ -73,7 +73,3 @@ let with_pipeline_stages t n =
   { t with frontend_depth = n - 2 }
 
 let with_rob t n = { t with rob_size = n }
-
-let pp_mech ppf = function
-  | C_style -> Fmt.string ppf "c-style"
-  | Select_uop -> Fmt.string ppf "select-uop"

@@ -52,4 +52,3 @@ val default : t
 val with_pipeline_stages : t -> int -> t
 
 val with_rob : t -> int -> t
-val pp_mech : Format.formatter -> predication_mechanism -> unit

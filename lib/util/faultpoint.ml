@@ -95,9 +95,6 @@ let cut site =
 let hits site = locked (fun () -> count hit_counts site)
 let injected site = locked (fun () -> count injected_counts site)
 
-let total_injected () =
-  locked (fun () -> Hashtbl.fold (fun _ r acc -> acc + !r) injected_counts 0)
-
 let arm_from_env () =
   match Sys.getenv_opt "WISH_FAULTS" with
   | None | Some "" -> ()

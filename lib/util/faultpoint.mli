@@ -62,9 +62,6 @@ val hits : string -> int
     the last {!reset}. *)
 val injected : string -> int
 
-(** Total faults injected across all sites since the last {!reset}. *)
-val total_injected : unit -> int
-
 (** [arm_from_env ()] — parse [WISH_FAULTS], a comma-separated list of
     [site:times] or [site:times:percent] specs (seeded by
     [WISH_FAULT_SEED], default 1), and arm accordingly. Unknown sites

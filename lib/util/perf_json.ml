@@ -1,8 +1,8 @@
-(** Minimal JSON for machine-readable perf records ([BENCH_regen.json],
-    the [bench/perf] ledger). The in-tree reader is [bench/perf], which
-    loads its ledger records and output pins back — so the parser below
-    accepts exactly the subset [emit] produces (plus whitespace) rather
-    than pulling in a full JSON library. *)
+(** Minimal JSON for [bench/perf]'s machine-readable records (its ledger
+    and [expected.json] pins). [bench/perf/json.ml] writes them; the
+    parser below reads them back, so it accepts exactly the subset that
+    writer produces (plus whitespace) rather than pulling in a full JSON
+    library. *)
 
 type t =
   | Null
@@ -13,72 +13,7 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let rec emit b = function
-  | Null -> Buffer.add_string b "null"
-  | Bool v -> Buffer.add_string b (if v then "true" else "false")
-  | Int n -> Buffer.add_string b (string_of_int n)
-  | Float f ->
-    if Float.is_finite f then Buffer.add_string b (Printf.sprintf "%.6g" f)
-    else Buffer.add_string b "null"
-  | String s ->
-    Buffer.add_char b '"';
-    Buffer.add_string b (escape s);
-    Buffer.add_char b '"'
-  | List xs ->
-    Buffer.add_char b '[';
-    List.iteri
-      (fun i x ->
-        if i > 0 then Buffer.add_char b ',';
-        emit b x)
-      xs;
-    Buffer.add_char b ']'
-  | Obj fields ->
-    Buffer.add_char b '{';
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char b ',';
-        emit b (String k);
-        Buffer.add_char b ':';
-        emit b v)
-      fields;
-    Buffer.add_char b '}'
-
-let to_string v =
-  let b = Buffer.create 1024 in
-  emit b v;
-  Buffer.contents b
-
-(** [write_file path v] — best-effort: perf records must never fail the
-    run that produced them. *)
-let write_file path v =
-  try
-    let oc = open_out path in
-    output_string oc (to_string v);
-    output_char oc '\n';
-    close_out oc
-  with Sys_error _ -> ()
-
-(** [of_rss kb] — peak-RSS field honouring the probe's absence. *)
-let of_rss = function None -> Null | Some kb -> Int kb
-
-(* ----------------------------------------------------------------- *)
-(* Parsing — recursive descent over the emitted subset                *)
-(* ----------------------------------------------------------------- *)
+(* Recursive descent over the record subset. *)
 
 exception Parse_fail of string
 
@@ -132,15 +67,15 @@ let parse s =
             fail (Printf.sprintf "bad \\u escape %S" hex);
           let code = int_of_string ("0x" ^ hex) in
           pos := !pos + 4;
-          (* Emitted \u escapes are control characters only; anything
+          (* Written \u escapes are control characters only; anything
              wider than a byte is out of our subset. *)
-          if code > 0xff then fail "\\u escape beyond the emitted subset"
+          if code > 0xff then fail "\\u escape beyond the record subset"
           else Buffer.add_char b (Char.chr code)
         | c -> fail (Printf.sprintf "bad escape '\\%c'" c));
         incr pos;
         go ()
       | c when Char.code c < 0x20 ->
-        (* The emitter always escapes control characters; a raw one in a
+        (* The writer always escapes control characters; a raw one in a
            string marks a damaged or foreign file. *)
         fail (Printf.sprintf "raw control character 0x%02x in string" (Char.code c))
       | c ->
@@ -168,7 +103,7 @@ let parse s =
       | Some f -> Float f
       | None -> fail (Printf.sprintf "bad number %S" tok))
   in
-  (* Explicit nesting cap: the emitted subset is a few levels deep, and a
+  (* Explicit nesting cap: the record subset is a few levels deep, and a
      deterministic limit beats depending on the platform stack size (the
      [Stack_overflow] backstop below still covers the pathological
      combination of depth and frame growth). *)
@@ -237,7 +172,7 @@ let parse s =
   | v -> Ok v
   | exception Parse_fail msg -> Error msg
   (* Totality backstops: no input may raise out of [parse]. The cases
-     below are unreachable from the emitted subset but reachable from
+     below are unreachable from the record subset but reachable from
      hostile bytes (absurd nesting, future parser slips). *)
   | exception Stack_overflow -> Error "input nested too deeply"
   | exception (Failure msg | Invalid_argument msg) -> Error ("malformed input: " ^ msg)

@@ -1,7 +1,9 @@
-(** Minimal JSON for the bench harnesses' machine-readable perf records.
-    The parser accepts exactly the subset the emitter produces (plus
-    whitespace); its in-tree reader is [bench/perf], which reads back
-    its ledger records and [expected.json] pins. *)
+(** Minimal JSON for [bench/perf]'s machine-readable records: the value
+    type and a parser. [bench/perf] writes its ledger records and
+    [expected.json] pins with its own full-precision writer and reads
+    them back here, so the parser accepts exactly the subset that writer
+    produces (plus whitespace) rather than pulling in a full JSON
+    library. *)
 
 type t =
   | Null
@@ -12,16 +14,7 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-val to_string : t -> string
-
-(** [write_file path v] — write [v] followed by a newline. Best-effort:
-    IO errors are swallowed (a perf record must never fail its run). *)
-val write_file : string -> t -> unit
-
-(** Peak-RSS field: [Null] when the probe reported absent. *)
-val of_rss : int option -> t
-
-(** [parse s] — parse the emitted JSON subset back into a value. Total:
+(** [parse s] — parse the record subset into a value. Total:
     any malformed input (truncation, bad escapes, trailing garbage,
     hostile nesting) yields [Error] with an offset-bearing message,
     never an exception. *)

@@ -32,7 +32,6 @@ type t = {
   mutable respawned : int;
 }
 
-let default_size () = Domain.recommended_domain_count ()
 let auto_size () = max 1 (Domain.recommended_domain_count () - 1)
 
 let jobs_of_string s =
@@ -76,8 +75,8 @@ let rec worker_loop t idx =
     end
   end
 
-let create ?size () =
-  let size = max 1 (Option.value size ~default:(default_size ())) in
+let create ~size () =
+  let size = max 1 size in
   let t =
     {
       size;

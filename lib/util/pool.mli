@@ -20,9 +20,6 @@
 
 type t
 
-(** [Domain.recommended_domain_count ()] — the default pool size. *)
-val default_size : unit -> int
-
 (** The [--jobs auto] resolution rule, shared by every driver:
     [Domain.recommended_domain_count () - 1] (one hardware thread left
     for the coordinating domain), clamped to [>= 1]. *)
@@ -32,9 +29,8 @@ val auto_size : unit -> int
     integer is clamped to [>= 1]; anything else is an [Error]. *)
 val jobs_of_string : string -> (int, string) result
 
-(** [create ?size ()] — spawn the workers. [size] is clamped to [>= 1]
-    and defaults to {!default_size}. *)
-val create : ?size:int -> unit -> t
+(** [create ~size ()] — spawn the workers. [size] is clamped to [>= 1]. *)
+val create : size:int -> unit -> t
 
 val size : t -> int
 

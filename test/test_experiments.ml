@@ -93,6 +93,24 @@ let test_fig2_ordering () =
   Alcotest.(check bool) "no-depend helps" true (nd <= base +. 0.01);
   Alcotest.(check bool) "no-fetch helps further" true (ndnf <= nd +. 0.01)
 
+(* Each default artifact is described twice: by its generator, and by
+   the job grid [Lab.prewarm] fans out. A job missing from a grid would
+   silently run serially while the table renders, so after prewarming
+   its grid a fresh lab renders each artifact without executing a task.
+   abl-wish-n is left out: its grid omits its variant binaries by
+   design. *)
+let test_grids_cover_tables () =
+  List.iter
+    (fun (name, render) ->
+      if name <> "abl-wish-n" then begin
+        let lab = Lab.create ~scale:1 ~names:[ "gap" ] () in
+        Lab.prewarm lab (Figures.jobs_for name lab @ Ablations.jobs_for name lab);
+        let prewarmed = (Lab.batch_stats lab).executed in
+        ignore (render lab);
+        check Alcotest.int (name ^ " renders from its grid") prewarmed (Lab.batch_stats lab).executed
+      end)
+    (Figures.all @ Ablations.all)
+
 (* ------------------------------------------------------------------ *)
 (* Parallel batch determinism                                          *)
 (* ------------------------------------------------------------------ *)
@@ -671,5 +689,6 @@ let () =
         [
           Alcotest.test_case "structure" `Slow test_figure_structure;
           Alcotest.test_case "artifact list" `Quick test_all_artifacts_listed;
+          Alcotest.test_case "job grids cover their tables" `Slow test_grids_cover_tables;
         ] );
     ]

@@ -5,8 +5,8 @@ module Pool = Wish_util.Pool
 
 let check = Alcotest.check
 
-let with_pool ?size f =
-  let p = Pool.create ?size () in
+let with_pool ~size f =
+  let p = Pool.create ~size () in
   Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
 
 let test_results_in_submission_order () =
