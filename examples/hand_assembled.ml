@@ -49,7 +49,7 @@ let code =
 
 let data =
   let rng = Util.Rng.create 3 in
-  List.init 256 (fun k -> (1000 + k, Util.Rng.int rng 100))
+  Program.segments_of_pairs (List.init 256 (fun k -> (1000 + k, Util.Rng.int rng 100)))
 
 let () =
   let program = Program.create ~name:"hand-assembled" ~data code in

@@ -50,8 +50,9 @@ let program_ast =
 (* Input data: two uncorrelated pseudo-random arrays. *)
 let data =
   let rng = Util.Rng.create 7 in
-  List.init 2048 (fun k ->
-      ((if k < 1024 then 1000 + k else 3000 + k - 1024), Util.Rng.int rng 65536))
+  Isa.Program.segments_of_pairs
+    (List.init 2048 (fun k ->
+         ((if k < 1024 then 1000 + k else 3000 + k - 1024), Util.Rng.int rng 65536)))
 
 let () =
   (* 1. Compile. Profile feedback comes from the same input here; real

@@ -36,7 +36,7 @@ let ast =
 
 let data =
   let rng = Util.Rng.create 99 in
-  List.init 2048 (fun k -> (1000 + k, Util.Rng.bits rng))
+  Isa.Program.segments_of_pairs (List.init 2048 (fun k -> (1000 + k, Util.Rng.bits rng)))
 
 let () =
   let bins = Compiler.compile_all ~name:"wish-loop-demo" ~profile_data:data ast in

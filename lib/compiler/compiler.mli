@@ -44,6 +44,6 @@ val compile_all :
   ?mem_words:int ->
   ?fuel:int ->
   name:string ->
-  profile_data:(int * int) list ->
+  profile_data:Wish_isa.Program.segment list ->
   Ast.program ->
   binaries

@@ -9,7 +9,10 @@ let create ~words = { words = Array.make words 0 }
 
 let of_program (p : Wish_isa.Program.t) =
   let t = create ~words:p.mem_words in
-  List.iter (fun (addr, v) -> t.words.(addr) <- v) p.data;
+  List.iter
+    (fun (s : Wish_isa.Program.segment) ->
+      Array.blit s.words 0 t.words s.base (Array.length s.words))
+    p.data;
   t
 
 let size t = Array.length t.words

@@ -7,7 +7,9 @@ exception Fault of int
 
 val create : words:int -> t
 
-(** [of_program p] allocates [p.mem_words] words and applies [p.data]. *)
+(** [of_program p] allocates [p.mem_words] zeroed words and copies
+    [p.data]'s segments into them, in list order. The segments' arrays
+    are only read. *)
 val of_program : Wish_isa.Program.t -> t
 
 val size : t -> int

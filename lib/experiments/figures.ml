@@ -82,12 +82,17 @@ let bars_fig12 =
    normalized to the normal binary under the same configuration. *)
 let value lab name bar = Lab.normalized lab ~bench:name ~kind:bar.kind ~config:bar.config ()
 
-(* The paper's two averages, each with the benchmarks it keeps. *)
-let averages = [ ("AVG", fun _ -> true); ("AVGnomcf", fun n -> n <> "mcf") ]
+(* The paper's two averages, each with the selected benchmarks it keeps.
+   An average that keeps none (AVGnomcf when mcf runs alone) has no row. *)
+let averages lab =
+  List.filter_map
+    (fun (label, keep) ->
+      match List.filter keep (Lab.bench_names lab) with
+      | [] -> None
+      | kept -> Some (label, kept))
+    [ ("AVG", fun _ -> true); ("AVGnomcf", fun n -> n <> "mcf") ]
 
-let average lab keep bar =
-  let kept = List.filter keep (Lab.bench_names lab) in
-  Lab.mean (List.map (fun n -> value lab n bar) kept)
+let average lab kept bar = Lab.mean (List.map (fun n -> value lab n bar) kept)
 
 (** Shared renderer: one column per bar, one row per benchmark plus the
     AVG / AVGnomcf rows; values normalized per-benchmark to the normal
@@ -103,9 +108,9 @@ let exec_time_table lab ~title bars =
     (Lab.bench_names lab);
   Table.add_separator t;
   List.iter
-    (fun (label, keep) ->
-      Table.add_row t (label :: List.map (fun b -> f3 (average lab keep b)) bars))
-    averages;
+    (fun (label, kept) ->
+      Table.add_row t (label :: List.map (fun b -> f3 (average lab kept b)) bars))
+    (averages lab);
   t
 
 let fig2 lab =
@@ -144,9 +149,9 @@ let sweep_table lab ~title ~axis ~row values bars =
   List.iter
     (fun v ->
       List.iter
-        (fun (label, keep) ->
-          Table.add_row t (row v :: label :: List.map (fun b -> f3 (average lab keep b)) (bars v)))
-        averages)
+        (fun (label, kept) ->
+          Table.add_row t (row v :: label :: List.map (fun b -> f3 (average lab kept b)) (bars v)))
+        (averages lab))
     values;
   t
 

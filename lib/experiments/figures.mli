@@ -13,8 +13,9 @@ type bar = {
 }
 
 (** [exec_time_table lab ~title bars] — the shared renderer: one column
-    per bar, one row per benchmark, plus AVG/AVGnomcf rows. Exposed for
-    custom comparisons and the ablation studies. *)
+    per bar, one row per benchmark, plus AVG/AVGnomcf rows. An average
+    that keeps no selected benchmark (AVGnomcf when mcf runs alone) has
+    no row. Exposed for custom comparisons and the ablation studies. *)
 val exec_time_table : Lab.t -> title:string -> bar list -> Wish_util.Table.t
 
 val fig1 : Lab.t -> Wish_util.Table.t

@@ -805,4 +805,6 @@ let normalized t ~bench:name ~kind ?input ?(config = Wish_sim.Config.default) ()
   let n = run t ~bench:name ~kind:Policy.Normal ?input ~config:baseline () in
   float_of_int s.cycles /. float_of_int n.cycles
 
-let mean xs = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
+let mean = function
+  | [] -> invalid_arg "Lab.mean: empty list"
+  | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)

@@ -267,4 +267,6 @@ val normalized :
   unit ->
   float
 
+(** [mean xs] — the arithmetic mean. Raises [Invalid_argument] on [[]],
+    which has none. *)
 val mean : float list -> float

@@ -38,9 +38,13 @@ let save ~dir ~oracle ~reason ~steps (c : Gen.case) =
      source, so the listing stays readable. *)
   let bins =
     Compiler.compile_all ~mem_words:c.Gen.c_mem_words ~name:c.Gen.c_name
-      ~profile_data:c.Gen.c_profile_data c.Gen.c_ast
+      ~profile_data:(Program.segments_of_pairs c.Gen.c_profile_data)
+      c.Gen.c_ast
   in
-  let program = Program.with_data (Compiler.binary bins Policy.Normal) c.Gen.c_eval_data in
+  let program =
+    Program.with_data (Compiler.binary bins Policy.Normal)
+      (Program.segments_of_pairs c.Gen.c_eval_data)
+  in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (header_line "wishfuzz-repro" "1");
   Buffer.add_string buf (header_line "oracle" oracle);

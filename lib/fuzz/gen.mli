@@ -29,8 +29,11 @@ type case = {
   c_seed : int;  (** the per-case seed this case is a pure function of *)
   c_name : string;
   c_ast : Wish_compiler.Ast.program;
-  c_profile_data : (int * int) list;  (** training input (compile-time profile) *)
-  c_eval_data : (int * int) list;  (** evaluation input the oracles run *)
+  c_profile_data : (int * int) list;
+      (** training input (compile-time profile), as [(address, value)]
+          pairs so the shrinker can drop one at a time; programs bind it
+          through {!Wish_isa.Program.segments_of_pairs} *)
+  c_eval_data : (int * int) list;  (** evaluation input the oracles run, likewise *)
   c_mem_words : int;
   c_outs : int;  (** live-out slots the epilogue stores at [out_base..] *)
 }

@@ -358,7 +358,8 @@ let compile (c : Gen.case) =
   try
     Ok
       (Compiler.compile_all ~mem_words:c.Gen.c_mem_words ~fuel ~name:c.Gen.c_name
-         ~profile_data:c.Gen.c_profile_data c.Gen.c_ast)
+         ~profile_data:(Program.segments_of_pairs c.Gen.c_profile_data)
+         c.Gen.c_ast)
   with e -> Error (exn_label e)
 
 let check ?cache_dir ~names (c : Gen.case) =
@@ -366,7 +367,8 @@ let check ?cache_dir ~names (c : Gen.case) =
   match compile c with
   | Error reason -> List.map (fun n -> (n, Skip ("compile: " ^ reason))) names
   | Ok bins ->
-    let eval kind = Program.with_data (Compiler.binary bins kind) c.Gen.c_eval_data in
+    let eval_data = Program.segments_of_pairs c.Gen.c_eval_data in
+    let eval kind = Program.with_data (Compiler.binary bins kind) eval_data in
     let run = function
       | Lockstep ->
         combine

@@ -250,7 +250,9 @@ let program_of_string ?(name = "asm") text =
     lines;
   if Hashtbl.length numeric > 0 then error 0 "numeric target beyond end of program";
   let code = Asm.assemble (List.rev !items) in
-  Program.create ~name ?mem_words:!mem_words ~data:(List.rev !data) code
+  Program.create ~name ?mem_words:!mem_words
+    ~data:(Program.segments_of_pairs (List.rev !data))
+    code
 
 (** [program_of_file path] reads and parses an assembly file. *)
 let program_of_file path =
@@ -276,7 +278,10 @@ let listing_of_program (p : Program.t) =
   let buf = Buffer.create 512 in
   Buffer.add_string buf (Printf.sprintf ".mem %d\n" p.Program.mem_words);
   List.iter
-    (fun (a, v) -> Buffer.add_string buf (Printf.sprintf ".data %d %d\n" a v))
+    (fun (s : Program.segment) ->
+      Array.iteri
+        (fun k v -> Buffer.add_string buf (Printf.sprintf ".data %d %d\n" (s.base + k) v))
+        s.words)
     p.Program.data;
   Buffer.add_string buf (listing_of_code p.Program.code);
   Buffer.contents buf

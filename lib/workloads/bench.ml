@@ -7,7 +7,7 @@
     predictability and loop trip counts, and designates the input the
     compiler profiles with (the paper's compile-time training input). *)
 
-type input = { label : string; data : (int * int) list }
+type input = { label : string; data : Wish_isa.Program.segment list }
 
 type t = {
   name : string;
@@ -33,9 +33,10 @@ let profile_data t = (input t t.profile_input).data
 let program_for t (binary : Wish_isa.Program.t) label =
   Wish_isa.Program.with_data binary (input t label).data
 
-(** Shared helper: materialize an array initialization as data pairs. *)
-let array_at base values = List.mapi (fun k v -> (base + k, v)) values
+(** Shared helper: an array initialization as one data segment. *)
+let array_at base values = { Wish_isa.Program.base; words = values }
 
+(* [Array.init] calls [f] in index order, so the draws are in order. *)
 let gen ~seed n f =
   let rng = Wish_util.Rng.create seed in
-  List.init n (fun k -> f rng k)
+  Array.init n (fun k -> f rng k)

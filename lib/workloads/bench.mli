@@ -7,7 +7,10 @@
     branch predictability and loop trip counts, and designates the input
     the compiler profiles on (the paper's compile-time training input). *)
 
-type input = { label : string; data : (int * int) list }
+(** One input set: its initial data memory as flat segments (see
+    {!Wish_isa.Program.t}), built once with the workload. Every program
+    bound to the input shares the segments' arrays; nothing writes them. *)
+type input = { label : string; data : Wish_isa.Program.segment list }
 
 type t = {
   name : string;
@@ -24,14 +27,16 @@ type t = {
 (** [input t label] — raises [Invalid_argument] for unknown labels. *)
 val input : t -> string -> input
 
-val profile_data : t -> (int * int) list
+val profile_data : t -> Wish_isa.Program.segment list
 
 (** [program_for t binary input_label] binds an input set to a compiled
-    binary of this workload. *)
+    binary of this workload. The program shares the input's segments. *)
 val program_for : t -> Wish_isa.Program.t -> string -> Wish_isa.Program.t
 
-(** [array_at base values] materializes an array initialization. *)
-val array_at : int -> int list -> (int * int) list
+(** [array_at base values] is the segment that initializes the words
+    from [base] on with [values] (not copied). *)
+val array_at : int -> int array -> Wish_isa.Program.segment
 
-(** [gen ~seed n f] builds [n] values from a fresh deterministic RNG. *)
-val gen : seed:int -> int -> (Wish_util.Rng.t -> int -> int) -> int list
+(** [gen ~seed n f] builds [n] values [f rng k], [k] in index order, from
+    a fresh deterministic RNG. *)
+val gen : seed:int -> int -> (Wish_util.Rng.t -> int -> int) -> int array

@@ -74,7 +74,7 @@ let ast scale =
 let build_input ~seed ~kind =
   let rng = Wish_util.Rng.create seed in
   let arr =
-    List.init arr_len (fun k ->
+    Array.init arr_len (fun k ->
         match kind with
         | `Random -> Wish_util.Rng.int rng 65536
         | `Skewed ->
@@ -83,12 +83,12 @@ let build_input ~seed ~kind =
         | `Sorted -> (k * 8) + Wish_util.Rng.int rng 4)
   in
   let runs =
-    List.init run_len (fun _ ->
+    Array.init run_len (fun _ ->
         match kind with
         | `Random -> Wish_util.Rng.int rng 8
         | `Skewed | `Sorted -> Wish_util.Rng.geometric rng ~stop_percent:45 ~max:7)
   in
-  Bench.array_at arr_base arr @ Bench.array_at run_base runs
+  [ Bench.array_at arr_base arr; Bench.array_at run_base runs ]
 
 let bench ~scale =
   {

@@ -88,8 +88,10 @@ let masks ~seed ~kind =
 let attacks seed = Bench.gen ~seed attack_len (fun r _ -> Wish_util.Rng.int r 4096)
 
 let input ~seed kind =
-  Bench.array_at board_base (masks ~seed ~kind)
-  @ Bench.array_at attack_base (attacks (seed + 7))
+  [
+    Bench.array_at board_base (masks ~seed ~kind);
+    Bench.array_at attack_base (attacks (seed + 7));
+  ]
 
 let bench ~scale =
   {

@@ -75,7 +75,7 @@ let input ~seed ~overflow_percent =
           4_000 + Wish_util.Rng.int r 100
         else Wish_util.Rng.int r 2_000)
   in
-  Bench.array_at a_base a @ Bench.array_at b_base (vals (seed + 1) 4_000)
+  [ Bench.array_at a_base a; Bench.array_at b_base (vals (seed + 1) 4_000) ]
 
 let bench ~scale =
   {

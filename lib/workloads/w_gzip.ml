@@ -69,31 +69,35 @@ let ast scale =
    coin flip), B = highly compressible (strongly biased, predictable),
    C = mixed with run structure (partially predictable). *)
 let input_a =
-  Bench.array_at src_base (Bench.gen ~seed:101 src_len (fun r _ -> Wish_util.Rng.int r 256))
-  @ Bench.array_at len_base
-      (Bench.gen ~seed:102 src_len (fun r _ -> 1 + Wish_util.Rng.int r 7))
+  [
+    Bench.array_at src_base (Bench.gen ~seed:101 src_len (fun r _ -> Wish_util.Rng.int r 256));
+    Bench.array_at len_base (Bench.gen ~seed:102 src_len (fun r _ -> 1 + Wish_util.Rng.int r 7));
+  ]
 
 let input_b =
-  Bench.array_at src_base
-    (Bench.gen ~seed:201 src_len (fun r _ ->
-         if Wish_util.Rng.chance r ~percent:88 then Wish_util.Rng.int r 128
-         else 128 + Wish_util.Rng.int r 128))
-  @ Bench.array_at len_base
-      (Bench.gen ~seed:202 src_len (fun r _ -> 1 + Wish_util.Rng.int r 3))
+  [
+    Bench.array_at src_base
+      (Bench.gen ~seed:201 src_len (fun r _ ->
+           if Wish_util.Rng.chance r ~percent:88 then Wish_util.Rng.int r 128
+           else 128 + Wish_util.Rng.int r 128));
+    Bench.array_at len_base (Bench.gen ~seed:202 src_len (fun r _ -> 1 + Wish_util.Rng.int r 3));
+  ]
 
 let input_c =
   let run = ref 0 and low = ref true in
-  Bench.array_at src_base
-    (Bench.gen ~seed:301 src_len (fun r _ ->
-         if !run = 0 then begin
-           run := 2 + Wish_util.Rng.int r 6;
-           low := Wish_util.Rng.chance r ~percent:65
-         end;
-         decr run;
-         if !low then Wish_util.Rng.int r 128 else 128 + Wish_util.Rng.int r 128))
-  @ Bench.array_at len_base
+  [
+    Bench.array_at src_base
+      (Bench.gen ~seed:301 src_len (fun r _ ->
+           if !run = 0 then begin
+             run := 2 + Wish_util.Rng.int r 6;
+             low := Wish_util.Rng.chance r ~percent:65
+           end;
+           decr run;
+           if !low then Wish_util.Rng.int r 128 else 128 + Wish_util.Rng.int r 128));
+    Bench.array_at len_base
       (Bench.gen ~seed:302 src_len (fun r _ ->
-           1 + Wish_util.Rng.geometric r ~stop_percent:40 ~max:7))
+           1 + Wish_util.Rng.geometric r ~stop_percent:40 ~max:7));
+  ]
 
 let bench ~scale =
   {

@@ -73,8 +73,7 @@ let ast scale =
 let build_input ~seed ~bias =
   let rng = Wish_util.Rng.create seed in
   (* The draw order (tree, then cost, then idx) fixes the inputs'
-     values. The pairs list idx, cost and tree in ascending address
-     order, consed back to front. *)
+     values. *)
   let tree = Array.init big_len (fun _ -> Wish_util.Rng.int rng 4096) in
   let cost =
     Array.init big_len (fun _ ->
@@ -82,16 +81,7 @@ let build_input ~seed ~bias =
         else Wish_util.Rng.int rng 100)
   in
   let idx = Array.init idx_len (fun _ -> Wish_util.Rng.int rng big_len) in
-  let pairs = ref [] in
-  let prepend base a =
-    for k = Array.length a - 1 downto 0 do
-      pairs := (base + k, a.(k)) :: !pairs
-    done
-  in
-  prepend tree_base tree;
-  prepend cost_base cost;
-  prepend idx_base idx;
-  !pairs
+  [ Bench.array_at idx_base idx; Bench.array_at cost_base cost; Bench.array_at tree_base tree ]
 
 let bench ~scale =
   {

@@ -93,12 +93,12 @@ let build_input ~seed ~load_percent ~hit_percent =
   done;
   let keys = Array.of_list !keys in
   let tokens =
-    List.init tok_len (fun _ ->
+    Array.init tok_len (fun _ ->
         if Wish_util.Rng.chance rng ~percent:hit_percent then
           keys.(Wish_util.Rng.int rng (Array.length keys))
         else 1 + (Wish_util.Rng.bits rng land 0xFFFFF))
   in
-  Bench.array_at dict_base (Array.to_list dict) @ Bench.array_at tok_base tokens
+  [ Bench.array_at dict_base dict; Bench.array_at tok_base tokens ]
 
 let bench ~scale =
   {

@@ -100,10 +100,12 @@ let build_input ~seed ~spread ~bias =
   let coords seed' lo hi =
     Bench.gen ~seed:seed' cells (fun r _ -> lo + Wish_util.Rng.int r (hi - lo))
   in
-  Bench.array_at xa_base (coords seed bias (bias + spread))
-  @ Bench.array_at xb_base (coords (seed + 1) 0 spread)
-  @ Bench.array_at ya_base (coords (seed + 2) bias (bias + spread))
-  @ Bench.array_at yb_base (coords (seed + 3) 0 spread)
+  [
+    Bench.array_at xa_base (coords seed bias (bias + spread));
+    Bench.array_at xb_base (coords (seed + 1) 0 spread);
+    Bench.array_at ya_base (coords (seed + 2) bias (bias + spread));
+    Bench.array_at yb_base (coords (seed + 3) 0 spread);
+  ]
 
 let bench ~scale =
   {

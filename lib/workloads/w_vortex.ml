@@ -100,12 +100,12 @@ let build_input ~seed ~hit_percent =
     end
   done;
   let objs =
-    List.init obj_len (fun _ ->
+    Array.init obj_len (fun _ ->
         if Wish_util.Rng.chance rng ~percent:hit_percent then
           pool.(Wish_util.Rng.int rng pool_size)
         else 1 + (Wish_util.Rng.bits rng land 0xFFFFF))
   in
-  Bench.array_at table_base (Array.to_list table) @ Bench.array_at obj_base objs
+  [ Bench.array_at table_base table; Bench.array_at obj_base objs ]
 
 let bench ~scale =
   {

@@ -87,8 +87,11 @@ let rnds seed = Bench.gen ~seed tbl (fun r _ -> Wish_util.Rng.bits r land 0xFFFF
    B: frozen (threshold tiny: uphill nearly always rejected — predictable);
    C: warm (intermediate). *)
 let input temp seed1 seed2 =
-  ((thresh_addr, temp) :: Bench.array_at cost_base (costs seed1))
-  @ Bench.array_at rnd_base (rnds seed2)
+  [
+    Bench.array_at thresh_addr [| temp |];
+    Bench.array_at cost_base (costs seed1);
+    Bench.array_at rnd_base (rnds seed2);
+  ]
 
 let bench ~scale =
   {

@@ -16,12 +16,12 @@ let builders =
 let names = List.map fst builders
 
 (* Bench construction regenerates all three seeded input datasets, which
-   is the expensive part — and [Bench.t] is immutable, so one instance
-   per (name, scale) can be shared by every lab in the process. The
-   mutex covers the table for labs on concurrent domains; builds run
-   outside it, so different benches build in parallel, and of two
-   domains racing on one bench, both build and the first to insert
-   wins. *)
+   is the expensive part — and nothing writes a [Bench.t] (its input
+   arrays included), so one instance per (name, scale) can be shared by
+   every lab in the process. The mutex covers the table for labs on
+   concurrent domains; builds run outside it, so different benches build
+   in parallel, and of two domains racing on one bench, both build and
+   the first to insert wins. *)
 let memo : (string * int, Bench.t) Hashtbl.t = Hashtbl.create 16
 let memo_lock = Mutex.create ()
 

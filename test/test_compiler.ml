@@ -92,11 +92,16 @@ let emulate_memory program =
 
 let agree_all ?profile_data ~data (ast : Ast.program) =
   let profile_data = Option.value profile_data ~default:data in
-  let bins = Compiler.compile_all ~mem_words ~name:"t" ~profile_data ast in
+  let bins =
+    Compiler.compile_all ~mem_words ~name:"t"
+      ~profile_data:(Wish_isa.Program.segments_of_pairs profile_data)
+      ast
+  in
   let expected = Array.sub (reference_memory ast data) 0 visible_words in
+  let segments = Wish_isa.Program.segments_of_pairs data in
   List.for_all
     (fun kind ->
-      let p = Wish_isa.Program.with_data (Compiler.binary bins kind) data in
+      let p = Wish_isa.Program.with_data (Compiler.binary bins kind) segments in
       emulate_memory p = expected)
     Compiler.all_kinds
 
@@ -259,7 +264,11 @@ let test_profile_changes_base_def () =
     }
   in
   let data = List.init 64 (fun k -> (k, k)) (* x <= 63: branch never taken *) in
-  let bins = Compiler.compile_all ~mem_words ~name:"p" ~profile_data:data ast in
+  let bins =
+    Compiler.compile_all ~mem_words ~name:"p"
+      ~profile_data:(Wish_isa.Program.segments_of_pairs data)
+      ast
+  in
   let count_guarded kind =
     let code = Wish_isa.Program.code (Compiler.binary bins kind) in
     Wish_isa.Code.count code (fun i -> Stdlib.( <> ) i.Wish_isa.Inst.guard Wish_isa.Reg.p0)
@@ -287,7 +296,11 @@ let test_wish_binary_contains_wish_branches () =
         ];
     }
   in
-  let bins = Compiler.compile_all ~mem_words ~name:"w" ~profile_data:[ (0, 1) ] ast in
+  let bins =
+    Compiler.compile_all ~mem_words ~name:"w"
+      ~profile_data:(Wish_isa.Program.segments_of_pairs [ (0, 1) ])
+      ast
+  in
   let wish_count kind =
     Wish_isa.Code.static_wish_branches (Wish_isa.Program.code (Compiler.binary bins kind))
   in

@@ -178,7 +178,11 @@ let test_wish_branches_architectural () =
 (* Memory ------------------------------------------------------------------ *)
 
 let test_load_store () =
-  let st = run_items ~data:[ (10, 7) ] Asm.[ load 3 0 10; alu Inst.Add 3 3 (Inst.Imm 1); store 3 0 11; halt ] in
+  let st =
+    run_items
+      ~data:(Program.segments_of_pairs [ (10, 7) ])
+      Asm.[ load 3 0 10; alu Inst.Add 3 3 (Inst.Imm 1); store 3 0 11; halt ]
+  in
   check Alcotest.int "load+store" 8 (Memory.read st.mem 11)
 
 let test_memory_fault () =

@@ -72,6 +72,22 @@ let test_figure_structure () =
   check Alcotest.int "fig14 rows" 7 (row_count (Figures.fig14 lab));
   check Alcotest.int "tab5 rows" 4 (row_count (Figures.table5 lab))
 
+(* AVGnomcf keeps no benchmark when mcf runs alone: the row is left out
+   rather than printed as the mean of nothing (nan). *)
+let test_mcf_alone_has_no_nan () =
+  let fig10 = Figures.fig10 (Lab.create ~scale:1 ~names:[ "mcf" ] ()) in
+  let s = Wish_util.Table.render fig10 in
+  let contains sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  Alcotest.(check bool) "no nan" false (contains "nan");
+  Alcotest.(check bool) "no AVGnomcf row" false (contains "AVGnomcf");
+  check Alcotest.int "header, mcf and AVG" 3 (row_count fig10);
+  Alcotest.check_raises "mean of nothing" (Invalid_argument "Lab.mean: empty list") (fun () ->
+      ignore (Lab.mean []))
+
 let test_all_artifacts_listed () =
   check
     Alcotest.(list string)
@@ -689,6 +705,7 @@ let () =
         [
           Alcotest.test_case "structure" `Slow test_figure_structure;
           Alcotest.test_case "artifact list" `Quick test_all_artifacts_listed;
+          Alcotest.test_case "mcf alone has no nan" `Slow test_mcf_alone_has_no_nan;
           Alcotest.test_case "job grids cover their tables" `Slow test_grids_cover_tables;
         ] );
     ]

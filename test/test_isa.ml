@@ -125,24 +125,61 @@ let test_byte_pc () = check Alcotest.int "4 bytes per inst" 40 (Code.byte_pc 10)
 
 (* Programs --------------------------------------------------------------- *)
 
+let seg base words = { Program.base; words }
+
+(* Segments as comparable (base, words) pairs. *)
+let segments = Alcotest.(list (pair int (array int)))
+let seg_view (d : Program.segment list) =
+  List.map (fun (s : Program.segment) -> (s.base, s.words)) d
+
 let test_program_validation () =
   let code = Asm.(assemble [ halt ]) in
-  let p = Program.create ~name:"t" ~data:[ (5, 42) ] ~mem_words:64 code in
+  let p = Program.create ~name:"t" ~data:[ seg 5 [| 42 |] ] ~mem_words:64 code in
   check Alcotest.string "name" "t" (Program.name p);
-  Alcotest.check_raises "data out of range"
-    (Invalid_argument "Program.create: data out of range") (fun () ->
-      ignore (Program.create ~data:[ (64, 1) ] ~mem_words:64 code));
+  let out_of_range data =
+    Alcotest.check_raises "data out of range"
+      (Invalid_argument "Program.create: data out of range") (fun () ->
+        ignore (Program.create ~data ~mem_words:64 code))
+  in
+  out_of_range [ seg 64 [| 1 |] ];
+  out_of_range [ seg (-1) [| 1 |] ];
+  (* A segment that starts in range must also end there. *)
+  out_of_range [ seg 5 [| 1 |]; seg 60 (Array.make 5 1) ];
+  let full = Program.create ~data:[ seg 60 (Array.make 4 1) ] ~mem_words:64 code in
+  check segments "ends exactly at mem_words" [ (60, [| 1; 1; 1; 1 |]) ] (seg_view full.data);
   Alcotest.check_raises "bad entry" (Invalid_argument "Program.create: bad entry") (fun () ->
       ignore (Program.create ~entry:5 ~mem_words:64 code))
 
 let test_program_with_data () =
   let code = Asm.(assemble [ halt ]) in
   let p = Program.create ~mem_words:64 code in
-  let p2 = Program.with_data p [ (3, 9) ] in
-  Alcotest.(check (list (pair int int))) "data rebound" [ (3, 9) ] p2.data;
-  Alcotest.check_raises "with_data validates"
-    (Invalid_argument "Program.with_data: out of range") (fun () ->
-      ignore (Program.with_data p [ (100, 1) ]))
+  let p2 = Program.with_data p [ seg 3 [| 9 |] ] in
+  check segments "data rebound" [ (3, [| 9 |]) ] (seg_view p2.data);
+  let rejects data =
+    Alcotest.check_raises "with_data validates"
+      (Invalid_argument "Program.with_data: out of range") (fun () ->
+        ignore (Program.with_data p data))
+  in
+  rejects [ seg 100 [| 1 |] ];
+  rejects [ seg 62 [| 1; 2; 3 |] ];
+  let p3 = Program.with_data p [ seg 61 [| 1; 2; 3 |] ] in
+  check segments "ends exactly at mem_words" [ (61, [| 1; 2; 3 |]) ] (seg_view p3.data)
+
+(* Runs of consecutive addresses merge; a gap or a repeated address
+   starts a new segment, so the order (and the last write) is kept. *)
+let test_segments_of_pairs () =
+  check segments "empty" [] (seg_view (Program.segments_of_pairs []));
+  check segments "runs split at gaps and repeats"
+    [ (3, [| 1; 2 |]); (10, [| 5 |]); (4, [| 7; 8 |]) ]
+    (seg_view (Program.segments_of_pairs [ (3, 1); (4, 2); (10, 5); (4, 7); (5, 8) ]));
+  let p =
+    Program.create ~mem_words:16
+      ~data:(Program.segments_of_pairs [ (3, 1); (4, 2); (10, 5); (4, 7) ])
+      Asm.(assemble [ halt ])
+  in
+  let m = Wish_emu.Memory.of_program p in
+  check Alcotest.(list int) "later pairs win" [ 1; 7; 5 ]
+    (List.map (Wish_emu.Memory.read m) [ 3; 4; 10 ])
 
 (* Assembly text parser --------------------------------------------------- *)
 
@@ -170,7 +207,7 @@ loop:
   in
   check Alcotest.int "instruction count" 11 (Code.length p.code);
   check Alcotest.int "mem size" 256 p.mem_words;
-  Alcotest.(check (list (pair int int))) "data" [ (10, 42) ] p.data;
+  check segments "data" [ (10, [| 42 |]) ] (seg_view p.data);
   let i1 = Code.get p.code 1 in
   check Alcotest.int "guard parsed" 1 i1.Inst.guard;
   Alcotest.(check bool) "spec parsed" true i1.Inst.spec;
@@ -195,6 +232,14 @@ halt";
 halt";
   expect_error_line 1 ".mem zero
 halt"
+
+(* [.data] lines become segments and print back one line per word, in
+   the order written, gaps and repeats included. *)
+let test_parse_data_roundtrip () =
+  let text = ".mem 64\n.data 5 1\n.data 6 2\n.data 9 3\n.data 5 4\nhalt\n" in
+  let p = Parse.program_of_string text in
+  check segments "segments" [ (5, [| 1; 2 |]); (9, [| 3 |]); (5, [| 4 |]) ] (seg_view p.data);
+  check Alcotest.string "listing" text (Parse.listing_of_program p)
 
 let test_parse_roundtrip_compiled_binaries () =
   (* The printer's listing must parse back to the identical code image —
@@ -322,11 +367,13 @@ let () =
         [
           Alcotest.test_case "validation" `Quick test_program_validation;
           Alcotest.test_case "with_data" `Quick test_program_with_data;
+          Alcotest.test_case "segments of pairs" `Quick test_segments_of_pairs;
         ] );
       ( "parse",
         [
           Alcotest.test_case "basic program" `Quick test_parse_basic_program;
           Alcotest.test_case "errors carry lines" `Quick test_parse_errors;
+          Alcotest.test_case "data directives round-trip" `Quick test_parse_data_roundtrip;
           Alcotest.test_case "listings round-trip" `Quick test_parse_roundtrip_compiled_binaries;
           Alcotest.test_case "dangling numeric target" `Quick
             test_parse_rejects_dangling_numeric_target;

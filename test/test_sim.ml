@@ -45,7 +45,7 @@ let hammock_kernel ~wish ~iters =
 
 let coin_data =
   let rng = Wish_util.Rng.create 31 in
-  List.init 1024 (fun k -> (64 + k, Wish_util.Rng.int rng 2))
+  Program.segments_of_pairs (List.init 1024 (fun k -> (64 + k, Wish_util.Rng.int rng 2)))
 
 (* Basic sanity ---------------------------------------------------------- *)
 
@@ -78,7 +78,9 @@ let test_coin_branch_mispredicts_and_flushes () =
 let test_min_misprediction_penalty () =
   (* Cycles must grow by at least ~frontend_depth per flush. *)
   let easy =
-    simulate ~data:(List.init 1024 (fun k -> (64 + k, 0))) (hammock_kernel ~wish:false ~iters:500)
+    simulate
+      ~data:(Program.segments_of_pairs (List.init 1024 (fun k -> (64 + k, 0))))
+      (hammock_kernel ~wish:false ~iters:500)
   in
   let hard = simulate ~data:coin_data (hammock_kernel ~wish:false ~iters:500) in
   let extra_flushes = hard.flushes - easy.flushes in
@@ -168,7 +170,7 @@ let wish_loop_kernel ~wish ~iters =
 
 let trip_data =
   let rng = Wish_util.Rng.create 77 in
-  List.init 1024 (fun k -> (64 + k, Wish_util.Rng.int rng 7))
+  Program.segments_of_pairs (List.init 1024 (fun k -> (64 + k, Wish_util.Rng.int rng 7)))
 
 let test_wish_loop_classification () =
   let s = simulate ~data:trip_data (wish_loop_kernel ~wish:true ~iters:600) in

@@ -135,6 +135,83 @@ let test_retirement_matches_trace () =
         Wish_compiler.Compiler.all_kinds)
     [ "gzip"; "vortex" ]
 
+(* The initial data-memory image of every workload input, pinned by the
+   MD5 of its words (8 bytes each, little-endian), as built before inputs
+   became segments. Inputs do not depend on the scale. A change to any
+   builder's draw order or layout shows up here. *)
+let pinned_images =
+  [
+    ("gzip", "A", "c5edbc34d3939dc470a3458d7f6904f7");
+    ("gzip", "B", "007beab11d8ed891d331982872055016");
+    ("gzip", "C", "3263afd6c2a462985d6c7bf04b0d295b");
+    ("vpr", "A", "d6e2620807d7401a2df718155d4afbf7");
+    ("vpr", "B", "ea0b72cbafcc96368b27acc8e554012e");
+    ("vpr", "C", "3348d50e6bc708b0a305e215df4a334f");
+    ("mcf", "A", "d8d700743a6dab93ab3f78760e080775");
+    ("mcf", "B", "1982d47e5eb50d49fd1c063b7932298c");
+    ("mcf", "C", "333cf2d1636b9bbb062b574e47220036");
+    ("crafty", "A", "bd4f188cec7b48587f48637e0db5bff8");
+    ("crafty", "B", "c12d13605550ac8c7bd4591f87b44760");
+    ("crafty", "C", "8be9c3066f912c4cf9e68474c4a18617");
+    ("parser", "A", "56a32bd2da8a4c8aff9b3837955d7c39");
+    ("parser", "B", "242262414bf3b0d1d3adb55a248ef258");
+    ("parser", "C", "8f529d89895dbb019e307376cefdbc95");
+    ("gap", "A", "5ff166f36d278070859329cf2535f351");
+    ("gap", "B", "04d68a0c5e8d08e4f4fcbc17d1338b8d");
+    ("gap", "C", "dc8c0a6e6248b29090c5274eebf990a3");
+    ("vortex", "A", "8b753a7b4e803811b87122d06e77d1fd");
+    ("vortex", "B", "1fdbb0b0434c534469cf3cb06a875993");
+    ("vortex", "C", "4c8f91d2c85ef412e5802ec338940223");
+    ("bzip2", "A", "7f08393c01c9de4c3bca7747e9f6ec51");
+    ("bzip2", "B", "2591af7619b3eec8bff7667a2cae3c66");
+    ("bzip2", "C", "a2c665665764d1849513d77e5dd884bb");
+    ("twolf", "A", "a037edf1b7f47b9dc3f5d137b016b1e8");
+    ("twolf", "B", "5f4b24101d63e3e4c429d545b5999ea2");
+    ("twolf", "C", "7d6b9a3524457f47fe0985c60bc45829");
+  ]
+
+let image_md5 p =
+  let m = Wish_emu.Memory.of_program p in
+  let n = Wish_emu.Memory.size m in
+  let buf = Bytes.create (8 * n) in
+  for a = 0 to n - 1 do
+    Bytes.set_int64_le buf (8 * a) (Int64.of_int (Wish_emu.Memory.read m a))
+  done;
+  Digest.to_hex (Digest.bytes buf)
+
+let test_pinned_images () =
+  let seen =
+    List.concat_map
+      (fun ((b : Bench.t), bins) ->
+        List.map
+          (fun (i : Bench.input) ->
+            let p = Bench.program_for b bins.Wish_compiler.Compiler.normal i.label in
+            (b.name, i.label, image_md5 p))
+          b.inputs)
+      (Lazy.force compiled)
+  in
+  check Alcotest.(list (triple string string string)) "input images" pinned_images seen
+
+(* Inputs are flat segments: the heap they hold is the initialized words
+   plus a few words of headers, where an (address, value) list took
+   about six. *)
+let test_inputs_footprint () =
+  List.iter
+    (fun (b : Bench.t) ->
+      let words =
+        List.fold_left
+          (fun acc (i : Bench.input) ->
+            List.fold_left
+              (fun acc (s : Wish_isa.Program.segment) -> acc + Array.length s.words)
+              acc i.data)
+          0 b.inputs
+      in
+      let ratio = float_of_int (Obj.reachable_words (Obj.repr b.inputs)) /. float_of_int words in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.4f heap words per data word <= 1.05" b.name ratio)
+        true (ratio <= 1.05))
+    all
+
 let test_scale_parameter () =
   let small = Workloads.find ~scale:1 "gap" and big = Workloads.find ~scale:2 "gap" in
   let insts (b : Bench.t) =
@@ -158,6 +235,8 @@ let () =
           Alcotest.test_case "nine benchmarks" `Quick test_catalog;
           Alcotest.test_case "find" `Quick test_find;
           Alcotest.test_case "wish branches present" `Quick test_wish_binaries_have_wish_branches;
+          Alcotest.test_case "pinned input images" `Quick test_pinned_images;
+          Alcotest.test_case "inputs footprint" `Quick test_inputs_footprint;
         ] );
       ("equivalence", equivalence_cases);
       ( "behaviour",
