@@ -140,9 +140,8 @@ let run names scale verbose benchmarks csv_dir jobs no_cache retries keep_going 
           let st = Lab.batch_stats lab in
           if verbose || st.retried > 0 || st.failed > 0 then
             Fmt.epr
-              "[lab] supervision: %d task(s) executed, %d retried, %d failed, %d cache hit(s), %d \
-               same binary@."
-              st.executed st.retried st.failed st.cache_hits st.same_binary;
+              "[lab] supervision: %d task(s) executed, %d retried, %d failed, %d cache hit(s)@."
+              st.executed st.retried st.failed st.cache_hits;
           if verbose then
             Fmt.epr "[lab] gc: %s; peak RSS %d KiB@."
               (Wish_util.Gc_stats.summary_line ())

@@ -3,6 +3,7 @@
 
     {v
     <root>/<kind>/<md5-of-key>.bin   header | payload | footer
+                                     (the lab's kinds: summary/, binary/)
     <root>/quarantine/<kind>_<file>  corrupt entries, moved aside on detection
     <root>/journal.log               append-only completed-job-key journal
     <root>/lease/<md5-of-key>        pid of the process computing that key
@@ -35,9 +36,10 @@ type t = { root : string; version : int }
    the file layout changes (v2: chunked packed trace representation;
    v3: integrity footer + completion journal; v4: sampled summaries
    carry whole-run wish_retired/wish_loop_retired; v5: the lab stores no
-   trace, so [prune] evicts the v4 [trace/] files as stale). Stale
+   trace, so [prune] evicts the v4 [trace/] files as stale; v6: summaries
+   are keyed by binary digest, and [binary/] replaces [shape/]). Stale
    entries self-evict via the header check. *)
-let format_version = 5
+let format_version = 6
 
 let default_dir () =
   match Sys.getenv_opt "WISH_CACHE_DIR" with Some d when d <> "" -> d | _ -> "_wishcache"
@@ -48,7 +50,8 @@ let create ?dir ?(version = format_version) () =
 let dir t = t.root
 let quarantine_dir t = Filename.concat t.root "quarantine"
 
-let digest_of v = Digest.to_hex (Digest.string (Marshal.to_string v []))
+(* [No_sharing]: equal values built along different paths digest alike. *)
+let digest_of v = Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
 
 (* One subdirectory per entry kind keeps the directory browsable and lets
    [clear] stay a simple recursive walk. *)

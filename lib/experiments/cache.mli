@@ -1,9 +1,10 @@
 (** Persistent, content-addressed, crash-safe artifact cache for the
     experiment lab.
 
-    Entries live one-per-file under a cache directory, named by the MD5
-    digest of a caller-supplied key string (bench name, binary kind,
-    input, scale, machine-configuration digest, …). Values are stored
+    Entries live one-per-file under a cache directory, one subdirectory
+    per kind (the lab writes [summary/] and [binary/]), named by the MD5
+    digest of a caller-supplied key string (bench name, input, scale,
+    binary digest, machine-configuration digest, …). Values are stored
     with [Marshal] between a versioned header and an integrity footer
     recording the payload's MD5 and byte length:
 
@@ -74,8 +75,10 @@ val store : t -> kind:string -> key:string -> 'a -> unit
     journal, any quarantined files and any leases. *)
 val clear : t -> unit
 
-(** [digest_of v] — hex MD5 of [v]'s marshalled bytes; used to fold
-    structured values (e.g. {!Wish_sim.Config.t}) into key strings. *)
+(** [digest_of v] — hex MD5 of [v]'s bytes marshalled without sharing,
+    so structurally equal values digest alike however they were built;
+    used to fold structured values (a {!Wish_sim.Config.t}, a binary's
+    code and entry) into key strings. *)
 val digest_of : 'a -> string
 
 (** {1 Completion journal} *)

@@ -18,18 +18,21 @@
       results back into the tables on the coordinating domain, so the
       tables are only ever mutated single-threaded and the outputs are
       bit-identical whatever the pool size;
-    - an optional persistent {!Cache}: summaries and static shapes are
-      looked up by (bench, kind, input, scale[, config]) before being
-      recomputed and stored after, making repeated runs incremental
-      across processes; concurrent processes on one cache coalesce
-      duplicate jobs through its leases. Traces are never stored: the
-      emulator regenerates one about as fast as the cache loads it, so a
-      trace lives only in the in-memory memo, shared by every run of its
+    - an optional persistent {!Cache}: summaries are looked up by (bench,
+      input, scale, binary digest, config[, sampling]) before being
+      recomputed and stored after, and each compile task stores one
+      [binary] entry with its binaries' digests and static shapes, read
+      before compiling. Repeated runs are incremental across processes,
+      and concurrent processes on one cache coalesce duplicate jobs
+      through its leases. Traces are never stored: the emulator
+      regenerates one about as fast as the cache loads it, so a trace
+      lives only in the in-memory memo, shared by every run of its
       binary and input. A sampled lab has no trace stage at all: its
-      simulations warm trace-free;
-    - identity by content: binaries compiled to the same code and entry
-      are one binary, traced and simulated once per input and config,
-      with the summary stored under each binary's own key.
+      simulations warm trace-free.
+
+    A run is named by its binary's digest (code and entry), not by the
+    kind it was compiled as: binaries compiled to the same code share one
+    memo slot, one trace per input, one cache key and one lease.
 
     Fault tolerance (the lab's {!policy}): every stage runs under
     supervision — a job that raises (or whose worker domain dies; the
@@ -88,7 +91,6 @@ type batch_stats = {
   mutable retried : int; (* extra attempts beyond each task's first *)
   mutable failed : int; (* tasks that exhausted their retry budget *)
   mutable cache_hits : int;
-  mutable same_binary : int; (* runs served by an identical binary's summary *)
 }
 
 (** How the lab simulates: [Sample_auto] scales a sampling spec to each
@@ -101,18 +103,18 @@ let sampling_key = function
 
 type shape = { cond_branches : int; wish_branches : int; wish_loops : int }
 
+(* What a compile task's [binary] entry stores per label. *)
+type binary = { digest : string; shape : shape }
+
 type t = {
   scale : int;
   names : string list;
   policy : policy;
-  binaries : (string, Compiler.binaries) Hashtbl.t;
-  identities : (string * string, string * Wish_isa.Program.t) Hashtbl.t;
-      (* (bench, label) -> the label of the first binary compiled to the
-         same code (a kind in Table 3 order, else the variant itself),
-         and that binary; filled as binaries compile *)
-  traces : (string * string * string, Wish_emu.Trace.t) Hashtbl.t; (* by identity *)
+  binaries : (string * string, binary) Hashtbl.t; (* by (bench, label) *)
+  programs : (string * string, Wish_isa.Program.t) Hashtbl.t; (* compiled, by (bench, label) *)
+  traces : (string * string * string, Wish_emu.Trace.t) Hashtbl.t; (* by (bench, digest, input) *)
   results : (string * string * string * Wish_sim.Config.t, Wish_sim.Runner.summary) Hashtbl.t;
-  shapes : (string, shape) Hashtbl.t; (* by cache key *)
+      (* by (bench, digest, input, config) *)
   mutable log : string -> unit;
   pool : Pool.t option;
   cache : Cache.t option;
@@ -134,16 +136,15 @@ let create ?(scale = 1) ?names ?(jobs = 1) ?cache ?(policy = default_policy) ?sa
     scale;
     names;
     policy;
-    binaries = Hashtbl.create 16;
-    identities = Hashtbl.create 64;
+    binaries = Hashtbl.create 64;
+    programs = Hashtbl.create 64;
     traces = Hashtbl.create 64;
     results = Hashtbl.create 256;
-    shapes = Hashtbl.create 32;
     log = ignore;
     pool = (if jobs > 1 then Some (Pool.create ~size:jobs ()) else None);
     cache;
     stop = Atomic.make false;
-    stats = { executed = 0; retried = 0; failed = 0; cache_hits = 0; same_binary = 0 };
+    stats = { executed = 0; retried = 0; failed = 0; cache_hits = 0 };
     sample;
   }
 
@@ -167,7 +168,7 @@ let bench t name =
   else invalid_arg ("Lab: unknown bench " ^ name)
 
 (* --------------------------------------------------------------- *)
-(* Jobs and cache keys                                              *)
+(* Jobs and their compile tasks                                     *)
 (* --------------------------------------------------------------- *)
 
 type job = {
@@ -196,7 +197,7 @@ let job_label j =
 
 let binary_name j = Printf.sprintf "%s/%s" j.job_bench (job_label j)
 let describe_job j = Printf.sprintf "%s input %s" (binary_name j) j.job_input
-let memo_key j = (j.job_bench, job_label j, j.job_input, j.job_config)
+let label_key j = (j.job_bench, job_label j)
 
 (** The baseline run {!normalized} divides by: the normal binary on the
     same input and machine, with the oracle idealization knobs stripped. *)
@@ -210,109 +211,59 @@ let baseline_of j =
 
 let with_baselines js = List.concat_map (fun j -> [ j; baseline_of j ]) js
 
-(* Sampled results live under distinct keys (suffix [|sampleW:D] or
-   [|sampleauto]); exact summaries keep their historical keys, so a
-   cache survives turning sampling on and off. *)
-let summary_cache_key t ~bench ~kind ~input ~config =
-  let base =
-    Printf.sprintf "%s|%s|%s|scale%d|cfg%s" bench kind input t.scale (Cache.digest_of config)
+(* A job's compile task: its bench's five binaries, or its variant alone.
+   [task_name] names the task in logs and failures, [task_labels] lists
+   its binaries in the order its [binary] entry stores them, and
+   [binary_key] is that entry's key. *)
+let task_name j = if j.job_wish_n = None then j.job_bench else binary_name j
+
+let task_labels j =
+  if j.job_wish_n = None then List.map Policy.kind_name Compiler.all_kinds else [ job_label j ]
+
+let binary_key t j =
+  if j.job_wish_n = None then Printf.sprintf "%s|scale%d" j.job_bench t.scale
+  else Printf.sprintf "%s|%s|scale%d" j.job_bench (job_label j) t.scale
+
+let binary_digest (p : Wish_isa.Program.t) = Cache.digest_of (p.entry, p.code)
+
+(* [j]'s compile task, run on a worker: each of its programs, with its
+   digest and static shape. A variant is compiled without a profile: the
+   wish kinds read none. *)
+let compile t j =
+  let b = bench t j.job_bench in
+  let programs =
+    match j.job_wish_n with
+    | None ->
+      t.log (Printf.sprintf "compiling %s (5 binaries, profile input %s)" j.job_bench b.profile_input);
+      let bins =
+        Compiler.compile_all ~mem_words:b.mem_words ~name:j.job_bench
+          ~profile_data:(Wish_workloads.Bench.profile_data b) b.ast
+      in
+      List.map (Compiler.binary bins) Compiler.all_kinds
+    | Some n ->
+      t.log
+        (Printf.sprintf "compiling %s/%s (wish-jump threshold N=%d)" j.job_bench
+           (Policy.kind_name j.job_kind) n);
+      [
+        fst
+          (Compiler.compile_kind ~mem_words:b.mem_words ~wish_threshold_n:n ~name:j.job_bench b.ast
+             j.job_kind);
+      ]
   in
-  match t.sample with None -> base | Some s -> base ^ "|sample" ^ sampling_key s
-
-(* The persistent-cache identity of a job's summary — also the key its
-   lease is taken on. *)
-let summary_key_of_job t j =
-  summary_cache_key t ~bench:j.job_bench ~kind:(job_label j) ~input:j.job_input
-    ~config:j.job_config
-
-let cached_summary t key =
-  match t.cache with None -> None | Some c -> Cache.find c ~kind:"summary" ~key
-
-let cached_shape t key =
-  match t.cache with None -> None | Some c -> Cache.find c ~kind:"shape" ~key
-
-let store_summary t key s =
-  Option.iter (fun c -> Cache.store c ~kind:"summary" ~key s) t.cache
-
-(* --------------------------------------------------------------- *)
-(* Binaries and their identities                                    *)
-(* --------------------------------------------------------------- *)
-
-let compile t name =
-  let b = bench t name in
-  t.log (Printf.sprintf "compiling %s (5 binaries, profile input %s)" name b.profile_input);
-  Compiler.compile_all ~mem_words:b.mem_words ~name
-    ~profile_data:(Wish_workloads.Bench.profile_data b) b.ast
-
-(* Equal code at an equal entry is one binary: on the same input and
-   machine it simulates to the same summary, whatever it was compiled
-   as. *)
-let same_binary (p : Wish_isa.Program.t) (q : Wish_isa.Program.t) =
-  p.entry = q.entry && Wish_isa.Code.equal p.code q.code
-
-(* [p]'s identity: the first kind in Table 3 order compiled to it, with
-   that kind's binary, or [label] itself when no kind is. *)
-let identity_of bins label p =
-  match List.find_opt (fun k -> same_binary (Compiler.binary bins k) p) Compiler.all_kinds with
-  | Some k -> (Policy.kind_name k, Compiler.binary bins k)
-  | None -> (label, p)
-
-let add_binaries t name bins =
-  Hashtbl.replace t.binaries name bins;
-  List.iter
-    (fun k ->
-      let label = Policy.kind_name k in
-      Hashtbl.replace t.identities (name, label) (identity_of bins label (Compiler.binary bins k)))
-    Compiler.all_kinds
-
-(* A variant maps to its identity like a kind; its bench is compiled. *)
-let add_variant t j p =
-  let label = job_label j in
-  Hashtbl.replace t.identities (j.job_bench, label)
-    (identity_of (Hashtbl.find t.binaries j.job_bench) label p)
-
-let binaries t name =
-  match Hashtbl.find_opt t.binaries name with
-  | Some b -> b
-  | None ->
-    t.stats.executed <- t.stats.executed + 1;
-    let bins = compile t name in
-    add_binaries t name bins;
-    bins
-
-let program t ~bench:name ~kind ~input =
-  let b = bench t name in
-  Wish_workloads.Bench.program_for b (Compiler.binary (binaries t name) kind) input
-
-(* A compiled job's identity label and binary. *)
-let identity t j = Hashtbl.find t.identities (j.job_bench, job_label j)
-
-(* The kinds compiled to identity [id]'s binary, in Table 3 order. *)
-let class_of t name id =
-  List.filter
-    (fun k -> fst (Hashtbl.find t.identities (name, Policy.kind_name k)) = id)
-    Compiler.all_kinds
-
-(* [j] as a run of the default binary of kind [k]. *)
-let as_kind j k = { j with job_kind = k; job_wish_n = None }
-
-(* The first of [kinds] (in Table 3 order) whose run of [j]'s input and
-   config [find] has a summary for, with that kind's label. *)
-let first_twin find j kinds =
-  List.find_map (fun k -> Option.map (fun s -> (Policy.kind_name k, s)) (find (as_kind j k))) kinds
-
-(* A summary one of [kinds] already has: memoized in this process, or
-   stored in the cache. *)
-let memo_twin t = first_twin (fun j -> Hashtbl.find_opt t.results (memo_key j))
-let cached_twin t = first_twin (fun j -> cached_summary t (summary_key_of_job t j))
-
-(* A job served by the summary of the identical binary labelled [twin]:
-   memoized, and stored under the job's own key. *)
-let serve t j ~twin s =
-  t.stats.same_binary <- t.stats.same_binary + 1;
-  t.log (Printf.sprintf "same binary as %s/%s: %s" j.job_bench twin (describe_job j));
-  Hashtbl.replace t.results (memo_key j) s;
-  store_summary t (summary_key_of_job t j) s
+  List.map
+    (fun (p : Wish_isa.Program.t) ->
+      let code = p.code in
+      ( p,
+        {
+          digest = binary_digest p;
+          shape =
+            {
+              cond_branches = Wish_isa.Code.static_conditional_branches code;
+              wish_branches = Wish_isa.Code.static_wish_branches code;
+              wish_loops = Wish_isa.Code.static_wish_loops code;
+            };
+        } ))
+    programs
 
 (* The [simulating] log line's note on what the run covers. *)
 let run_note = function
@@ -408,159 +359,132 @@ let supervised_map t ~stage ~describe f xs =
         | None -> assert false)
   end
 
-(* A batch's unit of simulation: the jobs of one binary, input and
-   configuration. Only the leader is simulated: the member whose kind
-   comes first in Table 3 order, or the first variant when no member is
-   a default kind. *)
-type group = { leader : job; members : job list }
+(* Compile [tasks] (one job naming each) under the lab's policy. A
+   success memoizes its programs and binaries by label and, with a
+   cache, stores the task's [binary] entry; a failure is recorded in
+   [failed] under the task's name. *)
+let compile_round t failed tasks =
+  List.iter2
+    (fun j -> function
+      | Ok compiled ->
+        List.iter2
+          (fun label (p, b) ->
+            Hashtbl.replace t.programs (j.job_bench, label) p;
+            Hashtbl.replace t.binaries (j.job_bench, label) b)
+          (task_labels j) compiled;
+        Option.iter
+          (fun c -> Cache.store c ~kind:"binary" ~key:(binary_key t j) (List.map snd compiled))
+          t.cache
+      | Error fl -> Hashtbl.replace failed (task_name j) fl)
+    tasks
+    (supervised_map t ~stage:"compile" ~describe:task_name
+       (fun j ->
+         Faultpoint.cut fp_compile;
+         compile t j)
+       tasks)
 
-(* [todo] grouped by bench, identity, input and configuration, in order
-   of first appearance. Every job's binary must be compiled. *)
-let group_by_binary t todo =
-  let groups = Hashtbl.create 16 and order = ref [] in
-  List.iter
-    (fun j ->
-      let g = (j.job_bench, fst (identity t j), j.job_input, j.job_config) in
-      match Hashtbl.find_opt groups g with
-      | Some js -> Hashtbl.replace groups g (j :: js)
-      | None ->
-        Hashtbl.add groups g [ j ];
-        order := g :: !order)
-    todo;
-  List.rev_map
-    (fun g ->
-      let members = List.rev (Hashtbl.find groups g) in
-      let first k = List.find_opt (fun j -> job_label j = Policy.kind_name k) members in
-      let leader =
-        match List.find_map first Compiler.all_kinds with Some j -> j | None -> List.hd members
-      in
-      { leader; members })
-    !order
-
-(* The kinds compiled to [g]'s binary, in Table 3 order. *)
-let group_class t { leader = j; _ } = class_of t j.job_bench (fst (identity t j))
-
-(* With a cache, the earliest kind wins across processes. A group waits
-   while another live process holds the lease of a kind before its
-   leader (every kind, for a variant leader) that compiles to the same
-   binary. Otherwise it takes those leases into [guards], to hold until
-   its summary is stored, so that no concurrent run starts the binary
-   under an earlier label; and under them, a summary a concurrent run
-   stored for any other twin serves it. Returns the groups left to
-   simulate here and the jobs to wait for. *)
-let claim_groups t c ~guards groups =
-  (* All or none: a group that waits holds no lease. *)
-  let take_guards g =
-    let leader = job_label g.leader in
-    let rec before = function
-      | k :: rest when Policy.kind_name k <> leader -> k :: before rest
-      | _ -> []
-    in
-    let rec take taken = function
-      | [] ->
-        guards := taken @ !guards;
-        true
-      | key :: rest ->
-        if Cache.try_lease c ~key then take (key :: taken) rest
-        else begin
-          List.iter (fun key -> Cache.release_lease c ~key) taken;
-          false
-        end
-    in
-    take []
-      (List.map (fun k -> summary_key_of_job t (as_kind g.leader k)) (before (group_class t g)))
-  in
-  let served g =
-    let others =
-      List.filter
-        (fun k -> not (List.exists (fun j -> job_label j = Policy.kind_name k) g.members))
-        (group_class t g)
-    in
-    match cached_twin t g.leader others with
-    | Some (twin, s) ->
-      List.iter (fun j -> serve t j ~twin s) g.members;
-      true
+(* Every job's binary: memoized, else read from its task's [binary]
+   entry, else compiled, once per task. *)
+let resolve t failed jobs =
+  let read j =
+    match
+      Option.bind t.cache (fun c ->
+          (Cache.find c ~kind:"binary" ~key:(binary_key t j) : binary list option))
+    with
     | None -> false
+    | Some bs ->
+      t.stats.cache_hits <- t.stats.cache_hits + 1;
+      t.log (Printf.sprintf "cache hit: binary %s" (task_name j));
+      List.iter2 (fun label b -> Hashtbl.replace t.binaries (j.job_bench, label) b) (task_labels j) bs;
+      true
   in
-  let ready, waiting = List.partition take_guards groups in
-  (List.filter (fun g -> not (served g)) ready, List.concat_map (fun g -> g.members) waiting)
+  compile_round t failed
+    (List.filter
+       (fun j -> not (read j))
+       (uniq task_name (List.filter (fun j -> not (Hashtbl.mem t.binaries (label_key j))) jobs)))
 
-let hit_from_concurrent_run t j s =
+(* [stage] run for [j] alone, its compile failure raised. *)
+let for_one t stage j =
+  let failed = Hashtbl.create 1 in
+  stage t failed [ j ];
+  Option.iter (fun fl -> raise (Job_failed fl)) (Hashtbl.find_opt failed (task_name j))
+
+let binary t j =
+  match Hashtbl.find_opt t.binaries (label_key j) with
+  | Some b -> b
+  | None ->
+    for_one t resolve j;
+    Hashtbl.find t.binaries (label_key j)
+
+let compiled t j =
+  if not (Hashtbl.mem t.programs (label_key j)) then for_one t compile_round j;
+  Hashtbl.find t.programs (label_key j)
+
+let program t ~bench:name ~kind ~input =
+  Wish_workloads.Bench.program_for (bench t name) (compiled t (job ~bench:name ~kind ())) input
+
+(* The persistent-cache identity of a job's summary, also the key its
+   lease is taken on. Sampled results carry a [|sampleW:D] or
+   [|sampleauto] suffix, so a cache survives turning sampling on and
+   off. *)
+let summary_key_of_job t j =
+  let key =
+    Printf.sprintf "%s|%s|scale%d|bin%s|cfg%s" j.job_bench j.job_input t.scale (binary t j).digest
+      (Cache.digest_of j.job_config)
+  in
+  match t.sample with None -> key | Some s -> key ^ "|sample" ^ sampling_key s
+
+let memo_key t j = (j.job_bench, (binary t j).digest, j.job_input, j.job_config)
+let trace_key t j = (j.job_bench, (binary t j).digest, j.job_input)
+
+(* A summary this process already has for [j], if its binary is known. *)
+let memoized t j =
+  match Hashtbl.find_opt t.binaries (label_key j) with
+  | Some b -> Hashtbl.find_opt t.results (j.job_bench, b.digest, j.job_input, j.job_config)
+  | None -> None
+
+let cached_summary t key =
+  match t.cache with None -> None | Some c -> Cache.find c ~kind:"summary" ~key
+
+let cache_hit t j s ~note =
   t.stats.cache_hits <- t.stats.cache_hits + 1;
-  t.log (Printf.sprintf "cache hit: summary %s (from a concurrent run)" (describe_job j));
-  Hashtbl.add t.results (memo_key j) s
+  t.log (Printf.sprintf "cache hit: summary %s%s" (describe_job j) note);
+  Hashtbl.add t.results (memo_key t j) s
 
 (* Seconds between looks at a summary another process holds the lease
    on. *)
 let lease_poll = 0.05
 
 (** [run_batch_results t jobs] — the one place the lab computes a
-    summary: resolves every job (memo table, then disk cache, then
-    compile/trace/simulate fanned over the worker pool, each stage under
-    the lab's policy) and returns per-job outcomes in [jobs] order. Jobs
-    whose binaries are one binary share one trace and one simulation.
-    All memo and cache mutation happens on the calling domain. *)
+    summary: resolves every job's binary (memo, [binary] entry, compile),
+    then its summary (memo table, then disk cache, then trace/simulate
+    fanned over the worker pool, each stage under the lab's policy) and
+    returns per-job outcomes in [jobs] order. Jobs with one key share one
+    simulation. All memo and cache mutation happens on the calling
+    domain. *)
 let run_batch_results t jobs =
   check_stop t;
-  (* Stage 1: resolve summaries from memo and disk; what is left needs
-     computing. *)
-  let todo =
-    uniq memo_key (List.filter (fun j -> not (Hashtbl.mem t.results (memo_key j))) jobs)
-  in
+  (* Failures by compile task, by trace and by run. *)
+  let failed_compiles : (string, failure) Hashtbl.t = Hashtbl.create 4 in
+  let failed_traces = Hashtbl.create 4 and failed_runs = Hashtbl.create 4 in
+  let compile_failure j = Hashtbl.find_opt failed_compiles (task_name j) in
+  let trace_failure j = Hashtbl.find_opt failed_traces (trace_key t j) in
+  (* Stage 1: every job's binary. A failed compile fails exactly the
+     jobs of its task. *)
+  resolve t failed_compiles jobs;
+  (* Stage 2: the memo, then the cache, on the digest key; what is left
+     needs computing. *)
   let todo =
     List.filter
-      (fun j ->
-        match cached_summary t (summary_key_of_job t j) with
-        | Some s ->
-          t.stats.cache_hits <- t.stats.cache_hits + 1;
-          t.log (Printf.sprintf "cache hit: summary %s" (describe_job j));
-          Hashtbl.add t.results (memo_key j) s;
-          false
-        | None -> true)
-      todo
-  in
-  (* Failures by compile task (a bench, or a variant's [binary_name]),
-     by trace identity, and by job. *)
-  let failed_compiles : (string, failure) Hashtbl.t = Hashtbl.create 4 in
-  let failed_traces : (string * string * string, failure) Hashtbl.t = Hashtbl.create 4 in
-  let failed_runs : (string * string * string * Wish_sim.Config.t, failure) Hashtbl.t =
-    Hashtbl.create 4
-  in
-  let compile_failure j =
-    match Hashtbl.find_opt failed_compiles j.job_bench with
-    | Some _ as fl -> fl
-    | None -> Hashtbl.find_opt failed_compiles (binary_name j)
-  in
-  (* A job replays its identity's trace; a job whose binary is not
-     compiled has none yet. *)
-  let trace_failure j =
-    match Hashtbl.find_opt t.identities (j.job_bench, job_label j) with
-    | None -> None
-    | Some (id, _) -> Hashtbl.find_opt failed_traces (j.job_bench, id, j.job_input)
-  in
-  let compile_round ~describe f add xs =
-    List.iter2
-      (fun x -> function
-        | Ok y -> add x y
-        | Error fl -> Hashtbl.replace failed_compiles (describe x) fl)
-      xs
-      (supervised_map t ~stage:"compile" ~describe
-         (fun x ->
-           Faultpoint.cut fp_compile;
-           f x)
-         xs)
-  in
-  let compilable = List.filter (fun j -> compile_failure j = None) in
-  (* A variant job's binary. No profile: the wish kinds read none. *)
-  let compile_variant j =
-    let b = bench t j.job_bench in
-    let n = Option.get j.job_wish_n in
-    t.log
-      (Printf.sprintf "compiling %s/%s (wish-jump threshold N=%d)" j.job_bench
-         (Policy.kind_name j.job_kind) n);
-    fst
-      (Compiler.compile_kind ~mem_words:b.mem_words ~wish_threshold_n:n ~name:j.job_bench b.ast
-         j.job_kind)
+      (fun j -> Hashtbl.mem t.binaries (label_key j) && memoized t j = None)
+      jobs
+    |> uniq (memo_key t)
+    |> List.filter (fun j ->
+           match cached_summary t (summary_key_of_job t j) with
+           | Some s ->
+             cache_hit t j s ~note:"";
+             false
+           | None -> true)
   in
   (* The exact/sampled switch. Exact runs replay the memoized [trace].
      Sampled runs get none: [Runner.simulate_sampled] warms inside the
@@ -574,123 +498,68 @@ let run_batch_results t jobs =
       let spec = match s with Sample_spec sp -> Some sp | Sample_auto -> None in
       fst (Wish_sim.Runner.simulate_sampled ~config ?spec p)
   in
-  (* Stages 2-5 for [todo]: compile missing binaries, serve jobs whose
-     binary already has a summary, generate missing traces, then
-     simulate one job per group. A job whose binary or trace already
-     failed in this batch (before its lease was taken over) is not
-     retried. Returns the jobs left to a concurrent run (cache only). *)
+  let bound_program j =
+    Wish_workloads.Bench.program_for (bench t j.job_bench) (compiled t j) j.job_input
+  in
+  (* Stage 3 for [todo], one job per key: compile the binaries known
+     only from their entries, generate missing traces, then simulate and
+     store each key once. A job whose binary or trace already failed in
+     this batch (before its lease was taken over) is not retried. *)
   let compute todo =
-    let todo = List.filter (fun j -> trace_failure j = None) (compilable todo) in
-    (* Stage 2: one compile per bench, then one per variant, each binary
-       mapped to its identity. A failed compile poisons only the jobs
-       that needed its binary. *)
-    compile_round ~describe:Fun.id (compile t) (add_binaries t)
-      (uniq Fun.id
-         (List.filter_map
-            (fun j -> if Hashtbl.mem t.binaries j.job_bench then None else Some j.job_bench)
-            todo));
-    let todo = compilable todo in
-    compile_round ~describe:binary_name compile_variant (add_variant t)
-      (uniq binary_name
-         (List.filter
-            (fun j ->
-              j.job_wish_n <> None && not (Hashtbl.mem t.identities (j.job_bench, job_label j)))
-            todo));
-    let todo = compilable todo in
-    (* Stage 3: a job whose binary an earlier batch simulated as another
-       kind is served by that summary. *)
-    let todo =
-      List.filter
+    let live = List.filter (fun j -> compile_failure j = None && trace_failure j = None) in
+    let todo = live todo in
+    compile_round t failed_compiles
+      (uniq task_name (List.filter (fun j -> not (Hashtbl.mem t.programs (label_key j))) todo));
+    let todo = live todo in
+    (* Exact labs only: one trace per (bench, digest, input), shared by
+       every configuration it serves. *)
+    let tasks =
+      if t.sample <> None then []
+      else
+        List.filter_map
+          (fun j ->
+            if Hashtbl.mem t.traces (trace_key t j) then None
+            else begin
+              t.log ("tracing " ^ describe_job j);
+              Some (j, (bench t j.job_bench).approx_dyn_insts, bound_program j)
+            end)
+          (uniq (trace_key t) todo)
+    in
+    List.iter2
+      (fun (j, _, _) -> function
+        | Ok tr -> Hashtbl.replace t.traces (trace_key t j) tr
+        | Error fl -> Hashtbl.replace failed_traces (trace_key t j) fl)
+      tasks
+      (supervised_map t ~stage:"trace"
+         ~describe:(fun (j, _, _) -> describe_job j)
+         (fun (_, hint, p) ->
+           Faultpoint.cut fp_trace;
+           fst (Wish_emu.Trace.generate ~hint p))
+         tasks);
+    let tasks =
+      List.filter_map
         (fun j ->
-          let twins =
-            List.filter
-              (fun k -> Policy.kind_name k <> job_label j)
-              (class_of t j.job_bench (fst (identity t j)))
-          in
-          match memo_twin t j twins with
-          | Some (twin, s) ->
-            serve t j ~twin s;
-            false
-          | None -> true)
+          if trace_failure j <> None then None
+          else begin
+            let trace = Hashtbl.find_opt t.traces (trace_key t j) in
+            t.log (Printf.sprintf "simulating %s (%s)" (describe_job j) (run_note trace));
+            Some (j, trace, bound_program j)
+          end)
         todo
     in
-    let groups = group_by_binary t todo in
-    let guards = ref [] in
-    Fun.protect
-      ~finally:(fun () ->
-        Option.iter (fun c -> List.iter (fun key -> Cache.release_lease c ~key) !guards) t.cache)
-      (fun () ->
-        let groups, deferred =
-          match t.cache with None -> (groups, []) | Some c -> claim_groups t c ~guards groups
-        in
-        let trace_key j = (j.job_bench, fst (identity t j), j.job_input) in
-        let bound_program j =
-          Wish_workloads.Bench.program_for (bench t j.job_bench) (snd (identity t j)) j.job_input
-        in
-        (* Stage 4 (exact labs only): one trace per (bench, identity,
-           input), shared by every kind and configuration it serves. *)
-        let tasks =
-          if t.sample <> None then []
-          else
-            List.filter_map
-              (fun { leader = j; _ } ->
-                let ((name, id, input) as key) = trace_key j in
-                if Hashtbl.mem t.traces key then None
-                else begin
-                  t.log (Printf.sprintf "tracing %s/%s input %s" name id input);
-                  Some (key, (bench t name).approx_dyn_insts, bound_program j)
-                end)
-              (uniq (fun g -> trace_key g.leader) groups)
-        in
-        List.iter2
-          (fun (key, _, _) -> function
-            | Ok tr -> Hashtbl.replace t.traces key tr
-            | Error fl -> Hashtbl.replace failed_traces key fl)
-          tasks
-          (supervised_map t ~stage:"trace"
-             ~describe:(fun ((name, id, input), _, _) ->
-               Printf.sprintf "%s/%s input %s" name id input)
-             (fun (_, hint, p) ->
-               Faultpoint.cut fp_trace;
-               fst (Wish_emu.Trace.generate ~hint p))
-             tasks);
-        (* Stage 5: simulate each group's leader whose trace, if it needs
-           one, did not fail; every member gets its summary, or its
-           failure. *)
-        let tasks =
-          List.filter_map
-            (fun g ->
-              let j = g.leader in
-              if trace_failure j <> None then None
-              else begin
-                let trace = Hashtbl.find_opt t.traces (trace_key j) in
-                t.log (Printf.sprintf "simulating %s (%s)" (describe_job j) (run_note trace));
-                Some (g, trace, bound_program j)
-              end)
-            groups
-        in
-        List.iter2
-          (fun (g, _, _) -> function
-            | Ok s ->
-              let leader = job_label g.leader in
-              List.iter
-                (fun j ->
-                  if job_label j = leader then begin
-                    Hashtbl.replace t.results (memo_key j) s;
-                    store_summary t (summary_key_of_job t j) s
-                  end
-                  else serve t j ~twin:leader s)
-                g.members
-            | Error fl ->
-              List.iter (fun j -> Hashtbl.replace failed_runs (memo_key j) fl) g.members)
-          tasks
-          (supervised_map t ~stage:"simulate"
-             ~describe:(fun (g, _, _) -> describe_job g.leader)
-             (fun (g, trace, p) ->
-               Faultpoint.cut fp_simulate;
-               simulate ~config:g.leader.job_config ?trace p)
-             tasks);
-        deferred)
+    List.iter2
+      (fun (j, _, _) -> function
+        | Ok s ->
+          Hashtbl.replace t.results (memo_key t j) s;
+          Option.iter (fun c -> Cache.store c ~kind:"summary" ~key:(summary_key_of_job t j) s) t.cache
+        | Error fl -> Hashtbl.replace failed_runs (memo_key t j) fl)
+      tasks
+      (supervised_map t ~stage:"simulate"
+         ~describe:(fun (j, _, _) -> describe_job j)
+         (fun (j, trace, p) ->
+           Faultpoint.cut fp_simulate;
+           simulate ~config:j.job_config ?trace p)
+         tasks)
   in
   (* With a cache, every miss whose lease this process gets is computed
      in one pass; a miss whose lease another process holds builds nothing
@@ -707,37 +576,33 @@ let run_batch_results t jobs =
           match cached_summary t key with
           | Some s ->
             if leased then Cache.release_lease c ~key;
-            hit_from_concurrent_run t j s
+            cache_hit t j s ~note:" (from a concurrent run)"
           | None when leased -> mine := j :: !mine
           | None -> rest := j :: !rest)
         pending;
       let mine = List.rev !mine in
-      let deferred =
-        Fun.protect
-          ~finally:(fun () ->
-            List.iter (fun j -> Cache.release_lease c ~key:(summary_key_of_job t j)) mine)
-          (fun () -> compute mine)
-      in
-      let rest = deferred @ List.rev !rest in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter (fun j -> Cache.release_lease c ~key:(summary_key_of_job t j)) mine)
+        (fun () -> compute mine);
       (* Nothing settled this round: give the other runs time. *)
-      if List.length deferred = List.length mine && rest <> [] then Unix.sleepf lease_poll;
-      settle c rest
+      if mine = [] && !rest <> [] then Unix.sleepf lease_poll;
+      settle c (List.rev !rest)
     end
   in
-  (match t.cache with None -> ignore (compute todo) | Some c -> settle c todo);
+  (match t.cache with None -> compute todo | Some c -> settle c todo);
   (* Assemble per-job outcomes, [jobs] order. *)
   List.map
     (fun j ->
-      match Hashtbl.find_opt t.results (memo_key j) with
+      match memoized t j with
       | Some s -> Ok s
       | None -> (
-        let failure =
-          match Hashtbl.find_opt failed_runs (memo_key j) with
-          | Some _ as fl -> fl
-          | None -> (
-            match compile_failure j with Some _ as fl -> fl | None -> trace_failure j)
-        in
-        match failure with Some fl -> Error fl | None -> assert false))
+        match compile_failure j with
+        | Some fl -> Error fl
+        | None -> (
+          match Hashtbl.find_opt failed_runs (memo_key t j) with
+          | Some fl -> Error fl
+          | None -> Error (Option.get (trace_failure j)))))
     jobs
 
 (** [run_batch t jobs] — {!run_batch_results}, failures raised: the first
@@ -753,43 +618,12 @@ let prewarm t jobs = ignore (run_batch_results t (with_baselines jobs))
     lookup, or a one-job batch. *)
 let run t ~bench ~kind ?wish_threshold_n ?input ?config () =
   let j = job ~bench ~kind ?wish_threshold_n ?input ?config () in
-  match Hashtbl.find_opt t.results (memo_key j) with
-  | Some s -> s
-  | None -> List.hd (run_batch t [ j ])
+  match memoized t j with Some s -> s | None -> List.hd (run_batch t [ j ])
 
-(* --------------------------------------------------------------- *)
-(* Static shape                                                     *)
-(* --------------------------------------------------------------- *)
-
-(** [shape t ~bench ~kind] — static branch counts of one binary, memoized
-    and cached under [bench|kind|scaleN]; binaries are compiled only on a
+(** [shape t ~bench ~kind] — static branch counts of one binary, read
+    from its bench's [binary] entry; the bench is compiled only on a
     miss. *)
-let shape t ~bench:name ~kind =
-  let kind_n = Policy.kind_name kind in
-  let ckey = Printf.sprintf "%s|%s|scale%d" name kind_n t.scale in
-  match Hashtbl.find_opt t.shapes ckey with
-  | Some s -> s
-  | None ->
-    let s =
-      match cached_shape t ckey with
-      | Some s ->
-        t.stats.cache_hits <- t.stats.cache_hits + 1;
-        t.log (Printf.sprintf "cache hit: shape %s/%s" name kind_n);
-        s
-      | None ->
-        let code = Wish_isa.Program.code (Compiler.binary (binaries t name) kind) in
-        let s =
-          {
-            cond_branches = Wish_isa.Code.static_conditional_branches code;
-            wish_branches = Wish_isa.Code.static_wish_branches code;
-            wish_loops = Wish_isa.Code.static_wish_loops code;
-          }
-        in
-        Option.iter (fun c -> Cache.store c ~kind:"shape" ~key:ckey s) t.cache;
-        s
-    in
-    Hashtbl.add t.shapes ckey s;
-    s
+let shape t ~bench ~kind = (binary t (job ~bench ~kind ())).shape
 
 (* --------------------------------------------------------------- *)
 (* Derived metrics                                                  *)

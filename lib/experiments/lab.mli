@@ -16,21 +16,22 @@
     optional {!Wish_util.Pool} of worker domains (a batch fans its
     independent tasks across it, with results folded back
     deterministically on the calling domain) and an optional persistent
-    {!Cache} of summaries and static shapes, consulted before any
+    {!Cache} of summaries and [binary] entries, consulted before any
     recomputation. Traces are memoized in memory only and never stored.
     Processes sharing one cache directory coalesce duplicate jobs
     through the cache's leases (see {!run_batch_results}). Workloads are
     built, and binaries compiled, only on a miss: a lab whose cache
-    holds every summary and {!shape} it is asked for builds, compiles,
-    traces and simulates nothing.
+    holds every summary and [binary] entry it is asked for builds,
+    compiles, traces and simulates nothing.
 
-    A run is identified by its binary's content, not its kind label:
-    once a bench compiles, each kind maps to the first kind in Table 3
-    order whose code and entry are equal, and an ablation variant maps
-    the same way once it compiles. Kinds with one binary share one trace
-    per input and one simulation per input and machine; every kind's
-    summary is still memoized and stored under its own key, so cache
-    keys and bytes are those of simulating each kind separately.
+    A run is named by its binary's content, not its kind label: its key
+    carries the {!binary_digest} of its code and entry. Kinds (and
+    ablation variants) compiled to one binary therefore share one memo
+    slot, one trace per input, one cache key and one lease, and are one
+    run by construction. Each compile task (a bench's five binaries, or
+    one variant) stores one [binary] entry holding its binaries' digests
+    and static shapes, so a process that finds it needs no compile to
+    name its runs.
 
     Fault tolerance: every stage runs under the lab's supervision
     {!policy} — per-job crash isolation, bounded immediate retry, and
@@ -64,12 +65,12 @@ val default_policy : policy
 (** [create ?scale ?names ?jobs ?cache ?policy ?sample ()]
     — [names] restricts the benchmark set; [jobs > 1] spawns that many
     worker domains for the batches (default 1 = serial); [cache]
-    persists summaries and shapes across processes; [policy] (default
-    {!default_policy}) governs every stage of every batch, {!run}'s
-    included. With [sample], every simulation runs sampled
+    persists summaries and [binary] entries across processes; [policy]
+    (default {!default_policy}) governs every stage of every batch,
+    {!run}'s included. With [sample], every simulation runs sampled
     ({!Wish_sim.Runner.simulate_sampled}) and summaries are cached under
-    keys carrying a [|sample...] suffix — exact results keep their
-    historical keys. A sampled lab has no trace stage: functional
+    keys carrying a [|sample...] suffix, so exact and sampled summaries
+    never meet. A sampled lab has no trace stage: functional
     warming runs inside the compiled emulator ({!Wish_sim.Sampler.run}
     with no trace), so it never generates or memoizes a trace. Raises
     [Invalid_argument] for an unknown benchmark name, a [scale] below 1
@@ -126,10 +127,7 @@ type batch_stats = {
           cache *)
   mutable retried : int;  (** extra attempts beyond each task's first *)
   mutable failed : int;  (** tasks that exhausted their retry budget *)
-  mutable cache_hits : int;
-  mutable same_binary : int;
-      (** runs served, without simulating, by the summary of an
-          identical binary compiled as another kind *)
+  mutable cache_hits : int;  (** summaries and [binary] entries read *)
 }
 
 val batch_stats : t -> batch_stats
@@ -177,42 +175,42 @@ val baseline_of : job -> job
 (** [with_baselines js] — each job followed by its {!baseline_of}. *)
 val with_baselines : job list -> job list
 
+(** [binary_digest p] — hex MD5 of [p]'s code and entry, marshalled
+    without sharing ({!Cache.digest_of}): equal binaries digest alike
+    whatever kind they were compiled as and however they were built. *)
+val binary_digest : Wish_isa.Program.t -> string
+
 (** [summary_key_of_job t j] — the persistent-cache key [j]'s summary is
-    stored under (bench, kind, input, scale, config digest, and the
-    sampling suffix when the lab samples), a variant's kind written
-    [<kind>.n<N>] (e.g. [wish-jump-join.n0]). {!run_batch_results} takes
-    its {!Cache} lease on the same key. *)
+    stored under, [bench|input|scaleN|bin<digest>|cfg<digest>] plus a
+    [|sample...] suffix when the lab samples; [<digest>] is the
+    {!binary_digest} of [j]'s binary, so twins share the key.
+    {!run_batch_results} takes its {!Cache} lease on the same key. The
+    binary is resolved on first use: read from its [binary] entry, or
+    compiled (raising {!Job_failed} if that fails for good). *)
 val summary_key_of_job : t -> job -> string
 
 (** [run_batch_results t jobs] — the one place the lab computes a
     summary: resolves every job (memo table, then disk cache, then
     compile/trace/simulate fanned over the worker pool, each stage under
     the lab's policy; a sampled lab skips the trace stage) and returns
-    per-job outcomes in [jobs] order. The compile stage compiles each
-    missing bench's five binaries, then each variant, and maps every
-    binary to its identity. With a cache, a job is computed only under
-    its {!Cache.try_lease} lease, taken on {!summary_key_of_job}; a job
-    another live process holds the lease on is awaited (polling the
-    cache, honouring {!request_stop}) rather than recomputed. Every
-    lease the process can get is taken in one pass, before any work
-    starts. Leases are released once the summary is stored, and on
-    failure or interruption. A failure in one stage poisons exactly the
-    jobs that needed its product (a failed compile fails that bench's
-    jobs, or that variant's, a failed trace the jobs sharing it, a
-    failed simulation every job of its binary).
-
-    Jobs whose binaries are one binary (equal code and entry) form a
-    group per input and config: one trace, and one simulation of the
-    member whose kind comes first in Table 3 order (or of the first
-    variant, when no member is a default kind), serve them all. A job
-    whose binary an earlier batch simulated, or the cache holds a
-    summary for, under another kind is served without simulating; the
-    log says [same binary as bench/kind: ...]. With a cache the earliest
-    kind wins across processes: a group waits while another live
-    process holds the lease of an earlier kind with the same binary
-    (every such kind, for a variant), and otherwise holds those leases
-    until its summary is stored. Under a fail-fast policy a permanent
-    failure raises {!Job_failed} instead of being returned. *)
+    per-job outcomes in [jobs] order. It first resolves each job's
+    binary: memoized, else read from its compile task's [binary] entry,
+    else compiled (each missing bench's five binaries, or a variant,
+    once). Every later stage works on {!summary_key_of_job}: the memo
+    and the cache are looked up on it, and jobs that share it (twins)
+    share one trace and one simulation, whose summary is stored once.
+    A binary known only from its entry is compiled before it is traced.
+    With a cache, a job is computed only under its {!Cache.try_lease}
+    lease on that key; a job another live process holds the lease on is
+    awaited (polling the cache, honouring {!request_stop}) rather than
+    recomputed. Every lease the process can get is taken in one pass,
+    before any work starts. Leases are released once the summary is
+    stored, and on failure or interruption. A failure in one stage
+    poisons exactly the jobs that needed its product (a failed compile
+    fails that bench's jobs, or that variant's, a failed trace the jobs
+    sharing it, a failed simulation every job of its key). Under a
+    fail-fast policy a permanent failure raises {!Job_failed} instead of
+    being returned. *)
 val run_batch_results : t -> job list -> (Wish_sim.Runner.summary, failure) result list
 
 (** [run_batch t jobs] — {!run_batch_results} with failures raised: the
@@ -227,9 +225,9 @@ val prewarm : t -> job list -> unit
 
 (** [run t ~bench ~kind ?wish_threshold_n ?input ?config ()] — the
     summary of the {!job} with those arguments: a memo lookup, or a
-    one-job {!run_batch}, so a miss is computed, retried, leased and
-    served by an identical binary exactly as in a batch, and a permanent
-    failure raises {!Job_failed}. *)
+    one-job {!run_batch}, so a miss is computed, retried and leased
+    exactly as in a batch, and a permanent failure raises
+    {!Job_failed}. *)
 val run :
   t ->
   bench:string ->
@@ -250,8 +248,8 @@ type shape = {
 }
 
 (** [shape t ~bench ~kind] — the static shape of [bench]'s [kind]
-    binary: memoized, and cached as kind [shape] under key
-    [bench|kind|scaleN]. Only a miss compiles the bench. *)
+    binary, read from the bench's [binary] entry (key [bench|scaleN]).
+    Only a miss compiles the bench. *)
 val shape : t -> bench:string -> kind:Wish_compiler.Policy.kind -> shape
 
 (** {1 Derived metrics} *)

@@ -67,14 +67,15 @@ let ast scale =
 
 (* Inputs: A = uncompressible (uniform bytes: the literal/match branch is a
    coin flip), B = highly compressible (strongly biased, predictable),
-   C = mixed with run structure (partially predictable). *)
-let input_a =
+   C = mixed with run structure (partially predictable). Built by [bench],
+   not at start-up. *)
+let input_a () =
   [
     Bench.array_at src_base (Bench.gen ~seed:101 src_len (fun r _ -> Wish_util.Rng.int r 256));
     Bench.array_at len_base (Bench.gen ~seed:102 src_len (fun r _ -> 1 + Wish_util.Rng.int r 7));
   ]
 
-let input_b =
+let input_b () =
   [
     Bench.array_at src_base
       (Bench.gen ~seed:201 src_len (fun r _ ->
@@ -83,7 +84,7 @@ let input_b =
     Bench.array_at len_base (Bench.gen ~seed:202 src_len (fun r _ -> 1 + Wish_util.Rng.int r 3));
   ]
 
-let input_c =
+let input_c () =
   let run = ref 0 and low = ref true in
   [
     Bench.array_at src_base
@@ -106,9 +107,9 @@ let bench ~scale =
     ast = ast scale;
     inputs =
       [
-        { Bench.label = "A"; data = input_a };
-        { Bench.label = "B"; data = input_b };
-        { Bench.label = "C"; data = input_c };
+        { Bench.label = "A"; data = input_a () };
+        { Bench.label = "B"; data = input_b () };
+        { Bench.label = "C"; data = input_c () };
       ];
     profile_input = "B";
     mem_words = 1 lsl 16;

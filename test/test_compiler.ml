@@ -7,6 +7,7 @@
    generator feeds random programs through this pipeline. *)
 
 open Wish_compiler
+module Lab = Wish_experiments.Lab
 
 let check = Alcotest.check
 let qtest t = QCheck_alcotest.to_alcotest ~speed_level:`Quick t
@@ -523,44 +524,76 @@ let prop_branch_numbering_stable =
 
 (* Which kinds compile each workload to the same binary at scale 1, and
    which kind the wish-jj binary compiled with threshold N=0 or N=100
-   (Ablation A4) equals. A run is identified by its binary's code and
-   entry, the first kind in Table 3 order naming it, so a compiler
-   change that splits or merges twins changes what the lab simulates:
-   it shows up here first. *)
+   (Ablation A4) equals. A run is named by its binary's digest of code
+   and entry, so a compiler change that splits or merges twins changes
+   what the lab simulates: it shows up here first. Each twin found by
+   code equality is also found by digest equality against a second,
+   independent compile, so the digest covers the entry and does not
+   depend on heap sharing. *)
 let test_twin_table () =
   let row name =
     let b = Wish_workloads.Workloads.find ~scale:1 name in
-    let bins =
-      Compiler.compile_all ~mem_words:b.mem_words ~name
-        ~profile_data:(Wish_workloads.Bench.profile_data b) b.ast
+    let compile () =
+      let bins =
+        Compiler.compile_all ~mem_words:b.mem_words ~name
+          ~profile_data:(Wish_workloads.Bench.profile_data b) b.ast
+      in
+      let variant n =
+        fst
+          (Compiler.compile_kind ~mem_words:b.mem_words ~wish_threshold_n:n ~name b.ast
+             Policy.Wish_jj)
+      in
+      (bins, List.map (fun n -> (n, variant n)) [ 0; 100 ])
     in
-    let twin (p : Wish_isa.Program.t) =
-      match
-        List.find_opt
-          (fun k ->
-            let q = Compiler.binary bins k in
-            q.entry = p.entry && Wish_isa.Code.equal q.code p.code)
-          Compiler.all_kinds
-      with
+    let bins, variants = compile () and bins', variants' = compile () in
+    let first same =
+      match List.find_opt (fun k -> same (Compiler.binary bins k)) Compiler.all_kinds with
       | Some k -> Policy.kind_name k
       | None -> "own"
     in
+    (* [p]'s twin by code and entry; [p'], the same binary compiled
+       again, must find it by digest. *)
+    let twin (p : Wish_isa.Program.t) (p' : Wish_isa.Program.t) =
+      let t = first (fun q -> q.entry = p.entry && Wish_isa.Code.equal q.code p.code) in
+      let d = Lab.binary_digest p' in
+      check Alcotest.string (name ^ ": the twin by digest") t
+        (first (fun q -> Lab.binary_digest q = d));
+      t
+    in
+    let normal = Compiler.binary bins Policy.Normal in
+    Alcotest.(check bool)
+      (name ^ ": the digest covers the entry")
+      false
+      (Lab.binary_digest normal
+      = Lab.binary_digest { normal with Wish_isa.Program.entry = normal.entry + 1 });
+    (* The same code with each set of equal instructions sharing one
+       record. *)
+    let shared =
+      let seen = Hashtbl.create 256 in
+      let canon i =
+        match Hashtbl.find_opt seen i with
+        | Some i -> i
+        | None ->
+          Hashtbl.add seen i i;
+          i
+      in
+      let code = normal.code in
+      Wish_isa.Code.create
+        (Array.init (Wish_isa.Code.length code) (fun pc -> canon (Wish_isa.Code.get code pc)))
+    in
+    check Alcotest.string (name ^ ": the digest ignores heap sharing") (Lab.binary_digest normal)
+      (Lab.binary_digest { normal with code = shared });
     let kinds =
       List.filter_map
         (fun k ->
-          let t = twin (Compiler.binary bins k) in
+          let t = twin (Compiler.binary bins k) (Compiler.binary bins' k) in
           if t = Policy.kind_name k then None else Some (Policy.kind_name k ^ "=" ^ t))
         Compiler.all_kinds
     in
     let variants =
-      List.map
-        (fun n ->
-          let p, _ =
-            Compiler.compile_kind ~mem_words:b.mem_words ~wish_threshold_n:n ~name b.ast
-              Policy.Wish_jj
-          in
-          Printf.sprintf "n%d=%s" n (twin p))
-        [ 0; 100 ]
+      List.map2
+        (fun (n, p) (_, p') -> Printf.sprintf "n%d=%s" n (twin p p'))
+        variants variants'
     in
     String.concat " " ((name ^ ":") :: (kinds @ variants))
   in

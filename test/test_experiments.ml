@@ -225,8 +225,8 @@ let logged log prefix = List.filter (String.starts_with ~prefix) (List.rev !log)
 
 (* A fig10 batch simulates each distinct (binary, input, config) once,
    with the count derived from the programs' code rather than pinned,
-   stores a summary under every job's key, and serves each twin the
-   summary its own program simulates to. *)
+   stores one summary per distinct run and one binary entry per compile
+   task, and serves each job the summary its own program simulates to. *)
 let test_distinct_binaries_simulated_once () =
   let cache = Cache.create ~dir:(cache_dir ^ "_twins") () in
   Cache.clear cache;
@@ -234,12 +234,7 @@ let test_distinct_binaries_simulated_once () =
   let log = ref [] in
   Lab.set_logger lab (fun s -> log := s :: !log);
   let jobs =
-    let keys = Hashtbl.create 16 in
-    List.filter
-      (fun j ->
-        let k = Lab.summary_key_of_job lab j in
-        (not (Hashtbl.mem keys k)) && (Hashtbl.add keys k (); true))
-      (Lab.with_baselines (Figures.jobs_for "fig10" lab))
+    List.sort_uniq compare (Lab.with_baselines (Figures.jobs_for "fig10" lab))
   in
   let summaries = Lab.run_batch lab jobs in
   Lab.shutdown lab;
@@ -259,33 +254,31 @@ let test_distinct_binaries_simulated_once () =
   check Alcotest.int "one simulating line per distinct binary, input and config"
     (List.length distinct)
     (List.length (logged log "simulating"));
-  check Alcotest.int "one same-binary line per other job"
-    (List.length jobs - List.length distinct)
-    (List.length (logged log "same binary as"));
-  check Alcotest.int "counted" (List.length jobs - List.length distinct)
-    (Lab.batch_stats lab).same_binary;
-  let stored =
-    List.filter (fun (e, _) -> String.starts_with ~prefix:"summary/" e) (Cache.scan cache)
+  let stored kind =
+    List.length
+      (List.filter (fun (e, _) -> String.starts_with ~prefix:(kind ^ "/") e) (Cache.scan cache))
   in
-  check Alcotest.int "a summary stored per job" (List.length jobs) (List.length stored);
-  let reused =
-    List.map
-      (fun l -> List.nth (String.split_on_char ':' l) 1 |> String.trim)
-      (logged log "same binary as")
+  check Alcotest.int "a summary stored per distinct run" (List.length distinct) (stored "summary");
+  check Alcotest.int "a binary entry per compile task" 3 (stored "binary");
+  (* "simulating gzip/normal input A (...)" names gzip/normal input A. *)
+  let simulated =
+    List.map (fun l -> String.sub l 11 (String.index l '(' - 12)) (logged log "simulating")
   in
   List.iter2
     (fun (j : Lab.job) s ->
       let what =
         Printf.sprintf "%s/%s input %s" j.job_bench (Policy.kind_name j.job_kind) j.job_input
       in
-      if List.mem what reused then
+      if not (List.mem what simulated) then
         check Alcotest.string (what ^ " equals its own program's run")
           (summary_repr (Wish_sim.Runner.simulate ~config:j.job_config (program j)))
           (summary_repr s))
     jobs summaries
 
 (* A summary the cache holds for gzip's normal binary serves a fresh
-   lab's BASE-DEF job, batched or not, without simulating. *)
+   lab's BASE-DEF job, batched or not, under their shared key: the lab
+   reads gzip's binary entry and the summary, and compiles and simulates
+   nothing. *)
 let test_cached_twin_serves_fresh_lab () =
   List.iter
     (fun (label, base_def) ->
@@ -298,12 +291,13 @@ let test_cached_twin_serves_fresh_lab () =
       Lab.set_logger fresh (fun s -> log := s :: !log);
       check Alcotest.string (label ^ ": normal's summary") (summary_repr normal)
         (summary_repr (base_def fresh));
+      check Alcotest.(list string) (label ^ ": no compile") [] (logged log "compiling");
       check Alcotest.(list string) (label ^ ": no simulation") [] (logged log "simulating");
       check
         Alcotest.(list string)
         (label ^ ": served by the stored twin")
-        [ "same binary as gzip/normal: gzip/base-def input A" ]
-        (logged log "same binary as"))
+        [ "cache hit: binary gzip"; "cache hit: summary gzip/base-def input A" ]
+        (logged log "cache hit"))
     [
       ( "batched",
         fun lab -> List.hd (Lab.run_batch lab [ Lab.job ~bench:"gzip" ~kind:Policy.Base_def () ]) );
@@ -311,7 +305,8 @@ let test_cached_twin_serves_fresh_lab () =
     ]
 
 (* After fig10, abl-wish-n over gap simulates nothing: its N=0 and N=100
-   variants are gap's WISH-JJ and BASE-MAX binaries, which fig10 ran. *)
+   variants are gap's WISH-JJ and BASE-MAX binaries, which fig10 ran, so
+   each variant compiles and then finds its twin's memoized summary. *)
 let test_wish_n_variants_reuse_fig10 () =
   let lab = Lab.create ~scale:1 ~names:[ "gap" ] () in
   Lab.prewarm lab (Figures.jobs_for "fig10" lab);
@@ -323,12 +318,20 @@ let test_wish_n_variants_reuse_fig10 () =
   check Alcotest.(list string) "no simulation" [] (logged log "simulating");
   check
     Alcotest.(list string)
-    "each variant served by its default twin"
+    "each variant compiled"
     [
-      "same binary as gap/wish-jump-join: gap/wish-jump-join.n0 input A";
-      "same binary as gap/base-max: gap/wish-jump-join.n100 input A";
+      "compiling gap/wish-jump-join (wish-jump threshold N=0)";
+      "compiling gap/wish-jump-join (wish-jump threshold N=100)";
     ]
-    (logged log "same binary as")
+    (logged log "compiling");
+  List.iter
+    (fun (n, twin) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "N=%d served by its default twin's summary" n)
+        true
+        (Lab.run lab ~bench:"gap" ~kind:Policy.Wish_jj ~wish_threshold_n:n ()
+        == Lab.run lab ~bench:"gap" ~kind:twin ()))
+    [ (0, Policy.Wish_jj); (100, Policy.Base_max) ]
 
 (* gzip's WISH-JJL compiled with N=100 is none of gzip's five binaries.
    Its jobs batch like any other: one compile and one trace under the
@@ -372,7 +375,6 @@ let test_variant_of_its_own () =
     [ "tracing gzip/wish-jump-join-loop.n100 input A" ]
     (logged log "tracing");
   check Alcotest.int "one simulation per config" 2 (List.length (logged log "simulating"));
-  check Alcotest.(list string) "no twin" [] (logged log "same binary as");
   let fresh = Lab.create ~scale:1 ~names:[ "gzip" ] ~cache () in
   check Alcotest.string "served from the cache"
     (summary_repr (List.hd summaries))
@@ -518,10 +520,10 @@ let test_interrupted_batch_resumes () =
       (fun key -> (Cache.find cache ~kind:"summary" ~key : Wish_sim.Runner.summary option) = None)
       keys
   in
-  (* fig10 stored all 5 of its jobs; fig12 adds wish-jjl real-conf and
-     perf-conf, two binaries of their own in gzip, and stopped before
-     simulating either. *)
-  check Alcotest.int "jobs in the three artifacts" 7 (List.length keys);
+  (* fig10 stored its 4 keys (gzip's BASE-DEF is its normal binary);
+     fig12 adds wish-jjl real-conf and perf-conf, two keys of their own,
+     and stopped before simulating either. *)
+  check Alcotest.int "keys of the three artifacts" 6 (List.length keys);
   check Alcotest.int "jobs left without a summary" 2 (List.length missing);
   let fresh = Lab.create ~scale:1 ~names ~cache () in
   let sims = ref 0 in
@@ -579,8 +581,7 @@ let test_lease_stale_takeover () =
 (* Two processes regenerate fig10 for gzip on one cache at once: the
    tables agree, and between them every distinct binary is simulated
    once. fig10's 5 gzip jobs are 4 binaries (BASE-DEF is the normal
-   binary), whichever process leases which job: a process waits while
-   another holds the lease of an earlier kind with its job's binary. *)
+   binary), so 4 keys, whichever process leases which. *)
 let test_lease_coalesces_processes () =
   let dir = cache_dir ^ "_coalesce" in
   Cache.clear (Cache.create ~dir ());
@@ -610,22 +611,27 @@ let test_lease_coalesces_processes () =
       (fun (e, _) -> String.starts_with ~prefix:"summary/" e)
       (Cache.scan (Cache.create ~dir ()))
   in
-  check Alcotest.int "a summary stored for each of the 5 jobs" 5 (List.length summaries)
+  check Alcotest.int "a summary stored for each of the 4 keys" 4 (List.length summaries)
 
-(* While another live process holds the lease of gzip/normal, a process
-   whose job is gzip/base-def, the same binary, batched or not, waits
-   instead of simulating it, and is then served the summary stored
-   under normal. *)
-let test_lease_earliest_kind_wins () =
+(* While another live process holds the lease of gzip/normal's key, a
+   process asking for gzip/base-def, the same binary and so the same
+   key, batched or not, takes no lease of its own and never simulates:
+   it is served the summary stored under that key. *)
+let test_twins_share_one_lease () =
   let normal = Lab.job ~bench:"gzip" ~kind:Policy.Normal () in
-  let lab = Lab.create ~scale:1 ~names:[ "gzip" ] () in
-  let summary = List.hd (Lab.run_batch lab [ normal ]) in
-  let key = Lab.summary_key_of_job lab normal in
+  let base_def = Lab.job ~bench:"gzip" ~kind:Policy.Base_def () in
+  let summary = List.hd (Lab.run_batch (Lab.create ~scale:1 ~names:[ "gzip" ] ()) [ normal ]) in
   List.iter
-    (fun (label, base_def) ->
-      let dir = cache_dir ^ "_earliest_" ^ label in
+    (fun (label, ask) ->
+      let dir = cache_dir ^ "_one_lease_" ^ label in
       let c = Cache.create ~dir () in
       Cache.clear c;
+      (* Naming the key compiles gzip and stores its binary entry, so the
+         child reaches its job without compiling. *)
+      let lab = Lab.create ~scale:1 ~names:[ "gzip" ] ~cache:c () in
+      let key = Lab.summary_key_of_job lab normal in
+      check Alcotest.string (label ^ ": twins share the key") key
+        (Lab.summary_key_of_job lab base_def);
       Alcotest.(check bool) (label ^ ": normal leased here") true (Cache.try_lease c ~key);
       let out = Filename.concat dir "log" in
       let pid =
@@ -633,27 +639,28 @@ let test_lease_earliest_kind_wins () =
             let lab = Lab.create ~scale:1 ~names:[ "gzip" ] ~cache:(Cache.create ~dir ()) () in
             let log = ref [] in
             Lab.set_logger lab (fun s -> log := s :: !log);
-            base_def lab;
+            let s = ask lab in
             Out_channel.with_open_bin out (fun oc ->
                 List.iter (fun l -> output_string oc (l ^ "\n")) (List.rev !log));
-            0)
+            if summary_repr s = summary_repr summary then 0 else 1)
       in
-      (* Time for the child to compile gzip and reach its job. *)
+      (* Time for the child to reach its job and find the lease held. *)
       Unix.sleepf 0.5;
+      check Alcotest.int (label ^ ": the one lease is this process's") 1
+        (Array.length (Sys.readdir (Filename.concat dir "lease")));
       Cache.store c ~kind:"summary" ~key summary;
       Cache.release_lease c ~key;
-      check Alcotest.int (label ^ ": child exit") 0 (wait_child pid);
+      check Alcotest.int (label ^ ": child exit (served the stored summary)") 0 (wait_child pid);
       let log = ref (List.rev (In_channel.with_open_bin out In_channel.input_lines)) in
+      check Alcotest.(list string) (label ^ ": never compiled") [] (logged log "compiling");
       check Alcotest.(list string) (label ^ ": never simulated") [] (logged log "simulating");
-      check
-        Alcotest.(list string)
-        (label ^ ": served by the earlier kind")
-        [ "same binary as gzip/normal: gzip/base-def input A" ]
-        (logged log "same binary as"))
+      check Alcotest.int
+        (label ^ ": served from the cache")
+        1
+        (List.length (logged log "cache hit: summary gzip/base-def input A")))
     [
-      ( "batched",
-        fun lab -> ignore (Lab.run_batch lab [ Lab.job ~bench:"gzip" ~kind:Policy.Base_def () ]) );
-      ("serial", fun lab -> ignore (Lab.run lab ~bench:"gzip" ~kind:Policy.Base_def ()));
+      ("batched", fun lab -> List.hd (Lab.run_batch lab [ Lab.job ~bench:"gzip" ~kind:Policy.Base_def () ]));
+      ("serial", fun lab -> Lab.run lab ~bench:"gzip" ~kind:Policy.Base_def ());
     ]
 
 let () =
@@ -664,7 +671,7 @@ let () =
           Alcotest.test_case "acquire, held, release" `Quick test_lease_acquire_release;
           Alcotest.test_case "stale takeover" `Quick test_lease_stale_takeover;
           Alcotest.test_case "two processes coalesce" `Slow test_lease_coalesces_processes;
-          Alcotest.test_case "earliest kind wins" `Slow test_lease_earliest_kind_wins;
+          Alcotest.test_case "twins share one lease" `Slow test_twins_share_one_lease;
         ] );
       ( "lab",
         [

@@ -310,8 +310,9 @@ let test_keep_going_reports_failures () =
   Alcotest.(check int) "failure counted" 1 (Lab.batch_stats lab).failed
 
 (* gzip's BASE-DEF binary is its normal binary, so a batch of the two
-   is one simulation. With retries = 0 the one armed fault fails it for
-   good, and both jobs report that failure. *)
+   is one key and one simulation, of the batch's first job. With
+   retries = 0 the one armed fault fails it for good, and both jobs
+   report that failure. *)
 let test_keep_going_twin_group_failure () =
   with_reset @@ fun () ->
   let lab = Lab.create ~names:[ "gzip" ] ~policy:keep_going () in
@@ -323,20 +324,23 @@ let test_keep_going_twin_group_failure () =
   (match Lab.run_batch_results lab jobs with
   | [ Error a; Error b ] ->
     Alcotest.(check string) "failed stage" "simulate" a.failed_stage;
-    Alcotest.(check string) "the group's simulated job" "gzip/normal input A" a.failed_what;
+    Alcotest.(check string) "the key's simulated job" "gzip/base-def input A" a.failed_what;
     Alcotest.(check bool) "the same failure for both members" true (a = b)
   | _ -> Alcotest.fail "expected [Error; Error]");
   note "lab.simulate";
   Alcotest.(check int) "one simulation failed" 1 (Lab.batch_stats lab).failed
 
-(* A serial lab with a cache computes its misses under leases. A bench
-   whose compile failed must fail every job of that bench, once: the
-   one-shot fault must not be outlived by a second compile. *)
+(* A serial lab with a cache computes its misses under leases. When the
+   cache holds gzip's binary entry but no summary, the jobs are leased
+   on their keys before gzip compiles. A bench whose compile failed must
+   fail every job of that bench, once: the one-shot fault must not be
+   outlived by a second compile. *)
 let test_keep_going_compile_failure_cached () =
   let dir = fresh_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   with_reset @@ fun () ->
   let c = Cache.create ~dir () in
+  ignore (Lab.shape (Lab.create ~names:[ "gzip" ] ~cache:c ()) ~bench:"gzip" ~kind:Wish_compiler.Policy.Normal);
   let lab = Lab.create ~names:[ "gzip" ] ~cache:c ~policy:keep_going () in
   Fun.protect ~finally:(fun () -> Lab.shutdown lab) @@ fun () ->
   FP.arm "lab.compile" ~times:1;
