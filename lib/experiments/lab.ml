@@ -20,15 +20,16 @@
       bit-identical whatever the pool size;
     - an optional persistent {!Cache}: summaries are looked up by (bench,
       input, scale, binary digest, config[, sampling]) before being
-      recomputed and stored after, and each compile task stores one
-      [binary] entry with its binaries' digests and static shapes, read
-      before compiling. Repeated runs are incremental across processes,
-      and concurrent processes on one cache coalesce duplicate jobs
-      through its leases. Traces are never stored: the emulator
-      regenerates one about as fast as the cache loads it, so a trace
-      lives only in the in-memory memo, shared by every run of its
-      binary and input. A sampled lab has no trace stage at all: its
-      simulations warm trace-free.
+      recomputed and stored after (a summary stored from outside the
+      lab under its job's kind-label key is read too), and each compile
+      task stores one [binary] entry with its binaries' digests and
+      static shapes, read before compiling. Repeated runs are
+      incremental across processes, and concurrent processes on one
+      cache coalesce duplicate jobs through its leases. Traces are
+      never stored: the emulator regenerates one about as fast as the
+      cache loads it, so a trace lives only in the in-memory memo,
+      shared by every run of its binary and input. A sampled lab has
+      no trace stage at all: its simulations warm trace-free.
 
     A run is named by its binary's digest (code and entry), not by the
     kind it was compiled as: binaries compiled to the same code share one
@@ -423,16 +424,24 @@ let compiled t j =
 let program t ~bench:name ~kind ~input =
   Wish_workloads.Bench.program_for (bench t name) (compiled t (job ~bench:name ~kind ())) input
 
-(* The persistent-cache identity of a job's summary, also the key its
-   lease is taken on. Sampled results carry a [|sampleW:D] or
-   [|sampleauto] suffix, so a cache survives turning sampling on and
-   off. *)
-let summary_key_of_job t j =
-  let key =
-    Printf.sprintf "%s|%s|scale%d|bin%s|cfg%s" j.job_bench j.job_input t.scale (binary t j).digest
-      (Cache.digest_of j.job_config)
-  in
+(* Sampled results carry a [|sampleW:D] or [|sampleauto] suffix, so a
+   cache survives turning sampling on and off. *)
+let with_sampling t key =
   match t.sample with None -> key | Some s -> key ^ "|sample" ^ sampling_key s
+
+(* The persistent-cache identity of a run's summary, also the key its
+   lease is taken on. *)
+let run_key_of_job t j =
+  with_sampling t
+    (Printf.sprintf "%s|%s|scale%d|bin%s|cfg%s" j.job_bench j.job_input t.scale (binary t j).digest
+       (Cache.digest_of j.job_config))
+
+(* A job's key by label, for summaries stored from outside the lab; it
+   needs no binary. *)
+let summary_key_of_job t j =
+  with_sampling t
+    (Printf.sprintf "%s|%s|%s|scale%d|cfg%s" j.job_bench (job_label j) j.job_input t.scale
+       (Cache.digest_of j.job_config))
 
 let memo_key t j = (j.job_bench, (binary t j).digest, j.job_input, j.job_config)
 let trace_key t j = (j.job_bench, (binary t j).digest, j.job_input)
@@ -445,6 +454,15 @@ let memoized t j =
 
 let cached_summary t key =
   match t.cache with None -> None | Some c -> Cache.find c ~kind:"summary" ~key
+
+(* [j]'s summary in the cache: under its run key, else under its label
+   key, where only a writer outside the lab stores. *)
+let stored_summary t j =
+  match t.cache with
+  | None -> None
+  | Some c -> (
+    let find key = Cache.find c ~kind:"summary" ~key in
+    match find (run_key_of_job t j) with None -> find (summary_key_of_job t j) | hit -> hit)
 
 let cache_hit t j s ~note =
   t.stats.cache_hits <- t.stats.cache_hits + 1;
@@ -480,7 +498,7 @@ let run_batch_results t jobs =
       jobs
     |> uniq (memo_key t)
     |> List.filter (fun j ->
-           match cached_summary t (summary_key_of_job t j) with
+           match stored_summary t j with
            | Some s ->
              cache_hit t j s ~note:"";
              false
@@ -551,7 +569,7 @@ let run_batch_results t jobs =
       (fun (j, _, _) -> function
         | Ok s ->
           Hashtbl.replace t.results (memo_key t j) s;
-          Option.iter (fun c -> Cache.store c ~kind:"summary" ~key:(summary_key_of_job t j) s) t.cache
+          Option.iter (fun c -> Cache.store c ~kind:"summary" ~key:(run_key_of_job t j) s) t.cache
         | Error fl -> Hashtbl.replace failed_runs (memo_key t j) fl)
       tasks
       (supervised_map t ~stage:"simulate"
@@ -571,7 +589,7 @@ let run_batch_results t jobs =
       let mine = ref [] and rest = ref [] in
       List.iter
         (fun j ->
-          let key = summary_key_of_job t j in
+          let key = run_key_of_job t j in
           let leased = Cache.try_lease c ~key in
           match cached_summary t key with
           | Some s ->
@@ -583,7 +601,7 @@ let run_batch_results t jobs =
       let mine = List.rev !mine in
       Fun.protect
         ~finally:(fun () ->
-          List.iter (fun j -> Cache.release_lease c ~key:(summary_key_of_job t j)) mine)
+          List.iter (fun j -> Cache.release_lease c ~key:(run_key_of_job t j)) mine)
         (fun () -> compute mine);
       (* Nothing settled this round: give the other runs time. *)
       if mine = [] && !rest <> [] then Unix.sleepf lease_poll;

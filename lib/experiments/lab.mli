@@ -180,13 +180,22 @@ val with_baselines : job list -> job list
     whatever kind they were compiled as and however they were built. *)
 val binary_digest : Wish_isa.Program.t -> string
 
-(** [summary_key_of_job t j] — the persistent-cache key [j]'s summary is
+(** [run_key_of_job t j] — the persistent-cache key [j]'s summary is
     stored under, [bench|input|scaleN|bin<digest>|cfg<digest>] plus a
     [|sample...] suffix when the lab samples; [<digest>] is the
     {!binary_digest} of [j]'s binary, so twins share the key.
     {!run_batch_results} takes its {!Cache} lease on the same key. The
     binary is resolved on first use: read from its [binary] entry, or
     compiled (raising {!Job_failed} if that fails for good). *)
+val run_key_of_job : t -> job -> string
+
+(** [summary_key_of_job t j] — [j]'s key by kind label,
+    [bench|label|input|scaleN|cfg<digest>] plus the sampling suffix,
+    where a variant's label is [<kind>.n<N>]. It needs no binary, and
+    twins have distinct label keys. The lab never stores under it, but
+    reads a summary stored under it when {!run_key_of_job} misses, so a
+    process that computes summaries outside the lab (bench/perf's
+    traced pass) hands them to any lab on the same cache. *)
 val summary_key_of_job : t -> job -> string
 
 (** [run_batch_results t jobs] — the one place the lab computes a
@@ -196,8 +205,9 @@ val summary_key_of_job : t -> job -> string
     per-job outcomes in [jobs] order. It first resolves each job's
     binary: memoized, else read from its compile task's [binary] entry,
     else compiled (each missing bench's five binaries, or a variant,
-    once). Every later stage works on {!summary_key_of_job}: the memo
-    and the cache are looked up on it, and jobs that share it (twins)
+    once). Every later stage works on {!run_key_of_job}: the memo and
+    the cache are looked up on it (the cache also on
+    {!summary_key_of_job} when it misses), and jobs that share it (twins)
     share one trace and one simulation, whose summary is stored once.
     A binary known only from its entry is compiled before it is traced.
     With a cache, a job is computed only under its {!Cache.try_lease}

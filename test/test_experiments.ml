@@ -304,6 +304,37 @@ let test_cached_twin_serves_fresh_lab () =
       ("serial", fun lab -> Lab.run lab ~bench:"gzip" ~kind:Policy.Base_def ());
     ]
 
+(* A summary stored from outside the lab under a job's label key (as
+   bench/perf's traced pass stores them) serves a fresh lab on that cache,
+   twins included; the lab itself stores under run keys only. *)
+let test_label_keyed_summary_read () =
+  let cache = Cache.create ~dir:(cache_dir ^ "_label") () in
+  Cache.clear cache;
+  let job kind = Lab.job ~bench:"gzip" ~kind () in
+  let keys = Lab.create ~scale:1 ~names:[ "gzip" ] () in
+  let label j = Lab.summary_key_of_job keys j in
+  Alcotest.(check bool) "twins have distinct label keys" true
+    (label (job Policy.Normal) <> label (job Policy.Base_def));
+  let base_def = Lab.run (Lazy.force lab) ~bench:"gzip" ~kind:Policy.Base_def () in
+  Cache.store cache ~kind:"summary" ~key:(label (job Policy.Base_def)) base_def;
+  let fresh = Lab.create ~scale:1 ~names:[ "gzip" ] ~cache () in
+  let log = ref [] in
+  Lab.set_logger fresh (fun s -> log := s :: !log);
+  List.iter
+    (fun s -> check Alcotest.string "the stored summary" (summary_repr base_def) (summary_repr s))
+    (Lab.run_batch fresh [ job Policy.Base_def; job Policy.Normal ]);
+  check Alcotest.(list string) "no simulation" [] (logged log "simulating");
+  check
+    Alcotest.(list string)
+    "read once" [ "cache hit: summary gzip/base-def input A" ] (logged log "cache hit: summary");
+  ignore (Lab.run fresh ~bench:"gzip" ~kind:Policy.Wish_jj ());
+  let stored key =
+    Option.is_some (Cache.find cache ~kind:"summary" ~key : Wish_sim.Runner.summary option)
+  in
+  Alcotest.(check bool) "computed: stored under its run key" true
+    (stored (Lab.run_key_of_job fresh (job Policy.Wish_jj)));
+  Alcotest.(check bool) "not under its label key" false (stored (label (job Policy.Wish_jj)))
+
 (* After fig10, abl-wish-n over gap simulates nothing: its N=0 and N=100
    variants are gap's WISH-JJ and BASE-MAX binaries, which fig10 ran, so
    each variant compiles and then finds its twin's memoized summary. *)
@@ -512,7 +543,7 @@ let test_interrupted_batch_resumes () =
       Lab.prewarm stopped (Figures.jobs_for "fig12" stopped));
   let keys =
     List.concat_map (fun a -> Lab.with_baselines (Figures.jobs_for a stopped)) artifacts
-    |> List.map (Lab.summary_key_of_job stopped)
+    |> List.map (Lab.run_key_of_job stopped)
     |> List.sort_uniq compare
   in
   let missing =
@@ -629,9 +660,9 @@ let test_twins_share_one_lease () =
       (* Naming the key compiles gzip and stores its binary entry, so the
          child reaches its job without compiling. *)
       let lab = Lab.create ~scale:1 ~names:[ "gzip" ] ~cache:c () in
-      let key = Lab.summary_key_of_job lab normal in
+      let key = Lab.run_key_of_job lab normal in
       check Alcotest.string (label ^ ": twins share the key") key
-        (Lab.summary_key_of_job lab base_def);
+        (Lab.run_key_of_job lab base_def);
       Alcotest.(check bool) (label ^ ": normal leased here") true (Cache.try_lease c ~key);
       let out = Filename.concat dir "log" in
       let pid =
@@ -694,6 +725,7 @@ let () =
           Alcotest.test_case "round-trip fidelity" `Slow test_cache_roundtrip;
           Alcotest.test_case "version invalidation" `Quick test_cache_version_invalidation;
           Alcotest.test_case "interrupted batch resumes" `Slow test_interrupted_batch_resumes;
+          Alcotest.test_case "a label-keyed summary is read" `Slow test_label_keyed_summary_read;
         ] );
       ("sampled", [ Alcotest.test_case "lab is trace-free" `Slow test_sampled_lab_trace_free ]);
       ( "ablations",
