@@ -97,9 +97,10 @@ let run names scale verbose benchmarks csv_dir jobs no_cache retries keep_going 
   in
   if verbose then Lab.set_logger lab (fun s -> Fmt.epr "[lab] %s@." s);
   (* SIGINT drains gracefully: the handler only flips an atomic flag; the
-     batch finishes its in-flight pool round, raises [Interrupted] on the
-     coordinating domain, and the [Fun.protect] below joins the workers.
-     Finished jobs are already in the cache, so a rerun continues. *)
+     batch lets its in-flight simulations finish and starts no other,
+     raises [Interrupted] on the coordinating domain, and the
+     [Fun.protect] below joins the workers. Finished jobs are already in
+     the cache, so a rerun continues. *)
   Sys.set_signal Sys.sigint
     (Sys.Signal_handle
        (fun _ ->
@@ -110,18 +111,16 @@ let run names scale verbose benchmarks csv_dir jobs no_cache retries keep_going 
       ~finally:(fun () -> Lab.shutdown lab)
       (fun () ->
         try
+          (* One batch computes every selected artifact's grid, so each
+             trace is generated once and dies once the runs that read it
+             are done; the tables render after it, from the memo. *)
+          Lab.prewarm lab
+            (List.concat_map
+               (fun (name, _) -> Figures.jobs_for name lab @ Ablations.jobs_for name lab)
+               selected);
           List.iter
             (fun (name, f) ->
-              let jobs_for =
-                match (Figures.jobs_for name lab, Ablations.jobs_for name lab) with
-                | [], [] -> []
-                | js, [] | [], js -> js
-                | _ -> assert false
-              in
-              match
-                if jobs_for <> [] then Lab.prewarm lab jobs_for;
-                f lab
-              with
+              match f lab with
               | exception Lab.Job_failed fl ->
                 Fmt.epr "[lab] %s skipped: %a@." name Lab.pp_failure fl;
                 if not keep_going then raise (Lab.Job_failed fl)

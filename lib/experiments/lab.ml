@@ -1,5 +1,5 @@
-(** The lab: compiles each workload's five binaries once, memoizes emulator
-    traces, simulation results and static branch counts, and hands figure
+(** The lab: compiles each workload's five binaries once, memoizes
+    simulation results and static branch counts, and hands figure
     generators their data.
 
     Evaluation protocol (mirroring the paper's methodology):
@@ -14,33 +14,29 @@
     summary the lab computes comes out of {!run_batch_results}, ablation
     A4's variant binaries included. On top of the memo tables:
     - an optional {!Wish_util.Pool} of worker domains: a batch fans its
-      independent compile/trace/simulate tasks across it and folds the
-      results back into the tables on the coordinating domain, so the
-      tables are only ever mutated single-threaded and the outputs are
-      bit-identical whatever the pool size;
+      compile tasks, then one task per trace, across it and folds the
+      results into the tables on the coordinating domain, so the outputs
+      are bit-identical whatever the pool size. A trace lives only for
+      its task, which generates it and simulates every run that reads
+      it: at most one trace per worker is live, and none is stored (the
+      emulator regenerates one about as fast as a cache would load it);
     - an optional persistent {!Cache}: summaries are looked up by (bench,
       input, scale, binary digest, config[, sampling]) before being
       recomputed and stored after (a summary stored from outside the
       lab under its job's kind-label key is read too), and each compile
       task stores one [binary] entry with its binaries' digests and
-      static shapes, read before compiling. Repeated runs are
-      incremental across processes, and concurrent processes on one
-      cache coalesce duplicate jobs through its leases. Traces are
-      never stored: the emulator regenerates one about as fast as the
-      cache loads it, so a trace lives only in the in-memory memo,
-      shared by every run of its binary and input. A sampled lab has
-      no trace stage at all: its simulations warm trace-free.
+      static shapes, read before compiling. Concurrent processes on one
+      cache coalesce duplicate compiles and runs through its leases.
 
     A run is named by its binary's digest (code and entry), not by the
     kind it was compiled as: binaries compiled to the same code share one
     memo slot, one trace per input, one cache key and one lease.
 
-    Fault tolerance (the lab's {!policy}): every stage runs under
-    supervision — a job that raises (or whose worker domain dies; the
-    {!Wish_util.Pool} requeues and respawns underneath us) fails that job
-    only, is retried up to [retries] times, and is reported as a
-    structured {!failure} if it never succeeds. Because every
-    recomputation is deterministic, a retry runs at once, and any fault
+    Fault tolerance (the lab's {!policy}): every compile, trace and
+    simulation runs under supervision — one that raises (or whose worker
+    domain dies; the {!Wish_util.Pool} requeues and respawns underneath
+    us) fails its jobs only, is retried up to [retries] times, and is
+    reported as a structured {!failure} if it never succeeds. Any fault
     schedule that eventually succeeds yields byte-identical tables. *)
 
 open Wish_compiler
@@ -113,14 +109,14 @@ type t = {
   policy : policy;
   binaries : (string * string, binary) Hashtbl.t; (* by (bench, label) *)
   programs : (string * string, Wish_isa.Program.t) Hashtbl.t; (* compiled, by (bench, label) *)
-  traces : (string * string * string, Wish_emu.Trace.t) Hashtbl.t; (* by (bench, digest, input) *)
   results : (string * string * string * Wish_sim.Config.t, Wish_sim.Runner.summary) Hashtbl.t;
       (* by (bench, digest, input, config) *)
   mutable log : string -> unit;
   pool : Pool.t option;
   cache : Cache.t option;
   stop : bool Atomic.t;
-  stats : batch_stats;
+  stats : batch_stats; (* workers count under [lock] *)
+  lock : Mutex.t; (* orders workers' log lines and counts *)
   sample : sampling option;
 }
 
@@ -139,13 +135,13 @@ let create ?(scale = 1) ?names ?(jobs = 1) ?cache ?(policy = default_policy) ?sa
     policy;
     binaries = Hashtbl.create 64;
     programs = Hashtbl.create 64;
-    traces = Hashtbl.create 64;
     results = Hashtbl.create 256;
     log = ignore;
     pool = (if jobs > 1 then Some (Pool.create ~size:jobs ()) else None);
     cache;
     stop = Atomic.make false;
     stats = { executed = 0; retried = 0; failed = 0; cache_hits = 0 };
+    lock = Mutex.create ();
     sample;
   }
 
@@ -158,7 +154,7 @@ let batch_stats t = { t.stats with executed = t.stats.executed }
 let request_stop t = Atomic.set t.stop true
 let check_stop t = if Atomic.get t.stop then raise Interrupted
 
-let set_logger t f = t.log <- f
+let set_logger t f = t.log <- (fun s -> Mutex.protect t.lock (fun () -> f s))
 
 let bench_names t = t.names
 
@@ -266,10 +262,16 @@ let compile t j =
         } ))
     programs
 
-(* The [simulating] log line's note on what the run covers. *)
-let run_note = function
-  | Some tr -> Printf.sprintf "%d dynamic insts" (Wish_emu.Trace.length tr)
-  | None -> "sampled, trace-free"
+(* One pool task a round: a trace and the runs that read it, or in a
+   sampled lab, which has no trace, one run. The trace dies with the
+   task unless a run that read it awaits a retry. *)
+type group = {
+  lead : job; (* names the trace in logs and failures *)
+  program : Wish_isa.Program.t;
+  trace : Wish_emu.Trace.t option;
+  tries : int; (* trace attempts made *)
+  sims : (job * int) list; (* runs left, with the attempts made on each *)
+}
 
 (* --------------------------------------------------------------- *)
 (* Batched (parallel, supervised) execution                         *)
@@ -290,74 +292,62 @@ let uniq key xs =
       end)
     xs
 
-(* Fan [f] over [xs] on the pool under the lab's policy: each item is
-   attempted up to [1 + retries] times, each failed round retried at
-   once (recomputation is deterministic, so a retried success is
-   bit-identical and waiting buys nothing). Workers never see an
-   exception: every attempt is folded to a [result] inside the task, so
-   one job's crash (or its worker's injected death, handled a layer down
-   by the pool) cannot abandon the batch. Returns per-item
-   [Ok y | Error failure] in order; under fail-fast, raises [Job_failed]
-   on the first exhausted item instead. *)
-let supervised_map t ~stage ~describe f xs =
-  if xs = [] then []
+(* What one attempt at a supervised task came to: [Retry] is a failure
+   with retries left, [Final] one without, [Skipped] no attempt (the
+   batch is stopping). *)
+type 'a verdict = Done of 'a | Retry | Final of failure | Skipped
+
+(* One attempt at a task, on a worker, after [tries] earlier ones; the
+   first logs [line]. A raise becomes the verdict, so one job's crash
+   cannot abandon the batch. The first final failure under fail-fast goes
+   in [halt], which skips the round's attempts not yet begun. *)
+let attempt t halt ~stage ~what ~tries ?line f =
+  if tries = 0 then Option.iter t.log line;
+  if Atomic.get t.stop || Option.is_some (Atomic.get halt) then Skipped
   else begin
-    check_stop t;
     let { retries; keep_going } = t.policy in
-    let items = Array.of_list xs in
-    let n = Array.length items in
-    let results = Array.make n None in
-    let attempts = Array.make n 0 in
-    let pending = ref (List.init n Fun.id) in
-    let round = ref 0 in
-    while !pending <> [] && !round <= retries do
-      check_stop t;
-      let outs =
-        pmap t
-          (fun i ->
-            match f items.(i) with
-            | y -> Ok y
-            | exception Faultpoint.Injected { site; hit } ->
-              Error (Printf.sprintf "injected fault at %s (hit %d)" site hit)
-            | exception e -> Error (Printexc.to_string e))
-          !pending
-      in
-      let failed_now = ref [] in
-      List.iter2
-        (fun i out ->
-          attempts.(i) <- attempts.(i) + 1;
-          t.stats.executed <- t.stats.executed + 1;
-          results.(i) <- Some out;
-          match out with
-          | Ok _ -> ()
-          | Error reason ->
-            failed_now := i :: !failed_now;
-            t.log
-              (Printf.sprintf "%s %s: attempt %d/%d failed (%s)" stage (describe items.(i))
-                 attempts.(i) (1 + retries) reason))
-        !pending outs;
-      let failed_now = List.rev !failed_now in
-      if failed_now <> [] && !round < retries then
-        t.stats.retried <- t.stats.retried + List.length failed_now;
-      pending := failed_now;
-      incr round
-    done;
-    List.init n (fun i ->
-        match results.(i) with
-        | Some (Ok y) -> Ok y
-        | Some (Error reason) ->
-          let fl =
-            {
-              failed_stage = stage;
-              failed_what = describe items.(i);
-              failed_attempts = attempts.(i);
-              failed_reason = reason;
-            }
-          in
-          t.stats.failed <- t.stats.failed + 1;
-          if not keep_going then raise (Job_failed fl);
-          Error fl
-        | None -> assert false)
+    let v =
+      match f () with
+      | y -> Done y
+      | exception e ->
+        let reason =
+          match e with
+          | Faultpoint.Injected { site; hit } -> Printf.sprintf "injected fault at %s (hit %d)" site hit
+          | e -> Printexc.to_string e
+        in
+        t.log
+          (Printf.sprintf "%s %s: attempt %d/%d failed (%s)" stage what (tries + 1) (1 + retries)
+             reason);
+        if tries < retries then Retry
+        else
+          Final
+            { failed_stage = stage; failed_what = what; failed_attempts = tries + 1; failed_reason = reason }
+    in
+    let st = t.stats in
+    Mutex.protect t.lock (fun () ->
+        st.executed <- st.executed + 1;
+        match v with
+        | Retry -> st.retried <- st.retried + 1
+        | Final fl ->
+          st.failed <- st.failed + 1;
+          if not keep_going then ignore (Atomic.compare_and_set halt None (Some fl))
+        | Done _ | Skipped -> ());
+    v
+  end
+
+(* Supervise [items] on the pool in rounds: [step halt item] runs on a
+   worker and returns what [item] has left to retry in the next round
+   (deterministic work: waiting buys nothing) and a commit that folds its
+   outcome into the tables on this domain. A final failure under
+   fail-fast raises [Job_failed] after its round; a stop, [Interrupted]. *)
+let rec rounds t step items =
+  check_stop t;
+  if items <> [] then begin
+    let halt = Atomic.make None in
+    let outs = pmap t (step halt) items in
+    List.iter (fun (_, commit) -> commit ()) outs;
+    Option.iter (fun fl -> raise (Job_failed fl)) (Atomic.get halt);
+    rounds t step (List.filter_map fst outs)
   end
 
 (* Compile [tasks] (one job naming each) under the lab's policy. A
@@ -365,27 +355,53 @@ let supervised_map t ~stage ~describe f xs =
    cache, stores the task's [binary] entry; a failure is recorded in
    [failed] under the task's name. *)
 let compile_round t failed tasks =
-  List.iter2
-    (fun j -> function
-      | Ok compiled ->
-        List.iter2
-          (fun label (p, b) ->
-            Hashtbl.replace t.programs (j.job_bench, label) p;
-            Hashtbl.replace t.binaries (j.job_bench, label) b)
-          (task_labels j) compiled;
-        Option.iter
-          (fun c -> Cache.store c ~kind:"binary" ~key:(binary_key t j) (List.map snd compiled))
-          t.cache
-      | Error fl -> Hashtbl.replace failed (task_name j) fl)
-    tasks
-    (supervised_map t ~stage:"compile" ~describe:task_name
-       (fun j ->
-         Faultpoint.cut fp_compile;
-         compile t j)
-       tasks)
+  rounds t
+    (fun halt (j, tries) ->
+      let v =
+        attempt t halt ~stage:"compile" ~what:(task_name j) ~tries (fun () ->
+            Faultpoint.cut fp_compile;
+            compile t j)
+      in
+      ( (if v = Retry then Some (j, tries + 1) else None),
+        fun () ->
+          (match v with
+          | Done compiled ->
+            List.iter2
+              (fun label (p, b) ->
+                Hashtbl.replace t.programs (j.job_bench, label) p;
+                Hashtbl.replace t.binaries (j.job_bench, label) b)
+              (task_labels j) compiled;
+            Option.iter
+              (fun c -> Cache.store c ~kind:"binary" ~key:(binary_key t j) (List.map snd compiled))
+              t.cache
+          | Final fl -> Hashtbl.replace failed (task_name j) fl
+          | Retry | Skipped -> ()) ))
+    (List.map (fun j -> (j, 0)) tasks)
+
+(* [pending] under [c]'s leases: every item whose lease (on [key item])
+   this process gets, and whose entry [found] does not find once it has
+   it, is computed, in one [compute] call; an item another live process
+   holds the lease on is polled for with [found] every 50 ms until its
+   entry lands, or until its holder dies and the lease is taken over. *)
+let rec settle t c ~key ~found compute pending =
+  if pending <> [] then begin
+    check_stop t;
+    let mine, rest = List.partition (fun x -> Cache.try_lease c ~key:(key x)) pending in
+    let mine =
+      List.filter (fun x -> not (found x) || (Cache.release_lease c ~key:(key x); false)) mine
+    in
+    let rest = List.filter (fun x -> not (found x)) rest in
+    Fun.protect
+      ~finally:(fun () -> List.iter (fun x -> Cache.release_lease c ~key:(key x)) mine)
+      (fun () -> compute mine);
+    (* Nothing settled this round: give the other runs time. *)
+    if mine = [] && rest <> [] then Unix.sleepf 0.05;
+    settle t c ~key ~found compute rest
+  end
 
 (* Every job's binary: memoized, else read from its task's [binary]
-   entry, else compiled, once per task. *)
+   entry, else compiled, once per task and, with a cache, under the
+   lease of the entry's key. *)
 let resolve t failed jobs =
   let read j =
     match
@@ -399,10 +415,14 @@ let resolve t failed jobs =
       List.iter2 (fun label b -> Hashtbl.replace t.binaries (j.job_bench, label) b) (task_labels j) bs;
       true
   in
-  compile_round t failed
-    (List.filter
-       (fun j -> not (read j))
-       (uniq task_name (List.filter (fun j -> not (Hashtbl.mem t.binaries (label_key j))) jobs)))
+  let missing =
+    List.filter
+      (fun j -> not (read j))
+      (uniq task_name (List.filter (fun j -> not (Hashtbl.mem t.binaries (label_key j))) jobs))
+  in
+  match t.cache with
+  | None -> compile_round t failed missing
+  | Some c -> settle t c ~key:(binary_key t) ~found:read (compile_round t failed) missing
 
 (* [stage] run for [j] alone, its compile failure raised. *)
 let for_one t stage j =
@@ -452,9 +472,6 @@ let memoized t j =
   | Some b -> Hashtbl.find_opt t.results (j.job_bench, b.digest, j.job_input, j.job_config)
   | None -> None
 
-let cached_summary t key =
-  match t.cache with None -> None | Some c -> Cache.find c ~kind:"summary" ~key
-
 (* [j]'s summary in the cache: under its run key, else under its label
    key, where only a writer outside the lab stores. *)
 let stored_summary t j =
@@ -469,18 +486,77 @@ let cache_hit t j s ~note =
   t.log (Printf.sprintf "cache hit: summary %s%s" (describe_job j) note);
   Hashtbl.add t.results (memo_key t j) s
 
-(* Seconds between looks at a summary another process holds the lease
-   on. *)
-let lease_poll = 0.05
+(* Stage 3's runs: one task per group, the longest first so the batch
+   ends with every worker busy. A failed trace fails or retries exactly
+   its group's runs; a failed run is retried with the trace kept. *)
+let run_groups t ~failed_traces ~failed_runs groups =
+  let hint g = (bench t g.lead.job_bench).approx_dyn_insts in
+  (* Exact runs replay their group's trace; sampled runs warm inside
+     the compiled emulator and have none. *)
+  let simulate ~config ?trace p =
+    match t.sample with
+    | None -> Wish_sim.Runner.simulate ~config ?trace p
+    | Some s ->
+      let spec = match s with Sample_spec sp -> Some sp | Sample_auto -> None in
+      fst (Wish_sim.Runner.simulate_sampled ~config ?spec p)
+  in
+  rounds t
+    (fun halt g ->
+      let lead = g.lead and what = describe_job g.lead in
+      (* This round's trace attempt, if it makes one. *)
+      let traced =
+        if t.sample <> None || g.trace <> None then Done g.trace
+        else
+          attempt t halt ~stage:"trace" ~what ~tries:g.tries ~line:("tracing " ^ what) (fun () ->
+              Faultpoint.cut fp_trace;
+              Some (fst (Wish_emu.Trace.generate ~hint:(hint g) g.program)))
+      in
+      let sims =
+        match traced with
+        | Done trace ->
+          let note =
+            match trace with
+            | Some tr -> Printf.sprintf "%d dynamic insts" (Wish_emu.Trace.length tr)
+            | None -> "sampled, trace-free"
+          in
+          List.map
+            (fun (j, tries) ->
+              ( j,
+                tries,
+                attempt t halt ~stage:"simulate" ~what:(describe_job j) ~tries
+                  ~line:(Printf.sprintf "simulating %s (%s)" (describe_job j) note) (fun () ->
+                    Faultpoint.cut fp_simulate;
+                    let s = simulate ~config:j.job_config ?trace g.program in
+                    Option.iter
+                      (fun c -> Cache.store c ~kind:"summary" ~key:(run_key_of_job t j) s)
+                      t.cache;
+                    s) ))
+            g.sims
+        | Retry | Final _ | Skipped -> []
+      in
+      let retry = List.filter_map (fun (j, n, v) -> if v = Retry then Some (j, n + 1) else None) sims in
+      let trace_failure = match traced with Final fl -> Some fl | _ -> None in
+      ( (match traced with
+        | Retry -> Some { g with tries = g.tries + 1 }
+        | Done trace when retry <> [] -> Some { g with trace; sims = retry }
+        | Done _ | Final _ | Skipped -> None),
+        (* The commit runs when the round is over, so it holds no trace:
+           that would keep every trace of the round alive until then. *)
+        fun () ->
+          Option.iter (Hashtbl.replace failed_traces (trace_key t lead)) trace_failure;
+          List.iter
+            (fun (j, _, v) ->
+              match v with
+              | Done s -> Hashtbl.replace t.results (memo_key t j) s
+              | Final fl -> Hashtbl.replace failed_runs (memo_key t j) fl
+              | Retry | Skipped -> ())
+            sims ))
+    (List.stable_sort
+       (fun a b -> compare (hint b * List.length b.sims) (hint a * List.length a.sims))
+       groups)
 
-(** [run_batch_results t jobs] — the one place the lab computes a
-    summary: resolves every job's binary (memo, [binary] entry, compile),
-    then its summary (memo table, then disk cache, then trace/simulate
-    fanned over the worker pool, each stage under the lab's policy) and
-    returns per-job outcomes in [jobs] order. Jobs with one key share one
-    simulation. All memo and cache mutation happens on the calling
-    domain. *)
-let run_batch_results t jobs =
+(* Runs the batch ({!run_batch_results}); returns each job's outcome. *)
+let batch t jobs =
   check_stop t;
   (* Failures by compile task, by trace and by run. *)
   let failed_compiles : (string, failure) Hashtbl.t = Hashtbl.create 4 in
@@ -493,9 +569,7 @@ let run_batch_results t jobs =
   (* Stage 2: the memo, then the cache, on the digest key; what is left
      needs computing. *)
   let todo =
-    List.filter
-      (fun j -> Hashtbl.mem t.binaries (label_key j) && memoized t j = None)
-      jobs
+    List.filter (fun j -> Hashtbl.mem t.binaries (label_key j) && memoized t j = None) jobs
     |> uniq (memo_key t)
     |> List.filter (fun j ->
            match stored_summary t j with
@@ -504,124 +578,47 @@ let run_batch_results t jobs =
              false
            | None -> true)
   in
-  (* The exact/sampled switch. Exact runs replay the memoized [trace].
-     Sampled runs get none: [Runner.simulate_sampled] warms inside the
-     compiled emulator and materializes chunks only for each window's
-     span, so a sampled lab never generates, memoizes or stores a
-     trace. *)
-  let simulate ~config ?trace p =
-    match t.sample with
-    | None -> Wish_sim.Runner.simulate ~config ?trace p
-    | Some s ->
-      let spec = match s with Sample_spec sp -> Some sp | Sample_auto -> None in
-      fst (Wish_sim.Runner.simulate_sampled ~config ?spec p)
-  in
-  let bound_program j =
-    Wish_workloads.Bench.program_for (bench t j.job_bench) (compiled t j) j.job_input
-  in
   (* Stage 3 for [todo], one job per key: compile the binaries known
-     only from their entries, generate missing traces, then simulate and
-     store each key once. A job whose binary or trace already failed in
-     this batch (before its lease was taken over) is not retried. *)
+     only from their entries, then run one group per trace (per job in
+     a sampled lab). A job whose binary or trace already failed in this
+     batch (before its lease was taken over) is not retried. *)
   let compute todo =
     let live = List.filter (fun j -> compile_failure j = None && trace_failure j = None) in
     let todo = live todo in
     compile_round t failed_compiles
       (uniq task_name (List.filter (fun j -> not (Hashtbl.mem t.programs (label_key j))) todo));
     let todo = live todo in
-    (* Exact labs only: one trace per (bench, digest, input), shared by
-       every configuration it serves. *)
-    let tasks =
-      if t.sample <> None then []
-      else
-        List.filter_map
-          (fun j ->
-            if Hashtbl.mem t.traces (trace_key t j) then None
-            else begin
-              t.log ("tracing " ^ describe_job j);
-              Some (j, (bench t j.job_bench).approx_dyn_insts, bound_program j)
-            end)
-          (uniq (trace_key t) todo)
-    in
-    List.iter2
-      (fun (j, _, _) -> function
-        | Ok tr -> Hashtbl.replace t.traces (trace_key t j) tr
-        | Error fl -> Hashtbl.replace failed_traces (trace_key t j) fl)
-      tasks
-      (supervised_map t ~stage:"trace"
-         ~describe:(fun (j, _, _) -> describe_job j)
-         (fun (_, hint, p) ->
-           Faultpoint.cut fp_trace;
-           fst (Wish_emu.Trace.generate ~hint p))
-         tasks);
-    let tasks =
-      List.filter_map
-        (fun j ->
-          if trace_failure j <> None then None
-          else begin
-            let trace = Hashtbl.find_opt t.traces (trace_key t j) in
-            t.log (Printf.sprintf "simulating %s (%s)" (describe_job j) (run_note trace));
-            Some (j, trace, bound_program j)
-          end)
-        todo
-    in
-    List.iter2
-      (fun (j, _, _) -> function
-        | Ok s ->
-          Hashtbl.replace t.results (memo_key t j) s;
-          Option.iter (fun c -> Cache.store c ~kind:"summary" ~key:(run_key_of_job t j) s) t.cache
-        | Error fl -> Hashtbl.replace failed_runs (memo_key t j) fl)
-      tasks
-      (supervised_map t ~stage:"simulate"
-         ~describe:(fun (j, _, _) -> describe_job j)
-         (fun (j, trace, p) ->
-           Faultpoint.cut fp_simulate;
-           simulate ~config:j.job_config ?trace p)
-         tasks)
+    let group_key j = (trace_key t j, if t.sample = None then None else Some j.job_config) in
+    run_groups t ~failed_traces ~failed_runs
+      (List.map
+         (fun lead ->
+           let b = bench t lead.job_bench and k = group_key lead in
+           let program = Wish_workloads.Bench.program_for b (compiled t lead) lead.job_input in
+           let sims = List.filter (fun j -> group_key j = k) todo in
+           { lead; program; trace = None; tries = 0; sims = List.map (fun j -> (j, 0)) sims })
+         (uniq group_key todo))
   in
-  (* With a cache, every miss whose lease this process gets is computed
-     in one pass; a miss whose lease another process holds builds nothing
-     here and is polled for until its summary lands, or until its holder
-     dies and the lease can be taken over. *)
-  let rec settle c pending =
-    if pending <> [] then begin
-      check_stop t;
-      let mine = ref [] and rest = ref [] in
-      List.iter
-        (fun j ->
-          let key = run_key_of_job t j in
-          let leased = Cache.try_lease c ~key in
-          match cached_summary t key with
-          | Some s ->
-            if leased then Cache.release_lease c ~key;
-            cache_hit t j s ~note:" (from a concurrent run)"
-          | None when leased -> mine := j :: !mine
-          | None -> rest := j :: !rest)
-        pending;
-      let mine = List.rev !mine in
-      Fun.protect
-        ~finally:(fun () ->
-          List.iter (fun j -> Cache.release_lease c ~key:(run_key_of_job t j)) mine)
-        (fun () -> compute mine);
-      (* Nothing settled this round: give the other runs time. *)
-      if mine = [] && !rest <> [] then Unix.sleepf lease_poll;
-      settle c (List.rev !rest)
-    end
-  in
-  (match t.cache with None -> compute todo | Some c -> settle c todo);
-  (* Assemble per-job outcomes, [jobs] order. *)
-  List.map
-    (fun j ->
-      match memoized t j with
-      | Some s -> Ok s
-      | None -> (
-        match compile_failure j with
-        | Some fl -> Error fl
-        | None -> (
-          match Hashtbl.find_opt failed_runs (memo_key t j) with
-          | Some fl -> Error fl
-          | None -> Error (Option.get (trace_failure j)))))
-    jobs
+  (match t.cache with
+  | None -> compute todo
+  | Some c ->
+    settle t c ~key:(run_key_of_job t)
+      ~found:(fun j ->
+        match Cache.find c ~kind:"summary" ~key:(run_key_of_job t j) with
+        | Some s ->
+          cache_hit t j s ~note:" (from a concurrent run)";
+          true
+        | None -> false)
+      compute todo);
+  fun j ->
+    match memoized t j with
+    | Some s -> Ok s
+    | None when compile_failure j <> None -> Error (Option.get (compile_failure j))
+    | None -> (
+      match Hashtbl.find_opt failed_runs (memo_key t j) with
+      | Some fl -> Error fl
+      | None -> Error (Option.get (trace_failure j)))
+
+let run_batch_results t jobs = List.map (batch t jobs) jobs
 
 (** [run_batch t jobs] — {!run_batch_results}, failures raised: the first
     failing job (in [jobs] order) aborts with [Job_failed]. *)
@@ -630,7 +627,9 @@ let run_batch t jobs =
 
 (* Under fail-fast, a failure raises inside the batch; under keep-going,
    failures are data, and the tables report them when they render. *)
-let prewarm t jobs = ignore (run_batch_results t (with_baselines jobs))
+let prewarm t jobs =
+  let (_ : job -> _) = batch t (with_baselines jobs) in
+  ()
 
 (** [run t ~bench ~kind ?wish_threshold_n ?input ?config ()] — a memo
     lookup, or a one-job batch. *)

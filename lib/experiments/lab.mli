@@ -1,6 +1,6 @@
 (** The lab: compiles each workload's five binaries once, memoizes
-    emulator traces, simulation results and static branch counts, and
-    hands figure generators their data.
+    simulation results and static branch counts, and hands figure
+    generators their data.
 
     Evaluation protocol (mirroring the paper's methodology):
     - binaries are compiled with profile feedback from each workload's
@@ -14,15 +14,18 @@
     One miss path: {!run} is a memo lookup or a one-job batch, so every
     summary comes out of {!run_batch_results}. Performance machinery: an
     optional {!Wish_util.Pool} of worker domains (a batch fans its
-    independent tasks across it, with results folded back
-    deterministically on the calling domain) and an optional persistent
-    {!Cache} of summaries and [binary] entries, consulted before any
-    recomputation. Traces are memoized in memory only and never stored.
-    Processes sharing one cache directory coalesce duplicate jobs
-    through the cache's leases (see {!run_batch_results}). Workloads are
-    built, and binaries compiled, only on a miss: a lab whose cache
-    holds every summary and [binary] entry it is asked for builds,
-    compiles, traces and simulates nothing.
+    compile tasks, then one task per trace, across it, with results
+    folded back deterministically on the calling domain) and an optional
+    persistent {!Cache} of summaries and [binary] entries, consulted
+    before any recomputation. A trace lives only for its batch's task,
+    which generates it and simulates every run of the batch that reads
+    it; no trace is memoized or stored, so at most one per worker is
+    live. Processes sharing one cache directory coalesce duplicate
+    compiles and jobs through the cache's leases (see
+    {!run_batch_results}). Workloads are built, and binaries compiled,
+    only on a miss: a lab whose cache holds every summary and [binary]
+    entry it is asked for builds, compiles, traces and simulates
+    nothing.
 
     A run is named by its binary's content, not its kind label: its key
     carries the {!binary_digest} of its code and entry. Kinds (and
@@ -72,7 +75,7 @@ val default_policy : policy
     keys carrying a [|sample...] suffix, so exact and sampled summaries
     never meet. A sampled lab has no trace stage: functional
     warming runs inside the compiled emulator ({!Wish_sim.Sampler.run}
-    with no trace), so it never generates or memoizes a trace. Raises
+    with no trace), so it never generates a trace. Raises
     [Invalid_argument] for an unknown benchmark name, a [scale] below 1
     ({!Wish_workloads.Workloads.check}) or a negative [policy.retries],
     before building anything or spawning a worker. *)
@@ -122,9 +125,9 @@ val pp_failure : Format.formatter -> failure -> unit
 (** Cumulative supervision counters since {!create} (a snapshot copy). *)
 type batch_stats = {
   mutable executed : int;
-      (** stage tasks (compile, trace, simulate) actually run, batched or
-          serial, attempts included: 0 when everything came from the
-          cache *)
+      (** compiles, trace generations and simulations actually run,
+          batched or serial, attempts included: 0 when everything came
+          from the cache *)
   mutable retried : int;  (** extra attempts beyond each task's first *)
   mutable failed : int;  (** tasks that exhausted their retry budget *)
   mutable cache_hits : int;  (** summaries and [binary] entries read *)
@@ -133,10 +136,11 @@ type batch_stats = {
 val batch_stats : t -> batch_stats
 
 (** Ask the current/next batch to stop: signal-handler safe (one atomic
-    store). The batch drains the in-flight pool round, then raises
-    {!Interrupted} from the coordinating domain; everything already
-    finished is in the memo tables and the cache, so a fresh lab on the
-    same cache runs only the jobs left over. *)
+    store). The batch lets its in-flight compiles, traces and
+    simulations finish and starts no other, then raises {!Interrupted}
+    from the coordinating domain; everything already finished is in the
+    memo tables and the cache, so a fresh lab on the same cache runs
+    only the jobs left over. *)
 val request_stop : t -> unit
 
 (** {1 Batched execution} *)
@@ -200,27 +204,34 @@ val summary_key_of_job : t -> job -> string
 
 (** [run_batch_results t jobs] — the one place the lab computes a
     summary: resolves every job (memo table, then disk cache, then
-    compile/trace/simulate fanned over the worker pool, each stage under
-    the lab's policy; a sampled lab skips the trace stage) and returns
-    per-job outcomes in [jobs] order. It first resolves each job's
-    binary: memoized, else read from its compile task's [binary] entry,
-    else compiled (each missing bench's five binaries, or a variant,
-    once). Every later stage works on {!run_key_of_job}: the memo and
-    the cache are looked up on it (the cache also on
-    {!summary_key_of_job} when it misses), and jobs that share it (twins)
-    share one trace and one simulation, whose summary is stored once.
-    A binary known only from its entry is compiled before it is traced.
-    With a cache, a job is computed only under its {!Cache.try_lease}
-    lease on that key; a job another live process holds the lease on is
-    awaited (polling the cache, honouring {!request_stop}) rather than
-    recomputed. Every lease the process can get is taken in one pass,
-    before any work starts. Leases are released once the summary is
-    stored, and on failure or interruption. A failure in one stage
-    poisons exactly the jobs that needed its product (a failed compile
-    fails that bench's jobs, or that variant's, a failed trace the jobs
-    sharing it, a failed simulation every job of its key). Under a
-    fail-fast policy a permanent failure raises {!Job_failed} instead of
-    being returned. *)
+    compile, trace and simulate on the worker pool, each under the lab's
+    policy; a sampled lab has no trace) and returns per-job outcomes in
+    [jobs] order. It first resolves each job's binary: memoized, else
+    read from its compile task's [binary] entry, else compiled (each
+    missing bench's five binaries, or a variant, once); with a cache,
+    under the {!Cache.try_lease} lease of the entry's key, so that
+    processes on one cache compile a bench once. Every later stage works
+    on {!run_key_of_job}: the memo and the cache are looked up on it
+    (the cache also on {!summary_key_of_job} when it misses), and jobs
+    that share it (twins) share one simulation, whose summary is stored
+    once. A binary known only from its entry is compiled before it is
+    traced. The misses are grouped by trace (bench, binary, input), one
+    pool task per group, the longest first: the task generates the
+    trace, simulates every miss that reads it and stores each summary,
+    and the trace dies with it. A failed attempt is retried in the next
+    round of tasks, a failed simulation with its trace kept. With a
+    cache, a job is computed only under its lease on its key; a job
+    another live process holds the lease on is awaited (polling the
+    cache, honouring {!request_stop}) rather than recomputed. Every
+    lease the process can get is taken in one pass, before any work
+    starts. Leases are released once the summary is stored, and on
+    failure or interruption. A failure poisons exactly the jobs that
+    needed its product (a failed compile fails that bench's jobs, or
+    that variant's, a failed trace the jobs of its group, a failed
+    simulation every job of its key). Under a fail-fast policy a
+    permanent failure is raised as {!Job_failed} rather than returned:
+    its round starts no further attempt, and raises once the attempts in
+    flight are done. *)
 val run_batch_results : t -> job list -> (Wish_sim.Runner.summary, failure) result list
 
 (** [run_batch t jobs] — {!run_batch_results} with failures raised: the

@@ -301,7 +301,7 @@ let scaffold_build (config : Config.t) =
    just-created state, so a pooled acquisition is indistinguishable from
    fresh construction. *)
 type machine = {
-  m_config : Config.t;
+  m_sizes : Hybrid.config * int * int * int * Confidence.config * Hierarchy.config;
   m_hybrid : Hybrid.t;
   m_btb : Btb.t;
   m_ras : Ras.t;
@@ -310,9 +310,15 @@ type machine = {
   m_hier : Hierarchy.t;
 }
 
+(* The config fields the pooled tables are built from. A run whose
+   config differs from the last one's only in other fields (ROB size,
+   widths, knobs, wish hardware) resets the tables instead of rebuilding
+   them. *)
+let machine_sizes (c : Config.t) = (c.bpred, c.btb_entries, c.btb_ways, c.ras_entries, c.conf, c.hier)
+
 let machine_build (config : Config.t) =
   {
-    m_config = config;
+    m_sizes = machine_sizes config;
     m_hybrid = Hybrid.create config.bpred;
     m_btb = Btb.create ~entries:config.btb_entries ~ways:config.btb_ways;
     m_ras = Ras.create ~entries:config.ras_entries;
@@ -341,7 +347,7 @@ let machine_slot : machine option ref Domain.DLS.key =
 let acquire_machine config =
   let slot = Domain.DLS.get machine_slot in
   match !slot with
-  | Some m when m.m_config = config ->
+  | Some m when m.m_sizes = machine_sizes config ->
     machine_reset m;
     m
   | _ ->

@@ -4,25 +4,28 @@
     workload generation, trace generation and simulation are bit-for-bit
     reproducible across runs and machines. *)
 
-type t = { mutable state : int64 }
+(* The xorshift64* state lives in 8 bytes, read and written unboxed: a
+   mutable [int64] field would box a fresh [Int64] on every draw. *)
+type t = Bytes.t
 
 let create seed =
-  let s = Int64.of_int (if seed = 0 then 0x9E3779B9 else seed) in
-  { state = s }
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 (Int64.of_int (if seed = 0 then 0x9E3779B9 else seed));
+  t
 
-let copy t = { state = t.state }
+let copy = Bytes.copy
 
-let next_int64 t =
+let[@inline] next_int64 t =
   let open Int64 in
-  let x = t.state in
+  let x = Bytes.get_int64_le t 0 in
   let x = logxor x (shift_left x 13) in
   let x = logxor x (shift_right_logical x 7) in
   let x = logxor x (shift_left x 17) in
-  t.state <- x;
+  Bytes.set_int64_le t 0 x;
   mul x 0x2545F4914F6CDD1DL
 
 (** [bits t] returns 30 uniformly distributed non-negative bits. *)
-let bits t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 34)
+let[@inline] bits t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 34)
 
 (** [int t n] returns a uniform integer in [0, n). Requires [n > 0]. *)
 let int t n =

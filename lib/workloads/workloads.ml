@@ -31,6 +31,16 @@ let check ~scale name =
     invalid_arg
       (Printf.sprintf "unknown workload %s (know: %s)" name (String.concat ", " names))
 
+(* A bench's inputs do not depend on its scale (only its kernel's trip
+   counts do), so a second scale of one bench keeps the inputs of the
+   first built, once they are seen to be equal: a scale sweep holds one
+   copy of each input image, not one per scale. *)
+let share_inputs (b : Bench.t) =
+  let built = Hashtbl.fold (fun (n, _) o acc -> if n = b.name then Some o else acc) memo None in
+  match built with
+  | Some (o : Bench.t) when o.inputs = b.inputs -> { b with inputs = o.inputs }
+  | _ -> b
+
 let find ~scale name =
   check ~scale name;
   match Mutex.protect memo_lock (fun () -> Hashtbl.find_opt memo (name, scale)) with
@@ -41,6 +51,7 @@ let find ~scale name =
         match Hashtbl.find_opt memo (name, scale) with
         | Some first -> first
         | None ->
+          let b = share_inputs b in
           Hashtbl.add memo (name, scale) b;
           b)
 

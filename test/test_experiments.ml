@@ -275,6 +275,44 @@ let test_distinct_binaries_simulated_once () =
           (summary_repr s))
     jobs summaries
 
+(* One batch over fig10 and fig12 traces each (bench, binary, input)
+   once, however many of its runs read it, and its tasks are exactly
+   its compiles, traces and simulations. *)
+let test_one_batch_traces_once () =
+  let lab = Lab.create ~scale:1 ~names:[ "gzip"; "mcf" ] ~jobs:2 () in
+  let log = ref [] in
+  Lab.set_logger lab (fun s -> log := s :: !log);
+  let jobs = Lab.with_baselines (Figures.jobs_for "fig10" lab @ Figures.jobs_for "fig12" lab) in
+  Lab.prewarm lab jobs;
+  Lab.shutdown lab;
+  let digest (j : Lab.job) =
+    ( j.job_bench,
+      Lab.binary_digest (Lab.program lab ~bench:j.job_bench ~kind:j.job_kind ~input:j.job_input),
+      j.job_input )
+  in
+  (* "tracing gzip/normal input A" names the job whose trace it is. *)
+  let traced =
+    List.map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | [ _; binary; "input"; input ] ->
+          let bench, label =
+            match String.split_on_char '/' binary with [ b; k ] -> (b, k) | _ -> (binary, "")
+          in
+          let kind = List.find (fun k -> Policy.kind_name k = label) Wish_compiler.Compiler.all_kinds in
+          digest (Lab.job ~bench ~kind ~input ())
+        | _ -> Alcotest.failf "unexpected line %s" l)
+      (logged log "tracing")
+  in
+  let distinct = List.sort_uniq compare (List.map digest jobs) in
+  check Alcotest.int "no trace generated twice" (List.length traced)
+    (List.length (List.sort_uniq compare traced));
+  check Alcotest.int "a trace per (bench, binary, input)" (List.length distinct) (List.length traced);
+  let lines prefix = List.length (logged log prefix) in
+  check Alcotest.int "executed = compiles + traces + simulations"
+    (lines "compiling" + lines "tracing" + lines "simulating")
+    (Lab.batch_stats lab).executed
+
 (* A summary the cache holds for gzip's normal binary serves a fresh
    lab's BASE-DEF job, batched or not, under their shared key: the lab
    reads gzip's binary entry and the summary, and compiles and simulates
@@ -644,6 +682,34 @@ let test_lease_coalesces_processes () =
   in
   check Alcotest.int "a summary stored for each of the 4 keys" 4 (List.length summaries)
 
+(* Two processes that ask for one bench's binaries on an empty cache at
+   once compile it once between them: the first leases the bench's
+   [binary] entry and compiles, the other waits on the lease and reads
+   the entry. A pipe starts both together. *)
+let test_lease_one_compile () =
+  let dir = cache_dir ^ "_one_compile" in
+  Cache.clear (Cache.create ~dir ());
+  let go_r, go_w = Unix.pipe () in
+  let out i = Filename.concat dir (Printf.sprintf "compiles%d" i) in
+  let run i =
+    fork_child (fun () ->
+        ignore (Unix.read go_r (Bytes.create 1) 0 1);
+        let lab = Lab.create ~scale:1 ~names:[ "gzip" ] ~cache:(Cache.create ~dir ()) () in
+        let compiles = ref 0 in
+        Lab.set_logger lab (fun s -> if String.starts_with ~prefix:"compiling" s then incr compiles);
+        ignore (Lab.shape lab ~bench:"gzip" ~kind:Policy.Wish_jj);
+        Out_channel.with_open_bin (out i) (fun oc -> Printf.fprintf oc "%d" !compiles);
+        0)
+  in
+  let pids = [ run 0; run 1 ] in
+  ignore (Unix.write go_w (Bytes.of_string "go") 0 2);
+  List.iter (fun pid -> check Alcotest.int "child exit" 0 (wait_child pid)) pids;
+  Unix.close go_r;
+  Unix.close go_w;
+  let compiles i = int_of_string (In_channel.with_open_bin (out i) In_channel.input_all) in
+  check Alcotest.int "one compiling line between them" 1 (compiles 0 + compiles 1);
+  check Alcotest.int "no lease left" 0 (Array.length (Sys.readdir (Filename.concat dir "lease")))
+
 (* While another live process holds the lease of gzip/normal's key, a
    process asking for gzip/base-def, the same binary and so the same
    key, batched or not, takes no lease of its own and never simulates:
@@ -703,6 +769,7 @@ let () =
           Alcotest.test_case "stale takeover" `Quick test_lease_stale_takeover;
           Alcotest.test_case "two processes coalesce" `Slow test_lease_coalesces_processes;
           Alcotest.test_case "twins share one lease" `Slow test_twins_share_one_lease;
+          Alcotest.test_case "two processes compile a bench once" `Slow test_lease_one_compile;
         ] );
       ( "lab",
         [
@@ -715,6 +782,7 @@ let () =
         [
           Alcotest.test_case "each distinct binary simulated once" `Slow
             test_distinct_binaries_simulated_once;
+          Alcotest.test_case "one batch traces each binary once" `Slow test_one_batch_traces_once;
           Alcotest.test_case "a cached twin serves a fresh lab" `Slow
             test_cached_twin_serves_fresh_lab;
           Alcotest.test_case "wish-n variants reuse fig10" `Slow test_wish_n_variants_reuse_fig10;

@@ -475,6 +475,39 @@ let test_fused_parallel_identical () =
   in
   Alcotest.(check bool) "pooled fused run identical" true (compare parallel serial = 0)
 
+(* Machine pool ------------------------------------------------------------ *)
+
+(* The compiled core pools its predictor and cache tables per domain,
+   keyed by the config fields that size them. A run after one with
+   another ROB size, knob set or wish-hardware setting resets the pooled
+   tables; a confidence-threshold change rebuilds them. Either way each
+   run equals the same run on a fresh domain, whose pool is empty. *)
+let test_pooled_tables_equal_fresh () =
+  let program =
+    Program.create ~mem_words:(1 lsl 14) ~data:coin_data
+      (Asm.assemble (hammock_kernel ~wish:true ~iters:2000))
+  in
+  let run config =
+    let s = Runner.simulate ~config program in
+    (s.cycles, Wish_util.Stats.to_assoc s.stats)
+  in
+  let fresh config = Domain.join (Domain.spawn (fun () -> run config)) in
+  let d = Config.default in
+  let threshold = { d with conf = { d.conf with threshold = 3 } } in
+  Alcotest.(check bool) "the threshold changes the run" true (fresh threshold <> fresh d);
+  List.iter
+    (fun (label, config) ->
+      check Alcotest.(pair int (list (pair string int))) label (fresh config) (run config))
+    [
+      ("default", d);
+      ("ROB 256", Config.with_rob d 256);
+      ("ROB 512 again", d);
+      ("perfect confidence", { d with knobs = { Config.no_knobs with perfect_conf = true } });
+      ("no wish hardware", { d with wish_hardware = false });
+      ("confidence threshold 3", threshold);
+      ("default again", d);
+    ]
+
 let () =
   Alcotest.run "wish_sim"
     [
@@ -519,6 +552,8 @@ let () =
           Alcotest.test_case "bounded residency" `Quick test_streaming_bounded_residency;
         ] );
       ("select", [ Alcotest.test_case "select-uop expands" `Quick test_select_uop_expands ]);
+      ( "machine pool",
+        [ Alcotest.test_case "pooled run = fresh domain" `Quick test_pooled_tables_equal_fresh ] );
       ("icache", [ Alcotest.test_case "cold stall" `Quick test_icache_cold_stalls_counted ]);
       ( "sampling",
         [

@@ -55,6 +55,24 @@ let test_rng_shuffle_permutation () =
   Array.sort compare sorted;
   check Alcotest.(array int) "permutation" (Array.init 100 (fun i -> i)) sorted
 
+(* A draw reads and writes the generator's state unboxed, so drawing
+   allocates nothing: 10^5 draws cost no minor words beyond what reading
+   the counter itself costs. *)
+let test_rng_draws_allocate_nothing () =
+  let r = Rng.create 7 in
+  let counter_cost =
+    let a = Gc.minor_words () in
+    Gc.minor_words () -. a
+  in
+  let sum = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    sum := !sum + Rng.int r 1000
+  done;
+  let words = Gc.minor_words () -. before -. counter_cost in
+  Alcotest.(check bool) "draws were made" true (!sum > 0);
+  check (Alcotest.float 0.) "minor words over 10^5 draws" 0. words
+
 let test_rng_chance_extremes () =
   let r = Rng.create 3 in
   for _ = 1 to 50 do
@@ -338,6 +356,7 @@ let () =
           Alcotest.test_case "geometric bounds" `Quick test_rng_geometric_bounds;
           Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "chance extremes" `Quick test_rng_chance_extremes;
+          Alcotest.test_case "draws allocate nothing" `Quick test_rng_draws_allocate_nothing;
           qtest prop_rng_int_range;
           qtest prop_rng_range;
         ] );

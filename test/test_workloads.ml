@@ -212,6 +212,21 @@ let test_inputs_footprint () =
         true (ratio <= 1.05))
     all
 
+(* Inputs do not depend on the scale, so every scale of a bench holds
+   the one copy of its input images built first. *)
+let test_inputs_shared_across_scales () =
+  let one = Workloads.find ~scale:1 "mcf" and three = Workloads.find ~scale:3 "mcf" in
+  Alcotest.(check bool) "different kernels" false (one.ast = three.ast);
+  List.iter2
+    (fun (a : Bench.input) (b : Bench.input) ->
+      List.iter2
+        (fun (x : Wish_isa.Program.segment) (y : Wish_isa.Program.segment) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "input %s segment at %d shared" a.label x.base)
+            true (x.words == y.words))
+        a.data b.data)
+    one.inputs three.inputs
+
 let test_scale_parameter () =
   let small = Workloads.find ~scale:1 "gap" and big = Workloads.find ~scale:2 "gap" in
   let insts (b : Bench.t) =
@@ -237,6 +252,7 @@ let () =
           Alcotest.test_case "wish branches present" `Quick test_wish_binaries_have_wish_branches;
           Alcotest.test_case "pinned input images" `Quick test_pinned_images;
           Alcotest.test_case "inputs footprint" `Quick test_inputs_footprint;
+          Alcotest.test_case "inputs shared across scales" `Quick test_inputs_shared_across_scales;
         ] );
       ("equivalence", equivalence_cases);
       ( "behaviour",
