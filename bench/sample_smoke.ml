@@ -46,7 +46,7 @@ let run pool name =
     Printf.eprintf "FAIL %s: sampled uPC error %+.2f%% exceeds %.1f%%\n" name err tolerance_pct;
     exit 1);
   let s_par, r_par = Wish_sim.Runner.simulate_sampled ~pool ~spec ~trace program in
-  if s_par <> { s with stats = s_par.stats } || r_par.r_upc <> r.r_upc
+  if s_par <> s || r_par.r_upc <> r.r_upc
      || r_par.r_est_cycles <> r.r_est_cycles
      || r_par.r_windows <> r.r_windows
   then (

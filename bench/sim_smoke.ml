@@ -3,12 +3,11 @@
 
    - identity: the compiled core ({!Wish_sim.Compiled}) and the
      interpreted reference ({!Wish_sim.Core}) produce the same cycle
-     count, the same full stats bag (names, values and insertion order)
-     and the same memory-hierarchy counters — including a repeated
-     compiled run, which exercises the machine pool's reset path — under
-     the default configuration and under one whose memory latency exceeds
-     the completion wheel's horizon, so both cores' drains cross the
-     wheel's overflow path;
+     count, the same event counters and the same memory-hierarchy
+     counters — including a repeated compiled run, which exercises the
+     machine pool's reset path — under the default configuration and
+     under one whose memory latency exceeds the completion wheel's
+     horizon, so both cores' drains cross the wheel's overflow path;
    - speedup: a compiled whole run ([Compiled.run], pooled state) beats
      an interpreted one ([Core.run]) by a conservative floor (best of 3
      CPU-time trials; this only catches the optimization being silently
@@ -18,7 +17,7 @@
 
 module Core = Wish_sim.Core
 module Compiled = Wish_sim.Compiled
-module Stats = Wish_util.Stats
+module Counters = Wish_sim.Counters
 
 let min_speedup = 1.3
 
@@ -35,12 +34,12 @@ let program_for name kind =
 let run_interp config program trace =
   let core = Core.create config program trace in
   ignore (Core.run core);
-  (Core.cycles core, Stats.to_assoc (Core.stats core), Core.hier_stats core)
+  (Core.cycles core, Core.counters core, Core.hier_stats core)
 
 let run_compiled config program trace =
   let core = Compiled.create config program trace in
   ignore (Compiled.run core);
-  (Compiled.cycles core, Stats.to_assoc (Compiled.stats core), Compiled.hier_stats core)
+  (Compiled.cycles core, Compiled.counters core, Compiled.hier_stats core)
 
 let check_identity ?(label = "") name kind config =
   let tag = Printf.sprintf "%s/%s%s" name (Wish_compiler.Policy.kind_name kind) label in
@@ -50,22 +49,14 @@ let check_identity ?(label = "") name kind config =
   let cc, sc, mc = run_compiled config program trace in
   if ci <> cc then fail "%s: cycles differ (interp %d, compiled %d)" tag ci cc;
   if mi <> mc then fail "%s: hierarchy stats differ" tag;
-  (if si <> sc then begin
-     List.iter
-       (fun (k, v) ->
-         match List.assoc_opt k sc with
-         | Some v' when v' = v -> ()
-         | Some v' -> Printf.eprintf "  %s: interp %d compiled %d\n" k v v'
-         | None -> Printf.eprintf "  %s: interp %d, missing in compiled\n" k v)
-       si;
-     List.iter
-       (fun (k, _) ->
-         if List.assoc_opt k si = None then Printf.eprintf "  %s: compiled-only\n" k)
-       sc;
-     if List.sort compare si = List.sort compare sc then
-       fail "%s: stats orders differ (same contents)" tag
-     else fail "%s: stats differ" tag
-   end);
+  if si <> sc then begin
+    List.iter
+      (fun c ->
+        let vi = Counters.get si c and vc = Counters.get sc c in
+        if vi <> vc then Printf.eprintf "  %s: interp %d compiled %d\n" (Counters.name c) vi vc)
+      Counters.all;
+    fail "%s: counters differ" tag
+  end;
   (* A second compiled run reuses the pooled machine tables: it must
      reproduce the same numbers exactly (the reset-to-cold guarantee). *)
   let cc2, sc2, mc2 = run_compiled config program trace in

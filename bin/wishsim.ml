@@ -139,7 +139,7 @@ let run bench_name kind_name input scale asm_file rob stages mech_select wish_hw
           (Wish_emu.Trace.chunk_capacity tr)
           (Wish_util.Gc_stats.peak_rss_kb ())
       | None -> ());
-      if show_stats then Fmt.pr "@.-- raw counters --@.%a" Wish_util.Stats.pp s.stats)
+      if show_stats then Fmt.pr "@.-- raw counters --@.%a" Wish_sim.Counters.pp s.counts)
 
 let cmd =
   let bench =

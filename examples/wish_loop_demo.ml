@@ -47,14 +47,14 @@ let () =
   let wish = run Compiler.Policy.Wish_jjl in
   Printf.printf "normal loop branch:  %7d cycles, %5d flushes\n" normal.cycles normal.flushes;
   Printf.printf "wish loop:           %7d cycles, %5d flushes\n" wish.cycles wish.flushes;
-  let g key = Util.Stats.get wish.stats key in
+  let g = Sim.Counters.get wish.counts in
   Printf.printf "\nwish loop outcome classification (dynamic):\n";
-  Printf.printf "  low-confidence correct     %6d\n" (g "loop_low_correct");
+  Printf.printf "  low-confidence correct     %6d\n" (g Sim.Counters.loop_low_correct);
   Printf.printf "  low-confidence late-exit   %6d  (mispredicted, NO flush: the win)\n"
-    (g "loop_low_late");
+    (g Sim.Counters.loop_low_late);
   Printf.printf "  low-confidence early-exit  %6d  (flush, like a normal branch)\n"
-    (g "loop_low_early");
-  Printf.printf "  low-confidence no-exit     %6d  (flush)\n" (g "loop_low_noexit");
-  Printf.printf "  high-confidence correct    %6d\n" (g "loop_high_correct");
-  Printf.printf "  high-confidence mispred    %6d\n" (g "loop_high_mispred");
+    (g Sim.Counters.loop_low_early);
+  Printf.printf "  low-confidence no-exit     %6d  (flush)\n" (g Sim.Counters.loop_low_noexit);
+  Printf.printf "  high-confidence correct    %6d\n" (g Sim.Counters.loop_high_correct);
+  Printf.printf "  high-confidence mispred    %6d\n" (g Sim.Counters.loop_high_mispred);
   Printf.printf "\nphantom iterations retired as NOPs: %d uops\n" wish.retired_phantom

@@ -33,7 +33,6 @@ module Util = struct
   module Ring = Wish_util.Ring
   module Heap = Wish_util.Heap
   module Lru = Wish_util.Lru
-  module Stats = Wish_util.Stats
   module Table = Wish_util.Table
 end
 
@@ -76,6 +75,7 @@ module Sim = struct
   module Oracle = Wish_sim.Oracle
   module Wish_fsm = Wish_sim.Wish_fsm
   module Core = Wish_sim.Core
+  module Counters = Wish_sim.Counters
   module Runner = Wish_sim.Runner
 end
 

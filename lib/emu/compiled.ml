@@ -25,11 +25,11 @@
 
     Register and predicate indices are static instruction fields validated
     once by [Code.create], so the specialized closures use unchecked array
-    accesses; [WISH_EMU_CHECKED=1] (or [compile ~checked:true]) rebuilds
-    the block graph over the fully bounds-checked interpreter core
-    instead. Data-memory accesses stay checked in both regimes —
-    addresses are dynamic and {!Memory.Fault} is architectural
-    semantics. *)
+    accesses; [compile ~checked:true] builds the same block graph over
+    the interpreter core {!Exec.step_at} instead, whose every register,
+    predicate and pc access is bounds-checked. Data-memory accesses stay
+    checked in both builds — addresses are dynamic and {!Memory.Fault}
+    is architectural semantics. *)
 
 open Wish_isa
 
@@ -255,11 +255,10 @@ let specialize (m : Exec.mode) code pc : ctx -> unit =
       emit c ~pc ~guard_true:t ~taken:false ~next_pc:fall ~addr:(-1)
 
 (** [compile ?checked ~mode code] — one-time translation of [code] for
-    [mode]. [checked] (default: the [WISH_EMU_CHECKED] environment flag)
-    keeps every array access bounds-checked by building the block graph
-    over the interpreter core — same block structure, golden accesses. *)
-let compile ?checked ~mode code =
-  let checked = match checked with Some c -> c | None -> State.checked in
+    [mode]. [checked] (default false) keeps every array access
+    bounds-checked by building the block graph over the interpreter core
+    — same block structure, golden accesses. *)
+let compile ?(checked = false) ~mode code =
   let n = Code.length code in
   let core =
     (* The image's static targets and register indices were validated by

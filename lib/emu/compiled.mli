@@ -32,9 +32,9 @@ type ctx
 val context : State.t -> Exec.out -> sink:sink -> ctx
 
 (** [compile ?checked ~mode code] translates [code] once for [mode].
-    [checked] defaults to {!State.checked} (env [WISH_EMU_CHECKED]);
-    when set, the block graph runs over the fully bounds-checked
-    interpreter core instead of the specialized closures. *)
+    With [~checked:true] (default false) the block graph runs over the
+    fully bounds-checked interpreter core ({!Exec.step_at}) instead of
+    the specialized closures: the test and timing baseline for them. *)
 val compile : ?checked:bool -> mode:Exec.mode -> Wish_isa.Code.t -> t
 
 val mode : t -> Exec.mode

@@ -30,7 +30,7 @@ type out = {
 let make_out () = { o_pc = 0; o_guard_true = false; o_taken = false; o_next_pc = 0; o_addr = -1 }
 
 let eval_operand (st : State.t) = function
-  | Inst.Reg r -> State.fast_read_reg st r
+  | Inst.Reg r -> State.read_reg st r
   | Inst.Imm n -> n
 
 let eval_alu op a b =
@@ -60,7 +60,7 @@ let eval_cmp op a b =
     emulator counts whole blocks). *)
 let step_at mode code (st : State.t) ~pc (o : out) =
   let i = Code.get code pc in
-  let guard_true = State.fast_read_pred st i.guard in
+  let guard_true = State.read_pred st i.guard in
   let fall = pc + 1 in
   o.o_pc <- pc;
   o.o_guard_true <- guard_true;
@@ -72,26 +72,26 @@ let step_at mode code (st : State.t) ~pc (o : out) =
         predicates when its guard is false (IA-64 semantics). *)
      match i.op with
      | Inst.Cmp { dst_true; dst_false; unc = true; _ } ->
-       State.fast_write_pred st dst_true false;
-       (match dst_false with Some p -> State.fast_write_pred st p false | None -> ())
+       State.write_pred st dst_true false;
+       (match dst_false with Some p -> State.write_pred st p false | None -> ())
      | _ -> ()
    else
      match i.op with
      | Inst.Alu { op; dst; src1; src2 } ->
-       let v = eval_alu op (State.fast_read_reg st src1) (eval_operand st src2) in
-       State.fast_write_reg st dst v
+       let v = eval_alu op (State.read_reg st src1) (eval_operand st src2) in
+       State.write_reg st dst v
      | Inst.Cmp { op; dst_true; dst_false; src1; src2; _ } ->
-       let v = eval_cmp op (State.fast_read_reg st src1) (eval_operand st src2) in
-       State.fast_write_pred st dst_true v;
-       (match dst_false with Some p -> State.fast_write_pred st p (not v) | None -> ())
-     | Inst.Pset { dst; value } -> State.fast_write_pred st dst value
+       let v = eval_cmp op (State.read_reg st src1) (eval_operand st src2) in
+       State.write_pred st dst_true v;
+       (match dst_false with Some p -> State.write_pred st p (not v) | None -> ())
+     | Inst.Pset { dst; value } -> State.write_pred st dst value
      | Inst.Load { dst; base; offset } ->
-       let addr = State.fast_read_reg st base + offset in
-       State.fast_write_reg st dst (Memory.read st.mem addr);
+       let addr = State.read_reg st base + offset in
+       State.write_reg st dst (Memory.read st.mem addr);
        o.o_addr <- addr
      | Inst.Store { src; base; offset } ->
-       let addr = State.fast_read_reg st base + offset in
-       Memory.write st.mem addr (State.fast_read_reg st src);
+       let addr = State.read_reg st base + offset in
+       Memory.write st.mem addr (State.read_reg st src);
        o.o_addr <- addr
      | Inst.Branch { kind; target } ->
        (* A guarded branch is taken iff its guard holds, and we only reach

@@ -30,32 +30,9 @@ let create (p : Program.t) =
   }
 
 let read_reg t r = t.regs.(r)
-
 let read_pred t p = t.pregs.(p)
-
-(* Debug-mode flag: WISH_EMU_CHECKED=1 keeps every register/predicate
-   access of the emulator hot paths bounds-checked. Off by default: the
-   indices those paths use are static fields of a [Code.t], all validated
-   once by [Code.create], so the checks are provably redundant there. *)
-let checked =
-  match Sys.getenv_opt "WISH_EMU_CHECKED" with
-  | None | Some ("" | "0" | "false") -> false
-  | Some _ -> true
-
-(** Hot-path register-file accessors for the emulator. The index MUST
-    come from a [Code.create]-validated instruction; arbitrary indices
-    belong on {!read_reg} and friends. *)
-
-let[@inline] fast_read_reg t r = if checked then t.regs.(r) else Array.unsafe_get t.regs r
-
-let[@inline] fast_write_reg t r v =
-  if r <> Reg.r0 then if checked then t.regs.(r) <- v else Array.unsafe_set t.regs r v
-
-let[@inline] fast_read_pred t p =
-  if checked then t.pregs.(p) else Array.unsafe_get t.pregs p
-
-let[@inline] fast_write_pred t p v =
-  if p <> Reg.p0 then if checked then t.pregs.(p) <- v else Array.unsafe_set t.pregs p v
+let write_reg t r v = if r <> Reg.r0 then t.regs.(r) <- v
+let write_pred t p v = if p <> Reg.p0 then t.pregs.(p) <- v
 
 let push_ra t pc =
   if List.length t.ra_stack >= ra_stack_limit then

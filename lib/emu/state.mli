@@ -14,25 +14,13 @@ exception Call_stack_error of string
 
 val ra_stack_limit : int
 val create : Wish_isa.Program.t -> t
+(** Bounds-checked register-file accessors. Writes to r0/p0 are
+    discarded. *)
+
 val read_reg : t -> Wish_isa.Reg.ireg -> int
-
 val read_pred : t -> Wish_isa.Reg.preg -> bool
-
-(** Debug-mode flag (env [WISH_EMU_CHECKED]): when set, the [fast_*]
-    accessors below keep their bounds checks. Off by default — the
-    emulator hot paths only index with static fields of a
-    [Code.create]-validated image, where the checks are redundant. *)
-val checked : bool
-
-(** Hot-path register-file accessors: unchecked unless {!checked}. The
-    index MUST come from a validated instruction; arbitrary indices
-    belong on {!read_reg} and friends. Writes to r0/p0 are discarded. *)
-
-val fast_read_reg : t -> Wish_isa.Reg.ireg -> int
-
-val fast_write_reg : t -> Wish_isa.Reg.ireg -> int -> unit
-val fast_read_pred : t -> Wish_isa.Reg.preg -> bool
-val fast_write_pred : t -> Wish_isa.Reg.preg -> bool -> unit
+val write_reg : t -> Wish_isa.Reg.ireg -> int -> unit
+val write_pred : t -> Wish_isa.Reg.preg -> bool -> unit
 
 (** [push_ra]/[pop_ra] raise {!Call_stack_error} on overflow/underflow. *)
 val push_ra : t -> int -> unit

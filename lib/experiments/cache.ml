@@ -37,9 +37,10 @@ type t = { root : string; version : int }
    v3: integrity footer + completion journal; v4: sampled summaries
    carry whole-run wish_retired/wish_loop_retired; v5: the lab stores no
    trace, so [prune] evicts the v4 [trace/] files as stale; v6: summaries
-   are keyed by binary digest, and [binary/] replaces [shape/]). Stale
-   entries self-evict via the header check. *)
-let format_version = 6
+   are keyed by binary digest, and [binary/] replaces [shape/]; v7: a
+   summary's counters are one [Counters.t] array, not a named bag).
+   Stale entries self-evict via the header check. *)
+let format_version = 7
 
 let default_dir () =
   match Sys.getenv_opt "WISH_CACHE_DIR" with Some d when d <> "" -> d | _ -> "_wishcache"

@@ -7,8 +7,8 @@
 
 open Wish_compiler
 module Table = Wish_util.Table
-module Stats = Wish_util.Stats
 module Config = Wish_sim.Config
+module Counters = Wish_sim.Counters
 
 let pct = Table.fmt_percent
 let f3 = Table.fmt_float ~decimals:3
@@ -187,9 +187,12 @@ let fig16 lab =
 (* Figures 11 and 13: dynamic wish-branch classification               *)
 (* ------------------------------------------------------------------ *)
 
-let per_million s v =
-  let retired = Stats.get s "retired_correct" in
-  if retired = 0 then 0.0 else 1_000_000.0 *. float_of_int v /. float_of_int retired
+(* A class's count per million retired µops, "%.0f"-formatted. *)
+let per_million s c =
+  let retired = Counters.get s Counters.retired_correct in
+  Printf.sprintf "%.0f"
+    (if retired = 0 then 0.0
+     else 1_000_000.0 *. float_of_int (Counters.get s c) /. float_of_int retired)
 
 (** Figure 11: dynamic wish branches per 1M retired µops in the wish
     jump/join binary, classified by confidence estimate and by whether the
@@ -204,10 +207,15 @@ let fig11 lab =
   in
   List.iter
     (fun name ->
-      let s = (Lab.run lab ~bench:name ~kind:Policy.Wish_jj ()).stats in
-      let v key = Printf.sprintf "%.0f" (per_million s (Stats.get s key)) in
+      let v = per_million (Lab.run lab ~bench:name ~kind:Policy.Wish_jj ()).counts in
       Table.add_row t
-        [ name; v "wish_low_mispred"; v "wish_low_correct"; v "wish_high_mispred"; v "wish_high_correct" ])
+        [
+          name;
+          v Counters.wish_low_mispred;
+          v Counters.wish_low_correct;
+          v Counters.wish_high_mispred;
+          v Counters.wish_high_correct;
+        ])
     (Lab.bench_names lab);
   t
 
@@ -233,17 +241,16 @@ let fig13 lab =
   in
   List.iter
     (fun name ->
-      let s = (Lab.run lab ~bench:name ~kind:Policy.Wish_jjl ()).stats in
-      let v key = Printf.sprintf "%.0f" (per_million s (Stats.get s key)) in
+      let v = per_million (Lab.run lab ~bench:name ~kind:Policy.Wish_jjl ()).counts in
       Table.add_row t
         [
           name;
-          v "loop_low_noexit";
-          v "loop_low_late";
-          v "loop_low_early";
-          v "loop_low_correct";
-          v "loop_high_mispred";
-          v "loop_high_correct";
+          v Counters.loop_low_noexit;
+          v Counters.loop_low_late;
+          v Counters.loop_low_early;
+          v Counters.loop_low_correct;
+          v Counters.loop_high_mispred;
+          v Counters.loop_high_correct;
         ])
     (Lab.bench_names lab);
   t
@@ -278,8 +285,8 @@ let table4 lab =
       let s = Lab.run lab ~bench:name ~kind:Policy.Normal () in
       let sw = Lab.run lab ~bench:name ~kind:Policy.Wish_jjl () in
       let wish = Lab.shape lab ~bench:name ~kind:Policy.Wish_jjl in
-      let dyn_wish = Stats.get sw.stats "wish_retired" in
-      let dyn_loops = Stats.get sw.stats "wish_loop_retired" in
+      let dyn_wish = Counters.get sw.counts Counters.wish_retired in
+      let dyn_loops = Counters.get sw.counts Counters.wish_loop_retired in
       let pct_of part whole = if whole = 0 then 0.0 else 100.0 *. float_of_int part /. float_of_int whole in
       Table.add_row t
         [

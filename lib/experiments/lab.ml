@@ -36,7 +36,8 @@
     simulation runs under supervision — one that raises (or whose worker
     domain dies; the {!Wish_util.Pool} requeues and respawns underneath
     us) fails its jobs only, is retried up to [retries] times, and is
-    reported as a structured {!failure} if it never succeeds. Any fault
+    reported as a structured {!failure} if it never succeeds; the lab
+    keeps that failure, so nothing computes the job again. Any fault
     schedule that eventually succeeds yields byte-identical tables. *)
 
 open Wish_compiler
@@ -111,6 +112,12 @@ type t = {
   programs : (string * string, Wish_isa.Program.t) Hashtbl.t; (* compiled, by (bench, label) *)
   results : (string * string * string * Wish_sim.Config.t, Wish_sim.Runner.summary) Hashtbl.t;
       (* by (bench, digest, input, config) *)
+  (* Final failures, kept for the lab's life so that no later batch or
+     [run] computes them again: by compile task name, by trace (bench,
+     digest, input) and by run, keyed as [results]. *)
+  failed_compiles : (string, failure) Hashtbl.t;
+  failed_traces : (string * string * string, failure) Hashtbl.t;
+  failed_runs : (string * string * string * Wish_sim.Config.t, failure) Hashtbl.t;
   mutable log : string -> unit;
   pool : Pool.t option;
   cache : Cache.t option;
@@ -136,6 +143,9 @@ let create ?(scale = 1) ?names ?(jobs = 1) ?cache ?(policy = default_policy) ?sa
     binaries = Hashtbl.create 64;
     programs = Hashtbl.create 64;
     results = Hashtbl.create 256;
+    failed_compiles = Hashtbl.create 4;
+    failed_traces = Hashtbl.create 4;
+    failed_runs = Hashtbl.create 4;
     log = ignore;
     pool = (if jobs > 1 then Some (Pool.create ~size:jobs ()) else None);
     cache;
@@ -352,9 +362,9 @@ let rec rounds t step items =
 
 (* Compile [tasks] (one job naming each) under the lab's policy. A
    success memoizes its programs and binaries by label and, with a
-   cache, stores the task's [binary] entry; a failure is recorded in
-   [failed] under the task's name. *)
-let compile_round t failed tasks =
+   cache, stores the task's [binary] entry; a failure is recorded under
+   the task's name. *)
+let compile_round t tasks =
   rounds t
     (fun halt (j, tries) ->
       let v =
@@ -374,7 +384,7 @@ let compile_round t failed tasks =
             Option.iter
               (fun c -> Cache.store c ~kind:"binary" ~key:(binary_key t j) (List.map snd compiled))
               t.cache
-          | Final fl -> Hashtbl.replace failed (task_name j) fl
+          | Final fl -> Hashtbl.replace t.failed_compiles (task_name j) fl
           | Retry | Skipped -> ()) ))
     (List.map (fun j -> (j, 0)) tasks)
 
@@ -399,10 +409,13 @@ let rec settle t c ~key ~found compute pending =
     settle t c ~key ~found compute rest
   end
 
+let compile_failure t j = Hashtbl.find_opt t.failed_compiles (task_name j)
+
 (* Every job's binary: memoized, else read from its task's [binary]
    entry, else compiled, once per task and, with a cache, under the
-   lease of the entry's key. *)
-let resolve t failed jobs =
+   lease of the entry's key. A task whose compile failed is not tried
+   again. *)
+let resolve t jobs =
   let read j =
     match
       Option.bind t.cache (fun c ->
@@ -418,17 +431,20 @@ let resolve t failed jobs =
   let missing =
     List.filter
       (fun j -> not (read j))
-      (uniq task_name (List.filter (fun j -> not (Hashtbl.mem t.binaries (label_key j))) jobs))
+      (uniq task_name
+         (List.filter
+            (fun j -> compile_failure t j = None && not (Hashtbl.mem t.binaries (label_key j)))
+            jobs))
   in
   match t.cache with
-  | None -> compile_round t failed missing
-  | Some c -> settle t c ~key:(binary_key t) ~found:read (compile_round t failed) missing
+  | None -> compile_round t missing
+  | Some c -> settle t c ~key:(binary_key t) ~found:read (compile_round t) missing
 
-(* [stage] run for [j] alone, its compile failure raised. *)
+(* [stage] run for [j] alone, unless its compile already failed; that
+   failure raised. *)
 let for_one t stage j =
-  let failed = Hashtbl.create 1 in
-  stage t failed [ j ];
-  Option.iter (fun fl -> raise (Job_failed fl)) (Hashtbl.find_opt failed (task_name j))
+  if compile_failure t j = None then stage t [ j ];
+  Option.iter (fun fl -> raise (Job_failed fl)) (compile_failure t j)
 
 let binary t j =
   match Hashtbl.find_opt t.binaries (label_key j) with
@@ -472,6 +488,16 @@ let memoized t j =
   | Some b -> Hashtbl.find_opt t.results (j.job_bench, b.digest, j.job_input, j.job_config)
   | None -> None
 
+(* The final failure of [j]'s compile, run or trace, if the lab has one. *)
+let failure_of t j =
+  match compile_failure t j with
+  | Some _ as fl -> fl
+  | None when not (Hashtbl.mem t.binaries (label_key j)) -> None
+  | None -> (
+    match Hashtbl.find_opt t.failed_runs (memo_key t j) with
+    | Some _ as fl -> fl
+    | None -> Hashtbl.find_opt t.failed_traces (trace_key t j))
+
 (* [j]'s summary in the cache: under its run key, else under its label
    key, where only a writer outside the lab stores. *)
 let stored_summary t j =
@@ -489,7 +515,7 @@ let cache_hit t j s ~note =
 (* Stage 3's runs: one task per group, the longest first so the batch
    ends with every worker busy. A failed trace fails or retries exactly
    its group's runs; a failed run is retried with the trace kept. *)
-let run_groups t ~failed_traces ~failed_runs groups =
+let run_groups t groups =
   let hint g = (bench t g.lead.job_bench).approx_dyn_insts in
   (* Exact runs replay their group's trace; sampled runs warm inside
      the compiled emulator and have none. *)
@@ -543,12 +569,12 @@ let run_groups t ~failed_traces ~failed_runs groups =
         (* The commit runs when the round is over, so it holds no trace:
            that would keep every trace of the round alive until then. *)
         fun () ->
-          Option.iter (Hashtbl.replace failed_traces (trace_key t lead)) trace_failure;
+          Option.iter (Hashtbl.replace t.failed_traces (trace_key t lead)) trace_failure;
           List.iter
             (fun (j, _, v) ->
               match v with
               | Done s -> Hashtbl.replace t.results (memo_key t j) s
-              | Final fl -> Hashtbl.replace failed_runs (memo_key t j) fl
+              | Final fl -> Hashtbl.replace t.failed_runs (memo_key t j) fl
               | Retry | Skipped -> ())
             sims ))
     (List.stable_sort
@@ -558,18 +584,15 @@ let run_groups t ~failed_traces ~failed_runs groups =
 (* Runs the batch ({!run_batch_results}); returns each job's outcome. *)
 let batch t jobs =
   check_stop t;
-  (* Failures by compile task, by trace and by run. *)
-  let failed_compiles : (string, failure) Hashtbl.t = Hashtbl.create 4 in
-  let failed_traces = Hashtbl.create 4 and failed_runs = Hashtbl.create 4 in
-  let compile_failure j = Hashtbl.find_opt failed_compiles (task_name j) in
-  let trace_failure j = Hashtbl.find_opt failed_traces (trace_key t j) in
   (* Stage 1: every job's binary. A failed compile fails exactly the
      jobs of its task. *)
-  resolve t failed_compiles jobs;
-  (* Stage 2: the memo, then the cache, on the digest key; what is left
-     needs computing. *)
+  resolve t jobs;
+  (* Stage 2: the memo and the lab's failures, then the cache, on the
+     digest key; what is left needs computing. *)
   let todo =
-    List.filter (fun j -> Hashtbl.mem t.binaries (label_key j) && memoized t j = None) jobs
+    List.filter
+      (fun j -> Hashtbl.mem t.binaries (label_key j) && memoized t j = None && failure_of t j = None)
+      jobs
     |> uniq (memo_key t)
     |> List.filter (fun j ->
            match stored_summary t j with
@@ -580,16 +603,16 @@ let batch t jobs =
   in
   (* Stage 3 for [todo], one job per key: compile the binaries known
      only from their entries, then run one group per trace (per job in
-     a sampled lab). A job whose binary or trace already failed in this
-     batch (before its lease was taken over) is not retried. *)
+     a sampled lab). A job whose binary or trace already failed (before
+     its lease was taken over) is not retried. *)
   let compute todo =
-    let live = List.filter (fun j -> compile_failure j = None && trace_failure j = None) in
+    let live = List.filter (fun j -> failure_of t j = None) in
     let todo = live todo in
-    compile_round t failed_compiles
+    compile_round t
       (uniq task_name (List.filter (fun j -> not (Hashtbl.mem t.programs (label_key j))) todo));
     let todo = live todo in
     let group_key j = (trace_key t j, if t.sample = None then None else Some j.job_config) in
-    run_groups t ~failed_traces ~failed_runs
+    run_groups t
       (List.map
          (fun lead ->
            let b = bench t lead.job_bench and k = group_key lead in
@@ -610,13 +633,7 @@ let batch t jobs =
         | None -> false)
       compute todo);
   fun j ->
-    match memoized t j with
-    | Some s -> Ok s
-    | None when compile_failure j <> None -> Error (Option.get (compile_failure j))
-    | None -> (
-      match Hashtbl.find_opt failed_runs (memo_key t j) with
-      | Some fl -> Error fl
-      | None -> Error (Option.get (trace_failure j)))
+    match memoized t j with Some s -> Ok s | None -> Error (Option.get (failure_of t j))
 
 let run_batch_results t jobs = List.map (batch t jobs) jobs
 

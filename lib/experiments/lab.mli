@@ -228,10 +228,12 @@ val summary_key_of_job : t -> job -> string
     failure or interruption. A failure poisons exactly the jobs that
     needed its product (a failed compile fails that bench's jobs, or
     that variant's, a failed trace the jobs of its group, a failed
-    simulation every job of its key). Under a fail-fast policy a
-    permanent failure is raised as {!Job_failed} rather than returned:
-    its round starts no further attempt, and raises once the attempts in
-    flight are done. *)
+    simulation every job of its key). The lab keeps every final failure
+    for its life, by compile task, trace and run: a later batch, {!run}
+    or {!normalized} reports it again and computes nothing for it. Under
+    a fail-fast policy a permanent failure is raised as {!Job_failed}
+    rather than returned: its round starts no further attempt, and
+    raises once the attempts in flight are done. *)
 val run_batch_results : t -> job list -> (Wish_sim.Runner.summary, failure) result list
 
 (** [run_batch t jobs] — {!run_batch_results} with failures raised: the
@@ -247,8 +249,8 @@ val prewarm : t -> job list -> unit
 (** [run t ~bench ~kind ?wish_threshold_n ?input ?config ()] — the
     summary of the {!job} with those arguments: a memo lookup, or a
     one-job {!run_batch}, so a miss is computed, retried and leased
-    exactly as in a batch, and a permanent failure raises
-    {!Job_failed}. *)
+    exactly as in a batch, and a permanent failure, this call's or one
+    an earlier batch recorded, raises {!Job_failed}. *)
 val run :
   t ->
   bench:string ->

@@ -17,7 +17,7 @@ module Core = Wish_sim.Core
 module Scompiled = Wish_sim.Compiled
 module Runner = Wish_sim.Runner
 module Config = Wish_sim.Config
-module Stats = Wish_util.Stats
+module Counters = Wish_sim.Counters
 module Cache = Wish_experiments.Cache
 
 type verdict = Pass | Skip of string | Fail of string
@@ -166,23 +166,15 @@ let gen_trace program =
 let run_interp config program trace =
   let core = Core.create config program trace in
   ignore (Core.run core);
-  (Core.cycles core, Stats.to_assoc (Core.stats core), Core.hier_stats core)
+  (Core.cycles core, Core.counters core, Core.hier_stats core)
 
 let run_scompiled config program trace =
   let core = Scompiled.create config program trace in
   ignore (Scompiled.run core);
-  (Scompiled.cycles core, Stats.to_assoc (Scompiled.stats core), Scompiled.hier_stats core)
+  (Scompiled.cycles core, Scompiled.counters core, Scompiled.hier_stats core)
 
-let first_stat_diff si sc =
-  let missing = List.filter (fun (k, _) -> not (List.mem_assoc k sc)) si in
-  match missing with
-  | (k, _) :: _ -> Printf.sprintf "counter %s missing in compiled" k
-  | [] -> (
-    match List.find_opt (fun (k, v) -> List.assoc_opt k sc <> Some v) si with
-    | Some (k, v) ->
-      Printf.sprintf "counter %s: interp %d, compiled %s" k v
-        (match List.assoc_opt k sc with Some v' -> string_of_int v' | None -> "absent")
-    | None -> "stat bags have different shapes")
+let first_counter_diff ci cc =
+  List.find_opt (fun c -> Counters.get ci c <> Counters.get cc c) Counters.all
 
 let sim_identity_program program =
   match gen_trace program with
@@ -200,8 +192,12 @@ let sim_identity_program program =
     | Ok (ci, si, mi), Ok (cc, sc, mc) ->
       if ci <> cc then failf "cycles differ: interp %d, compiled %d" ci cc
       else if mi <> mc then Fail "memory-hierarchy stats differ"
-      else if si <> sc then Fail ("stats differ: " ^ first_stat_diff si sc)
-      else Pass)
+      else
+        match first_counter_diff si sc with
+        | Some c ->
+          failf "counters differ: %s interp %d, compiled %d" (Counters.name c) (Counters.get si c)
+            (Counters.get sc c)
+        | None -> Pass)
 
 (* --- (d) exact vs sampled simulation ---------------------------------- *)
 

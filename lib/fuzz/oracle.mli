@@ -15,9 +15,8 @@
       memory checksum and on every out-region word (live-out state made
       observable by the generator's epilogue).
     - {!Sim_identity} — interpreted {!Wish_sim.Core} against the compiled
-      timing core on the same trace: cycle count, the full stats bag
-      (names, values and order) and the hierarchy counters, for a
-      predicated and a wish binary.
+      timing core on the same trace: cycle count, every event counter
+      and the hierarchy counters, for a predicated and a wish binary.
     - {!Sampled} — exact vs sampled simulation. When the sampler
       degenerates to one cold full-length window (short traces — the
       common case for generated programs) the estimate must equal the

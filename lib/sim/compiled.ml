@@ -4,7 +4,7 @@
 
     This module is a line-for-line transcription of the interpreted
     {!Core} — same stage order, same machine-state side effects in the
-    same sequence — so the two produce cycle-exact, stat-for-stat
+    same sequence — so the two produce cycle-exact, counter-for-counter
     identical results (enforced by the fuzzer's [sim] oracle and the
     [@sim-smoke] gate). {!Core} stays the golden reference those checks
     diff against; change semantics there first, then mirror here.
@@ -33,7 +33,6 @@
     estimates), so a pooled run is indistinguishable from a fresh one. *)
 
 open Wish_isa
-module Stats = Wish_util.Stats
 module Hybrid = Wish_bpred.Hybrid
 module Btb = Wish_bpred.Btb
 module Ras = Wish_bpred.Ras
@@ -139,61 +138,6 @@ type cgroup = {
 
 (* Grow-only per-address buffer of pending store ids (as in {!Core}). *)
 type ibuf = { mutable ids : int array; mutable len : int }
-
-(* Per-µop and per-branch counters resolved to cells once per run; the
-   names and creation order mirror {!Core.hot_counters} exactly so the
-   stats streams are byte-identical. *)
-type hot_counters = {
-  c_fetched : int ref;
-  c_nops : int ref;
-  c_icache_stalls : int ref;
-  c_divergences : int ref;
-  c_btb_misses : int ref;
-  c_nofetch : int ref;
-  c_phantom_entries : int ref;
-  c_renamed : int ref;
-  c_issued : int ref;
-  c_load_latency : int ref;
-  c_loads : int ref;
-  c_retired : int ref;
-  c_retired_correct : int ref;
-  c_retired_guard_false : int ref;
-  c_retired_phantom : int ref;
-  c_cond_retired : int ref;
-  c_misp_retired : int ref;
-  c_misp_resolved : int ref;
-  c_flushes : int ref;
-  c_flush_delay : int ref;
-  c_wish_retired : int ref;
-  c_wish_loop_retired : int ref;
-}
-
-let hot_counters stats =
-  let c = Stats.counter stats in
-  {
-    c_fetched = c "fetched_uops";
-    c_nops = c "nops_eliminated";
-    c_icache_stalls = c "icache_stalls";
-    c_divergences = c "divergences";
-    c_btb_misses = c "btb_misses";
-    c_nofetch = c "nofetch_dropped";
-    c_phantom_entries = c "phantom_entries";
-    c_renamed = c "renamed_uops";
-    c_issued = c "issued_uops";
-    c_load_latency = c "load_latency_total";
-    c_loads = c "load_count";
-    c_retired = c "retired_uops";
-    c_retired_correct = c "retired_correct";
-    c_retired_guard_false = c "retired_guard_false";
-    c_retired_phantom = c "retired_phantom";
-    c_cond_retired = c "cond_branches_retired";
-    c_misp_retired = c "mispredicts_retired";
-    c_misp_resolved = c "mispredicts_resolved";
-    c_flushes = c "flushes";
-    c_flush_delay = c "flush_delay_total";
-    c_wish_retired = c "wish_retired";
-    c_wish_loop_retired = c "wish_loop_retired";
-  }
 
 (* ----------------------------------------------------------------- *)
 (* Pipeline scaffold and machine pool                                 *)
@@ -386,10 +330,7 @@ type t = {
   loop_pred : Loop_pred.t;
   hier : Hierarchy.t;
   s : scaffold;
-  stats : Stats.t;
-  hot : hot_counters;
-  flush_cells : int ref option array; (* per-pc flush@pc cells, first-touch *)
-  misp_cells : int ref option array; (* per-pc misp@pc cells, first-touch *)
+  counts : Counters.t;
   wish_table : int array;
   fb : fb_out; (* fetch_branch → fetch-stage result channel *)
   mutable cycle : int;
@@ -425,7 +366,6 @@ let nop_drain (_ : int) = ()
     documented approximation measured by the sample-sweep artifact. *)
 let create ?warm ?(start_cursor = 0) ?start_pc ?(release_trace = true) (config : Config.t)
     (program : Program.t) trace =
-  let stats = Stats.create () in
   let plan = Plan.build config program in
   let oracle = Oracle.create (Program.code program) trace in
   if start_cursor > 0 then Oracle.restore oracle start_cursor;
@@ -448,10 +388,7 @@ let create ?warm ?(start_cursor = 0) ?start_pc ?(release_trace = true) (config :
     loop_pred;
     hier;
     s;
-    stats;
-    hot = hot_counters stats;
-    flush_cells = Array.make plan.npcs None;
-    misp_cells = Array.make plan.npcs None;
+    counts = Counters.create ();
     wish_table = Plan.wish_table;
     fb =
       {
@@ -710,7 +647,7 @@ let fetch_branch t ~pc ~path ~has_entry =
     if final_dir && not knobs.perfect_bp then
       if Btb.hit t.btb ~pc then 0
       else begin
-        incr t.hot.c_btb_misses;
+        Counters.incr t.counts Counters.btb_misses;
         t.config.btb_miss_penalty
       end
     else 0
@@ -811,7 +748,7 @@ let fetch_stage t =
         in
         if stall > 0 then begin
           t.fetch_stall_until <- t.cycle + stall;
-          incr t.hot.c_icache_stalls;
+          Counters.incr t.counts Counters.icache_stalls;
           t.x_cont <- false
         end
         else begin
@@ -823,7 +760,7 @@ let fetch_stage t =
               else begin
                 (* Left the correct path: an older branch mispredicted. *)
                 t.fetch_path <- F_wrong;
-                incr t.hot.c_divergences;
+                Counters.incr t.counts Counters.divergences;
                 false
               end
             | F_wrong | F_phantom -> false
@@ -833,7 +770,7 @@ let fetch_stage t =
           let tclass = (Array.unsafe_get plan.tclass pc) in
           if tclass = Plan.t_nop then begin
             (* NOPs are eliminated at µop translation (paper Section 4.1). *)
-            incr t.hot.c_nops;
+            Counters.incr t.counts Counters.nops_eliminated;
             t.fetch_pc <- pc + 1
           end
           else if tclass = Plan.t_halt && path != F_correct then begin
@@ -850,7 +787,7 @@ let fetch_stage t =
               g.glen <- g.glen + 1;
               t.x_budget <- t.x_budget - 1;
               if (Array.unsafe_get plan.is_cond pc) then t.x_cond <- t.x_cond + 1;
-              incr t.hot.c_fetched;
+              Counters.incr t.counts Counters.fetched_uops;
               (* Phantom transitions for low-confidence wish loops. *)
               (if
                  (path == F_correct || path == F_phantom)
@@ -864,7 +801,7 @@ let fetch_stage t =
                    (* Iterating past the real exit: extra iterations flow
                       through as NOPs unless a flush cuts them short. *)
                    t.fetch_path <- F_phantom;
-                   incr t.hot.c_phantom_entries
+                   Counters.incr t.counts Counters.phantom_entries
                  end
                  else if (not dir) && path == F_phantom then
                    (* Predicted exit while phantom: reconverge. *)
@@ -884,7 +821,7 @@ let fetch_stage t =
               (* non-branches only: branch templates took the arm above *)
             in
             if drop then begin
-              incr t.hot.c_nofetch;
+              Counters.incr t.counts Counters.nofetch_dropped;
               t.fetch_pc <- pc + 1
             end
             else begin
@@ -943,7 +880,7 @@ let fetch_stage t =
                 end
               in
               t.x_budget <- t.x_budget - n;
-              t.hot.c_fetched := !(t.hot.c_fetched) + n;
+              Counters.add t.counts Counters.fetched_uops n;
               if tclass = Plan.t_halt then begin
                 t.fetch_path <- F_stopped;
                 t.x_cont <- false
@@ -1084,7 +1021,7 @@ let rename_uop t (u : Uop.t) =
   track_store t u;
   s.rob.(ri) <- u.id;
   s.rob_count <- s.rob_count + 1;
-  incr t.hot.c_renamed;
+  Counters.incr t.counts Counters.renamed_uops;
   if u.pending = 0 then mark_ready t u
 
 let rename_stage t =
@@ -1150,8 +1087,8 @@ let latency_of t (u : Uop.t) =
     if u.guard_false || u.byte_addr < 0 then 1
     else begin
       let lat = Hierarchy.access_data t.hier ~now:t.cycle ~byte_addr:u.byte_addr in
-      t.hot.c_load_latency := !(t.hot.c_load_latency) + lat;
-      incr t.hot.c_loads;
+      Counters.add t.counts Counters.load_latency_total lat;
+      Counters.incr t.counts Counters.load_count;
       lat
     end
 
@@ -1180,7 +1117,7 @@ let issue_stage t =
           u.state <- Uop.Issued;
           schedule_completion t u (latency_of t u);
           t.x_budget <- t.x_budget - 1;
-          incr t.hot.c_issued
+          Counters.incr t.counts Counters.issued_uops
         end
     end
   done;
@@ -1197,14 +1134,6 @@ let undo_speculative t (u : Uop.t) =
   match u.Uop.br with
   | Some b -> if b.sn_valid then Hybrid.restore_b t.hybrid b.sn
   | None -> ()
-
-let flush_cell t pc =
-  match t.flush_cells.(pc) with
-  | Some c -> c
-  | None ->
-    let c = Stats.counter t.stats (Printf.sprintf "flush@pc%d" pc) in
-    t.flush_cells.(pc) <- Some c;
-    c
 
 (* Squash ROB entries youngest-first down to (and excluding) id [uid];
    returns the index of the surviving branch. *)
@@ -1241,9 +1170,8 @@ let rec rob_squash_from t uid cap k =
 let recover t (u : Uop.t) =
   let s = t.s in
   let b = match u.Uop.br with Some b -> b | None -> assert false in
-  incr t.hot.c_flushes;
-  incr (flush_cell t u.pc);
-  t.hot.c_flush_delay := !(t.hot.c_flush_delay) + (t.cycle - u.fetch_cycle);
+  Counters.incr t.counts Counters.flushes;
+  Counters.add t.counts Counters.flush_delay_total (t.cycle - u.fetch_cycle);
   (* Squash everything younger: first the fetch queue (youngest), then the
      ROB suffix, each iterated youngest-first for exact history repair. *)
   for gi = s.feq_count - 1 downto 0 do
@@ -1287,7 +1215,7 @@ let resolve_branch t (u : Uop.t) =
   if u.path != Uop.Wrong && b.actual_taken then Btb.insert t.btb ~pc:u.pc;
   if u.path == Uop.Wrong then ()
   else if Uop.mispredicted b then begin
-    incr t.hot.c_misp_resolved;
+    Counters.incr t.counts Counters.mispredicts_resolved;
     let flush_needed =
       match (b.wish_kind, b.fetch_mode) with
       | Some (Inst.Wish_jump | Inst.Wish_join), Uop.Low_conf ->
@@ -1362,38 +1290,30 @@ let count_wish_retirement t (b : Uop.branch_rec) =
   match b.wish_kind with
   | None -> ()
   | Some kind ->
-    incr t.hot.c_wish_retired;
+    Counters.incr t.counts Counters.wish_retired;
     let predictor_correct = if b.lu_valid then b.lu.b_taken = b.actual_taken else true in
     let conf = match b.conf_high with Some c -> c | None -> false in
     let bucket =
       match (conf, predictor_correct) with
-      | true, true -> "wish_high_correct"
-      | true, false -> "wish_high_mispred"
-      | false, true -> "wish_low_correct"
-      | false, false -> "wish_low_mispred"
+      | true, true -> Counters.wish_high_correct
+      | true, false -> Counters.wish_high_mispred
+      | false, true -> Counters.wish_low_correct
+      | false, false -> Counters.wish_low_mispred
     in
-    Stats.incr t.stats bucket;
+    Counters.incr t.counts bucket;
     if kind == Inst.Wish_loop then begin
-      incr t.hot.c_wish_loop_retired;
+      Counters.incr t.counts Counters.wish_loop_retired;
       let lbucket =
         match (conf, b.loop_class, predictor_correct) with
-        | true, _, true -> "loop_high_correct"
-        | true, _, false -> "loop_high_mispred"
-        | false, Uop.Lc_early, _ -> "loop_low_early"
-        | false, Uop.Lc_late, _ -> "loop_low_late"
-        | false, Uop.Lc_no_exit, _ -> "loop_low_noexit"
-        | false, Uop.Lc_none, _ -> "loop_low_correct"
+        | true, _, true -> Counters.loop_high_correct
+        | true, _, false -> Counters.loop_high_mispred
+        | false, Uop.Lc_early, _ -> Counters.loop_low_early
+        | false, Uop.Lc_late, _ -> Counters.loop_low_late
+        | false, Uop.Lc_no_exit, _ -> Counters.loop_low_noexit
+        | false, Uop.Lc_none, _ -> Counters.loop_low_correct
       in
-      Stats.incr t.stats lbucket
+      Counters.incr t.counts lbucket
     end
-
-let misp_cell t pc =
-  match t.misp_cells.(pc) with
-  | Some c -> c
-  | None ->
-    let c = Stats.counter t.stats (Printf.sprintf "misp@pc%d" pc) in
-    t.misp_cells.(pc) <- Some c;
-    c
 
 let retire_stage t =
   let s = t.s in
@@ -1411,21 +1331,18 @@ let retire_stage t =
         untrack_store t u;
         t.x_budget <- t.x_budget - 1;
         t.last_retire_cycle <- t.cycle;
-        incr t.hot.c_retired;
+        Counters.incr t.counts Counters.retired_uops;
         (match u.path with
         | Uop.Correct ->
-          incr t.hot.c_retired_correct;
-          if u.guard_false then incr t.hot.c_retired_guard_false
-        | Uop.Phantom -> incr t.hot.c_retired_phantom
+          Counters.incr t.counts Counters.retired_correct;
+          if u.guard_false then Counters.incr t.counts Counters.retired_guard_false
+        | Uop.Phantom -> Counters.incr t.counts Counters.retired_phantom
         | Uop.Wrong -> assert false);
         (match u.br with
         | Some b when u.path == Uop.Correct ->
           (* Retirement-time training keeps the tables non-speculative. *)
           if b.lu_valid then Hybrid.train_b t.hybrid b.lu ~taken:b.actual_taken;
-          if Uop.mispredicted b then begin
-            incr t.hot.c_misp_retired;
-            incr (misp_cell t u.pc)
-          end;
+          if Uop.mispredicted b then Counters.incr t.counts Counters.mispredicts_retired;
           (if b.wish_kind != None && not t.config.knobs.perfect_conf then begin
              let predictor_correct =
                if b.lu_valid then b.lu.b_taken = b.actual_taken else true
@@ -1438,7 +1355,7 @@ let retire_stage t =
             && (match b.wish_kind with Some Inst.Wish_loop -> true | _ -> false)
           then
             Loop_pred.train t.loop_pred ~pc:u.pc ~taken:b.actual_taken;
-          if t.plan.is_cond.(u.pc) then incr t.hot.c_cond_retired;
+          if t.plan.is_cond.(u.pc) then Counters.incr t.counts Counters.cond_branches_retired;
           count_wish_retirement t b
         | Some _ | None -> ());
         if t.plan.tclass.(u.pc) = Plan.t_halt && u.path == Uop.Correct then t.halted <- true;
@@ -1495,7 +1412,6 @@ let run t =
   while (not t.halted) && t.cycle < t.config.max_cycles do
     step t
   done;
-  Stats.set t.stats "cycles" t.cycle;
   t
 
 let run_until t ~stop_idx =
@@ -1503,12 +1419,11 @@ let run_until t ~stop_idx =
   do
     step t
   done;
-  Stats.set t.stats "cycles" t.cycle;
   t
 
 let retired_trace_idx t = t.retired_trace_idx
 let halted t = t.halted
 let cycles t = t.cycle
-let stats t = t.stats
+let counters t = t.counts
 let hier_stats t = Hierarchy.stats t.hier
 let rob_occupancy t = t.s.rob_count

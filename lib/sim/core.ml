@@ -16,7 +16,6 @@
 open Wish_isa
 module Ring = Wish_util.Ring
 module Heap = Wish_util.Heap
-module Stats = Wish_util.Stats
 module Hybrid = Wish_bpred.Hybrid
 module Btb = Wish_bpred.Btb
 module Ras = Wish_bpred.Ras
@@ -57,61 +56,6 @@ type fgroup = { ready_cycle : int; uops : Uop.t array; mutable next : int }
    tracking allocates nothing. *)
 type ibuf = { mutable ids : int array; mutable len : int }
 
-(* Per-µop and per-branch counters, resolved to their cells once at
-   creation: the pipeline stages bump these several times per µop, and
-   hashing the counter name each time is measurable on the hot path. *)
-type hot_counters = {
-  c_fetched : int ref;
-  c_nops : int ref;
-  c_icache_stalls : int ref;
-  c_divergences : int ref;
-  c_btb_misses : int ref;
-  c_nofetch : int ref;
-  c_phantom_entries : int ref;
-  c_renamed : int ref;
-  c_issued : int ref;
-  c_load_latency : int ref;
-  c_loads : int ref;
-  c_retired : int ref;
-  c_retired_correct : int ref;
-  c_retired_guard_false : int ref;
-  c_retired_phantom : int ref;
-  c_cond_retired : int ref;
-  c_misp_retired : int ref;
-  c_misp_resolved : int ref;
-  c_flushes : int ref;
-  c_flush_delay : int ref;
-  c_wish_retired : int ref;
-  c_wish_loop_retired : int ref;
-}
-
-let hot_counters stats =
-  let c = Stats.counter stats in
-  {
-    c_fetched = c "fetched_uops";
-    c_nops = c "nops_eliminated";
-    c_icache_stalls = c "icache_stalls";
-    c_divergences = c "divergences";
-    c_btb_misses = c "btb_misses";
-    c_nofetch = c "nofetch_dropped";
-    c_phantom_entries = c "phantom_entries";
-    c_renamed = c "renamed_uops";
-    c_issued = c "issued_uops";
-    c_load_latency = c "load_latency_total";
-    c_loads = c "load_count";
-    c_retired = c "retired_uops";
-    c_retired_correct = c "retired_correct";
-    c_retired_guard_false = c "retired_guard_false";
-    c_retired_phantom = c "retired_phantom";
-    c_cond_retired = c "cond_branches_retired";
-    c_misp_retired = c "mispredicts_retired";
-    c_misp_resolved = c "mispredicts_resolved";
-    c_flushes = c "flushes";
-    c_flush_delay = c "flush_delay_total";
-    c_wish_retired = c "wish_retired";
-    c_wish_loop_retired = c "wish_loop_retired";
-  }
-
 (* Long-lived microarchitectural state a sampled simulation keeps warm
    between detailed windows and hands a compiled window core
    ({!Compiled.create}) at creation. *)
@@ -142,8 +86,7 @@ type t = {
   events : Wheel.t; (* completion calendar wheel, µop ids *)
   pending_stores : (int, ibuf) Hashtbl.t; (* byte addr -> store µop ids *)
   fsm : Wish_fsm.t;
-  stats : Stats.t;
-  hot : hot_counters;
+  counts : Counters.t;
   mutable cycle : int;
   mutable next_id : int;
   mutable fetch_pc : int;
@@ -166,7 +109,6 @@ type t = {
 (** [create config program trace] — a whole-run core from a cold
     machine. *)
 let create config (program : Program.t) trace =
-  let stats = Stats.create () in
   let code = Program.code program in
   {
     config;
@@ -186,8 +128,7 @@ let create config (program : Program.t) trace =
     events = Wheel.create ~horizon:wheel_horizon;
     pending_stores = Hashtbl.create 64;
     fsm = Wish_fsm.create ();
-    stats;
-    hot = hot_counters stats;
+    counts = Counters.create ();
     cycle = 0;
     next_id = 0;
     fetch_pc = program.entry;
@@ -432,7 +373,7 @@ let fetch_branch t ~pc ~(inst : Inst.t) ~(di : dinfo) ~path ~(entry : Oracle.ent
     if final_dir && not knobs.perfect_bp then
       if Btb.hit t.btb ~pc then 0
       else begin
-        incr t.hot.c_btb_misses;
+        Counters.incr t.counts Counters.btb_misses;
         t.config.btb_miss_penalty
       end
     else 0
@@ -559,7 +500,7 @@ let fetch_stage t =
         in
         if stall > 0 then begin
           t.fetch_stall_until <- t.cycle + stall;
-          incr t.hot.c_icache_stalls;
+          Counters.incr t.counts Counters.icache_stalls;
           continue := false
         end
         else begin
@@ -574,7 +515,7 @@ let fetch_stage t =
               | None ->
                 (* Left the correct path: an older branch mispredicted. *)
                 t.fetch_path <- F_wrong;
-                incr t.hot.c_divergences;
+                Counters.incr t.counts Counters.divergences;
                 None)
             | F_wrong | F_phantom -> None
             | F_stopped -> assert false
@@ -583,7 +524,7 @@ let fetch_stage t =
           match inst.op with
           | Inst.Nop ->
             (* NOPs are eliminated at µop translation (paper Section 4.1). *)
-            incr t.hot.c_nops;
+            Counters.incr t.counts Counters.nops_eliminated;
             t.fetch_pc <- pc + 1
           | Inst.Halt when path <> F_correct ->
             t.fetch_path <- F_stopped;
@@ -595,7 +536,7 @@ let fetch_stage t =
               && (match entry with Some e -> not e.guard_true | None -> false)
             in
             if drop then begin
-              incr t.hot.c_nofetch;
+              Counters.incr t.counts Counters.nofetch_dropped;
               t.fetch_pc <- pc + 1
             end
             else if is_br then begin
@@ -609,7 +550,7 @@ let fetch_stage t =
                 incr gcount;
                 decr budget;
                 if di.d_is_cond then incr cond_branches;
-                incr t.hot.c_fetched;
+                Counters.incr t.counts Counters.fetched_uops;
                 (* Phantom transitions for low-confidence wish loops. *)
                 (match (path, di.d_kind) with
                 | (F_correct | F_phantom), Some Inst.Wish_loop
@@ -621,7 +562,7 @@ let fetch_stage t =
                     (* Iterating past the real exit: extra iterations flow
                        through as NOPs unless a flush cuts them short. *)
                     t.fetch_path <- F_phantom;
-                    incr t.hot.c_phantom_entries
+                    Counters.incr t.counts Counters.phantom_entries
                   | false, _, F_phantom ->
                     (* Predicted exit while phantom: reconverge. *)
                     t.fetch_path <- F_correct
@@ -641,7 +582,7 @@ let fetch_stage t =
               List.iter (fun u -> group := u :: !group) uops;
               gcount := !gcount + n;
               budget := !budget - n;
-              t.hot.c_fetched := !(t.hot.c_fetched) + n;
+              Counters.add t.counts Counters.fetched_uops n;
               (match inst.op with
               | Inst.Halt ->
                 t.fetch_path <- F_stopped;
@@ -777,7 +718,7 @@ let rename_uop t (u : Uop.t) ~select_producer =
   | None -> ());
   track_store t u;
   Ring.push t.rob u;
-  incr t.hot.c_renamed;
+  Counters.incr t.counts Counters.renamed_uops;
   if u.pending = 0 then mark_ready t u
 
 let rename_stage t =
@@ -841,8 +782,8 @@ let latency_of t (u : Uop.t) =
     if u.guard_false || u.byte_addr < 0 then 1
     else begin
       let lat = Hierarchy.access_data t.hier ~now:t.cycle ~byte_addr:u.byte_addr in
-      t.hot.c_load_latency := !(t.hot.c_load_latency) + lat;
-      incr t.hot.c_loads;
+      Counters.add t.counts Counters.load_latency_total lat;
+      Counters.incr t.counts Counters.load_count;
       lat
     end
 
@@ -863,7 +804,7 @@ let issue_stage t =
           u.state <- Uop.Issued;
           schedule_completion t u (latency_of t u);
           decr budget;
-          incr t.hot.c_issued
+          Counters.incr t.counts Counters.issued_uops
         end)
   done;
   List.iter (fun id -> Heap.push t.ready id) !deferred
@@ -881,9 +822,8 @@ let undo_speculative t (u : Uop.t) =
 
 let recover t (u : Uop.t) =
   let b = Option.get u.br in
-  incr t.hot.c_flushes;
-  Stats.incr t.stats (Printf.sprintf "flush@pc%d" u.pc);
-  t.hot.c_flush_delay := !(t.hot.c_flush_delay) + (t.cycle - u.fetch_cycle);
+  Counters.incr t.counts Counters.flushes;
+  Counters.add t.counts Counters.flush_delay_total (t.cycle - u.fetch_cycle);
   (* Squash everything younger: first the fetch queue (youngest), then the
      ROB suffix, each iterated youngest-first for exact history repair. *)
   let feq_groups = List.of_seq (Queue.to_seq t.feq) in
@@ -932,7 +872,7 @@ let resolve_branch t (u : Uop.t) =
   if u.path <> Uop.Wrong && b.actual_taken then Btb.insert t.btb ~pc:u.pc;
   if u.path = Uop.Wrong then ()
   else if Uop.mispredicted b then begin
-    incr t.hot.c_misp_resolved;
+    Counters.incr t.counts Counters.mispredicts_resolved;
     let flush_needed =
       match (b.wish_kind, b.fetch_mode) with
       | Some (Inst.Wish_jump | Inst.Wish_join), Uop.Low_conf ->
@@ -991,35 +931,34 @@ let process_events t =
       | u -> complete_uop t u
       | exception Not_found -> ())
 
-let count_wish_retirement t (u : Uop.t) (b : Uop.branch_rec) =
+let count_wish_retirement t (b : Uop.branch_rec) =
   match b.wish_kind with
   | None -> ()
   | Some kind ->
-    incr t.hot.c_wish_retired;
+    Counters.incr t.counts Counters.wish_retired;
     let predictor_correct = if b.lu_valid then b.lu.b_taken = b.actual_taken else true in
     let conf = Option.value b.conf_high ~default:false in
     let bucket =
       match (conf, predictor_correct) with
-      | true, true -> "wish_high_correct"
-      | true, false -> "wish_high_mispred"
-      | false, true -> "wish_low_correct"
-      | false, false -> "wish_low_mispred"
+      | true, true -> Counters.wish_high_correct
+      | true, false -> Counters.wish_high_mispred
+      | false, true -> Counters.wish_low_correct
+      | false, false -> Counters.wish_low_mispred
     in
-    Stats.incr t.stats bucket;
+    Counters.incr t.counts bucket;
     if kind = Inst.Wish_loop then begin
-      incr t.hot.c_wish_loop_retired;
+      Counters.incr t.counts Counters.wish_loop_retired;
       let lbucket =
         match (conf, b.loop_class, predictor_correct) with
-        | true, _, true -> "loop_high_correct"
-        | true, _, false -> "loop_high_mispred"
-        | false, Uop.Lc_early, _ -> "loop_low_early"
-        | false, Uop.Lc_late, _ -> "loop_low_late"
-        | false, Uop.Lc_no_exit, _ -> "loop_low_noexit"
-        | false, Uop.Lc_none, _ -> "loop_low_correct"
+        | true, _, true -> Counters.loop_high_correct
+        | true, _, false -> Counters.loop_high_mispred
+        | false, Uop.Lc_early, _ -> Counters.loop_low_early
+        | false, Uop.Lc_late, _ -> Counters.loop_low_late
+        | false, Uop.Lc_no_exit, _ -> Counters.loop_low_noexit
+        | false, Uop.Lc_none, _ -> Counters.loop_low_correct
       in
-      Stats.incr t.stats lbucket
-    end;
-    ignore u
+      Counters.incr t.counts lbucket
+    end
 
 let retire_stage t =
   let budget = ref t.config.retire_width in
@@ -1032,21 +971,18 @@ let retire_stage t =
       untrack_store t u;
       decr budget;
       t.last_retire_cycle <- t.cycle;
-      incr t.hot.c_retired;
+      Counters.incr t.counts Counters.retired_uops;
       (match u.path with
       | Uop.Correct ->
-        incr t.hot.c_retired_correct;
-        if u.guard_false then incr t.hot.c_retired_guard_false
-      | Uop.Phantom -> incr t.hot.c_retired_phantom
+        Counters.incr t.counts Counters.retired_correct;
+        if u.guard_false then Counters.incr t.counts Counters.retired_guard_false
+      | Uop.Phantom -> Counters.incr t.counts Counters.retired_phantom
       | Uop.Wrong -> assert false);
       (match u.br with
       | Some b when u.path = Uop.Correct ->
         (* Retirement-time training keeps the tables non-speculative. *)
         if b.lu_valid then Hybrid.train_b t.hybrid b.lu ~taken:b.actual_taken;
-        if Uop.mispredicted b then begin
-          incr t.hot.c_misp_retired;
-          Stats.incr t.stats (Printf.sprintf "misp@pc%d" u.pc)
-        end;
+        if Uop.mispredicted b then Counters.incr t.counts Counters.mispredicts_retired;
         if b.wish_kind <> None && not t.config.knobs.perfect_conf then begin
           let predictor_correct =
             if b.lu_valid then b.lu.b_taken = b.actual_taken else true
@@ -1056,8 +992,8 @@ let retire_stage t =
         end;
         if t.config.use_loop_predictor && b.wish_kind = Some Inst.Wish_loop then
           Loop_pred.train t.loop_pred ~pc:u.pc ~taken:b.actual_taken;
-        if Inst.is_conditional u.inst then incr t.hot.c_cond_retired;
-        count_wish_retirement t u b
+        if Inst.is_conditional u.inst then Counters.incr t.counts Counters.cond_branches_retired;
+        count_wish_retirement t b
       | Some _ | None -> ());
       (match u.inst.op with
       | Inst.Halt when u.path = Uop.Correct -> t.halted <- true
@@ -1111,9 +1047,8 @@ let run t =
   while (not t.halted) && t.cycle < t.config.max_cycles do
     step t
   done;
-  Stats.set t.stats "cycles" t.cycle;
   t
 
 let cycles t = t.cycle
-let stats t = t.stats
+let counters t = t.counts
 let hier_stats t = Hierarchy.stats t.hier

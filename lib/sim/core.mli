@@ -16,7 +16,7 @@
     This is the golden reference the compiled core ({!Compiled}) is
     transcribed from: production runs use {!Compiled}, and the
     [@sim-smoke] bench and the fuzzer's [sim] oracle diff the two.
-    Statistics are exposed through {!stats} as named counters. *)
+    Event counts are exposed through {!counters}. *)
 
 type t
 
@@ -40,11 +40,10 @@ type warm_state = {
 val create : Config.t -> Wish_isa.Program.t -> Wish_emu.Trace.t -> t
 
 (** [run t] executes until the program's halt retires (or the cycle
-    budget is exhausted), then records the cycle count in the stats.
-    Raises {!Deadlock} (with a diagnostic dump) if no µop has retired
-    for a very long time. *)
+    budget is exhausted). Raises {!Deadlock} (with a diagnostic dump) if
+    no µop has retired for a very long time. *)
 val run : t -> t
 
 val cycles : t -> int
-val stats : t -> Wish_util.Stats.t
+val counters : t -> Counters.t
 val hier_stats : t -> Wish_mem.Hierarchy.stats

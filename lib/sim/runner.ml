@@ -11,24 +11,25 @@ type summary = {
   mispredicts : int; (* retired mispredicted conditional branches *)
   cond_branches : int;
   upc : float; (* retired µops per cycle *)
-  stats : Wish_util.Stats.t;
+  counts : Counters.t;
   mem : Wish_mem.Hierarchy.stats;
 }
 
-let summarize stats cycles mem =
-  let g = Wish_util.Stats.get stats in
+let summarize counts cycles mem =
+  let g = Counters.get counts in
   {
     cycles;
     dynamic_insts = 0;
-    retired_uops = g "retired_correct";
-    retired_phantom = g "retired_phantom";
-    fetched_uops = g "fetched_uops";
-    flushes = g "flushes";
-    mispredicts = g "mispredicts_retired";
-    cond_branches = g "cond_branches_retired";
+    retired_uops = g Counters.retired_correct;
+    retired_phantom = g Counters.retired_phantom;
+    fetched_uops = g Counters.fetched_uops;
+    flushes = g Counters.flushes;
+    mispredicts = g Counters.mispredicts_retired;
+    cond_branches = g Counters.cond_branches_retired;
     upc =
-      (if cycles = 0 then 0.0 else float_of_int (g "retired_correct") /. float_of_int cycles);
-    stats;
+      (if cycles = 0 then 0.0
+       else float_of_int (g Counters.retired_correct) /. float_of_int cycles);
+    counts;
     mem;
   }
 
@@ -51,7 +52,7 @@ let simulate ?(config = Config.default) ?(streaming = false) ?trace
         t
   in
   let core = Compiled.run (Compiled.create config program trace) in
-  let s = summarize (Compiled.stats core) (Compiled.cycles core) (Compiled.hier_stats core) in
+  let s = summarize (Compiled.counters core) (Compiled.cycles core) (Compiled.hier_stats core) in
   (* A streamed trace has been pulled through its final entry by the time
      the core retires Halt, so [length] is the full dynamic count here too. *)
   { s with dynamic_insts = Wish_emu.Trace.length trace }
@@ -68,8 +69,8 @@ let dynamic_length (program : Wish_isa.Program.t) =
 (** [simulate_sampled] — the sampled counterpart of {!simulate}: same
     summary shape, numbers estimated from the measurement windows, plus
     the full {!Sampler.report}. The headline counters (cycles, retired
-    µops, mispredicts) use the sampler's stratified estimates; secondary
-    counters are expanded with the plain measured-fraction ratio. *)
+    µops, mispredicts) use the sampler's stratified estimates; every
+    other number is its window sum scaled by total ÷ measured entries. *)
 let simulate_sampled ?(config = Config.default) ?pool ?(spec : Sampler.spec option)
     ?(streaming = false) ?trace (program : Wish_isa.Program.t) =
   (* An auto spec is scaled to the dynamic length: a materialized trace
@@ -85,39 +86,24 @@ let simulate_sampled ?(config = Config.default) ?pool ?(spec : Sampler.spec opti
     | None, None -> Sampler.auto ~length:(dynamic_length program)
   in
   let r = Sampler.run ?pool ?trace ~config ~spec program in
-  let round f = int_of_float (Float.round f) in
-  let expand x =
-    if r.Sampler.r_measured_entries = 0 then 0
-    else
-      round (float_of_int x *. float_of_int r.r_total_insts /. float_of_int r.r_measured_entries)
+  let counts =
+    Counters.scale r.Sampler.r_measured ~num:r.r_total_insts ~den:r.r_measured_entries
   in
+  let g = Counters.get counts in
+  let round f = int_of_float (Float.round f) in
   let retired_uops = round (r.r_upc *. float_of_int r.r_est_cycles) in
-  let stats = Wish_util.Stats.create () in
-  Wish_util.Stats.set stats "sample_windows" (List.length r.r_windows);
-  Wish_util.Stats.set stats "sample_measured_entries" r.r_measured_entries;
-  Wish_util.Stats.set stats "sample_measured_cycles" r.r_measured_cycles;
-  Wish_util.Stats.set stats "retired_correct" r.r_measured_uops;
-  Wish_util.Stats.set stats "retired_phantom" r.r_measured_phantom;
-  Wish_util.Stats.set stats "fetched_uops" r.r_measured_fetched;
-  Wish_util.Stats.set stats "flushes" r.r_measured_flushes;
-  Wish_util.Stats.set stats "mispredicts_retired" r.r_measured_mispredicts;
-  Wish_util.Stats.set stats "cond_branches_retired" r.r_measured_cond;
-  (* Whole-run estimates, unlike the window sums above: tab4 reads these
-     two as dynamic counts. *)
-  Wish_util.Stats.set stats "wish_retired" (expand r.r_measured_wish);
-  Wish_util.Stats.set stats "wish_loop_retired" (expand r.r_measured_wish_loop);
   let summary =
     {
       cycles = r.r_est_cycles;
       dynamic_insts = r.r_total_insts;
       retired_uops;
-      retired_phantom = expand r.r_measured_phantom;
-      fetched_uops = expand r.r_measured_fetched;
-      flushes = expand r.r_measured_flushes;
+      retired_phantom = g Counters.retired_phantom;
+      fetched_uops = g Counters.fetched_uops;
+      flushes = g Counters.flushes;
       mispredicts = round (r.r_misp_per_1k *. float_of_int retired_uops /. 1000.0);
-      cond_branches = expand r.r_measured_cond;
+      cond_branches = g Counters.cond_branches_retired;
       upc = r.r_upc;
-      stats;
+      counts;
       mem = r.r_mem;
     }
   in

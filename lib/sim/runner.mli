@@ -11,7 +11,7 @@ type summary = {
   mispredicts : int;  (** retired mispredicted conditional branches *)
   cond_branches : int;
   upc : float;  (** retired µops per cycle *)
-  stats : Wish_util.Stats.t;  (** every raw counter of the run *)
+  counts : Counters.t;  (** every event counter of the run *)
   mem : Wish_mem.Hierarchy.stats;
 }
 
@@ -35,11 +35,10 @@ val simulate :
     for a streaming one ([trace] or [~streaming:true]); [pool] fans
     detailed windows out in parallel. With no caller-supplied [trace],
     warming runs trace-free and an auto spec is sized by one unrecorded
-    emulator pass that counts the dynamic length. The summary's [stats]
-    bag carries the measured window sums ([sample_windows],
-    [sample_measured_entries], raw counter sums), not whole-run counts —
-    except [wish_retired] and [wish_loop_retired], which are expanded to
-    whole-run estimates like the summary's secondary counters. *)
+    emulator pass that counts the dynamic length. The summary's [counts]
+    are whole-run estimates: each counter's window sum scaled by total ÷
+    measured entries. The headline cycles, retired µops and mispredicts
+    are the sampler's stratified estimates instead. *)
 val simulate_sampled :
   ?config:Config.t ->
   ?pool:Wish_util.Pool.t ->

@@ -29,7 +29,6 @@
 open Wish_isa
 module Trace = Wish_emu.Trace
 module Exec = Wish_emu.Exec
-module Stats = Wish_util.Stats
 module Pool = Wish_util.Pool
 module Hybrid = Wish_bpred.Hybrid
 module Btb = Wish_bpred.Btb
@@ -86,14 +85,7 @@ type window = {
   w_start : int; (* first measured trace index *)
   w_entries : int;
   w_cycles : int;
-  w_uops : int;
-  w_phantom : int;
-  w_fetched : int;
-  w_flushes : int;
-  w_mispredicts : int;
-  w_cond : int;
-  w_wish : int;
-  w_wish_loop : int;
+  w_counts : Counters.t;
 }
 
 type report = {
@@ -102,14 +94,7 @@ type report = {
   r_total_insts : int;
   r_measured_entries : int;
   r_measured_cycles : int;
-  r_measured_uops : int;
-  r_measured_phantom : int;
-  r_measured_fetched : int;
-  r_measured_flushes : int;
-  r_measured_mispredicts : int;
-  r_measured_cond : int;
-  r_measured_wish : int;
-  r_measured_wish_loop : int;
+  r_measured : Counters.t; (* every counter, summed over the windows *)
   r_upc : float;
   r_upc_ci : float; (* 95% CI half-width on the per-window µPC *)
   r_misp_per_1k : float;
@@ -439,32 +424,17 @@ let run_window ~config ~program ~trace ~detail ck =
     Compiled.create ~warm:ck.c_warm ~start_cursor:start ~start_pc:(Trace.pc trace start)
       ~release_trace:false config program trace
   in
-  let g = Stats.get (Compiled.stats core) in
   ignore (Compiled.run_until core ~stop_idx:(start + lead));
   let lo = Compiled.retired_trace_idx core in
   let c0 = Compiled.cycles core in
-  let u0 = g "retired_correct"
-  and ph0 = g "retired_phantom"
-  and f0 = g "fetched_uops"
-  and fl0 = g "flushes"
-  and m0 = g "mispredicts_retired"
-  and b0 = g "cond_branches_retired"
-  and wi0 = g "wish_retired"
-  and wl0 = g "wish_loop_retired" in
+  let counts0 = Counters.copy (Compiled.counters core) in
   ignore (Compiled.run_until core ~stop_idx:(start + lead + detail));
   let hi = Compiled.retired_trace_idx core in
   {
     w_start = lo + 1;
     w_entries = hi - lo;
     w_cycles = Compiled.cycles core - c0;
-    w_uops = g "retired_correct" - u0;
-    w_phantom = g "retired_phantom" - ph0;
-    w_fetched = g "fetched_uops" - f0;
-    w_flushes = g "flushes" - fl0;
-    w_mispredicts = g "mispredicts_retired" - m0;
-    w_cond = g "cond_branches_retired" - b0;
-    w_wish = g "wish_retired" - wi0;
-    w_wish_loop = g "wish_loop_retired" - wl0;
+    w_counts = Counters.diff (Compiled.counters core) counts0;
   }
 
 (* ----------------------------------------------------------------- *)
@@ -509,8 +479,8 @@ let aggregate ~spec ~period ~total_insts ~mem windows =
   let sum f ws = List.fold_left (fun a w -> a + f w) 0 ws in
   let n = sum (fun w -> w.w_entries) windows in
   let c = sum (fun w -> w.w_cycles) windows in
-  let u = sum (fun w -> w.w_uops) windows in
-  let m = sum (fun w -> w.w_mispredicts) windows in
+  let uops w = Counters.get w.w_counts Counters.retired_correct in
+  let misps w = Counters.get w.w_counts Counters.mispredicts_retired in
   let fi = float_of_int in
   (* Stratified whole-run estimate of a per-entry quantity [f]. *)
   let estimate f =
@@ -523,8 +493,8 @@ let aggregate ~spec ~period ~total_insts ~mem windows =
       (fi h_len *. rate head) +. (fi (total_insts - h_len) *. rate tail)
   in
   let est_cycles = estimate (fun w -> w.w_cycles) in
-  let est_uops = estimate (fun w -> w.w_uops) in
-  let est_misp = estimate (fun w -> w.w_mispredicts) in
+  let est_uops = estimate uops in
+  let est_misp = estimate misps in
   let upc = if est_cycles = 0.0 then 0.0 else est_uops /. est_cycles in
   let misp = if est_uops = 0.0 then 0.0 else 1000.0 *. est_misp /. est_uops in
   (* Approximate 95% CI: per-window spread within each stratum,
@@ -539,10 +509,9 @@ let aggregate ~spec ~period ~total_insts ~mem windows =
       let wt = 1.0 -. wh in
       sqrt (((wh *. ci head) ** 2.0) +. ((wt *. ci tail) ** 2.0))
   in
-  let upc_ci = strat_ci (fun w -> Some (fi w.w_uops /. fi w.w_cycles)) in
+  let upc_ci = strat_ci (fun w -> Some (fi (uops w) /. fi w.w_cycles)) in
   let misp_ci =
-    strat_ci (fun w ->
-        if w.w_uops = 0 then None else Some (1000.0 *. fi w.w_mispredicts /. fi w.w_uops))
+    strat_ci (fun w -> if uops w = 0 then None else Some (1000.0 *. fi (misps w) /. fi (uops w)))
   in
   {
     r_spec = spec;
@@ -550,14 +519,7 @@ let aggregate ~spec ~period ~total_insts ~mem windows =
     r_total_insts = total_insts;
     r_measured_entries = n;
     r_measured_cycles = c;
-    r_measured_uops = u;
-    r_measured_phantom = sum (fun w -> w.w_phantom) windows;
-    r_measured_fetched = sum (fun w -> w.w_fetched) windows;
-    r_measured_flushes = sum (fun w -> w.w_flushes) windows;
-    r_measured_mispredicts = m;
-    r_measured_cond = sum (fun w -> w.w_cond) windows;
-    r_measured_wish = sum (fun w -> w.w_wish) windows;
-    r_measured_wish_loop = sum (fun w -> w.w_wish_loop) windows;
+    r_measured = Counters.sum (List.map (fun w -> w.w_counts) windows);
     r_upc = upc;
     r_upc_ci = upc_ci;
     r_misp_per_1k = misp;

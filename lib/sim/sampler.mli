@@ -37,14 +37,7 @@ type window = {
   w_start : int;  (** first measured trace index *)
   w_entries : int;
   w_cycles : int;
-  w_uops : int;
-  w_phantom : int;
-  w_fetched : int;
-  w_flushes : int;
-  w_mispredicts : int;
-  w_cond : int;
-  w_wish : int;  (** wish branches retired *)
-  w_wish_loop : int;  (** of which wish loops *)
+  w_counts : Counters.t;  (** every counter's increase over the window *)
 }
 
 type report = {
@@ -53,14 +46,7 @@ type report = {
   r_total_insts : int;
   r_measured_entries : int;
   r_measured_cycles : int;
-  r_measured_uops : int;
-  r_measured_phantom : int;
-  r_measured_fetched : int;
-  r_measured_flushes : int;
-  r_measured_mispredicts : int;
-  r_measured_cond : int;
-  r_measured_wish : int;
-  r_measured_wish_loop : int;
+  r_measured : Counters.t;  (** every counter, summed over the windows *)
   r_upc : float;
   r_upc_ci : float;  (** 95% CI half-width on the per-window µPC *)
   r_misp_per_1k : float;

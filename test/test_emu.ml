@@ -457,8 +457,8 @@ let test_lockstep_workloads () =
         both_modes)
     Wish_workloads.Workloads.names
 
-(* The checked build (WISH_EMU_CHECKED) must be equivalent too — same
-   block graph, golden accesses. *)
+(* The checked build ([compile ~checked:true]) must be equivalent too —
+   same block graph, bounds-checked accesses. *)
 let test_lockstep_checked () =
   List.iter
     (fun (mode, mtag) ->

@@ -11,13 +11,11 @@ module Config = Wish_sim.Config
 
 let check = Alcotest.check
 
-(* Full-fidelity summary comparison: the headline fields plus every raw
-   counter, in recording order. *)
+(* Full-fidelity summary comparison: the headline fields plus every event
+   counter. *)
 let summary_repr (s : Wish_sim.Runner.summary) =
-  Format.asprintf "cycles=%d insts=%d uops=%d flushes=%d misp=%d upc=%.6f %a" s.cycles
-    s.dynamic_insts s.retired_uops s.flushes s.mispredicts s.upc
-    (Fmt.list ~sep:Fmt.comma (Fmt.pair ~sep:(Fmt.any "=") Fmt.string Fmt.int))
-    (Wish_util.Stats.to_assoc s.stats)
+  Format.asprintf "cycles=%d insts=%d uops=%d flushes=%d misp=%d upc=%.6f@.%a" s.cycles
+    s.dynamic_insts s.retired_uops s.flushes s.mispredicts s.upc Wish_sim.Counters.pp s.counts
 
 (* One lab shared by all tests: results are memoized inside. *)
 let lab = lazy (Lab.create ~scale:1 ~names:[ "gzip"; "gap" ] ())

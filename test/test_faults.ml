@@ -309,6 +309,23 @@ let test_keep_going_reports_failures () =
   note "lab.simulate";
   Alcotest.(check int) "failure counted" 1 (Lab.batch_stats lab).failed
 
+(* A final failure stays with the lab: a later [Lab.run] of the failed
+   job raises it again without computing anything. *)
+let test_keep_going_failure_recorded () =
+  with_reset @@ fun () ->
+  let lab = Lab.create ~names:[ "gzip" ] ~policy:keep_going () in
+  Fun.protect ~finally:(fun () -> Lab.shutdown lab) @@ fun () ->
+  FP.arm "lab.simulate" ~times:1;
+  Lab.prewarm lab (jj_jobs ());
+  note "lab.simulate";
+  let executed = (Lab.batch_stats lab).executed in
+  (match Lab.run lab ~bench:"gzip" ~kind:Wish_compiler.Policy.Wish_jj () with
+  | _ -> Alcotest.fail "the failed job must raise"
+  | exception Lab.Job_failed fl ->
+    Alcotest.(check string) "its recorded stage" "simulate" fl.failed_stage;
+    Alcotest.(check string) "its recorded job" "gzip/wish-jump-join input A" fl.failed_what);
+  Alcotest.(check int) "nothing executed" executed (Lab.batch_stats lab).executed
+
 (* gzip's BASE-DEF binary is its normal binary, so a batch of the two
    is one key and one simulation, of the batch's first job. With
    retries = 0 the one armed fault fails it for good, and both jobs
@@ -473,6 +490,8 @@ let () =
             test_sampled_table_identical_under_faults;
           Alcotest.test_case "keep-going returns structured failures" `Slow
             test_keep_going_reports_failures;
+          Alcotest.test_case "keep-going failure is not recomputed" `Slow
+            test_keep_going_failure_recorded;
           Alcotest.test_case "keep-going fails every twin of a failed group" `Slow
             test_keep_going_twin_group_failure;
           Alcotest.test_case "keep-going compile failure under leases" `Slow

@@ -11,7 +11,8 @@ let simulate ?(config = Config.default) ?data ?(mem_words = 1 lsl 14) items =
   let program = Program.create ~mem_words ?data (Asm.assemble items) in
   Runner.simulate ~config program
 
-let stat (s : Runner.summary) key = Wish_util.Stats.get s.stats key
+let stat (s : Runner.summary) c = Counters.get s.counts c
+let counters = Alcotest.testable Counters.pp ( = )
 
 (* A counted loop with a hard-to-predict hammock inside: the workhorse for
    recovery-behaviour tests. The hammock condition comes from a data table
@@ -66,7 +67,7 @@ let test_upc_bounded_by_width () =
 let test_nops_eliminated () =
   let s = simulate Asm.[ nop; nop; movi 3 1; nop; halt ] in
   check Alcotest.int "nops dropped at translation" 2 s.retired_uops;
-  check Alcotest.int "counted" 3 (stat s "nops_eliminated")
+  check Alcotest.int "counted" 3 (stat s Counters.nops_eliminated)
 
 (* Misprediction recovery -------------------------------------------------- *)
 
@@ -117,9 +118,10 @@ let test_low_conf_wish_never_flushes_jumps () =
     { Config.default with conf = { Config.default.conf with Wish_bpred.Confidence.threshold = 15 } }
   in
   let s = simulate ~config ~data:coin_data (hammock_kernel ~wish:true ~iters:500) in
-  Alcotest.(check bool) "wish branches ran low-confidence" true (stat s "wish_low_correct" + stat s "wish_low_mispred" > 900);
+  Alcotest.(check bool) "wish branches ran low-confidence" true
+    (stat s Counters.wish_low_correct + stat s Counters.wish_low_mispred > 900);
   Alcotest.(check bool) "hammock mispredicts don't flush" true (s.flushes < 25);
-  Alcotest.(check bool) "yet mispredictions happened" true (stat s "wish_low_mispred" > 100)
+  Alcotest.(check bool) "yet mispredictions happened" true (stat s Counters.wish_low_mispred > 100)
 
 let test_wish_beats_normal_on_coin_branch () =
   let n = simulate ~data:coin_data (hammock_kernel ~wish:false ~iters:800) in
@@ -129,7 +131,7 @@ let test_wish_beats_normal_on_coin_branch () =
 let test_wish_hardware_off_behaves_like_normal () =
   let config = { Config.default with wish_hardware = false } in
   let s = simulate ~config ~data:coin_data (hammock_kernel ~wish:true ~iters:500) in
-  check Alcotest.int "no wish accounting" 0 (stat s "wish_retired");
+  check Alcotest.int "no wish accounting" 0 (stat s Counters.wish_retired);
   Alcotest.(check bool) "mispredicts flush as usual" true (s.flushes > 100)
 
 let test_perfect_conf_dominates_real () =
@@ -139,7 +141,7 @@ let test_perfect_conf_dominates_real () =
   let r = simulate ~data:coin_data (hammock_kernel ~wish:true ~iters:800) in
   let p = simulate ~config:perfect ~data:coin_data (hammock_kernel ~wish:true ~iters:800) in
   Alcotest.(check bool) "oracle confidence at least as good" true (p.cycles <= r.cycles + 50);
-  check Alcotest.int "high-confidence never mispredicted" 0 (stat p "wish_high_mispred")
+  check Alcotest.int "high-confidence never mispredicted" 0 (stat p Counters.wish_high_mispred)
 
 (* Wish loops ------------------------------------------------------------------ *)
 
@@ -174,9 +176,9 @@ let trip_data =
 
 let test_wish_loop_classification () =
   let s = simulate ~data:trip_data (wish_loop_kernel ~wish:true ~iters:600) in
-  let late = stat s "loop_low_late"
-  and early = stat s "loop_low_early"
-  and noexit = stat s "loop_low_noexit" in
+  let late = stat s Counters.loop_low_late
+  and early = stat s Counters.loop_low_early
+  and noexit = stat s Counters.loop_low_noexit in
   Alcotest.(check bool) "late exits happen" true (late > 50);
   Alcotest.(check bool) "late exits dominate flushing cases" true (late > early + noexit);
   Alcotest.(check bool) "phantom NOPs retired" true (s.retired_phantom > 100)
@@ -220,7 +222,7 @@ let test_no_fetch_drops_false_uops () =
   let base = simulate ~data:coin_data (predicated_kernel ~iters:400) in
   let config = { Config.default with knobs = { Config.no_knobs with no_fetch = true } } in
   let ideal = simulate ~config ~data:coin_data (predicated_kernel ~iters:400) in
-  Alcotest.(check bool) "uops dropped" true (stat ideal "nofetch_dropped" > 700);
+  Alcotest.(check bool) "uops dropped" true (stat ideal Counters.nofetch_dropped > 700);
   Alcotest.(check bool) "fewer retired" true (ideal.retired_uops < base.retired_uops);
   Alcotest.(check bool) "not slower" true (ideal.cycles <= base.cycles)
 
@@ -327,7 +329,8 @@ let test_sampler_report_well_formed () =
     (sum (fun w -> w.Sampler.w_entries));
   check Alcotest.int "cycles are window sum" r.r_measured_cycles
     (sum (fun w -> w.Sampler.w_cycles));
-  check Alcotest.int "uops are window sum" r.r_measured_uops (sum (fun w -> w.Sampler.w_uops));
+  check Alcotest.int "uops are window sum" (Counters.get r.r_measured Counters.retired_correct)
+    (sum (fun w -> Counters.get w.Sampler.w_counts Counters.retired_correct));
   Alcotest.(check bool) "estimated cycles positive" true (r.r_est_cycles > 0);
   Alcotest.(check bool) "measured a strict subset" true
     (r.r_measured_entries < r.r_total_insts);
@@ -368,11 +371,9 @@ let test_sampler_tiny_trace_is_exact () =
   check Alcotest.int "every entry measured" r.r_total_insts r.r_measured_entries;
   check Alcotest.int "cycle estimate is the exact count" exact.cycles r.r_est_cycles;
   check (Alcotest.float 1e-6) "uPC is the exact uPC" exact.upc s.upc;
-  Alcotest.(check bool) "the kernel retires wish branches" true (stat exact "wish_retired" > 0);
-  check Alcotest.int "wish_retired is the exact count" (stat exact "wish_retired")
-    (stat s "wish_retired");
-  check Alcotest.int "wish_loop_retired is the exact count" (stat exact "wish_loop_retired")
-    (stat s "wish_loop_retired")
+  Alcotest.(check bool) "the kernel retires wish branches" true
+    (stat exact Counters.wish_retired > 0);
+  check counters "every counter is the exact count" exact.counts s.counts
 
 (* Fused (trace-free) warming --------------------------------------------------------- *)
 
@@ -489,7 +490,7 @@ let test_pooled_tables_equal_fresh () =
   in
   let run config =
     let s = Runner.simulate ~config program in
-    (s.cycles, Wish_util.Stats.to_assoc s.stats)
+    (s.cycles, s.counts)
   in
   let fresh config = Domain.join (Domain.spawn (fun () -> run config)) in
   let d = Config.default in
@@ -497,7 +498,7 @@ let test_pooled_tables_equal_fresh () =
   Alcotest.(check bool) "the threshold changes the run" true (fresh threshold <> fresh d);
   List.iter
     (fun (label, config) ->
-      check Alcotest.(pair int (list (pair string int))) label (fresh config) (run config))
+      check Alcotest.(pair int counters) label (fresh config) (run config))
     [
       ("default", d);
       ("ROB 256", Config.with_rob d 256);

@@ -1,6 +1,7 @@
 (* Unit tests for the simulator's internal components: the oracle cursor
    (matching and skip rules), the wish-branch front-end state machine, the
-   completion event wheel and the register alias table. *)
+   completion event wheel, the register alias table and the event
+   counters. *)
 
 open Wish_isa
 open Wish_sim
@@ -477,6 +478,42 @@ let test_uop_mispredicted () =
   Alcotest.(check bool) "return target right" false
     (Uop.mispredicted (branch_rec ~predicted:true ~actual:true ~is_return:true ~target:9 ~next:9))
 
+(* Counters ------------------------------------------------------------------ *)
+
+(* Every index has one name, and no two indices share one: a counter
+   declared twice under one name would print, and read in figures, as
+   two rows with one label. *)
+let test_counters_names () =
+  let names = List.map Counters.name Counters.all in
+  check Alcotest.int "distinct names" (List.length names)
+    (List.length (List.sort_uniq String.compare names));
+  Alcotest.(check bool) "no empty name" true (List.for_all (fun n -> n <> "") names);
+  let lines = String.split_on_char '\n' (Format.asprintf "%a" Counters.pp (Counters.create ())) in
+  check Alcotest.int "pp prints one line per counter" (List.length names)
+    (List.length (List.filter (( <> ) "") lines))
+
+let test_counters_arithmetic () =
+  let c = Counters.create () in
+  Counters.incr c Counters.flushes;
+  Counters.add c Counters.flushes 4;
+  Counters.add c Counters.wish_retired 7;
+  check Alcotest.int "incr and add" 5 (Counters.get c Counters.flushes);
+  check Alcotest.int "untouched is 0" 0 (Counters.get c Counters.loop_low_late);
+  let before = Counters.copy c in
+  Counters.incr c Counters.flushes;
+  check Alcotest.int "a copy is a snapshot" 5 (Counters.get before Counters.flushes);
+  let d = Counters.diff c before in
+  check Alcotest.int "diff" 1 (Counters.get d Counters.flushes);
+  check Alcotest.int "diff of an unchanged counter" 0 (Counters.get d Counters.wish_retired);
+  let s = Counters.sum [ c; before; d ] in
+  check Alcotest.int "sum" 12 (Counters.get s Counters.flushes);
+  check Alcotest.int "empty sum" 0 (Counters.get (Counters.sum []) Counters.flushes);
+  let x = Counters.scale c ~num:3 ~den:2 in
+  check Alcotest.int "scale" 9 (Counters.get x Counters.flushes);
+  check Alcotest.int "scale rounds half away from zero" 11 (Counters.get x Counters.wish_retired);
+  check Alcotest.int "scale by 0/0" 0
+    (Counters.get (Counters.scale c ~num:0 ~den:0) Counters.wish_retired)
+
 let () =
   Alcotest.run "wish_sim_units"
     [
@@ -516,4 +553,9 @@ let () =
           Alcotest.test_case "snapshot/restore" `Quick test_rat_snapshot_restore;
         ] );
       ("uop", [ Alcotest.test_case "mispredicted" `Quick test_uop_mispredicted ]);
+      ( "counters",
+        [
+          Alcotest.test_case "names" `Quick test_counters_names;
+          Alcotest.test_case "arithmetic" `Quick test_counters_arithmetic;
+        ] );
     ]

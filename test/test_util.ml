@@ -218,30 +218,6 @@ let test_lru_clear () =
   Lru.insert_quiet l ~set:0 ~tag:3 3;
   check Alcotest.int "usable after clear" 3 (Lru.find_default l ~set:0 ~tag:3 ~default:(-1))
 
-(* Stats -------------------------------------------------------------- *)
-
-let test_stats_counters () =
-  let s = Stats.create () in
-  Stats.incr s "a";
-  Stats.incr ~by:4 s "a";
-  Stats.set s "b" 10;
-  check Alcotest.int "incr" 5 (Stats.get s "a");
-  check Alcotest.int "set" 10 (Stats.get s "b");
-  check Alcotest.int "absent" 0 (Stats.get s "zzz")
-
-let test_stats_ratio () =
-  let s = Stats.create () in
-  Stats.set s "num" 3;
-  Stats.set s "den" 4;
-  check (Alcotest.float 1e-9) "ratio" 0.75 (Stats.ratio s "num" "den");
-  check (Alcotest.float 1e-9) "zero den" 0.0 (Stats.ratio s "num" "nothing")
-
-let test_stats_order () =
-  let s = Stats.create () in
-  Stats.incr s "first";
-  Stats.incr s "second";
-  check Alcotest.(list string) "insertion order" [ "first"; "second" ] (Stats.names s)
-
 (* Table -------------------------------------------------------------- *)
 
 let contains s sub =
@@ -377,12 +353,6 @@ let () =
           Alcotest.test_case "update" `Quick test_lru_update;
           Alcotest.test_case "same tag replaces" `Quick test_lru_insert_same_tag_replaces;
           Alcotest.test_case "clear" `Quick test_lru_clear;
-        ] );
-      ( "stats",
-        [
-          Alcotest.test_case "counters" `Quick test_stats_counters;
-          Alcotest.test_case "ratio" `Quick test_stats_ratio;
-          Alcotest.test_case "order" `Quick test_stats_order;
         ] );
       ( "table",
         [
