@@ -256,8 +256,7 @@ let run_term =
          & info [ "j"; "jobs" ]
              ~doc:"Worker domains for compile/trace/simulate fan-out: an integer, or \
                    $(b,auto) (the default) for the machine's recommended domain count \
-                   minus one — one hardware thread stays with the coordinating domain — \
-                   never below 1")
+                   (the coordinating domain sleeps while they run), never below 1")
   in
   let no_cache =
     Arg.(value & flag & info [ "no-cache" ] ~doc:"Ignore the persistent artifact cache")

@@ -1,8 +1,9 @@
 (** wishfuzz — differential fuzzing of the whole WISC pipeline.
 
-    Generates seeded random Kernel programs, checks the five
+    Generates seeded random Kernel programs, checks the six
     differential oracles (emulator lockstep, five-binary agreement,
-    timing-core identity, exact-vs-sampled, artifact round-trips),
+    timing-core identity, exact-vs-sampled, unobservable config fields,
+    artifact round-trips),
     shrinks any failure and saves it as a replayable .wisc repro.
 
     Examples:
@@ -101,8 +102,8 @@ let cmd =
     Arg.(
       value & opt_all string []
       & info [ "o"; "oracle" ]
-          ~doc:"Oracle to run: lockstep, binaries, sim, sampled or roundtrip (repeatable; \
-                default all five)")
+          ~doc:"Oracle to run: lockstep, binaries, sim, sampled, observed or roundtrip (repeatable; \
+                default all six)")
   in
   let corpus =
     Arg.(value & opt string "test/fuzz_corpus"

@@ -186,8 +186,8 @@ let cmd =
          & info [ "j"; "jobs" ]
              ~doc:"Worker domains for a sampled run's measurement windows (a pool is used \
                    when this is above 1): an integer, or $(b,auto) (the default) for the \
-                   recommended domain count minus one (one hardware thread stays with the \
-                   coordinating domain), never below 1")
+                   recommended domain count (the coordinating domain sleeps while the \
+                   windows run), never below 1")
   in
   let stats = Arg.(value & flag & info [ "stats" ] ~doc:"Dump raw statistics counters") in
   let code = Arg.(value & flag & info [ "code" ] ~doc:"Print the binary's code listing") in

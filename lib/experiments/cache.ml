@@ -38,9 +38,11 @@ type t = { root : string; version : int }
    carry whole-run wish_retired/wish_loop_retired; v5: the lab stores no
    trace, so [prune] evicts the v4 [trace/] files as stale; v6: summaries
    are keyed by binary digest, and [binary/] replaces [shape/]; v7: a
-   summary's counters are one [Counters.t] array, not a named bag).
+   summary's counters are one [Counters.t] array, not a named bag; v8: a
+   [binary] entry's shape counts guarded non-branch instructions, and a
+   summary's key names the config its binary can observe).
    Stale entries self-evict via the header check. *)
-let format_version = 7
+let format_version = 8
 
 let default_dir () =
   match Sys.getenv_opt "WISH_CACHE_DIR" with Some d when d <> "" -> d | _ -> "_wishcache"

@@ -21,7 +21,7 @@
       it: at most one trace per worker is live, and none is stored (the
       emulator regenerates one about as fast as a cache would load it);
     - an optional persistent {!Cache}: summaries are looked up by (bench,
-      input, scale, binary digest, config[, sampling]) before being
+      input, scale, binary digest, observed config[, sampling]) before being
       recomputed and stored after (a summary stored from outside the
       lab under its job's kind-label key is read too), and each compile
       task stores one [binary] entry with its binaries' digests and
@@ -29,8 +29,11 @@
       cache coalesce duplicate compiles and runs through its leases.
 
     A run is named by its binary's digest (code and entry), not by the
-    kind it was compiled as: binaries compiled to the same code share one
-    memo slot, one trace per input, one cache key and one lease.
+    kind it was compiled as, and by the machine that binary can observe
+    ({!Wish_sim.Config.observed}), not the whole config: binaries
+    compiled to the same code, and configs that differ only in fields
+    the binary never reads, share one memo slot, one trace per input,
+    one cache key and one lease.
 
     Fault tolerance (the lab's {!policy}): every compile, trace and
     simulation runs under supervision — one that raises (or whose worker
@@ -99,7 +102,12 @@ let sampling_key = function
   | Sample_auto -> "auto"
   | Sample_spec s -> Wish_sim.Sampler.to_string s
 
-type shape = { cond_branches : int; wish_branches : int; wish_loops : int }
+type shape = {
+  cond_branches : int;
+  wish_branches : int;
+  wish_loops : int;
+  guarded_non_branches : int;
+}
 
 (* What a compile task's [binary] entry stores per label. *)
 type binary = { digest : string; shape : shape }
@@ -111,7 +119,7 @@ type t = {
   binaries : (string * string, binary) Hashtbl.t; (* by (bench, label) *)
   programs : (string * string, Wish_isa.Program.t) Hashtbl.t; (* compiled, by (bench, label) *)
   results : (string * string * string * Wish_sim.Config.t, Wish_sim.Runner.summary) Hashtbl.t;
-      (* by (bench, digest, input, config) *)
+      (* by (bench, digest, input, observed config) *)
   (* Final failures, kept for the lab's life so that no later batch or
      [run] computes them again: by compile task name, by trace (bench,
      digest, input) and by run, keyed as [results]. *)
@@ -268,6 +276,7 @@ let compile t j =
               cond_branches = Wish_isa.Code.static_conditional_branches code;
               wish_branches = Wish_isa.Code.static_wish_branches code;
               wish_loops = Wish_isa.Code.static_wish_loops code;
+              guarded_non_branches = Wish_isa.Code.static_guarded_non_branches code;
             };
         } ))
     programs
@@ -465,12 +474,19 @@ let program t ~bench:name ~kind ~input =
 let with_sampling t key =
   match t.sample with None -> key | Some s -> key ^ "|sample" ^ sampling_key s
 
+(* The machine [b] can observe under [config]: the fields it never
+   reads reset, so configs that differ only there name one run. *)
+let observed b config =
+  Wish_sim.Config.observed ~wish:(b.shape.wish_branches > 0)
+    ~predicated:(b.shape.guarded_non_branches > 0) config
+
 (* The persistent-cache identity of a run's summary, also the key its
    lease is taken on. *)
 let run_key_of_job t j =
+  let b = binary t j in
   with_sampling t
-    (Printf.sprintf "%s|%s|scale%d|bin%s|cfg%s" j.job_bench j.job_input t.scale (binary t j).digest
-       (Cache.digest_of j.job_config))
+    (Printf.sprintf "%s|%s|scale%d|bin%s|cfg%s" j.job_bench j.job_input t.scale b.digest
+       (Cache.digest_of (observed b j.job_config)))
 
 (* A job's key by label, for summaries stored from outside the lab; it
    needs no binary. *)
@@ -479,14 +495,14 @@ let summary_key_of_job t j =
     (Printf.sprintf "%s|%s|%s|scale%d|cfg%s" j.job_bench (job_label j) j.job_input t.scale
        (Cache.digest_of j.job_config))
 
-let memo_key t j = (j.job_bench, (binary t j).digest, j.job_input, j.job_config)
+let memo_of j b = (j.job_bench, b.digest, j.job_input, observed b j.job_config)
+let memo_key t j = memo_of j (binary t j)
 let trace_key t j = (j.job_bench, (binary t j).digest, j.job_input)
 
 (* A summary this process already has for [j], if its binary is known. *)
 let memoized t j =
-  match Hashtbl.find_opt t.binaries (label_key j) with
-  | Some b -> Hashtbl.find_opt t.results (j.job_bench, b.digest, j.job_input, j.job_config)
-  | None -> None
+  Option.bind (Hashtbl.find_opt t.binaries (label_key j)) (fun b ->
+      Hashtbl.find_opt t.results (memo_of j b))
 
 (* The final failure of [j]'s compile, run or trace, if the lab has one. *)
 let failure_of t j =

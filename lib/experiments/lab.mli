@@ -36,6 +36,15 @@
     and static shapes, so a process that finds it needs no compile to
     name its runs.
 
+    A run is also named by the machine its binary can observe, not the
+    whole config: {!Wish_sim.Config.observed} resets every field the
+    binary never reads (the confidence estimator, wish-loop predictor,
+    wish hardware and perfect confidence for a binary with no wish
+    branch; the predication mechanism, NO-DEPEND and NO-FETCH for one
+    with no guarded non-branch instruction). So the normal-binary
+    baselines of the ablations and of Figure 16's select-µop machine are
+    the default machine's runs.
+
     Fault tolerance: every stage runs under the lab's supervision
     {!policy} — per-job crash isolation, bounded immediate retry, and
     structured {!failure} reports ({!run_batch_results}) instead of
@@ -186,8 +195,11 @@ val binary_digest : Wish_isa.Program.t -> string
 
 (** [run_key_of_job t j] — the persistent-cache key [j]'s summary is
     stored under, [bench|input|scaleN|bin<digest>|cfg<digest>] plus a
-    [|sample...] suffix when the lab samples; [<digest>] is the
-    {!binary_digest} of [j]'s binary, so twins share the key.
+    [|sample...] suffix when the lab samples; [bin<digest>] is the
+    {!binary_digest} of [j]'s binary, so twins share the key, and
+    [cfg<digest>] digests the config that binary can observe
+    ({!Wish_sim.Config.observed}), so configs it cannot tell apart
+    share it too.
     {!run_batch_results} takes its {!Cache} lease on the same key. The
     binary is resolved on first use: read from its [binary] entry, or
     compiled (raising {!Job_failed} if that fails for good). *)
@@ -195,11 +207,12 @@ val run_key_of_job : t -> job -> string
 
 (** [summary_key_of_job t j] — [j]'s key by kind label,
     [bench|label|input|scaleN|cfg<digest>] plus the sampling suffix,
-    where a variant's label is [<kind>.n<N>]. It needs no binary, and
-    twins have distinct label keys. The lab never stores under it, but
-    reads a summary stored under it when {!run_key_of_job} misses, so a
-    process that computes summaries outside the lab (bench/perf's
-    traced pass) hands them to any lab on the same cache. *)
+    where a variant's label is [<kind>.n<N>]. It needs no binary, so it
+    digests [j]'s whole config, and twins have distinct label keys. The
+    lab never stores under it, but reads a summary stored under it when
+    {!run_key_of_job} misses, so a process that computes summaries
+    outside the lab (bench/perf's traced pass) hands them to any lab on
+    the same cache. *)
 val summary_key_of_job : t -> job -> string
 
 (** [run_batch_results t jobs] — the one place the lab computes a
@@ -263,11 +276,14 @@ val run :
 
 (** {1 Static shape} *)
 
-(** Static branch counts of one binary (Table 4). *)
+(** Static counts of one binary: branches (Table 4), and the guarded
+    non-branch instructions that decide whether predication is
+    observable ({!run_key_of_job}). *)
 type shape = {
   cond_branches : int;  (** conditional branches, wish branches included *)
   wish_branches : int;  (** wish jumps, joins and loops *)
   wish_loops : int;
+  guarded_non_branches : int;
 }
 
 (** [shape t ~bench ~kind] — the static shape of [bench]'s [kind]

@@ -1,7 +1,7 @@
-(** The five differential oracles — see the interface for the contract
-    each one checks. Everything here is deterministic: fixed fuel, fixed
-    machine configuration, no wall clock, no randomness, so a verdict
-    replays bit-for-bit from a seed. *)
+(** The six differential oracles — see the interface for the contract
+    each one checks. Everything here is deterministic: fixed fuel, a
+    machine configuration fixed or drawn from the case's seed, no wall
+    clock, no randomness, so a verdict replays bit-for-bit from a seed. *)
 
 module Ast = Wish_compiler.Ast
 module Compiler = Wish_compiler.Compiler
@@ -22,15 +22,16 @@ module Cache = Wish_experiments.Cache
 
 type verdict = Pass | Skip of string | Fail of string
 
-type name = Lockstep | Binaries | Sim_identity | Sampled | Roundtrip
+type name = Lockstep | Binaries | Sim_identity | Sampled | Observed | Roundtrip
 
-let all_names = [ Lockstep; Binaries; Sim_identity; Sampled; Roundtrip ]
+let all_names = [ Lockstep; Binaries; Sim_identity; Sampled; Observed; Roundtrip ]
 
 let name_id = function
   | Lockstep -> "lockstep"
   | Binaries -> "binaries"
   | Sim_identity -> "sim"
   | Sampled -> "sampled"
+  | Observed -> "observed"
   | Roundtrip -> "roundtrip"
 
 let name_of_id = function
@@ -38,6 +39,7 @@ let name_of_id = function
   | "binaries" -> Some Binaries
   | "sim" -> Some Sim_identity
   | "sampled" -> Some Sampled
+  | "observed" -> Some Observed
   | "roundtrip" -> Some Roundtrip
   | _ -> None
 
@@ -278,7 +280,99 @@ let sampled_verdict program =
                     report.r_upc_ci exact.Runner.upc
                 else fused_identity ())))
 
-(* --- (e) artifact round-trips: text and cache ------------------------- *)
+(* --- (e) unobservable config fields ------------------------------------ *)
+
+let machine_configs =
+  let configs =
+    lazy
+      (let module Lab = Wish_experiments.Lab in
+       let module Figures = Wish_experiments.Figures in
+       let module Ablations = Wish_experiments.Ablations in
+       let lab = Lab.create ~names:[ "gzip" ] () in
+       let tables =
+         List.concat_map
+           (fun a -> Lab.with_baselines (Figures.jobs_for a lab @ Ablations.jobs_for a lab))
+           (List.map fst Figures.all @ List.map fst Ablations.all)
+       in
+       let d = Config.default in
+       let flips =
+         [
+           { d with conf = { d.conf with threshold = d.conf.threshold + 1 } };
+           { d with use_loop_predictor = not d.use_loop_predictor };
+           { d with wish_hardware = not d.wish_hardware };
+           { d with knobs = { d.knobs with perfect_conf = not d.knobs.perfect_conf } };
+           { d with mech = Config.Select_uop };
+           { d with knobs = { d.knobs with no_depend = not d.knobs.no_depend } };
+           { d with knobs = { d.knobs with no_fetch = not d.knobs.no_fetch } };
+         ]
+       in
+       List.fold_left
+         (fun acc c -> if List.mem c acc then acc else c :: acc)
+         []
+         (List.map (fun (j : Lab.job) -> j.job_config) tables @ flips)
+       |> List.rev)
+  in
+  fun () -> Lazy.force configs
+
+(* Dense enough that a generated program's run warms between several
+   windows instead of degenerating to one exact window. *)
+let observed_spec = Wish_sim.Sampler.spec ~warm:2000 ~detail:500
+
+(* [program] under [config] and under the machine it can observe: equal
+   cycles, counters and memory stats, exact and sampled. *)
+let observed_program config program =
+  let code = Program.code program in
+  let observed =
+    Config.observed
+      ~wish:(Wish_isa.Code.static_wish_branches code > 0)
+      ~predicated:(Wish_isa.Code.static_guarded_non_branches code > 0)
+      config
+  in
+  if observed = config then Pass
+  else
+    match gen_trace program with
+    | Error reason -> Skip reason
+    | Ok trace -> (
+      let run c =
+        ( run_scompiled c program trace,
+          Wish_sim.Sampler.run ~trace ~config:c ~spec:observed_spec program )
+      in
+      match (run config, run observed) with
+      | exception e -> Skip ("simulation raised: " ^ exn_label e)
+      | ((ca, sa, ma), ra), ((co, so, mo), ro) -> (
+        if ca <> co then failf "cycles differ: as configured %d, observed %d" ca co
+        else if ma <> mo then Fail "memory-hierarchy stats differ from the observed machine's"
+        else
+          match first_counter_diff sa so with
+          | Some k ->
+            failf "counters differ: %s as configured %d, observed %d" (Counters.name k)
+              (Counters.get sa k) (Counters.get so k)
+          | None ->
+            (* [compare], not [=]: an equal-but-NaN CI still counts as equal. *)
+            if compare ra ro <> 0 then Fail "sampled report differs from the observed machine's"
+            else Pass))
+
+(* The case's wish-free and predication-free binaries under one config,
+   drawn by the case's seed from the table machines that set some field
+   {!Config.observed} can reset. *)
+let observed_verdict (c : Gen.case) (eval : Policy.kind -> Program.t) =
+  let configs =
+    List.filter
+      (fun k -> Config.observed ~wish:false ~predicated:false k <> k)
+      (machine_configs ())
+  in
+  let config = List.nth configs ((c.Gen.c_seed land max_int) mod List.length configs) in
+  let programs =
+    List.fold_left
+      (fun acc kind ->
+        let p = eval kind in
+        if List.exists (fun q -> Wish_isa.Code.equal (Program.code p) (Program.code q)) acc then acc
+        else p :: acc)
+      [] Compiler.all_kinds
+  in
+  combine (List.rev_map (observed_program config) programs)
+
+(* --- (f) artifact round-trips: text and cache ------------------------- *)
 
 let default_cache_dir =
   lazy
@@ -377,6 +471,7 @@ let check ?cache_dir ~names (c : Gen.case) =
             sim_identity_program (eval Policy.Wish_jjl);
           ]
       | Sampled -> sampled_verdict (eval Policy.Wish_jjl)
+      | Observed -> observed_verdict c eval
       | Roundtrip -> roundtrip_verdict ~cache_dir c eval
     in
     (* Run in order; skips don't block later oracles, the first Fail

@@ -1,4 +1,4 @@
-(** The five differential oracles.
+(** The six differential oracles.
 
     Each oracle compares two independent implementations of the same
     contract on one generated case and returns a {!verdict}:
@@ -25,6 +25,14 @@
       ({!Wish_sim.Sampler.run}, whose warming is then fused into the
       compiled emulator) must reproduce the trace-based report bit for
       bit.
+    - {!Observed} — {!Wish_sim.Config.observed}'s rule: each distinct
+      binary with no wish branch or no guarded non-branch instruction
+      runs under a config drawn by the case's seed from
+      {!machine_configs} (one that sets a field the rule can reset) and
+      under the machine it can observe; cycles, every counter and the
+      hierarchy stats must agree, exactly and through
+      {!Wish_sim.Sampler.run} at a dense spec. A binary the rule leaves
+      the config alone for passes.
     - {!Roundtrip} — artifact round-trips: textual
       ({!Wish_isa.Parse.listing_of_program} → parse → listing is a fixed
       point, and the reparsed program reaches the same outcome) and
@@ -39,15 +47,15 @@
 
 type verdict = Pass | Skip of string | Fail of string
 
-type name = Lockstep | Binaries | Sim_identity | Sampled | Roundtrip
+type name = Lockstep | Binaries | Sim_identity | Sampled | Observed | Roundtrip
 
-(** All five, in the order above (cheap and sharp first). *)
+(** All six, in the order above (cheap and sharp first). *)
 val all_names : name list
 
 val name_id : name -> string
 
 (** Inverse of {!name_id} ("lockstep", "binaries", "sim", "sampled",
-    "roundtrip"). *)
+    "observed", "roundtrip"). *)
 val name_of_id : string -> name option
 
 (** Instruction budget per emulator run (cases beyond it are skipped, not
@@ -55,6 +63,12 @@ val name_of_id : string -> name option
 val fuel : int
 
 val sim_trace_cap : int
+
+(** Every machine configuration the default tables run, normalization
+    baselines included, then {!Wish_sim.Config.default} with each field
+    {!Wish_sim.Config.observed} can reset flipped alone; without
+    duplicates, in that order. *)
+val machine_configs : unit -> Wish_sim.Config.t list
 
 (** [check ?cache_dir ~names case] — compile once, then run the selected
     oracles in order; skips are recorded and the remaining oracles still

@@ -120,5 +120,8 @@ let static_wish_branches t = count t Inst.is_wish
 let static_wish_loops t =
   count t (fun i -> Inst.branch_kind i = Some Inst.Wish_loop)
 
+let static_guarded_non_branches t =
+  count t (fun i -> i.Inst.guard <> Reg.p0 && not (Inst.is_branch i))
+
 let pp ppf t =
   Array.iteri (fun pc i -> Fmt.pf ppf "%4d: %a@." pc Inst.pp i) t.insts

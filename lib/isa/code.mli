@@ -54,4 +54,9 @@ val count : t -> (Inst.t -> bool) -> int
 val static_conditional_branches : t -> int
 val static_wish_branches : t -> int
 val static_wish_loops : t -> int
+
+(** Instructions with a guard other than [p0] that are not branches:
+    the ones the predication mechanism, NO-DEPEND and NO-FETCH act on. *)
+val static_guarded_non_branches : t -> int
+
 val pp : Format.formatter -> t -> unit

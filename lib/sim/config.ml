@@ -73,3 +73,54 @@ let with_pipeline_stages t n =
   { t with frontend_depth = n - 2 }
 
 let with_rob t n = { t with rob_size = n }
+
+(* A field a binary cannot read is reset to [default]'s value, so that
+   configs that differ only there name one run. [wish]: the binary has a
+   wish branch. Without one, nothing reads
+   - [conf]: estimated only for a wish branch under wish hardware
+     ([Compiled.fetch_branch]) and trained only on one that retires as
+     such ([Compiled.retire_stage]); warming does the same
+     ([Sampler.warm_entry], [Sampler.build_hooks]);
+   - [use_loop_predictor]: gates the prediction, speculative iteration
+     and training of wish loops only ([fetch_branch], [retire_stage],
+     the warming hooks); [Compiled.recover]'s [Loop_pred.squash_all]
+     walks a table only wish loops fill, so here it is empty;
+   - [wish_hardware]: [Plan.build]'s [is_wish_hw] and [fetch_branch]'s
+     loop-predictor gate test it on wish branches only, as warming does;
+   - [knobs.perfect_conf]: replaces the estimate, and skips its
+     training, at those same wish-only sites.
+   [predicated]: the binary has a guarded non-branch instruction.
+   Without one, nothing reads
+   - [mech]: [Plan.build]'s [sel_eligible] splits only a guarded µop
+     ([Compiled.fetch_stage]'s [predicated] test), and [old_dest_single]
+     is false for an unguarded one under either mechanism;
+   - [knobs.no_depend]: feeds [old_dest_single], [old_dest_select]
+     (select µops exist only for guarded ones) and [fetch_stage]'s
+     [guard_forwarded], which [Compiled.rename_uop] reads only for a
+     guarded µop;
+   - [knobs.no_fetch]: [fetch_stage]'s NO-FETCH drop takes guard-false
+     entries, and an unguarded instruction's guard [p0] is always true.
+   The interpreted core reads each field at the twin of each site
+   ([Core.fetch_branch], [translate_plain], [fetch_stage],
+   [rename_uop], [recover], [retire_stage]). The [observed] group of
+   test_sim checks the rule in exact and sampled runs of every table
+   configuration. *)
+let observed ~wish ~predicated c =
+  let c =
+    if wish then c
+    else
+      {
+        c with
+        conf = default.conf;
+        use_loop_predictor = default.use_loop_predictor;
+        wish_hardware = default.wish_hardware;
+        knobs = { c.knobs with perfect_conf = default.knobs.perfect_conf };
+      }
+  in
+  if predicated then c
+  else
+    {
+      c with
+      mech = default.mech;
+      knobs = { c.knobs with no_depend = default.knobs.no_depend; no_fetch = default.knobs.no_fetch };
+    }

@@ -52,3 +52,13 @@ val default : t
 val with_pipeline_stages : t -> int -> t
 
 val with_rob : t -> int -> t
+
+(** [observed ~wish ~predicated c] — the machine a binary sees: [c] with
+    every field the binary cannot read reset to {!default}'s value.
+    Without a wish branch ([wish] false) that is [conf],
+    [use_loop_predictor], [wish_hardware] and [knobs.perfect_conf];
+    without a guarded non-branch instruction ([predicated] false),
+    [mech], [knobs.no_depend] and [knobs.no_fetch]. Both timing cores
+    and sampled runs return the same cycles, counters and memory stats
+    under [c] and under [observed ~wish ~predicated c]. *)
+val observed : wish:bool -> predicated:bool -> t -> t

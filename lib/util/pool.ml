@@ -32,11 +32,11 @@ type t = {
   mutable respawned : int;
 }
 
-let auto_size () = max 1 (Domain.recommended_domain_count () - 1)
-
+(* The coordinating domain only sleeps in [map] while the workers run,
+   so [auto] gives every hardware thread a worker. *)
 let jobs_of_string s =
   match s with
-  | "auto" -> Ok (auto_size ())
+  | "auto" -> Ok (max 1 (Domain.recommended_domain_count ()))
   | _ -> (
     match int_of_string_opt s with
     | Some n -> Ok (max 1 n)

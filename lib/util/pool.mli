@@ -1,11 +1,12 @@
 (** Fixed-size supervised domain worker pool (OCaml 5 [Domain] +
     [Mutex] + [Condition], no dependencies).
 
-    The pool owns [size - 1 |> max 0] worker domains pulling tasks from a
-    shared queue; {!map} fans a list of independent jobs across them and
-    returns the results in submission order, so callers see deterministic
-    output regardless of scheduling. A pool of size 1 spawns no domains
-    and degenerates to [List.map] on the calling domain.
+    A pool of size above 1 owns [size] worker domains pulling tasks
+    from a shared queue; {!map} fans a list of independent jobs across
+    them, sleeping on the calling domain until they finish, and returns
+    the results in submission order, so callers see deterministic output
+    regardless of scheduling. A pool of size 1 spawns no domains and
+    degenerates to [List.map] on the calling domain.
 
     The pool is {e supervised}: a worker domain that dies after claiming
     a task (the [pool.worker] faultpoint simulates this in chaos tests)
@@ -20,13 +21,10 @@
 
 type t
 
-(** The [--jobs auto] resolution rule, shared by every driver:
-    [Domain.recommended_domain_count () - 1] (one hardware thread left
-    for the coordinating domain), clamped to [>= 1]. *)
-val auto_size : unit -> int
-
-(** Parse a [--jobs] argument: ["auto"] resolves via {!auto_size}; an
-    integer is clamped to [>= 1]; anything else is an [Error]. *)
+(** Parse a [--jobs] argument, the rule every driver shares: ["auto"]
+    is [Domain.recommended_domain_count ()] (the coordinating domain
+    sleeps while the workers run), an integer is clamped to [>= 1], and
+    anything else is an [Error]. *)
 val jobs_of_string : string -> (int, string) result
 
 (** [create ~size ()] — spawn the workers. [size] is clamped to [>= 1]. *)

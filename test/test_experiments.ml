@@ -311,6 +311,37 @@ let test_one_batch_traces_once () =
     (lines "compiling" + lines "tracing" + lines "simulating")
     (Lab.batch_stats lab).executed
 
+(* Configs that differ only in fields a binary cannot read are one run
+   of it: gzip's normal binary has no wish branch and no guarded
+   non-branch instruction, so A2's threshold 4 and Fig 16's select-µop
+   machine are the default machine to it, but not to its wish-jjl
+   binary. A batch of the three normal jobs simulates once. *)
+let test_config_twins_share_one_run () =
+  let lab = Lab.create ~scale:1 ~names:[ "gzip" ] () in
+  let log = ref [] in
+  Lab.set_logger lab (fun s -> log := s :: !log);
+  let d = Config.default in
+  let threshold = { d with conf = { d.conf with threshold = 4 } }
+  and select = { d with mech = Config.Select_uop } in
+  let job kind config = Lab.job ~bench:"gzip" ~kind ~config () in
+  let key kind config = Lab.run_key_of_job lab (job kind config) in
+  check Alcotest.string "normal: threshold 4 is the default run" (key Policy.Normal d)
+    (key Policy.Normal threshold);
+  check Alcotest.string "normal: select-µop is the default run" (key Policy.Normal d)
+    (key Policy.Normal select);
+  List.iter
+    (fun (label, c) ->
+      check Alcotest.bool ("wish-jjl: " ^ label ^ " is its own run") true
+        (key Policy.Wish_jjl d <> key Policy.Wish_jjl c))
+    [ ("threshold 4", threshold); ("select-µop", select) ];
+  let summaries = Lab.run_batch lab (List.map (job Policy.Normal) [ d; threshold; select ]) in
+  check Alcotest.int "one simulation" 1 (List.length (logged log "simulating"));
+  List.iter
+    (fun s ->
+      check Alcotest.string "the default run's summary" (summary_repr (List.hd summaries))
+        (summary_repr s))
+    summaries
+
 (* A summary the cache holds for gzip's normal binary serves a fresh
    lab's BASE-DEF job, batched or not, under their shared key: the lab
    reads gzip's binary entry and the summary, and compiles and simulates
@@ -785,6 +816,7 @@ let () =
             test_cached_twin_serves_fresh_lab;
           Alcotest.test_case "wish-n variants reuse fig10" `Slow test_wish_n_variants_reuse_fig10;
           Alcotest.test_case "a variant of its own binary" `Slow test_variant_of_its_own;
+          Alcotest.test_case "config twins share one run" `Slow test_config_twins_share_one_run;
         ] );
       ( "cache",
         [

@@ -1,6 +1,6 @@
 (* The differential fuzzing stack (@fuzz-smoke): generator and shrinker
    determinism, shrinker invariants, a live injected-miscompile drill
-   through the whole loop, a smoke slice of the five oracles, and the
+   through the whole loop, a smoke slice of the six oracles, and the
    forever-replay of the checked-in corpus. Longer sweeps are plain
    [wishfuzz --count N] runs; this suite is the fast slice wired into
    [dune runtest]. *)

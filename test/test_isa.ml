@@ -114,12 +114,15 @@ let test_code_static_counts () =
           label "a";
           wish_loop ~guard:1 "a";
           br ~guard:1 "a";
+          alu ~guard:2 Inst.Add 4 4 (Inst.Imm 1);
           halt;
         ])
   in
   check Alcotest.int "conditional branches" 4 (Code.static_conditional_branches code);
   check Alcotest.int "wish branches" 3 (Code.static_wish_branches code);
-  check Alcotest.int "wish loops" 1 (Code.static_wish_loops code)
+  check Alcotest.int "wish loops" 1 (Code.static_wish_loops code);
+  (* Guarded branches are not counted; the guarded add is. *)
+  check Alcotest.int "guarded non-branches" 1 (Code.static_guarded_non_branches code)
 
 let test_byte_pc () = check Alcotest.int "4 bytes per inst" 40 (Code.byte_pc 10)
 

@@ -74,6 +74,15 @@ let test_map_after_shutdown_degrades () =
   (* idempotent *)
   check Alcotest.(list int) "serial fallback" [ 1; 4; 9 ] (Pool.map p (fun x -> x * x) [ 1; 2; 3 ])
 
+(* [--jobs auto] gives every hardware thread a worker: the coordinating
+   domain sleeps in [map] while they run. *)
+let test_jobs_of_string () =
+  let jobs = Alcotest.(result int string) in
+  check jobs "auto" (Ok (Domain.recommended_domain_count ())) (Pool.jobs_of_string "auto");
+  check jobs "an integer" (Ok 3) (Pool.jobs_of_string "3");
+  check jobs "clamped to 1" (Ok 1) (Pool.jobs_of_string "0");
+  check Alcotest.bool "anything else" true (Result.is_error (Pool.jobs_of_string "many"))
+
 let () =
   Alcotest.run "wish_pool"
     [
@@ -85,5 +94,6 @@ let () =
           Alcotest.test_case "first exception wins" `Quick test_first_exception_wins;
           Alcotest.test_case "empty + reuse" `Quick test_empty_and_reuse;
           Alcotest.test_case "shutdown degrades to serial" `Quick test_map_after_shutdown_degrades;
+          Alcotest.test_case "jobs auto" `Quick test_jobs_of_string;
         ] );
     ]

@@ -509,6 +509,73 @@ let test_pooled_tables_equal_fresh () =
       ("default again", d);
     ]
 
+(* Unobservable config fields ---------------------------------------------- *)
+
+(* [Config.observed]'s rule on real workloads: whenever it changes a
+   table machine (or the default with one resettable field flipped) for
+   one of a bench's binaries, the compiled core returns the same cycles,
+   counters and memory stats under both configs, exactly and through
+   [Sampler.run] at a dense spec. *)
+let observed_spec = Sampler.spec ~warm:4000 ~detail:1000
+
+let describe (c : Config.t) =
+  Printf.sprintf
+    "rob %d, depth %d, threshold %d, loop predictor %b, wish hardware %b, %s, knobs %b/%b/%b/%b"
+    c.rob_size c.frontend_depth c.conf.threshold c.use_loop_predictor c.wish_hardware
+    (match c.mech with Config.C_style -> "C-style" | Config.Select_uop -> "select-uop")
+    c.knobs.perfect_bp c.knobs.perfect_conf c.knobs.no_depend c.knobs.no_fetch
+
+let test_observed bench () =
+  let lab = Wish_experiments.Lab.create ~names:[ bench ] () in
+  let configs = Wish_fuzz.Oracle.machine_configs () in
+  let checked = ref 0 in
+  let seen = ref [] in
+  List.iter
+    (fun kind ->
+      let program = Wish_experiments.Lab.program lab ~bench ~kind ~input:"A" in
+      let code = Program.code program in
+      let wish = Code.static_wish_branches code > 0
+      and predicated = Code.static_guarded_non_branches code > 0 in
+      let pairs =
+        List.filter_map
+          (fun c ->
+            let o = Config.observed ~wish ~predicated c in
+            if o = c then None else Some (c, o))
+          configs
+      in
+      if pairs <> [] && not (List.exists (Code.equal code) !seen) then begin
+        seen := code :: !seen;
+        let trace = fst (Wish_emu.Trace.generate program) in
+        let runs = ref [] in
+        let run c =
+          match List.assoc_opt c !runs with
+          | Some r -> r
+          | None ->
+            let r =
+              ( Runner.simulate ~config:c ~trace program,
+                Sampler.run ~trace ~config:c ~spec:observed_spec program )
+            in
+            runs := (c, r) :: !runs;
+            r
+        in
+        List.iter
+          (fun (c, o) ->
+            let (s : Runner.summary), (r : Sampler.report) = run c and s', r' = run o in
+            let what =
+              Printf.sprintf "%s/%s under %s" bench (Wish_compiler.Policy.kind_name kind) (describe c)
+            in
+            check Alcotest.int (what ^ ": cycles") s'.cycles s.cycles;
+            check counters (what ^ ": counters") s'.counts s.counts;
+            Alcotest.(check bool) (what ^ ": memory stats") true (s'.mem = s.mem);
+            check Alcotest.int (what ^ ": sampled cycles") r'.r_est_cycles r.r_est_cycles;
+            check counters (what ^ ": sampled counters") r'.r_measured r.r_measured;
+            Alcotest.(check bool) (what ^ ": sampled memory stats") true (r'.r_mem = r.r_mem);
+            incr checked)
+          pairs
+      end)
+    Wish_compiler.Compiler.all_kinds;
+  Alcotest.(check bool) "some config is merged" true (!checked > 0)
+
 let () =
   Alcotest.run "wish_sim"
     [
@@ -555,6 +622,10 @@ let () =
       ("select", [ Alcotest.test_case "select-uop expands" `Quick test_select_uop_expands ]);
       ( "machine pool",
         [ Alcotest.test_case "pooled run = fresh domain" `Quick test_pooled_tables_equal_fresh ] );
+      ( "observed",
+        List.map
+          (fun bench -> Alcotest.test_case bench `Quick (test_observed bench))
+          [ "mcf"; "vortex"; "twolf" ] );
       ("icache", [ Alcotest.test_case "cold stall" `Quick test_icache_cold_stalls_counted ]);
       ( "sampling",
         [
