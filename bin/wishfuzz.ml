@@ -1,8 +1,8 @@
 (** wishfuzz — differential fuzzing of the whole WISC pipeline.
 
-    Generates seeded random Kernel programs, checks the six
-    differential oracles (emulator lockstep, five-binary agreement,
-    timing-core identity, exact-vs-sampled, unobservable config fields,
+    Generates seeded random Kernel programs, checks the six oracles
+    (emulator lockstep, five-binary agreement, timing-core accounting,
+    exact-vs-sampled, unobservable config fields,
     artifact round-trips),
     shrinks any failure and saves it as a replayable .wisc repro.
 
@@ -29,7 +29,7 @@ let parse_oracles = function
         match Oracle.name_of_id id with
         | Some n -> n
         | None ->
-          Fmt.epr "unknown oracle %S (expected lockstep|binaries|sim|sampled|roundtrip)@." id;
+          Fmt.epr "unknown oracle %S (expected lockstep|binaries|sim|sampled|observed|roundtrip)@." id;
           exit 2)
       ids
 

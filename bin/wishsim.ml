@@ -108,7 +108,7 @@ let run bench_name kind_name input scale asm_file rob stages mech_select wish_hw
             ~finally:(fun () -> Option.iter Wish_util.Pool.shutdown pool)
             (fun () ->
               let s, r =
-                Wish_sim.Runner.simulate_sampled ?pool ?spec ~config ~streaming ?trace program
+                Wish_sim.Runner.simulate_sampled ?pool ?spec ~config ?trace program
               in
               (s, Some r))
       in

@@ -30,8 +30,6 @@
 
 module Util = struct
   module Rng = Wish_util.Rng
-  module Ring = Wish_util.Ring
-  module Heap = Wish_util.Heap
   module Lru = Wish_util.Lru
   module Table = Wish_util.Table
 end
@@ -71,10 +69,8 @@ end
 module Sim = struct
   module Config = Wish_sim.Config
   module Uop = Wish_sim.Uop
-  module Rat = Wish_sim.Rat
   module Oracle = Wish_sim.Oracle
   module Wish_fsm = Wish_sim.Wish_fsm
-  module Core = Wish_sim.Core
   module Counters = Wish_sim.Counters
   module Runner = Wish_sim.Runner
 end

@@ -29,7 +29,7 @@ val save :
 val load : string -> repro
 
 (** [replay repro] — run the program-level oracles (emulator lockstep,
-    timing-core identity) on the repro's program; the saved oracle id is
+    timing-core accounting) on the repro's program; the saved oracle id is
     advisory, both always run. *)
 val replay : repro -> (string * Oracle.verdict) list
 

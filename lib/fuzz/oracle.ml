@@ -1,4 +1,4 @@
-(** The six differential oracles — see the interface for the contract
+(** The six oracles — see the interface for the contract
     each one checks. Everything here is deterministic: fixed fuel, a
     machine configuration fixed or drawn from the case's seed, no wall
     clock, no randomness, so a verdict replays bit-for-bit from a seed. *)
@@ -13,7 +13,6 @@ module Exec = Wish_emu.Exec
 module Ecompiled = Wish_emu.Compiled
 module Trace = Wish_emu.Trace
 module Memory = Wish_emu.Memory
-module Core = Wish_sim.Core
 module Scompiled = Wish_sim.Compiled
 module Runner = Wish_sim.Runner
 module Config = Wish_sim.Config
@@ -154,7 +153,7 @@ let binaries_verdict (c : Gen.case) (eval : Policy.kind -> Program.t) =
     in
     combine (List.map check_kind Compiler.all_kinds)
 
-(* --- (c) interpreted vs compiled timing core -------------------------- *)
+(* --- (c) the timing core's accounting and pooled re-run ---------------- *)
 
 let gen_trace program =
   match Trace.generate ~fuel program with
@@ -165,11 +164,6 @@ let gen_trace program =
   | exception Memory.Fault _ -> Error "program faults"
   | exception State.Call_stack_error _ -> Error "call stack trap"
 
-let run_interp config program trace =
-  let core = Core.create config program trace in
-  ignore (Core.run core);
-  (Core.cycles core, Core.counters core, Core.hier_stats core)
-
 let run_scompiled config program trace =
   let core = Scompiled.create config program trace in
   ignore (Scompiled.run core);
@@ -178,28 +172,56 @@ let run_scompiled config program trace =
 let first_counter_diff ci cc =
   List.find_opt (fun c -> Counters.get ci c <> Counters.get cc c) Counters.all
 
+(* The compiled core's accounting on one finished run: µops retire on
+   the correct path or as phantoms, each retired wish branch lands in
+   exactly one bucket, a false-guarded µop is a correct-path one, and
+   retirement reached the trace's last entry. *)
+let accounting_failure ~length ~last_retired counts =
+  let g = Counters.get counts in
+  let total = List.fold_left (fun acc c -> acc + g c) 0 in
+  let open Counters in
+  if g retired_uops <> g retired_correct + g retired_phantom then
+    Some "retired_uops <> retired_correct + retired_phantom"
+  else if
+    g wish_retired <> total [ wish_high_correct; wish_high_mispred; wish_low_correct; wish_low_mispred ]
+  then Some "wish_retired <> the sum of the four wish buckets"
+  else if
+    g wish_loop_retired
+    <> total
+         [
+           loop_high_correct;
+           loop_high_mispred;
+           loop_low_early;
+           loop_low_late;
+           loop_low_noexit;
+           loop_low_correct;
+         ]
+  then Some "wish_loop_retired <> the sum of the six loop buckets"
+  else if g retired_guard_false > g retired_correct then
+    Some "retired_guard_false > retired_correct"
+  else if last_retired <> length - 1 then
+    Some (Printf.sprintf "retired through trace entry %d of %d" last_retired length)
+  else None
+
 let sim_identity_program program =
   match gen_trace program with
   | Error reason -> Skip reason
   | Ok trace -> (
-    let config = Config.default in
-    let ri = try Ok (run_interp config program trace) with e -> Error e in
-    let rc = try Ok (run_scompiled config program trace) with e -> Error e in
-    match (ri, rc) with
-    | Error a, Error b ->
-      if String.equal (exn_label a) (exn_label b) then Skip ("both cores raised: " ^ exn_label a)
-      else failf "core exception divergence: %s vs %s" (exn_label a) (exn_label b)
-    | Error a, Ok _ -> failf "only the interpreted core raised: %s" (exn_label a)
-    | Ok _, Error b -> failf "only the compiled core raised: %s" (exn_label b)
-    | Ok (ci, si, mi), Ok (cc, sc, mc) ->
-      if ci <> cc then failf "cycles differ: interp %d, compiled %d" ci cc
-      else if mi <> mc then Fail "memory-hierarchy stats differ"
-      else
-        match first_counter_diff si sc with
-        | Some c ->
-          failf "counters differ: %s interp %d, compiled %d" (Counters.name c) (Counters.get si c)
-            (Counters.get sc c)
-        | None -> Pass)
+    let run () =
+      let core = Scompiled.run (Scompiled.create Config.default program trace) in
+      ( (Scompiled.cycles core, Scompiled.counters core, Scompiled.hier_stats core),
+        Scompiled.retired_trace_idx core )
+    in
+    match run () with
+    | exception e -> failf "the timing core raised: %s" (exn_label e)
+    | ((_, counts, _) as first), last_retired -> (
+      match accounting_failure ~length:(Trace.length trace) ~last_retired counts with
+      | Some what -> failf "accounting: %s" what
+      | None -> (
+        (* A second run reuses the domain's pooled machine tables. *)
+        match run () with
+        | exception e -> failf "the pooled re-run raised: %s" (exn_label e)
+        | again, _ -> if again <> first then Fail "pooled re-run differs" else Pass)))
 
 (* --- (d) exact vs sampled simulation ---------------------------------- *)
 

@@ -1,7 +1,8 @@
-(** The six differential oracles.
+(** The six oracles.
 
-    Each oracle compares two independent implementations of the same
-    contract on one generated case and returns a {!verdict}:
+    Each oracle checks one contract on one generated case — most by
+    comparing two independent ways of computing the same result — and
+    returns a {!verdict}:
 
     - {!Lockstep} — interpreted {!Wish_emu.Exec.step_into} against the
       compiled {!Wish_emu.Compiled.step}, instruction by instruction
@@ -14,9 +15,14 @@
       run architecturally on the evaluation input must agree on the
       memory checksum and on every out-region word (live-out state made
       observable by the generator's epilogue).
-    - {!Sim_identity} — interpreted {!Wish_sim.Core} against the compiled
-      timing core on the same trace: cycle count, every event counter
-      and the hierarchy counters, for a predicated and a wish binary.
+    - {!Sim_identity} — the timing core's accounting on a predicated and
+      a wish binary: retired µops are correct-path plus phantom ones,
+      [wish_retired] and [wish_loop_retired] are the sums of their
+      buckets, no more false-guarded µops retire than correct-path ones,
+      retirement reaches the trace's last entry, and a re-run through the
+      pooled machine tables reproduces cycles, counters and hierarchy
+      stats. test/sim_pins.expected pins those values for every case of
+      @fuzz-smoke's sweep.
     - {!Sampled} — exact vs sampled simulation. When the sampler
       degenerates to one cold full-length window (short traces — the
       common case for generated programs) the estimate must equal the
@@ -85,8 +91,8 @@ val first_failure : ?cache_dir:string -> names:name list -> Gen.case -> (name * 
 (** {1 Program-level oracles}
 
     The corpus replays repro files as bare programs (no AST, no seed
-    needed): the emulator lockstep and timing-identity oracles apply to
-    any {!Wish_isa.Program.t}. *)
+    needed): the emulator lockstep and timing-core oracles apply to any
+    {!Wish_isa.Program.t}. *)
 
 val lockstep_program : Wish_isa.Program.t -> verdict
 

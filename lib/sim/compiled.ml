@@ -1,18 +1,22 @@
-(** The compiled cycle-level core: {!Core} with every per-µop decode,
-    option box and list replaced by pre-compiled per-pc templates
-    ({!Plan}) and pooled flat storage.
+(** The cycle-level out-of-order core.
 
-    This module is a line-for-line transcription of the interpreted
-    {!Core} — same stage order, same machine-state side effects in the
-    same sequence — so the two produce cycle-exact, counter-for-counter
-    identical results (enforced by the fuzzer's [sim] oracle and the
-    [@sim-smoke] gate). {!Core} stays the golden reference those checks
-    diff against; change semantics there first, then mirror here.
+    Oracle-directed execution: the front end fetches real instructions
+    from the static code image along the {e predicted} path; a cursor over
+    the emulator trace ({!Oracle}) supplies dynamic facts (guard values,
+    branch directions, memory addresses) for correct-path µops. Wrong-path
+    µops (fetched past a misprediction) and phantom µops (wish-loop extra
+    iterations, paper Section 3.2) are fetched from the same image, so
+    their resource consumption is modelled faithfully.
 
-    What changes is purely mechanical cost:
+    Pipeline model per cycle: completion events → retire → rename/dispatch
+    → issue → fetch; a bounded fetch-to-rename delay line realizes the
+    front-end depth, which sets the ~30-cycle minimum misprediction
+    penalty of Table 2.
+
+    The core is compiled in the sense that nothing is decoded per µop:
     - fetch/decode reads {!Plan} struct-of-arrays templates instead of
-      re-inspecting {!Wish_isa.Inst.t} (no [dinfo] options, no operand
-      lists, r0/p0 already elided);
+      re-inspecting {!Wish_isa.Inst.t} (no operand lists, r0/p0 already
+      elided);
     - wish-branch mode transitions use the compiled 48-entry transition
       table ({!Plan.wish_table} + {!Wish_fsm.apply_packed});
     - the ready queue, ROB, fetch queue, wheel, waiter lists and register
@@ -24,13 +28,15 @@
       per-ROB-slot undo log (previous producer of every destination
       written), so rename never copies a full RAT checkpoint;
     - machine tables (predictors, caches) are pooled per domain and
-      exactly reset between runs, so repeated runs skip {!Core.create}'s
-      table construction; the pipeline scaffold is built per core.
+      exactly reset between runs, so repeated runs skip their
+      construction; the pipeline scaffold is built per core.
 
     Identity argument for the pooled tables: every pooled table has a
     [reset] that restores the just-created state (pinned by
-    [@sim-smoke]'s repeated compiled run and the seed-pinned sampled
-    estimates), so a pooled run is indistinguishable from a fresh one. *)
+    [@sim-smoke]'s repeated run and the fuzz [sim] oracle's), so a pooled
+    run is indistinguishable from a fresh one. [@sim-smoke] and
+    test/sim_pins.expected pin the core's cycles, counters and hierarchy
+    stats; test/mutants/ scores those checks. *)
 
 open Wish_isa
 module Hybrid = Wish_bpred.Hybrid
@@ -41,6 +47,21 @@ module Loop_pred = Wish_bpred.Loop_pred
 module Hierarchy = Wish_mem.Hierarchy
 
 type fetch_path = F_correct | F_wrong | F_phantom | F_stopped
+
+exception Deadlock of string
+
+(** Long-lived microarchitectural state a sampled simulation keeps warm
+    between detailed windows ({!Sampler}) and hands a window core at
+    {!create}. The core takes ownership of the structures — give each
+    window its own copies. *)
+type warm_state = {
+  warm_hybrid : Hybrid.t;
+  warm_btb : Btb.t;
+  warm_ras : Ras.t;
+  warm_conf : Confidence.t;
+  warm_loop : Loop_pred.t;
+  warm_hier : Hierarchy.t;
+}
 
 (* Shared immutable option constants: field assignments below must not
    allocate. *)
@@ -136,7 +157,7 @@ type cgroup = {
   mutable gnext : int;
 }
 
-(* Grow-only per-address buffer of pending store ids (as in {!Core}). *)
+(* Grow-only per-address buffer of pending store ids. *)
 type ibuf = { mutable ids : int array; mutable len : int }
 
 (* ----------------------------------------------------------------- *)
@@ -371,7 +392,7 @@ let create ?warm ?(start_cursor = 0) ?start_pc ?(release_trace = true) (config :
   if start_cursor > 0 then Oracle.restore oracle start_cursor;
   let s = scaffold_build config in
   let hybrid, btb, ras, conf, loop_pred, hier =
-    match (warm : Core.warm_state option) with
+    match (warm : warm_state option) with
     | Some w -> (w.warm_hybrid, w.warm_btb, w.warm_ras, w.warm_conf, w.warm_loop, w.warm_hier)
     | None ->
       let m = acquire_machine config in
@@ -472,8 +493,7 @@ let rec infl_insert s id (u : Uop.t) =
 let infl_get s id = Array.unsafe_get s.infl_us (id land s.infl_mask)
 
 (* Acquire a pooled µop and reinitialize the shared scheduling state; the
-   caller fills the per-shape fields ({!Core.make_uop}'s keyword arguments
-   become direct mutations at the call sites). The vacated pool slot keeps
+   caller fills the per-shape fields. The vacated pool slot keeps
    its stale pointer (pooled records are immortal, so hygiene would buy
    nothing and the dummy store costs a write barrier). *)
 let acquire_uop t ~branch =
@@ -497,7 +517,6 @@ let acquire_uop t ~branch =
   u.nwaiters <- 0;
   u.state <- Uop.Waiting;
   u.flushed <- false;
-  u.complete_cycle <- -1;
   infl_insert s u.Uop.id u;
   u
 
@@ -528,11 +547,10 @@ let recycle t (u : Uop.t) =
 (* Fetch                                                              *)
 (* ----------------------------------------------------------------- *)
 
-(* Decide the fetch-time facts of a branch (transcription of
-   {!Core.fetch_branch}): prediction, wish-mode transition, RAS and BTB
-   effects. Fills and returns the branch µop; the followed direction,
-   target, BTB bubble and oracle direction come back through the
-   [t.fb] scratch fields. *)
+(* Decide the fetch-time facts of a branch: prediction, wish-mode
+   transition, RAS and BTB effects. Fills and returns the branch µop;
+   the followed direction, target, BTB bubble and oracle direction come
+   back through the [t.fb] scratch fields. *)
 let fetch_branch t ~pc ~path ~has_entry =
   let plan = t.plan in
   let s = t.s in
@@ -660,8 +678,6 @@ let fetch_branch t ~pc ~path ~has_entry =
   u.guard_forwarded <- false;
   u.is_select <- false;
   u.is_pair_compute <- false;
-  u.consumes_trace <- has_entry;
-  u.mode_at_fetch <- Wish_fsm.mode s.fsm;
   u.trace_idx <- (if has_entry then e.b_index else -1);
   b.predicted_taken <- final_dir;
   b.predicted_target <- predicted_target;
@@ -679,7 +695,6 @@ let fetch_branch t ~pc ~path ~has_entry =
   b.wish_kind <- (if is_wish_hw then (Array.unsafe_get plan.kind_opt pc) else None);
   b.is_return <- (bshape = Plan.bs_return);
   b.loop_gen <- loop_gen;
-  b.resolved <- false;
   b.loop_class <- Uop.Lc_none;
   t.fb.fb_dir <- final_dir;
   t.fb.fb_target <- predicted_target;
@@ -687,12 +702,11 @@ let fetch_branch t ~pc ~path ~has_entry =
   t.fb.fb_actual <- actual_taken;
   u
 
-(* Initialize a plain (non-branch) µop from its template. [u.inst] is
-   deliberately not filled: the plan's template arrays carry everything
-   the pipeline needs, and the store would be a per-µop write barrier —
-   diagnostics resolve the instruction through [plan.insts] instead. *)
-let init_plain t (u : Uop.t) ~pc ~path ~guard_false ~guard_forwarded ~byte_addr
-    ~consumes_trace ~is_select ~is_pair_compute ~trace_idx =
+(* Initialize a plain (non-branch) µop from its template. The plan's
+   template arrays carry everything the pipeline needs; diagnostics
+   resolve the instruction through [plan.insts]. *)
+let init_plain t (u : Uop.t) ~pc ~path ~guard_false ~guard_forwarded ~byte_addr ~is_select
+    ~is_pair_compute ~trace_idx =
   u.Uop.pc <- pc;
   u.path <- uop_path_of path;
   u.exec_class <- (Array.unsafe_get t.plan.exec_class pc);
@@ -701,8 +715,6 @@ let init_plain t (u : Uop.t) ~pc ~path ~guard_false ~guard_forwarded ~byte_addr
   u.guard_forwarded <- guard_forwarded;
   u.is_select <- is_select;
   u.is_pair_compute <- is_pair_compute;
-  u.consumes_trace <- consumes_trace;
-  u.mode_at_fetch <- Wish_fsm.mode t.s.fsm;
   u.trace_idx <- trace_idx
 
 let feq_capacity t = t.config.Config.frontend_depth * t.config.fetch_width
@@ -751,6 +763,10 @@ let fetch_stage t =
           Counters.incr t.counts Counters.icache_stalls;
           t.x_cont <- false
         end
+        else if (Array.unsafe_get plan.is_cond pc) && t.x_cond >= t.config.max_cond_branches then
+          (* The group is full of conditional branches: this one waits for
+             the next cycle, before it consumes its trace entry. *)
+          t.x_cont <- false
         else begin
           Wish_fsm.on_fetch_pc s.fsm ~pc;
           let has_entry =
@@ -778,44 +794,40 @@ let fetch_stage t =
             t.x_cont <- false
           end
           else if tclass = Plan.t_branch then begin
-            if (Array.unsafe_get plan.is_cond pc) && t.x_cond >= t.config.max_cond_branches then
+            let u = fetch_branch t ~pc ~path ~has_entry in
+            let dir = t.fb.fb_dir in
+            g.gids.(g.glen) <- u.Uop.id;
+            g.glen <- g.glen + 1;
+            t.x_budget <- t.x_budget - 1;
+            if (Array.unsafe_get plan.is_cond pc) then t.x_cond <- t.x_cond + 1;
+            Counters.incr t.counts Counters.fetched_uops;
+            (* Phantom transitions for low-confidence wish loops. *)
+            (if
+               (path == F_correct || path == F_phantom)
+               && (Array.unsafe_get plan.kind_code pc) = Plan.k_wish_loop
+               &&
+               match u.br with
+               | Some b -> b.fetch_mode == Uop.Low_conf || path == F_phantom
+               | None -> false
+             then
+               if dir && (not t.fb.fb_actual) && path == F_correct then begin
+                 (* Iterating past the real exit: extra iterations flow
+                    through as NOPs unless a flush cuts them short. *)
+                 t.fetch_path <- F_phantom;
+                 Counters.incr t.counts Counters.phantom_entries
+               end
+               else if (not dir) && path == F_phantom then
+                 (* Predicted exit while phantom: reconverge. *)
+                 t.fetch_path <- F_correct);
+            t.fetch_pc <- (if dir then t.fb.fb_target else pc + 1);
+            if t.fb.fb_bubble > 0 then begin
+              t.fetch_stall_until <- t.cycle + t.fb.fb_bubble;
               t.x_cont <- false
-            else begin
-              let u = fetch_branch t ~pc ~path ~has_entry in
-              let dir = t.fb.fb_dir in
-              g.gids.(g.glen) <- u.Uop.id;
-              g.glen <- g.glen + 1;
-              t.x_budget <- t.x_budget - 1;
-              if (Array.unsafe_get plan.is_cond pc) then t.x_cond <- t.x_cond + 1;
-              Counters.incr t.counts Counters.fetched_uops;
-              (* Phantom transitions for low-confidence wish loops. *)
-              (if
-                 (path == F_correct || path == F_phantom)
-                 && (Array.unsafe_get plan.kind_code pc) = Plan.k_wish_loop
-                 &&
-                 match u.br with
-                 | Some b -> b.fetch_mode == Uop.Low_conf || path == F_phantom
-                 | None -> false
-               then
-                 if dir && (not t.fb.fb_actual) && path == F_correct then begin
-                   (* Iterating past the real exit: extra iterations flow
-                      through as NOPs unless a flush cuts them short. *)
-                   t.fetch_path <- F_phantom;
-                   Counters.incr t.counts Counters.phantom_entries
-                 end
-                 else if (not dir) && path == F_phantom then
-                   (* Predicted exit while phantom: reconverge. *)
-                   t.fetch_path <- F_correct);
-              t.fetch_pc <- (if dir then t.fb.fb_target else pc + 1);
-              if t.fb.fb_bubble > 0 then begin
-                t.fetch_stall_until <- t.cycle + t.fb.fb_bubble;
-                t.x_cont <- false
-              end
-              else if dir then t.x_cont <- false (* fetch ends at a taken branch *)
             end
+            else if dir then t.x_cont <- false (* fetch ends at a taken branch *)
           end
           else begin
-            (* Plain µop translation ({!Core.translate_plain} inlined). *)
+            (* Plain µop translation. *)
             let drop =
               knobs.no_fetch && has_entry && not e.b_guard_true
               (* non-branches only: branch templates took the arm above *)
@@ -858,12 +870,10 @@ let fetch_stage t =
                      guard; the select merges once the guard resolves. *)
                   let compute = acquire_uop t ~branch:false in
                   init_plain t compute ~pc ~path ~guard_false ~guard_forwarded:false
-                    ~byte_addr ~consumes_trace:has_entry ~is_select:false
-                    ~is_pair_compute:true ~trace_idx;
+                    ~byte_addr ~is_select:false ~is_pair_compute:true ~trace_idx;
                   let select = acquire_uop t ~branch:false in
                   init_plain t select ~pc ~path ~guard_false ~guard_forwarded:false
-                    ~byte_addr ~consumes_trace:false ~is_select:true
-                    ~is_pair_compute:false ~trace_idx;
+                    ~byte_addr ~is_select:true ~is_pair_compute:false ~trace_idx;
                   g.gids.(g.glen) <- compute.Uop.id;
                   g.gids.(g.glen + 1) <- select.Uop.id;
                   g.glen <- g.glen + 2;
@@ -872,8 +882,7 @@ let fetch_stage t =
                 else begin
                   let u = acquire_uop t ~branch:false in
                   init_plain t u ~pc ~path ~guard_false ~guard_forwarded ~byte_addr
-                    ~consumes_trace:has_entry ~is_select:false ~is_pair_compute:false
-                    ~trace_idx;
+                    ~is_select:false ~is_pair_compute:false ~trace_idx;
                   g.gids.(g.glen) <- u.Uop.id;
                   g.glen <- g.glen + 1;
                   1
@@ -904,8 +913,7 @@ let fetch_stage t =
 
 (* A producer id is live iff it still occupies its in-flight slot (ids
    are never reused; a recycled µop frees the slot) and has not
-   completed — exactly {!Core.add_dependency}'s in-flight lookup with the
-   hashtable replaced by one masked array probe. *)
+   completed: one masked array probe. *)
 let add_dep s (u : Uop.t) pid =
   if pid >= 0 && Array.unsafe_get s.infl_ids (pid land s.infl_mask) = pid then begin
     let p = infl_get s pid in
@@ -954,9 +962,9 @@ let untrack_store t (u : Uop.t) =
     | buf -> untrack_loop buf u.id 0
   end
 
-(* Rename one µop (transcription of {!Core.rename_uop}): resolve
-   producers from the id-carrying RAT through the in-flight table. Every
-   store below — RAT updates, undo log, ROB append — is a plain int. *)
+(* Rename one µop: resolve producers from the id-carrying RAT through the
+   in-flight table. Every store below — RAT updates, undo log, ROB
+   append — is a plain int. *)
 let rename_uop t (u : Uop.t) =
   let plan = t.plan in
   let s = t.s in
@@ -1061,7 +1069,6 @@ let rename_stage t =
 
 let schedule_completion t (u : Uop.t) latency =
   let c = t.cycle + Int.max 1 latency in
-  u.Uop.complete_cycle <- c;
   Wheel.schedule t.s.wheel ~now:t.cycle ~due:c ~id:u.id
 
 let rec older_store (buf : ibuf) uid i =
@@ -1210,7 +1217,6 @@ let recover t (u : Uop.t) =
 
 let resolve_branch t (u : Uop.t) =
   let b = match u.Uop.br with Some b -> b | None -> assert false in
-  b.resolved <- true;
   (* Train the BTB with taken branches (wrong-path ones excluded). *)
   if u.path != Uop.Wrong && b.actual_taken then Btb.insert t.btb ~pc:u.pc;
   if u.path == Uop.Wrong then ()
@@ -1359,7 +1365,11 @@ let retire_stage t =
           count_wish_retirement t b
         | Some _ | None -> ());
         if t.plan.tclass.(u.pc) = Plan.t_halt && u.path == Uop.Correct then t.halted <- true;
-        (* Retirement is the trace's low-water mark (see {!Core}). *)
+        (* Retirement is the trace's low-water mark: every in-flight branch
+           is younger than [u], so it was fetched after [u] consumed entry
+           [u.trace_idx] — its recovery cursor, and any future oracle scan,
+           sits at or above [u.trace_idx + 1]. A streaming trace may
+           therefore recycle everything below that. *)
         if u.trace_idx >= 0 then begin
           if u.trace_idx > t.retired_trace_idx then t.retired_trace_idx <- u.trace_idx;
           if t.release_trace then Oracle.release t.oracle ~below:(u.trace_idx + 1)
@@ -1389,7 +1399,7 @@ let deadlock_report t =
         u.pending
   in
   Fmt.str
-    "deadlock at cycle %d (last retire %d): %s; fetch_pc=%d path=%s cursor=%d/%d [compiled]"
+    "deadlock at cycle %d (last retire %d): %s; fetch_pc=%d path=%s cursor=%d/%d"
     t.cycle t.last_retire_cycle head t.fetch_pc
     (match t.fetch_path with
     | F_correct -> "correct"
@@ -1406,7 +1416,7 @@ let step t =
   fetch_stage t;
   t.cycle <- t.cycle + 1;
   if t.cycle - t.last_retire_cycle > 1_000_000 then
-    raise (Core.Deadlock (deadlock_report t))
+    raise (Deadlock (deadlock_report t))
 
 let run t =
   while (not t.halted) && t.cycle < t.config.max_cycles do
@@ -1422,8 +1432,6 @@ let run_until t ~stop_idx =
   t
 
 let retired_trace_idx t = t.retired_trace_idx
-let halted t = t.halted
 let cycles t = t.cycle
 let counters t = t.counts
 let hier_stats t = Hierarchy.stats t.hier
-let rob_occupancy t = t.s.rob_count

@@ -100,11 +100,8 @@ let with_rob t n = { t with rob_size = n }
      guarded µop;
    - [knobs.no_fetch]: [fetch_stage]'s NO-FETCH drop takes guard-false
      entries, and an unguarded instruction's guard [p0] is always true.
-   The interpreted core reads each field at the twin of each site
-   ([Core.fetch_branch], [translate_plain], [fetch_stage],
-   [rename_uop], [recover], [retire_stage]). The [observed] group of
-   test_sim checks the rule in exact and sampled runs of every table
-   configuration. *)
+   The [observed] group of test_sim checks the rule in exact and
+   sampled runs of every table configuration. *)
 let observed ~wish ~predicated c =
   let c =
     if wish then c

@@ -32,17 +32,6 @@ let restore t c = t.cursor <- c
 let length t = Trace.length t.trace
 let exhausted t = not (Trace.ensure t.trace t.cursor)
 
-type entry = { index : int; guard_true : bool; taken : bool; next_pc : int; addr : int }
-
-let entry_at t i =
-  {
-    index = i;
-    guard_true = Trace.guard_true t.trace i;
-    taken = Trace.taken t.trace i;
-    next_pc = Trace.next_pc t.trace i;
-    addr = Trace.addr t.trace i;
-  }
-
 (* Skippable entries: architectural NOPs (guard false) and compiler-marked
    speculated computations whose destinations are dead outside the
    predicated region being jumped over. *)
@@ -50,22 +39,7 @@ let skippable t i =
   (not (Trace.guard_true t.trace i))
   || (Wish_isa.Code.get t.code (Trace.pc t.trace i)).Wish_isa.Inst.spec
 
-(** [consume t ~pc] tries to match [pc] against the trace, advancing the
-    cursor past the matched entry on success. *)
-let consume t ~pc =
-  let stop = t.cursor + t.skip_limit in
-  let rec scan i =
-    if i >= stop || not (Trace.ensure t.trace i) then None
-    else if Trace.pc t.trace i = pc then begin
-      t.cursor <- i + 1;
-      Some (entry_at t i)
-    end
-    else if skippable t i then scan (i + 1)
-    else None
-  in
-  scan t.cursor
-
-(** Caller-owned mutable entry for the allocation-free match path. *)
+(** Caller-owned mutable entry for the match path. *)
 type ebuf = {
   mutable b_index : int;
   mutable b_guard_true : bool;
@@ -77,13 +51,13 @@ type ebuf = {
 let fresh_ebuf () =
   { b_index = 0; b_guard_true = false; b_taken = false; b_next_pc = 0; b_addr = 0 }
 
-(** [consume_into t ~pc e] — {!consume} without the option/record
-    allocation: on a match, fills [e] and returns [true]. The scan is a
-    top-level recursion (not a local closure) so a miss-free consume
-    allocates nothing, and each entry is decoded from one packed-word
-    read ({!Trace.word}) instead of one directory walk per field.
-    Escaped entries (fields overflowed the packed format) take the slow
-    single-field accessors. *)
+(** [consume_into t ~pc e] tries to match [pc] against the trace: on a
+    match it advances the cursor past the matched entry, fills [e] and
+    returns [true]. The scan is a top-level recursion (not a local
+    closure) so a miss-free consume allocates nothing, and each entry is
+    decoded from one packed-word read ({!Trace.word}) instead of one
+    directory walk per field. Escaped entries (fields overflowed the
+    packed format) take the slow single-field accessors. *)
 let rec scan_into t ~pc (e : ebuf) ~stop i =
   if i >= stop || not (Trace.ensure t.trace i) then false
   else begin
@@ -123,8 +97,6 @@ let consume_into t ~pc (e : ebuf) =
 
 (** [release t ~below] — retirement-time progress report: no restore or
     scan will ever revisit entries below [below] (see the retirement
-    argument in {!Core}), so a streaming trace may recycle them. *)
+    argument in [Compiled.retire_stage]), so a streaming trace may
+    recycle them. *)
 let release t ~below = Trace.release t.trace below
-
-(** [peek_pc t] is the next correct-path PC, if any (diagnostics only). *)
-let peek_pc t = if exhausted t then None else Some (Trace.pc t.trace t.cursor)

@@ -12,7 +12,7 @@ type t
 val create : Wish_isa.Code.t -> Wish_emu.Trace.t -> t
 
 (** The longest skippable run one scan may cross — equivalently, how far
-    past the current cursor a single [consume] can touch the trace (the
+    past the current cursor a single {!consume_into} can touch the trace (the
     sampled coordinator's read-ahead margin builds on this). *)
 val default_skip_limit : int
 
@@ -31,14 +31,7 @@ val exhausted : t -> bool
     recycle the chunks they occupy. No-op on materialized traces. *)
 val release : t -> below:int -> unit
 
-type entry = { index : int; guard_true : bool; taken : bool; next_pc : int; addr : int }
-
-(** [consume t ~pc] tries to match [pc] against the trace, advancing the
-    cursor past the matched entry on success; [None] (no state change)
-    means divergence. *)
-val consume : t -> pc:int -> entry option
-
-(** Caller-owned mutable entry for the allocation-free match path. *)
+(** Caller-owned mutable entry for the match path. *)
 type ebuf = {
   mutable b_index : int;
   mutable b_guard_true : bool;
@@ -49,9 +42,8 @@ type ebuf = {
 
 val fresh_ebuf : unit -> ebuf
 
-(** [consume_into t ~pc e] — {!consume} without the option/record
-    allocation: on a match, fills [e] and returns [true]. *)
+(** [consume_into t ~pc e] tries to match [pc] against the trace,
+    advancing the cursor past the matched entry and filling [e] on a
+    match ([true]); [false] (no state change) means divergence. Allocates
+    nothing. *)
 val consume_into : t -> pc:int -> ebuf -> bool
-
-(** [peek_pc t] is the next correct-path PC, if any (diagnostics only). *)
-val peek_pc : t -> int option

@@ -1,10 +1,9 @@
 (** Per-pc µop templates for the compiled timing core.
 
-    The interpreted {!Core} re-derives the same static facts about an
-    instruction (exec class, branch kind, operand registers, predication
-    shape, icache line, ...) on every dynamic fetch — partially memoized
-    by its [dinfo] cache, but still behind option boxes and list walks.
-    A {!t} translates the whole code image once per (program, config)
+    Every static fact the core needs about an instruction (exec class,
+    branch kind, operand registers, predication shape, icache line, ...)
+    is the same on every dynamic fetch, so a {!t} translates the whole
+    code image once per (program, config)
     into flat struct-of-arrays templates with r0/p0 operands already
     elided and every config-dependent decision (mechanism, knobs, wish
     hardware) pre-folded, so the compiled per-cycle loop reads plain ints
@@ -213,7 +212,7 @@ let build (config : Config.t) (program : Program.t) =
       pdst2.(pc) <- q
     | _ -> assert false);
     (* The complement pair is tracked independently of the p0-elided
-       [pred_dests] list; mirror [Core.dinfo_of] exactly. *)
+       [pred_dests] list. *)
     (match inst.op with
     | Inst.Cmp { dst_true; dst_false = Some pf; _ } ->
       cpair_t.(pc) <- dst_true;

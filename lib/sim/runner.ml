@@ -71,19 +71,16 @@ let dynamic_length (program : Wish_isa.Program.t) =
     the full {!Sampler.report}. The headline counters (cycles, retired
     µops, mispredicts) use the sampler's stratified estimates; every
     other number is its window sum scaled by total ÷ measured entries. *)
-let simulate_sampled ?(config = Config.default) ?pool ?(spec : Sampler.spec option)
-    ?(streaming = false) ?trace (program : Wish_isa.Program.t) =
-  (* An auto spec is scaled to the dynamic length: a materialized trace
-     knows it, and without a trace an unrecorded pass counts it first. A
-     streaming run's length is unknown up front. *)
+let simulate_sampled ?(config = Config.default) ?pool ?(spec : Sampler.spec option) ?trace
+    (program : Wish_isa.Program.t) =
+  (* An auto spec is scaled to the dynamic length: a finished materialized
+     trace knows it, and otherwise an unrecorded pass counts it first. *)
   let spec =
     match (spec, trace) with
     | Some s, _ -> s
-    | None, Some t when not (Wish_emu.Trace.is_streaming t) ->
+    | None, Some t when Wish_emu.Trace.finished t && not (Wish_emu.Trace.is_streaming t) ->
       Sampler.auto ~length:(Wish_emu.Trace.length t)
-    | None, Some _ -> Sampler.default_spec
-    | None, None when streaming -> Sampler.default_spec
-    | None, None -> Sampler.auto ~length:(dynamic_length program)
+    | None, _ -> Sampler.auto ~length:(dynamic_length program)
   in
   let r = Sampler.run ?pool ?trace ~config ~spec program in
   let counts =

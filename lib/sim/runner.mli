@@ -31,11 +31,10 @@ val simulate :
     {!simulate}: functional warming plus detailed measurement windows
     ({!Sampler.run}), returning an estimated summary of the same shape
     together with the full sampling report. [spec] defaults to
-    {!Sampler.auto} for a materialized trace and {!Sampler.default_spec}
-    for a streaming one ([trace] or [~streaming:true]); [pool] fans
-    detailed windows out in parallel. With no caller-supplied [trace],
-    warming runs trace-free and an auto spec is sized by one unrecorded
-    emulator pass that counts the dynamic length. The summary's [counts]
+    {!Sampler.auto}, sized by the length of a finished materialized
+    [trace] or else by one unrecorded emulator pass that counts the
+    dynamic length; [pool] fans detailed windows out in parallel. With no
+    caller-supplied [trace], warming runs trace-free. The summary's [counts]
     are whole-run estimates: each counter's window sum scaled by total ÷
     measured entries. The headline cycles, retired µops and mispredicts
     are the sampler's stratified estimates instead. *)
@@ -43,7 +42,6 @@ val simulate_sampled :
   ?config:Config.t ->
   ?pool:Wish_util.Pool.t ->
   ?spec:Sampler.spec ->
-  ?streaming:bool ->
   ?trace:Wish_emu.Trace.t ->
   Wish_isa.Program.t ->
   summary * Sampler.report

@@ -39,8 +39,6 @@ module Hierarchy = Wish_mem.Hierarchy
 
 type spec = { warm : int; detail : int }
 
-let default_spec = { warm = 18_000; detail = 2_000 }
-
 let spec ~warm ~detail =
   if warm <= 0 || detail <= 0 then invalid_arg "Sampler.spec: warm and detail must be positive";
   { warm; detail }
@@ -127,7 +125,7 @@ and k_mem = 8
 type state = {
   s_config : Config.t;
   s_code : Code.t;
-  s_warm : Core.warm_state;
+  s_warm : Compiled.warm_state;
   s_kind : int array; (* warm-plan class, one of the k_* above *)
   s_line : int array; (* I-cache line index of the pc *)
   s_lu : Hybrid.lbuf; (* [warm_entry]'s direction-predictor probe *)
@@ -160,7 +158,7 @@ let create_state (config : Config.t) (program : Program.t) =
     s_code = code;
     s_warm =
       {
-        Core.warm_hybrid = Hybrid.create config.bpred;
+        Compiled.warm_hybrid = Hybrid.create config.bpred;
         warm_btb = Btb.create ~entries:config.btb_entries ~ways:config.btb_ways;
         warm_ras = Ras.create ~entries:config.ras_entries;
         warm_conf = Confidence.create config.conf;
@@ -173,9 +171,9 @@ let create_state (config : Config.t) (program : Program.t) =
     s_last_line = -1;
   }
 
-let copy_warm (w : Core.warm_state) =
+let copy_warm (w : Compiled.warm_state) =
   {
-    Core.warm_hybrid = Hybrid.copy w.warm_hybrid;
+    Compiled.warm_hybrid = Hybrid.copy w.warm_hybrid;
     warm_btb = Btb.copy w.warm_btb;
     warm_ras = Ras.copy w.warm_ras;
     warm_conf = Confidence.copy w.warm_conf;
@@ -195,7 +193,7 @@ let warm_entry st _i ~pc ~guard_true ~taken ~addr =
      (sized to it) are in range by construction. *)
   let line = Array.unsafe_get st.s_line pc in
   if line <> st.s_last_line then begin
-    Hierarchy.warm_inst w.Core.warm_hier ~byte_addr:(Code.byte_pc pc);
+    Hierarchy.warm_inst w.Compiled.warm_hier ~byte_addr:(Code.byte_pc pc);
     st.s_last_line <- line
   end;
   let k = Array.unsafe_get st.s_kind pc in
@@ -278,12 +276,12 @@ let warm_state_at ~config program trace i =
 let build_hooks st ~entry =
   let w = st.s_warm in
   let cfg = st.s_config in
-  let hybrid = w.Core.warm_hybrid
-  and btb = w.Core.warm_btb
-  and ras = w.Core.warm_ras
-  and conf = w.Core.warm_conf
-  and lp = w.Core.warm_loop
-  and hier = w.Core.warm_hier in
+  let hybrid = w.Compiled.warm_hybrid
+  and btb = w.Compiled.warm_btb
+  and ras = w.Compiled.warm_ras
+  and conf = w.Compiled.warm_conf
+  and lp = w.Compiled.warm_loop
+  and hier = w.Compiled.warm_hier in
   let n = Code.length st.s_code in
   (* Dynamic entry points: pcs that can retire after something other than
      [pc - 1] — static branch/jump/call targets, return landings (the pc
@@ -412,7 +410,7 @@ let fused_warm_state_at ~config program i =
 (* Detailed windows                                                    *)
 (* ----------------------------------------------------------------- *)
 
-type checkpoint = { c_start : int; c_lead : int; c_warm : Core.warm_state }
+type checkpoint = { c_start : int; c_lead : int; c_warm : Compiled.warm_state }
 
 (* Run one detailed window from a checkpoint: [c_lead] unmeasured entries
    of detailed warmup, then [detail] measured entries. The counter
@@ -653,5 +651,5 @@ let run ?pool ?trace ~config ~spec (program : Program.t) =
   flush ();
   Trace.release trace !cursor;
   aggregate ~spec ~period ~total_insts:(Trace.length trace)
-    ~mem:(Hierarchy.stats st.s_warm.Core.warm_hier)
+    ~mem:(Hierarchy.stats st.s_warm.Compiled.warm_hier)
     (List.rev !windows)

@@ -18,8 +18,6 @@
     is simulated in detail but not measured). *)
 type spec = { warm : int; detail : int }
 
-val default_spec : spec
-
 (** Raises [Invalid_argument] unless both are positive. *)
 val spec : warm:int -> detail:int -> spec
 
@@ -60,12 +58,12 @@ type report = {
     receives, computed entry by entry from the trace. The reference that
     {!fused_warm_state_at} is tested against. *)
 val warm_state_at :
-  config:Config.t -> Wish_isa.Program.t -> Wish_emu.Trace.t -> int -> Core.warm_state
+  config:Config.t -> Wish_isa.Program.t -> Wish_emu.Trace.t -> int -> Compiled.warm_state
 
 (** [fused_warm_state_at ~config program i] — {!warm_state_at} computed
     trace-free: per-pc warm hooks run inside the compiled emulator, no
     entry is ever encoded. Bit-identical to the trace-based state. *)
-val fused_warm_state_at : config:Config.t -> Wish_isa.Program.t -> int -> Core.warm_state
+val fused_warm_state_at : config:Config.t -> Wish_isa.Program.t -> int -> Compiled.warm_state
 
 (** [run ?pool ?trace ~config ~spec program] — sample the whole run.
     [trace] defaults to a fresh {!Wish_emu.Trace.stream} of [program].

@@ -7,7 +7,7 @@
     same dependence timing.
 
     Every field is mutable because dead µops are pooled and reinitialized
-    by {!Core} instead of reallocated — the streaming pipeline would
+    by {!Compiled} instead of reallocated — the streaming pipeline would
     otherwise trade trace memory for minor-GC churn. Identity lives in
     [id], which is fresh and monotone for every (re)initialization: stale
     ids parked in the ready queue, the event wheel, or a producer's waiter
@@ -43,8 +43,6 @@ type branch_rec = {
   mutable wish_kind : Inst.branch_kind option; (* None for jump/call/return *)
   mutable is_return : bool;
   mutable loop_gen : int; (* wish-loop visit generation at fetch *)
-  mutable rat_ckpt : Rat.snapshot option; (* filled at rename; buffer reused *)
-  mutable resolved : bool;
   mutable loop_class : loop_class;
   (* The direction predictor's buffers, part of the pooled identity like
      [br] itself: refilled in place at every fetch, so predicting
@@ -59,7 +57,6 @@ type branch_rec = {
 type t = {
   mutable id : int;
   mutable pc : int;
-  mutable inst : Inst.t;
   mutable path : path;
   mutable exec_class : exec_class;
   mutable byte_addr : int; (* memory byte address, or -1 *)
@@ -67,8 +64,6 @@ type t = {
   mutable guard_forwarded : bool; (* predicate-dependency elimination applied *)
   mutable is_select : bool; (* the select µop of the select-µop mechanism *)
   mutable is_pair_compute : bool; (* the computation half of a select-µop pair *)
-  mutable consumes_trace : bool; (* retiring advances the completion count *)
-  mutable mode_at_fetch : mode;
   mutable trace_idx : int; (* oracle trace entry consumed at fetch, or -1 *)
   br : branch_rec option;
       (* part of the µop's pooled identity: [Some] forever on branch µops,
@@ -80,12 +75,7 @@ type t = {
   mutable nwaiters : int; (* ...the first [nwaiters] slots are live *)
   mutable state : state;
   mutable flushed : bool;
-  mutable complete_cycle : int;
 }
-
-let is_branch_uop u = u.br <> None
-
-let is_wish u = match u.br with Some b -> b.wish_kind <> None | None -> false
 
 let mispredicted (b : branch_rec) =
   b.predicted_taken <> b.actual_taken
@@ -103,8 +93,6 @@ let add_waiter u id =
 (* Skeletons for the first allocation of a pooled µop; every field is
    overwritten before use. *)
 
-let nop_inst = Inst.make Inst.Nop
-
 let fresh_branch_rec () =
   {
     predicted_taken = false;
@@ -119,8 +107,6 @@ let fresh_branch_rec () =
     wish_kind = None;
     is_return = false;
     loop_gen = 0;
-    rat_ckpt = None;
-    resolved = false;
     loop_class = Lc_none;
     lu = Wish_bpred.Hybrid.fresh_lbuf ();
     lu_valid = false;
@@ -132,7 +118,6 @@ let fresh ~branch =
   {
     id = -1;
     pc = 0;
-    inst = nop_inst;
     path = Correct;
     exec_class = Ec_nop;
     byte_addr = -1;
@@ -140,8 +125,6 @@ let fresh ~branch =
     guard_forwarded = false;
     is_select = false;
     is_pair_compute = false;
-    consumes_trace = false;
-    mode_at_fetch = Normal;
     trace_idx = -1;
     br = (if branch then Some (fresh_branch_rec ()) else None);
     fetch_cycle = 0;
@@ -150,5 +133,4 @@ let fresh ~branch =
     nwaiters = 0;
     state = Waiting;
     flushed = false;
-    complete_cycle = -1;
   }

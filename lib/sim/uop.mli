@@ -7,7 +7,7 @@
     managing one.
 
     Fields are mutable because dead µops are pooled and reinitialized by
-    {!Core} rather than reallocated. Identity lives in [id]: fresh and
+    {!Compiled} rather than reallocated. Identity lives in [id]: fresh and
     monotone per (re)initialization, so stale ids held by schedulers miss
     the in-flight table once a µop is recycled. *)
 
@@ -38,8 +38,6 @@ type branch_rec = {
   mutable wish_kind : Wish_isa.Inst.branch_kind option;  (** None for jump/call/return *)
   mutable is_return : bool;
   mutable loop_gen : int;  (** wish-loop visit generation at fetch *)
-  mutable rat_ckpt : Rat.snapshot option;  (** filled at rename; buffer reused *)
-  mutable resolved : bool;
   mutable loop_class : loop_class;
   lu : Wish_bpred.Hybrid.lbuf;
       (** the direction predictor's probe at fetch, refilled in place *)
@@ -51,7 +49,6 @@ type branch_rec = {
 type t = {
   mutable id : int;
   mutable pc : int;
-  mutable inst : Wish_isa.Inst.t;
   mutable path : path;
   mutable exec_class : exec_class;
   mutable byte_addr : int;  (** memory byte address, or -1 *)
@@ -59,8 +56,6 @@ type t = {
   mutable guard_forwarded : bool;  (** predicate-dependency elimination applied *)
   mutable is_select : bool;  (** the select µop of the select-µop mechanism *)
   mutable is_pair_compute : bool;  (** the computation half of a select-µop pair *)
-  mutable consumes_trace : bool;  (** retiring advances the completion count *)
-  mutable mode_at_fetch : mode;
   mutable trace_idx : int;  (** oracle trace entry consumed at fetch, or -1 *)
   br : branch_rec option;
       (** pooled identity: [Some] forever on branch µops, [None] on plain ones *)
@@ -70,11 +65,7 @@ type t = {
   mutable nwaiters : int;  (** ...the first [nwaiters] slots are live *)
   mutable state : state;
   mutable flushed : bool;
-  mutable complete_cycle : int;
 }
-
-val is_branch_uop : t -> bool
-val is_wish : t -> bool
 
 (** [mispredicted b] — followed direction wrong, or (returns) target
     wrong. *)

@@ -301,6 +301,37 @@ let test_select_uop_expands () =
     (select.retired_uops > c_style.retired_uops);
   check Alcotest.int "same architectural work" c_style.dynamic_insts select.dynamic_insts
 
+(* Fetch probe ------------------------------------------------------------------------- *)
+
+(* A loop of eleven never-taken conditional branches (guard p2 is never
+   set) and a taken loop-back one. Fetch takes at most
+   [max_cond_branches] conditional branches a cycle and ends at a taken
+   branch, so once the predictors are warm an iteration costs
+   ceil(12 / max_cond_branches) fetch cycles; the difference of a 200-
+   and a 100-iteration run cancels warm-up, exit flush and drain. *)
+let test_cond_branches_per_fetch_cycle () =
+  let kernel iters =
+    Asm.(
+      [ movi 3 0; label "loop" ]
+      @ List.init 11 (fun _ -> br ~guard:2 "out")
+      @ [
+          alu Inst.Add 3 3 (Inst.Imm 1);
+          cmp Inst.Lt 1 3 (Inst.Imm iters);
+          br ~guard:1 "loop";
+          label "out";
+          halt;
+        ])
+  in
+  List.iter
+    (fun (max_cond_branches, per_iter) ->
+      let config = { Config.default with max_cond_branches } in
+      let cycles iters = (simulate ~config (kernel iters)).cycles in
+      check Alcotest.int
+        (Printf.sprintf "cycles per iteration at %d a cycle" max_cond_branches)
+        (100 * per_iter)
+        (cycles 200 - cycles 100))
+    [ (3, 4); (4, 3) ]
+
 (* I-cache ---------------------------------------------------------------------------- *)
 
 let test_icache_cold_stalls_counted () =
@@ -375,6 +406,17 @@ let test_sampler_tiny_trace_is_exact () =
     (stat exact Counters.wish_retired > 0);
   check counters "every counter is the exact count" exact.counts s.counts
 
+(* With no spec given, a streaming trace is sampled under the auto spec
+   its dynamic length sizes, as a materialized one is: the same report. *)
+let test_sampler_stream_auto_spec () =
+  let program, trace = Lazy.force sampled_fixture in
+  let _, r = Runner.simulate_sampled ~trace program in
+  let _, r_stream = Runner.simulate_sampled ~trace:(Wish_emu.Trace.stream program) program in
+  check Alcotest.string "auto spec"
+    (Sampler.to_string (Sampler.auto ~length:(Wish_emu.Trace.length trace)))
+    (Sampler.to_string r_stream.r_spec);
+  Alcotest.(check bool) "same report" true (compare r r_stream = 0)
+
 (* Fused (trace-free) warming --------------------------------------------------------- *)
 
 let workload_program name =
@@ -391,7 +433,7 @@ let workload_program name =
    of them, in the same order on both (probes refresh LRU recency, so
    identical order keeps the comparison exact). The states are throwaway,
    so draining the return-address stacks at the end is fine. *)
-let assert_warm_equal label n (a : Core.warm_state) (b : Core.warm_state) =
+let assert_warm_equal label n (a : Compiled.warm_state) (b : Compiled.warm_state) =
   let module H = Wish_bpred.Hybrid in
   let module B = Wish_bpred.Btb in
   let module C = Wish_bpred.Confidence in
@@ -399,30 +441,30 @@ let assert_warm_equal label n (a : Core.warm_state) (b : Core.warm_state) =
   let module R = Wish_bpred.Ras in
   let fail_pc what pc = Alcotest.failf "%s: %s differs at pc %d" label what pc in
   check Alcotest.int (label ^ ": global history")
-    (H.global_history a.Core.warm_hybrid)
-    (H.global_history b.Core.warm_hybrid);
-  let gh = H.global_history a.Core.warm_hybrid in
+    (H.global_history a.Compiled.warm_hybrid)
+    (H.global_history b.Compiled.warm_hybrid);
+  let gh = H.global_history a.Compiled.warm_hybrid in
   let la = H.fresh_lbuf () and lb = H.fresh_lbuf () in
   for pc = 0 to n - 1 do
-    H.predict_into a.Core.warm_hybrid ~pc la;
-    H.predict_into b.Core.warm_hybrid ~pc lb;
+    H.predict_into a.Compiled.warm_hybrid ~pc la;
+    H.predict_into b.Compiled.warm_hybrid ~pc lb;
     if la <> lb then fail_pc "hybrid prediction" pc;
-    if B.hit a.Core.warm_btb ~pc <> B.hit b.Core.warm_btb ~pc then fail_pc "BTB presence" pc;
+    if B.hit a.Compiled.warm_btb ~pc <> B.hit b.Compiled.warm_btb ~pc then fail_pc "BTB presence" pc;
     if
-      C.is_high_confidence a.Core.warm_conf ~pc ~history:gh
-      <> C.is_high_confidence b.Core.warm_conf ~pc ~history:gh
+      C.is_high_confidence a.Compiled.warm_conf ~pc ~history:gh
+      <> C.is_high_confidence b.Compiled.warm_conf ~pc ~history:gh
     then fail_pc "confidence" pc;
-    if LP.predict_code a.Core.warm_loop ~pc <> LP.predict_code b.Core.warm_loop ~pc then
+    if LP.predict_code a.Compiled.warm_loop ~pc <> LP.predict_code b.Compiled.warm_loop ~pc then
       fail_pc "loop prediction" pc
   done;
   let drain r = List.init (R.capacity r) (fun _ -> R.pop r) in
   Alcotest.(check (list int))
     (label ^ ": return-address stack")
-    (drain a.Core.warm_ras) (drain b.Core.warm_ras);
+    (drain a.Compiled.warm_ras) (drain b.Compiled.warm_ras);
   Alcotest.(check bool)
     (label ^ ": hierarchy stats")
     true
-    (Wish_mem.Hierarchy.stats a.Core.warm_hier = Wish_mem.Hierarchy.stats b.Core.warm_hier)
+    (Wish_mem.Hierarchy.stats a.Compiled.warm_hier = Wish_mem.Hierarchy.stats b.Compiled.warm_hier)
 
 let test_fused_warm_state_lockstep () =
   (* Every paper workload (scale 1), both with and without the wish
@@ -626,12 +668,18 @@ let () =
         List.map
           (fun bench -> Alcotest.test_case bench `Quick (test_observed bench))
           [ "mcf"; "vortex"; "twolf" ] );
+      ( "fetch",
+        [
+          Alcotest.test_case "conditional branches per cycle" `Quick
+            test_cond_branches_per_fetch_cycle;
+        ] );
       ("icache", [ Alcotest.test_case "cold stall" `Quick test_icache_cold_stalls_counted ]);
       ( "sampling",
         [
           Alcotest.test_case "report well-formed" `Quick test_sampler_report_well_formed;
           Alcotest.test_case "parallel == serial" `Quick test_sampler_parallel_identical;
           Alcotest.test_case "tiny trace is exact" `Quick test_sampler_tiny_trace_is_exact;
+          Alcotest.test_case "streamed auto spec" `Quick test_sampler_stream_auto_spec;
         ] );
       ( "fused",
         [

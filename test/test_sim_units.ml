@@ -1,6 +1,6 @@
 (* Unit tests for the simulator's internal components: the oracle cursor
    (matching and skip rules), the wish-branch front-end state machine, the
-   completion event wheel, the register alias table and the event
+   completion event wheel, the µop branch record and the event
    counters. *)
 
 open Wish_isa
@@ -33,61 +33,69 @@ let make_oracle () =
   let trace, _ = Wish_emu.Trace.generate hammock_program in
   Oracle.create (Program.code hammock_program) trace
 
+(* One match attempt into a fresh buffer: [Some] the matched entry. *)
+let consume o ~pc =
+  let e = Oracle.fresh_ebuf () in
+  if Oracle.consume_into o ~pc e then Some e else None
+
 let test_oracle_sequential_match () =
   let o = make_oracle () in
-  (match Oracle.consume o ~pc:0 with
+  (match consume o ~pc:0 with
   | Some e ->
-    Alcotest.(check bool) "guard true" true e.Oracle.guard_true;
-    check Alcotest.int "next pc" 1 e.next_pc
+    Alcotest.(check bool) "guard true" true e.Oracle.b_guard_true;
+    check Alcotest.int "next pc" 1 e.b_next_pc;
+    check Alcotest.int "index" 0 e.b_index
   | None -> Alcotest.fail "expected match");
   check Alcotest.int "cursor advanced" 1 (Oracle.cursor o)
 
 let test_oracle_skips_wish_region () =
   let o = make_oracle () in
-  ignore (Oracle.consume o ~pc:0);
-  ignore (Oracle.consume o ~pc:1);
+  ignore (consume o ~pc:0);
+  ignore (consume o ~pc:1);
   (* The wish jump entry: actual direction taken (guard true). *)
-  (match Oracle.consume o ~pc:2 with
-  | Some e -> Alcotest.(check bool) "jump direction" true e.Oracle.taken
+  (match consume o ~pc:2 with
+  | Some e -> Alcotest.(check bool) "jump direction" true e.Oracle.b_taken
   | None -> Alcotest.fail "jump entry");
   (* Predicted-taken fetch goes straight to pc 6, skipping the spec temp
      (pc 3, guard-true but spec), the false-guarded add (4) and the
      false-guarded join (5). *)
-  (match Oracle.consume o ~pc:6 with
-  | Some e -> Alcotest.(check bool) "then side is real work" true e.Oracle.guard_true
+  (match consume o ~pc:6 with
+  | Some e ->
+    Alcotest.(check bool) "then side is real work" true e.Oracle.b_guard_true;
+    check Alcotest.int "three entries skipped" 6 e.b_index
   | None -> Alcotest.fail "skip-match failed");
-  (match Oracle.consume o ~pc:7 with
+  match consume o ~pc:7 with
   | Some _ -> ()
-  | None -> Alcotest.fail "tail after skip")
+  | None -> Alcotest.fail "tail after skip"
 
 let test_oracle_divergence_no_side_effect () =
   let o = make_oracle () in
-  ignore (Oracle.consume o ~pc:0);
+  ignore (consume o ~pc:0);
   let cursor = Oracle.cursor o in
-  Alcotest.(check bool) "bogus pc diverges" true (Oracle.consume o ~pc:7 = None);
+  Alcotest.(check bool) "bogus pc diverges" true (consume o ~pc:7 = None);
   check Alcotest.int "cursor unchanged" cursor (Oracle.cursor o)
 
 let test_oracle_restore () =
   let o = make_oracle () in
-  ignore (Oracle.consume o ~pc:0);
-  ignore (Oracle.consume o ~pc:1);
+  ignore (consume o ~pc:0);
+  ignore (consume o ~pc:1);
   let saved = Oracle.cursor o in
-  ignore (Oracle.consume o ~pc:2);
+  ignore (consume o ~pc:2);
   Oracle.restore o saved;
-  match Oracle.consume o ~pc:2 with
+  match consume o ~pc:2 with
   | Some _ -> ()
   | None -> Alcotest.fail "replay after restore"
 
 let test_oracle_exhaustion () =
   let o = make_oracle () in
   let rec drain pc =
-    match Oracle.consume o ~pc with
-    | Some e when not (Oracle.exhausted o) -> drain e.Oracle.next_pc
+    match consume o ~pc with
+    | Some e when not (Oracle.exhausted o) -> drain e.Oracle.b_next_pc
     | _ -> ()
   in
   drain 0;
   Alcotest.(check bool) "exhausted after halt" true (Oracle.exhausted o);
-  check Alcotest.(option int) "peek at end" None (Oracle.peek_pc o)
+  Alcotest.(check bool) "nothing left to match" true (consume o ~pc:0 = None)
 
 (* Wish FSM ------------------------------------------------------------------ *)
 
@@ -430,31 +438,6 @@ let prop_wheel_model =
       done;
       List.rev !fired = expected)
 
-(* RAT ------------------------------------------------------------------------ *)
-
-let test_rat_producers () =
-  let rat = Rat.create () in
-  check Alcotest.int "unmapped is ready" (-1) (Rat.int_producer rat 5);
-  Rat.set_int rat 5 42;
-  Rat.set_pred rat 3 43;
-  check Alcotest.int "int producer" 42 (Rat.int_producer rat 5);
-  check Alcotest.int "pred producer" 43 (Rat.pred_producer rat 3);
-  (* r0/p0 writes are discarded. *)
-  Rat.set_int rat 0 99;
-  Rat.set_pred rat 0 99;
-  check Alcotest.int "r0 never mapped" (-1) (Rat.int_producer rat 0);
-  check Alcotest.int "p0 never mapped" (-1) (Rat.pred_producer rat 0)
-
-let test_rat_snapshot_restore () =
-  let rat = Rat.create () in
-  Rat.set_int rat 5 1;
-  let snap = Rat.snapshot rat in
-  Rat.set_int rat 5 2;
-  Rat.set_int rat 6 3;
-  Rat.restore rat snap;
-  check Alcotest.int "r5 restored" 1 (Rat.int_producer rat 5);
-  check Alcotest.int "r6 restored" (-1) (Rat.int_producer rat 6)
-
 (* Uop ----------------------------------------------------------------------- *)
 
 let branch_rec ~predicted ~actual ~is_return ~target ~next : Uop.branch_rec =
@@ -546,11 +529,6 @@ let () =
           Alcotest.test_case "overflow latencies" `Quick test_wheel_overflow_latencies;
           Alcotest.test_case "reschedule from drain" `Quick test_wheel_reschedule_from_drain;
           QCheck_alcotest.to_alcotest ~speed_level:`Quick prop_wheel_model;
-        ] );
-      ( "rat",
-        [
-          Alcotest.test_case "producers" `Quick test_rat_producers;
-          Alcotest.test_case "snapshot/restore" `Quick test_rat_snapshot_restore;
         ] );
       ("uop", [ Alcotest.test_case "mispredicted" `Quick test_uop_mispredicted ]);
       ( "counters",

@@ -80,97 +80,6 @@ let test_rng_chance_extremes () =
     Alcotest.(check bool) "100% always" true (Rng.chance r ~percent:100)
   done
 
-(* Ring --------------------------------------------------------------- *)
-
-let test_ring_fifo_order () =
-  let r = Ring.create 4 in
-  List.iter (Ring.push r) [ 1; 2; 3 ];
-  check Alcotest.(option int) "peek oldest" (Some 1) (Ring.peek r);
-  check Alcotest.(option int) "pop oldest" (Some 1) (Ring.pop r);
-  Ring.push r 4;
-  Ring.push r 5;
-  check Alcotest.(list int) "order preserved" [ 2; 3; 4; 5 ] (Ring.to_list r)
-
-let test_ring_full_and_space () =
-  let r = Ring.create 2 in
-  Ring.push r 1;
-  Ring.push r 2;
-  Alcotest.(check bool) "full" true (Ring.is_full r);
-  check Alcotest.int "no space" 0 (Ring.space r);
-  Alcotest.check_raises "push full" (Failure "Ring.push: full") (fun () -> Ring.push r 3)
-
-let test_ring_drop_from () =
-  let r = Ring.create 8 in
-  List.iter (Ring.push r) [ 10; 11; 12; 13; 14 ];
-  let dropped = Ring.drop_from r 2 in
-  check Alcotest.(list int) "dropped oldest-first" [ 12; 13; 14 ] dropped;
-  check Alcotest.(list int) "kept prefix" [ 10; 11 ] (Ring.to_list r);
-  Ring.push r 15;
-  check Alcotest.(list int) "reusable after drop" [ 10; 11; 15 ] (Ring.to_list r)
-
-let test_ring_wraparound () =
-  let r = Ring.create 3 in
-  List.iter (Ring.push r) [ 1; 2; 3 ];
-  ignore (Ring.pop r);
-  ignore (Ring.pop r);
-  Ring.push r 4;
-  Ring.push r 5;
-  check Alcotest.(list int) "wrapped contents" [ 3; 4; 5 ] (Ring.to_list r);
-  check Alcotest.int "get indexes from oldest" 4 (Ring.get r 1)
-
-let test_ring_find_index () =
-  let r = Ring.create 4 in
-  List.iter (Ring.push r) [ 7; 8; 9 ];
-  check Alcotest.(option int) "found" (Some 1) (Ring.find_index r (fun x -> x = 8));
-  check Alcotest.(option int) "missing" None (Ring.find_index r (fun x -> x = 99))
-
-let prop_ring_model =
-  (* Ring behaves like a bounded FIFO queue. *)
-  QCheck.Test.make ~name:"Ring model check" ~count:200
-    QCheck.(list (option small_nat))
-    (fun ops ->
-      let r = Ring.create 8 in
-      let model = ref [] in
-      List.for_all
-        (fun op ->
-          match op with
-          | Some x ->
-            if Ring.is_full r then true
-            else begin
-              Ring.push r x;
-              model := !model @ [ x ];
-              Ring.to_list r = !model
-            end
-          | None -> (
-            match (Ring.pop r, !model) with
-            | None, [] -> true
-            | Some v, m :: rest ->
-              model := rest;
-              v = m
-            | _ -> false))
-        ops)
-
-(* Heap --------------------------------------------------------------- *)
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"Heap pops in ascending order" ~count:300
-    QCheck.(list small_nat)
-    (fun xs ->
-      let h = Heap.create () in
-      List.iter (Heap.push h) xs;
-      let rec drain acc = match Heap.pop h with None -> List.rev acc | Some v -> drain (v :: acc) in
-      drain [] = List.sort compare xs)
-
-let test_heap_interleaved () =
-  let h = Heap.create () in
-  List.iter (Heap.push h) [ 5; 1; 3 ];
-  check Alcotest.(option int) "min" (Some 1) (Heap.pop h);
-  Heap.push h 0;
-  check Alcotest.(option int) "new min" (Some 0) (Heap.pop h);
-  check Alcotest.(option int) "then 3" (Some 3) (Heap.pop h);
-  check Alcotest.(option int) "then 5" (Some 5) (Heap.pop h);
-  check Alcotest.(option int) "empty" None (Heap.pop h)
-
 (* Lru ---------------------------------------------------------------- *)
 
 let test_lru_hit_and_miss () =
@@ -336,16 +245,6 @@ let () =
           qtest prop_rng_int_range;
           qtest prop_rng_range;
         ] );
-      ( "ring",
-        [
-          Alcotest.test_case "fifo order" `Quick test_ring_fifo_order;
-          Alcotest.test_case "full/space" `Quick test_ring_full_and_space;
-          Alcotest.test_case "drop_from" `Quick test_ring_drop_from;
-          Alcotest.test_case "wraparound" `Quick test_ring_wraparound;
-          Alcotest.test_case "find_index" `Quick test_ring_find_index;
-          qtest prop_ring_model;
-        ] );
-      ("heap", [ Alcotest.test_case "interleaved" `Quick test_heap_interleaved; qtest prop_heap_sorts ]);
       ( "lru",
         [
           Alcotest.test_case "hit and miss" `Quick test_lru_hit_and_miss;
