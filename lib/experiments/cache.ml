@@ -30,7 +30,7 @@ let fp_journal_torn =
   Faultpoint.register "cache.journal.torn"
     ~doc:"a journal append crashes halfway through its line"
 
-type t = { root : string; version : int }
+type t = { root : string; version : int; header : string }
 
 (* Bump whenever a marshalled payload's in-memory type changes shape or
    the file layout changes (v2: chunked packed trace representation;
@@ -47,8 +47,23 @@ let format_version = 8
 let default_dir () =
   match Sys.getenv_opt "WISH_CACHE_DIR" with Some d when d <> "" -> d | _ -> "_wishcache"
 
+(* The header and footer are fixed-width text so that a version or
+   integrity check never has to deserialize untrusted-format payload
+   bytes. *)
+let header_of version = Printf.sprintf "WISHCACHE %08d\n" version
+let header_len = String.length (header_of 0)
+
+(* [WISHSUM <md5> <length, 12 digits>\n], built without [Printf]: a warm
+   regeneration checks one per entry it reads. *)
+let footer ~payload =
+  let len = string_of_int (String.length payload) in
+  let md5 = Digest.to_hex (Digest.string payload) in
+  String.concat "" [ "WISHSUM "; md5; " "; String.make (12 - String.length len) '0'; len; "\n" ]
+
+let footer_len = String.length (footer ~payload:"")
+
 let create ?dir ?(version = format_version) () =
-  { root = Option.value dir ~default:(default_dir ()); version }
+  { root = Option.value dir ~default:(default_dir ()); version; header = header_of version }
 
 let dir t = t.root
 let quarantine_dir t = Filename.concat t.root "quarantine"
@@ -67,48 +82,62 @@ let rec mkdir_p d =
     try Sys.mkdir d 0o755 with Sys_error _ -> ()
   end
 
-(* The header and footer are fixed-width text so that a version or
-   integrity check never has to deserialize untrusted-format payload
-   bytes. *)
-let header t = Printf.sprintf "WISHCACHE %08d\n" t.version
-let header_len = String.length (header { root = ""; version = 0 })
-let footer ~payload = Printf.sprintf "WISHSUM %s %012d\n" (Digest.to_hex (Digest.string payload)) (String.length payload)
-let footer_len = String.length (footer ~payload:"")
-
 type status =
   | Entry_ok
   | Entry_stale of int (* written by this other format version *)
   | Entry_corrupt of string (* human-readable reason *)
 
-(* Classify an open entry channel and, when the entry is intact, return
-   the payload string alongside. Reads the whole file but never
-   unmarshals. *)
-let classify t ic =
-  let len = in_channel_length ic in
-  if len < header_len then (Entry_corrupt "shorter than the header", None)
-  else
-    match really_input_string ic header_len with
-    | exception End_of_file -> (Entry_corrupt "truncated header", None)
-    | h -> (
-      match Scanf.sscanf_opt h "WISHCACHE %08d\n" Fun.id with
-      | None -> (Entry_corrupt "unrecognized header", None)
-      | Some v when v <> t.version -> (Entry_stale v, None)
-      | Some _ ->
-        let body_len = len - header_len in
-        if body_len < footer_len then (Entry_corrupt "shorter than the footer", None)
-        else begin
-          let payload_len = body_len - footer_len in
-          match really_input_string ic payload_len with
-          | exception End_of_file -> (Entry_corrupt "truncated payload", None)
-          | payload -> (
-            match really_input_string ic footer_len with
-            | exception End_of_file -> (Entry_corrupt "truncated footer", None)
-            | f ->
-              if f = footer ~payload then (Entry_ok, Some payload)
-              else if String.length f >= 7 && String.sub f 0 7 = "WISHSUM" then
-                (Entry_corrupt "payload does not match its footer checksum", None)
-              else (Entry_corrupt "missing footer (torn write)", None))
-        end)
+(* Each domain's read buffer, grown to the largest entry it has read. *)
+let read_buffer = Domain.DLS.new_key (fun () -> ref (Bytes.create 4096))
+
+(* The whole of [file], read to EOF with one open and one close: the
+   domain's read buffer and the byte count. Raises [Unix.Unix_error]. *)
+let read_all file =
+  let fd = Unix.openfile file [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+  let buf = Domain.DLS.get read_buffer in
+  let rec go n =
+    if n = Bytes.length !buf then buf := Bytes.extend !buf 0 n;
+    match Unix.read fd !buf n (Bytes.length !buf - n) with
+    | 0 -> n
+    | k -> go (n + k)
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go n
+  in
+  match go 0 with
+  | n ->
+    Unix.close fd;
+    (!buf, n)
+  | exception e ->
+    Unix.close fd;
+    raise e
+
+(* Classify an entry's [n] bytes [b] and, when the entry is intact,
+   return the payload string alongside. Never unmarshals; a header other
+   than this version's is parsed only to tell stale from corrupt. *)
+let classify t b n =
+  if n < header_len then (Entry_corrupt "shorter than the header", None)
+  else if Bytes.sub_string b 0 header_len <> t.header then
+    match Scanf.sscanf_opt (Bytes.sub_string b 0 header_len) "WISHCACHE %08d\n" Fun.id with
+    | Some v when v <> t.version -> (Entry_stale v, None)
+    | _ -> (Entry_corrupt "unrecognized header", None)
+  else begin
+    let payload_len = n - header_len - footer_len in
+    if payload_len < 0 then (Entry_corrupt "shorter than the footer", None)
+    else begin
+      let payload = Bytes.sub_string b header_len payload_len in
+      let f = Bytes.sub_string b (header_len + payload_len) footer_len in
+      if f = footer ~payload then (Entry_ok, Some payload)
+      else if String.starts_with ~prefix:"WISHSUM" f then
+        (Entry_corrupt "payload does not match its footer checksum", None)
+      else (Entry_corrupt "missing footer (torn write)", None)
+    end
+  end
+
+(* [file]'s classification, or [None] when it cannot be opened. *)
+let classify_file t file =
+  match read_all file with
+  | b, n -> Some (classify t b n)
+  | exception Unix.Unix_error (_, "open", _) -> None
+  | exception Unix.Unix_error _ -> Some (Entry_corrupt "read error", None)
 
 (* Move a corrupt entry aside (best-effort) so it is inspectable but
    never re-examined; concurrent detectors race benignly on the rename. *)
@@ -120,28 +149,24 @@ let quarantine t file ~kind =
 
 let find t ~kind ~key =
   let file = path t ~kind ~key in
-  match open_in_bin file with
-  | exception Sys_error _ -> None
-  | ic -> (
-    let status, payload = (try classify t ic with Sys_error _ -> (Entry_corrupt "read error", None)) in
-    close_in_noerr ic;
-    match (status, payload) with
-    | Entry_ok, Some payload -> (
-      match Marshal.from_string payload 0 with
-      | v -> Some v
-      | exception _ ->
-        (* Checksum intact but unmarshalling failed: the payload was
-           written by an incompatible runtime; treat as corrupt. *)
-        quarantine t file ~kind;
-        None)
-    | Entry_stale _, _ ->
-      (* Stale format: evict so it is not re-examined (the version bump
-         already says its meaning changed; nothing to inspect). *)
-      (try Sys.remove file with Sys_error _ -> ());
-      None
-    | (Entry_corrupt _ | Entry_ok), _ ->
+  match classify_file t file with
+  | None -> None
+  | Some (Entry_ok, Some payload) -> (
+    match Marshal.from_string payload 0 with
+    | v -> Some v
+    | exception _ ->
+      (* Checksum intact but unmarshalling failed: the payload was
+         written by an incompatible runtime; treat as corrupt. *)
       quarantine t file ~kind;
       None)
+  | Some (Entry_stale _, _) ->
+    (* Stale format: evict so it is not re-examined (the version bump
+       already says its meaning changed; nothing to inspect). *)
+    (try Sys.remove file with Sys_error _ -> ());
+    None
+  | Some ((Entry_corrupt _ | Entry_ok), _) ->
+    quarantine t file ~kind;
+    None
 
 (* Unique temp names even for two domains of one process racing on the
    same key: pid + a process-global counter. The final [Sys.rename] is
@@ -158,7 +183,7 @@ let store t ~kind ~key v =
     in
     let payload = Marshal.to_string v [] in
     let oc = open_out_bin tmp in
-    output_string oc (header t);
+    output_string oc t.header;
     if Faultpoint.fires fp_write_torn then
       (* Simulated crash mid-write that still reaches the final name (a
          legacy non-atomic writer, a lying disk): half the payload, no
@@ -327,12 +352,7 @@ let scan t =
   let entries = ref [] in
   iter_entries t (fun ~kind ~name file ->
       let status =
-        match open_in_bin file with
-        | exception Sys_error _ -> Entry_corrupt "unreadable"
-        | ic ->
-          let s = try fst (classify t ic) with Sys_error _ -> Entry_corrupt "read error" in
-          close_in_noerr ic;
-          s
+        match classify_file t file with None -> Entry_corrupt "unreadable" | Some (s, _) -> s
       in
       entries := (Filename.concat kind name, status) :: !entries);
   List.sort (fun (a, _) (b, _) -> compare a b) !entries

@@ -92,7 +92,11 @@ let averages lab =
       | kept -> Some (label, kept))
     [ ("AVG", fun _ -> true); ("AVGnomcf", fun n -> n <> "mcf") ]
 
-let average lab kept bar = Lab.mean (List.map (fun n -> value lab n bar) kept)
+(* [column lab bar] — [bar]'s value on every benchmark, computed once
+   for both its rows and its averages. *)
+let column lab bar = List.map (fun n -> (n, value lab n bar)) (Lab.bench_names lab)
+
+let average column kept = Lab.mean (List.map (fun n -> List.assoc n column) kept)
 
 (** Shared renderer: one column per bar, one row per benchmark plus the
     AVG / AVGnomcf rows; values normalized per-benchmark to the normal
@@ -103,13 +107,14 @@ let exec_time_table lab ~title bars =
       ~header:("benchmark" :: List.map (fun b -> b.label) bars)
       ~aligns:(Table.Left :: List.map (fun _ -> Table.Right) bars)
   in
+  let columns = List.map (column lab) bars in
   List.iter
-    (fun name -> Table.add_row t (name :: List.map (fun b -> f3 (value lab name b)) bars))
+    (fun name -> Table.add_row t (name :: List.map (fun c -> f3 (List.assoc name c)) columns))
     (Lab.bench_names lab);
   Table.add_separator t;
   List.iter
     (fun (label, kept) ->
-      Table.add_row t (label :: List.map (fun b -> f3 (average lab kept b)) bars))
+      Table.add_row t (label :: List.map (fun c -> f3 (average c kept)) columns))
     (averages lab);
   t
 
@@ -148,9 +153,10 @@ let sweep_table lab ~title ~axis ~row values bars =
   in
   List.iter
     (fun v ->
+      let columns = List.map (column lab) (bars v) in
       List.iter
         (fun (label, kept) ->
-          Table.add_row t (row v :: label :: List.map (fun b -> f3 (average lab kept b)) (bars v)))
+          Table.add_row t (row v :: label :: List.map (fun c -> f3 (average c kept)) columns))
         (averages lab))
     values;
   t

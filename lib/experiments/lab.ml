@@ -20,20 +20,23 @@
       its task, which generates it and simulates every run that reads
       it: at most one trace per worker is live, and none is stored (the
       emulator regenerates one about as fast as a cache would load it);
-    - an optional persistent {!Cache}: summaries are looked up by (bench,
-      input, scale, binary digest, observed config[, sampling]) before being
-      recomputed and stored after (a summary stored from outside the
-      lab under its job's kind-label key is read too), and each compile
-      task stores one [binary] entry with its binaries' digests and
-      static shapes, read before compiling. Concurrent processes on one
-      cache coalesce duplicate compiles and runs through its leases.
+    - an optional persistent {!Cache}: summaries are looked up by run
+      key before being recomputed and stored after (a summary stored
+      from outside the lab under its job's kind-label key is read too),
+      and each compile task stores one [binary] entry with its binaries'
+      digests and static shapes, read before compiling. Concurrent
+      processes on one cache coalesce duplicate compiles and runs
+      through its leases.
 
-    A run is named by its binary's digest (code and entry), not by the
-    kind it was compiled as, and by the machine that binary can observe
-    ({!Wish_sim.Config.observed}), not the whole config: binaries
-    compiled to the same code, and configs that differ only in fields
-    the binary never reads, share one memo slot, one trace per input,
-    one cache key and one lease.
+    A run is named by one string, its run key ({!run_key_of_job}): the
+    bench, input and scale, its binary's digest (code and entry), not
+    the kind it was compiled as, and the digest of the machine that
+    binary can observe ({!Wish_sim.Config.observed}), not the whole
+    config. Binaries compiled to the same code, and configs that differ
+    only in fields the binary never reads, share one memo slot, one
+    trace per input, one cache entry and one lease, all under that key.
+    A batch computes each job's key once, on the coordinating domain,
+    and its pool tasks carry it.
 
     Fault tolerance (the lab's {!policy}): every compile, trace and
     simulation runs under supervision — one that raises (or whose worker
@@ -112,21 +115,34 @@ type shape = {
 (* What a compile task's [binary] entry stores per label. *)
 type binary = { digest : string; shape : shape }
 
+(* Tables keyed by config value. [Hashtbl.hash] reads a config's first
+   ten ints only, so table configs that differ later would share a
+   bucket. [compare] skips the sub-records two configs share physically,
+   which [=] walks; a config holds no float, so the two agree. *)
+module Configs = Hashtbl.Make (struct
+  type t = Wish_sim.Config.t
+
+  let equal a b = compare a b = 0
+  let hash = Wish_sim.Config.hash
+end)
+
 type t = {
   scale : int;
   names : string list;
   policy : policy;
   binaries : (string * string, binary) Hashtbl.t; (* by (bench, label) *)
   programs : (string * string, Wish_isa.Program.t) Hashtbl.t; (* compiled, by (bench, label) *)
-  results : (string * string * string * Wish_sim.Config.t, Wish_sim.Runner.summary) Hashtbl.t;
-      (* by (bench, digest, input, observed config) *)
+  scale_key : string; (* [|scaleN] *)
+  key_tails : string Configs.t;
+      (* each observed config met: its run keys' [|cfg<digest>] and sampling suffix *)
+  results : (string, Wish_sim.Runner.summary) Hashtbl.t; (* by run key *)
   (* Final failures, kept for the lab's life so that no later batch or
      [run] computes them again: by compile task name, by trace (bench,
-     digest, input) and by run, keyed as [results]. *)
+     digest, input) and by run key. *)
   failed_compiles : (string, failure) Hashtbl.t;
   failed_traces : (string * string * string, failure) Hashtbl.t;
-  failed_runs : (string * string * string * Wish_sim.Config.t, failure) Hashtbl.t;
-  mutable log : string -> unit;
+  failed_runs : (string, failure) Hashtbl.t;
+  mutable log : (string -> unit) option;
   pool : Pool.t option;
   cache : Cache.t option;
   stop : bool Atomic.t;
@@ -150,11 +166,13 @@ let create ?(scale = 1) ?names ?(jobs = 1) ?cache ?(policy = default_policy) ?sa
     policy;
     binaries = Hashtbl.create 64;
     programs = Hashtbl.create 64;
-    results = Hashtbl.create 256;
+    scale_key = "|scale" ^ string_of_int scale;
+    key_tails = Configs.create 64;
+    results = Hashtbl.create 512;
     failed_compiles = Hashtbl.create 4;
     failed_traces = Hashtbl.create 4;
     failed_runs = Hashtbl.create 4;
-    log = ignore;
+    log = None;
     pool = (if jobs > 1 then Some (Pool.create ~size:jobs ()) else None);
     cache;
     stop = Atomic.make false;
@@ -172,7 +190,10 @@ let batch_stats t = { t.stats with executed = t.stats.executed }
 let request_stop t = Atomic.set t.stop true
 let check_stop t = if Atomic.get t.stop then raise Interrupted
 
-let set_logger t f = t.log <- (fun s -> Mutex.protect t.lock (fun () -> f s))
+let set_logger t f = t.log <- Some (fun s -> Mutex.protect t.lock (fun () -> f s))
+
+(* A log line is formatted only when a logger is set. *)
+let log t line = Option.iter (fun f -> f (line ())) t.log
 
 let bench_names t = t.names
 
@@ -249,16 +270,17 @@ let compile t j =
   let programs =
     match j.job_wish_n with
     | None ->
-      t.log (Printf.sprintf "compiling %s (5 binaries, profile input %s)" j.job_bench b.profile_input);
+      log t (fun () ->
+          Printf.sprintf "compiling %s (5 binaries, profile input %s)" j.job_bench b.profile_input);
       let bins =
         Compiler.compile_all ~mem_words:b.mem_words ~name:j.job_bench
           ~profile_data:(Wish_workloads.Bench.profile_data b) b.ast
       in
       List.map (Compiler.binary bins) Compiler.all_kinds
     | Some n ->
-      t.log
-        (Printf.sprintf "compiling %s/%s (wish-jump threshold N=%d)" j.job_bench
-           (Policy.kind_name j.job_kind) n);
+      log t (fun () ->
+          Printf.sprintf "compiling %s/%s (wish-jump threshold N=%d)" j.job_bench
+            (Policy.kind_name j.job_kind) n);
       [
         fst
           (Compiler.compile_kind ~mem_words:b.mem_words ~wish_threshold_n:n ~name:j.job_bench b.ast
@@ -281,6 +303,10 @@ let compile t j =
         } ))
     programs
 
+(* A job of a batch with its run key ({!run_key_of_job}), computed once
+   on the coordinating domain. *)
+type run = { key : string; job : job }
+
 (* One pool task a round: a trace and the runs that read it, or in a
    sampled lab, which has no trace, one run. The trace dies with the
    task unless a run that read it awaits a retry. *)
@@ -289,7 +315,7 @@ type group = {
   program : Wish_isa.Program.t;
   trace : Wish_emu.Trace.t option;
   tries : int; (* trace attempts made *)
-  sims : (job * int) list; (* runs left, with the attempts made on each *)
+  sims : (run * int) list; (* runs left, with the attempts made on each *)
 }
 
 (* --------------------------------------------------------------- *)
@@ -321,7 +347,7 @@ type 'a verdict = Done of 'a | Retry | Final of failure | Skipped
    cannot abandon the batch. The first final failure under fail-fast goes
    in [halt], which skips the round's attempts not yet begun. *)
 let attempt t halt ~stage ~what ~tries ?line f =
-  if tries = 0 then Option.iter t.log line;
+  if tries = 0 then Option.iter (log t) line;
   if Atomic.get t.stop || Option.is_some (Atomic.get halt) then Skipped
   else begin
     let { retries; keep_going } = t.policy in
@@ -334,9 +360,9 @@ let attempt t halt ~stage ~what ~tries ?line f =
           | Faultpoint.Injected { site; hit } -> Printf.sprintf "injected fault at %s (hit %d)" site hit
           | e -> Printexc.to_string e
         in
-        t.log
-          (Printf.sprintf "%s %s: attempt %d/%d failed (%s)" stage what (tries + 1) (1 + retries)
-             reason);
+        log t (fun () ->
+            Printf.sprintf "%s %s: attempt %d/%d failed (%s)" stage what (tries + 1) (1 + retries)
+              reason);
         if tries < retries then Retry
         else
           Final
@@ -433,7 +459,7 @@ let resolve t jobs =
     | None -> false
     | Some bs ->
       t.stats.cache_hits <- t.stats.cache_hits + 1;
-      t.log (Printf.sprintf "cache hit: binary %s" (task_name j));
+      log t (fun () -> "cache hit: binary " ^ task_name j);
       List.iter2 (fun label b -> Hashtbl.replace t.binaries (j.job_bench, label) b) (task_labels j) bs;
       true
   in
@@ -442,7 +468,7 @@ let resolve t jobs =
       (fun j -> not (read j))
       (uniq task_name
          (List.filter
-            (fun j -> compile_failure t j = None && not (Hashtbl.mem t.binaries (label_key j)))
+            (fun j -> (not (Hashtbl.mem t.binaries (label_key j))) && compile_failure t j = None)
             jobs))
   in
   match t.cache with
@@ -480,13 +506,25 @@ let observed b config =
   Wish_sim.Config.observed ~wish:(b.shape.wish_branches > 0)
     ~predicated:(b.shape.guarded_non_branches > 0) config
 
-(* The persistent-cache identity of a run's summary, also the key its
-   lease is taken on. *)
-let run_key_of_job t j =
-  let b = binary t j in
-  with_sampling t
-    (Printf.sprintf "%s|%s|scale%d|bin%s|cfg%s" j.job_bench j.job_input t.scale b.digest
-       (Cache.digest_of (observed b j.job_config)))
+(* [j]'s run key, given its binary [b]: the lab's one name for the run,
+   the persistent-cache key of its summary and the key its lease is
+   taken on, [bench|input|scaleN|bin<digest>|cfg<digest>] plus the
+   sampling suffix. The tail from [|cfg] on is made once per distinct
+   observed config; [observed] and the table machines allocate fresh
+   configs, so it is looked up by value. *)
+let run_key t j b =
+  let config = observed b j.job_config in
+  let tail =
+    match Configs.find_opt t.key_tails config with
+    | Some tail -> tail
+    | None ->
+      let tail = with_sampling t ("|cfg" ^ Cache.digest_of config) in
+      Configs.add t.key_tails config tail;
+      tail
+  in
+  String.concat "" [ j.job_bench; "|"; j.job_input; t.scale_key; "|bin"; b.digest; tail ]
+
+let run_key_of_job t j = run_key t j (binary t j)
 
 (* A job's key by label, for summaries stored from outside the lab; it
    needs no binary. *)
@@ -495,42 +533,44 @@ let summary_key_of_job t j =
     (Printf.sprintf "%s|%s|%s|scale%d|cfg%s" j.job_bench (job_label j) j.job_input t.scale
        (Cache.digest_of j.job_config))
 
-let memo_of j b = (j.job_bench, b.digest, j.job_input, observed b j.job_config)
-let memo_key t j = memo_of j (binary t j)
+(* [j]'s run key, once its binary is known. *)
+let key_of t j = Option.map (run_key t j) (Hashtbl.find_opt t.binaries (label_key j))
+
 let trace_key t j = (j.job_bench, (binary t j).digest, j.job_input)
 
-(* A summary this process already has for [j], if its binary is known. *)
-let memoized t j =
-  Option.bind (Hashtbl.find_opt t.binaries (label_key j)) (fun b ->
-      Hashtbl.find_opt t.results (memo_of j b))
-
-(* The final failure of [j]'s compile, run or trace, if the lab has one. *)
-let failure_of t j =
+(* The final failure of [j]'s compile, trace or run (key [key]), if the
+   lab has one. *)
+let failure t j key =
   match compile_failure t j with
   | Some _ as fl -> fl
-  | None when not (Hashtbl.mem t.binaries (label_key j)) -> None
   | None -> (
-    match Hashtbl.find_opt t.failed_runs (memo_key t j) with
+    match Hashtbl.find_opt t.failed_runs key with
     | Some _ as fl -> fl
     | None -> Hashtbl.find_opt t.failed_traces (trace_key t j))
 
-(* [j]'s summary in the cache: under its run key, else under its label
-   key, where only a writer outside the lab stores. *)
-let stored_summary t j =
-  match t.cache with
-  | None -> None
-  | Some c -> (
-    let find key = Cache.find c ~kind:"summary" ~key in
-    match find (run_key_of_job t j) with None -> find (summary_key_of_job t j) | hit -> hit)
-
-let cache_hit t j s ~note =
+let cache_hit t r s ~note =
   t.stats.cache_hits <- t.stats.cache_hits + 1;
-  t.log (Printf.sprintf "cache hit: summary %s%s" (describe_job j) note);
-  Hashtbl.add t.results (memo_key t j) s
+  log t (fun () -> Printf.sprintf "cache hit: summary %s%s" (describe_job r.job) note);
+  Hashtbl.replace t.results r.key s
+
+(* Whether the cache holds [r]'s summary, which it then memoizes: under
+   its run key, else under its label key, where only a writer outside
+   the lab stores. *)
+let stored t r =
+  let read c =
+    let find key = Cache.find c ~kind:"summary" ~key in
+    match find r.key with None -> find (summary_key_of_job t r.job) | hit -> hit
+  in
+  match Option.bind t.cache read with
+  | Some s ->
+    cache_hit t r s ~note:"";
+    true
+  | None -> false
 
 (* Stage 3's runs: one task per group, the longest first so the batch
    ends with every worker busy. A failed trace fails or retries exactly
-   its group's runs; a failed run is retried with the trace kept. *)
+   its group's runs; a failed run is retried with the trace kept. A task
+   reads no lab table: its runs carry their keys. *)
 let run_groups t groups =
   let hint g = (bench t g.lead.job_bench).approx_dyn_insts in
   (* Exact runs replay their group's trace; sampled runs warm inside
@@ -544,12 +584,14 @@ let run_groups t groups =
   in
   rounds t
     (fun halt g ->
-      let lead = g.lead and what = describe_job g.lead in
+      let what = describe_job g.lead in
       (* This round's trace attempt, if it makes one. *)
       let traced =
         if t.sample <> None || g.trace <> None then Done g.trace
         else
-          attempt t halt ~stage:"trace" ~what ~tries:g.tries ~line:("tracing " ^ what) (fun () ->
+          attempt t halt ~stage:"trace" ~what ~tries:g.tries
+            ~line:(fun () -> "tracing " ^ what)
+            (fun () ->
               Faultpoint.cut fp_trace;
               Some (fst (Wish_emu.Trace.generate ~hint:(hint g) g.program)))
       in
@@ -562,21 +604,20 @@ let run_groups t groups =
             | None -> "sampled, trace-free"
           in
           List.map
-            (fun (j, tries) ->
-              ( j,
+            (fun (r, tries) ->
+              ( r,
                 tries,
-                attempt t halt ~stage:"simulate" ~what:(describe_job j) ~tries
-                  ~line:(Printf.sprintf "simulating %s (%s)" (describe_job j) note) (fun () ->
+                attempt t halt ~stage:"simulate" ~what:(describe_job r.job) ~tries
+                  ~line:(fun () -> Printf.sprintf "simulating %s (%s)" (describe_job r.job) note)
+                  (fun () ->
                     Faultpoint.cut fp_simulate;
-                    let s = simulate ~config:j.job_config ?trace g.program in
-                    Option.iter
-                      (fun c -> Cache.store c ~kind:"summary" ~key:(run_key_of_job t j) s)
-                      t.cache;
+                    let s = simulate ~config:r.job.job_config ?trace g.program in
+                    Option.iter (fun c -> Cache.store c ~kind:"summary" ~key:r.key s) t.cache;
                     s) ))
             g.sims
         | Retry | Final _ | Skipped -> []
       in
-      let retry = List.filter_map (fun (j, n, v) -> if v = Retry then Some (j, n + 1) else None) sims in
+      let retry = List.filter_map (fun (r, n, v) -> if v = Retry then Some (r, n + 1) else None) sims in
       let trace_failure = match traced with Final fl -> Some fl | _ -> None in
       ( (match traced with
         | Retry -> Some { g with tries = g.tries + 1 }
@@ -585,73 +626,83 @@ let run_groups t groups =
         (* The commit runs when the round is over, so it holds no trace:
            that would keep every trace of the round alive until then. *)
         fun () ->
-          Option.iter (Hashtbl.replace t.failed_traces (trace_key t lead)) trace_failure;
+          Option.iter (Hashtbl.replace t.failed_traces (trace_key t g.lead)) trace_failure;
           List.iter
-            (fun (j, _, v) ->
+            (fun (r, _, v) ->
               match v with
-              | Done s -> Hashtbl.replace t.results (memo_key t j) s
-              | Final fl -> Hashtbl.replace t.failed_runs (memo_key t j) fl
+              | Done s -> Hashtbl.replace t.results r.key s
+              | Final fl -> Hashtbl.replace t.failed_runs r.key fl
               | Retry | Skipped -> ())
             sims ))
     (List.stable_sort
        (fun a b -> compare (hint b * List.length b.sims) (hint a * List.length a.sims))
        groups)
 
-(* Runs the batch ({!run_batch_results}); returns each job's outcome. *)
+(* Runs the batch ({!run_batch_results}); returns each job with its run
+   key, [None] when its binary's compile failed. *)
 let batch t jobs =
   check_stop t;
   (* Stage 1: every job's binary. A failed compile fails exactly the
      jobs of its task. *)
   resolve t jobs;
-  (* Stage 2: the memo and the lab's failures, then the cache, on the
-     digest key; what is left needs computing. *)
+  (* Stage 2: each job's run key, once; a key the memo, the lab's
+     failures and then the cache do not settle needs computing, once. *)
+  let keyed = List.map (fun j -> (j, key_of t j)) jobs in
   let todo =
-    List.filter
-      (fun j -> Hashtbl.mem t.binaries (label_key j) && memoized t j = None && failure_of t j = None)
-      jobs
-    |> uniq (memo_key t)
-    |> List.filter (fun j ->
-           match stored_summary t j with
-           | Some s ->
-             cache_hit t j s ~note:"";
-             false
-           | None -> true)
+    List.filter_map (fun (job, key) -> Option.map (fun key -> { key; job }) key) keyed
+    |> uniq (fun r -> r.key)
+    |> List.filter (fun r -> (not (Hashtbl.mem t.results r.key)) && failure t r.job r.key = None)
+    |> List.filter (fun r -> not (stored t r))
   in
-  (* Stage 3 for [todo], one job per key: compile the binaries known
-     only from their entries, then run one group per trace (per job in
-     a sampled lab). A job whose binary or trace already failed (before
-     its lease was taken over) is not retried. *)
+  (* Stage 3 for [todo]: compile the binaries known only from their
+     entries, then run one group per trace (per run in a sampled lab).
+     A job whose binary or trace already failed (before its lease was
+     taken over) is not retried. *)
   let compute todo =
-    let live = List.filter (fun j -> failure_of t j = None) in
+    let live = List.filter (fun r -> failure t r.job r.key = None) in
     let todo = live todo in
     compile_round t
-      (uniq task_name (List.filter (fun j -> not (Hashtbl.mem t.programs (label_key j))) todo));
+      (uniq task_name
+         (List.filter_map
+            (fun r -> if Hashtbl.mem t.programs (label_key r.job) then None else Some r.job)
+            todo));
     let todo = live todo in
-    let group_key j = (trace_key t j, if t.sample = None then None else Some j.job_config) in
+    let group_key r = (trace_key t r.job, if t.sample = None then None else Some r.key) in
     run_groups t
       (List.map
-         (fun lead ->
-           let b = bench t lead.job_bench and k = group_key lead in
+         (fun first ->
+           let lead = first.job and k = group_key first in
+           let b = bench t lead.job_bench in
            let program = Wish_workloads.Bench.program_for b (compiled t lead) lead.job_input in
-           let sims = List.filter (fun j -> group_key j = k) todo in
-           { lead; program; trace = None; tries = 0; sims = List.map (fun j -> (j, 0)) sims })
+           let sims = List.filter (fun r -> group_key r = k) todo in
+           { lead; program; trace = None; tries = 0; sims = List.map (fun r -> (r, 0)) sims })
          (uniq group_key todo))
   in
   (match t.cache with
   | None -> compute todo
   | Some c ->
-    settle t c ~key:(run_key_of_job t)
-      ~found:(fun j ->
-        match Cache.find c ~kind:"summary" ~key:(run_key_of_job t j) with
+    settle t c
+      ~key:(fun r -> r.key)
+      ~found:(fun r ->
+        match Cache.find c ~kind:"summary" ~key:r.key with
         | Some s ->
-          cache_hit t j s ~note:" (from a concurrent run)";
+          cache_hit t r s ~note:" (from a concurrent run)";
           true
         | None -> false)
       compute todo);
-  fun j ->
-    match memoized t j with Some s -> Ok s | None -> Error (Option.get (failure_of t j))
+  keyed
 
-let run_batch_results t jobs = List.map (batch t jobs) jobs
+(* What the lab has for [j] (run key [key]): its summary, or its final
+   failure. *)
+let outcome t (j, key) =
+  match key with
+  | None -> Error (Option.get (compile_failure t j))
+  | Some key -> (
+    match Hashtbl.find_opt t.results key with
+    | Some s -> Ok s
+    | None -> Error (Option.get (failure t j key)))
+
+let run_batch_results t jobs = List.map (outcome t) (batch t jobs)
 
 (** [run_batch t jobs] — {!run_batch_results}, failures raised: the first
     failing job (in [jobs] order) aborts with [Job_failed]. *)
@@ -660,15 +711,15 @@ let run_batch t jobs =
 
 (* Under fail-fast, a failure raises inside the batch; under keep-going,
    failures are data, and the tables report them when they render. *)
-let prewarm t jobs =
-  let (_ : job -> _) = batch t (with_baselines jobs) in
-  ()
+let prewarm t jobs = ignore (batch t (with_baselines jobs))
 
 (** [run t ~bench ~kind ?wish_threshold_n ?input ?config ()] — a memo
     lookup, or a one-job batch. *)
 let run t ~bench ~kind ?wish_threshold_n ?input ?config () =
   let j = job ~bench ~kind ?wish_threshold_n ?input ?config () in
-  match memoized t j with Some s -> s | None -> List.hd (run_batch t [ j ])
+  match Option.bind (key_of t j) (Hashtbl.find_opt t.results) with
+  | Some s -> s
+  | None -> List.hd (run_batch t [ j ])
 
 (** [shape t ~bench ~kind] — static branch counts of one binary, read
     from its bench's [binary] entry; the bench is compiled only on a

@@ -106,7 +106,8 @@ val jobs : t -> int
     [Fun.protect ~finally:(fun () -> Lab.shutdown lab)]. *)
 val shutdown : t -> unit
 
-(** [set_logger t f] — progress callbacks for compilations/simulations. *)
+(** [set_logger t f] — progress callbacks for compilations/simulations.
+    Without a logger the lab formats no log line. *)
 val set_logger : t -> (string -> unit) -> unit
 
 val bench_names : t -> string list
@@ -193,16 +194,17 @@ val with_baselines : job list -> job list
     whatever kind they were compiled as and however they were built. *)
 val binary_digest : Wish_isa.Program.t -> string
 
-(** [run_key_of_job t j] — the persistent-cache key [j]'s summary is
-    stored under, [bench|input|scaleN|bin<digest>|cfg<digest>] plus a
-    [|sample...] suffix when the lab samples; [bin<digest>] is the
-    {!binary_digest} of [j]'s binary, so twins share the key, and
-    [cfg<digest>] digests the config that binary can observe
-    ({!Wish_sim.Config.observed}), so configs it cannot tell apart
-    share it too.
-    {!run_batch_results} takes its {!Cache} lease on the same key. The
-    binary is resolved on first use: read from its [binary] entry, or
-    compiled (raising {!Job_failed} if that fails for good). *)
+(** [run_key_of_job t j] — the lab's one name for [j]'s run:
+    [bench|input|scaleN|bin<digest>|cfg<digest>] plus a [|sample...]
+    suffix when the lab samples; [bin<digest>] is the {!binary_digest}
+    of [j]'s binary, so twins share the key, and [cfg<digest>] digests
+    the config that binary can observe ({!Wish_sim.Config.observed}),
+    so configs it cannot tell apart share it too. The lab memoizes
+    summaries and final run failures under it, stores the summary in
+    the {!Cache} under it and takes the run's lease on it. Each distinct
+    observed config is digested once per lab. The binary is resolved on
+    first use: read from its [binary] entry, or compiled (raising
+    {!Job_failed} if that fails for good). *)
 val run_key_of_job : t -> job -> string
 
 (** [summary_key_of_job t j] — [j]'s key by kind label,
@@ -224,8 +226,9 @@ val summary_key_of_job : t -> job -> string
     missing bench's five binaries, or a variant, once); with a cache,
     under the {!Cache.try_lease} lease of the entry's key, so that
     processes on one cache compile a bench once. Every later stage works
-    on {!run_key_of_job}: the memo and the cache are looked up on it
-    (the cache also on {!summary_key_of_job} when it misses), and jobs
+    on {!run_key_of_job}, computed once per job on the calling domain and
+    carried into the pool tasks: the memo and the cache are looked up on
+    it (the cache also on {!summary_key_of_job} when it misses), and jobs
     that share it (twins) share one simulation, whose summary is stored
     once. A binary known only from its entry is compiled before it is
     traced. The misses are grouped by trace (bench, binary, input), one

@@ -74,6 +74,50 @@ let with_pipeline_stages t n =
 
 let with_rob t n = { t with rob_size = n }
 
+(* Every field, named in full record patterns so that a new field fails
+   the build (warning 9) until it is mixed in. [Hashtbl.hash] stops
+   after ten meaningful values, here at [btb_ways], and
+   [Hashtbl.hash_param] reaching all 44 costs several times as much. *)
+let hash
+    {
+      fetch_width;
+      rename_width;
+      issue_width;
+      retire_width;
+      rob_size;
+      frontend_depth;
+      btb_miss_penalty;
+      max_cond_branches;
+      bpred = { gshare_bits; pas_bht_bits; pas_hist_bits; pas_pht_bits; selector_bits };
+      btb_entries;
+      btb_ways;
+      ras_entries;
+      conf = { sets; ways; counter_bits; threshold; history_bits };
+      use_loop_predictor;
+      hier = { l1i; l1d; l2; memory_latency; memory_banks; bank_busy };
+      mech;
+      wish_hardware;
+      knobs = { perfect_bp; perfect_conf; no_depend; no_fetch };
+      max_cycles;
+    } =
+  let ( +: ) h x = (h * 31) + x and b = Bool.to_int in
+  let cache h { Wish_mem.Cache.size_bytes; ways; line_bytes; latency } =
+    h +: size_bytes +: ways +: line_bytes +: latency
+  in
+  let h =
+    fetch_width +: rename_width +: issue_width +: retire_width +: rob_size +: frontend_depth
+    +: btb_miss_penalty +: max_cond_branches +: gshare_bits +: pas_bht_bits +: pas_hist_bits
+    +: pas_pht_bits +: selector_bits +: btb_entries +: btb_ways +: ras_entries +: sets +: ways
+    +: counter_bits +: threshold +: history_bits +: b use_loop_predictor
+  in
+  let h = cache (cache (cache h l1i) l1d) l2 +: memory_latency +: memory_banks +: bank_busy in
+  (* [Hashtbl.hash] of the sum spreads it over the low bits a table
+     indexes by: ROB sizes 128, 256 and 512 differ in none of them. *)
+  Hashtbl.hash
+    (h
+    +: (match mech with C_style -> 0 | Select_uop -> 1)
+    +: b wish_hardware +: b perfect_bp +: b perfect_conf +: b no_depend +: b no_fetch +: max_cycles)
+
 (* A field a binary cannot read is reset to [default]'s value, so that
    configs that differ only there name one run. [wish]: the binary has a
    wish branch. Without one, nothing reads
@@ -103,21 +147,21 @@ let with_rob t n = { t with rob_size = n }
    The [observed] group of test_sim checks the rule in exact and
    sampled runs of every table configuration. *)
 let observed ~wish ~predicated c =
-  let c =
-    if wish then c
-    else
-      {
-        c with
-        conf = default.conf;
-        use_loop_predictor = default.use_loop_predictor;
-        wish_hardware = default.wish_hardware;
-        knobs = { c.knobs with perfect_conf = default.knobs.perfect_conf };
-      }
-  in
-  if predicated then c
+  if wish && predicated then c
   else
+    (* [w] supplies the wish fields, [p] the predication fields. *)
+    let w = if wish then c else default and p = if predicated then c else default in
     {
       c with
-      mech = default.mech;
-      knobs = { c.knobs with no_depend = default.knobs.no_depend; no_fetch = default.knobs.no_fetch };
+      conf = w.conf;
+      use_loop_predictor = w.use_loop_predictor;
+      wish_hardware = w.wish_hardware;
+      mech = p.mech;
+      knobs =
+        {
+          c.knobs with
+          perfect_conf = w.knobs.perfect_conf;
+          no_depend = p.knobs.no_depend;
+          no_fetch = p.knobs.no_fetch;
+        };
     }

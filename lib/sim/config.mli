@@ -53,6 +53,10 @@ val with_pipeline_stages : t -> int -> t
 
 val with_rob : t -> int -> t
 
+(** [hash c] — a hash that reads every field of [c], for tables keyed
+    by configs (equal configs hash alike). *)
+val hash : t -> int
+
 (** [observed ~wish ~predicated c] — the machine a binary sees: [c] with
     every field the binary cannot read reset to {!default}'s value.
     Without a wish branch ([wish] false) that is [conf],

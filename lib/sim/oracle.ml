@@ -30,7 +30,6 @@ let create code trace = { code; trace; cursor = 0; skip_limit = default_skip_lim
 let cursor t = t.cursor
 let restore t c = t.cursor <- c
 let length t = Trace.length t.trace
-let exhausted t = not (Trace.ensure t.trace t.cursor)
 
 (* Skippable entries: architectural NOPs (guard false) and compiler-marked
    speculated computations whose destinations are dead outside the

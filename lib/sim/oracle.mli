@@ -24,8 +24,6 @@ val restore : t -> int -> unit
 (** Trace entries generated so far (total length once the stream ends). *)
 val length : t -> int
 
-val exhausted : t -> bool
-
 (** [release t ~below] — retirement-time progress: no restore or scan
     will ever revisit entries below [below], so a streaming trace may
     recycle the chunks they occupy. No-op on materialized traces. *)

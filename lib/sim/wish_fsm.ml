@@ -55,8 +55,8 @@ let reset t =
   Array.fill t.forward 0 (Array.length t.forward) (-1);
   t.epoch <- t.epoch + 1
 
-(* Allocation-free primitives used by both the list-based decode hook below
-   and the compiled core's pre-decoded templates. *)
+(* Allocation-free primitives for the compiled core's pre-decoded
+   templates. *)
 
 let decode_write t p =
   t.forward.(p) <- -1;
@@ -66,22 +66,9 @@ let set_complement t ~pt ~pf =
   t.complement.(pt) <- pf;
   t.complement.(pf) <- pt
 
-(** [on_decode_writes t pregs ~complement_pair] — decoding an instruction
-    that writes a predicate register invalidates its forwarded value; a
-    two-destination compare also refreshes the complement map. *)
-let on_decode_writes t pregs ~complement_pair =
-  List.iter (fun p -> decode_write t p) pregs;
-  match complement_pair with
-  | Some (pt, pf) -> set_complement t ~pt ~pf
-  | None -> ()
-
 (** [forwarded_code t p] — [-1] if the buffer has no prediction for
     predicate [p], else [0]/[1] for false/true. *)
 let forwarded_code t p = t.forward.(p)
-
-(** [forwarded_value t p] — [Some v] if the buffer predicts predicate [p]. *)
-let forwarded_value t p =
-  match t.forward.(p) with -1 -> None | v -> Some (v = 1)
 
 (** [on_fetch_pc t ~pc] — "target fetched" exit from low-confidence mode. *)
 let on_fetch_pc t ~pc =
@@ -211,8 +198,3 @@ let last_loop_gen t ~pc =
 let last_loop_dir t ~pc =
   ensure_llp t pc;
   t.llp_dir.(pc)
-
-(** [last_loop_prediction t ~pc] — [(generation, last predicted dir)]. *)
-let last_loop_prediction t ~pc =
-  ensure_llp t pc;
-  if t.llp_epoch.(pc) = t.epoch then Some (t.llp_gen.(pc), t.llp_dir.(pc)) else None

@@ -21,24 +21,16 @@ val mode : t -> Uop.mode
     complement map survives (it mirrors decoded compares). *)
 val reset : t -> unit
 
-(** [on_decode_writes t pregs ~complement_pair] — decoding an instruction
-    that writes a predicate register invalidates its forwarded value; a
-    two-destination compare also refreshes the complement map. *)
-val on_decode_writes :
-  t -> Wish_isa.Reg.preg list -> complement_pair:(Wish_isa.Reg.preg * Wish_isa.Reg.preg) option -> unit
-
 (** Allocation-free decode primitives for the compiled core's pre-decoded
-    templates: [decode_write] invalidates one written predicate register;
-    [set_complement] records a compare's two-destination pair. *)
+    templates: [decode_write] invalidates one written predicate register's
+    forwarded value; [set_complement] records a compare's two-destination
+    pair. *)
 val decode_write : t -> Wish_isa.Reg.preg -> unit
 
 val set_complement : t -> pt:Wish_isa.Reg.preg -> pf:Wish_isa.Reg.preg -> unit
 
-(** [forwarded_value t p] — [Some v] if the buffer predicts predicate [p]. *)
-val forwarded_value : t -> Wish_isa.Reg.preg -> bool option
-
-(** [forwarded_code t p] — [-1] when no prediction exists for [p], else
-    [0]/[1] for false/true (allocation-free {!forwarded_value}). *)
+(** [forwarded_code t p] — [-1] when the forwarding buffer has no
+    prediction for predicate [p], else [0]/[1] for false/true. *)
 val forwarded_code : t -> Wish_isa.Reg.preg -> int
 
 (** [on_fetch_pc t ~pc] — the "target fetched" exit from low-confidence
@@ -78,11 +70,9 @@ val loop_generation : t -> pc:int -> int
     predicted exit and leaving low-confidence mode when its loop exits. *)
 val record_loop_prediction : t -> pc:int -> dir:bool -> unit
 
-(** [last_loop_prediction t ~pc] — [(generation, last predicted dir)]. *)
-val last_loop_prediction : t -> pc:int -> (int * bool) option
-
-(** [last_loop_gen t ~pc] — the recorded generation, or [-1] when no
-    prediction exists (allocation-free {!last_loop_prediction}). *)
+(** [last_loop_gen t ~pc] — the generation of the last front-end
+    prediction for the static wish loop at [pc], or [-1] when none
+    survives the last {!reset}. *)
 val last_loop_gen : t -> pc:int -> int
 
 (** [last_loop_dir t ~pc] — the last recorded direction; meaningful only

@@ -585,6 +585,42 @@ let test_warm_lab_computes_nothing () =
   let traces = List.filter (fun (e, _) -> String.starts_with ~prefix:"trace/" e) (Cache.scan cache) in
   check Alcotest.int "no trace stored" 0 (List.length traces)
 
+(* On a warm cache, one prewarm of every artifact's grid leaves the
+   tables to the memo alone: rendering every artifact reads no cache
+   entry and runs no task, and a config allocated afresh but equal to
+   one the batch ran is served from the memo too. A4's variant binaries
+   are in no grid (see {!Ablations.jobs_for}): its table makes them as
+   one-job batches, so they are prewarmed here by hand. *)
+let test_render_reads_nothing_new () =
+  let cache = Cache.create ~dir:(cache_dir ^ "_render") () in
+  Cache.clear cache;
+  let artifacts = Figures.all @ Ablations.all in
+  let grid lab =
+    List.concat_map (fun (a, _) -> Figures.jobs_for a lab @ Ablations.jobs_for a lab) artifacts
+    @ List.map
+        (fun n -> Lab.job ~bench:"gap" ~kind:Policy.Wish_jj ~wish_threshold_n:n ())
+        [ 0; 100 ]
+  in
+  let render lab = List.map (fun (_, f) -> Wish_util.Table.render (f lab)) artifacts in
+  let lab () = Lab.create ~scale:1 ~names:[ "gap" ] ~cache () in
+  let cold = lab () in
+  Lab.prewarm cold (grid cold);
+  let tables = render cold in
+  let warm = lab () in
+  Lab.prewarm warm (grid warm);
+  let before = Lab.batch_stats warm in
+  check Alcotest.int "the warm prewarm ran no task" 0 before.executed;
+  check Alcotest.(list string) "same tables" tables (render warm);
+  let rebuilt =
+    Lab.run warm ~bench:"gap" ~kind:Policy.Normal ~config:(Config.with_rob Config.default 512) ()
+  in
+  let after = Lab.batch_stats warm in
+  check Alcotest.int "no cache entry read after the prewarm" before.cache_hits after.cache_hits;
+  check Alcotest.int "no task run after the prewarm" 0 after.executed;
+  Alcotest.(check bool)
+    "a rebuilt default config is the default run" true
+    (rebuilt == Lab.run warm ~bench:"gap" ~kind:Policy.Normal ())
+
 (* An interrupted regeneration resumes from the cache alone. The second
    artifact's batch is stopped as it starts simulating, as SIGINT does
    in [experiments]; a fresh lab on the same cache then simulates
@@ -830,6 +866,8 @@ let () =
         [
           Alcotest.test_case "wish-n N=5 is the wish-jj run" `Slow test_wish_n_default_column;
           Alcotest.test_case "warm lab computes nothing" `Slow test_warm_lab_computes_nothing;
+          Alcotest.test_case "render reads nothing the prewarm did not" `Slow
+            test_render_reads_nothing_new;
         ] );
       ( "direction",
         [

@@ -1,7 +1,7 @@
 (* Unit tests for the simulator's internal components: the oracle cursor
    (matching and skip rules), the wish-branch front-end state machine, the
-   completion event wheel, the µop branch record and the event
-   counters. *)
+   completion event wheel, the µop branch record, the event counters and
+   the config hash. *)
 
 open Wish_isa
 open Wish_sim
@@ -88,13 +88,9 @@ let test_oracle_restore () =
 
 let test_oracle_exhaustion () =
   let o = make_oracle () in
-  let rec drain pc =
-    match consume o ~pc with
-    | Some e when not (Oracle.exhausted o) -> drain e.Oracle.b_next_pc
-    | _ -> ()
-  in
+  let rec drain pc = match consume o ~pc with Some e -> drain e.Oracle.b_next_pc | None -> () in
   drain 0;
-  Alcotest.(check bool) "exhausted after halt" true (Oracle.exhausted o);
+  check Alcotest.int "every entry consumed" (Oracle.length o) (Oracle.cursor o);
   Alcotest.(check bool) "nothing left to match" true (consume o ~pc:0 = None)
 
 (* Wish FSM ------------------------------------------------------------------ *)
@@ -102,16 +98,17 @@ let test_oracle_exhaustion () =
 let test_fsm_high_confidence_forwards () =
   let fsm = Wish_fsm.create () in
   (* Teach the complement relation as the decoder would. *)
-  Wish_fsm.on_decode_writes fsm [ 1; 2 ] ~complement_pair:(Some (1, 2));
+  Wish_fsm.decode_write fsm 1;
+  Wish_fsm.decode_write fsm 2;
+  Wish_fsm.set_complement fsm ~pt:1 ~pf:2;
   let dir =
     Wish_fsm.on_wish_branch fsm ~kind:Inst.Wish_jump ~pc:10 ~target:20 ~conf_high:true
       ~predictor_dir:true ~guard:1
   in
   Alcotest.(check bool) "follows predictor" true dir;
   Alcotest.(check bool) "mode high" true (Wish_fsm.mode fsm = Uop.High_conf);
-  check Alcotest.(option bool) "guard forwarded TRUE" (Some true) (Wish_fsm.forwarded_value fsm 1);
-  check Alcotest.(option bool) "complement forwarded FALSE" (Some false)
-    (Wish_fsm.forwarded_value fsm 2)
+  check Alcotest.int "guard forwarded TRUE" 1 (Wish_fsm.forwarded_code fsm 1);
+  check Alcotest.int "complement forwarded FALSE" 0 (Wish_fsm.forwarded_code fsm 2)
 
 let test_fsm_low_confidence_forces_not_taken () =
   let fsm = Wish_fsm.create () in
@@ -121,7 +118,7 @@ let test_fsm_low_confidence_forces_not_taken () =
   in
   Alcotest.(check bool) "forced not-taken" false dir;
   Alcotest.(check bool) "mode low" true (Wish_fsm.mode fsm = Uop.Low_conf);
-  check Alcotest.(option bool) "no forwarding in low mode" None (Wish_fsm.forwarded_value fsm 1);
+  check Alcotest.int "no forwarding in low mode" (-1) (Wish_fsm.forwarded_code fsm 1);
   (* A join inside the region is forced not-taken regardless of its own
      estimate (Table 1). *)
   let join_dir =
@@ -145,9 +142,9 @@ let test_fsm_decode_write_invalidates_forwarding () =
   ignore
     (Wish_fsm.on_wish_branch fsm ~kind:Inst.Wish_loop ~pc:10 ~target:5 ~conf_high:true
        ~predictor_dir:true ~guard:1);
-  Alcotest.(check bool) "forwarded" true (Wish_fsm.forwarded_value fsm 1 <> None);
-  Wish_fsm.on_decode_writes fsm [ 1 ] ~complement_pair:None;
-  check Alcotest.(option bool) "invalidated by write" None (Wish_fsm.forwarded_value fsm 1)
+  Alcotest.(check bool) "forwarded" true (Wish_fsm.forwarded_code fsm 1 <> -1);
+  Wish_fsm.decode_write fsm 1;
+  check Alcotest.int "invalidated by write" (-1) (Wish_fsm.forwarded_code fsm 1)
 
 let test_fsm_loop_generations () =
   let fsm = Wish_fsm.create () in
@@ -157,10 +154,8 @@ let test_fsm_loop_generations () =
   check Alcotest.int "taken keeps generation" 0 (Wish_fsm.loop_generation fsm ~pc:10);
   Wish_fsm.record_loop_prediction fsm ~pc:10 ~dir:false;
   check Alcotest.int "exit bumps generation" 1 (Wish_fsm.loop_generation fsm ~pc:10);
-  check
-    Alcotest.(option (pair int bool))
-    "last prediction recorded" (Some (1, false))
-    (Wish_fsm.last_loop_prediction fsm ~pc:10)
+  check Alcotest.int "last prediction's generation" 1 (Wish_fsm.last_loop_gen fsm ~pc:10);
+  Alcotest.(check bool) "last prediction's direction" false (Wish_fsm.last_loop_dir fsm ~pc:10)
 
 let test_fsm_loop_exit_leaves_low_mode () =
   let fsm = Wish_fsm.create () in
@@ -179,9 +174,8 @@ let test_fsm_reset () =
   Wish_fsm.record_loop_prediction fsm ~pc:11 ~dir:true;
   Wish_fsm.reset fsm;
   Alcotest.(check bool) "mode normal" true (Wish_fsm.mode fsm = Uop.Normal);
-  check Alcotest.(option bool) "forwarding cleared" None (Wish_fsm.forwarded_value fsm 1);
-  check Alcotest.(option (pair int bool)) "loop buffer cleared" None
-    (Wish_fsm.last_loop_prediction fsm ~pc:11)
+  check Alcotest.int "forwarding cleared" (-1) (Wish_fsm.forwarded_code fsm 1);
+  check Alcotest.int "loop buffer cleared" (-1) (Wish_fsm.last_loop_gen fsm ~pc:11)
 
 (* Wish FSM × compiled transition table --------------------------------------- *)
 
@@ -237,14 +231,10 @@ let test_fsm_table_exhaustive () =
               let dir_b = Wish_fsm.apply_packed b ~packed ~pc:10 ~target:20 ~guard:1 in
               check Alcotest.bool (tag ^ ": direction") dir_a dir_b;
               check Alcotest.int (tag ^ ": mode") (Wish_fsm.mode_code a) (Wish_fsm.mode_code b);
-              check
-                Alcotest.(option bool)
-                (tag ^ ": guard forwarding") (Wish_fsm.forwarded_value a 1)
-                (Wish_fsm.forwarded_value b 1);
-              check
-                Alcotest.(option bool)
-                (tag ^ ": complement forwarding") (Wish_fsm.forwarded_value a 2)
-                (Wish_fsm.forwarded_value b 2);
+              check Alcotest.int (tag ^ ": guard forwarding") (Wish_fsm.forwarded_code a 1)
+                (Wish_fsm.forwarded_code b 1);
+              check Alcotest.int (tag ^ ": complement forwarding") (Wish_fsm.forwarded_code a 2)
+                (Wish_fsm.forwarded_code b 2);
               (* Low-mode region exit: fetching the branch target must
                  leave (or not leave) low mode identically. *)
               Wish_fsm.on_fetch_pc a ~pc:20;
@@ -497,6 +487,18 @@ let test_counters_arithmetic () =
   check Alcotest.int "scale by 0/0" 0
     (Counters.get (Counters.scale c ~num:0 ~den:0) Counters.wish_retired)
 
+(* Config hash ------------------------------------------------------------------ *)
+
+(* Equal configs hash alike however they were built, and every machine
+   the tables use hashes apart from the others: most of them differ only
+   in fields past the tenth value [Hashtbl.hash] reads. *)
+let test_config_hash () =
+  check Alcotest.int "a rebuilt default" (Config.hash Config.default)
+    (Config.hash (Config.with_rob Config.default 512));
+  let configs = List.sort_uniq compare (Wish_fuzz.Oracle.machine_configs ()) in
+  check Alcotest.int "distinct configs, distinct hashes" (List.length configs)
+    (List.length (List.sort_uniq compare (List.map Config.hash configs)))
+
 let () =
   Alcotest.run "wish_sim_units"
     [
@@ -536,4 +538,5 @@ let () =
           Alcotest.test_case "names" `Quick test_counters_names;
           Alcotest.test_case "arithmetic" `Quick test_counters_arithmetic;
         ] );
+      ("config", [ Alcotest.test_case "hash reads every field" `Quick test_config_hash ]);
     ]
