@@ -1,14 +1,14 @@
 (** wishfuzz — differential fuzzing of the whole WISC pipeline.
 
     Generates seeded random Kernel programs, checks the six oracles
-    (emulator lockstep, five-binary agreement, timing-core accounting,
+    (source evaluator, five-binary agreement, timing-core accounting,
     exact-vs-sampled, unobservable config fields,
     artifact round-trips),
     shrinks any failure and saves it as a replayable .wisc repro.
 
     Examples:
       wishfuzz --seed 2005 --count 1000
-      wishfuzz --oracle lockstep --oracle sim --count 200
+      wishfuzz --oracle source --oracle sim --count 200
       wishfuzz --replay test/fuzz_corpus
 
     Exit codes: 0 every checked case passed (or corpus replay green);
@@ -29,7 +29,7 @@ let parse_oracles = function
         match Oracle.name_of_id id with
         | Some n -> n
         | None ->
-          Fmt.epr "unknown oracle %S (expected lockstep|binaries|sim|sampled|observed|roundtrip)@." id;
+          Fmt.epr "unknown oracle %S (expected source|binaries|sim|sampled|observed|roundtrip)@." id;
           exit 2)
       ids
 
@@ -102,7 +102,7 @@ let cmd =
     Arg.(
       value & opt_all string []
       & info [ "o"; "oracle" ]
-          ~doc:"Oracle to run: lockstep, binaries, sim, sampled, observed or roundtrip (repeatable; \
+          ~doc:"Oracle to run: source, binaries, sim, sampled, observed or roundtrip (repeatable; \
                 default all six)")
   in
   let corpus =

@@ -54,8 +54,8 @@ let data =
 let () =
   let program = Program.create ~name:"hand-assembled" ~data code in
   Fmt.pr "-- listing --@.%a@." Code.pp code;
-  (* Golden-model run. *)
-  let final = Emu.Exec.run program in
+  (* Architectural run. *)
+  let _, final = Emu.Profile.of_program program in
   Fmt.pr "architectural result: mem[500] = %d after %d instructions@."
     (Emu.Memory.read final.mem 500) final.retired;
   (* Timing: with and without wish-branch hardware (the same binary runs on

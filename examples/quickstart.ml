@@ -60,7 +60,7 @@ let () =
   let bins = Compiler.compile_all ~name:"quickstart" ~profile_data:data program_ast in
 
   (* 2. Check architectural equivalence of all five binaries. *)
-  let outcome p = (Emu.State.outcome (Emu.Exec.run p)).memory_checksum in
+  let outcome p = (Emu.State.outcome (snd (Emu.Profile.of_program p))).memory_checksum in
   let reference = outcome (Isa.Program.with_data bins.normal data) in
   List.iter
     (fun kind ->

@@ -2,7 +2,7 @@
     paper's baseline "64K-entry gshare/PAs hybrid, 64K-entry selector"
     (Table 2).
 
-    One protocol serves both timing cores and the warming paths. The
+    One protocol serves the timing core and the warm hooks. The
     caller owns the two buffers: a branch µop carries one of each and
     refills them in place, so no operation allocates.
     + [predict_into] at fetch fills an {!lbuf} with the direction and

@@ -18,24 +18,22 @@
       {!Exec.out} record, reused across steps: the hot loop allocates
       nothing.
 
-    The interpreted {!Exec.step_into} remains the golden reference; the
-    [emu-identity] test group, the [@emu-smoke] bench and the fuzzer's
-    lockstep oracle assert that this module is observably equivalent,
-    step for step and trace for trace.
+    The fuzzer's source oracle compares every binary kind's final memory
+    with an evaluator over the Kernel source, test_emu checks
+    hand-computed results and block edges, and test/emu_pins.expected
+    pins every workload binary's outcome and trace.
 
     Register and predicate indices are static instruction fields validated
-    once by [Code.create], so the specialized closures use unchecked array
-    accesses; [compile ~checked:true] builds the same block graph over
-    the interpreter core {!Exec.step_at} instead, whose every register,
-    predicate and pc access is bounds-checked. Data-memory accesses stay
-    checked in both builds — addresses are dynamic and {!Memory.Fault}
-    is architectural semantics. *)
+    once by [Code.create] (test_isa refuses a bad index in every operand
+    position), so the specialized closures use unchecked array accesses.
+    Data-memory accesses stay checked — addresses are dynamic and
+    {!Memory.Fault} is architectural semantics. *)
 
 open Wish_isa
 
 (* Translation-time miscompile drill for the differential fuzzer: when
    armed, add-immediate closures are specialized with [k + 1]. The
-   wishfuzz lockstep oracle must catch it and shrink the counterexample
+   wishfuzz source oracle must catch it and shrink the counterexample
    to a few instructions — the end-to-end proof that the oracle watches
    every specialized closure, not just the dispatch loop. *)
 let bug_site =
@@ -59,8 +57,6 @@ let context st out ~sink = { st; out; sink }
 
 type t = {
   mode : Exec.mode;
-  checked : bool;
-  n : int;
   core : (ctx -> unit) array;
       (* specialized closures: state effects, facts, then [sink]; [st.pc]
          is maintained by the block driver, once per block *)
@@ -94,9 +90,7 @@ let[@inline] emit c ~pc ~guard_true ~taken ~next_pc ~addr =
   out.o_addr <- addr;
   c.sink out
 
-(* ALU and compare semantics, written out here rather than shared with
-   {!Exec}: the interpreter is the reference the lockstep checks compare
-   against, so a slip in one copy shows up as a divergence. *)
+(* ALU and compare semantics. *)
 let[@inline] alu op a b =
   match op with
   | Inst.Add -> a + b
@@ -254,22 +248,13 @@ let specialize (m : Exec.mode) code pc : ctx -> unit =
       if t then c.st.State.halted <- true;
       emit c ~pc ~guard_true:t ~taken:false ~next_pc:fall ~addr:(-1)
 
-(** [compile ?checked ~mode code] — one-time translation of [code] for
-    [mode]. [checked] (default false) keeps every array access
-    bounds-checked by building the block graph over the interpreter core
-    — same block structure, golden accesses. *)
-let compile ?(checked = false) ~mode code =
+(** [compile ~mode code] — one-time translation of [code] for [mode]. *)
+let compile ~mode code =
   let n = Code.length code in
-  let core =
-    (* The image's static targets and register indices were validated by
-       [Code.create] (the only constructor of a [Code.t]); that is what
-       licenses the unchecked accesses inside [specialize]. *)
-    Array.init n (fun pc ->
-        if checked then fun c ->
-          Exec.step_at mode code c.st ~pc c.out;
-          c.sink c.out
-        else specialize mode code pc)
-  in
+  (* The image's static targets and register indices were validated by
+     [Code.create] (the only constructor of a [Code.t]); that is what
+     licenses the unchecked accesses inside [specialize]. *)
+  let core = Array.init n (specialize mode code) in
   let steps =
     Array.map
       (fun f ->
@@ -288,25 +273,14 @@ let compile ?(checked = false) ~mode code =
   done;
   let leaders = Code.block_leaders ~fuse_wish code in
   let blocks = Array.fold_left (fun acc l -> if l then acc + 1 else acc) 0 leaders in
-  { mode; checked; n; core; steps; suffix_len; leaders; blocks }
-
-(** [step t st out] — execute exactly one instruction, mirroring
-    {!Exec.step_into} (facts into [out], [st.pc]/[st.retired] updated).
-    The lockstep probe for compiled≡interpreted equivalence testing. *)
-let step t (st : State.t) out =
-  assert (not st.halted);
-  let pc = st.pc in
-  if pc < 0 || pc >= t.n then
-    invalid_arg (Printf.sprintf "Compiled.step: pc %d outside [0, %d)" pc t.n);
-  (Array.unsafe_get t.steps pc) (context st out ~sink:no_sink);
-  st.retired <- st.retired + 1
+  { mode; core; steps; suffix_len; leaders; blocks }
 
 (** [run t c ~fuel ~steps] — execute whole blocks of [c]'s machine until
     it halts or at least [steps] more instructions have retired (block
     fusion may overshoot to the end of the final block). [c]'s sink is
     invoked once per instruction with the shared fact record — it must
     copy what it needs and must not mutate the state. Raises
-    {!Exec.Out_of_fuel} exactly where the interpreted loop would: blocks
+    {!Exec.Out_of_fuel} with exactly [fuel] instructions retired: blocks
     that would cross the fuel line fall back to fuel-checked
     single-stepping. *)
 let run t c ~fuel ~steps =
@@ -316,30 +290,11 @@ let run t c ~fuel ~steps =
     if tgt < st.retired then max_int else tgt (* overflow clamp *)
   in
   let core = t.core and slen = t.suffix_len and stepa = t.steps in
-  let checked = t.checked in
-  if fuel = max_int && target = max_int && not checked then
-    (* Unbounded fast path: no fuel or step accounting per block. This is
-       the run-to-completion configuration (Trace.generate, Profile,
-       benches); mcf's architectural block graph averages under four
-       instructions per block, so the bound checks are a measurable
-       per-instruction tax there. *)
-    while not st.halted do
-      let pc = st.pc in
-      let len = Array.unsafe_get slen pc in
-      for p = pc to pc + len - 1 do
-        (Array.unsafe_get core p) c
-      done;
-      st.pc <- out.o_next_pc;
-      st.retired <- st.retired + len
-    done
-  else
   while (not st.halted) && st.retired < target do
     let pc = st.pc in
-    if checked && (pc < 0 || pc >= t.n) then
-      invalid_arg (Printf.sprintf "Compiled.run: pc %d outside [0, %d)" pc t.n);
     let len = Array.unsafe_get slen pc in
     if st.retired + len > fuel then begin
-      (* Fuel-exact fallback: same raise point as the interpreter. *)
+      (* Fuel-exact fallback: raise with exactly [fuel] retired. *)
       if st.retired >= fuel then raise (Exec.Out_of_fuel fuel);
       (Array.unsafe_get stepa pc) c;
       st.retired <- st.retired + 1
@@ -367,23 +322,20 @@ let run_to_halt t st out ~sink ~fuel = run t (context st out ~sink) ~fuel ~steps
     final block, this driver single-steps the last partial block so
     [st.retired] lands precisely on the requested count. Sampled-run
     checkpoints cut at precise trace indices; that exactness is what lets
-    the fused warming path replace per-entry trace replay. Fuel raises
-    {!Exec.Out_of_fuel} at exactly the interpreter's instruction. *)
+    the fused warming path stop where a window opens. Fuel raises
+    {!Exec.Out_of_fuel} with exactly [fuel] instructions retired. *)
 let run_hooked t (st : State.t) out ~(hooks : sink array) ~fuel ~steps =
   let target =
     let tgt = st.retired + steps in
     if tgt < st.retired then max_int else tgt (* overflow clamp *)
   in
   let core = t.core and slen = t.suffix_len and stepa = t.steps in
-  let checked = t.checked in
   let c = context st out ~sink:no_sink in
   while (not st.halted) && st.retired < target do
     let pc = st.pc in
-    if checked && (pc < 0 || pc >= t.n) then
-      invalid_arg (Printf.sprintf "Compiled.run_hooked: pc %d outside [0, %d)" pc t.n);
     let len = Array.unsafe_get slen pc in
     if st.retired + len > fuel then begin
-      (* Fuel-exact fallback: same raise point as the interpreter. *)
+      (* Fuel-exact fallback: raise with exactly [fuel] retired. *)
       if st.retired >= fuel then raise (Exec.Out_of_fuel fuel);
       (Array.unsafe_get stepa pc) c;
       let h = Array.unsafe_get hooks pc in

@@ -5,9 +5,8 @@
     shape, guard register, ALU/CMP op and immediates resolved at compile
     time), straight-line runs are fused so dispatch happens once per
     basic block, and step facts are reported through a single mutable
-    {!Exec.out} record reused across steps. Observably equivalent to the
-    interpreted {!Exec.step_into}, which the [emu-identity] test group,
-    the [@emu-smoke] bench and the fuzzer's lockstep oracle check. *)
+    {!Exec.out} record reused across steps. The fuzzer's source oracle,
+    test_emu and test/emu_pins.expected check it. *)
 
 type t
 
@@ -31,11 +30,8 @@ type ctx
 
 val context : State.t -> Exec.out -> sink:sink -> ctx
 
-(** [compile ?checked ~mode code] translates [code] once for [mode].
-    With [~checked:true] (default false) the block graph runs over the
-    fully bounds-checked interpreter core ({!Exec.step_at}) instead of
-    the specialized closures: the test and timing baseline for them. *)
-val compile : ?checked:bool -> mode:Exec.mode -> Wish_isa.Code.t -> t
+(** [compile ~mode code] translates [code] once for [mode]. *)
+val compile : mode:Exec.mode -> Wish_isa.Code.t -> t
 
 val mode : t -> Exec.mode
 
@@ -45,16 +41,10 @@ val block_count : t -> int
 
 val block_leaders : t -> bool array
 
-(** [step t st out] — execute exactly one instruction; mirrors
-    {!Exec.step_into} ([st.pc], [st.retired], facts into [out]). The
-    lockstep probe used for equivalence testing. *)
-val step : t -> State.t -> Exec.out -> unit
-
 (** [run t c ~fuel ~steps] — execute whole blocks of [c]'s machine
     until it halts or at least [steps] more instructions retire (block
     fusion may overshoot to the end of the final block). Raises
-    {!Exec.Out_of_fuel} at exactly the instruction where the interpreted
-    loop would. *)
+    {!Exec.Out_of_fuel} with exactly [fuel] instructions retired. *)
 val run : t -> ctx -> fuel:int -> steps:int -> unit
 
 val run_to_halt : t -> State.t -> Exec.out -> sink:sink -> fuel:int -> unit
@@ -66,6 +56,6 @@ val run_to_halt : t -> State.t -> Exec.out -> sink:sink -> fuel:int -> unit
     at precise trace indices). [hooks] must have one entry per static
     instruction; hooks must not mutate the machine state. A hook that is
     physically {!no_sink} is not called — warming plans mark
-    statically-inert pcs with it. Raises
-    {!Exec.Out_of_fuel} at exactly the interpreter's instruction. *)
+    statically-inert pcs with it. Raises {!Exec.Out_of_fuel} with exactly
+    [fuel] instructions retired. *)
 val run_hooked : t -> State.t -> Exec.out -> hooks:sink array -> fuel:int -> steps:int -> unit

@@ -1,8 +1,8 @@
-(** Single-step architectural semantics.
+(** Execution modes and the per-step fact record of the emulator
+    ({!Compiled}).
 
     Two execution modes:
-    - [Architectural]: every branch follows its real semantics — the
-      golden model used for equivalence testing between binaries.
+    - [Architectural]: every branch follows its real semantics.
     - [Predicate_through]: wish jumps and wish joins are forced to fall
       through. Because everything they would have jumped over is guarded
       by the complementary predicate (or marked speculative), this is
@@ -25,22 +25,7 @@ type out = {
 }
 
 val make_out : unit -> out
-val eval_alu : Wish_isa.Inst.aluop -> int -> int -> int
-val eval_cmp : Wish_isa.Inst.cmpop -> int -> int -> bool
 
-(** [step_at mode code st ~pc o] executes the instruction at [pc]: state
-    effects, facts into [o], [st.pc] set to the successor. Does NOT touch
-    [st.retired] — bookkeeping belongs to the caller ({!step_into} counts
-    single instructions; {!Compiled} counts whole blocks). *)
-val step_at : mode -> Wish_isa.Code.t -> State.t -> pc:int -> out -> unit
-
-(** [step_into mode code st o] executes the instruction at [st.pc],
-    updates [st] (including [retired]) and writes the facts into [o].
-    Must not be called when [st.halted]. *)
-val step_into : mode -> Wish_isa.Code.t -> State.t -> out -> unit
-
+(** Raised by a run that would retire more than its fuel (runaway
+    guard), carrying the fuel. *)
 exception Out_of_fuel of int
-
-(** [run ?mode ?fuel program] executes to completion; raises
-    {!Out_of_fuel} past [fuel] retired instructions (runaway guard). *)
-val run : ?mode:mode -> ?fuel:int -> Wish_isa.Program.t -> State.t

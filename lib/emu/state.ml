@@ -29,11 +29,6 @@ let create (p : Program.t) =
     retired = 0;
   }
 
-let read_reg t r = t.regs.(r)
-let read_pred t p = t.pregs.(p)
-let write_reg t r v = if r <> Reg.r0 then t.regs.(r) <- v
-let write_pred t p v = if p <> Reg.p0 then t.pregs.(p) <- v
-
 let push_ra t pc =
   if List.length t.ra_stack >= ra_stack_limit then
     raise (Call_stack_error "call stack overflow");

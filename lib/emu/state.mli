@@ -14,13 +14,6 @@ exception Call_stack_error of string
 
 val ra_stack_limit : int
 val create : Wish_isa.Program.t -> t
-(** Bounds-checked register-file accessors. Writes to r0/p0 are
-    discarded. *)
-
-val read_reg : t -> Wish_isa.Reg.ireg -> int
-val read_pred : t -> Wish_isa.Reg.preg -> bool
-val write_reg : t -> Wish_isa.Reg.ireg -> int -> unit
-val write_pred : t -> Wish_isa.Reg.preg -> bool -> unit
 
 (** [push_ra]/[pop_ra] raise {!Call_stack_error} on overflow/underflow. *)
 val push_ra : t -> int -> unit

@@ -109,9 +109,10 @@ val set_sealed : t -> bool -> unit
 val warm_to : t -> hooks:(Exec.out -> unit) array -> until:int -> int
 
 (** Sentinel hook for pcs whose warm step is statically nothing
-    (physically {!Compiled.no_sink}): {!warm_to} recognizes it by
-    identity and skips the indirect call entirely. Warming plans mark
-    straight-line instructions on an already-touched I-line with it. *)
+    (physically {!Compiled.no_sink}): {!warm_to}, and a replay of
+    recorded entries into the same hooks, recognize it by identity and
+    skip the call entirely. Warming plans mark straight-line
+    instructions on an already-touched I-line with it. *)
 val no_hook : Exec.out -> unit
 
 (** [generate ?fuel ?hint program] runs the emulator in predicate-through

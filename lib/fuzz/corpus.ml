@@ -13,6 +13,7 @@ type repro = {
   oracle : string;
   seed : int;
   reason : string;
+  source_words : int array option;
   program : Program.t;
 }
 
@@ -20,6 +21,20 @@ type repro = {
 let header_line key value =
   let value = String.map (function '\n' | '\r' -> ' ' | c -> c) value in
   Printf.sprintf "; %s=%s\n" key value
+
+(* The source evaluator's words, sparsely: their count, then [addr:value]
+   for each non-zero one. *)
+let encode_words words =
+  let b = Buffer.create 64 in
+  Buffer.add_string b (string_of_int (Array.length words));
+  Array.iteri (fun a w -> if w <> 0 then Buffer.add_string b (Printf.sprintf " %d:%d" a w)) words;
+  Buffer.contents b
+
+let decode_words s =
+  let fields = String.split_on_char ' ' s in
+  let words = Array.make (int_of_string (List.hd fields)) 0 in
+  List.iter (fun p -> Scanf.sscanf p "%d:%d%!" (fun a w -> words.(a) <- w)) (List.tl fields);
+  words
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -51,6 +66,9 @@ let save ~dir ~oracle ~reason ~steps (c : Gen.case) =
   Buffer.add_string buf (header_line "case-seed" (string_of_int c.Gen.c_seed));
   Buffer.add_string buf (header_line "shrink-steps" (string_of_int steps));
   Buffer.add_string buf (header_line "reason" reason);
+  (match Oracle.source_words c with
+  | Ok words -> Buffer.add_string buf (header_line "source-words" (encode_words words))
+  | Error _ -> ());
   Buffer.add_string buf (Parse.listing_of_program program);
   let oc = open_out path in
   output_string oc (Buffer.contents buf);
@@ -87,14 +105,17 @@ let load path =
     oracle = get "oracle" "unknown";
     seed = (match int_of_string_opt (get "case-seed" "") with Some s -> s | None -> 0);
     reason = get "reason" "";
+    source_words = Option.map decode_words (Hashtbl.find_opt h "source-words");
     program;
   }
 
 let replay r =
-  [
-    ("lockstep", Oracle.lockstep_program r.program);
-    ("sim", Oracle.sim_identity_program r.program);
-  ]
+  let source =
+    match r.source_words with
+    | Some words -> Oracle.source_program ~words r.program
+    | None -> Oracle.Skip "no source-words header"
+  in
+  [ ("source", source); ("sim", Oracle.sim_identity_program r.program) ]
 
 let replay_dir dir =
   if not (Sys.file_exists dir) then []

@@ -115,7 +115,7 @@ let gen_flat_block g ~forbid n = List.init n (fun _ -> gen_flat_stmt g ~forbid)
 
 let rec gen_stmt g ~depth ~loops ~forbid ~funcs : Ast.stmt list =
   g.budget <- g.budget - 1;
-  match Rng.int g.rng 12 with
+  match Rng.int g.rng 13 with
   | 0 | 1 | 2 -> (
     match assign_target g ~forbid with
     | Some v -> [ Ast.Assign (v, gen_expr g 3) ]
@@ -137,6 +137,14 @@ let rec gen_stmt g ~depth ~loops ~forbid ~funcs : Ast.stmt list =
     [ Ast.If (gen_cond g, arm (), arm ()) ]
   | 8 | 9 when loops < max_loop_nest && g.budget > 0 -> gen_loop g ~depth ~loops ~forbid ~funcs
   | 10 when funcs <> [] -> [ Ast.Call (List.nth funcs (Rng.int g.rng (List.length funcs))) ]
+  | 11 when g.nvars > 0 ->
+    (* A fetch group full of conditional branches: [If (v = v, [], [])]
+       lowers to a compare and a never-taken branch where the branch is
+       kept (the normal binary, and BASE-DEF once profiled always-true),
+       so four to six in a row put more than [max_cond_branches] (3) in
+       one group. *)
+    let v = Ast.Var (var_name (Rng.int g.rng g.nvars)) in
+    List.init (4 + Rng.int g.rng 3) (fun _ -> Ast.If (Ast.Cmp (Ast.Eq, v, v), [], []))
   | _ -> (
     match assign_target g ~forbid with
     | Some v -> [ Ast.Assign (v, gen_expr g 2) ]

@@ -17,13 +17,16 @@
     - {e input-dependent conditions} over a bounded data region, so the
       profile input (which trains the compiler) and the evaluation input
       (which the oracles run) genuinely disagree;
+    - {e branch-dense fetch groups}: runs of empty [If]s whose
+      conditions always hold, more conditional branches than one fetch
+      group may carry;
     - {e masked addresses}: every [Load]/[Store] address has the shape
       [(e land mask) + base] with [mask + base] inside the data region,
       so memory accesses cannot fault and footprints stay bounded.
 
     The epilogue stores every program variable to a dedicated out-region
-    slot, turning live-out register state into memory — the one thing the
-    cross-binary oracle is allowed to compare. *)
+    slot, turning live-out register state into memory, where the source
+    oracle compares it with the evaluator's variables. *)
 
 type case = {
   c_seed : int;  (** the per-case seed this case is a pure function of *)

@@ -9,8 +9,6 @@ module Policy = Wish_compiler.Policy
 module Program = Wish_isa.Program
 module Parse = Wish_isa.Parse
 module State = Wish_emu.State
-module Exec = Wish_emu.Exec
-module Ecompiled = Wish_emu.Compiled
 module Trace = Wish_emu.Trace
 module Memory = Wish_emu.Memory
 module Scompiled = Wish_sim.Compiled
@@ -21,12 +19,12 @@ module Cache = Wish_experiments.Cache
 
 type verdict = Pass | Skip of string | Fail of string
 
-type name = Lockstep | Binaries | Sim_identity | Sampled | Observed | Roundtrip
+type name = Source | Binaries | Sim_identity | Sampled | Observed | Roundtrip
 
-let all_names = [ Lockstep; Binaries; Sim_identity; Sampled; Observed; Roundtrip ]
+let all_names = [ Source; Binaries; Sim_identity; Sampled; Observed; Roundtrip ]
 
 let name_id = function
-  | Lockstep -> "lockstep"
+  | Source -> "source"
   | Binaries -> "binaries"
   | Sim_identity -> "sim"
   | Sampled -> "sampled"
@@ -34,7 +32,7 @@ let name_id = function
   | Roundtrip -> "roundtrip"
 
 let name_of_id = function
-  | "lockstep" -> Some Lockstep
+  | "source" -> Some Source
   | "binaries" -> Some Binaries
   | "sim" -> Some Sim_identity
   | "sampled" -> Some Sampled
@@ -61,97 +59,77 @@ let combine verdicts =
     | Some v -> v
     | None -> Pass)
 
-(* --- (a) interpreted vs compiled emulator, in lockstep ---------------- *)
+(* --- (a, b) every binary kind against the source and the normal one --- *)
 
-let same_out (a : Exec.out) (b : Exec.out) =
-  a.Exec.o_pc = b.Exec.o_pc
-  && a.Exec.o_guard_true = b.Exec.o_guard_true
-  && a.Exec.o_taken = b.Exec.o_taken
-  && a.Exec.o_next_pc = b.Exec.o_next_pc
-  && a.Exec.o_addr = b.Exec.o_addr
+(* The final state of an architectural run. *)
+let run_arch program = try Ok (snd (Wish_emu.Profile.of_program ~fuel program)) with e -> Error e
 
-let mode_name = function Exec.Architectural -> "arch" | Exec.Predicate_through -> "pthru"
+(* The data region and the live-out slots: everything a generated
+   program computes, and nothing of the codegen's spill area. *)
+let source_words (c : Gen.case) =
+  let data = Program.segments_of_pairs c.Gen.c_eval_data in
+  match Source.run ~fuel ~mem_words:c.Gen.c_mem_words ~data c.Gen.c_ast with
+  | mem -> Ok (Array.sub mem 0 (Gen.out_base + c.Gen.c_outs))
+  | exception e -> Error e
 
-let lockstep_mode mode program =
-  let code = Program.code program in
-  let st_i = State.create program and st_c = State.create program in
-  let t = Ecompiled.compile ~mode code in
-  let oi = Exec.make_out () and oc = Exec.make_out () in
-  let tag = mode_name mode in
-  let rec go () =
-    if st_i.State.halted || st_c.State.halted then
-      if st_i.State.halted <> st_c.State.halted then
-        failf "%s: halt divergence at retired=%d" tag st_i.State.retired
-      else if State.outcome st_i <> State.outcome st_c then
-        failf "%s: final outcomes differ" tag
-      else Pass
-    else if st_i.State.retired >= fuel then Skip (tag ^ ": fuel exhausted")
-    else begin
-      let ri = try Ok (Exec.step_into mode code st_i oi) with e -> Error e in
-      let rc = try Ok (Ecompiled.step t st_c oc) with e -> Error e in
-      match (ri, rc) with
-      | Ok (), Ok () ->
-        if not (same_out oi oc) then
-          failf "%s: step facts diverge at retired=%d pc=%d (compiled pc=%d)" tag
-            st_i.State.retired oi.Exec.o_pc oc.Exec.o_pc
-        else if st_i.State.pc <> st_c.State.pc || st_i.State.retired <> st_c.State.retired then
-          failf "%s: machine state diverges after pc=%d (pc %d vs %d, retired %d vs %d)" tag
-            oi.Exec.o_pc st_i.State.pc st_c.State.pc st_i.State.retired st_c.State.retired
-        else go ()
-      | Error a, Error b ->
-        (* Both sides trapping identically at the same step is agreement:
-           the program ends here either way. *)
-        if String.equal (exn_label a) (exn_label b) then Pass
-        else failf "%s: exception divergence at retired=%d: %s vs %s" tag st_i.State.retired
-            (exn_label a) (exn_label b)
-      | Error a, Ok () ->
-        failf "%s: only the interpreter raised at retired=%d: %s" tag st_i.State.retired
-          (exn_label a)
-      | Ok (), Error b ->
-        failf "%s: only the compiled emulator raised at retired=%d: %s" tag st_c.State.retired
-          (exn_label b)
-    end
+let words_verdict ~words tag (st : State.t) =
+  let rec first a =
+    if a >= Array.length words then Pass
+    else if Memory.read st.State.mem a = words.(a) then first (a + 1)
+    else if a < Gen.out_base then failf "%s: data word %d differs from the source" tag a
+    else failf "%s: live-out slot %d differs from the source" tag (a - Gen.out_base)
   in
-  go ()
+  first 0
 
-let lockstep_program program =
-  combine [ lockstep_mode Exec.Architectural program; lockstep_mode Exec.Predicate_through program ]
+(* [program]'s architectural outcome [arch] against [words], then its
+   predicate-through one where it has wish branches. *)
+let source_check ~words tag program arch =
+  match arch with
+  | Error e -> failf "%s raised where the source did not: %s" tag (exn_label e)
+  | Ok st -> (
+    match words_verdict ~words tag st with
+    | Pass when Wish_isa.Code.static_wish_branches (Program.code program) > 0 -> (
+      match Trace.generate ~fuel program with
+      | exception Trace.Out_of_fuel _ -> Skip (tag ^ " predicate-through: fuel exhausted")
+      | exception e -> failf "%s predicate-through raised: %s" tag (exn_label e)
+      | _, st -> words_verdict ~words (tag ^ " predicate-through") st)
+    | v -> v)
 
-(* --- (b) the five binary kinds agree on observable output ------------- *)
+let source_program ~words program = source_check ~words "program" program (run_arch program)
 
-let run_arch program = try Ok (Exec.run ~mode:Exec.Architectural ~fuel program) with e -> Error e
-
-let out_words (c : Gen.case) (st : State.t) =
-  List.init c.Gen.c_outs (fun i -> Memory.read st.State.mem (Gen.out_base + i))
-
-let binaries_verdict (c : Gen.case) (eval : Policy.kind -> Program.t) =
+(* One pass over the five kinds serves both oracles: each kind runs once
+   architecturally; [Source] holds that run (and the predicate-through
+   one) to the evaluator's words, [Binaries] holds its memory checksum,
+   spill area included, to the normal binary's. *)
+let kinds_verdicts (c : Gen.case) (eval : Policy.kind -> Program.t) =
   match run_arch (eval Policy.Normal) with
-  | Error e -> Skip ("normal binary raised: " ^ exn_label e)
+  | Error e ->
+    let skip = Skip ("normal binary raised: " ^ exn_label e) in
+    (skip, skip)
   | Ok golden ->
+    let words = source_words c in
     let golden_sum = (State.outcome golden).State.memory_checksum in
-    let golden_outs = out_words c golden in
     let check_kind kind =
-      if kind = Policy.Normal then Pass
-      else
-        match run_arch (eval kind) with
-        | Error e -> failf "%s raised where normal did not: %s" (Policy.kind_name kind) (exn_label e)
+      let p = eval kind and tag = Policy.kind_name kind in
+      let arch = if kind = Policy.Normal then Ok golden else run_arch p in
+      let vs_source =
+        match words with
+        | Error e ->
+          failf "the source evaluator raised where the normal binary did not: %s" (exn_label e)
+        | Ok words -> source_check ~words tag p arch
+      in
+      let vs_normal =
+        match arch with
+        | Error e -> failf "%s raised where normal did not: %s" tag (exn_label e)
         | Ok st ->
-          let sum = (State.outcome st).State.memory_checksum in
-          let outs = out_words c st in
-          if outs <> golden_outs then
-            let slot =
-              let rec first i = function
-                | a :: t, b :: u -> if a <> b then i else first (i + 1) (t, u)
-                | _ -> i
-              in
-              first 0 (golden_outs, outs)
-            in
-            failf "%s: live-out slot %d differs from normal" (Policy.kind_name kind) slot
-          else if sum <> golden_sum then
-            failf "%s: memory checksum differs from normal" (Policy.kind_name kind)
+          if (State.outcome st).State.memory_checksum <> golden_sum then
+            failf "%s: memory checksum differs from normal" tag
           else Pass
+      in
+      (vs_source, vs_normal)
     in
-    combine (List.map check_kind Compiler.all_kinds)
+    let vs = List.map check_kind Compiler.all_kinds in
+    (combine (List.map fst vs), combine (List.map snd vs))
 
 (* --- (c) the timing core's accounting and pooled re-run ---------------- *)
 
@@ -160,7 +138,7 @@ let gen_trace program =
   | trace, _final ->
     if Trace.length trace > sim_trace_cap then Error "trace too long for the timing oracles"
     else Ok trace
-  | exception (Exec.Out_of_fuel _ | Trace.Out_of_fuel _) -> Error "trace generation out of fuel"
+  | exception Trace.Out_of_fuel _ -> Error "trace generation out of fuel"
   | exception Memory.Fault _ -> Error "program faults"
   | exception State.Call_stack_error _ -> Error "call stack trap"
 
@@ -262,7 +240,7 @@ let sampled_verdict program =
           | exception e -> failf "fused-warming sampled run raised: %s" (exn_label e)
           | fused ->
             if compare fused report <> 0 then
-              Fail "fused-warming report differs from trace-based warming"
+              Fail "fused-warming report differs from the replayed trace's"
             else Pass
         in
         if report.r_total_insts <> total then
@@ -481,11 +459,10 @@ let check ?cache_dir ~names (c : Gen.case) =
   | Ok bins ->
     let eval_data = Program.segments_of_pairs c.Gen.c_eval_data in
     let eval kind = Program.with_data (Compiler.binary bins kind) eval_data in
+    let kinds = lazy (kinds_verdicts c eval) in
     let run = function
-      | Lockstep ->
-        combine
-          [ lockstep_program (eval Policy.Normal); lockstep_program (eval Policy.Wish_jjl) ]
-      | Binaries -> binaries_verdict c eval
+      | Source -> fst (Lazy.force kinds)
+      | Binaries -> snd (Lazy.force kinds)
       | Sim_identity ->
         combine
           [

@@ -4,17 +4,17 @@
     comparing two independent ways of computing the same result — and
     returns a {!verdict}:
 
-    - {!Lockstep} — interpreted {!Wish_emu.Exec.step_into} against the
-      compiled {!Wish_emu.Compiled.step}, instruction by instruction
-      (per-step facts, pc, retired, halt, final outcome), in both
-      execution modes, on the normal and the wish-jjl binary. If exactly
-      one side raises, or they raise different exceptions or at different
-      steps, that is a failure; the same exception at the same step is
-      agreement.
-    - {!Binaries} — all five binary kinds of {!Wish_compiler.Compiler}
-      run architecturally on the evaluation input must agree on the
-      memory checksum and on every out-region word (live-out state made
-      observable by the generator's epilogue).
+    - {!Source} — every binary kind, run architecturally on the
+      evaluation input (and predicate-through where it has wish
+      branches), must leave the data region and the live-out slots (the
+      out-region words the generator's epilogue stores) as
+      {!Source.run} leaves them: an independent evaluator over the
+      Kernel AST, so a lowering or emulator bug the five kinds share
+      shows up.
+    - {!Binaries} — every binary kind of {!Wish_compiler.Compiler} must
+      leave the memory checksum the normal binary leaves, spill area
+      included. It judges the same architectural runs as {!Source}:
+      each kind runs once per case for both.
     - {!Sim_identity} — the timing core's accounting on a predicated and
       a wish binary: retired µops are correct-path plus phantom ones,
       [wish_retired] and [wish_loop_retired] are the sums of their
@@ -53,14 +53,14 @@
 
 type verdict = Pass | Skip of string | Fail of string
 
-type name = Lockstep | Binaries | Sim_identity | Sampled | Observed | Roundtrip
+type name = Source | Binaries | Sim_identity | Sampled | Observed | Roundtrip
 
 (** All six, in the order above (cheap and sharp first). *)
 val all_names : name list
 
 val name_id : name -> string
 
-(** Inverse of {!name_id} ("lockstep", "binaries", "sim", "sampled",
+(** Inverse of {!name_id} ("source", "binaries", "sim", "sampled",
     "observed", "roundtrip"). *)
 val name_of_id : string -> name option
 
@@ -91,12 +91,21 @@ val first_failure : ?cache_dir:string -> names:name list -> Gen.case -> (name * 
 (** {1 Program-level oracles}
 
     The corpus replays repro files as bare programs (no AST, no seed
-    needed): the emulator lockstep and timing-core oracles apply to any
-    {!Wish_isa.Program.t}. *)
-
-val lockstep_program : Wish_isa.Program.t -> verdict
+    needed): the timing-core oracle applies to any
+    {!Wish_isa.Program.t}, and {!Source}'s check to any program whose
+    evaluator words the repro kept. *)
 
 val sim_identity_program : Wish_isa.Program.t -> verdict
+
+(** [source_words case] — what {!Source.run} leaves in the data region
+    and the live-out slots ([Gen.out_base + c_outs] words) on [case]'s
+    evaluation input, or what it raised. *)
+val source_words : Gen.case -> (int array, exn) result
+
+(** [source_program ~words program] — {!Source}'s check of one program:
+    run architecturally, and predicate-through where it has wish
+    branches, its final memory must start with [words]. *)
+val source_program : words:int array -> Wish_isa.Program.t -> verdict
 
 (** Remove a {!check}-created cache directory tree (best-effort; for
     drivers that pass an explicit [cache_dir]). *)

@@ -34,15 +34,14 @@ val access_inst : t -> now:int -> byte_addr:int -> int
     hit/miss accounting as the timed accessors, no bank timing. *)
 val warm_data : t -> byte_addr:int -> unit
 
-val warm_inst : t -> byte_addr:int -> unit
-
 (** [inst_set_tag t ~byte_addr] resolves the L1I set/tag of an address at
     plan time, for {!warm_inst_at}. *)
 val inst_set_tag : t -> byte_addr:int -> int * int
 
-(** [warm_inst_at t ~set ~tag ~byte_addr] is {!warm_inst} with the L1I
-    index pre-resolved; the L2 fallback derives its index from
-    [byte_addr]. Identical accounting and LRU movement. *)
+(** [warm_inst_at t ~set ~tag ~byte_addr] — warm the instruction line
+    at [byte_addr], its L1I index pre-resolved ([set]/[tag] from
+    {!inst_set_tag}); the L2 fallback derives its index from [byte_addr].
+    The same accounting and LRU movement as [access_inst]. *)
 val warm_inst_at : t -> set:int -> tag:int -> byte_addr:int -> unit
 
 (** Independent deep copy (for sampled-simulation checkpoints). *)

@@ -124,7 +124,7 @@ let hash
    - [conf]: estimated only for a wish branch under wish hardware
      ([Compiled.fetch_branch]) and trained only on one that retires as
      such ([Compiled.retire_stage]); warming does the same
-     ([Sampler.warm_entry], [Sampler.build_hooks]);
+     ([Sampler.build_hooks]);
    - [use_loop_predictor]: gates the prediction, speculative iteration
      and training of wish loops only ([fetch_branch], [retire_stage],
      the warming hooks); [Compiled.recover]'s [Loop_pred.squash_all]

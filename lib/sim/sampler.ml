@@ -105,9 +105,8 @@ type report = {
 (* Functional warming                                                  *)
 (* ----------------------------------------------------------------- *)
 
-(* Per-pc warm-plan classes: what the warming loop must do for an entry
-   at that pc, precomputed so the per-entry path never touches the code
-   image ([Code.get] + variant match) again. *)
+(* Per-pc warm-plan classes: what warming must do for an entry at that
+   pc, resolved once per static instruction when the hooks are built. *)
 let k_inert = 0 (* Alu/Cmp/Pset/Nop/Halt: only the I-line check *)
 
 and k_cond = 1
@@ -119,16 +118,15 @@ and k_call = 6
 and k_return = 7
 and k_mem = 8
 
-(* The live warm state plus the warming loop's own bit of front-end
-   context (last instruction line touched, mirroring the core's
-   per-line I-cache access) and the precomputed per-pc warm plan. *)
+(* The live warm state plus warming's own bit of front-end context (last
+   instruction line touched, mirroring the core's per-line I-cache
+   access) and the precomputed per-pc warm plan. *)
 type state = {
   s_config : Config.t;
   s_code : Code.t;
   s_warm : Compiled.warm_state;
   s_kind : int array; (* warm-plan class, one of the k_* above *)
   s_line : int array; (* I-cache line index of the pc *)
-  s_lu : Hybrid.lbuf; (* [warm_entry]'s direction-predictor probe *)
   mutable s_last_line : int;
 }
 
@@ -167,7 +165,6 @@ let create_state (config : Config.t) (program : Program.t) =
       };
     s_kind;
     s_line;
-    s_lu = Hybrid.fresh_lbuf ();
     s_last_line = -1;
   }
 
@@ -181,98 +178,25 @@ let copy_warm (w : Compiled.warm_state) =
     warm_hier = Hierarchy.copy w.warm_hier;
   }
 
-(* One trace entry at architectural speed. Mirrors what the detailed core
-   does to long-lived state over a correct-path execution with no
-   speculation: predict-and-train conditional branches (shifting the
-   actual outcome into the histories), train the confidence estimator on
-   wish branches, the loop predictor on wish loops, insert taken branches
-   into the BTB, maintain the RAS, and touch the cache tags. *)
-let warm_entry st _i ~pc ~guard_true ~taken ~addr =
-  let w = st.s_warm in
-  (* Trace pcs index a validated code image, so the warm-plan arrays
-     (sized to it) are in range by construction. *)
-  let line = Array.unsafe_get st.s_line pc in
-  if line <> st.s_last_line then begin
-    Hierarchy.warm_inst w.Compiled.warm_hier ~byte_addr:(Code.byte_pc pc);
-    st.s_last_line <- line
-  end;
-  let k = Array.unsafe_get st.s_kind pc in
-  if k <> k_inert then
-    if k = k_mem then begin
-      if guard_true && addr >= 0 then
-        Hierarchy.warm_data w.warm_hier ~byte_addr:(addr * Code.word_bytes)
-    end
-    else if k <= k_wloop then begin
-      (* Branch family (cond / wish jump / wish join / wish loop). *)
-      let cfg = st.s_config in
-      let history = Hybrid.global_history w.warm_hybrid in
-      let is_wish_hw = cfg.wish_hardware && k >= k_wjump in
-      (* A low-confidence wish branch executes predicated: no flush ever
-         repairs its speculatively-shifted history, so the architectural
-         history stream carries the predictor's output there — everywhere
-         else, recovery leaves the actual outcome. The probe is read-only,
-         so the confidence estimate can decide the shift between it and
-         the training half. *)
-      let lu = st.s_lu in
-      Hybrid.predict_into w.warm_hybrid ~pc lu;
-      let predicted = lu.Hybrid.b_taken in
-      let dir =
-        if is_wish_hw then begin
-          let conf_high =
-            if cfg.knobs.perfect_conf then predicted = taken
-            else Confidence.is_high_confidence w.warm_conf ~pc ~history
-          in
-          if conf_high then taken else predicted
-        end
-        else taken
-      in
-      Hybrid.warm_train_b w.warm_hybrid lu ~pc ~dir ~taken;
-      if is_wish_hw && not cfg.knobs.perfect_conf then
-        Confidence.train w.warm_conf ~pc ~history ~correct:(predicted = taken);
-      if is_wish_hw && cfg.use_loop_predictor && k = k_wloop then
-        Loop_pred.warm_entry (Loop_pred.resolve w.warm_loop pc) ~taken;
-      if taken then Btb.insert w.warm_btb ~pc
-    end
-    else begin
-      (* Indirect control: jump / call / return. *)
-      if k = k_call then Ras.push w.warm_ras (pc + 1)
-      else if k = k_return then ignore (Ras.pop w.warm_ras);
-      if taken then Btb.insert w.warm_btb ~pc
-    end
-
-(* Warm only what the trace already recorded in [from, until) — never
-   pulls the generator (the unrecorded remainder is the fused path's
-   job). Returns the new cursor. *)
-let warm_recorded st trace ~from ~until =
-  let avail = min until (Trace.length trace) in
-  if avail > from then
-    Trace.iter_range trace ~from ~until:avail ~f:(fun i ~pc ~guard_true ~taken ~addr ->
-        warm_entry st i ~pc ~guard_true ~taken ~addr);
-  max from avail
-
-(** [warm_state_at ~config program trace i] — the functional-warming
-    state after entries [0, i): what a detailed window opening at [i]
-    receives. The reference the fused hooks are tested against. *)
-let warm_state_at ~config program trace i =
-  let st = create_state config program in
-  ignore (Trace.ensure trace (i - 1));
-  ignore (warm_recorded st trace ~from:0 ~until:i);
-  st.s_warm
-
 (* ----------------------------------------------------------------- *)
-(* Fused (trace-free) warming                                          *)
+(* Warm hooks                                                          *)
 (* ----------------------------------------------------------------- *)
 
-(* Per-pc warm hooks for {!Trace.warm_to}: [warm_entry] re-specialized
-   so that everything static — the warm-plan class, the I-line index and
-   its L1I set/tag, the BTB set/tag, the wish/loop/conf mode bits — is
-   resolved here, at plan time, once per static instruction. The
-   emulator then feeds each retired instruction's {!Exec.out} straight
-   into the hook: no trace encode, no decode, no per-entry class
-   dispatch. Every hook must mutate the warm structures
-   in exactly [warm_entry]'s order (including LRU-recency touches), so
-   fused warm state is bit-identical to trace-based warm state; the
-   [fused] test group in test_sim holds this to account. *)
+(* Per-pc warm hooks: one retired instruction at architectural speed.
+   They mirror what the detailed core does to long-lived state over a
+   correct-path execution with no speculation: predict-and-train
+   conditional branches (shifting the actual outcome into the histories,
+   or the prediction where a low-confidence wish branch executes
+   predicated), train the confidence estimator on wish branches and the
+   loop predictor on wish loops, insert taken branches into the BTB,
+   maintain the RAS, and touch the cache tags. Everything static — the
+   warm-plan class, the I-line index and its L1I set/tag, the BTB
+   set/tag, the wish/loop/conf mode bits — is resolved here, once per
+   static instruction. The emulator feeds each retired instruction's
+   {!Exec.out} straight into its hook ({!Trace.warm_to}), and entries a
+   trace has already recorded are replayed into the same hooks
+   ([replay_recorded]); test_sim's [fused] group pins the warm state
+   they leave. *)
 let build_hooks st ~entry =
   let w = st.s_warm in
   let cfg = st.s_config in
@@ -343,14 +267,18 @@ let build_hooks st ~entry =
           Hybrid.warm_train_b hybrid lb ~pc ~dir:taken ~taken;
           if taken then Btb.insert_cached btb ~set:bset ~tag:btag ~slot:bslot)
         else begin
-          (* Wish branch under wish hardware. The hybrid probe and train
-             are split around the confidence estimate (the shifted
-             direction depends on it), sharing one index computation via
+          (* Wish branch under wish hardware. A low-confidence one
+             executes predicated: no flush ever repairs its
+             speculatively-shifted history, so the architectural history
+             stream carries the predictor's output there; everywhere
+             else, recovery leaves the actual outcome. The hybrid probe
+             and train are split around the confidence estimate (the
+             shifted direction depends on it), sharing one index
+             computation via
              this hook's lookup buffer; conf probe and train share one
              way scan; the loop entry resolves its hash slot on the
-             first retirement (exactly when [warm_entry] would create
-             it) and is a direct record reference afterwards. Each
-             structure sees exactly [warm_entry]'s op sequence. *)
+             first retirement and is a direct record reference
+             afterwards. *)
           let lentry = ref None in
           fun (o : Exec.out) ->
             if line <> st.s_last_line then begin
@@ -396,15 +324,35 @@ let build_hooks st ~entry =
           if o.Exec.o_taken then Btb.insert_cached btb ~set:bset ~tag:btag ~slot:bslot
       end)
 
-(** [fused_warm_state_at ~config program i] — {!warm_state_at} computed
-    by the fused path: no trace entries exist, the warm hooks ran inside
-    the emulator. Bit-identical to the trace-based state by contract. *)
+(** [fused_warm_state_at ~config program i] — the warm state after
+    entries [0, i), computed by the hooks inside the emulator: what a
+    detailed window opening at [i] receives. *)
 let fused_warm_state_at ~config program i =
   let st = create_state config program in
   let hooks = build_hooks st ~entry:program.Program.entry in
   let trace = Trace.stream program in
   ignore (Trace.warm_to trace ~hooks ~until:i);
   st.s_warm
+
+(* Replay the entries [from, until) a trace has already recorded through
+   the warm hooks, one reused fact record standing in for the emulator's
+   ([o_next_pc] is not recorded and no hook reads it); a [Trace.no_hook]
+   pc is skipped, as the emulator skips it. Never pulls the generator:
+   the unrecorded remainder is {!Trace.warm_to}'s. Returns the new
+   cursor. *)
+let replay_recorded hooks (out : Exec.out) trace ~from ~until =
+  let avail = min until (Trace.length trace) in
+  if avail > from then
+    Trace.iter_range trace ~from ~until:avail ~f:(fun _ ~pc ~guard_true ~taken ~addr ->
+        let h = Array.unsafe_get hooks pc in
+        if h != Trace.no_hook then begin
+          out.o_pc <- pc;
+          out.o_guard_true <- guard_true;
+          out.o_taken <- taken;
+          out.o_addr <- addr;
+          h out
+        end);
+  max from avail
 
 (* ----------------------------------------------------------------- *)
 (* Detailed windows                                                    *)
@@ -559,8 +507,8 @@ let read_margin (config : Config.t) (program : Program.t) =
 
     [trace] defaults to a fresh {!Trace.stream} of [program]. Entries
     the trace has already recorded (every entry of a materialized trace)
-    warm through the reference [warm_entry]; the unrecorded rest runs
-    fused, through per-pc warm hooks inside {!Wish_emu.Compiled}
+    replay through the per-pc warm hooks; the unrecorded rest runs
+    through the same hooks inside {!Wish_emu.Compiled}
     ({!Trace.warm_to}), and chunks are recorded only for each window's
     span (lead + detail) plus, when pooled, a bounded read-ahead margin.
     The report is the same whichever way an entry warms.
@@ -583,6 +531,7 @@ let run ?pool ?trace ~config ~spec (program : Program.t) =
   let margin = read_margin config program in
   let st = create_state config program in
   let hooks = build_hooks st ~entry:program.Program.entry in
+  let out = Exec.make_out () in
   let windows = ref [] (* reversed *) in
   let pending = ref [] (* reversed *) in
   let npending = ref 0 in
@@ -605,11 +554,11 @@ let run ?pool ?trace ~config ~spec (program : Program.t) =
     end
   in
   let cursor = ref 0 in
-  (* Recorded entries warm as recorded entries, the rest of [cursor,
-     until) runs fused — unless the trace is finished (always, for a
+  (* Recorded entries replay into the hooks, the rest of [cursor, until)
+     runs fused — unless the trace is finished (always, for a
      materialized one), which leaves nothing to run. *)
   let warm_until until =
-    cursor := warm_recorded st trace ~from:!cursor ~until;
+    cursor := replay_recorded hooks out trace ~from:!cursor ~until;
     if !cursor < until && not (Trace.finished trace) then
       cursor := Trace.warm_to trace ~hooks ~until
   in

@@ -53,25 +53,19 @@ type report = {
   r_mem : Wish_mem.Hierarchy.stats;  (** warming caches: full-trace stats *)
 }
 
-(** [warm_state_at ~config program trace i] — the functional-warming
+(** [fused_warm_state_at ~config program i] — the functional-warming
     state after entries [0, i): what a detailed window opening at [i]
-    receives, computed entry by entry from the trace. The reference that
-    {!fused_warm_state_at} is tested against. *)
-val warm_state_at :
-  config:Config.t -> Wish_isa.Program.t -> Wish_emu.Trace.t -> int -> Compiled.warm_state
-
-(** [fused_warm_state_at ~config program i] — {!warm_state_at} computed
-    trace-free: per-pc warm hooks run inside the compiled emulator, no
-    entry is ever encoded. Bit-identical to the trace-based state. *)
+    receives, computed trace-free by per-pc warm hooks inside the
+    compiled emulator. test_sim pins it on every workload. *)
 val fused_warm_state_at : config:Config.t -> Wish_isa.Program.t -> int -> Compiled.warm_state
 
 (** [run ?pool ?trace ~config ~spec program] — sample the whole run.
     [trace] defaults to a fresh {!Wish_emu.Trace.stream} of [program].
     Entries the trace has already recorded (every entry of a
-    materialized trace) warm entry by entry; the rest warms through
-    per-pc hooks fused into the compiled emulator, and chunks are
-    recorded only for each window's span. The report is the same either
-    way. With [pool], detailed windows fan out across the pool's domains
+    materialized trace) replay through the per-pc warm hooks; the rest
+    warms through the same hooks fused into the compiled emulator, and
+    chunks are recorded only for each window's span. The report is the
+    same either way. With [pool], detailed windows fan out across the pool's domains
     in batches (a streaming trace is sealed against generator pulls
     meanwhile); results are byte-identical to the serial schedule.
     Placement is stratified: the head region [0, period) — the

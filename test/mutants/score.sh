@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Mutation score of the timing core's checks.
+# Mutation score of the repository's checks.
 #
 #   bash test/mutants/score.sh [WORKDIR]
 #
@@ -8,22 +8,20 @@
 # then, for each test/mutants/*.patch in turn: applies the patch, rebuilds,
 # runs every check below, and reverts the patch. Prints a Markdown table
 # with one row per mutant: K where a check kills it (fails), . where the
-# mutant survives it. Columns:
+# mutant survives it. Columns, one per check:
 #
-#   twin        the interpreted core against the compiled one (only while
-#               lib/sim/core.ml exists): @sim-smoke's comparison and the
-#               fuzz sim oracle's over @fuzz-smoke's 120 cases; K1000 when
-#               only `wishfuzz --count 1000` kills it
 #   smoke-pin   @sim-smoke: bench/sim_smoke.expected and the pooled re-run
 #   fuzz-pin    test/sim_pins.expected
-#   lockstep .. roundtrip
-#               each wishfuzz oracle over 120 cases of root seed 2005 (the
-#               sim oracle's accounting and re-run checks, not the twin)
+#   emu         test_emu, test_isa, test_compiler, test_workloads and
+#               test/emu_pins.expected
+#   source .. roundtrip
+#               each wishfuzz oracle over 120 cases of root seed 2005
 #   bin         every bin/*.expected pin (dune build @bin/runtest)
 #   sample      @sample-smoke
 #   test_sim    test/test_sim.exe and test/test_sim_units.exe
 #
-# About half a minute per mutant on two cores. The copy is left in WORKDIR.
+# About thirty seconds per mutant on two cores; a check that runs past ten
+# minutes counts as a kill. The copy is left in WORKDIR.
 set -u
 root=$(cd "$(dirname "$0")/../.." && pwd)
 work=${1:-$(mktemp -d "${TMPDIR:-/tmp}/wish-mutants.XXXXXX")}
@@ -37,31 +35,31 @@ mkdir -p "$tree"
 cd "$tree" || exit 2
 rm -rf _build
 
+oracles=$(sed -n 's/^  | [A-Z][a-z_]* -> "\([a-z]*\)"$/\1/p' lib/fuzz/oracle.ml)
+
 targets="bin/wishfuzz.exe bin/experiments.exe bin/wishsim.exe bench/sim_smoke.exe
-  bench/sample_smoke.exe test/test_sim.exe test/test_sim_units.exe test/sim_pins.exe"
+  bench/sample_smoke.exe test/test_sim.exe test/test_sim_units.exe test/sim_pins.exe
+  test/test_emu.exe test/test_isa.exe test/test_compiler.exe test/test_workloads.exe
+  test/emu_pins.exe"
 build() { dune build --root . $targets >"$work/build.log" 2>&1; }
 if ! build; then
   echo "the unmutated copy does not build; see $work/build.log" >&2
   exit 2
 fi
 exe=_build/default
-twin=no
-[ -e lib/sim/core.ml ] && twin=yes
-oracles="lockstep binaries sim sampled observed roundtrip"
 
-fuzz() { # fuzz ORACLE COUNT: every failure reason, one a line; fails on a crash
-  "$exe/bin/wishfuzz.exe" --oracle "$1" --count "$2" --no-corpus --shrink-tries 0 \
-    --max-failures 100000 >"$work/fuzz.out" 2>/dev/null
-  local rc=$?
-  sed -n 's/^  reason: //p' "$work/fuzz.out"
-  [ $rc -le 1 ]
-}
 mark() { if "$@"; then printf ' K |'; else printf ' . |'; fi; }
 differs() { ! cmp -s "$1" "$2"; }
+# alcotest EXE OUT: run an Alcotest suite from its own directory; OUT
+# gets its [FAIL] lines, or one "crashed" line when it fails without any.
+alcotest() {
+  (cd "$(dirname "$1")" && timeout 600 "./$(basename "$1")") >"$work/at.out" 2>&1
+  local rc=$?
+  grep '\[FAIL\]' "$work/at.out" | sort -u >"$2"
+  [ $rc -eq 0 ] || [ -s "$2" ] || echo crashed >"$2"
+}
 
-header="| mutant | area |"
-[ $twin = yes ] && header="$header twin |"
-header="$header smoke-pin | fuzz-pin |"
+header="| mutant | area | smoke-pin | fuzz-pin | emu |"
 for o in $oracles; do header="$header $o |"; done
 header="$header bin | sample | test_sim | killed |"
 echo "$header"
@@ -80,30 +78,19 @@ for p in "$root"/test/mutants/*.patch; do
     patch -s -R -p1 <"$p"
     continue
   fi
-  "$exe/bench/sim_smoke.exe" >"$work/smoke.out" 2>"$work/smoke.err"
-  fuzz sim 120 >"$work/sim.reasons" || echo "wishfuzz crashed" >>"$work/sim.reasons"
   cells=""
-  if [ $twin = yes ]; then
-    if grep -q 'twin:' "$work/smoke.err" || grep -q '^twin:' "$work/sim.reasons"; then
-      cells=" K |"
-    elif fuzz sim 1000 | grep -q '^twin:'; then
-      cells=" K1000 |"
-    else
-      cells=" . |"
-    fi
-  fi
-  cells="$cells$(mark eval 'differs bench/sim_smoke.expected "$work/smoke.out" || grep -qv twin: "$work/smoke.err"')"
-  cells="$cells$(mark eval '! (cd test && ../$exe/test/sim_pins.exe) >"$work/pins.out" 2>&1 || differs test/sim_pins.expected "$work/pins.out"')"
+  timeout 600 "$exe/bench/sim_smoke.exe" >"$work/smoke.out" 2>"$work/smoke.err"
+  cells="$cells$(mark eval 'differs bench/sim_smoke.expected "$work/smoke.out" || [ -s "$work/smoke.err" ]')"
+  cells="$cells$(mark eval '! (cd test && timeout 600 ../$exe/test/sim_pins.exe) >"$work/pins.out" 2>&1 || differs test/sim_pins.expected "$work/pins.out"')"
+  for t in test_emu test_isa test_compiler test_workloads; do alcotest $exe/test/$t.exe "$work/$t.fails"; done
+  cells="$cells$(mark eval 'cat "$work"/test_{emu,isa,compiler,workloads}.fails | grep -q . || ! timeout 600 $exe/test/emu_pins.exe >"$work/emu_pins.out" 2>&1 || differs test/emu_pins.expected "$work/emu_pins.out"')"
   for o in $oracles; do
-    if [ "$o" = sim ]; then
-      cells="$cells$(mark grep -qv '^twin:' "$work/sim.reasons")"
-    else
-      cells="$cells$(mark eval '! "$exe/bin/wishfuzz.exe" --oracle $o --count 120 --no-corpus --shrink-tries 0 >/dev/null 2>&1')"
-    fi
+    cells="$cells$(mark eval '! timeout 600 "$exe/bin/wishfuzz.exe" --oracle $o --count 120 --no-corpus --shrink-tries 0 >/dev/null 2>&1')"
   done
-  cells="$cells$(mark eval '! dune build --root . @bin/runtest >/dev/null 2>&1')"
-  cells="$cells$(mark eval '! "$exe/bench/sample_smoke.exe" >/dev/null 2>&1')"
-  cells="$cells$(mark eval '! (cd $exe/test && ./test_sim.exe && ./test_sim_units.exe) >/dev/null 2>&1')"
+  cells="$cells$(mark eval '! timeout 600 dune build --root . @bin/runtest >/dev/null 2>&1')"
+  cells="$cells$(mark eval '! timeout 600 "$exe/bench/sample_smoke.exe" >/dev/null 2>&1')"
+  alcotest $exe/test/test_sim.exe "$work/test_sim.fails"
+  cells="$cells$(mark eval '[ -s "$work/test_sim.fails" ] || ! timeout 600 $exe/test/test_sim_units.exe >/dev/null 2>&1')"
   if [[ "$cells" == *K* ]]; then killed=yes; else killed=no; fi
   echo "$row$cells $killed |"
   patch -s -R -p1 <"$p"

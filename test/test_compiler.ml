@@ -1,9 +1,10 @@
 (* Compiler tests.
 
    The centerpiece is differential testing: every Kernel program is (a)
-   interpreted by a reference interpreter written directly against the AST
-   semantics, and (b) compiled into all five Table-3 binary flavours and
-   run on the architectural emulator. All six memories must agree. A QCheck
+   evaluated by the fuzzer's source evaluator ({!Wish_fuzz.Source}),
+   written directly against the AST semantics, and (b) compiled into all
+   five Table-3 binary flavours and run on the architectural emulator.
+   All six memories must agree. A QCheck
    generator feeds random programs through this pipeline. *)
 
 open Wish_compiler
@@ -14,72 +15,9 @@ let qtest t = QCheck_alcotest.to_alcotest ~speed_level:`Quick t
 
 let mem_words = 4096
 
-(* Reference interpreter ------------------------------------------------- *)
-
-let rec ref_expr vars mem (e : Ast.expr) =
-  match e with
-  | Ast.Int n -> n
-  | Ast.Var v -> ( match Hashtbl.find_opt vars v with Some x -> x | None -> 0)
-  | Ast.Binop (op, a, b) ->
-    let x = ref_expr vars mem a and y = ref_expr vars mem b in
-    (match op with
-    | Ast.Add -> x + y
-    | Ast.Sub -> x - y
-    | Ast.Mul -> x * y
-    | Ast.And -> x land y
-    | Ast.Or -> x lor y
-    | Ast.Xor -> x lxor y
-    | Ast.Shl -> x lsl (y land 63)
-    | Ast.Shr -> x asr (y land 63))
-  | Ast.Cmp (op, a, b) ->
-    let x = ref_expr vars mem a and y = ref_expr vars mem b in
-    let r =
-      match op with
-      | Ast.Eq -> x = y
-      | Ast.Ne -> x <> y
-      | Ast.Lt -> x < y
-      | Ast.Le -> x <= y
-      | Ast.Gt -> x > y
-      | Ast.Ge -> x >= y
-    in
-    if r then 1 else 0
-  | Ast.Load a -> mem.(ref_expr vars mem a)
-
-let rec ref_stmt funcs vars mem (s : Ast.stmt) =
-  match s with
-  | Ast.Assign (v, e) -> Hashtbl.replace vars v (ref_expr vars mem e)
-  | Ast.Store (a, e) -> mem.(ref_expr vars mem a) <- ref_expr vars mem e
-  | Ast.If (c, t, f) ->
-    if ref_expr vars mem c <> 0 then ref_block funcs vars mem t else ref_block funcs vars mem f
-  | Ast.While (c, b) ->
-    while ref_expr vars mem c <> 0 do
-      ref_block funcs vars mem b
-    done
-  | Ast.Do_while (b, c) ->
-    let continue = ref true in
-    while !continue do
-      ref_block funcs vars mem b;
-      continue := ref_expr vars mem c <> 0
-    done
-  | Ast.For (v, e1, e2, b) ->
-    Hashtbl.replace vars v (ref_expr vars mem e1);
-    let rec go () =
-      if Hashtbl.find vars v < ref_expr vars mem e2 then begin
-        ref_block funcs vars mem b;
-        Hashtbl.replace vars v (Hashtbl.find vars v + 1);
-        go ()
-      end
-    in
-    go ()
-  | Ast.Call f -> ref_block funcs vars mem (List.assoc f funcs)
-
-and ref_block funcs vars mem b = List.iter (ref_stmt funcs vars mem) b
-
+(* Reference: the fuzzer's evaluator over the AST. *)
 let reference_memory (p : Ast.program) data =
-  let mem = Array.make mem_words 0 in
-  List.iter (fun (a, v) -> mem.(a) <- v) data;
-  ref_block p.funcs (Hashtbl.create 16) mem p.main;
-  mem
+  Wish_fuzz.Source.run ~fuel:max_int ~mem_words ~data:(Wish_isa.Program.segments_of_pairs data) p
 
 (* Differential check ----------------------------------------------------- *)
 
@@ -88,7 +26,7 @@ let reference_memory (p : Ast.program) data =
 let visible_words = mem_words - Codegen.spill_reserve
 
 let emulate_memory program =
-  let st = Wish_emu.Exec.run program in
+  let _, st = Wish_emu.Profile.of_program program in
   Array.init visible_words (fun a -> Wish_emu.Memory.read st.Wish_emu.State.mem a)
 
 let agree_all ?profile_data ~data (ast : Ast.program) =

@@ -1,17 +1,20 @@
-(* Tests for the architectural emulator: per-opcode semantics, predication
-   (including cmp.unc), control flow, tracing, and profiling. *)
+(* Tests for the compiled emulator: per-opcode semantics, predication
+   (including cmp.unc), control flow, block edges, tracing, and profiling,
+   each against a hand-computed result. *)
 
 open Wish_isa
 open Wish_emu
 
 let check = Alcotest.check
 
-let run_items ?data ?(mem_words = 1024) items =
-  let program = Program.create ~mem_words ?data (Asm.assemble items) in
-  Exec.run program
+(* The final state of an architectural run. *)
+let arch program = snd (Profile.of_program program)
 
-let reg st r = State.read_reg st r
-let pred st p = State.read_pred st p
+let run_items ?data ?(mem_words = 1024) items =
+  arch (Program.create ~mem_words ?data (Asm.assemble items))
+
+let reg (st : State.t) r = st.regs.(r)
+let pred (st : State.t) p = st.pregs.(p)
 
 (* Arithmetic ------------------------------------------------------------ *)
 
@@ -193,7 +196,7 @@ let test_fuel_exhaustion () =
   let code = Asm.(assemble [ label "spin"; jmp "spin"; halt ]) in
   let program = Program.create ~mem_words:64 code in
   Alcotest.check_raises "runaway" (Exec.Out_of_fuel 1000) (fun () ->
-      ignore (Exec.run ~fuel:1000 program))
+      ignore (Profile.of_program ~fuel:1000 program))
 
 (* Tracing ------------------------------------------------------------------ *)
 
@@ -217,7 +220,7 @@ let test_trace_predicate_through_equivalence () =
   List.iter
     (fun c ->
       let p = hammock_program c in
-      let arch = State.outcome (Exec.run p) in
+      let arch = State.outcome (arch p) in
       let _, st = Trace.generate p in
       check Alcotest.int "same memory" arch.memory_checksum (State.outcome st).memory_checksum)
     [ 0; 1 ]
@@ -253,6 +256,22 @@ let test_trace_wish_loop_keeps_semantics () =
   check Alcotest.int "loop ran" 4 (Memory.read st.mem 5);
   (* Wish loops are NOT linearized: the backward branch is followed. *)
   Alcotest.(check bool) "trace longer than code" true (Trace.length tr > 8)
+
+(* A jump farther than a packed entry's next-pc field reaches: its entry
+   escapes to the chunk's side table and must read back unchanged. *)
+let test_trace_escaped_entries () =
+  let far = 5000 in
+  let p =
+    Program.create ~mem_words:64
+      (Asm.assemble (Asm.[ jmp "far" ] @ List.init far (fun _ -> Asm.nop) @ Asm.[ label "far"; halt ]))
+  in
+  let tr, _ = Trace.generate p in
+  check Alcotest.int "two entries" 2 (Trace.length tr);
+  Alcotest.(check bool) "the jump escaped" true (Trace.w_escaped (Trace.word tr 0));
+  check Alcotest.int "its pc" 0 (Trace.pc tr 0);
+  check Alcotest.int "its next pc" (far + 1) (Trace.next_pc tr 0);
+  Alcotest.(check bool) "taken" true (Trace.taken tr 0);
+  check Alcotest.int "the target's pc" (far + 1) (Trace.pc tr 1)
 
 (* Streaming ------------------------------------------------------------------ *)
 
@@ -399,76 +418,26 @@ let test_outcome_ignores_registers () =
     true
     ((State.outcome a).memory_checksum = (State.outcome b).memory_checksum)
 
-(* Compiled-emulator identity -------------------------------------------------
+(* Block edges ------------------------------------------------------------------
 
-   The interpreted [Exec.step_into] is the golden reference; [Compiled] must be
-   observably equivalent step for step. These tests drive both machines in
-   lockstep through [Compiled.step] (which crosses a block boundary on
-   every instruction a block ends at) and through full-trace generation. *)
+   Back-edges into fused regions, predicate clears whose effect crosses a
+   block end, halts that do not halt: each program's final state, in both
+   modes, against hand-computed registers, memory and retired counts. *)
 
-let both_modes = [ (Exec.Architectural, "arch"); (Exec.Predicate_through, "pt") ]
+let both_modes program =
+  [ ("arch", arch program); ("pt", snd (Trace.generate program)) ]
 
-let lockstep ?(checked = false) ~tag mode program =
-  let code = Program.code program in
-  let c = Compiled.compile ~checked ~mode code in
-  let si = State.create program and sc = State.create program in
-  let oi = Exec.make_out () and oc = Exec.make_out () in
-  let n = ref 0 in
-  while not si.State.halted do
-    Exec.step_into mode code si oi;
-    Compiled.step c sc oc;
-    if
-      oi.Exec.o_pc <> oc.Exec.o_pc
-      || oi.o_guard_true <> oc.o_guard_true
-      || oi.o_taken <> oc.o_taken
-      || oi.o_next_pc <> oc.o_next_pc
-      || oi.o_addr <> oc.o_addr
-    then
-      Alcotest.failf "%s: facts diverge at step %d (interp pc %d, compiled pc %d)" tag !n
-        oi.Exec.o_pc oc.Exec.o_pc;
-    if si.State.pc <> sc.State.pc || si.retired <> sc.retired || si.halted <> sc.halted then
-      Alcotest.failf "%s: machine state diverges after step %d" tag !n;
-    incr n;
-    if !n > 10_000_000 then Alcotest.failf "%s: runaway lockstep" tag
-  done;
-  Alcotest.(check bool) (tag ^ ": same outcome") true (State.outcome si = State.outcome sc)
-
-let lockstep_items ~tag items =
+let check_edges ~tag items ~retired expect =
   let program = Program.create ~mem_words:64 (Asm.assemble items) in
-  List.iter (fun (mode, mtag) -> lockstep ~tag:(tag ^ "/" ^ mtag) mode program) both_modes
-
-let workload_program name =
-  let bench = Wish_workloads.Workloads.find ~scale:1 name in
-  let bins =
-    Wish_compiler.Compiler.compile_all ~mem_words:bench.mem_words ~name:bench.name
-      ~profile_data:(Wish_workloads.Bench.profile_data bench) bench.ast
-  in
-  Wish_workloads.Bench.program_for bench
-    (Wish_compiler.Compiler.binary bins Wish_compiler.Policy.Wish_jjl)
-    "A"
-
-(* Every Table 4 workload, both modes, full run in lockstep. *)
-let test_lockstep_workloads () =
   List.iter
-    (fun name ->
-      let program = workload_program name in
-      List.iter
-        (fun (mode, mtag) -> lockstep ~tag:(name ^ "/" ^ mtag) mode program)
-        both_modes)
-    Wish_workloads.Workloads.names
+    (fun (mtag, (st : State.t)) ->
+      let tag = tag ^ "/" ^ mtag in
+      List.iter (fun (what, want, got) -> check Alcotest.int (tag ^ ": " ^ what) want (got st)) expect;
+      check Alcotest.int (tag ^ ": retired") retired st.retired)
+    (both_modes program)
 
-(* The checked build ([compile ~checked:true]) must be equivalent too —
-   same block graph, bounds-checked accesses. *)
-let test_lockstep_checked () =
-  List.iter
-    (fun (mode, mtag) ->
-      lockstep ~checked:true ~tag:("gzip-checked/" ^ mtag) mode (workload_program "gzip"))
-    both_modes
-
-(* Block-boundary edge cases: back-edges into fused regions, predicate
-   clears whose effect crosses a block end, halts that do not halt. *)
-let test_lockstep_block_edges () =
-  lockstep_items ~tag:"wish-loop back-edge"
+let test_block_edges () =
+  check_edges ~tag:"wish-loop back-edge"
     Asm.[
       movi 3 0;
       pset 1 true;
@@ -478,8 +447,10 @@ let test_lockstep_block_edges () =
       wish_loop ~guard:1 "loop";
       store 3 0 5;
       halt;
-    ];
-  lockstep_items ~tag:"cmp.unc clear feeds next block"
+    ]
+    ~retired:19
+    [ ("mem[5]", 5, fun st -> Memory.read st.State.mem 5) ];
+  check_edges ~tag:"cmp.unc clear feeds next block"
     Asm.[
       pset 1 false;
       pset 2 true;
@@ -490,27 +461,38 @@ let test_lockstep_block_edges () =
       movi 5 7;
       label "skip";
       halt;
-    ];
-  lockstep_items ~tag:"guarded halt mid-block"
+    ]
+    ~retired:8
+    [ ("r5", 7, fun st -> reg st 5); ("p3", 0, fun st -> Bool.to_int (pred st 3)) ];
+  check_edges ~tag:"guarded halt mid-block"
     Asm.[
       pset 1 false;
       movi 3 1;
       inst ~guard:1 Inst.Halt; (* guard false: execution continues *)
       movi 3 2;
       halt;
-    ];
+    ]
+    ~retired:5
+    [ ("r3", 2, fun st -> reg st 3) ];
+  (* The hammock's wish jump and join redirect architecturally and fall
+     through predicate-through, so the modes retire differently. *)
   List.iter
-    (fun c ->
+    (fun (c, value, arch_retired) ->
+      let p = hammock_program c in
       List.iter
-        (fun (mode, mtag) ->
-          lockstep ~tag:(Printf.sprintf "hammock-%d/%s" c mtag) mode (hammock_program c))
-        both_modes)
-    [ 0; 1 ]
+        (fun (mtag, (st : State.t), retired) ->
+          let tag = Printf.sprintf "hammock-%d/%s" c mtag in
+          check Alcotest.int (tag ^ ": mem[5]") value (Memory.read st.mem 5);
+          check Alcotest.int (tag ^ ": retired") retired st.retired)
+        [ ("arch", arch p, arch_retired); ("pt", snd (Trace.generate p), 8) ])
+    [ (0, 100, 7); (1, 200, 6) ]
 
-(* Out_of_fuel must fire at exactly the interpreter's raise point, even
-   when the fuel line lands inside a fused block (the spin block is two
-   instructions long and the budget is odd relative to the prologue). *)
-let test_fuel_equivalence () =
+(* Out_of_fuel fires with exactly the fuel retired, whether the fuel
+   line lands inside a fused block or on a block boundary: the first
+   block (movi, add, jmp) is three instructions long and every later one
+   (add, jmp) two, so blocks end at odd retired counts and a fuel of 1000
+   falls inside one, 1001 on a boundary. *)
+let test_fuel_exact () =
   let program =
     Program.create ~mem_words:64
       (Asm.assemble
@@ -518,24 +500,17 @@ let test_fuel_equivalence () =
            movi 3 0; label "spin"; alu Inst.Add 3 3 (Inst.Imm 1); jmp "spin"; halt;
          ])
   in
-  let fuel = 1000 in
-  let ri =
-    try
-      ignore (Exec.run ~fuel program);
-      None
-    with Exec.Out_of_fuel f -> Some f
-  in
   let c = Compiled.compile ~mode:Exec.Architectural (Program.code program) in
-  let st = State.create program in
-  let o = Exec.make_out () in
-  let rc =
-    try
-      Compiled.run_to_halt c st o ~sink:Compiled.no_sink ~fuel;
-      None
-    with Exec.Out_of_fuel f -> Some f
-  in
-  check Alcotest.(option int) "same fuel exception" ri rc;
-  check Alcotest.int "retired equals fuel at raise" fuel st.State.retired
+  List.iter
+    (fun fuel ->
+      let st = State.create program in
+      Alcotest.check_raises
+        (Printf.sprintf "fuel %d raises its fuel" fuel)
+        (Exec.Out_of_fuel fuel)
+        (fun () -> Compiled.run_to_halt c st (Exec.make_out ()) ~sink:Compiled.no_sink ~fuel);
+      check Alcotest.int (Printf.sprintf "fuel %d: retired equals fuel at raise" fuel) fuel
+        st.State.retired)
+    [ 1000; 1001 ]
 
 (* Static block structure of the Figure 3c hammock: wish jump (pc 2,
    target 5) and wish join (pc 4, target 6) end blocks architecturally
@@ -607,6 +582,7 @@ let () =
             test_trace_predicate_through_equivalence;
           Alcotest.test_case "linearizes wish regions" `Quick test_trace_linearizes_wish_region;
           Alcotest.test_case "wish loops keep semantics" `Quick test_trace_wish_loop_keeps_semantics;
+          Alcotest.test_case "escaped entries read back" `Quick test_trace_escaped_entries;
         ] );
       ( "streaming",
         [
@@ -625,10 +601,8 @@ let () =
         ] );
       ( "emu-identity",
         [
-          Alcotest.test_case "lockstep all workloads" `Quick test_lockstep_workloads;
-          Alcotest.test_case "lockstep checked build" `Quick test_lockstep_checked;
-          Alcotest.test_case "block-boundary edge cases" `Quick test_lockstep_block_edges;
-          Alcotest.test_case "fuel-exact fallback" `Quick test_fuel_equivalence;
+          Alcotest.test_case "block-boundary edge cases" `Quick test_block_edges;
+          Alcotest.test_case "fuel-exact fallback" `Quick test_fuel_exact;
           Alcotest.test_case "block structure" `Quick test_block_structure;
           Alcotest.test_case "pinned trace hash" `Quick test_pinned_trace_hash;
         ] );

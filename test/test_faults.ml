@@ -423,7 +423,7 @@ let test_run_retries_under_policy () =
 
 (* [emu.compile.bug] plants a wrong add-immediate during closure
    specialization — the seeded "known bug" the differential fuzzer's
-   lockstep oracle must catch (see test_fuzz.ml for the full drill).
+   source oracle must catch (see test_fuzz.ml for the full drill).
    Here: the armed site visibly changes the architectural outcome, and
    a recompile after disarming restores it. *)
 let test_emu_compile_bug () =

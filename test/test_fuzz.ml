@@ -96,7 +96,7 @@ let test_shrink_trace_deterministic () =
 (* Injected-bug drill -------------------------------------------------- *)
 
 (* Arm the emulator-compiler miscompile faultpoint and prove the whole
-   loop catches it: the lockstep oracle fails, the shrinker reduces the
+   loop catches it: the source oracle fails, the shrinker reduces the
    case to a handful of instructions, the repro lands in the corpus, and
    once the fault is gone the repro replays green. *)
 let test_injected_bug_caught_and_shrunk () =
@@ -113,7 +113,7 @@ let test_injected_bug_caught_and_shrunk () =
       in
       match report.Fuzz.r_failures with
       | [ f ] ->
-        check Alcotest.string "lockstep caught it" "lockstep" (Oracle.name_id f.Fuzz.f_oracle);
+        check Alcotest.string "source caught it" "source" (Oracle.name_id f.Fuzz.f_oracle);
         check Alcotest.bool "shrink made progress" true
           (f.Fuzz.f_size_after < f.Fuzz.f_size_before);
         let path =
@@ -122,13 +122,23 @@ let test_injected_bug_caught_and_shrunk () =
         let repro = Corpus.load path in
         let insts = Wish_isa.Code.length (Wish_isa.Program.code repro.Corpus.program) in
         if insts > 10 then Alcotest.failf "repro not minimal: %d instructions" insts;
-        (* With the fault gone, the repro documents a *fixed* bug. *)
+        (* With the fault gone, the repro documents a *fixed* bug; were
+           it to come back, the repro's source words would catch it. *)
         List.iter
           (fun (o, v) ->
             match v with
             | Oracle.Fail r -> Alcotest.failf "clean replay fails %s: %s" o r
             | Oracle.Pass | Oracle.Skip _ -> ())
-          (Corpus.replay repro)
+          (Corpus.replay repro);
+        let armed =
+          Fun.protect
+            ~finally:(fun () -> Faultpoint.reset ())
+            (fun () ->
+              Faultpoint.arm "emu.compile.bug" ~times:1_000_000;
+              Corpus.replay repro)
+        in
+        check Alcotest.bool "armed replay fails source" true
+          (match List.assoc "source" armed with Oracle.Fail _ -> true | _ -> false)
       | fs -> Alcotest.failf "expected exactly one failure, got %d" (List.length fs))
 
 (* Oracle smoke slice -------------------------------------------------- *)
@@ -162,11 +172,14 @@ let test_corpus_roundtrip () =
   (* Saving and loading a repro is identity on the parts replay needs. *)
   with_temp_dir "wishfuzz-corpus" (fun dir ->
       let c = Gen.generate (Gen.case_seed ~root:2005 1) in
-      let path = Corpus.save ~dir ~oracle:Oracle.Lockstep ~reason:"unit test" ~steps:0 c in
+      let path = Corpus.save ~dir ~oracle:Oracle.Source ~reason:"unit test" ~steps:0 c in
       let r = Corpus.load path in
-      check Alcotest.string "oracle id" "lockstep" r.Corpus.oracle;
+      check Alcotest.string "oracle id" "source" r.Corpus.oracle;
       check Alcotest.int "seed" c.Gen.c_seed r.Corpus.seed;
-      check Alcotest.string "reason" "unit test" r.Corpus.reason)
+      check Alcotest.string "reason" "unit test" r.Corpus.reason;
+      check
+        Alcotest.(option (array int))
+        "source words" (Result.to_option (Oracle.source_words c)) r.Corpus.source_words)
 
 let () =
   Alcotest.run "wish_fuzz"

@@ -103,6 +103,34 @@ let test_code_rejects_bad_target () =
         (Code.create
            [| Inst.make (Inst.Branch { kind = Inst.Cond; target = 9 }); Inst.make Inst.Halt |]))
 
+(* The compiled emulator reads and writes registers unchecked on the
+   strength of this validation alone: one out-of-range index in any
+   operand position must be refused. *)
+let test_code_rejects_bad_register () =
+  let bad = Reg.int_reg_count and ok = 1 in
+  let cmp ?(dst_true = ok) ?(dst_false = ok) ?(src1 = ok) ?(src2 = ok) () =
+    Inst.Cmp { op = Inst.Eq; dst_true; dst_false = Some dst_false; src1; src2 = Inst.Reg src2; unc = false }
+  in
+  List.iter
+    (fun (position, inst) ->
+      Alcotest.check_raises position (Code.Invalid "pc 0: register index out of range") (fun () ->
+          ignore (Code.create [| inst; Inst.make Inst.Halt |])))
+    [
+      ("guard", Inst.make ~guard:bad Inst.Nop);
+      ("alu dst", alu bad ok (Inst.Imm 0));
+      ("alu src1", alu ok bad (Inst.Imm 0));
+      ("alu src2", alu ok ok (Inst.Reg bad));
+      ("cmp dst_true", Inst.make (cmp ~dst_true:bad ()));
+      ("cmp dst_false", Inst.make (cmp ~dst_false:bad ()));
+      ("cmp src1", Inst.make (cmp ~src1:bad ()));
+      ("cmp src2", Inst.make (cmp ~src2:bad ()));
+      ("pset dst", Inst.make (Inst.Pset { dst = bad; value = true }));
+      ("load dst", Inst.make (Inst.Load { dst = bad; base = ok; offset = 0 }));
+      ("load base", Inst.make (Inst.Load { dst = ok; base = bad; offset = 0 }));
+      ("store src", Inst.make (Inst.Store { src = bad; base = ok; offset = 0 }));
+      ("store base", Inst.make (Inst.Store { src = ok; base = bad; offset = 0 }));
+    ]
+
 let test_code_static_counts () =
   let code =
     Asm.(
@@ -363,6 +391,7 @@ let () =
           Alcotest.test_case "requires terminator" `Quick test_code_requires_terminator;
           Alcotest.test_case "rejects empty" `Quick test_code_rejects_empty;
           Alcotest.test_case "rejects bad target" `Quick test_code_rejects_bad_target;
+          Alcotest.test_case "rejects bad register" `Quick test_code_rejects_bad_register;
           Alcotest.test_case "static counts" `Quick test_code_static_counts;
           Alcotest.test_case "byte pc" `Quick test_byte_pc;
         ] );

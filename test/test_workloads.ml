@@ -16,7 +16,7 @@ let compile (b : Bench.t) =
 let all = Workloads.all ~scale
 let compiled = lazy (List.map (fun b -> (b, compile b)) all)
 
-let outcome p = (Wish_emu.State.outcome (Wish_emu.Exec.run p)).Wish_emu.State.memory_checksum
+let outcome p = (Wish_emu.State.outcome (snd (Wish_emu.Profile.of_program p))).memory_checksum
 
 let test_catalog () =
   check Alcotest.int "nine benchmarks" 9 (List.length all);
@@ -231,7 +231,7 @@ let test_scale_parameter () =
   let small = Workloads.find ~scale:1 "gap" and big = Workloads.find ~scale:2 "gap" in
   let insts (b : Bench.t) =
     let bins = compile b in
-    (Wish_emu.Exec.run (Bench.program_for b bins.normal "A")).Wish_emu.State.retired
+    (snd (Wish_emu.Profile.of_program (Bench.program_for b bins.normal "A"))).Wish_emu.State.retired
   in
   Alcotest.(check bool) "scale grows the run" true (insts big > insts small * 3 / 2)
 
