@@ -254,12 +254,20 @@ and force_reg b ~guard = function
     emit b (Asm.movi ~guard:Reg.p0 ~spec:(guard <> Reg.p0) t n);
     t
 
+(* Whether [e] is a comparison or an [And] of them: a 0/1 value, so
+   [(a <> 0) && (b <> 0)] equals [(a land b) <> 0] for its operands. *)
+let rec is_boolean = function
+  | Ast.Cmp _ -> true
+  | Ast.Binop (Ast.And, a, b) -> is_boolean a && is_boolean b
+  | _ -> false
+
 (** Evaluate a condition directly into a fresh predicate pair.
 
-    Conjunctions whose complement is not needed (loop conditions: the
-    branch tests only [pt]) compile to IA-64-style chained guarded
-    compares — [cmp pt = a; (pt) cmp.unc pt = b] — instead of
-    materializing booleans. *)
+    An [And] of comparisons whose complement is not needed (loop
+    conditions: the branch tests only [pt]) compiles to IA-64-style
+    chained guarded compares — [cmp pt = a; (pt) cmp.unc pt = b] —
+    instead of materializing booleans. Any other [And] is the bitwise
+    [(a land b) <> 0] every lowering tests. *)
 let rec emit_condition b ~guard ~unc ?dst_false cond pt =
   match cond with
   | Ast.Cmp (op, ea, eb) ->
@@ -269,7 +277,7 @@ let rec emit_condition b ~guard ~unc ?dst_false cond pt =
     emit b (Asm.cmp ~guard ~unc (cmp_of op) ?dst_false pt ra vb);
     free_operand b vb;
     free_operand b (Inst.Reg ra)
-  | Ast.Binop (Ast.And, ca, cb) when dst_false = None ->
+  | Ast.Binop (Ast.And, ca, cb) when dst_false = None && is_boolean cond ->
     emit_condition b ~guard ~unc ca pt;
     emit_condition b ~guard:pt ~unc:true cb pt
   | _ ->

@@ -6,7 +6,6 @@
                                      (the lab's kinds: summary/, binary/)
     <root>/quarantine/<kind>_<file>  corrupt entries, moved aside on detection
     <root>/journal.log               append-only completed-job-key journal
-    <root>/lease/<md5-of-key>        pid of the process computing that key
     v}
 
     An entry is [header ^ payload ^ footer] where the header is a
@@ -276,72 +275,17 @@ let journal_load t =
 let journal_clear t = try Sys.remove (journal_path t) with Sys_error _ -> ()
 
 (* --------------------------------------------------------------- *)
-(* Leases                                                           *)
-(* --------------------------------------------------------------- *)
-
-let lease_dir t = Filename.concat t.root "lease"
-let lease_path t key = Filename.concat (lease_dir t) (Digest.to_hex (Digest.string key))
-
-(* The pid a lease names; [None] once it has been released. *)
-let holder file =
-  match In_channel.with_open_bin file In_channel.input_all with
-  | exception Sys_error _ -> None
-  | s -> int_of_string_opt (String.trim s)
-
-(* [kill pid 0] probes without signalling; only ESRCH means "no such
-   process" (EPERM is a live process we may not signal). *)
-let alive pid =
-  match Unix.kill pid 0 with
-  | () -> true
-  | exception Unix.Unix_error (Unix.ESRCH, _, _) -> false
-  | exception Unix.Unix_error _ -> true
-
-(* The pid is written to a private temp file first, which is then hard
-   linked to the lease name: [link] fails with EEXIST atomically, so a
-   lease is never seen without its pid. *)
-let rec try_lease t ~key =
-  let file = lease_path t key in
-  let me = Unix.getpid () in
-  match
-    mkdir_p (lease_dir t);
-    let tmp = Printf.sprintf "%s.tmp.%d.%d" file me (Atomic.fetch_and_add tmp_counter 1) in
-    Out_channel.with_open_bin tmp (fun oc -> output_string oc (string_of_int me));
-    Fun.protect
-      ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
-      (fun () -> Unix.link tmp file)
-  with
-  | () -> true
-  | exception Unix.Unix_error (Unix.EEXIST, _, _) -> (
-    match holder file with
-    | Some pid when pid = me -> true
-    | Some pid when alive pid -> false
-    | _ -> (
-      (* Two waiters taking over the same dead holder's lease at once may
-         both win; the cost is one duplicated job, never a wrong result. *)
-      match Unix.unlink file with
-      | () | (exception Unix.Unix_error (Unix.ENOENT, _, _)) -> try_lease t ~key
-      | exception Unix.Unix_error _ -> true))
-  | exception (Unix.Unix_error _ | Sys_error _) ->
-    (* A cache that cannot hold leases coalesces nothing: run the job. *)
-    true
-
-let release_lease t ~key =
-  let file = lease_path t key in
-  if holder file = Some (Unix.getpid ()) then try Sys.remove file with Sys_error _ -> ()
-
-(* --------------------------------------------------------------- *)
 (* Maintenance: scan / prune                                        *)
 (* --------------------------------------------------------------- *)
 
 (* Apply [f ~kind ~name file] to every entry file. Every subdirectory of
-   the root holds entries of one kind, except the quarantine and the
-   leases. *)
+   the root holds entries of one kind, except the quarantine. *)
 let iter_entries t f =
   if Sys.file_exists t.root && Sys.is_directory t.root then
     Array.iter
       (fun kind ->
         let kdir = Filename.concat t.root kind in
-        if kind <> "quarantine" && kind <> "lease" && Sys.is_directory kdir then
+        if kind <> "quarantine" && Sys.is_directory kdir then
           Array.iter
             (fun name ->
               if Filename.check_suffix name ".bin" then f ~kind ~name (Filename.concat kdir name))

@@ -20,8 +20,10 @@
 
     Writes go through a uniquely named temp file (pid + process-global
     counter) and an atomic [rename], so crashed or concurrent writers —
-    including two domains of one process racing on the same key — can at
-    worst waste work: readers only ever observe a complete entry.
+    processes sharing the directory, or two domains of one process
+    racing on the same key — can at worst waste work: readers only ever
+    observe a complete entry. Nothing else coordinates processes on one
+    directory: each computes what it misses.
 
     The cache also hosts a small append-only {e journal} of completed
     job keys ({!journal_append}/{!journal_load}). The lab neither writes
@@ -29,10 +31,6 @@
     bench/perf's traced pass still appends to it. Lines are
     version-stamped and checksummed like entries, and a line torn by a
     crash is skipped on load and newline-terminated by the next append.
-
-    Concurrent processes sharing one cache directory coalesce duplicate
-    work through {e leases} ({!try_lease}/{!release_lease}): one file
-    per key under [<dir>/lease/], naming the pid computing it.
 
     Chaos-test injection sites: [cache.write.torn],
     [cache.write.corrupt], [cache.journal.torn]
@@ -72,7 +70,7 @@ val find : t -> kind:string -> key:string -> 'a option
 val store : t -> kind:string -> key:string -> 'a -> unit
 
 (** Remove every entry (the directory itself is kept). Also removes the
-    journal, any quarantined files and any leases. *)
+    journal and any quarantined files. *)
 val clear : t -> unit
 
 (** [digest_of v] — hex MD5 of [v]'s bytes marshalled without sharing,
@@ -96,32 +94,10 @@ val journal_load : t -> (string, unit) Hashtbl.t
 (** Delete the journal. *)
 val journal_clear : t -> unit
 
-(** {1 Leases}
-
-    A lease marks a key as being computed by one process, so that other
-    processes on the same machine wait for its result instead of
-    computing it again. It is the file [<dir>/lease/<md5-of-key>],
-    holding the owner's pid and created atomically (a hard link that
-    fails if the name exists, like [O_CREAT|O_EXCL]). A lease
-    whose pid is dead ([kill pid 0] fails with [ESRCH]) is stale and is
-    taken over by the next process that asks. There is no heartbeat:
-    the cache is local to one machine, where a pid says whether its
-    holder lives. *)
-
-(** [try_lease t ~key] — [true] when this process holds the lease on
-    [key] afterwards: it created the lease, took it over from a dead
-    holder, already held it, or the lease directory is unusable (then
-    nothing is coalesced). [false] while another live process holds it. *)
-val try_lease : t -> key:string -> bool
-
-(** [release_lease t ~key] — drop this process's lease on [key]; a no-op
-    when another process (or none) holds it. *)
-val release_lease : t -> key:string -> unit
-
 (** {1 Maintenance}
 
     The maintenance walks ({!scan}, {!verify}, {!prune}, {!stats}) skip
-    [quarantine/] and [lease/]. *)
+    [quarantine/]. *)
 
 (** Integrity verdict for one on-disk entry ({!scan}/{!prune}). *)
 type status =

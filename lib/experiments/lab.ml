@@ -24,9 +24,9 @@
       key before being recomputed and stored after (a summary stored
       from outside the lab under its job's kind-label key is read too),
       and each compile task stores one [binary] entry with its binaries'
-      digests and static shapes, read before compiling. Concurrent
-      processes on one cache coalesce duplicate compiles and runs
-      through its leases.
+      digests and static shapes, read before compiling. Processes that
+      share a cache coordinate nothing: each computes what it misses,
+      and the cache's atomic writes keep every entry whole.
 
     A run is named by one string, its run key ({!run_key_of_job}): the
     bench, input and scale, its binary's digest (code and entry), not
@@ -34,7 +34,7 @@
     binary can observe ({!Wish_sim.Config.observed}), not the whole
     config. Binaries compiled to the same code, and configs that differ
     only in fields the binary never reads, share one memo slot, one
-    trace per input, one cache entry and one lease, all under that key.
+    trace per input and one cache entry, all under that key.
     A batch computes each job's key once, on the coordinating domain,
     and its pool tasks carry it.
 
@@ -423,33 +423,11 @@ let compile_round t tasks =
           | Retry | Skipped -> ()) ))
     (List.map (fun j -> (j, 0)) tasks)
 
-(* [pending] under [c]'s leases: every item whose lease (on [key item])
-   this process gets, and whose entry [found] does not find once it has
-   it, is computed, in one [compute] call; an item another live process
-   holds the lease on is polled for with [found] every 50 ms until its
-   entry lands, or until its holder dies and the lease is taken over. *)
-let rec settle t c ~key ~found compute pending =
-  if pending <> [] then begin
-    check_stop t;
-    let mine, rest = List.partition (fun x -> Cache.try_lease c ~key:(key x)) pending in
-    let mine =
-      List.filter (fun x -> not (found x) || (Cache.release_lease c ~key:(key x); false)) mine
-    in
-    let rest = List.filter (fun x -> not (found x)) rest in
-    Fun.protect
-      ~finally:(fun () -> List.iter (fun x -> Cache.release_lease c ~key:(key x)) mine)
-      (fun () -> compute mine);
-    (* Nothing settled this round: give the other runs time. *)
-    if mine = [] && rest <> [] then Unix.sleepf 0.05;
-    settle t c ~key ~found compute rest
-  end
-
 let compile_failure t j = Hashtbl.find_opt t.failed_compiles (task_name j)
 
 (* Every job's binary: memoized, else read from its task's [binary]
-   entry, else compiled, once per task and, with a cache, under the
-   lease of the entry's key. A task whose compile failed is not tried
-   again. *)
+   entry, else compiled, once per task. A task whose compile failed is
+   not tried again. *)
 let resolve t jobs =
   let read j =
     match
@@ -463,17 +441,11 @@ let resolve t jobs =
       List.iter2 (fun label b -> Hashtbl.replace t.binaries (j.job_bench, label) b) (task_labels j) bs;
       true
   in
-  let missing =
-    List.filter
-      (fun j -> not (read j))
-      (uniq task_name
-         (List.filter
-            (fun j -> (not (Hashtbl.mem t.binaries (label_key j))) && compile_failure t j = None)
-            jobs))
-  in
-  match t.cache with
-  | None -> compile_round t missing
-  | Some c -> settle t c ~key:(binary_key t) ~found:read (compile_round t) missing
+  jobs
+  |> List.filter (fun j -> (not (Hashtbl.mem t.binaries (label_key j))) && compile_failure t j = None)
+  |> uniq task_name
+  |> List.filter (fun j -> not (read j))
+  |> compile_round t
 
 (* [stage] run for [j] alone, unless its compile already failed; that
    failure raised. *)
@@ -506,12 +478,12 @@ let observed b config =
   Wish_sim.Config.observed ~wish:(b.shape.wish_branches > 0)
     ~predicated:(b.shape.guarded_non_branches > 0) config
 
-(* [j]'s run key, given its binary [b]: the lab's one name for the run,
-   the persistent-cache key of its summary and the key its lease is
-   taken on, [bench|input|scaleN|bin<digest>|cfg<digest>] plus the
-   sampling suffix. The tail from [|cfg] on is made once per distinct
-   observed config; [observed] and the table machines allocate fresh
-   configs, so it is looked up by value. *)
+(* [j]'s run key, given its binary [b]: the lab's one name for the run
+   and the persistent-cache key of its summary,
+   [bench|input|scaleN|bin<digest>|cfg<digest>] plus the sampling
+   suffix. The tail from [|cfg] on is made once per distinct observed
+   config; [observed] and the table machines allocate fresh configs, so
+   it is looked up by value. *)
 let run_key t j b =
   let config = observed b j.job_config in
   let tail =
@@ -548,11 +520,6 @@ let failure t j key =
     | Some _ as fl -> fl
     | None -> Hashtbl.find_opt t.failed_traces (trace_key t j))
 
-let cache_hit t r s ~note =
-  t.stats.cache_hits <- t.stats.cache_hits + 1;
-  log t (fun () -> Printf.sprintf "cache hit: summary %s%s" (describe_job r.job) note);
-  Hashtbl.replace t.results r.key s
-
 (* Whether the cache holds [r]'s summary, which it then memoizes: under
    its run key, else under its label key, where only a writer outside
    the lab stores. *)
@@ -563,7 +530,9 @@ let stored t r =
   in
   match Option.bind t.cache read with
   | Some s ->
-    cache_hit t r s ~note:"";
+    t.stats.cache_hits <- t.stats.cache_hits + 1;
+    log t (fun () -> "cache hit: summary " ^ describe_job r.job);
+    Hashtbl.replace t.results r.key s;
     true
   | None -> false
 
@@ -645,8 +614,8 @@ let batch t jobs =
   (* Stage 1: every job's binary. A failed compile fails exactly the
      jobs of its task. *)
   resolve t jobs;
-  (* Stage 2: each job's run key, once; a key the memo, the lab's
-     failures and then the cache do not settle needs computing, once. *)
+  (* Stage 2: each job's run key, once; a key that the memo, the lab's
+     failures and then the cache all miss needs computing, once. *)
   let keyed = List.map (fun j -> (j, key_of t j)) jobs in
   let todo =
     List.filter_map (fun (job, key) -> Option.map (fun key -> { key; job }) key) keyed
@@ -654,42 +623,25 @@ let batch t jobs =
     |> List.filter (fun r -> (not (Hashtbl.mem t.results r.key)) && failure t r.job r.key = None)
     |> List.filter (fun r -> not (stored t r))
   in
-  (* Stage 3 for [todo]: compile the binaries known only from their
-     entries, then run one group per trace (per run in a sampled lab).
-     A job whose binary or trace already failed (before its lease was
-     taken over) is not retried. *)
-  let compute todo =
-    let live = List.filter (fun r -> failure t r.job r.key = None) in
-    let todo = live todo in
-    compile_round t
-      (uniq task_name
-         (List.filter_map
-            (fun r -> if Hashtbl.mem t.programs (label_key r.job) then None else Some r.job)
-            todo));
-    let todo = live todo in
-    let group_key r = (trace_key t r.job, if t.sample = None then None else Some r.key) in
-    run_groups t
-      (List.map
-         (fun first ->
-           let lead = first.job and k = group_key first in
-           let b = bench t lead.job_bench in
-           let program = Wish_workloads.Bench.program_for b (compiled t lead) lead.job_input in
-           let sims = List.filter (fun r -> group_key r = k) todo in
-           { lead; program; trace = None; tries = 0; sims = List.map (fun r -> (r, 0)) sims })
-         (uniq group_key todo))
-  in
-  (match t.cache with
-  | None -> compute todo
-  | Some c ->
-    settle t c
-      ~key:(fun r -> r.key)
-      ~found:(fun r ->
-        match Cache.find c ~kind:"summary" ~key:r.key with
-        | Some s ->
-          cache_hit t r s ~note:" (from a concurrent run)";
-          true
-        | None -> false)
-      compute todo);
+  (* Stage 3: compile the binaries known only from their entries, then
+     run one group per trace (per run in a sampled lab) for the jobs
+     whose compile did not fail. *)
+  compile_round t
+    (uniq task_name
+       (List.filter_map
+          (fun r -> if Hashtbl.mem t.programs (label_key r.job) then None else Some r.job)
+          todo));
+  let todo = List.filter (fun r -> compile_failure t r.job = None) todo in
+  let group_key r = (trace_key t r.job, if t.sample = None then None else Some r.key) in
+  run_groups t
+    (List.map
+       (fun first ->
+         let lead = first.job and k = group_key first in
+         let b = bench t lead.job_bench in
+         let program = Wish_workloads.Bench.program_for b (compiled t lead) lead.job_input in
+         let sims = List.filter (fun r -> group_key r = k) todo in
+         { lead; program; trace = None; tries = 0; sims = List.map (fun r -> (r, 0)) sims })
+       (uniq group_key todo));
   keyed
 
 (* What the lab has for [j] (run key [key]): its summary, or its final

@@ -20,18 +20,17 @@
     before any recomputation. A trace lives only for its batch's task,
     which generates it and simulates every run of the batch that reads
     it; no trace is memoized or stored, so at most one per worker is
-    live. Processes sharing one cache directory coalesce duplicate
-    compiles and jobs through the cache's leases (see
-    {!run_batch_results}). Workloads are built, and binaries compiled,
-    only on a miss: a lab whose cache holds every summary and [binary]
-    entry it is asked for builds, compiles, traces and simulates
-    nothing.
+    live. Processes sharing one cache directory coordinate nothing: each
+    computes what it misses, and the cache's atomic writes keep every
+    entry whole. Workloads are built, and binaries compiled, only on a
+    miss: a lab whose cache holds every summary and [binary] entry it is
+    asked for builds, compiles, traces and simulates nothing.
 
     A run is named by its binary's content, not its kind label: its key
     carries the {!binary_digest} of its code and entry. Kinds (and
     ablation variants) compiled to one binary therefore share one memo
-    slot, one trace per input, one cache key and one lease, and are one
-    run by construction. Each compile task (a bench's five binaries, or
+    slot, one trace per input and one cache key, and are one run by
+    construction. Each compile task (a bench's five binaries, or
     one variant) stores one [binary] entry holding its binaries' digests
     and static shapes, so a process that finds it needs no compile to
     name its runs.
@@ -200,8 +199,8 @@ val binary_digest : Wish_isa.Program.t -> string
     of [j]'s binary, so twins share the key, and [cfg<digest>] digests
     the config that binary can observe ({!Wish_sim.Config.observed}),
     so configs it cannot tell apart share it too. The lab memoizes
-    summaries and final run failures under it, stores the summary in
-    the {!Cache} under it and takes the run's lease on it. Each distinct
+    summaries and final run failures under it and stores the summary in
+    the {!Cache} under it. Each distinct
     observed config is digested once per lab. The binary is resolved on
     first use: read from its [binary] entry, or compiled (raising
     {!Job_failed} if that fails for good). *)
@@ -223,25 +222,20 @@ val summary_key_of_job : t -> job -> string
     policy; a sampled lab has no trace) and returns per-job outcomes in
     [jobs] order. It first resolves each job's binary: memoized, else
     read from its compile task's [binary] entry, else compiled (each
-    missing bench's five binaries, or a variant, once); with a cache,
-    under the {!Cache.try_lease} lease of the entry's key, so that
-    processes on one cache compile a bench once. Every later stage works
-    on {!run_key_of_job}, computed once per job on the calling domain and
-    carried into the pool tasks: the memo and the cache are looked up on
-    it (the cache also on {!summary_key_of_job} when it misses), and jobs
-    that share it (twins) share one simulation, whose summary is stored
-    once. A binary known only from its entry is compiled before it is
+    missing bench's five binaries, or a variant, once). Every later
+    stage works on {!run_key_of_job}, computed once per job on the
+    calling domain and carried into the pool tasks: the memo and the
+    cache are looked up on it (the cache also on {!summary_key_of_job}
+    when it misses), and jobs that share it (twins) share one
+    simulation, whose summary is stored once. A binary known only from its entry is compiled before it is
     traced. The misses are grouped by trace (bench, binary, input), one
     pool task per group, the longest first: the task generates the
     trace, simulates every miss that reads it and stores each summary,
     and the trace dies with it. A failed attempt is retried in the next
-    round of tasks, a failed simulation with its trace kept. With a
-    cache, a job is computed only under its lease on its key; a job
-    another live process holds the lease on is awaited (polling the
-    cache, honouring {!request_stop}) rather than recomputed. Every
-    lease the process can get is taken in one pass, before any work
-    starts. Leases are released once the summary is stored, and on
-    failure or interruption. A failure poisons exactly the jobs that
+    round of tasks, a failed simulation with its trace kept. The cache
+    is read before any work starts and not again, so a process that
+    shares it with another computes every miss it found, whatever the
+    other is computing. A failure poisons exactly the jobs that
     needed its product (a failed compile fails that bench's jobs, or
     that variant's, a failed trace the jobs of its group, a failed
     simulation every job of its key). The lab keeps every final failure
@@ -264,8 +258,8 @@ val prewarm : t -> job list -> unit
 
 (** [run t ~bench ~kind ?wish_threshold_n ?input ?config ()] — the
     summary of the {!job} with those arguments: a memo lookup, or a
-    one-job {!run_batch}, so a miss is computed, retried and leased
-    exactly as in a batch, and a permanent failure, this call's or one
+    one-job {!run_batch}, so a miss is computed and retried exactly as
+    in a batch, and a permanent failure, this call's or one
     an earlier batch recorded, raises {!Job_failed}. *)
 val run :
   t ->

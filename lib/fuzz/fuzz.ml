@@ -42,7 +42,7 @@ let summary_line r =
    shrinker from simplifying one bug into a cleaner sibling). *)
 let check_case ~oracles ~cache_dir ~shrink_tries idx seed =
   let case = Gen.generate seed in
-  let verdicts = Oracle.check ?cache_dir ~names:oracles case in
+  let verdicts = Oracle.check ~cache_dir ~names:oracles case in
   let skips =
     List.filter_map
       (fun (n, v) -> match v with Oracle.Skip _ -> Some (Oracle.name_id n) | _ -> None)
@@ -53,10 +53,10 @@ let check_case ~oracles ~cache_dir ~shrink_tries idx seed =
       (fun (n, v) -> match v with Oracle.Fail r -> Some (n, r) | _ -> None)
       verdicts
     |> Option.map (fun (oracle, reason0) ->
-           let fails c = Oracle.first_failure ?cache_dir ~names:[ oracle ] c <> None in
+           let fails c = Oracle.first_failure ~cache_dir ~names:[ oracle ] c <> None in
            let s = Shrink.minimize ~fails ?max_tries:shrink_tries case in
            let reason =
-             match Oracle.first_failure ?cache_dir ~names:[ oracle ] s.Shrink.shrunk with
+             match Oracle.first_failure ~cache_dir ~names:[ oracle ] s.Shrink.shrunk with
              | Some (_, r) -> r
              | None -> reason0
            in
@@ -95,6 +95,17 @@ let save_repro ~corpus_dir f =
 
 let run ?(oracles = Oracle.all_names) ?corpus_dir ?cache_dir ?shrink_tries ?(max_failures = 10)
     ?(progress = fun _ -> ()) ~root ~count () =
+  (* Without [cache_dir], the roundtrip oracle's cache is this process's
+     own temp directory, removed however the run ends. *)
+  let cache_dir, owned =
+    match cache_dir with
+    | Some d -> (d, false)
+    | None ->
+      ( Filename.concat (Filename.get_temp_dir_name ())
+          (Printf.sprintf "wishfuzz-cache-%d" (Unix.getpid ())),
+        true )
+  in
+  Fun.protect ~finally:(fun () -> if owned then Oracle.remove_cache_dir cache_dir) @@ fun () ->
   let skips = Hashtbl.create 8 in
   let failures = ref [] in
   let nfail = ref 0 in

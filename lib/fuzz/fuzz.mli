@@ -33,7 +33,10 @@ val summary_line : report -> string
     shrunk with [shrink_tries] oracle evaluations each (default 2000)
     and, when [corpus_dir] is given, saved as [.wisc] repros. Stops
     early after [max_failures] (default 10). [progress] is called with
-    the number of cases completed. *)
+    the number of cases completed. [cache_dir] roots the roundtrip
+    oracle's cache; without it the run uses
+    [wishfuzz-cache-<pid>] under the system temp dir and removes it when
+    it ends. *)
 val run :
   ?oracles:Oracle.name list ->
   ?corpus_dir:string ->

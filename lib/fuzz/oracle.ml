@@ -374,11 +374,6 @@ let observed_verdict (c : Gen.case) (eval : Policy.kind -> Program.t) =
 
 (* --- (f) artifact round-trips: text and cache ------------------------- *)
 
-let default_cache_dir =
-  lazy
-    (Filename.concat (Filename.get_temp_dir_name ())
-       (Printf.sprintf "wishfuzz-cache-%d" (Unix.getpid ())))
-
 let remove_cache_dir dir =
   let rec rm path =
     if Sys.file_exists path then
@@ -452,8 +447,7 @@ let compile (c : Gen.case) =
          c.Gen.c_ast)
   with e -> Error (exn_label e)
 
-let check ?cache_dir ~names (c : Gen.case) =
-  let cache_dir = match cache_dir with Some d -> d | None -> Lazy.force default_cache_dir in
+let check ~cache_dir ~names (c : Gen.case) =
   match compile c with
   | Error reason -> List.map (fun n -> (n, Skip ("compile: " ^ reason))) names
   | Ok bins ->
@@ -484,7 +478,7 @@ let check ?cache_dir ~names (c : Gen.case) =
     in
     go [] names
 
-let first_failure ?cache_dir ~names c =
+let first_failure ~cache_dir ~names c =
   List.find_map
     (fun (n, v) -> match v with Fail reason -> Some (n, reason) | _ -> None)
-    (check ?cache_dir ~names c)
+    (check ~cache_dir ~names c)

@@ -76,17 +76,16 @@ val sim_trace_cap : int
     duplicates, in that order. *)
 val machine_configs : unit -> Wish_sim.Config.t list
 
-(** [check ?cache_dir ~names case] — compile once, then run the selected
+(** [check ~cache_dir ~names case] — compile once, then run the selected
     oracles in order; skips are recorded and the remaining oracles still
     run, the first [Fail] stops the case. [cache_dir] roots the
-    {!Roundtrip} oracle's throwaway cache (default: a per-process
-    directory under the system temp dir). *)
-val check : ?cache_dir:string -> names:name list -> Gen.case -> (name * verdict) list
+    {!Roundtrip} oracle's throwaway cache. *)
+val check : cache_dir:string -> names:name list -> Gen.case -> (name * verdict) list
 
-(** [first_failure ?cache_dir ~names case] — [Some (oracle, reason)] for
+(** [first_failure ~cache_dir ~names case] — [Some (oracle, reason)] for
     the first failing oracle; skips are not failures. This (closed over
     the oracle list) is the predicate handed to {!Shrink.minimize}. *)
-val first_failure : ?cache_dir:string -> names:name list -> Gen.case -> (name * string) option
+val first_failure : cache_dir:string -> names:name list -> Gen.case -> (name * string) option
 
 (** {1 Program-level oracles}
 
@@ -107,6 +106,5 @@ val source_words : Gen.case -> (int array, exn) result
     branches, its final memory must start with [words]. *)
 val source_program : words:int array -> Wish_isa.Program.t -> verdict
 
-(** Remove a {!check}-created cache directory tree (best-effort; for
-    drivers that pass an explicit [cache_dir]). *)
+(** Remove a {!check}-created cache directory tree (best-effort). *)
 val remove_cache_dir : string -> unit

@@ -154,6 +154,31 @@ let test_zero_trip_while () =
         ];
     }
 
+(* A loop condition [a & b] is a bitwise and, not a conjunction: with
+   v1 = 2, [v1 & 1] is 0 though both operands are non-zero, and so is
+   [(n > 0) & m] with m = 2. Every kind must skip both loops. A
+   conjunction of comparisons stays one, and runs its loop. *)
+let test_and_loop_conditions () =
+  let open Ast.O in
+  check_agree ~data:[]
+    {
+      Ast.funcs = [];
+      main =
+        [
+          "v1" <-- i 2;
+          Ast.While (v "v1" &&& i 1, [ "v1" <-- (v "v1" - i 1); "v0" <-- (v "v0" + i 1) ]);
+          "n" <-- i 3;
+          "m" <-- i 2;
+          Ast.While ((v "n" > i 0) &&& v "m", [ "n" <-- (v "n" - i 1); "v0" <-- (v "v0" + i 10) ]);
+          Ast.While
+            ( (v "n" > i 0) &&& (v "m" > i 0) &&& (v "v1" > i 1),
+              [ "n" <-- (v "n" - i 1); "v0" <-- (v "v0" + i 100) ] );
+          Ast.Store (i 0, v "v0");
+          Ast.Store (i 1, v "v1");
+          Ast.Store (i 2, v "n");
+        ];
+    }
+
 let test_functions () =
   let open Ast.O in
   check_agree ~data:[]
@@ -561,6 +586,7 @@ let () =
           Alcotest.test_case "nested if predication" `Quick test_nested_if_predication;
           Alcotest.test_case "loops" `Quick test_loops;
           Alcotest.test_case "zero-trip while" `Quick test_zero_trip_while;
+          Alcotest.test_case "and loop conditions" `Quick test_and_loop_conditions;
           Alcotest.test_case "functions" `Quick test_functions;
           Alcotest.test_case "spilled variables" `Quick test_spilled_variables;
           Alcotest.test_case "profile changes base-def" `Quick test_profile_changes_base_def;

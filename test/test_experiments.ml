@@ -194,10 +194,7 @@ let test_cache_roundtrip () =
 let test_cache_version_invalidation () =
   let dir = cache_dir ^ "_ver" in
   let v1 = Cache.create ~dir ~version:1 () in
-  ignore (Cache.try_lease v1 ~key:"k");
   Cache.clear v1;
-  Alcotest.(check bool) "clear removes the leases" false
-    (Sys.file_exists (Filename.concat dir "lease"));
   Cache.store v1 ~kind:"summary" ~key:"k" (42, "payload");
   check
     Alcotest.(option (pair int string))
@@ -666,12 +663,12 @@ let test_interrupted_batch_resumes () =
   check Alcotest.int "simulated exactly the jobs left" 2 !sims
 
 (* ------------------------------------------------------------------ *)
-(* Leases: concurrent processes on one cache                           *)
+(* Concurrent processes on one cache                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* These tests fork, which OCaml 5 refuses while other domains run, so
-   they are registered before any test that spawns a pool. A child
-   reports through its exit code and never returns into the runner. *)
+(* This test forks, which OCaml 5 refuses while other domains run, so it
+   is registered before any test that spawns a pool. A child reports
+   through its exit code and never returns into the runner. *)
 let fork_child f =
   flush_all ();
   match Unix.fork () with
@@ -685,85 +682,24 @@ let fork_child f =
 let wait_child pid =
   match Unix.waitpid [] pid with _, Unix.WEXITED n -> n | _ -> -1
 
-(* 0 when a fresh process got the lease on [key], 1 when it was held. *)
-let other_process_leases c key =
-  wait_child (fork_child (fun () -> if Cache.try_lease c ~key then 0 else 1))
-
-let test_lease_acquire_release () =
-  let c = Cache.create ~dir:(cache_dir ^ "_lease") () in
+(* Two processes started together regenerate fig10 for gzip on one
+   fresh cache. Nothing coordinates them, so each may compute every
+   run, but their tables agree and every entry they leave is whole:
+   fig10's 5 gzip jobs are 4 binaries (BASE-DEF is the normal binary),
+   so 4 summaries. A pipe starts both at once. *)
+let test_two_processes_share_a_cache () =
+  let dir = cache_dir ^ "_shared" in
+  let c = Cache.create ~dir () in
   Cache.clear c;
-  Alcotest.(check bool) "acquired" true (Cache.try_lease c ~key:"k");
-  Alcotest.(check bool) "its holder may take it again" true (Cache.try_lease c ~key:"k");
-  Alcotest.(check int) "another process finds it held" 1 (other_process_leases c "k");
-  ignore (wait_child (fork_child (fun () -> Cache.release_lease c ~key:"k"; 0)));
-  Alcotest.(check int) "only the holder can release it" 1 (other_process_leases c "k");
-  Cache.release_lease c ~key:"k";
-  Alcotest.(check int) "released" 0
-    (Array.length (Sys.readdir (Filename.concat (Cache.dir c) "lease")));
-  Alcotest.(check int) "then another process gets it" 0 (other_process_leases c "k")
-
-let test_lease_stale_takeover () =
-  let c = Cache.create ~dir:(cache_dir ^ "_stale") () in
-  Cache.clear c;
-  (* The child takes the lease and exits without releasing it; once it
-     is reaped, its pid is dead and the lease is stale. *)
-  Alcotest.(check int) "child took the lease" 0 (other_process_leases c "k");
-  Alcotest.(check bool) "dead holder's lease taken over" true (Cache.try_lease c ~key:"k");
-  Alcotest.(check int) "and now held here" 1 (other_process_leases c "k");
-  Cache.release_lease c ~key:"k"
-
-(* Two processes regenerate fig10 for gzip on one cache at once: the
-   tables agree, and between them every distinct binary is simulated
-   once. fig10's 5 gzip jobs are 4 binaries (BASE-DEF is the normal
-   binary), so 4 keys, whichever process leases which. *)
-let test_lease_coalesces_processes () =
-  let dir = cache_dir ^ "_coalesce" in
-  Cache.clear (Cache.create ~dir ());
-  let out i = Filename.concat dir (Printf.sprintf "out%d" i) in
-  let run i =
-    fork_child (fun () ->
-        let lab = Lab.create ~scale:1 ~names:[ "gzip" ] ~cache:(Cache.create ~dir ()) () in
-        let sims = ref 0 in
-        Lab.set_logger lab (fun s -> if String.starts_with ~prefix:"simulating" s then incr sims);
-        Lab.prewarm lab (Figures.jobs_for "fig10" lab);
-        let csv = Wish_util.Table.to_csv (Figures.fig10 lab) in
-        Out_channel.with_open_bin (out i) (fun oc -> Printf.fprintf oc "%d\n%s" !sims csv);
-        0)
-  in
-  let pids = [ run 0; run 1 ] in
-  List.iter (fun pid -> check Alcotest.int "child exit" 0 (wait_child pid)) pids;
-  let read i =
-    let s = In_channel.with_open_bin (out i) In_channel.input_all in
-    let nl = String.index s '\n' in
-    (int_of_string (String.sub s 0 nl), String.sub s (nl + 1) (String.length s - nl - 1))
-  in
-  let sims0, table0 = read 0 and sims1, table1 = read 1 in
-  check Alcotest.string "identical tables" table0 table1;
-  check Alcotest.int "each distinct binary simulated once" 4 (sims0 + sims1);
-  let summaries =
-    List.filter
-      (fun (e, _) -> String.starts_with ~prefix:"summary/" e)
-      (Cache.scan (Cache.create ~dir ()))
-  in
-  check Alcotest.int "a summary stored for each of the 4 keys" 4 (List.length summaries)
-
-(* Two processes that ask for one bench's binaries on an empty cache at
-   once compile it once between them: the first leases the bench's
-   [binary] entry and compiles, the other waits on the lease and reads
-   the entry. A pipe starts both together. *)
-let test_lease_one_compile () =
-  let dir = cache_dir ^ "_one_compile" in
-  Cache.clear (Cache.create ~dir ());
   let go_r, go_w = Unix.pipe () in
-  let out i = Filename.concat dir (Printf.sprintf "compiles%d" i) in
+  let out i = Filename.concat dir (Printf.sprintf "fig10-%d.csv" i) in
   let run i =
     fork_child (fun () ->
         ignore (Unix.read go_r (Bytes.create 1) 0 1);
         let lab = Lab.create ~scale:1 ~names:[ "gzip" ] ~cache:(Cache.create ~dir ()) () in
-        let compiles = ref 0 in
-        Lab.set_logger lab (fun s -> if String.starts_with ~prefix:"compiling" s then incr compiles);
-        ignore (Lab.shape lab ~bench:"gzip" ~kind:Policy.Wish_jj);
-        Out_channel.with_open_bin (out i) (fun oc -> Printf.fprintf oc "%d" !compiles);
+        Lab.prewarm lab (Figures.jobs_for "fig10" lab);
+        let csv = Wish_util.Table.to_csv (Figures.fig10 lab) in
+        Out_channel.with_open_bin (out i) (fun oc -> output_string oc csv);
         0)
   in
   let pids = [ run 0; run 1 ] in
@@ -771,78 +707,31 @@ let test_lease_one_compile () =
   List.iter (fun pid -> check Alcotest.int "child exit" 0 (wait_child pid)) pids;
   Unix.close go_r;
   Unix.close go_w;
-  let compiles i = int_of_string (In_channel.with_open_bin (out i) In_channel.input_all) in
-  check Alcotest.int "one compiling line between them" 1 (compiles 0 + compiles 1);
-  check Alcotest.int "no lease left" 0 (Array.length (Sys.readdir (Filename.concat dir "lease")))
-
-(* While another live process holds the lease of gzip/normal's key, a
-   process asking for gzip/base-def, the same binary and so the same
-   key, batched or not, takes no lease of its own and never simulates:
-   it is served the summary stored under that key. *)
-let test_twins_share_one_lease () =
-  let normal = Lab.job ~bench:"gzip" ~kind:Policy.Normal () in
-  let base_def = Lab.job ~bench:"gzip" ~kind:Policy.Base_def () in
-  let summary = List.hd (Lab.run_batch (Lab.create ~scale:1 ~names:[ "gzip" ] ()) [ normal ]) in
+  let table i = In_channel.with_open_bin (out i) In_channel.input_all in
+  check Alcotest.string "identical tables" (table 0) (table 1);
+  let summaries =
+    List.filter (fun (e, _) -> String.starts_with ~prefix:"summary/" e) (Cache.scan c)
+  in
+  check Alcotest.int "a summary for each of the 4 keys" 4 (List.length summaries);
   List.iter
-    (fun (label, ask) ->
-      let dir = cache_dir ^ "_one_lease_" ^ label in
-      let c = Cache.create ~dir () in
-      Cache.clear c;
-      (* Naming the key compiles gzip and stores its binary entry, so the
-         child reaches its job without compiling. *)
-      let lab = Lab.create ~scale:1 ~names:[ "gzip" ] ~cache:c () in
-      let key = Lab.run_key_of_job lab normal in
-      check Alcotest.string (label ^ ": twins share the key") key
-        (Lab.run_key_of_job lab base_def);
-      Alcotest.(check bool) (label ^ ": normal leased here") true (Cache.try_lease c ~key);
-      let out = Filename.concat dir "log" in
-      let pid =
-        fork_child (fun () ->
-            let lab = Lab.create ~scale:1 ~names:[ "gzip" ] ~cache:(Cache.create ~dir ()) () in
-            let log = ref [] in
-            Lab.set_logger lab (fun s -> log := s :: !log);
-            let s = ask lab in
-            Out_channel.with_open_bin out (fun oc ->
-                List.iter (fun l -> output_string oc (l ^ "\n")) (List.rev !log));
-            if summary_repr s = summary_repr summary then 0 else 1)
-      in
-      (* Time for the child to reach its job and find the lease held. *)
-      Unix.sleepf 0.5;
-      check Alcotest.int (label ^ ": the one lease is this process's") 1
-        (Array.length (Sys.readdir (Filename.concat dir "lease")));
-      Cache.store c ~kind:"summary" ~key summary;
-      Cache.release_lease c ~key;
-      check Alcotest.int (label ^ ": child exit (served the stored summary)") 0 (wait_child pid);
-      let log = ref (List.rev (In_channel.with_open_bin out In_channel.input_lines)) in
-      check Alcotest.(list string) (label ^ ": never compiled") [] (logged log "compiling");
-      check Alcotest.(list string) (label ^ ": never simulated") [] (logged log "simulating");
-      check Alcotest.int
-        (label ^ ": served from the cache")
-        1
-        (List.length (logged log "cache hit: summary gzip/base-def input A")))
-    [
-      ("batched", fun lab -> List.hd (Lab.run_batch lab [ Lab.job ~bench:"gzip" ~kind:Policy.Base_def () ]));
-      ("serial", fun lab -> Lab.run lab ~bench:"gzip" ~kind:Policy.Base_def ());
-    ]
+    (fun (e, status) -> Alcotest.(check bool) (e ^ " is whole") true (status = Cache.Entry_ok))
+    summaries;
+  Alcotest.(check bool) "nothing quarantined" false (Sys.file_exists (Cache.quarantine_dir c))
 
 let () =
   Alcotest.run "wish_experiments"
     [
-      ( "lease",
+      ( "parallel",
         [
-          Alcotest.test_case "acquire, held, release" `Quick test_lease_acquire_release;
-          Alcotest.test_case "stale takeover" `Quick test_lease_stale_takeover;
-          Alcotest.test_case "two processes coalesce" `Slow test_lease_coalesces_processes;
-          Alcotest.test_case "twins share one lease" `Slow test_twins_share_one_lease;
-          Alcotest.test_case "two processes compile a bench once" `Slow test_lease_one_compile;
+          Alcotest.test_case "two processes share a cache" `Slow
+            test_two_processes_share_a_cache;
+          Alcotest.test_case "run_batch = serial run" `Slow test_run_batch_matches_serial;
         ] );
       ( "lab",
         [
           Alcotest.test_case "caches results" `Quick test_lab_caches_results;
           Alcotest.test_case "baseline is one" `Quick test_normalized_baseline_is_one;
         ] );
-      ( "parallel",
-        [ Alcotest.test_case "run_batch = serial run" `Slow test_run_batch_matches_serial ] );
       ( "identity",
         [
           Alcotest.test_case "each distinct binary simulated once" `Slow

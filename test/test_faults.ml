@@ -130,22 +130,11 @@ let test_pool_worker_death () =
 
 let value = List.init 2000 (fun k -> (7 * k) land 255)
 
-(* Each cache test runs with a lease held in the same directory: the
-   maintenance walks (scan, verify, prune, stats) must neither count,
-   classify nor move it. *)
-let with_lease c f =
-  Alcotest.(check bool) "lease taken" true (Cache.try_lease c ~key:"in-flight");
-  f ();
-  Alcotest.(check int) "the lease outlives maintenance" 1
-    (Array.length (Sys.readdir (Filename.concat (Cache.dir c) "lease")));
-  Cache.release_lease c ~key:"in-flight"
-
 let test_cache_torn_write () =
   with_reset @@ fun () ->
   let dir = fresh_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let c = Cache.create ~dir () in
-  with_lease c @@ fun () ->
   FP.arm "cache.write.torn" ~times:1;
   Cache.store c ~kind:"t" ~key:"k" value;
   note "cache.write.torn";
@@ -167,7 +156,6 @@ let test_cache_corrupt_write () =
   let dir = fresh_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let c = Cache.create ~dir () in
-  with_lease c @@ fun () ->
   FP.arm "cache.write.corrupt" ~times:1;
   Cache.store c ~kind:"t" ~key:"k" value;
   note "cache.write.corrupt";
@@ -191,7 +179,6 @@ let test_cache_stale_eviction () =
   let old = Cache.create ~dir ~version:2 () in
   Cache.store old ~kind:"t" ~key:"k" value;
   let c = Cache.create ~dir () in
-  with_lease c @@ fun () ->
   (match Cache.scan c with
   | [ (_, Cache.Entry_stale 2) ] -> ()
   | _ -> Alcotest.fail "expected one v2-stale entry");
@@ -347,11 +334,10 @@ let test_keep_going_twin_group_failure () =
   note "lab.simulate";
   Alcotest.(check int) "one simulation failed" 1 (Lab.batch_stats lab).failed
 
-(* A serial lab with a cache computes its misses under leases. When the
-   cache holds gzip's binary entry but no summary, the jobs are leased
-   on their keys before gzip compiles. A bench whose compile failed must
-   fail every job of that bench, once: the one-shot fault must not be
-   outlived by a second compile. *)
+(* When the cache holds gzip's binary entry but no summary, the jobs
+   are named from the entry and gzip compiles only for its programs. A
+   bench whose compile failed must fail every job of that bench, once:
+   the one-shot fault must not be outlived by a second compile. *)
 let test_keep_going_compile_failure_cached () =
   let dir = fresh_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
@@ -361,16 +347,16 @@ let test_keep_going_compile_failure_cached () =
   let lab = Lab.create ~names:[ "gzip" ] ~cache:c ~policy:keep_going () in
   Fun.protect ~finally:(fun () -> Lab.shutdown lab) @@ fun () ->
   FP.arm "lab.compile" ~times:1;
+  let results = Lab.run_batch_results lab (jj_jobs ()) in
+  Alcotest.(check int) "an outcome per job" 2 (List.length results);
   List.iter
     (function
       | Error (fl : Lab.failure) -> Alcotest.(check string) "failed stage" "compile" fl.failed_stage
       | Ok _ -> Alcotest.fail "a gzip job outlived its bench's failed compile")
-    (Lab.run_batch_results lab (jj_jobs ()));
+    results;
   note "lab.compile";
   Alcotest.(check int) "the compile ran once" 1 (FP.hits "lab.compile");
-  Alcotest.(check int) "one failure counted" 1 (Lab.batch_stats lab).failed;
-  Alcotest.(check int) "every lease released" 0
-    (Array.length (Sys.readdir (Filename.concat (Cache.dir c) "lease")))
+  Alcotest.(check int) "one failure counted" 1 (Lab.batch_stats lab).failed
 
 (* A variant's binary is compiled by the batch's compile stage, under
    the lab's policy: its failed compile fails that variant's jobs only. *)
@@ -494,7 +480,7 @@ let () =
             test_keep_going_failure_recorded;
           Alcotest.test_case "keep-going fails every twin of a failed group" `Slow
             test_keep_going_twin_group_failure;
-          Alcotest.test_case "keep-going compile failure under leases" `Slow
+          Alcotest.test_case "keep-going compile failure, binary hit" `Slow
             test_keep_going_compile_failure_cached;
           Alcotest.test_case "keep-going variant compile failure" `Slow
             test_keep_going_variant_compile_failure;

@@ -155,6 +155,24 @@ let test_oracle_smoke () =
             (Oracle.name_id f.Fuzz.f_oracle) f.Fuzz.f_reason)
         report.Fuzz.r_failures)
 
+(* Without [cache_dir], the roundtrip oracle works in the process's own
+   temp directory, which is there while the run checks cases and gone
+   once it returns. *)
+let test_default_cache_removed () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "wishfuzz-cache-%d" (Unix.getpid ()))
+  in
+  let seen = ref false in
+  let report =
+    Fuzz.run ~oracles:[ Oracle.Roundtrip ]
+      ~progress:(fun _ -> seen := !seen || Sys.file_exists dir)
+      ~root:2005 ~count:3 ()
+  in
+  check Alcotest.int "no failure" 0 (List.length report.Fuzz.r_failures);
+  check Alcotest.bool "the run used it" true !seen;
+  check Alcotest.bool "and removed it" false (Sys.file_exists dir)
+
 (* Corpus replay ------------------------------------------------------- *)
 
 let test_corpus_replays_green () =
@@ -198,7 +216,11 @@ let () =
         ] );
       ( "drill",
         [ Alcotest.test_case "injected bug caught + shrunk" `Quick test_injected_bug_caught_and_shrunk ] );
-      ("smoke", [ Alcotest.test_case "oracle slice" `Slow test_oracle_smoke ]);
+      ( "smoke",
+        [
+          Alcotest.test_case "oracle slice" `Slow test_oracle_smoke;
+          Alcotest.test_case "default cache removed" `Quick test_default_cache_removed;
+        ] );
       ( "corpus",
         [
           Alcotest.test_case "replays green" `Quick test_corpus_replays_green;
