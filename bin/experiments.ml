@@ -99,12 +99,15 @@ let run names scale verbose benchmarks csv_dir jobs no_cache retries keep_going 
       ~finally:(fun () -> Lab.shutdown lab)
       (fun () ->
         try
-          (* One batch computes every selected artifact's grid, so each
-             trace is generated once and dies once the runs that read it
-             are done; the tables render after it, from the memo. *)
+          (* One batch computes the union of the selected artifacts'
+             cells, so each trace is generated once and dies once the
+             runs that read it are done; each table's own batch after it
+             is all memo hits. *)
+          let artifacts = Figures.artifacts @ Ablations.artifacts in
           Lab.prewarm lab
             (List.concat_map
-               (fun (name, _) -> Figures.jobs_for name lab @ Ablations.jobs_for name lab)
+               (fun (name, _) ->
+                 match List.assoc_opt name artifacts with Some a -> a.Figures.cells lab | None -> [])
                selected);
           List.iter
             (fun (name, f) ->

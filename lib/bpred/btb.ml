@@ -2,7 +2,7 @@
 
     The BTB is a presence filter: a taken branch that misses it pays the
     fetch bubble. The paper's entry also holds the target and the wish
-    kind (Section 3.5.1), but both timing cores take those from decode,
+    kind (Section 3.5.1), but the timing core takes those from decode,
     so no entry stores a payload. *)
 
 type t = { table : unit Wish_util.Lru.t; sets : int; set_bits : int }

@@ -3,10 +3,7 @@
     individual mechanisms in this implementation. *)
 
 open Wish_compiler
-module Table = Wish_util.Table
 module Config = Wish_sim.Config
-
-let f3 = Table.fmt_float ~decimals:3
 
 (* ------------------------------------------------------------------ *)
 (* A1: the specialized wish-loop predictor (paper Section 3.2)          *)
@@ -29,8 +26,8 @@ let a1_bars =
     { Figures.label = "wish-jj (no loops)"; kind = Policy.Wish_jj; config = Config.default };
   ]
 
-let loop_predictor lab =
-  Figures.exec_time_table lab
+let loop_predictor =
+  Figures.exec_time_table
     ~title:"Ablation A1: wish-jjl with/without the specialized wish-loop predictor" a1_bars
 
 (* ------------------------------------------------------------------ *)
@@ -52,9 +49,8 @@ let a2_bars =
       })
     [ 4; 7; 10; 13; 15 ]
 
-let confidence_threshold lab =
-  Figures.exec_time_table lab
-    ~title:"Ablation A2: JRS confidence threshold (wish-jjl binary)" a2_bars
+let confidence_threshold =
+  Figures.exec_time_table ~title:"Ablation A2: JRS confidence threshold (wish-jjl binary)" a2_bars
 
 (* ------------------------------------------------------------------ *)
 (* A3: wish binaries on hardware without wish support (Section 3.4)     *)
@@ -74,9 +70,8 @@ let a3_bars =
     { Figures.label = "BASE-MAX (reference)"; kind = Policy.Base_max; config = Config.default };
   ]
 
-let no_wish_hardware lab =
-  Figures.exec_time_table lab
-    ~title:"Ablation A3: wish-jjl binary with wish hardware disabled" a3_bars
+let no_wish_hardware =
+  Figures.exec_time_table ~title:"Ablation A3: wish-jjl binary with wish hardware disabled" a3_bars
 
 (* ------------------------------------------------------------------ *)
 (* A4: compiler wish-jump threshold N (Section 4.2.2)                   *)
@@ -94,42 +89,16 @@ let a4_benches lab =
     everything (wish-jj degenerates to BASE-MAX). Every cell is a lab
     run, memoized and cached: N=5 is the default wish-jj run, and any
     other N a variant binary the lab compiles on a miss. *)
-let wish_threshold_n lab =
-  let t =
-    Table.create ~title:"Ablation A4: compiler wish-jump threshold N (wish-jj binary)"
-      ~header:("benchmark" :: List.map (fun n -> "N=" ^ string_of_int n) a4_thresholds)
-      ~aligns:(Table.Left :: List.map (fun _ -> Table.Right) a4_thresholds)
-  in
-  List.iter
+let wish_threshold_n =
+  Figures.normalized_rows ~title:"Ablation A4: compiler wish-jump threshold N (wish-jj binary)"
+    ~header:(List.map (fun n -> "N=" ^ string_of_int n) a4_thresholds)
+    ~benches:a4_benches
     (fun name ->
-      let cycles ?wish_threshold_n kind =
-        float_of_int (Lab.run lab ~bench:name ~kind ?wish_threshold_n ()).Wish_sim.Runner.cycles
-      in
-      let base = cycles Policy.Normal in
-      let cell n = f3 (cycles ~wish_threshold_n:n Policy.Wish_jj /. base) in
-      Table.add_row t (name :: List.map cell a4_thresholds))
-    (a4_benches lab);
-  t
+      List.map
+        (fun n -> Lab.job ~bench:name ~kind:Policy.Wish_jj ~wish_threshold_n:n ())
+        a4_thresholds)
 
-(** The prewarmable simulation grid behind each study. A4's variant
-    binaries (N other than 5) are not listed: its table makes them as
-    one-job batches ({!Lab.run}) while it renders, because every job
-    listed here may be simulated on the default binary of its kind
-    (bench/perf's traced pass does so). Its N=5 column and normalization
-    baselines are ordinary jobs. *)
-let jobs =
-  [
-    ("abl-loop-pred", fun lab -> Figures.bar_jobs lab a1_bars);
-    ("abl-conf-threshold", fun lab -> Figures.bar_jobs lab a2_bars);
-    ("abl-no-wish-hw", fun lab -> Figures.bar_jobs lab a3_bars);
-    ( "abl-wish-n",
-      fun lab ->
-        List.map (fun name -> Lab.job ~bench:name ~kind:Policy.Wish_jj ()) (a4_benches lab) );
-  ]
-
-let jobs_for name = Option.value (List.assoc_opt name jobs) ~default:(fun _ -> [])
-
-let all =
+let artifacts =
   [
     ("abl-loop-pred", loop_predictor);
     ("abl-conf-threshold", confidence_threshold);
@@ -137,4 +106,6 @@ let all =
     ("abl-wish-n", wish_threshold_n);
   ]
 
+let all = List.map (fun (name, a) -> (name, Figures.render name a)) artifacts
+let jobs_for = Figures.jobs_in artifacts
 let find name = List.assoc_opt name all

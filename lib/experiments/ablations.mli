@@ -1,27 +1,26 @@
 (** Ablation studies for the design choices DESIGN.md calls out. These go
     beyond the paper's own evaluation: they isolate the contribution of
-    individual mechanisms in this implementation. *)
+    individual mechanisms in this implementation. Each study is a
+    {!Figures.artifact}: its cells and a renderer over their runs.
 
-(** A1: wish-jjl with/without the specialized wish-loop predictor. *)
-val loop_predictor : Lab.t -> Wish_util.Table.t
+    - abl-loop-pred (A1): wish-jjl with/without the specialized
+      wish-loop predictor.
+    - abl-conf-threshold (A2): JRS confidence threshold sweep on the
+      wish-jjl binary.
+    - abl-no-wish-hw (A3): the wish-jjl binary on hardware that ignores
+      the hint bits (paper Section 3.4 forward compatibility).
+    - abl-wish-n (A4): compiler wish-jump threshold N sweep on a subset
+      of workloads; its N=0 and N=100 cells are variant binaries, cells
+      like any other. *)
 
-(** A2: JRS confidence threshold sweep on the wish-jjl binary. *)
-val confidence_threshold : Lab.t -> Wish_util.Table.t
+(** All studies by id. *)
+val artifacts : (string * Figures.artifact) list
 
-(** A3: the wish-jjl binary on hardware that ignores the hint bits
-    (paper Section 3.4 forward compatibility). *)
-val no_wish_hardware : Lab.t -> Wish_util.Table.t
-
-(** A4: compiler wish-jump threshold N sweep on a subset of workloads;
-    each variant binary is a memoized, cached {!Lab.run}. *)
-val wish_threshold_n : Lab.t -> Wish_util.Table.t
-
-(** [jobs_for name lab] — the prewarmable simulation grid behind study
-    [name] (empty for unknown names); see {!Figures.jobs_for}. *)
-val jobs_for : string -> Lab.t -> Lab.job list
-
-(** All studies by id: abl-loop-pred, abl-conf-threshold, abl-no-wish-hw,
-    abl-wish-n. *)
+(** [all] — {!artifacts}, each with its {!Figures.render}. *)
 val all : (string * (Lab.t -> Wish_util.Table.t)) list
+
+(** [jobs_for] — {!Figures.jobs_in} over {!artifacts}: A4's variant
+    cells are left out. *)
+val jobs_for : string -> Lab.t -> Lab.job list
 
 val find : string -> (Lab.t -> Wish_util.Table.t) option

@@ -1,17 +1,52 @@
 (** Generators for every table and figure of the paper's evaluation.
 
-    Each generator returns a {!Wish_util.Table.t} whose rows mirror the
-    corresponding artifact's bars/series. Execution-time figures report
-    times normalized to the normal-branch binary (lower is better), with
-    the paper's AVG / AVGnomcf convention. *)
+    Each artifact is one value: its cells, and a renderer whose rows
+    mirror the corresponding artifact's bars/series, reading the cells'
+    summaries only. Execution-time figures report times normalized to
+    the normal-branch binary (lower is better), with the paper's AVG /
+    AVGnomcf convention. *)
 
 open Wish_compiler
 module Table = Wish_util.Table
 module Config = Wish_sim.Config
 module Counters = Wish_sim.Counters
+module Runner = Wish_sim.Runner
 
 let pct = Table.fmt_percent
 let f3 = Table.fmt_float ~decimals:3
+
+type artifact = {
+  cells : Lab.t -> Lab.cell list;
+  table : Lab.t -> (Lab.job -> Runner.summary) -> Table.t;
+}
+
+let render name a lab = Lab.render lab ~artifact:name (a.cells lab) (a.table lab)
+
+let cycles get j = float_of_int (get j).Runner.cycles
+let normalized get j = cycles get j /. cycles get (Lab.baseline_of j)
+
+(* The cells of [names]: each one's jobs [jobs name], made by [cell]. *)
+let cells_of names cell jobs = List.concat_map (fun name -> List.map cell (jobs name)) names
+
+(* [rows ~title ~header ?benches cell jobs row] — one row per benchmark
+   [name] of [benches lab] (default: all), reading cells [jobs name]
+   made by [cell]; [row lab name get] renders its values. *)
+let rows ~title ~header ?(benches = Lab.bench_names) cell jobs row =
+  {
+    cells = (fun lab -> cells_of (benches lab) cell jobs);
+    table =
+      (fun lab get ->
+        let t =
+          Table.create ~title ~header:("benchmark" :: header)
+            ~aligns:(Table.Left :: List.map (fun _ -> Table.Right) header)
+        in
+        List.iter (fun name -> Table.add_row t (name :: row lab name get)) (benches lab);
+        t);
+  }
+
+let normalized_rows ~title ~header ?benches jobs =
+  rows ~title ~header ?benches (fun j -> Lab.Normalized j) jobs (fun _ name get ->
+      List.map (fun j -> f3 (normalized get j)) (jobs name))
 
 (* Machine-configuration variants. *)
 
@@ -30,18 +65,11 @@ let select_mech c = { c with Config.mech = Config.Select_uop }
     Itanium-II; we use BASE-MAX because our profile-guided BASE-DEF keeps
     every branch in six of the nine workloads. The point is preserved:
     the same predicated binary wins on some inputs and loses on others. *)
-let fig1 lab =
-  let t =
-    Table.create ~title:"Figure 1: predicated (BASE-MAX) binary vs input set"
-      ~header:[ "benchmark"; "input-A"; "input-B"; "input-C" ]
-      ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right ]
-  in
-  List.iter
+let fig1 =
+  normalized_rows ~title:"Figure 1: predicated (BASE-MAX) binary vs input set"
+    ~header:[ "input-A"; "input-B"; "input-C" ]
     (fun name ->
-      let v input = Lab.normalized lab ~bench:name ~kind:Policy.Base_max ~input () in
-      Table.add_row t [ name; f3 (v "A"); f3 (v "B"); f3 (v "C") ])
-    (Lab.bench_names lab);
-  t
+      List.map (fun input -> Lab.job ~bench:name ~kind:Policy.Base_max ~input ()) [ "A"; "B"; "C" ])
 
 (* ------------------------------------------------------------------ *)
 (* Execution-time comparisons (Figures 2, 10, 12, 14, 15, 16)          *)
@@ -78,9 +106,11 @@ let bars_fig12 =
     { label = "wish-jjl (perf-conf)"; kind = Policy.Wish_jjl; config = perfect_conf Config.default };
   ]
 
-(* [value lab name bar] — [bar]'s execution time on benchmark [name],
-   normalized to the normal binary under the same configuration. *)
-let value lab name bar = Lab.normalized lab ~bench:name ~kind:bar.kind ~config:bar.config ()
+let bar_job name bar = Lab.job ~bench:name ~kind:bar.kind ~config:bar.config ()
+
+(* Every benchmark x every bar, each normalized. *)
+let bar_cells lab bars =
+  cells_of (Lab.bench_names lab) (fun j -> Lab.Normalized j) (fun name -> List.map (bar_job name) bars)
 
 (* The paper's two averages, each with the selected benchmarks it keeps.
    An average that keeps none (AVGnomcf when mcf runs alone) has no row. *)
@@ -92,39 +122,40 @@ let averages lab =
       | kept -> Some (label, kept))
     [ ("AVG", fun _ -> true); ("AVGnomcf", fun n -> n <> "mcf") ]
 
-(* [column lab bar] — [bar]'s value on every benchmark, computed once
-   for both its rows and its averages. *)
-let column lab bar = List.map (fun n -> (n, value lab n bar)) (Lab.bench_names lab)
+(* [column lab get bar] — [bar]'s normalized value on every benchmark,
+   computed once for both its rows and its averages. *)
+let column lab get bar = List.map (fun n -> (n, normalized get (bar_job n bar))) (Lab.bench_names lab)
 
 let average column kept = Lab.mean (List.map (fun n -> List.assoc n column) kept)
 
 (** Shared renderer: one column per bar, one row per benchmark plus the
     AVG / AVGnomcf rows; values normalized per-benchmark to the normal
     binary under the same configuration. *)
-let exec_time_table lab ~title bars =
-  let t =
-    Table.create ~title
-      ~header:("benchmark" :: List.map (fun b -> b.label) bars)
-      ~aligns:(Table.Left :: List.map (fun _ -> Table.Right) bars)
-  in
-  let columns = List.map (column lab) bars in
-  List.iter
-    (fun name -> Table.add_row t (name :: List.map (fun c -> f3 (List.assoc name c)) columns))
-    (Lab.bench_names lab);
-  Table.add_separator t;
-  List.iter
-    (fun (label, kept) ->
-      Table.add_row t (label :: List.map (fun c -> f3 (average c kept)) columns))
-    (averages lab);
-  t
+let exec_time_table ~title bars =
+  {
+    cells = (fun lab -> bar_cells lab bars);
+    table =
+      (fun lab get ->
+        let t =
+          Table.create ~title
+            ~header:("benchmark" :: List.map (fun b -> b.label) bars)
+            ~aligns:(Table.Left :: List.map (fun _ -> Table.Right) bars)
+        in
+        let columns = List.map (column lab get) bars in
+        List.iter
+          (fun name -> Table.add_row t (name :: List.map (fun c -> f3 (List.assoc name c)) columns))
+          (Lab.bench_names lab);
+        Table.add_separator t;
+        List.iter
+          (fun (label, kept) ->
+            Table.add_row t (label :: List.map (fun c -> f3 (average c kept)) columns))
+          (averages lab);
+        t);
+  }
 
-let fig2 lab =
-  exec_time_table lab ~title:"Figure 2: idealized elimination of predication overhead" bars_fig2
-
-let fig10 lab = exec_time_table lab ~title:"Figure 10: performance of wish jump/join binaries" bars_fig10
-
-let fig12 lab =
-  exec_time_table lab ~title:"Figure 12: performance of wish jump/join/loop binaries" bars_fig12
+let fig2 = exec_time_table ~title:"Figure 2: idealized elimination of predication overhead" bars_fig2
+let fig10 = exec_time_table ~title:"Figure 10: performance of wish jump/join binaries" bars_fig10
+let fig12 = exec_time_table ~title:"Figure 12: performance of wish jump/join/loop binaries" bars_fig12
 
 (* The bars of Figures 14 and 15 on one base configuration. *)
 let sweep_bars base =
@@ -135,63 +166,70 @@ let sweep_bars base =
     { label = "wish-jjl (perf-conf)"; kind = Policy.Wish_jjl; config = perfect_conf base };
   ]
 
-let windows = [ 128; 256; 512 ]
-let bars_fig14 rob = sweep_bars (Config.with_rob Config.default rob)
-let depths = [ 10; 20; 30 ]
-
-let bars_fig15 stages =
-  sweep_bars (Config.with_pipeline_stages (Config.with_rob Config.default 256) stages)
-
 (** Sweep renderer (Figures 14 and 15): for each swept value [v], the
     AVG and AVGnomcf rows of [bars v], labelled [row v] in the [axis]
     column. *)
-let sweep_table lab ~title ~axis ~row values bars =
-  let t =
-    Table.create ~title
-      ~header:[ axis; "average"; "BASE-DEF"; "BASE-MAX"; "wish-jjl (real)"; "wish-jjl (perf)" ]
-      ~aligns:[ Table.Left; Table.Left; Table.Right; Table.Right; Table.Right; Table.Right ]
-  in
-  List.iter
-    (fun v ->
-      let columns = List.map (column lab) (bars v) in
-      List.iter
-        (fun (label, kept) ->
-          Table.add_row t (row v :: label :: List.map (fun c -> f3 (average c kept)) columns))
-        (averages lab))
-    values;
-  t
+let sweep_table ~title ~axis ~row values bars =
+  {
+    cells = (fun lab -> List.concat_map (fun v -> bar_cells lab (bars v)) values);
+    table =
+      (fun lab get ->
+        let t =
+          Table.create ~title
+            ~header:[ axis; "average"; "BASE-DEF"; "BASE-MAX"; "wish-jjl (real)"; "wish-jjl (perf)" ]
+            ~aligns:[ Table.Left; Table.Left; Table.Right; Table.Right; Table.Right; Table.Right ]
+        in
+        List.iter
+          (fun v ->
+            let columns = List.map (column lab get) (bars v) in
+            List.iter
+              (fun (label, kept) ->
+                Table.add_row t (row v :: label :: List.map (fun c -> f3 (average c kept)) columns))
+              (averages lab))
+          values;
+        t);
+  }
 
 (** Figure 14: effect of instruction window size (128/256/512),
     normalized to the normal binary on the same window size. *)
-let fig14 lab =
-  sweep_table lab ~title:"Figure 14: effect of instruction window size" ~axis:"window"
+let fig14 =
+  sweep_table ~title:"Figure 14: effect of instruction window size" ~axis:"window"
     ~row:(fun rob -> string_of_int rob ^ "-entry")
-    windows bars_fig14
+    [ 128; 256; 512 ]
+    (fun rob -> sweep_bars (Config.with_rob Config.default rob))
 
 (** Figure 15: effect of pipeline depth (10/20/30 stages, 256-entry
     window). *)
-let fig15 lab =
-  sweep_table lab ~title:"Figure 15: effect of pipeline depth (256-entry window)" ~axis:"stages"
+let fig15 =
+  sweep_table ~title:"Figure 15: effect of pipeline depth (256-entry window)" ~axis:"stages"
     ~row:(fun stages -> string_of_int stages ^ "-stage")
-    depths bars_fig15
-
-let bars_fig16 =
-  let c = select_mech Config.default in
-  [
-    { label = "BASE-DEF"; kind = Policy.Base_def; config = c };
-    { label = "BASE-MAX"; kind = Policy.Base_max; config = c };
-    { label = "wish-jj (real-conf)"; kind = Policy.Wish_jj; config = c };
-    { label = "wish-jjl (real-conf)"; kind = Policy.Wish_jjl; config = c };
-    { label = "wish-jjl (perf-conf)"; kind = Policy.Wish_jjl; config = perfect_conf c };
-  ]
+    [ 10; 20; 30 ]
+    (fun stages -> sweep_bars (Config.with_pipeline_stages (Config.with_rob Config.default 256) stages))
 
 (** Figure 16: the select-µop predication support mechanism. *)
-let fig16 lab =
-  exec_time_table lab ~title:"Figure 16: performance with the select-uop mechanism" bars_fig16
+let fig16 =
+  let c = select_mech Config.default in
+  exec_time_table ~title:"Figure 16: performance with the select-uop mechanism"
+    [
+      { label = "BASE-DEF"; kind = Policy.Base_def; config = c };
+      { label = "BASE-MAX"; kind = Policy.Base_max; config = c };
+      { label = "wish-jj (real-conf)"; kind = Policy.Wish_jj; config = c };
+      { label = "wish-jjl (real-conf)"; kind = Policy.Wish_jjl; config = c };
+      { label = "wish-jjl (perf-conf)"; kind = Policy.Wish_jjl; config = perfect_conf c };
+    ]
 
 (* ------------------------------------------------------------------ *)
-(* Figures 11 and 13: dynamic wish-branch classification               *)
+(* Tables read per binary kind on the default machine                  *)
 (* ------------------------------------------------------------------ *)
+
+let plain_job name kind = Lab.job ~bench:name ~kind ()
+let kind_jobs kinds name = List.map (plain_job name) kinds
+
+(* [plain ~title ~header kinds row] — one row per benchmark, rendered by
+   [row lab name summary] from [kinds]' runs on the default machine. *)
+let plain ~title ~header kinds row =
+  rows ~title ~header (fun j -> Lab.Plain j) (kind_jobs kinds) (fun lab name get ->
+      row lab name (fun kind -> get (plain_job name kind)))
 
 (* A class's count per million retired µops, "%.0f"-formatted. *)
 let per_million s c =
@@ -200,209 +238,112 @@ let per_million s c =
     (if retired = 0 then 0.0
      else 1_000_000.0 *. float_of_int (Counters.get s c) /. float_of_int retired)
 
+(* [classes ~title kind columns] — [kind]'s count of each class in
+   [columns] per 1M retired µops. *)
+let classes ~title kind columns =
+  plain ~title ~header:(List.map fst columns) [ kind ] (fun _ _ get ->
+      List.map (fun (_, c) -> per_million (get kind).counts c) columns)
+
 (** Figure 11: dynamic wish branches per 1M retired µops in the wish
     jump/join binary, classified by confidence estimate and by whether the
     branch predictor's prediction was correct. *)
-let fig11 lab =
-  let t =
-    Table.create
-      ~title:"Figure 11: dynamic wish branches per 1M uops (wish jump/join binary)"
-      ~header:
-        [ "benchmark"; "low (mispred)"; "low (correct)"; "high (mispred)"; "high (correct)" ]
-      ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right ]
-  in
-  List.iter
-    (fun name ->
-      let v = per_million (Lab.run lab ~bench:name ~kind:Policy.Wish_jj ()).counts in
-      Table.add_row t
-        [
-          name;
-          v Counters.wish_low_mispred;
-          v Counters.wish_low_correct;
-          v Counters.wish_high_mispred;
-          v Counters.wish_high_correct;
-        ])
-    (Lab.bench_names lab);
-  t
+let fig11 =
+  classes ~title:"Figure 11: dynamic wish branches per 1M uops (wish jump/join binary)"
+    Policy.Wish_jj
+    [
+      ("low (mispred)", Counters.wish_low_mispred);
+      ("low (correct)", Counters.wish_low_correct);
+      ("high (mispred)", Counters.wish_high_mispred);
+      ("high (correct)", Counters.wish_high_correct);
+    ]
 
 (** Figure 13: dynamic wish loops per 1M retired µops in the wish
     jump/join/loop binary, classified by confidence and misprediction case
     (early-exit / late-exit / no-exit). *)
-let fig13 lab =
-  let t =
-    Table.create
-      ~title:"Figure 13: dynamic wish loops per 1M uops (wish jump/join/loop binary)"
-      ~header:
-        [
-          "benchmark";
-          "low (no-exit)";
-          "low (late-exit)";
-          "low (early-exit)";
-          "low (correct)";
-          "high (mispred)";
-          "high (correct)";
-        ]
-      ~aligns:
-        [ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right; Table.Right; Table.Right ]
-  in
-  List.iter
-    (fun name ->
-      let v = per_million (Lab.run lab ~bench:name ~kind:Policy.Wish_jjl ()).counts in
-      Table.add_row t
-        [
-          name;
-          v Counters.loop_low_noexit;
-          v Counters.loop_low_late;
-          v Counters.loop_low_early;
-          v Counters.loop_low_correct;
-          v Counters.loop_high_mispred;
-          v Counters.loop_high_correct;
-        ])
-    (Lab.bench_names lab);
-  t
+let fig13 =
+  classes ~title:"Figure 13: dynamic wish loops per 1M uops (wish jump/join/loop binary)"
+    Policy.Wish_jjl
+    [
+      ("low (no-exit)", Counters.loop_low_noexit);
+      ("low (late-exit)", Counters.loop_low_late);
+      ("low (early-exit)", Counters.loop_low_early);
+      ("low (correct)", Counters.loop_low_correct);
+      ("high (mispred)", Counters.loop_high_mispred);
+      ("high (correct)", Counters.loop_high_correct);
+    ]
 
-(* ------------------------------------------------------------------ *)
-(* Table 4: benchmark characterization                                 *)
-(* ------------------------------------------------------------------ *)
-
-let table4 lab =
-  let t =
-    Table.create ~title:"Table 4: simulated benchmarks (input A)"
-      ~header:
-        [
-          "benchmark";
-          "dyn insts";
-          "dyn uops";
-          "static br";
-          "dyn br";
-          "misp/1K uops";
-          "uPC";
-          "static wish (%loop)";
-          "dyn wish (%loop)";
-        ]
-      ~aligns:
-        [
-          Table.Left; Table.Right; Table.Right; Table.Right; Table.Right; Table.Right;
-          Table.Right; Table.Right; Table.Right;
-        ]
-  in
-  List.iter
-    (fun name ->
-      let s = Lab.run lab ~bench:name ~kind:Policy.Normal () in
-      let sw = Lab.run lab ~bench:name ~kind:Policy.Wish_jjl () in
+(* Table 4: benchmark characterization. *)
+let table4 =
+  plain ~title:"Table 4: simulated benchmarks (input A)"
+    ~header:
+      [
+        "dyn insts"; "dyn uops"; "static br"; "dyn br"; "misp/1K uops"; "uPC"; "static wish (%loop)";
+        "dyn wish (%loop)";
+      ]
+    [ Policy.Normal; Policy.Wish_jjl ]
+    (fun lab name get ->
+      let s = get Policy.Normal and sw = get Policy.Wish_jjl in
       let wish = Lab.shape lab ~bench:name ~kind:Policy.Wish_jjl in
       let dyn_wish = Counters.get sw.counts Counters.wish_retired in
       let dyn_loops = Counters.get sw.counts Counters.wish_loop_retired in
       let pct_of part whole = if whole = 0 then 0.0 else 100.0 *. float_of_int part /. float_of_int whole in
-      Table.add_row t
-        [
-          name;
-          string_of_int s.dynamic_insts;
-          string_of_int s.retired_uops;
-          string_of_int (Lab.shape lab ~bench:name ~kind:Policy.Normal).cond_branches;
-          string_of_int s.cond_branches;
-          Printf.sprintf "%.1f"
-            (1000.0 *. float_of_int s.mispredicts /. float_of_int (max 1 s.retired_uops));
-          Printf.sprintf "%.2f" s.upc;
-          Printf.sprintf "%d (%.0f%%)" wish.wish_branches
-            (pct_of wish.wish_loops wish.wish_branches);
-          Printf.sprintf "%d (%.0f%%)" dyn_wish (pct_of dyn_loops dyn_wish);
-        ])
-    (Lab.bench_names lab);
-  t
+      [
+        string_of_int s.dynamic_insts;
+        string_of_int s.retired_uops;
+        string_of_int (Lab.shape lab ~bench:name ~kind:Policy.Normal).cond_branches;
+        string_of_int s.cond_branches;
+        Printf.sprintf "%.1f" (1000.0 *. float_of_int s.mispredicts /. float_of_int (max 1 s.retired_uops));
+        Printf.sprintf "%.2f" s.upc;
+        Printf.sprintf "%d (%.0f%%)" wish.wish_branches (pct_of wish.wish_loops wish.wish_branches);
+        Printf.sprintf "%d (%.0f%%)" dyn_wish (pct_of dyn_loops dyn_wish);
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* Table 5: wish jjl binary vs the best-performing other binary        *)
 (* ------------------------------------------------------------------ *)
 
-let table5 lab =
-  let names = Lab.bench_names lab in
-  let t =
-    Table.create
-      ~title:"Table 5: exec-time reduction of wish-jjl vs best-performing binaries (real conf)"
-      ~header:("comparison" :: names @ [ "AVG" ])
-      ~aligns:(Table.Left :: List.map (fun _ -> Table.Right) (names @ [ "AVG" ]))
-  in
-  let cycles name kind = float_of_int (Lab.run lab ~bench:name ~kind ()).cycles in
-  let wish name = cycles name Policy.Wish_jjl in
-  let reduction name other = 100.0 *. (1.0 -. (wish name /. other)) in
-  let rows =
+let table5 =
+  let comparisons =
     [
-      ( "vs normal branch binary",
-        fun name -> (reduction name (cycles name Policy.Normal), "") );
-      ( "vs best predicated binary",
-        fun name ->
-          let d = cycles name Policy.Base_def and m = cycles name Policy.Base_max in
-          if d <= m then (reduction name d, "DEF") else (reduction name m, "MAX") );
+      ("vs normal branch binary", [ ("", Policy.Normal) ]);
+      ("vs best predicated binary", [ ("DEF", Policy.Base_def); ("MAX", Policy.Base_max) ]);
       ( "vs best non-wish binary",
-        fun name ->
-          let candidates =
-            [ ("BR", cycles name Policy.Normal); ("DEF", cycles name Policy.Base_def);
-              ("MAX", cycles name Policy.Base_max) ]
-          in
-          let tag, best =
-            List.fold_left (fun (bt, bv) (tag, v) -> if v < bv then (tag, v) else (bt, bv))
-              (List.hd candidates |> fun (a, b) -> (a, b))
-              (List.tl candidates)
-          in
-          (reduction name best, tag) );
+        [ ("BR", Policy.Normal); ("DEF", Policy.Base_def); ("MAX", Policy.Base_max) ] );
     ]
   in
-  List.iter
-    (fun (label, f) ->
-      let cells = List.map (fun n -> let r, tag = f n in Printf.sprintf "%s%s" (pct r) (if tag = "" then "" else " (" ^ tag ^ ")")) names in
-      let avg = Lab.mean (List.map (fun n -> fst (f n)) names) in
-      Table.add_row t ((label :: cells) @ [ pct avg ]))
-    rows;
-  t
-
-(* ------------------------------------------------------------------ *)
-(* Job enumerators: the full simulation grid behind each artifact, for  *)
-(* Lab.prewarm to fan across worker domains before the (serial, memo-   *)
-(* hitting) generator renders the table.                                *)
-(* ------------------------------------------------------------------ *)
-
-(** [bar_jobs lab bars] — every benchmark × every bar. *)
-let bar_jobs lab bars =
-  List.concat_map
-    (fun name -> List.map (fun b -> Lab.job ~bench:name ~kind:b.kind ~config:b.config ()) bars)
-    (Lab.bench_names lab)
-
-(** [plain_jobs lab kinds] — every benchmark × [kinds], default machine. *)
-let plain_jobs lab kinds =
-  List.concat_map
-    (fun name -> List.map (fun kind -> Lab.job ~bench:name ~kind ()) kinds)
-    (Lab.bench_names lab)
-
-let jobs =
-  [
-    ( "fig1",
-      fun lab ->
-        List.concat_map
-          (fun name ->
-            List.map
-              (fun input -> Lab.job ~bench:name ~kind:Policy.Base_max ~input ())
-              [ "A"; "B"; "C" ])
-          (Lab.bench_names lab) );
-    ("fig2", fun lab -> bar_jobs lab bars_fig2);
-    ("fig10", fun lab -> bar_jobs lab bars_fig10);
-    ("fig11", fun lab -> plain_jobs lab [ Policy.Wish_jj ]);
-    ("fig12", fun lab -> bar_jobs lab bars_fig12);
-    ("fig13", fun lab -> plain_jobs lab [ Policy.Wish_jjl ]);
-    ("fig14", fun lab -> List.concat_map (fun rob -> bar_jobs lab (bars_fig14 rob)) windows);
-    ("fig15", fun lab -> List.concat_map (fun st -> bar_jobs lab (bars_fig15 st)) depths);
-    ("fig16", fun lab -> bar_jobs lab bars_fig16);
-    ("tab4", fun lab -> plain_jobs lab [ Policy.Normal; Policy.Wish_jjl ]);
-    ( "tab5",
-      fun lab ->
-        plain_jobs lab [ Policy.Normal; Policy.Base_def; Policy.Base_max; Policy.Wish_jjl ] );
-  ]
-
-let jobs_for name = Option.value (List.assoc_opt name jobs) ~default:(fun _ -> [])
-
-(* ------------------------------------------------------------------ *)
-(* All artifacts                                                       *)
-(* ------------------------------------------------------------------ *)
+  let kinds = [ Policy.Normal; Policy.Base_def; Policy.Base_max; Policy.Wish_jjl ] in
+  {
+    cells = (fun lab -> cells_of (Lab.bench_names lab) (fun j -> Lab.Plain j) (kind_jobs kinds));
+    table =
+      (fun lab get ->
+        let names = Lab.bench_names lab in
+        let t =
+          Table.create
+            ~title:"Table 5: exec-time reduction of wish-jjl vs best-performing binaries (real conf)"
+            ~header:("comparison" :: names @ [ "AVG" ])
+            ~aligns:(Table.Left :: List.map (fun _ -> Table.Right) (names @ [ "AVG" ]))
+        in
+        let cycles name kind = cycles get (plain_job name kind) in
+        (* wish-jjl's reduction against the fastest candidate, the first
+           on a tie, and that candidate's tag. *)
+        let versus candidates name =
+          let tag, other =
+            List.fold_left
+              (fun (bt, bv) (tag, kind) ->
+                let v = cycles name kind in
+                if v < bv then (tag, v) else (bt, bv))
+              ("", infinity) candidates
+          in
+          (100.0 *. (1.0 -. (cycles name Policy.Wish_jjl /. other)), if tag = "" then "" else " (" ^ tag ^ ")")
+        in
+        List.iter
+          (fun (label, candidates) ->
+            let vs = List.map (versus candidates) names in
+            Table.add_row t
+              ((label :: List.map (fun (r, tag) -> pct r ^ tag) vs) @ [ pct (Lab.mean (List.map fst vs)) ]))
+          comparisons;
+        t);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Scale sweep: the long-run workload class                            *)
@@ -555,7 +496,7 @@ let sample_sweep lab =
 (* All artifacts                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let all =
+let artifacts =
   [
     ("fig1", fig1);
     ("fig2", fig2);
@@ -569,6 +510,17 @@ let all =
     ("tab4", table4);
     ("tab5", table5);
   ]
+
+let jobs_in artifacts name lab =
+  match List.assoc_opt name artifacts with
+  | None -> []
+  | Some a ->
+    List.filter_map
+      (function Lab.Plain j | Lab.Normalized j -> if j.Lab.job_wish_n = None then Some j else None)
+      (a.cells lab)
+
+let all = List.map (fun (name, a) -> (name, render name a)) artifacts
+let jobs_for = jobs_in artifacts
 
 (* On-demand artifacts: runnable by name, excluded from the default
    everything-run (runtime scales with the workloads they simulate). *)

@@ -10,9 +10,11 @@
     - execution times are reported normalized to the normal-branch binary
       under the same machine configuration.
 
-    One miss path: {!run} is a memo lookup or a one-job batch, so every
-    summary the lab computes comes out of {!run_batch_results}, ablation
-    A4's variant binaries included. On top of the memo tables:
+    One miss path: every summary the lab computes comes out of
+    {!run_batch_results}. An artifact declares its cells, and {!render}
+    runs them in one batch and reads nothing else; {!run}, a memo lookup
+    or a one-job batch, serves tests and examples. On top of the memo
+    tables:
     - an optional {!Wish_util.Pool} of worker domains: a batch fans its
       compile tasks, then one task per trace, across it and folds the
       results into the tables on the coordinating domain, so the outputs
@@ -235,8 +237,9 @@ let binary_name j = Printf.sprintf "%s/%s" j.job_bench (job_label j)
 let describe_job j = Printf.sprintf "%s input %s" (binary_name j) j.job_input
 let label_key j = (j.job_bench, job_label j)
 
-(** The baseline run {!normalized} divides by: the normal binary on the
-    same input and machine, with the oracle idealization knobs stripped. *)
+(** The baseline run a normalized cell divides by: the normal binary on
+    the same input and machine, with the oracle idealization knobs
+    stripped. *)
 let baseline_of j =
   {
     j with
@@ -246,6 +249,24 @@ let baseline_of j =
   }
 
 let with_baselines js = List.concat_map (fun j -> [ j; baseline_of j ]) js
+
+type cell = Plain of job | Normalized of job
+
+(* The jobs [cells] read, a normalized cell's baseline after it unless
+   the cell before read it too (a table's bars on one bench share it). *)
+let cell_jobs cells =
+  let last = ref None in
+  List.concat_map
+    (function
+      | Plain j -> [ j ]
+      | Normalized j -> (
+        let b = baseline_of j in
+        match !last with
+        | Some l when compare l b = 0 -> [ j ]
+        | _ ->
+          last := Some b;
+          [ j; b ]))
+    cells
 
 (* A job's compile task: its bench's five binaries, or its variant alone.
    [task_name] names the task in logs and failures, [task_labels] lists
@@ -618,10 +639,14 @@ let batch t jobs =
      failures and then the cache all miss needs computing, once. *)
   let keyed = List.map (fun j -> (j, key_of t j)) jobs in
   let todo =
-    List.filter_map (fun (job, key) -> Option.map (fun key -> { key; job }) key) keyed
+    List.filter_map
+      (fun (job, key) ->
+        match key with
+        | Some key when not (Hashtbl.mem t.results key) -> Some { key; job }
+        | _ -> None)
+      keyed
     |> uniq (fun r -> r.key)
-    |> List.filter (fun r -> (not (Hashtbl.mem t.results r.key)) && failure t r.job r.key = None)
-    |> List.filter (fun r -> not (stored t r))
+    |> List.filter (fun r -> failure t r.job r.key = None && not (stored t r))
   in
   (* Stage 3: compile the binaries known only from their entries, then
      run one group per trace (per run in a sampled lab) for the jobs
@@ -663,7 +688,31 @@ let run_batch t jobs =
 
 (* Under fail-fast, a failure raises inside the batch; under keep-going,
    failures are data, and the tables report them when they render. *)
-let prewarm t jobs = ignore (batch t (with_baselines jobs))
+let prewarm t cells = ignore (batch t (cell_jobs cells))
+
+(* A render's lookup holds its batch's jobs only, and each must be read:
+   a table reads exactly the cells it declares. *)
+type slot = { outcome : (Wish_sim.Runner.summary, failure) result; mutable read : bool }
+
+let render t ~artifact cells f =
+  let jobs = cell_jobs cells in
+  let outcomes = Hashtbl.create (List.length jobs) in
+  List.iter2
+    (fun j outcome -> Hashtbl.replace outcomes j { outcome; read = false })
+    jobs (run_batch_results t jobs);
+  let misread j why =
+    invalid_arg (Printf.sprintf "Lab.render: %s %s %s" artifact why (describe_job j))
+  in
+  let y =
+    f (fun j ->
+        match Hashtbl.find_opt outcomes j with
+        | None -> misread j "reads a job it does not declare:"
+        | Some c -> (
+          c.read <- true;
+          match c.outcome with Ok s -> s | Error fl -> raise (Job_failed fl)))
+  in
+  Hashtbl.iter (fun j c -> if not c.read then misread j "declares a job it never reads:") outcomes;
+  y
 
 (** [run t ~bench ~kind ?wish_threshold_n ?input ?config ()] — a memo
     lookup, or a one-job batch. *)
@@ -677,20 +726,6 @@ let run t ~bench ~kind ?wish_threshold_n ?input ?config () =
     from its bench's [binary] entry; the bench is compiled only on a
     miss. *)
 let shape t ~bench ~kind = (binary t (job ~bench ~kind ())).shape
-
-(* --------------------------------------------------------------- *)
-(* Derived metrics                                                  *)
-(* --------------------------------------------------------------- *)
-
-(** Execution time normalized to the normal-branch binary on the same input
-    and the same machine — with the oracle idealization knobs stripped from
-    the baseline (the paper normalizes PERFECT-CBP and perf-conf bars to
-    the real normal-binary run). *)
-let normalized t ~bench:name ~kind ?input ?(config = Wish_sim.Config.default) () =
-  let s = run t ~bench:name ~kind ?input ~config () in
-  let baseline = { config with Wish_sim.Config.knobs = Wish_sim.Config.no_knobs } in
-  let n = run t ~bench:name ~kind:Policy.Normal ?input ~config:baseline () in
-  float_of_int s.cycles /. float_of_int n.cycles
 
 let mean = function
   | [] -> invalid_arg "Lab.mean: empty list"

@@ -11,8 +11,13 @@
       under the same machine configuration (oracle knobs stripped from
       the baseline).
 
-    One miss path: {!run} is a memo lookup or a one-job batch, so every
-    summary comes out of {!run_batch_results}. Performance machinery: an
+    One miss path: every summary comes out of {!run_batch_results}. An
+    artifact declares its cells, every run its table reads; {!render}
+    computes them in one batch and renders from a lookup that admits
+    nothing else, so a render never starts a second batch, and
+    {!prewarm} computes the cells of many artifacts in one batch first.
+    {!run}, a memo lookup or a one-job batch, is the one-run API for
+    tests and examples. Performance machinery: an
     optional {!Wish_util.Pool} of worker domains (a batch fans its
     compile tasks, then one task per trace, across it, with results
     folded back deterministically on the calling domain) and an optional
@@ -181,8 +186,9 @@ val job :
   unit ->
   job
 
-(** The run {!normalized} divides [j] by: the normal binary, same input,
-    same machine, oracle knobs stripped. *)
+(** The run a {!Normalized} cell divides [j] by: the normal binary, same
+    input, same machine, oracle knobs stripped (the paper normalizes
+    PERFECT-CBP and perf-conf bars to the real normal-binary run). *)
 val baseline_of : job -> job
 
 (** [with_baselines js] — each job followed by its {!baseline_of}. *)
@@ -240,7 +246,7 @@ val summary_key_of_job : t -> job -> string
     that variant's, a failed trace the jobs of its group, a failed
     simulation every job of its key). The lab keeps every final failure
     for its life, by compile task, trace and run: a later batch, {!run}
-    or {!normalized} reports it again and computes nothing for it. Under
+    or {!render} reports it again and computes nothing for it. Under
     a fail-fast policy a permanent failure is raised as {!Job_failed}
     rather than returned: its round starts no further attempt, and
     raises once the attempts in flight are done. *)
@@ -250,11 +256,33 @@ val run_batch_results : t -> job list -> (Wish_sim.Runner.summary, failure) resu
     first failing job (in [jobs] order) aborts with {!Job_failed}. *)
 val run_batch : t -> job list -> Wish_sim.Runner.summary list
 
-(** [prewarm t jobs] — {!run_batch_results} over [with_baselines jobs],
-    results discarded: populates the memo tables so a figure generator's
-    {!run}/{!normalized} calls all hit. Raises {!Job_failed} on a
-    permanent failure unless the lab's policy keeps going. *)
-val prewarm : t -> job list -> unit
+(** {1 Artifacts} *)
+
+(** A value an artifact's table reads: [Plain j] reads [j]'s summary,
+    and [Normalized j] also the summary of its {!baseline_of}. *)
+type cell = Plain of job | Normalized of job
+
+(** [cell_jobs cells] — every job [cells] read: each cell's job, a
+    normalized cell's baseline after it unless the cell before has the
+    same baseline. *)
+val cell_jobs : cell list -> job list
+
+(** [prewarm t cells] — one {!run_batch_results} over every job [cells]
+    read, results discarded. Given the union of the selected artifacts'
+    cells, it leaves each artifact's {!render} batch all memo hits.
+    Raises {!Job_failed} on a permanent failure unless the lab's policy
+    keeps going. *)
+val prewarm : t -> cell list -> unit
+
+(** [render t ~artifact cells f] — [f get] after one batch over every
+    job [cells] read, where [get j] is [j]'s summary. [get] raises
+    {!Job_failed} for a job whose run failed for good (under a
+    keep-going policy), and [Invalid_argument] naming [artifact] and [j]
+    for a job [cells] do not read, without computing anything. Once [f]
+    returns, a job of [cells] that [get] never read raises
+    [Invalid_argument] too: a table reads exactly its cells. *)
+val render :
+  t -> artifact:string -> cell list -> ((job -> Wish_sim.Runner.summary) -> 'a) -> 'a
 
 (** [run t ~bench ~kind ?wish_threshold_n ?input ?config ()] — the
     summary of the {!job} with those arguments: a memo lookup, or a
@@ -287,19 +315,6 @@ type shape = {
     binary, read from the bench's [binary] entry (key [bench|scaleN]).
     Only a miss compiles the bench. *)
 val shape : t -> bench:string -> kind:Wish_compiler.Policy.kind -> shape
-
-(** {1 Derived metrics} *)
-
-(** Execution time normalized to the normal-branch binary on the same
-    input and machine (baseline strips the oracle knobs). *)
-val normalized :
-  t ->
-  bench:string ->
-  kind:Wish_compiler.Policy.kind ->
-  ?input:string ->
-  ?config:Wish_sim.Config.t ->
-  unit ->
-  float
 
 (** [mean xs] — the arithmetic mean. Raises [Invalid_argument] on [[]],
     which has none. *)

@@ -291,8 +291,8 @@ let machine_configs =
        let lab = Lab.create ~names:[ "gzip" ] () in
        let tables =
          List.concat_map
-           (fun a -> Lab.with_baselines (Figures.jobs_for a lab @ Ablations.jobs_for a lab))
-           (List.map fst Figures.all @ List.map fst Ablations.all)
+           (fun (_, a) -> Lab.cell_jobs (a.Figures.cells lab))
+           (Figures.artifacts @ Ablations.artifacts)
        in
        let d = Config.default in
        let flips =

@@ -62,7 +62,7 @@ val hash : t -> int
     Without a wish branch ([wish] false) that is [conf],
     [use_loop_predictor], [wish_hardware] and [knobs.perfect_conf];
     without a guarded non-branch instruction ([predicated] false),
-    [mech], [knobs.no_depend] and [knobs.no_fetch]. Both timing cores
-    and sampled runs return the same cycles, counters and memory stats
+    [mech], [knobs.no_depend] and [knobs.no_fetch]. The timing core,
+    exact or sampled, returns the same cycles, counters and memory stats
     under [c] and under [observed ~wish ~predicated c]. *)
 val observed : wish:bool -> predicated:bool -> t -> t

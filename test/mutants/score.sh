@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Mutation score of the repository's checks.
 #
-#   bash test/mutants/score.sh [WORKDIR]
+#   bash test/mutants/score.sh [--only PATTERN] [WORKDIR]
 #
 # Copies the tracked (and untracked, unignored) files of this checkout to
 # WORKDIR (default: a fresh directory under $TMPDIR), builds the copy, and
 # then, for each test/mutants/*.patch in turn: applies the patch, rebuilds,
-# runs every check below, and reverts the patch. Prints a Markdown table
+# runs every check below, and reverts the patch. With --only, only the
+# patches that touch a file whose path matches PATTERN (a grep regex,
+# e.g. lib/experiments) are scored. Prints a Markdown table
 # with one row per mutant: K where a check kills it (fails), . where the
 # mutant survives it. Columns, one per check:
 #
@@ -19,10 +21,17 @@
 #   bin         every bin/*.expected pin (dune build @bin/runtest)
 #   sample      @sample-smoke
 #   test_sim    test/test_sim.exe and test/test_sim_units.exe
+#   test_experiments
+#               test/test_experiments.exe
 #
-# About thirty seconds per mutant on two cores; a check that runs past ten
+# About forty seconds per mutant on two cores; a check that runs past ten
 # minutes counts as a kill. The copy is left in WORKDIR.
 set -u
+only=
+if [ "${1:-}" = --only ]; then
+  only=${2:?--only needs a PATTERN}
+  shift 2
+fi
 root=$(cd "$(dirname "$0")/../.." && pwd)
 work=${1:-$(mktemp -d "${TMPDIR:-/tmp}/wish-mutants.XXXXXX")}
 mkdir -p "$work"
@@ -40,7 +49,7 @@ oracles=$(sed -n 's/^  | [A-Z][a-z_]* -> "\([a-z]*\)"$/\1/p' lib/fuzz/oracle.ml)
 targets="bin/wishfuzz.exe bin/experiments.exe bin/wishsim.exe bench/sim_smoke.exe
   bench/sample_smoke.exe test/test_sim.exe test/test_sim_units.exe test/sim_pins.exe
   test/test_emu.exe test/test_isa.exe test/test_compiler.exe test/test_workloads.exe
-  test/emu_pins.exe"
+  test/emu_pins.exe test/test_experiments.exe"
 build() { dune build --root . $targets >"$work/build.log" 2>&1; }
 if ! build; then
   echo "the unmutated copy does not build; see $work/build.log" >&2
@@ -61,12 +70,13 @@ alcotest() {
 
 header="| mutant | area | smoke-pin | fuzz-pin | emu |"
 for o in $oracles; do header="$header $o |"; done
-header="$header bin | sample | test_sim | killed |"
+header="$header bin | sample | test_sim | test_experiments | killed |"
 echo "$header"
 echo "$header" | sed 's/[^|][^|]*/---/g'
 
 for p in "$root"/test/mutants/*.patch; do
   name=$(basename "$p" .patch)
+  if [ -n "$only" ] && ! sed -n 's|^+++ b/||p' "$p" | grep -q -- "$only"; then continue; fi
   area=$(head -n 1 "$p" | cut -d: -f1)
   row="| $name | $area |"
   if ! patch -s -p1 <"$p"; then
@@ -91,6 +101,8 @@ for p in "$root"/test/mutants/*.patch; do
   cells="$cells$(mark eval '! timeout 600 "$exe/bench/sample_smoke.exe" >/dev/null 2>&1')"
   alcotest $exe/test/test_sim.exe "$work/test_sim.fails"
   cells="$cells$(mark eval '[ -s "$work/test_sim.fails" ] || ! timeout 600 $exe/test/test_sim_units.exe >/dev/null 2>&1')"
+  alcotest $exe/test/test_experiments.exe "$work/test_experiments.fails"
+  cells="$cells$(mark eval '[ -s "$work/test_experiments.fails" ]')"
   if [[ "$cells" == *K* ]]; then killed=yes; else killed=no; fi
   echo "$row$cells $killed |"
   patch -s -R -p1 <"$p"

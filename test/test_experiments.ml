@@ -20,6 +20,15 @@ let summary_repr (s : Wish_sim.Runner.summary) =
 (* One lab shared by all tests: results are memoized inside. *)
 let lab = lazy (Lab.create ~scale:1 ~names:[ "gzip"; "gap" ] ())
 
+let artifacts = Figures.artifacts @ Ablations.artifacts
+let render name = Figures.render name (List.assoc name artifacts)
+let cells name lab = (List.assoc name artifacts).cells lab
+
+(* A normalized cell's value, read as the tables read it. *)
+let normalized lab ~bench ~kind ?config () =
+  let j = Lab.job ~bench ~kind ?config () in
+  Lab.render lab ~artifact:"test" [ Lab.Normalized j ] (fun get -> Figures.normalized get j)
+
 let test_lab_caches_results () =
   let lab = Lazy.force lab in
   let a = Lab.run lab ~bench:"gap" ~kind:Policy.Normal () in
@@ -31,26 +40,26 @@ let test_lab_caches_results () =
 let test_normalized_baseline_is_one () =
   let lab = Lazy.force lab in
   check (Alcotest.float 1e-9) "normal/normal = 1" 1.0
-    (Lab.normalized lab ~bench:"gzip" ~kind:Policy.Normal ())
+    (normalized lab ~bench:"gzip" ~kind:Policy.Normal ())
 
 let test_perfect_bp_wins () =
   let lab = Lazy.force lab in
   let config = { Config.default with knobs = { Config.no_knobs with perfect_bp = true } } in
   Alcotest.(check bool) "PERFECT-CBP below 1" true
-    (Lab.normalized lab ~bench:"gzip" ~kind:Policy.Normal ~config () < 0.95)
+    (normalized lab ~bench:"gzip" ~kind:Policy.Normal ~config () < 0.95)
 
 let test_wish_adapts_on_gap () =
   (* gap: predictable branches. BASE-MAX pays predication overhead; the
      wish binary must stay close to normal (the paper's adaptivity claim). *)
   let lab = Lazy.force lab in
-  let base_max = Lab.normalized lab ~bench:"gap" ~kind:Policy.Base_max () in
-  let wish = Lab.normalized lab ~bench:"gap" ~kind:Policy.Wish_jj () in
+  let base_max = normalized lab ~bench:"gap" ~kind:Policy.Base_max () in
+  let wish = normalized lab ~bench:"gap" ~kind:Policy.Wish_jj () in
   Alcotest.(check bool) "BASE-MAX pays overhead" true (base_max > 1.1);
   Alcotest.(check bool) "wish avoids most of it" true (wish < 1.1)
 
 let test_wish_wins_on_gzip () =
   let lab = Lazy.force lab in
-  let wish = Lab.normalized lab ~bench:"gzip" ~kind:Policy.Wish_jjl () in
+  let wish = normalized lab ~bench:"gzip" ~kind:Policy.Wish_jjl () in
   Alcotest.(check bool) "wish-jjl beats normal on gzip" true (wish < 1.0)
 
 let row_count table =
@@ -62,18 +71,14 @@ let test_figure_structure () =
   let lab = Lazy.force lab in
   (* Two benchmarks: per-benchmark figures have 2 data rows + header (+2 avg
      rows for exec-time figures). *)
-  check Alcotest.int "fig1 rows" 3 (row_count (Figures.fig1 lab));
-  check Alcotest.int "fig10 rows" 5 (row_count (Figures.fig10 lab));
-  check Alcotest.int "fig11 rows" 3 (row_count (Figures.fig11 lab));
-  check Alcotest.int "fig12 rows" 5 (row_count (Figures.fig12 lab));
-  check Alcotest.int "fig13 rows" 3 (row_count (Figures.fig13 lab));
-  check Alcotest.int "fig14 rows" 7 (row_count (Figures.fig14 lab));
-  check Alcotest.int "tab5 rows" 4 (row_count (Figures.table5 lab))
+  List.iter
+    (fun (name, rows) -> check Alcotest.int (name ^ " rows") rows (row_count (render name lab)))
+    [ ("fig1", 3); ("fig10", 5); ("fig11", 3); ("fig12", 5); ("fig13", 3); ("fig14", 7); ("tab5", 4) ]
 
 (* AVGnomcf keeps no benchmark when mcf runs alone: the row is left out
    rather than printed as the mean of nothing (nan). *)
 let test_mcf_alone_has_no_nan () =
-  let fig10 = Figures.fig10 (Lab.create ~scale:1 ~names:[ "mcf" ] ()) in
+  let fig10 = render "fig10" (Lab.create ~scale:1 ~names:[ "mcf" ] ()) in
   let s = Wish_util.Table.render fig10 in
   let contains sub =
     let n = String.length sub in
@@ -95,35 +100,135 @@ let test_all_artifacts_listed () =
   Alcotest.(check bool) "find works" true (Figures.find "fig10" <> None);
   Alcotest.(check bool) "find rejects junk" true (Figures.find "fig99" = None)
 
+(* The data rows of a table, cells split. *)
+let csv_rows table =
+  match String.split_on_char '\n' (String.trim (Wish_util.Table.to_csv table)) with
+  | _header :: rows -> List.map (String.split_on_char ',') rows
+  | [] -> []
+
+(* Figure 1 divides each input's run by the normal binary's run on that
+   input, and each Table 5 comparison measures wish-jjl against its
+   fastest candidate, the first on a tie: both against [Lab.run]. *)
+let test_fig1_tab5_values () =
+  let lab = Lazy.force lab in
+  let cycles ?input bench kind = float_of_int (Lab.run lab ~bench ~kind ?input ()).cycles in
+  List.iter
+    (function
+      | bench :: cells ->
+        check
+          Alcotest.(list string)
+          ("fig1 " ^ bench)
+          (List.map
+             (fun input ->
+               Wish_util.Table.fmt_float ~decimals:3
+                 (cycles ~input bench Policy.Base_max /. cycles ~input bench Policy.Normal))
+             [ "A"; "B"; "C" ])
+          cells
+      | [] -> ())
+    (csv_rows (render "fig1" lab));
+  let versus bench candidates =
+    let tag, kind =
+      List.fold_left
+        (fun (t, k) (t', k') -> if cycles bench k' < cycles bench k then (t', k') else (t, k))
+        (List.hd candidates) (List.tl candidates)
+    in
+    Wish_util.Table.fmt_percent
+      (100.0 *. (1.0 -. (cycles bench Policy.Wish_jjl /. cycles bench kind)))
+    ^ if tag = "" then "" else " (" ^ tag ^ ")"
+  in
+  let comparisons =
+    [
+      [ ("", Policy.Normal) ];
+      [ ("DEF", Policy.Base_def); ("MAX", Policy.Base_max) ];
+      [ ("BR", Policy.Normal); ("DEF", Policy.Base_def); ("MAX", Policy.Base_max) ];
+    ]
+  in
+  List.iter2
+    (fun row candidates ->
+      match row with
+      | label :: cells ->
+        check
+          Alcotest.(list string)
+          ("tab5 " ^ label)
+          (List.map (fun bench -> versus bench candidates) (Lab.bench_names lab))
+          (List.filteri (fun i _ -> i < List.length (Lab.bench_names lab)) cells)
+      | [] -> ())
+    (csv_rows (render "tab5" lab))
+    comparisons
+
+(* bench/perf's traced pass simulates each job [jobs_for] lists on the
+   default binary of its kind: the list is an artifact's cells without
+   their baselines and variant binaries. *)
+let test_jobs_for_leaves_out_variants () =
+  let lab = Lab.create ~scale:1 ~names:[ "gzip"; "gap" ] () in
+  List.iter
+    (fun (name, (a : Figures.artifact)) ->
+      let jobs = Figures.jobs_for name lab @ Ablations.jobs_for name lab in
+      let cells = List.map (function Lab.Plain j | Lab.Normalized j -> j) (a.cells lab) in
+      Alcotest.(check bool)
+        (name ^ ": the cells minus variant binaries")
+        true
+        (jobs = List.filter (fun (j : Lab.job) -> j.job_wish_n = None) cells);
+      Alcotest.(check bool)
+        (name ^ ": no variant binary")
+        true
+        (List.for_all (fun (j : Lab.job) -> j.job_wish_n = None) jobs))
+    artifacts;
+  check Alcotest.int "abl-wish-n: six cells" 6 (List.length (cells "abl-wish-n" lab));
+  check Alcotest.int "abl-wish-n: its two N=5 jobs" 2 (List.length (Ablations.jobs_for "abl-wish-n" lab))
+
+(* Every artifact renders from its cells alone: after one prewarm of
+   the union of all cells, rendering each artifact (which raises on a
+   read outside its cells or a cell it never reads) executes no task,
+   and a config allocated afresh but equal to one the batch ran is
+   served from the memo. *)
+let test_every_artifact_reads_its_cells () =
+  let lab = Lab.create ~scale:1 ~names:[ "gap" ] () in
+  Lab.prewarm lab (List.concat_map (fun (name, _) -> cells name lab) artifacts);
+  let executed = (Lab.batch_stats lab).executed in
+  List.iter (fun (name, a) -> ignore (Figures.render name a lab)) artifacts;
+  check Alcotest.int "no task after the prewarm" executed (Lab.batch_stats lab).executed;
+  Alcotest.(check bool)
+    "a rebuilt default config is the default run" true
+    (Lab.run lab ~bench:"gap" ~kind:Policy.Normal ~config:(Config.with_rob Config.default 512) ()
+    == Lab.run lab ~bench:"gap" ~kind:Policy.Normal ())
+
+(* A table reads exactly its cells: a read of any other job raises,
+   naming the artifact and the job, without computing anything; so does
+   a cell it never reads. A plain cell does not declare its baseline. *)
+let test_render_reads_only_its_cells () =
+  let lab = Lazy.force lab in
+  let jj = Lab.job ~bench:"gzip" ~kind:Policy.Wish_jj () in
+  let reading reads =
+    {
+      Figures.cells = (fun _ -> [ Lab.Plain jj ]);
+      table =
+        (fun _ get ->
+          List.iter (fun j -> ignore (get j)) reads;
+          Wish_util.Table.create ~title:"" ~header:[] ~aligns:[]);
+    }
+  in
+  ignore (Figures.render "declared" (reading [ jj ]) lab);
+  let executed = (Lab.batch_stats lab).executed in
+  Alcotest.check_raises "a read outside the cells"
+    (Invalid_argument "Lab.render: undeclared reads a job it does not declare: gzip/normal input A")
+    (fun () -> ignore (Figures.render "undeclared" (reading [ jj; Lab.baseline_of jj ]) lab));
+  Alcotest.check_raises "a cell never read"
+    (Invalid_argument
+       "Lab.render: unread declares a job it never reads: gzip/wish-jump-join input A")
+    (fun () -> ignore (Figures.render "unread" (reading []) lab));
+  check Alcotest.int "no task executed" executed (Lab.batch_stats lab).executed
+
 let test_fig2_ordering () =
   (* Idealization can only help: NO-DEPEND+NO-FETCH <= NO-DEPEND <= BASE-MAX
      (on gap, where predication overhead is the story). *)
   let lab = Lazy.force lab in
-  let v knobs = Lab.normalized lab ~bench:"gap" ~kind:Policy.Base_max
-      ~config:{ Config.default with knobs } () in
+  let v knobs = normalized lab ~bench:"gap" ~kind:Policy.Base_max ~config:{ Config.default with knobs } () in
   let base = v Config.no_knobs in
   let nd = v { Config.no_knobs with no_depend = true } in
   let ndnf = v { Config.no_knobs with no_depend = true; no_fetch = true } in
   Alcotest.(check bool) "no-depend helps" true (nd <= base +. 0.01);
   Alcotest.(check bool) "no-fetch helps further" true (ndnf <= nd +. 0.01)
-
-(* Each default artifact is described twice: by its generator, and by
-   the job grid [Lab.prewarm] fans out. A job missing from a grid would
-   silently run serially while the table renders, so after prewarming
-   its grid a fresh lab renders each artifact without executing a task.
-   abl-wish-n is left out: its grid omits its variant binaries by
-   design. *)
-let test_grids_cover_tables () =
-  List.iter
-    (fun (name, render) ->
-      if name <> "abl-wish-n" then begin
-        let lab = Lab.create ~scale:1 ~names:[ "gap" ] () in
-        Lab.prewarm lab (Figures.jobs_for name lab @ Ablations.jobs_for name lab);
-        let prewarmed = (Lab.batch_stats lab).executed in
-        ignore (render lab);
-        check Alcotest.int (name ^ " renders from its grid") prewarmed (Lab.batch_stats lab).executed
-      end)
-    (Figures.all @ Ablations.all)
 
 (* ------------------------------------------------------------------ *)
 (* Parallel batch determinism                                          *)
@@ -228,9 +333,7 @@ let test_distinct_binaries_simulated_once () =
   let lab = Lab.create ~scale:1 ~names:[ "gzip"; "mcf"; "bzip2" ] ~jobs:2 ~cache () in
   let log = ref [] in
   Lab.set_logger lab (fun s -> log := s :: !log);
-  let jobs =
-    List.sort_uniq compare (Lab.with_baselines (Figures.jobs_for "fig10" lab))
-  in
+  let jobs = List.sort_uniq compare (Lab.cell_jobs (cells "fig10" lab)) in
   let summaries = Lab.run_batch lab jobs in
   Lab.shutdown lab;
   let program (j : Lab.job) =
@@ -277,8 +380,9 @@ let test_one_batch_traces_once () =
   let lab = Lab.create ~scale:1 ~names:[ "gzip"; "mcf" ] ~jobs:2 () in
   let log = ref [] in
   Lab.set_logger lab (fun s -> log := s :: !log);
-  let jobs = Lab.with_baselines (Figures.jobs_for "fig10" lab @ Figures.jobs_for "fig12" lab) in
-  Lab.prewarm lab jobs;
+  let cells = cells "fig10" lab @ cells "fig12" lab in
+  Lab.prewarm lab cells;
+  let jobs = Lab.cell_jobs cells in
   Lab.shutdown lab;
   let digest (j : Lab.job) =
     ( j.job_bench,
@@ -404,12 +508,10 @@ let test_label_keyed_summary_read () =
    each variant compiles and then finds its twin's memoized summary. *)
 let test_wish_n_variants_reuse_fig10 () =
   let lab = Lab.create ~scale:1 ~names:[ "gap" ] () in
-  Lab.prewarm lab (Figures.jobs_for "fig10" lab);
-  ignore (Figures.fig10 lab);
+  ignore (render "fig10" lab);
   let log = ref [] in
   Lab.set_logger lab (fun s -> log := s :: !log);
-  Lab.prewarm lab (Ablations.jobs_for "abl-wish-n" lab);
-  ignore (Ablations.wish_threshold_n lab);
+  ignore (render "abl-wish-n" lab);
   check Alcotest.(list string) "no simulation" [] (logged log "simulating");
   check
     Alcotest.(list string)
@@ -525,12 +627,6 @@ let test_sampled_lab_trace_free () =
 (* Ablation A4 and Table 4 through the lab                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The data rows of a table, cells split. *)
-let csv_rows table =
-  match String.split_on_char '\n' (String.trim (Wish_util.Table.to_csv table)) with
-  | _header :: rows -> List.map (String.split_on_char ',') rows
-  | [] -> []
-
 (* A4's N=5 column is the lab's default wish-jj run over the same
    estimator as its baseline: exact in an exact lab, sampled in a sampled
    one. *)
@@ -542,7 +638,7 @@ let test_wish_n_default_column () =
   in
   List.iter
     (fun (label, lab) ->
-      let rows = csv_rows (Ablations.wish_threshold_n lab) in
+      let rows = csv_rows (render "abl-wish-n" lab) in
       check Alcotest.int (label ^ ": one row per bench") 2 (List.length rows);
       List.iter
         (function
@@ -550,7 +646,7 @@ let test_wish_n_default_column () =
             check Alcotest.string
               (Printf.sprintf "%s %s: N=5 is the normalized wish-jj run" label bench)
               (Wish_util.Table.fmt_float ~decimals:3
-                 (Lab.normalized lab ~bench ~kind:Policy.Wish_jj ()))
+                 (normalized lab ~bench ~kind:Policy.Wish_jj ()))
               n5
           | row -> Alcotest.failf "%s: unexpected row %s" label (String.concat "," row))
         rows)
@@ -564,7 +660,7 @@ let test_warm_lab_computes_nothing () =
   let cache = Cache.create ~dir:(cache_dir ^ "_warm") () in
   Cache.clear cache;
   let render lab =
-    List.map (fun f -> Wish_util.Table.render (f lab)) [ Figures.table4; Ablations.wish_threshold_n ]
+    List.map (fun a -> Wish_util.Table.render (render a lab)) [ "tab4"; "abl-wish-n" ]
   in
   let names = [ "gzip"; "gap" ] in
   let cold = render (Lab.create ~scale:1 ~names ~cache ()) in
@@ -582,42 +678,6 @@ let test_warm_lab_computes_nothing () =
   let traces = List.filter (fun (e, _) -> String.starts_with ~prefix:"trace/" e) (Cache.scan cache) in
   check Alcotest.int "no trace stored" 0 (List.length traces)
 
-(* On a warm cache, one prewarm of every artifact's grid leaves the
-   tables to the memo alone: rendering every artifact reads no cache
-   entry and runs no task, and a config allocated afresh but equal to
-   one the batch ran is served from the memo too. A4's variant binaries
-   are in no grid (see {!Ablations.jobs_for}): its table makes them as
-   one-job batches, so they are prewarmed here by hand. *)
-let test_render_reads_nothing_new () =
-  let cache = Cache.create ~dir:(cache_dir ^ "_render") () in
-  Cache.clear cache;
-  let artifacts = Figures.all @ Ablations.all in
-  let grid lab =
-    List.concat_map (fun (a, _) -> Figures.jobs_for a lab @ Ablations.jobs_for a lab) artifacts
-    @ List.map
-        (fun n -> Lab.job ~bench:"gap" ~kind:Policy.Wish_jj ~wish_threshold_n:n ())
-        [ 0; 100 ]
-  in
-  let render lab = List.map (fun (_, f) -> Wish_util.Table.render (f lab)) artifacts in
-  let lab () = Lab.create ~scale:1 ~names:[ "gap" ] ~cache () in
-  let cold = lab () in
-  Lab.prewarm cold (grid cold);
-  let tables = render cold in
-  let warm = lab () in
-  Lab.prewarm warm (grid warm);
-  let before = Lab.batch_stats warm in
-  check Alcotest.int "the warm prewarm ran no task" 0 before.executed;
-  check Alcotest.(list string) "same tables" tables (render warm);
-  let rebuilt =
-    Lab.run warm ~bench:"gap" ~kind:Policy.Normal ~config:(Config.with_rob Config.default 512) ()
-  in
-  let after = Lab.batch_stats warm in
-  check Alcotest.int "no cache entry read after the prewarm" before.cache_hits after.cache_hits;
-  check Alcotest.int "no task run after the prewarm" 0 after.executed;
-  Alcotest.(check bool)
-    "a rebuilt default config is the default run" true
-    (rebuilt == Lab.run warm ~bench:"gap" ~kind:Policy.Normal ())
-
 (* An interrupted regeneration resumes from the cache alone. The second
    artifact's batch is stopped as it starts simulating, as SIGINT does
    in [experiments]; a fresh lab on the same cache then simulates
@@ -627,22 +687,16 @@ let test_interrupted_batch_resumes () =
   let cache = Cache.create ~dir:(cache_dir ^ "_resume") () in
   Cache.clear cache;
   let names = [ "gzip" ] and artifacts = [ "fig10"; "fig12"; "tab5" ] in
-  let regenerate lab =
-    List.map
-      (fun a ->
-        Lab.prewarm lab (Figures.jobs_for a lab);
-        Wish_util.Table.render (List.assoc a Figures.all lab))
-      artifacts
-  in
+  let regenerate lab = List.map (fun a -> Wish_util.Table.render (render a lab)) artifacts in
   let reference = regenerate (Lab.create ~scale:1 ~names ()) in
   let stopped = Lab.create ~scale:1 ~names ~cache () in
-  Lab.prewarm stopped (Figures.jobs_for "fig10" stopped);
+  Lab.prewarm stopped (cells "fig10" stopped);
   Lab.set_logger stopped (fun s ->
       if String.starts_with ~prefix:"simulating" s then Lab.request_stop stopped);
   Alcotest.check_raises "second batch interrupted" Lab.Interrupted (fun () ->
-      Lab.prewarm stopped (Figures.jobs_for "fig12" stopped));
+      Lab.prewarm stopped (cells "fig12" stopped));
   let keys =
-    List.concat_map (fun a -> Lab.with_baselines (Figures.jobs_for a stopped)) artifacts
+    List.concat_map (fun a -> Lab.cell_jobs (cells a stopped)) artifacts
     |> List.map (Lab.run_key_of_job stopped)
     |> List.sort_uniq compare
   in
@@ -697,8 +751,7 @@ let test_two_processes_share_a_cache () =
     fork_child (fun () ->
         ignore (Unix.read go_r (Bytes.create 1) 0 1);
         let lab = Lab.create ~scale:1 ~names:[ "gzip" ] ~cache:(Cache.create ~dir ()) () in
-        Lab.prewarm lab (Figures.jobs_for "fig10" lab);
-        let csv = Wish_util.Table.to_csv (Figures.fig10 lab) in
+        let csv = Wish_util.Table.to_csv (render "fig10" lab) in
         Out_channel.with_open_bin (out i) (fun oc -> output_string oc csv);
         0)
   in
@@ -755,8 +808,6 @@ let () =
         [
           Alcotest.test_case "wish-n N=5 is the wish-jj run" `Slow test_wish_n_default_column;
           Alcotest.test_case "warm lab computes nothing" `Slow test_warm_lab_computes_nothing;
-          Alcotest.test_case "render reads nothing the prewarm did not" `Slow
-            test_render_reads_nothing_new;
         ] );
       ( "direction",
         [
@@ -770,6 +821,10 @@ let () =
           Alcotest.test_case "structure" `Slow test_figure_structure;
           Alcotest.test_case "artifact list" `Quick test_all_artifacts_listed;
           Alcotest.test_case "mcf alone has no nan" `Slow test_mcf_alone_has_no_nan;
-          Alcotest.test_case "job grids cover their tables" `Slow test_grids_cover_tables;
+          Alcotest.test_case "fig1 and tab5 values" `Slow test_fig1_tab5_values;
+          Alcotest.test_case "jobs_for leaves out variants" `Quick test_jobs_for_leaves_out_variants;
+          Alcotest.test_case "render reads only its cells" `Slow test_render_reads_only_its_cells;
+          Alcotest.test_case "every artifact reads its cells" `Slow
+            test_every_artifact_reads_its_cells;
         ] );
     ]

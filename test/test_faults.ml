@@ -240,7 +240,7 @@ let test_journal_torn_line () =
 (* Lab supervision                                                    *)
 (* ----------------------------------------------------------------- *)
 
-(* Render fig10 for a gzip-only lab (grid prewarmed under the default
+(* Render fig10 for a gzip-only lab (its one batch under the default
    policy) with the given fault schedule armed; returns the CSV text and
    the supervision stats. *)
 let fig10_csv ?sample faults =
@@ -248,9 +248,9 @@ let fig10_csv ?sample faults =
   let lab = Lab.create ~names:[ "gzip" ] ~jobs:2 ?sample () in
   Fun.protect ~finally:(fun () -> Lab.shutdown lab) @@ fun () ->
   List.iter (fun (site, times) -> FP.arm site ~times) faults;
-  Lab.prewarm lab (Figures.jobs_for "fig10" lab);
+  let csv = Table.to_csv (List.assoc "fig10" Figures.all lab) in
   List.iter (fun (site, _) -> note site) faults;
-  (Table.to_csv (Figures.fig10 lab), Lab.batch_stats lab)
+  (csv, Lab.batch_stats lab)
 
 let test_table_identical_under_faults () =
   let clean, _ = fig10_csv [] in
@@ -273,7 +273,8 @@ let test_sampled_table_identical_under_faults () =
     (Printf.sprintf "every injected fault was retried (%d retries)" st.retried)
     true (st.retried >= 4)
 
-let jj_jobs () = Lab.with_baselines [ Lab.job ~bench:"gzip" ~kind:Wish_compiler.Policy.Wish_jj () ]
+let jj = Lab.job ~bench:"gzip" ~kind:Wish_compiler.Policy.Wish_jj ()
+let jj_jobs () = Lab.with_baselines [ jj ]
 
 (* retries = 0: one armed fault permanently fails a task; keep_going
    turns that into data, not an exception. *)
@@ -297,20 +298,33 @@ let test_keep_going_reports_failures () =
   Alcotest.(check int) "failure counted" 1 (Lab.batch_stats lab).failed
 
 (* A final failure stays with the lab: a later [Lab.run] of the failed
-   job raises it again without computing anything. *)
+   job raises it again without computing anything, and so does rendering
+   an artifact with a cell that reads it, which [experiments
+   --keep-going] reports as skipped. *)
 let test_keep_going_failure_recorded () =
   with_reset @@ fun () ->
   let lab = Lab.create ~names:[ "gzip" ] ~policy:keep_going () in
   Fun.protect ~finally:(fun () -> Lab.shutdown lab) @@ fun () ->
   FP.arm "lab.simulate" ~times:1;
-  Lab.prewarm lab (jj_jobs ());
+  Lab.prewarm lab [ Lab.Normalized jj ];
   note "lab.simulate";
   let executed = (Lab.batch_stats lab).executed in
-  (match Lab.run lab ~bench:"gzip" ~kind:Wish_compiler.Policy.Wish_jj () with
-  | _ -> Alcotest.fail "the failed job must raise"
-  | exception Lab.Job_failed fl ->
-    Alcotest.(check string) "its recorded stage" "simulate" fl.failed_stage;
-    Alcotest.(check string) "its recorded job" "gzip/wish-jump-join input A" fl.failed_what);
+  List.iter
+    (fun (how, f) ->
+      match f () with
+      | _ -> Alcotest.fail (how ^ ": the failed job must raise")
+      | exception Lab.Job_failed fl ->
+        Alcotest.(check string) (how ^ ": its recorded stage") "simulate" fl.failed_stage;
+        Alcotest.(check string) (how ^ ": its recorded job") "gzip/wish-jump-join input A"
+          fl.failed_what)
+    [
+      ("run", fun () -> ignore (Lab.run lab ~bench:"gzip" ~kind:Wish_compiler.Policy.Wish_jj ()));
+      ( "render",
+        fun () ->
+          ignore
+            (Lab.render lab ~artifact:"jj" [ Lab.Normalized jj ] (fun get ->
+                 Figures.normalized get jj)) );
+    ];
   Alcotest.(check int) "nothing executed" executed (Lab.batch_stats lab).executed
 
 (* gzip's BASE-DEF binary is its normal binary, so a batch of the two
