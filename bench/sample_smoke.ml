@@ -19,16 +19,11 @@ let spec = Wish_sim.Sampler.spec ~warm:500 ~detail:16_000
 
 let tolerance_pct = 2.0
 
+let lab = Wish_experiments.Lab.create ()
+
 let run pool name =
-  let bench = Wish_workloads.Workloads.find ~scale:1 name in
-  let bins =
-    Wish_compiler.Compiler.compile_all ~mem_words:bench.mem_words ~name:bench.name
-      ~profile_data:(Wish_workloads.Bench.profile_data bench) bench.ast
-  in
   let program =
-    Wish_workloads.Bench.program_for bench
-      (Wish_compiler.Compiler.binary bins Wish_compiler.Policy.Wish_jjl)
-      "A"
+    Wish_experiments.Lab.program lab ~bench:name ~kind:Wish_compiler.Policy.Wish_jjl ~input:"A"
   in
   let trace, _ = Wish_emu.Trace.generate program in
   let exact = Wish_sim.Runner.simulate ~trace program in

@@ -7,16 +7,11 @@
 
 let scale = 10
 
+let lab = Wish_experiments.Lab.create ~scale ()
+
 let run name =
-  let bench = Wish_workloads.Workloads.find ~scale name in
-  let bins =
-    Wish_compiler.Compiler.compile_all ~mem_words:bench.mem_words ~name:bench.name
-      ~profile_data:(Wish_workloads.Bench.profile_data bench) bench.ast
-  in
   let program =
-    Wish_workloads.Bench.program_for bench
-      (Wish_compiler.Compiler.binary bins Wish_compiler.Policy.Wish_jjl)
-      "A"
+    Wish_experiments.Lab.program lab ~bench:name ~kind:Wish_compiler.Policy.Wish_jjl ~input:"A"
   in
   let trace = Wish_emu.Trace.stream program in
   let s = Wish_sim.Runner.simulate ~trace program in

@@ -1,12 +1,12 @@
 (* Simulator smoke: the tier-1 guardrail for the compiled timing core.
    For each case below it prints one line — cycles, every event counter
    and the memory-hierarchy counters — that the @sim-smoke rule diffs
-   against sim_smoke.expected, and it requires a repeated run, which
-   reuses the domain's pooled machine tables, to reproduce that line
-   exactly. The cases are four workload binaries at the default machine,
-   two at a memory latency past the completion wheel's horizon, and two
-   wish-jjl binaries under every other machine the tables run. Re-pin
-   with [dune promote] after a change that is meant to move the numbers.
+   against sim_smoke.expected, and it requires a repeated run on a new
+   core, with its own machine tables, to reproduce that line exactly.
+   The cases are four workload binaries at the default machine, two at a
+   memory latency past the completion wheel's horizon, and two wish-jjl
+   binaries under every other machine the tables run. Re-pin with
+   [dune promote] after a change that is meant to move the numbers.
    End-to-end timing lives in bench/perf. *)
 
 module Compiled = Wish_sim.Compiled
@@ -23,13 +23,8 @@ let fail fmt =
       failed := true)
     fmt
 
-let program_for name kind =
-  let bench = Wish_workloads.Workloads.find ~scale:1 name in
-  let bins =
-    Wish_compiler.Compiler.compile_all ~mem_words:bench.mem_words ~name:bench.name
-      ~profile_data:(Wish_workloads.Bench.profile_data bench) bench.ast
-  in
-  Wish_workloads.Bench.program_for bench (Wish_compiler.Compiler.binary bins kind) "A"
+let lab = Wish_experiments.Lab.create ()
+let program_for name kind = Wish_experiments.Lab.program lab ~bench:name ~kind ~input:"A"
 
 let run_compiled config program trace =
   let core = Compiled.run (Compiled.create config program trace) in
@@ -43,7 +38,7 @@ let line (cycles, counts, (m : Wish_mem.Hierarchy.stats)) =
 let check tag config program trace =
   let r = run_compiled config program trace in
   Printf.printf "%s: %s\n%!" tag (line r);
-  if run_compiled config program trace <> r then fail "%s: pooled re-run differs" tag
+  if run_compiled config program trace <> r then fail "%s: re-run differs" tag
 
 let case ?(label = "default") config (name, kind) =
   let program = program_for name kind in

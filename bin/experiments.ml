@@ -99,19 +99,27 @@ let run names scale verbose benchmarks csv_dir jobs no_cache retries keep_going 
       ~finally:(fun () -> Lab.shutdown lab)
       (fun () ->
         try
-          (* One batch computes the union of the selected artifacts'
-             cells, so each trace is generated once and dies once the
-             runs that read it are done; each table's own batch after it
-             is all memo hits. *)
+          (* One batch computes the cells of every selected artifact, so
+             each trace is generated once and dies once the runs that
+             read it are done; each table renders from its own slice of
+             the batch's results. The extras declare no cells and render
+             on their own. *)
           let artifacts = Figures.artifacts @ Ablations.artifacts in
-          Lab.prewarm lab
-            (List.concat_map
-               (fun (name, _) ->
-                 match List.assoc_opt name artifacts with Some a -> a.Figures.cells lab | None -> [])
-               selected);
+          let declared =
+            List.filter_map
+              (fun (name, _) ->
+                Option.map
+                  (fun (a : Figures.artifact) -> (name, a.cells lab, a.table lab))
+                  (List.assoc_opt name artifacts))
+              selected
+          in
+          let renders =
+            List.map2 (fun (name, _, _) r -> (name, r)) declared (Lab.renders lab declared)
+          in
           List.iter
             (fun (name, f) ->
-              match f lab with
+              let render = Option.value (List.assoc_opt name renders) ~default:(fun () -> f lab) in
+              match render () with
               | exception Lab.Job_failed fl ->
                 Fmt.epr "[lab] %s skipped: %a@." name Lab.pp_failure fl;
                 if not keep_going then raise (Lab.Job_failed fl)

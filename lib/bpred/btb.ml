@@ -50,6 +50,3 @@ let insert_cached t ~set ~tag ~slot =
 let hit t ~pc = Wish_util.Lru.hit t.table ~set:(set_of t pc) ~tag:(tag_of t pc)
 
 let copy t = { t with table = Wish_util.Lru.copy t.table }
-
-(** [reset t] restores the exact just-created state in place. *)
-let reset t = Wish_util.Lru.clear t.table

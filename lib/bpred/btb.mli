@@ -24,8 +24,5 @@ val index : t -> pc:int -> int * int
     re-resolved. Identical mutations. *)
 val insert_cached : t -> set:int -> tag:int -> slot:int ref -> unit
 
-(** [reset t] restores the exact just-created state in place. *)
-val reset : t -> unit
-
 (** Independent deep copy (for sampled-simulation checkpoints). *)
 val copy : t -> t

@@ -114,6 +114,3 @@ let warm_probe t ~pc ~history ~correct =
   end
 
 let copy t = { t with table = Wish_util.Lru.copy t.table }
-
-(** [reset t] restores the exact just-created state in place. *)
-let reset t = Wish_util.Lru.clear t.table

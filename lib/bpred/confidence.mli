@@ -38,6 +38,3 @@ val warm_probe : t -> pc:int -> history:int -> correct:bool -> bool
 
 (** Independent deep copy (for sampled-simulation checkpoints). *)
 val copy : t -> t
-
-(** [reset t] restores the exact just-created state in place. *)
-val reset : t -> unit

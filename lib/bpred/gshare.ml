@@ -28,6 +28,3 @@ let train_at t idx ~taken =
     (Char.unsafe_chr (if taken then Int.min 3 (c + 1) else Int.max 0 (c - 1)))
 
 let copy t = { t with pht = Bytes.copy t.pht }
-
-(** [reset t] restores the exact just-created state in place. *)
-let reset t = Bytes.fill t.pht 0 (Bytes.length t.pht) weakly_taken

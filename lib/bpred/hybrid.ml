@@ -99,12 +99,6 @@ let warm_train_b t (d : lbuf) ~pc ~dir ~taken =
   train_b t d ~taken;
   ignore (shift t ~pc ~dir)
 
-let reset t =
-  Gshare.reset t.gshare;
-  Pas.reset t.pas;
-  Bytes.fill t.selector 0 (Bytes.length t.selector) '\002';
-  t.history <- 0
-
 let copy t =
   {
     t with

@@ -77,9 +77,5 @@ val train_b : t -> lbuf -> taken:bool -> unit
     confidence estimator between the two halves. *)
 val warm_train_b : t -> lbuf -> pc:int -> dir:bool -> taken:bool -> unit
 
-(** [reset t] restores the exact just-created state in place (machine
-    pooling: an acquired predictor must equal [create config]). *)
-val reset : t -> unit
-
 (** Independent deep copy (for sampled-simulation checkpoints). *)
 val copy : t -> t

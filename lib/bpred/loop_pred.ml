@@ -95,9 +95,6 @@ let warm_entry e ~taken =
 
 let resolve = entry
 
-(** [reset t] restores the exact just-created state in place. *)
-let reset t = Hashtbl.reset t.table
-
 let copy t =
   {
     t with

@@ -47,8 +47,5 @@ val resolve : t -> int -> entry
     ahead). A warming hook resolves its entry once per static branch. *)
 val warm_entry : entry -> taken:bool -> unit
 
-(** [reset t] restores the exact just-created state in place. *)
-val reset : t -> unit
-
 (** Independent deep copy (for sampled-simulation checkpoints). *)
 val copy : t -> t

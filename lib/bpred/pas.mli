@@ -25,6 +25,3 @@ val train_at : t -> int -> taken:bool -> unit
 
 (** Independent deep copy (for sampled-simulation checkpoints). *)
 val copy : t -> t
-
-(** [reset t] restores the exact just-created state in place. *)
-val reset : t -> unit

@@ -26,8 +26,3 @@ let pop t =
 let snapshot t = t.top
 let restore t top = t.top <- Int.max 0 top
 let copy t = { data = Array.copy t.data; top = t.top }
-
-(** [reset t] restores the exact just-created state in place. *)
-let reset t =
-  Array.fill t.data 0 (Array.length t.data) 0;
-  t.top <- 0

@@ -19,6 +19,3 @@ val restore : t -> int -> unit
 
 (** Independent deep copy (for sampled-simulation checkpoints). *)
 val copy : t -> t
-
-(** [reset t] restores the exact just-created state in place. *)
-val reset : t -> unit

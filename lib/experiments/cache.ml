@@ -39,9 +39,10 @@ type t = { root : string; version : int; header : string }
    are keyed by binary digest, and [binary/] replaces [shape/]; v7: a
    summary's counters are one [Counters.t] array, not a named bag; v8: a
    [binary] entry's shape counts guarded non-branch instructions, and a
-   summary's key names the config its binary can observe).
-   Stale entries self-evict via the header check. *)
-let format_version = 8
+   summary's key names the config its binary can observe; v9: every
+   count of a sampled summary is its stratified estimate, not a scaled
+   window sum). Stale entries self-evict via the header check. *)
+let format_version = 9
 
 let default_dir () =
   match Sys.getenv_opt "WISH_CACHE_DIR" with Some d when d <> "" -> d | _ -> "_wishcache"

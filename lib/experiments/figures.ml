@@ -381,15 +381,9 @@ let scale_sweep _lab =
     (fun scale ->
       List.iter
         (fun name ->
-          let bench = Wish_workloads.Workloads.find ~scale name in
-          let bins =
-            Compiler.compile_all ~mem_words:bench.mem_words ~name:bench.name
-              ~profile_data:(Wish_workloads.Bench.profile_data bench) bench.ast
-          in
           let program =
-            Wish_workloads.Bench.program_for bench
-              (Compiler.binary bins Policy.Wish_jjl)
-              Lab.eval_input
+            Lab.program (Lab.create ~scale ~names:[ name ] ()) ~bench:name ~kind:Policy.Wish_jjl
+              ~input:Lab.eval_input
           in
           let trace = Wish_emu.Trace.stream program in
           let s = Wish_sim.Runner.simulate ~trace program in
@@ -442,15 +436,9 @@ let sample_sweep lab =
         (fun scale ->
           List.iter
             (fun name ->
-              let bench = Wish_workloads.Workloads.find ~scale name in
-              let bins =
-                Compiler.compile_all ~mem_words:bench.mem_words ~name:bench.name
-                  ~profile_data:(Wish_workloads.Bench.profile_data bench) bench.ast
-              in
               let program =
-                Wish_workloads.Bench.program_for bench
-                  (Compiler.binary bins Policy.Wish_jjl)
-                  Lab.eval_input
+                Lab.program (Lab.create ~scale ~names:[ name ] ()) ~bench:name
+                  ~kind:Policy.Wish_jjl ~input:Lab.eval_input
               in
               let trace, _ = Wish_emu.Trace.generate program in
               let time f =

@@ -5,9 +5,10 @@
     corresponding artifact's bars/series; execution-time figures report
     times normalized to the normal-branch binary (lower is better), with
     the paper's AVG / AVGnomcf convention. Rendering runs one batch over
-    the artifact's cells and reads nothing else ({!Lab.render}), so a
-    regeneration that prewarms the union of its artifacts' cells renders
-    from the memo alone. See DESIGN.md section 3 for the per-experiment
+    the artifact's cells and reads nothing else ({!Lab.render}); a
+    regeneration runs one batch over the union of its artifacts' cells
+    and renders each from its own slice of the results
+    ({!Lab.renders}). See DESIGN.md section 3 for the per-experiment
     index and EXPERIMENTS.md for paper-vs-measured. *)
 
 (** An artifact: [cells lab] lists every run its table reads, and

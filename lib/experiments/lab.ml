@@ -686,33 +686,43 @@ let run_batch_results t jobs = List.map (outcome t) (batch t jobs)
 let run_batch t jobs =
   List.map (function Ok s -> s | Error fl -> raise (Job_failed fl)) (run_batch_results t jobs)
 
-(* Under fail-fast, a failure raises inside the batch; under keep-going,
-   failures are data, and the tables report them when they render. *)
-let prewarm t cells = ignore (batch t (cell_jobs cells))
-
-(* A render's lookup holds its batch's jobs only, and each must be read:
-   a table reads exactly the cells it declares. *)
+(* A render's lookup holds its artifact's jobs only, and each must be
+   read: a table reads exactly the cells it declares. *)
 type slot = { outcome : (Wish_sim.Runner.summary, failure) result; mutable read : bool }
 
-let render t ~artifact cells f =
-  let jobs = cell_jobs cells in
-  let outcomes = Hashtbl.create (List.length jobs) in
-  List.iter2
-    (fun j outcome -> Hashtbl.replace outcomes j { outcome; read = false })
-    jobs (run_batch_results t jobs);
+let lookup ~artifact jobs outcomes f =
+  let slots = Hashtbl.create (List.length jobs) in
+  List.iteri (fun i j -> Hashtbl.replace slots j { outcome = outcomes.(i); read = false }) jobs;
   let misread j why =
     invalid_arg (Printf.sprintf "Lab.render: %s %s %s" artifact why (describe_job j))
   in
   let y =
     f (fun j ->
-        match Hashtbl.find_opt outcomes j with
+        match Hashtbl.find_opt slots j with
         | None -> misread j "reads a job it does not declare:"
         | Some c -> (
           c.read <- true;
           match c.outcome with Ok s -> s | Error fl -> raise (Job_failed fl)))
   in
-  Hashtbl.iter (fun j c -> if not c.read then misread j "declares a job it never reads:") outcomes;
+  Hashtbl.iter (fun j c -> if not c.read then misread j "declares a job it never reads:") slots;
   y
+
+(* Under fail-fast, a failure raises inside the batch; under keep-going,
+   failures are data, and each table reports its own when it renders.
+   The batch's results are the artifacts' jobs in order, so each
+   artifact's are one contiguous slice. *)
+let renders t artifacts =
+  let jobs = List.map (fun (_, cells, _) -> cell_jobs cells) artifacts in
+  let outcomes = Array.of_list (run_batch_results t (List.concat jobs)) in
+  let next = ref 0 in
+  List.map2
+    (fun (artifact, _, f) js ->
+      let mine = Array.sub outcomes !next (List.length js) in
+      next := !next + Array.length mine;
+      fun () -> lookup ~artifact js mine f)
+    artifacts jobs
+
+let render t ~artifact cells f = List.hd (renders t [ (artifact, cells, f) ]) ()
 
 (** [run t ~bench ~kind ?wish_threshold_n ?input ?config ()] — a memo
     lookup, or a one-job batch. *)

@@ -12,10 +12,10 @@
       the baseline).
 
     One miss path: every summary comes out of {!run_batch_results}. An
-    artifact declares its cells, every run its table reads; {!render}
-    computes them in one batch and renders from a lookup that admits
-    nothing else, so a render never starts a second batch, and
-    {!prewarm} computes the cells of many artifacts in one batch first.
+    artifact declares its cells, every run its table reads; {!renders}
+    computes the cells of many artifacts in one batch and renders each
+    from its own slice of the results, through a lookup that admits
+    nothing else, so a render never starts a second batch.
     {!run}, a memo lookup or a one-job batch, is the one-run API for
     tests and examples. Performance machinery: an
     optional {!Wish_util.Pool} of worker domains (a batch fans its
@@ -267,20 +267,23 @@ type cell = Plain of job | Normalized of job
     same baseline. *)
 val cell_jobs : cell list -> job list
 
-(** [prewarm t cells] — one {!run_batch_results} over every job [cells]
-    read, results discarded. Given the union of the selected artifacts'
-    cells, it leaves each artifact's {!render} batch all memo hits.
-    Raises {!Job_failed} on a permanent failure unless the lab's policy
-    keeps going. *)
-val prewarm : t -> cell list -> unit
-
-(** [render t ~artifact cells f] — [f get] after one batch over every
-    job [cells] read, where [get j] is [j]'s summary. [get] raises
-    {!Job_failed} for a job whose run failed for good (under a
+(** [renders t artifacts] — one {!run_batch_results} over every job the
+    cells of [artifacts] read, then one renderer per [(artifact, cells,
+    f)], in order: forcing it runs [f get] on that artifact's slice of
+    the batch's results, computing nothing. [get j] is [j]'s summary; it
+    raises {!Job_failed} for a job whose run failed for good (under a
     keep-going policy), and [Invalid_argument] naming [artifact] and [j]
-    for a job [cells] do not read, without computing anything. Once [f]
-    returns, a job of [cells] that [get] never read raises
-    [Invalid_argument] too: a table reads exactly its cells. *)
+    for a job [cells] do not read. Once [f] returns, a job of [cells]
+    that [get] never read raises [Invalid_argument] too: a table reads
+    exactly its cells. The batch raises {!Job_failed} on a permanent
+    failure unless the lab's policy keeps going. *)
+val renders :
+  t ->
+  (string * cell list * ((job -> Wish_sim.Runner.summary) -> 'a)) list ->
+  (unit -> 'a) list
+
+(** [render t ~artifact cells f] — {!renders} of the one artifact,
+    forced. *)
 val render :
   t -> artifact:string -> cell list -> ((job -> Wish_sim.Runner.summary) -> 'a) -> 'a
 

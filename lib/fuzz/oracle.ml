@@ -131,7 +131,7 @@ let kinds_verdicts (c : Gen.case) (eval : Policy.kind -> Program.t) =
     let vs = List.map check_kind Compiler.all_kinds in
     (combine (List.map fst vs), combine (List.map snd vs))
 
-(* --- (c) the timing core's accounting and pooled re-run ---------------- *)
+(* --- (c) the timing core's accounting and re-run ---------------------- *)
 
 let gen_trace program =
   match Trace.generate ~fuel program with
@@ -196,10 +196,10 @@ let sim_identity_program program =
       match accounting_failure ~length:(Trace.length trace) ~last_retired counts with
       | Some what -> failf "accounting: %s" what
       | None -> (
-        (* A second run reuses the domain's pooled machine tables. *)
+        (* A second run, on a new core with its own machine tables. *)
         match run () with
-        | exception e -> failf "the pooled re-run raised: %s" (exn_label e)
-        | again, _ -> if again <> first then Fail "pooled re-run differs" else Pass)))
+        | exception e -> failf "the re-run raised: %s" (exn_label e)
+        | again, _ -> if again <> first then Fail "re-run differs" else Pass)))
 
 (* --- (d) exact vs sampled simulation ---------------------------------- *)
 

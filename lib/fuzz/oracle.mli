@@ -19,9 +19,9 @@
       a wish binary: retired µops are correct-path plus phantom ones,
       [wish_retired] and [wish_loop_retired] are the sums of their
       buckets, no more false-guarded µops retire than correct-path ones,
-      retirement reaches the trace's last entry, and a re-run through the
-      pooled machine tables reproduces cycles, counters and hierarchy
-      stats. test/sim_pins.expected pins those values for every case of
+      retirement reaches the trace's last entry, and a re-run on a new
+      core reproduces cycles, counters and hierarchy stats.
+      test/sim_pins.expected pins those values for every case of
       @fuzz-smoke's sweep.
     - {!Sampled} — exact vs sampled simulation. When the sampler
       degenerates to one cold full-length window (short traces — the

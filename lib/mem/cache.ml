@@ -76,12 +76,6 @@ let probe t ~byte_addr =
 
 let copy t = { t with lines = Wish_util.Lru.copy t.lines }
 
-(** [reset t] restores the exact just-created state in place. *)
-let reset t =
-  Wish_util.Lru.clear t.lines;
-  t.accesses <- 0;
-  t.misses <- 0
-
 let latency t = t.config.latency
 let accesses t = t.accesses
 let misses t = t.misses

@@ -31,9 +31,6 @@ val probe : t -> byte_addr:int -> bool
     does not (it is immutable). *)
 val copy : t -> t
 
-(** [reset t] restores the exact just-created state in place. *)
-val reset : t -> unit
-
 val latency : t -> int
 val accesses : t -> int
 val misses : t -> int

@@ -93,13 +93,6 @@ let copy t =
     bank_free_at = Array.copy t.bank_free_at;
   }
 
-(** [reset t] restores the exact just-created state in place. *)
-let reset t =
-  Cache.reset t.l1i;
-  Cache.reset t.l1d;
-  Cache.reset t.l2;
-  Array.fill t.bank_free_at 0 (Array.length t.bank_free_at) 0
-
 type stats = {
   l1i_accesses : int;
   l1i_misses : int;

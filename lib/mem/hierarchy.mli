@@ -47,9 +47,6 @@ val warm_inst_at : t -> set:int -> tag:int -> byte_addr:int -> unit
 (** Independent deep copy (for sampled-simulation checkpoints). *)
 val copy : t -> t
 
-(** [reset t] restores the exact just-created state in place. *)
-val reset : t -> unit
-
 type stats = {
   l1i_accesses : int;
   l1i_misses : int;

@@ -26,17 +26,13 @@
       dozen-plus;
     - misprediction recovery repairs the register alias table from a
       per-ROB-slot undo log (previous producer of every destination
-      written), so rename never copies a full RAT checkpoint;
-    - machine tables (predictors, caches) are pooled per domain and
-      exactly reset between runs, so repeated runs skip their
-      construction; the pipeline scaffold is built per core.
+      written), so rename never copies a full RAT checkpoint.
 
-    Identity argument for the pooled tables: every pooled table has a
-    [reset] that restores the just-created state (pinned by
-    [@sim-smoke]'s repeated run and the fuzz [sim] oracle's), so a pooled
-    run is indistinguishable from a fresh one. [@sim-smoke] and
-    test/sim_pins.expected pin the core's cycles, counters and hierarchy
-    stats; test/mutants/ scores those checks. *)
+    Each core owns its machine: a whole-run core builds its tables
+    ({!fresh_machine}) and its pipeline scaffold when it is created, so
+    two cores never share state, whichever domain runs them.
+    [@sim-smoke] and test/sim_pins.expected pin the core's cycles,
+    counters and hierarchy stats; test/mutants/ scores those checks. *)
 
 open Wish_isa
 module Hybrid = Wish_bpred.Hybrid
@@ -50,10 +46,11 @@ type fetch_path = F_correct | F_wrong | F_phantom | F_stopped
 
 exception Deadlock of string
 
-(** Long-lived microarchitectural state a sampled simulation keeps warm
-    between detailed windows ({!Sampler}) and hands a window core at
-    {!create}. The core takes ownership of the structures — give each
-    window its own copies. *)
+(** A core's machine tables, the long-lived microarchitectural state: a
+    whole-run core builds its own ({!fresh_machine}); a sampled
+    simulation keeps one warm between detailed windows ({!Sampler}) and
+    hands a window core one at {!create}. The core takes ownership of
+    the structures — give each window its own copies. *)
 type warm_state = {
   warm_hybrid : Hybrid.t;
   warm_btb : Btb.t;
@@ -62,6 +59,18 @@ type warm_state = {
   warm_loop : Loop_pred.t;
   warm_hier : Hierarchy.t;
 }
+
+(** [fresh_machine config] — the machine tables [config] sizes, just
+    built: the one constructor of a {!warm_state}. *)
+let fresh_machine (config : Config.t) =
+  {
+    warm_hybrid = Hybrid.create config.bpred;
+    warm_btb = Btb.create ~entries:config.btb_entries ~ways:config.btb_ways;
+    warm_ras = Ras.create ~entries:config.ras_entries;
+    warm_conf = Confidence.create config.conf;
+    warm_loop = Loop_pred.create ();
+    warm_hier = Hierarchy.create config.hier;
+  }
 
 (* Shared immutable option constants: field assignments below must not
    allocate. *)
@@ -161,7 +170,7 @@ type cgroup = {
 type ibuf = { mutable ids : int array; mutable len : int }
 
 (* ----------------------------------------------------------------- *)
-(* Pipeline scaffold and machine pool                                 *)
+(* Pipeline scaffold                                                  *)
 (* ----------------------------------------------------------------- *)
 
 (* The pipeline scaffold: every structure whose size depends only on the
@@ -261,65 +270,6 @@ let scaffold_build (config : Config.t) =
     infl_mask = icap - 1;
   }
 
-(* Machine tables, pooled per domain when the caller does not supply
-   pre-warmed state. [reset] on every table restores the exact
-   just-created state, so a pooled acquisition is indistinguishable from
-   fresh construction. *)
-type machine = {
-  m_sizes : Hybrid.config * int * int * int * Confidence.config * Hierarchy.config;
-  m_hybrid : Hybrid.t;
-  m_btb : Btb.t;
-  m_ras : Ras.t;
-  m_conf : Confidence.t;
-  m_loop : Loop_pred.t;
-  m_hier : Hierarchy.t;
-}
-
-(* The config fields the pooled tables are built from. A run whose
-   config differs from the last one's only in other fields (ROB size,
-   widths, knobs, wish hardware) resets the tables instead of rebuilding
-   them. *)
-let machine_sizes (c : Config.t) = (c.bpred, c.btb_entries, c.btb_ways, c.ras_entries, c.conf, c.hier)
-
-let machine_build (config : Config.t) =
-  {
-    m_sizes = machine_sizes config;
-    m_hybrid = Hybrid.create config.bpred;
-    m_btb = Btb.create ~entries:config.btb_entries ~ways:config.btb_ways;
-    m_ras = Ras.create ~entries:config.ras_entries;
-    m_conf = Confidence.create config.conf;
-    m_loop = Loop_pred.create ();
-    m_hier = Hierarchy.create config.hier;
-  }
-
-let machine_reset m =
-  Hybrid.reset m.m_hybrid;
-  Btb.reset m.m_btb;
-  Ras.reset m.m_ras;
-  Confidence.reset m.m_conf;
-  Loop_pred.reset m.m_loop;
-  Hierarchy.reset m.m_hier
-
-let machine_slot : machine option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-(* The pooled tables are the 64K-entry predictor tables and the cache
-   hierarchy's tag arrays. Building them per run instead raised the peak
-   RSS of a cold `experiments -j 2 --no-cache` regeneration from
-   382/398 MB to 447/448 MB, and from 399/400 MB to 457/457 MB in a
-   second measurement (two runs a side each, 2-core Xeon). The scaffold
-   is not pooled: building it per core cost no measurable time. *)
-let acquire_machine config =
-  let slot = Domain.DLS.get machine_slot in
-  match !slot with
-  | Some m when m.m_sizes = machine_sizes config ->
-    machine_reset m;
-    m
-  | _ ->
-    let m = machine_build config in
-    slot := Some m;
-    m
-
 (* ----------------------------------------------------------------- *)
 (* Core state                                                         *)
 (* ----------------------------------------------------------------- *)
@@ -391,23 +341,17 @@ let create ?warm ?(start_cursor = 0) ?start_pc ?(release_trace = true) (config :
   let oracle = Oracle.create (Program.code program) trace in
   if start_cursor > 0 then Oracle.restore oracle start_cursor;
   let s = scaffold_build config in
-  let hybrid, btb, ras, conf, loop_pred, hier =
-    match (warm : warm_state option) with
-    | Some w -> (w.warm_hybrid, w.warm_btb, w.warm_ras, w.warm_conf, w.warm_loop, w.warm_hier)
-    | None ->
-      let m = acquire_machine config in
-      (m.m_hybrid, m.m_btb, m.m_ras, m.m_conf, m.m_loop, m.m_hier)
-  in
+  let m = match warm with Some w -> w | None -> fresh_machine config in
   {
     config;
     plan;
     oracle;
-    hybrid;
-    btb;
-    ras;
-    conf;
-    loop_pred;
-    hier;
+    hybrid = m.warm_hybrid;
+    btb = m.warm_btb;
+    ras = m.warm_ras;
+    conf = m.warm_conf;
+    loop_pred = m.warm_loop;
+    hier = m.warm_hier;
     s;
     counts = Counters.create ();
     wish_table = Plan.wish_table;

@@ -56,11 +56,4 @@ let add (t : t) i n = t.(i) <- t.(i) + n
 let diff = Array.map2 ( - )
 let sum ts = List.fold_left (Array.map2 ( + )) (create ()) ts
 
-let scale t ~num ~den =
-  Array.map
-    (fun x ->
-      if den = 0 then 0
-      else int_of_float (Float.round (float_of_int x *. float_of_int num /. float_of_int den)))
-    t
-
 let pp ppf t = Array.iteri (fun i v -> Fmt.pf ppf "%-40s %d@." names.(i) v) t

@@ -78,9 +78,5 @@ val diff : t -> t -> t
 (** Counter-by-counter sum; all zeros for [[]]. *)
 val sum : t list -> t
 
-(** [scale t ~num ~den] — each counter times [num / den], rounded to the
-    nearest integer; all zeros when [den] is 0. *)
-val scale : t -> num:int -> den:int -> t
-
 (** One [name value] line per counter, in index order. *)
 val pp : Format.formatter -> t -> unit

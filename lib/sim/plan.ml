@@ -12,8 +12,8 @@
     Also owns the compiled wish-FSM transition table: the Figure 8 mode
     machine flattened to 48 packed-int entries indexed by
     (mode, branch kind, confidence, predicted direction). The exhaustive
-    transition test pins this table against the interpreted
-    {!Wish_fsm.on_wish_branch}. *)
+    transition test pins this table against {!Wish_fsm.on_wish_branch},
+    the test reference. *)
 
 open Wish_isa
 
@@ -82,8 +82,8 @@ let wish_entry ~mode ~kind ~conf_high ~dir =
       (* Predicted exit: leave low-confidence mode immediately. *)
       pack ~dir:false ~mode:0 ~clear:true ~set_exit:false ~set_loop:false ~forward:false
   else
-    (* Plain conditional under low confidence: mode moves to low (the
-       interpreted FSM does this before dispatching on kind). *)
+    (* Plain conditional under low confidence: mode moves to low
+       ([Wish_fsm.on_wish_branch] does this before dispatching on kind). *)
     pack ~dir ~mode:2 ~clear:false ~set_exit:false ~set_loop:false ~forward:false
 
 let wish_table =

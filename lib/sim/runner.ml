@@ -68,9 +68,9 @@ let dynamic_length (program : Wish_isa.Program.t) =
 
 (** [simulate_sampled] — the sampled counterpart of {!simulate}: same
     summary shape, numbers estimated from the measurement windows, plus
-    the full {!Sampler.report}. The headline counters (cycles, retired
-    µops, mispredicts) use the sampler's stratified estimates; every
-    other number is its window sum scaled by total ÷ measured entries. *)
+    the full {!Sampler.report}. Every count, headline or not, is the
+    sampler's stratified estimate of its counter; µPC is the ratio of
+    the µop and cycle estimates before rounding. *)
 let simulate_sampled ?(config = Config.default) ?pool ?(spec : Sampler.spec option) ?trace
     (program : Wish_isa.Program.t) =
   (* An auto spec is scaled to the dynamic length: a finished materialized
@@ -83,25 +83,5 @@ let simulate_sampled ?(config = Config.default) ?pool ?(spec : Sampler.spec opti
     | None, _ -> Sampler.auto ~length:(dynamic_length program)
   in
   let r = Sampler.run ?pool ?trace ~config ~spec program in
-  let counts =
-    Counters.scale r.Sampler.r_measured ~num:r.r_total_insts ~den:r.r_measured_entries
-  in
-  let g = Counters.get counts in
-  let round f = int_of_float (Float.round f) in
-  let retired_uops = round (r.r_upc *. float_of_int r.r_est_cycles) in
-  let summary =
-    {
-      cycles = r.r_est_cycles;
-      dynamic_insts = r.r_total_insts;
-      retired_uops;
-      retired_phantom = g Counters.retired_phantom;
-      fetched_uops = g Counters.fetched_uops;
-      flushes = g Counters.flushes;
-      mispredicts = round (r.r_misp_per_1k *. float_of_int retired_uops /. 1000.0);
-      cond_branches = g Counters.cond_branches_retired;
-      upc = r.r_upc;
-      counts;
-      mem = r.r_mem;
-    }
-  in
-  (summary, r)
+  let s = summarize r.Sampler.r_est_counts r.r_est_cycles r.r_mem in
+  ({ s with dynamic_insts = r.r_total_insts; upc = r.r_upc }, r)

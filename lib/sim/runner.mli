@@ -34,10 +34,10 @@ val simulate :
     {!Sampler.auto}, sized by the length of a finished materialized
     [trace] or else by one unrecorded emulator pass that counts the
     dynamic length; [pool] fans detailed windows out in parallel. With no
-    caller-supplied [trace], warming runs trace-free. The summary's [counts]
-    are whole-run estimates: each counter's window sum scaled by total ÷
-    measured entries. The headline cycles, retired µops and mispredicts
-    are the sampler's stratified estimates instead. *)
+    caller-supplied [trace], warming runs trace-free. The cycles and every
+    count, in [counts] and in the headline fields alike, are the sampler's
+    stratified whole-run estimates ({!Sampler.report}'s [r_est_cycles]
+    and [r_est_counts]); [upc] is its [r_upc]. *)
 val simulate_sampled :
   ?config:Config.t ->
   ?pool:Wish_util.Pool.t ->

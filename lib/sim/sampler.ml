@@ -98,6 +98,7 @@ type report = {
   r_misp_per_1k : float;
   r_misp_ci : float;
   r_est_cycles : int;
+  r_est_counts : Counters.t; (* every counter's stratified whole-run estimate *)
   r_mem : Hierarchy.stats; (* warming hierarchy = full-trace cache stats *)
 }
 
@@ -154,15 +155,7 @@ let create_state (config : Config.t) (program : Program.t) =
   {
     s_config = config;
     s_code = code;
-    s_warm =
-      {
-        Compiled.warm_hybrid = Hybrid.create config.bpred;
-        warm_btb = Btb.create ~entries:config.btb_entries ~ways:config.btb_ways;
-        warm_ras = Ras.create ~entries:config.ras_entries;
-        warm_conf = Confidence.create config.conf;
-        warm_loop = Loop_pred.create ();
-        warm_hier = Hierarchy.create config.hier;
-      };
+    s_warm = Compiled.fresh_machine config;
     s_kind;
     s_line;
     s_last_line = -1;
@@ -441,6 +434,12 @@ let aggregate ~spec ~period ~total_insts ~mem windows =
   let est_cycles = estimate (fun w -> w.w_cycles) in
   let est_uops = estimate uops in
   let est_misp = estimate misps in
+  let est_counts = Counters.create () in
+  List.iter
+    (fun id ->
+      Counters.add est_counts id
+        (int_of_float (Float.round (estimate (fun w -> Counters.get w.w_counts id)))))
+    Counters.all;
   let upc = if est_cycles = 0.0 then 0.0 else est_uops /. est_cycles in
   let misp = if est_uops = 0.0 then 0.0 else 1000.0 *. est_misp /. est_uops in
   (* Approximate 95% CI: per-window spread within each stratum,
@@ -471,6 +470,7 @@ let aggregate ~spec ~period ~total_insts ~mem windows =
     r_misp_per_1k = misp;
     r_misp_ci = misp_ci;
     r_est_cycles = (if n = 0 then 0 else int_of_float (Float.round est_cycles));
+    r_est_counts = est_counts;
     r_mem = mem;
   }
 
@@ -571,9 +571,9 @@ let run ?pool ?trace ~config ~spec (program : Program.t) =
     else begin
       let ck =
         if start = 0 then
-          (* Cold window: a second fresh state (not a copy of [st] — the
+          (* Cold window: a second fresh machine (not a copy of [st] — the
              live warming state must keep advancing independently). *)
-          { c_start = 0; c_lead = 0; c_warm = (create_state config program).s_warm }
+          { c_start = 0; c_lead = 0; c_warm = Compiled.fresh_machine config }
         else { c_start = start; c_lead = lead; c_warm = copy_warm st.s_warm }
       in
       pending := ck :: !pending;

@@ -50,6 +50,9 @@ type report = {
   r_misp_per_1k : float;
   r_misp_ci : float;
   r_est_cycles : int;  (** ratio-estimator whole-run cycle count *)
+  r_est_counts : Counters.t;
+      (** every counter's whole-run estimate, by the same stratified
+          ratio estimator as the cycles *)
   r_mem : Wish_mem.Hierarchy.stats;  (** warming caches: full-trace stats *)
 }
 

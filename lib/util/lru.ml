@@ -20,7 +20,6 @@ type 'a t = {
   valids : Bytes.t; (* '\001' when the slot holds a live entry *)
   payloads : 'a array;
   mutable clock : int;
-  default : unit -> 'a;
 }
 
 let create ~sets ~ways ~default =
@@ -35,7 +34,6 @@ let create ~sets ~ways ~default =
     valids = Bytes.make n '\000';
     payloads = Array.init n (fun _ -> default ());
     clock = 0;
-    default;
   }
 
 (* Set-index reduction: a masked AND when the set count is a power of two
@@ -133,19 +131,9 @@ let insert_quiet t ~set ~tag payload =
   end
   else fill_slot t (victim_way t (b + t.ways) b (b + 1)) ~tag payload
 
-let clear t =
-  Bytes.fill t.valids 0 (Bytes.length t.valids) '\000';
-  Array.fill t.stamps 0 (Array.length t.stamps) 0;
-  for i = 0 to Array.length t.payloads - 1 do
-    t.payloads.(i) <- t.default ()
-  done;
-  t.clock <- 0
-
 (** [copy t] — an independent structure with the same contents. Payloads
     are shared (every client stores immutable payloads), but tags, recency
-    and validity evolve independently afterwards. Note [t] holds the
-    [default] closure, so a [Marshal] round-trip cannot substitute for
-    this. *)
+    and validity evolve independently afterwards. *)
 let copy t =
   {
     t with
@@ -161,7 +149,7 @@ let copy t =
 
 (** [find_slot t ~set ~tag] — the slot handle of the matching entry, or
     [-1] on a miss, with no recency update. Slot handles stay valid until
-    the entry is evicted or cleared; fused hot paths use them to
+    the entry is evicted; fused hot paths use them to
     probe once and then apply several recency/payload steps to the same
     entry without rescanning the ways. *)
 let find_slot t ~set ~tag = slot_of t ~set ~tag

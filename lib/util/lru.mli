@@ -33,21 +33,15 @@ val update : 'a t -> set:int -> tag:int -> f:('a -> 'a) -> bool
     refreshes it and replaces its payload without eviction. *)
 val insert_quiet : 'a t -> set:int -> tag:int -> 'a -> unit
 
-(** [clear t] restores the just-created state: no valid entry, recency
-    clock at zero. *)
-val clear : 'a t -> unit
-
 (** [copy t] — an independent structure with the same contents; payloads
-    are shared, so they should be immutable. (The structure embeds a
-    closure, so marshalling cannot substitute for this.) *)
+    are shared, so they should be immutable. *)
 val copy : 'a t -> 'a t
 
 (** {1 Slot-level access}
 
     For fused warming paths that probe an entry and then apply several
     recency/payload steps to it without rescanning the ways. A slot
-    handle from {!find_slot} stays valid until that entry is evicted or
-    cleared. *)
+    handle from {!find_slot} stays valid until that entry is evicted. *)
 
 (** [find_slot t ~set ~tag] — the matching entry's slot handle, or [-1]
     on a miss; no recency update. *)

@@ -12,7 +12,7 @@
 # with one row per mutant: K where a check kills it (fails), . where the
 # mutant survives it. Columns, one per check:
 #
-#   smoke-pin   @sim-smoke: bench/sim_smoke.expected and the pooled re-run
+#   smoke-pin   @sim-smoke: bench/sim_smoke.expected and the re-run
 #   fuzz-pin    test/sim_pins.expected
 #   emu         test_emu, test_isa, test_compiler, test_workloads and
 #               test/emu_pins.expected

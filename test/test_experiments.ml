@@ -24,6 +24,9 @@ let artifacts = Figures.artifacts @ Ablations.artifacts
 let render name = Figures.render name (List.assoc name artifacts)
 let cells name lab = (List.assoc name artifacts).cells lab
 
+(* One batch over [cells], results discarded. *)
+let batch lab cells = ignore (Lab.run_batch_results lab (Lab.cell_jobs cells))
+
 (* A normalized cell's value, read as the tables read it. *)
 let normalized lab ~bench ~kind ?config () =
   let j = Lab.job ~bench ~kind ?config () in
@@ -177,17 +180,22 @@ let test_jobs_for_leaves_out_variants () =
   check Alcotest.int "abl-wish-n: six cells" 6 (List.length (cells "abl-wish-n" lab));
   check Alcotest.int "abl-wish-n: its two N=5 jobs" 2 (List.length (Ablations.jobs_for "abl-wish-n" lab))
 
-(* Every artifact renders from its cells alone: after one prewarm of
-   the union of all cells, rendering each artifact (which raises on a
-   read outside its cells or a cell it never reads) executes no task,
-   and a config allocated afresh but equal to one the batch ran is
-   served from the memo. *)
+(* Every artifact renders from its cells alone: after one batch over
+   the union of all cells, rendering each artifact from its slice of the
+   results, or through its own batch (either raises on a read outside
+   its cells or a cell it never reads), executes no task, and a config
+   allocated afresh but equal to one the batch ran is served from the
+   memo. *)
 let test_every_artifact_reads_its_cells () =
   let lab = Lab.create ~scale:1 ~names:[ "gap" ] () in
-  Lab.prewarm lab (List.concat_map (fun (name, _) -> cells name lab) artifacts);
+  let renders =
+    Lab.renders lab
+      (List.map (fun (name, (a : Figures.artifact)) -> (name, a.cells lab, a.table lab)) artifacts)
+  in
   let executed = (Lab.batch_stats lab).executed in
+  List.iter (fun render -> ignore (render ())) renders;
   List.iter (fun (name, a) -> ignore (Figures.render name a lab)) artifacts;
-  check Alcotest.int "no task after the prewarm" executed (Lab.batch_stats lab).executed;
+  check Alcotest.int "no task after the batch" executed (Lab.batch_stats lab).executed;
   Alcotest.(check bool)
     "a rebuilt default config is the default run" true
     (Lab.run lab ~bench:"gap" ~kind:Policy.Normal ~config:(Config.with_rob Config.default 512) ()
@@ -381,7 +389,7 @@ let test_one_batch_traces_once () =
   let log = ref [] in
   Lab.set_logger lab (fun s -> log := s :: !log);
   let cells = cells "fig10" lab @ cells "fig12" lab in
-  Lab.prewarm lab cells;
+  batch lab cells;
   let jobs = Lab.cell_jobs cells in
   Lab.shutdown lab;
   let digest (j : Lab.job) =
@@ -690,11 +698,11 @@ let test_interrupted_batch_resumes () =
   let regenerate lab = List.map (fun a -> Wish_util.Table.render (render a lab)) artifacts in
   let reference = regenerate (Lab.create ~scale:1 ~names ()) in
   let stopped = Lab.create ~scale:1 ~names ~cache () in
-  Lab.prewarm stopped (cells "fig10" stopped);
+  batch stopped (cells "fig10" stopped);
   Lab.set_logger stopped (fun s ->
       if String.starts_with ~prefix:"simulating" s then Lab.request_stop stopped);
   Alcotest.check_raises "second batch interrupted" Lab.Interrupted (fun () ->
-      Lab.prewarm stopped (cells "fig12" stopped));
+      batch stopped (cells "fig12" stopped));
   let keys =
     List.concat_map (fun a -> Lab.cell_jobs (cells a stopped)) artifacts
     |> List.map (Lab.run_key_of_job stopped)

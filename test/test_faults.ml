@@ -306,7 +306,7 @@ let test_keep_going_failure_recorded () =
   let lab = Lab.create ~names:[ "gzip" ] ~policy:keep_going () in
   Fun.protect ~finally:(fun () -> Lab.shutdown lab) @@ fun () ->
   FP.arm "lab.simulate" ~times:1;
-  Lab.prewarm lab [ Lab.Normalized jj ];
+  ignore (Lab.run_batch_results lab (Lab.cell_jobs [ Lab.Normalized jj ]));
   note "lab.simulate";
   let executed = (Lab.batch_stats lab).executed in
   List.iter

@@ -368,6 +368,24 @@ let test_sampler_report_well_formed () =
   check Alcotest.int "summary carries the estimate" r.r_est_cycles s.cycles;
   check Alcotest.int "summary spans the whole trace" r.r_total_insts s.dynamic_insts
 
+(* A sampled summary estimates each count once: every headline field is
+   its counter's stratified estimate, as [counts] holds it. *)
+let test_sampled_headline_is_its_counter () =
+  let program, trace = Lazy.force sampled_fixture in
+  let s, r = Runner.simulate_sampled ~spec:sampled_spec ~trace program in
+  check counters "counts are the report's estimates" r.r_est_counts s.counts;
+  List.iter
+    (fun (what, field, c) -> check Alcotest.int what (stat s c) field)
+    Counters.
+      [
+        ("retired µops", s.retired_uops, retired_correct);
+        ("retired phantoms", s.retired_phantom, retired_phantom);
+        ("fetched µops", s.fetched_uops, fetched_uops);
+        ("flushes", s.flushes, flushes);
+        ("mispredicts", s.mispredicts, mispredicts_retired);
+        ("conditional branches", s.cond_branches, cond_branches_retired);
+      ]
+
 let test_sampler_parallel_identical () =
   let program, trace = Lazy.force sampled_fixture in
   let _, r = Runner.simulate_sampled ~spec:sampled_spec ~trace program in
@@ -551,14 +569,13 @@ let test_fused_parallel_identical () =
   in
   Alcotest.(check bool) "pooled fused run identical" true (compare parallel serial = 0)
 
-(* Machine pool ------------------------------------------------------------ *)
+(* Machine ownership -------------------------------------------------------- *)
 
-(* The compiled core pools its predictor and cache tables per domain,
-   keyed by the config fields that size them. A run after one with
-   another ROB size, knob set or wish-hardware setting resets the pooled
-   tables; a confidence-threshold change rebuilds them. Either way each
-   run equals the same run on a fresh domain, whose pool is empty. *)
-let test_pooled_tables_equal_fresh () =
+(* Each core builds its own predictor and cache tables, so a domain
+   carries nothing from one run to the next: after runs under another ROB
+   size, knob set, wish-hardware setting or confidence threshold, each
+   run equals the same run on a fresh domain. *)
+let test_run_equals_fresh_domain () =
   let program =
     Program.create ~mem_words:(1 lsl 14) ~data:coin_data
       (Asm.assemble (hammock_kernel ~wish:true ~iters:2000))
@@ -583,6 +600,31 @@ let test_pooled_tables_equal_fresh () =
       ("confidence threshold 3", threshold);
       ("default again", d);
     ]
+
+(* Two whole-run cores alive on one domain, created before either runs
+   and stepped alternately, each equal their solo runs: no table is
+   shared between cores. *)
+let test_two_cores_one_domain () =
+  let program wish iters =
+    Program.create ~mem_words:(1 lsl 14) ~data:coin_data (Asm.assemble (hammock_kernel ~wish ~iters))
+  in
+  let programs = [ program true 1500; program false 1000 ] in
+  let traces = List.map (fun p -> fst (Wish_emu.Trace.generate p)) programs in
+  let longest = List.fold_left (fun n tr -> max n (Wish_emu.Trace.length tr)) 0 traces in
+  let cores = List.map2 (Compiled.create Config.default) programs traces in
+  let rec alternate stop =
+    List.iter (fun c -> ignore (Compiled.run_until c ~stop_idx:stop)) cores;
+    if stop < longest then alternate (stop + 256)
+  in
+  alternate 256;
+  List.iteri
+    (fun i (p, c) ->
+      let c = Compiled.run c and solo = Runner.simulate p in
+      let what = Printf.sprintf "core %d" i in
+      check Alcotest.int (what ^ ": cycles") solo.cycles (Compiled.cycles c);
+      check counters (what ^ ": counters") solo.counts (Compiled.counters c);
+      Alcotest.(check bool) (what ^ ": memory stats") true (solo.mem = Compiled.hier_stats c))
+    (List.combine programs cores)
 
 (* Unobservable config fields ---------------------------------------------- *)
 
@@ -695,8 +737,11 @@ let () =
           Alcotest.test_case "bounded residency" `Quick test_streaming_bounded_residency;
         ] );
       ("select", [ Alcotest.test_case "select-uop expands" `Quick test_select_uop_expands ]);
-      ( "machine pool",
-        [ Alcotest.test_case "pooled run = fresh domain" `Quick test_pooled_tables_equal_fresh ] );
+      ( "machine",
+        [
+          Alcotest.test_case "run = fresh domain" `Quick test_run_equals_fresh_domain;
+          Alcotest.test_case "two cores, one domain" `Quick test_two_cores_one_domain;
+        ] );
       ( "observed",
         List.map
           (fun bench -> Alcotest.test_case bench `Quick (test_observed bench))
@@ -710,6 +755,7 @@ let () =
       ( "sampling",
         [
           Alcotest.test_case "report well-formed" `Quick test_sampler_report_well_formed;
+          Alcotest.test_case "headline = its counter" `Quick test_sampled_headline_is_its_counter;
           Alcotest.test_case "parallel == serial" `Quick test_sampler_parallel_identical;
           Alcotest.test_case "tiny trace is exact" `Quick test_sampler_tiny_trace_is_exact;
           Alcotest.test_case "streamed auto spec" `Quick test_sampler_stream_auto_spec;

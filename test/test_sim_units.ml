@@ -480,12 +480,7 @@ let test_counters_arithmetic () =
   check Alcotest.int "diff of an unchanged counter" 0 (Counters.get d Counters.wish_retired);
   let s = Counters.sum [ c; before; d ] in
   check Alcotest.int "sum" 12 (Counters.get s Counters.flushes);
-  check Alcotest.int "empty sum" 0 (Counters.get (Counters.sum []) Counters.flushes);
-  let x = Counters.scale c ~num:3 ~den:2 in
-  check Alcotest.int "scale" 9 (Counters.get x Counters.flushes);
-  check Alcotest.int "scale rounds half away from zero" 11 (Counters.get x Counters.wish_retired);
-  check Alcotest.int "scale by 0/0" 0
-    (Counters.get (Counters.scale c ~num:0 ~den:0) Counters.wish_retired)
+  check Alcotest.int "empty sum" 0 (Counters.get (Counters.sum []) Counters.flushes)
 
 (* Config hash ------------------------------------------------------------------ *)
 

@@ -117,16 +117,6 @@ let test_lru_insert_same_tag_replaces () =
   Lru.insert_quiet l ~set:0 ~tag:6 6;
   Alcotest.(check bool) "no eviction" true (Lru.mem l ~set:0 ~tag:5 && Lru.mem l ~set:0 ~tag:6)
 
-let test_lru_clear () =
-  let l = Lru.create ~sets:2 ~ways:2 ~default:(fun () -> 0) in
-  Lru.insert_quiet l ~set:0 ~tag:1 1;
-  Lru.insert_quiet l ~set:1 ~tag:2 2;
-  Lru.clear l;
-  Alcotest.(check bool) "set 0 cleared" false (Lru.mem l ~set:0 ~tag:1);
-  Alcotest.(check bool) "set 1 cleared" false (Lru.mem l ~set:1 ~tag:2);
-  Lru.insert_quiet l ~set:0 ~tag:3 3;
-  check Alcotest.int "usable after clear" 3 (Lru.find_default l ~set:0 ~tag:3 ~default:(-1))
-
 (* Table -------------------------------------------------------------- *)
 
 let contains s sub =
@@ -251,7 +241,6 @@ let () =
           Alcotest.test_case "eviction order" `Quick test_lru_eviction_order;
           Alcotest.test_case "update" `Quick test_lru_update;
           Alcotest.test_case "same tag replaces" `Quick test_lru_insert_same_tag_replaces;
-          Alcotest.test_case "clear" `Quick test_lru_clear;
         ] );
       ( "table",
         [
