@@ -27,25 +27,6 @@ let tag_of t pc = if t.set_bits >= 0 then pc lsr t.set_bits else pc / t.sets
 
 let insert t ~pc = Wish_util.Lru.insert_quiet t.table ~set:(set_of t pc) ~tag:(tag_of t pc) ()
 
-(** [index t ~pc] — the set/tag pair for [pc], resolved once at plan time
-    for {!insert_cached}. *)
-let index t ~pc = (set_of t pc, tag_of t pc)
-
-(** [insert_cached t ~set ~tag ~slot] — {!insert} through a cached slot
-    handle ([!slot], [-1] when unknown). A handle that still holds this
-    tag gets the exact recency bump of {!insert}'s hit path, minus the
-    way scan; otherwise the full insert runs and the handle is
-    re-resolved. A hot static branch stays resident between
-    retirements, so the scan is skipped almost always. *)
-let insert_cached t ~set ~tag ~slot =
-  let module L = Wish_util.Lru in
-  let s = !slot in
-  if s >= 0 && L.slot_matches t.table s ~tag then L.touch_slot t.table s
-  else begin
-    L.insert_quiet t.table ~set ~tag ();
-    slot := L.find_slot t.table ~set ~tag
-  end
-
 (** [hit t ~pc] — presence, refreshing the entry's LRU recency on a hit. *)
 let hit t ~pc = Wish_util.Lru.hit t.table ~set:(set_of t pc) ~tag:(tag_of t pc)
 

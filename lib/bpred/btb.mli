@@ -14,15 +14,5 @@ val hit : t -> pc:int -> bool
     evicting the set's LRU entry if needed. *)
 val insert : t -> pc:int -> unit
 
-(** [index t ~pc] — the set/tag pair for [pc], for {!insert_cached}. *)
-val index : t -> pc:int -> int * int
-
-(** [insert_cached t ~set ~tag ~slot] — {!insert} with the index
-    pre-resolved, through a cached slot handle ([!slot], [-1] when
-    unknown): a handle still holding this tag is refreshed in place
-    without a way scan; otherwise the full insert runs and the handle is
-    re-resolved. Identical mutations. *)
-val insert_cached : t -> set:int -> tag:int -> slot:int ref -> unit
-
 (** Independent deep copy (for sampled-simulation checkpoints). *)
 val copy : t -> t

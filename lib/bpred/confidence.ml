@@ -90,27 +90,4 @@ let train t ~pc ~history ~correct =
   if not updated then
     Wish_util.Lru.insert_quiet t.table ~set ~tag (if correct then 1 else 0)
 
-(** [warm_probe t ~pc ~history ~correct] — {!is_high_confidence} followed
-    by {!train}, in one table scan instead of three: returns the
-    pre-training high-confidence bit and applies the resetting-counter
-    update. The recency/clock sequence is exactly the two separate
-    calls' (probe refresh, then train refresh; a probe miss refreshes
-    nothing and the train inserts). *)
-let warm_probe t ~pc ~history ~correct =
-  let set = set_of t ~pc ~history and tag = tag_of ~pc in
-  let module L = Wish_util.Lru in
-  let i = L.find_slot t.table ~set ~tag in
-  if i >= 0 then begin
-    L.touch_slot t.table i;
-    let c = L.slot_payload t.table i in
-    let high = c >= t.config.threshold in
-    L.touch_slot t.table i;
-    L.set_slot_payload t.table i (if correct then t.f_correct c else t.f_wrong c);
-    high
-  end
-  else begin
-    L.insert_quiet t.table ~set ~tag (if correct then 1 else 0);
-    false
-  end
-
 let copy t = { t with table = Wish_util.Lru.copy t.table }

@@ -62,8 +62,9 @@ let spec_iterate t ~pc ~taken =
 (** [squash_all t] rewinds every front-end view to retirement state. *)
 let squash_all t = Hashtbl.iter (fun _ e -> e.spec_count <- e.current) t.table
 
-(* One retired outcome applied to an already-resolved entry. *)
-let train_entry e ~taken =
+(** [train t ~pc ~taken] consumes a retired loop-branch outcome. *)
+let train t ~pc ~taken =
+  let e = entry t pc in
   if taken then e.current <- e.current + 1
   else begin
     let trip = e.current in
@@ -78,22 +79,6 @@ let train_entry e ~taken =
     e.trained <- true;
     e.current <- 0
   end
-
-(** [train t ~pc ~taken] consumes a retired loop-branch outcome. *)
-let train t ~pc ~taken = train_entry (entry t pc) ~taken
-
-(** [warm_entry e ~taken] — functional-warming update of a resolved
-    entry: train on the architectural outcome and keep the speculative
-    view pinned to the retirement view (there is no front end running
-    ahead while warming). Entries are mutated in place and never
-    replaced, so a fused warming hook can resolve its static branch's
-    entry once, on the first retirement, and skip the hash lookup on
-    every later one. *)
-let warm_entry e ~taken =
-  train_entry e ~taken;
-  e.spec_count <- e.current
-
-let resolve = entry
 
 let copy t =
   {

@@ -36,16 +36,5 @@ val squash_all : t -> unit
 (** [train t ~pc ~taken] consumes a retired loop-branch outcome. *)
 val train : t -> pc:int -> taken:bool -> unit
 
-(** The mutable per-static-branch record behind [pc]; created on first
-    resolution, mutated in place and never replaced afterwards. *)
-type entry
-
-val resolve : t -> int -> entry
-
-(** [warm_entry e ~taken] — train and keep the speculative view pinned to
-    retirement state (functional warming has no front end running
-    ahead). A warming hook resolves its entry once per static branch. *)
-val warm_entry : entry -> taken:bool -> unit
-
 (** Independent deep copy (for sampled-simulation checkpoints). *)
 val copy : t -> t

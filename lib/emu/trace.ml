@@ -7,10 +7,10 @@
 
     Storage is a sequence of fixed-capacity chunks, each packing one entry
     into a single 63-bit word (pc, next-pc delta, address, guard/taken
-    bits) — about 3x smaller than the previous struct-of-arrays layout,
-    and growing by appending a chunk instead of copying the whole trace.
-    A trace is either *materialized* (every chunk retained, the classic
-    mode, marshal-safe once finished) or *streaming*: chunks are
+    bits), growing by appending a chunk instead of copying the whole
+    trace. Each field has one decoder ([w_*]), which every accessor
+    reads through. A trace is either *materialized* (every chunk
+    retained, marshal-safe once finished) or *streaming*: chunks are
     generated on demand from a paused emulator and recycled once the
     consumer {!release}s them, so resident memory stays bounded by the
     consumer's look-back window however long the run is. *)
@@ -202,20 +202,20 @@ let chunk_of t i =
 
 let word t i = Array.unsafe_get (chunk_of t i).words (i land t.cmask)
 
-(* Field decoders over an already-fetched packed word: the oracle's scan
-   reads the word once and extracts every field it needs from the
-   register, instead of one directory walk per field. Only valid when
-   the escape bit is clear ([w_escaped w = false]); escaped entries must
-   fall back to the single-field accessors below. *)
+(* Field decoders over an already-fetched packed word: every accessor
+   below decodes through them, and the oracle's scan reads the word once
+   and extracts each field it needs. Only valid when the escape bit is
+   clear ([w_escaped w = false]); an escaped entry's pc, next pc and
+   address live in its chunk's [wide] table. *)
 let w_guard_true w = w land 1 <> 0
 let w_taken w = w land 2 <> 0
 let w_escaped w = w land 4 <> 0
 let w_pc w = (w lsr 3) land 0x1FFFFF
-let w_next_pc w = ((w lsr 3) land 0x1FFFFF) + ((w lsr 24) land 0x1FFF) - delta_bias
+let w_next_pc w = w_pc w + ((w lsr 24) land 0x1FFF) - delta_bias
 let w_addr w = ((w lsr 37) land 0x3FFFFFF) - 1
 
-let guard_true t i = word t i land 1 <> 0
-let taken t i = word t i land 2 <> 0
+let guard_true t i = w_guard_true (word t i)
+let taken t i = w_taken (word t i)
 
 (* Single-field decoders: no intermediate tuple on the oracle's
    per-entry scan path. *)
@@ -223,7 +223,7 @@ let taken t i = word t i land 2 <> 0
 let pc t i =
   let c = chunk_of t i in
   let w = Array.unsafe_get c.words (i land t.cmask) in
-  if w land 4 = 0 then (w lsr 3) land 0x1FFFFF
+  if not (w_escaped w) then w_pc w
   else
     let p, _, _ = Hashtbl.find c.wide i in
     p
@@ -231,7 +231,7 @@ let pc t i =
 let next_pc t i =
   let c = chunk_of t i in
   let w = Array.unsafe_get c.words (i land t.cmask) in
-  if w land 4 = 0 then ((w lsr 3) land 0x1FFFFF) + ((w lsr 24) land 0x1FFF) - delta_bias
+  if not (w_escaped w) then w_next_pc w
   else
     let _, n, _ = Hashtbl.find c.wide i in
     n
@@ -239,7 +239,7 @@ let next_pc t i =
 let addr t i =
   let c = chunk_of t i in
   let w = Array.unsafe_get c.words (i land t.cmask) in
-  if w land 4 = 0 then ((w lsr 37) land 0x3FFFFFF) - 1
+  if not (w_escaped w) then w_addr w
   else
     let _, _, a = Hashtbl.find c.wide i in
     a
@@ -261,10 +261,8 @@ let iter_range t ~from ~until ~f =
       let stop = min until (((!i lsr t.cbits) + 1) lsl t.cbits) in
       for j = !i to stop - 1 do
         let w = Array.unsafe_get c.words (j land t.cmask) in
-        let guard_true = w land 1 <> 0 and taken = w land 2 <> 0 in
-        if w land 4 = 0 then
-          f j ~pc:((w lsr 3) land 0x1FFFFF) ~guard_true ~taken
-            ~addr:(((w lsr 37) land 0x3FFFFFF) - 1)
+        let guard_true = w_guard_true w and taken = w_taken w in
+        if not (w_escaped w) then f j ~pc:(w_pc w) ~guard_true ~taken ~addr:(w_addr w)
         else
           let p, _, a = Hashtbl.find c.wide j in
           f j ~pc:p ~guard_true ~taken ~addr:a

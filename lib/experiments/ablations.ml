@@ -108,4 +108,3 @@ let artifacts =
 
 let all = List.map (fun (name, a) -> (name, Figures.render name a)) artifacts
 let jobs_for = Figures.jobs_in artifacts
-let find name = List.assoc_opt name all

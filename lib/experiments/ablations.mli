@@ -22,5 +22,3 @@ val all : (string * (Lab.t -> Wish_util.Table.t)) list
 (** [jobs_for] — {!Figures.jobs_in} over {!artifacts}: A4's variant
     cells are left out. *)
 val jobs_for : string -> Lab.t -> Lab.job list
-
-val find : string -> (Lab.t -> Wish_util.Table.t) option

@@ -45,16 +45,11 @@ let line_addr t byte_addr = byte_addr lsr t.line_shift
 let set_of t la = if t.set_bits >= 0 then la land (t.sets - 1) else la mod t.sets
 let tag_of t la = if t.set_bits >= 0 then la lsr t.set_bits else la / t.sets
 
-(** [set_tag t ~byte_addr] resolves the set/tag pair for an address at
-    plan time, so hot loops can re-probe with {!access_at} and skip the
-    per-access address arithmetic. *)
-let set_tag t ~byte_addr =
+(** [access t ~byte_addr] probes the cache, allocating the line on a miss.
+    Returns whether it hit. *)
+let access t ~byte_addr =
   let la = line_addr t byte_addr in
-  (set_of t la, tag_of t la)
-
-(** [access_at t ~set ~tag] is {!access} on a pre-resolved set/tag pair
-    (from {!set_tag}): same hit/miss accounting and LRU movement. *)
-let access_at t ~set ~tag =
+  let set = set_of t la and tag = tag_of t la in
   t.accesses <- t.accesses + 1;
   if Wish_util.Lru.hit t.lines ~set ~tag then true
   else begin
@@ -62,12 +57,6 @@ let access_at t ~set ~tag =
     Wish_util.Lru.insert_quiet t.lines ~set ~tag ();
     false
   end
-
-(** [access t ~byte_addr] probes the cache, allocating the line on a miss.
-    Returns whether it hit. *)
-let access t ~byte_addr =
-  let la = line_addr t byte_addr in
-  access_at t ~set:(set_of t la) ~tag:(tag_of t la)
 
 (** [probe t ~byte_addr] checks residency without side effects. *)
 let probe t ~byte_addr =

@@ -16,14 +16,6 @@ val create : config -> t
     returns whether it hit. *)
 val access : t -> byte_addr:int -> bool
 
-(** [set_tag t ~byte_addr] resolves the set/tag pair for an address at
-    plan time, for use with {!access_at}. *)
-val set_tag : t -> byte_addr:int -> int * int
-
-(** [access_at t ~set ~tag] is {!access} on a pre-resolved set/tag pair:
-    same hit/miss accounting and LRU movement, no address arithmetic. *)
-val access_at : t -> set:int -> tag:int -> bool
-
 (** [probe t ~byte_addr] checks residency without side effects. *)
 val probe : t -> byte_addr:int -> bool
 

@@ -72,17 +72,11 @@ let access_inst t ~now ~byte_addr =
 let warm_data t ~byte_addr =
   if not (Cache.access t.l1d ~byte_addr) then ignore (Cache.access t.l2 ~byte_addr)
 
-(** [inst_set_tag t ~byte_addr] resolves the L1I set/tag of an instruction
-    address once, at plan time, for {!warm_inst_at}. *)
-let inst_set_tag t ~byte_addr = Cache.set_tag t.l1i ~byte_addr
+let warm_inst t ~byte_addr =
+  if not (Cache.access t.l1i ~byte_addr) then ignore (Cache.access t.l2 ~byte_addr)
 
-(** [warm_inst_at t ~set ~tag ~byte_addr] warms an instruction line with
-    the L1I index pre-resolved ([set]/[tag] from {!inst_set_tag} of
-    [byte_addr]); the L2 fallback still derives its own index from
-    [byte_addr]. The warm hooks hoist the L1I indexing to plan time with
-    this. *)
-let warm_inst_at t ~set ~tag ~byte_addr =
-  if not (Cache.access_at t.l1i ~set ~tag) then ignore (Cache.access t.l2 ~byte_addr)
+let resident t ~byte_addr =
+  (Cache.probe t.l1i ~byte_addr, Cache.probe t.l1d ~byte_addr, Cache.probe t.l2 ~byte_addr)
 
 let copy t =
   {

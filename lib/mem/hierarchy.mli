@@ -31,18 +31,14 @@ val access_data : t -> now:int -> byte_addr:int -> int
 val access_inst : t -> now:int -> byte_addr:int -> int
 
 (** Timing-free functional-warming accesses: same tag/LRU movement and
-    hit/miss accounting as the timed accessors, no bank timing. *)
+    hit/miss accounting as [access_data]/[access_inst], no bank timing. *)
 val warm_data : t -> byte_addr:int -> unit
 
-(** [inst_set_tag t ~byte_addr] resolves the L1I set/tag of an address at
-    plan time, for {!warm_inst_at}. *)
-val inst_set_tag : t -> byte_addr:int -> int * int
+val warm_inst : t -> byte_addr:int -> unit
 
-(** [warm_inst_at t ~set ~tag ~byte_addr] — warm the instruction line
-    at [byte_addr], its L1I index pre-resolved ([set]/[tag] from
-    {!inst_set_tag}); the L2 fallback derives its index from [byte_addr].
-    The same accounting and LRU movement as [access_inst]. *)
-val warm_inst_at : t -> set:int -> tag:int -> byte_addr:int -> unit
+(** [resident t ~byte_addr] — whether the line holding [byte_addr] is in
+    the L1I, the L1D and the L2, with no side effect ({!Cache.probe}). *)
+val resident : t -> byte_addr:int -> bool * bool * bool
 
 (** Independent deep copy (for sampled-simulation checkpoints). *)
 val copy : t -> t

@@ -17,8 +17,6 @@
     - fetch/decode reads {!Plan} struct-of-arrays templates instead of
       re-inspecting {!Wish_isa.Inst.t} (no operand lists, r0/p0 already
       elided);
-    - wish-branch mode transitions use the compiled 48-entry transition
-      table ({!Plan.wish_table} + {!Wish_fsm.apply_packed});
     - the ready queue, ROB, fetch queue, wheel, waiter lists and register
       alias table carry plain µop ids, resolved through one flat in-flight
       table ([id land mask]) — no hashtable, and no per-slot pointer
@@ -29,8 +27,12 @@
       written), so rename never copies a full RAT checkpoint.
 
     Each core owns its machine: a whole-run core builds its tables
-    ({!fresh_machine}) and its pipeline scaffold when it is created, so
-    two cores never share state, whichever domain runs them.
+    ({!fresh_machine}), a sampled window takes a copy of the warm ones
+    ({!copy_machine}), and each builds its pipeline scaffold when it is
+    created, so two cores never share state, whichever domain runs them.
+    Each machine rule has one copy: fetch runs the Figure 8 mode machine
+    ({!Wish_fsm.on_wish_branch}) itself, and functional warming trains
+    the tables through the entry points the core calls.
     [@sim-smoke] and test/sim_pins.expected pin the core's cycles,
     counters and hierarchy stats; test/mutants/ scores those checks. *)
 
@@ -50,7 +52,7 @@ exception Deadlock of string
     whole-run core builds its own ({!fresh_machine}); a sampled
     simulation keeps one warm between detailed windows ({!Sampler}) and
     hands a window core one at {!create}. The core takes ownership of
-    the structures — give each window its own copies. *)
+    the structures — give each window its own {!copy_machine}. *)
 type warm_state = {
   warm_hybrid : Hybrid.t;
   warm_btb : Btb.t;
@@ -70,6 +72,22 @@ let fresh_machine (config : Config.t) =
     warm_conf = Confidence.create config.conf;
     warm_loop = Loop_pred.create ();
     warm_hier = Hierarchy.create config.hier;
+  }
+
+(** [copy_machine w] — an independent copy of [w] as a window core
+    receives it: the loop predictor's front-end view rewound to its
+    retirement view ({!Loop_pred.squash_all}, the core's own flush
+    rewind), since functional warming trains at retirement only. *)
+let copy_machine w =
+  let warm_loop = Loop_pred.copy w.warm_loop in
+  Loop_pred.squash_all warm_loop;
+  {
+    warm_hybrid = Hybrid.copy w.warm_hybrid;
+    warm_btb = Btb.copy w.warm_btb;
+    warm_ras = Ras.copy w.warm_ras;
+    warm_conf = Confidence.copy w.warm_conf;
+    warm_loop;
+    warm_hier = Hierarchy.copy w.warm_hier;
   }
 
 (* Shared immutable option constants: field assignments below must not
@@ -302,7 +320,6 @@ type t = {
   hier : Hierarchy.t;
   s : scaffold;
   counts : Counters.t;
-  wish_table : int array;
   fb : fb_out; (* fetch_branch → fetch-stage result channel *)
   mutable cycle : int;
   mutable next_id : int;
@@ -354,7 +371,6 @@ let create ?warm ?(start_cursor = 0) ?start_pc ?(release_trace = true) (config :
     hier = m.warm_hier;
     s;
     counts = Counters.create ();
-    wish_table = Plan.wish_table;
     fb =
       {
         fb_dir = false;
@@ -547,14 +563,14 @@ let fetch_branch t ~pc ~path ~has_entry =
         if knobs.perfect_conf then dir_high = actual_for_conf
         else Confidence.is_high_confidence t.conf ~pc ~history:conf_history
       in
-      let target = (Array.unsafe_get plan.target_or_next pc) in
-      let in_low_before = Wish_fsm.mode_code s.fsm = 2 in
-      let predictor_dir = if high then dir_high else dir_low in
-      let packed =
-        t.wish_table.(Plan.wish_index ~mode:(Wish_fsm.mode_code s.fsm) ~kind ~conf_high:high
-                        ~dir:predictor_dir)
+      let in_low_before = Wish_fsm.mode s.fsm == Uop.Low_conf in
+      let dir =
+        Wish_fsm.on_wish_branch s.fsm
+          ~kind:(match Array.unsafe_get plan.kind_opt pc with Some k -> k | None -> assert false)
+          ~pc ~target:(Array.unsafe_get plan.target_or_next pc) ~conf_high:high
+          ~predictor_dir:(if high then dir_high else dir_low)
+          ~guard:(Array.unsafe_get plan.guard pc)
       in
-      let dir = Wish_fsm.apply_packed s.fsm ~packed ~pc ~target ~guard:(Array.unsafe_get plan.guard pc) in
       let effective_high =
         if in_low_before && (kind = Plan.k_wish_jump || kind = Plan.k_wish_join) then false
         else high
@@ -1051,8 +1067,7 @@ let issue_stage t =
     let id = hp_pop_id s.ready in
     if id >= 0 && Array.unsafe_get s.infl_ids (id land s.infl_mask) = id then begin
       (* A stale heap id (µop squashed after entering the ready queue)
-         misses the in-flight table, exactly as it used to fail the
-         recycled record's id check. *)
+         misses the in-flight table. *)
       let u = infl_get s id in
       if (not u.Uop.flushed) && u.state == Uop.In_ready_queue then
         if u.exec_class == Uop.Ec_load && load_blocked t u then begin

@@ -7,17 +7,13 @@
     into flat struct-of-arrays templates with r0/p0 operands already
     elided and every config-dependent decision (mechanism, knobs, wish
     hardware) pre-folded, so the compiled per-cycle loop reads plain ints
-    and never inspects a {!Wish_isa.Inst.t} again.
-
-    Also owns the compiled wish-FSM transition table: the Figure 8 mode
-    machine flattened to 48 packed-int entries indexed by
-    (mode, branch kind, confidence, predicted direction). The exhaustive
-    transition test pins this table against {!Wish_fsm.on_wish_branch},
-    the test reference. *)
+    and never inspects a {!Wish_isa.Inst.t} again. The Figure 8 mode
+    machine is not compiled here: the core calls
+    {!Wish_fsm.on_wish_branch} with the branch kind this plan records. *)
 
 open Wish_isa
 
-(* Branch-kind codes (the transition-table axis). *)
+(* Branch-kind codes. *)
 let k_cond = 0
 
 let k_wish_jump = 1
@@ -39,70 +35,6 @@ let bs_call = 2
 let bs_return = 3
 
 (* ----------------------------------------------------------------- *)
-(* Wish-FSM transition table                                          *)
-(* ----------------------------------------------------------------- *)
-
-(* Packed-entry encoding (shared with {!Wish_fsm.apply_packed}): bit 0 =
-   followed direction, bits 1-2 = next mode (0 normal / 1 high / 2 low),
-   bit 3 = clear both low-mode pcs, bit 4 = [low_exit_pc <- target],
-   bit 5 = [low_loop_pc <- pc], bit 6 = forward the guard predicate. *)
-let pack ~dir ~mode ~clear ~set_exit ~set_loop ~forward =
-  (if dir then 1 else 0)
-  lor (mode lsl 1)
-  lor (if clear then 8 else 0)
-  lor (if set_exit then 16 else 0)
-  lor (if set_loop then 32 else 0)
-  lor (if forward then 64 else 0)
-
-(** [wish_index ~mode ~kind ~conf_high ~dir] — table index for the current
-    FSM mode code, branch-kind code, confidence estimate and predicted
-    direction. *)
-let wish_index ~mode ~kind ~conf_high ~dir =
-  (((mode * 4) + kind) * 4) + (if conf_high then 2 else 0) + if dir then 1 else 0
-
-(* Transcription of {!Wish_fsm.on_wish_branch}, one closed-form entry per
-   input combination. *)
-let wish_entry ~mode ~kind ~conf_high ~dir =
-  if mode = 2 && (kind = k_wish_jump || kind = k_wish_join) then
-    (* Low-confidence mode forces any wish jump/join not-taken, before the
-       confidence estimate is even consulted (Table 1). *)
-    pack ~dir:false ~mode:2 ~clear:false ~set_exit:false ~set_loop:false ~forward:false
-  else if conf_high then
-    (* High confidence: follow the predictor and forward the predicate. *)
-    pack ~dir ~mode:1 ~clear:true ~set_exit:false ~set_loop:false ~forward:true
-  else if kind = k_wish_jump || kind = k_wish_join then
-    (* Low confidence: force not-taken and execute predicated until the
-       region exit pc is fetched. *)
-    pack ~dir:false ~mode:2 ~clear:true ~set_exit:true ~set_loop:false ~forward:false
-  else if kind = k_wish_loop then
-    if dir then
-      (* Predicted iterate: stay low-confidence, owned by this loop. *)
-      pack ~dir:true ~mode:2 ~clear:true ~set_exit:false ~set_loop:true ~forward:false
-    else
-      (* Predicted exit: leave low-confidence mode immediately. *)
-      pack ~dir:false ~mode:0 ~clear:true ~set_exit:false ~set_loop:false ~forward:false
-  else
-    (* Plain conditional under low confidence: mode moves to low
-       ([Wish_fsm.on_wish_branch] does this before dispatching on kind). *)
-    pack ~dir ~mode:2 ~clear:false ~set_exit:false ~set_loop:false ~forward:false
-
-let wish_table =
-  let table = Array.make 48 0 in
-  for mode = 0 to 2 do
-    for kind = 0 to 3 do
-      List.iter
-        (fun conf_high ->
-          List.iter
-            (fun dir ->
-              table.(wish_index ~mode ~kind ~conf_high ~dir) <-
-                wish_entry ~mode ~kind ~conf_high ~dir)
-            [ false; true ])
-        [ false; true ]
-    done
-  done;
-  table
-
-(* ----------------------------------------------------------------- *)
 (* Per-pc templates                                                   *)
 (* ----------------------------------------------------------------- *)
 
@@ -121,7 +53,7 @@ type t = {
   exec_class : Uop.exec_class array;
   is_cond : bool array; (* direction-predicted (what the predictor sees) *)
   kind_code : int array; (* branch-kind code, or -1 *)
-  kind_opt : Inst.branch_kind option array; (* preallocated for branch_rec *)
+  kind_opt : Inst.branch_kind option array; (* preallocated for branch_rec; the FSM kind *)
   is_wish_hw : bool array; (* wish-annotated and wish hardware enabled *)
   bshape : int array; (* bs_* shape, or -1 for non-branches *)
   target : int array; (* static direct target, or -1 *)

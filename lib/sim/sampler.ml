@@ -161,16 +161,6 @@ let create_state (config : Config.t) (program : Program.t) =
     s_last_line = -1;
   }
 
-let copy_warm (w : Compiled.warm_state) =
-  {
-    Compiled.warm_hybrid = Hybrid.copy w.warm_hybrid;
-    warm_btb = Btb.copy w.warm_btb;
-    warm_ras = Ras.copy w.warm_ras;
-    warm_conf = Confidence.copy w.warm_conf;
-    warm_loop = Loop_pred.copy w.warm_loop;
-    warm_hier = Hierarchy.copy w.warm_hier;
-  }
-
 (* ----------------------------------------------------------------- *)
 (* Warm hooks                                                          *)
 (* ----------------------------------------------------------------- *)
@@ -182,14 +172,20 @@ let copy_warm (w : Compiled.warm_state) =
    or the prediction where a low-confidence wish branch executes
    predicated), train the confidence estimator on wish branches and the
    loop predictor on wish loops, insert taken branches into the BTB,
-   maintain the RAS, and touch the cache tags. Everything static — the
-   warm-plan class, the I-line index and its L1I set/tag, the BTB
-   set/tag, the wish/loop/conf mode bits — is resolved here, once per
-   static instruction. The emulator feeds each retired instruction's
-   {!Exec.out} straight into its hook ({!Trace.warm_to}), and entries a
-   trace has already recorded are replayed into the same hooks
-   ([replay_recorded]); test_sim's [fused] group pins the warm state
-   they leave. *)
+   maintain the RAS, and touch the cache tags. The predictor tables are
+   trained through the entry points the core itself calls ({!Btb.insert},
+   {!Confidence.is_high_confidence} then {!Confidence.train},
+   {!Loop_pred.train}), and the caches through {!Hierarchy.warm_inst}
+   and {!Hierarchy.warm_data}, the core's accessors without bank timing,
+   so warming and the core share every rule. The loop predictor is
+   trained at retirement only; {!Compiled.copy_machine} rewinds its
+   front-end view for a window. Everything static — the warm-plan
+   class, the I-line index, the wish/loop/conf mode bits — is resolved
+   here, once per static instruction. The emulator feeds each retired
+   instruction's {!Exec.out} straight into its hook ({!Trace.warm_to}),
+   and entries a trace has already recorded are replayed into the same
+   hooks ([replay_recorded]); test_sim's [fused] group pins the warm
+   state they leave. *)
 let build_hooks st ~entry =
   let w = st.s_warm in
   let cfg = st.s_config in
@@ -224,18 +220,17 @@ let build_hooks st ~entry =
   Array.init n (fun pc ->
       let line = st.s_line.(pc) in
       let byte_pc = Code.byte_pc pc in
-      let iset, itag = Hierarchy.inst_set_tag hier ~byte_addr:byte_pc in
       let k = st.s_kind.(pc) in
       if k = k_inert && pc > 0 && (not entered.(pc)) && line = st.s_line.(pc - 1) then
         Trace.no_hook
       else if k = k_inert then (fun (_ : Exec.out) ->
         if line <> st.s_last_line then begin
-          Hierarchy.warm_inst_at hier ~set:iset ~tag:itag ~byte_addr:byte_pc;
+          Hierarchy.warm_inst hier ~byte_addr:byte_pc;
           st.s_last_line <- line
         end)
       else if k = k_mem then (fun (o : Exec.out) ->
         if line <> st.s_last_line then begin
-          Hierarchy.warm_inst_at hier ~set:iset ~tag:itag ~byte_addr:byte_pc;
+          Hierarchy.warm_inst hier ~byte_addr:byte_pc;
           st.s_last_line <- line
         end;
         if o.Exec.o_guard_true && o.Exec.o_addr >= 0 then
@@ -245,20 +240,18 @@ let build_hooks st ~entry =
         let is_wish_hw = cfg.Config.wish_hardware && k >= k_wjump in
         let perfect_conf = cfg.knobs.perfect_conf in
         let do_loop = is_wish_hw && cfg.use_loop_predictor && k = k_wloop in
-        let bset, btag = Btb.index btb ~pc in
         let lb = Hybrid.fresh_lbuf () in
-        let bslot = ref (-1) in
         if not is_wish_hw then (fun (o : Exec.out) ->
           (* Plain conditional (or wish branch with the hardware knob
              off): outcome into the histories. *)
           if line <> st.s_last_line then begin
-            Hierarchy.warm_inst_at hier ~set:iset ~tag:itag ~byte_addr:byte_pc;
+            Hierarchy.warm_inst hier ~byte_addr:byte_pc;
             st.s_last_line <- line
           end;
           let taken = o.Exec.o_taken in
           Hybrid.predict_into hybrid ~pc lb;
           Hybrid.warm_train_b hybrid lb ~pc ~dir:taken ~taken;
-          if taken then Btb.insert_cached btb ~set:bset ~tag:btag ~slot:bslot)
+          if taken then Btb.insert btb ~pc)
         else begin
           (* Wish branch under wish hardware. A low-confidence one
              executes predicated: no flush ever repairs its
@@ -267,15 +260,10 @@ let build_hooks st ~entry =
              else, recovery leaves the actual outcome. The hybrid probe
              and train are split around the confidence estimate (the
              shifted direction depends on it), sharing one index
-             computation via
-             this hook's lookup buffer; conf probe and train share one
-             way scan; the loop entry resolves its hash slot on the
-             first retirement and is a direct record reference
-             afterwards. *)
-          let lentry = ref None in
+             computation via this hook's lookup buffer. *)
           fun (o : Exec.out) ->
             if line <> st.s_last_line then begin
-              Hierarchy.warm_inst_at hier ~set:iset ~tag:itag ~byte_addr:byte_pc;
+              Hierarchy.warm_inst hier ~byte_addr:byte_pc;
               st.s_last_line <- line
             end;
             let taken = o.Exec.o_taken in
@@ -284,48 +272,40 @@ let build_hooks st ~entry =
             let predicted = lb.Hybrid.b_taken in
             let conf_high =
               if perfect_conf then predicted = taken
-              else Confidence.warm_probe conf ~pc ~history ~correct:(predicted = taken)
+              else begin
+                let high = Confidence.is_high_confidence conf ~pc ~history in
+                Confidence.train conf ~pc ~history ~correct:(predicted = taken);
+                high
+              end
             in
             let dir = if conf_high then taken else predicted in
             Hybrid.warm_train_b hybrid lb ~pc ~dir ~taken;
-            if do_loop then begin
-              let e =
-                match !lentry with
-                | Some e -> e
-                | None ->
-                  let e = Loop_pred.resolve lp pc in
-                  lentry := Some e;
-                  e
-              in
-              Loop_pred.warm_entry e ~taken
-            end;
-            if taken then Btb.insert_cached btb ~set:bset ~tag:btag ~slot:bslot
+            if do_loop then Loop_pred.train lp ~pc ~taken;
+            if taken then Btb.insert btb ~pc
         end
       end
       else begin
         (* Indirect control: jump / call / return. *)
-        let bset, btag = Btb.index btb ~pc in
         let is_call = k = k_call and is_return = k = k_return in
-        let bslot = ref (-1) in
         fun (o : Exec.out) ->
           if line <> st.s_last_line then begin
-            Hierarchy.warm_inst_at hier ~set:iset ~tag:itag ~byte_addr:byte_pc;
+            Hierarchy.warm_inst hier ~byte_addr:byte_pc;
             st.s_last_line <- line
           end;
           if is_call then Ras.push ras (pc + 1)
           else if is_return then ignore (Ras.pop ras);
-          if o.Exec.o_taken then Btb.insert_cached btb ~set:bset ~tag:btag ~slot:bslot
+          if o.Exec.o_taken then Btb.insert btb ~pc
       end)
 
 (** [fused_warm_state_at ~config program i] — the warm state after
     entries [0, i), computed by the hooks inside the emulator: what a
-    detailed window opening at [i] receives. *)
+    detailed window opening at [i] receives ({!Compiled.copy_machine}). *)
 let fused_warm_state_at ~config program i =
   let st = create_state config program in
   let hooks = build_hooks st ~entry:program.Program.entry in
   let trace = Trace.stream program in
   ignore (Trace.warm_to trace ~hooks ~until:i);
-  st.s_warm
+  Compiled.copy_machine st.s_warm
 
 (* Replay the entries [from, until) a trace has already recorded through
    the warm hooks, one reused fact record standing in for the emulator's
@@ -574,7 +554,7 @@ let run ?pool ?trace ~config ~spec (program : Program.t) =
           (* Cold window: a second fresh machine (not a copy of [st] — the
              live warming state must keep advancing independently). *)
           { c_start = 0; c_lead = 0; c_warm = Compiled.fresh_machine config }
-        else { c_start = start; c_lead = lead; c_warm = copy_warm st.s_warm }
+        else { c_start = start; c_lead = lead; c_warm = Compiled.copy_machine st.s_warm }
       in
       pending := ck :: !pending;
       incr npending;

@@ -47,7 +47,7 @@ let mode t = t.mode
 
 (** Full reset on a branch-misprediction signal (pipeline flush). The
     complement map survives a flush (it mirrors decoded compares, not
-    speculation) — exactly as the original hashtable version behaved. *)
+    speculation). *)
 let reset t =
   t.mode <- Uop.Normal;
   t.low_exit_pc <- -1;
@@ -121,39 +121,6 @@ let on_wish_branch t ~kind ~pc ~target ~conf_high ~predictor_dir ~guard =
         predictor_dir
       | Inst.Cond -> predictor_dir
     end
-
-(* Packed-transition encoding shared with {!Plan}'s compiled wish-FSM
-   transition table: bit 0 = followed direction, bits 1-2 = next mode
-   (0 normal / 1 high / 2 low), bit 3 = clear both low-mode pcs, bit 4 =
-   set [low_exit_pc <- target], bit 5 = set [low_loop_pc <- pc], bit 6 =
-   forward the guard predicate (and its complement, oppositely). *)
-
-let mode_code t =
-  match t.mode with Uop.Normal -> 0 | Uop.High_conf -> 1 | Uop.Low_conf -> 2
-
-(** [apply_packed t ~packed ~pc ~target ~guard] — apply one compiled
-    transition-table entry; returns the followed direction. Semantically
-    identical to {!on_wish_branch} when [packed] comes from the table
-    entry for the current mode and inputs. *)
-let apply_packed t ~packed ~pc ~target ~guard =
-  (match (packed lsr 1) land 3 with
-  | 0 -> t.mode <- Uop.Normal
-  | 1 -> t.mode <- Uop.High_conf
-  | _ -> t.mode <- Uop.Low_conf);
-  if packed land 8 <> 0 then begin
-    t.low_exit_pc <- -1;
-    t.low_loop_pc <- -1
-  end;
-  if packed land 16 <> 0 then t.low_exit_pc <- target;
-  if packed land 32 <> 0 then t.low_loop_pc <- pc;
-  let dir = packed land 1 in
-  if packed land 64 <> 0 then begin
-    t.forward.(guard) <- dir;
-    match t.complement.(guard) with
-    | -1 -> ()
-    | c -> t.forward.(c) <- 1 - dir
-  end;
-  dir = 1
 
 let ensure_llp t pc =
   let n = Array.length t.llp_gen in

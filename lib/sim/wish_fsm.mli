@@ -51,16 +51,6 @@ val on_wish_branch :
   guard:Wish_isa.Reg.preg ->
   bool
 
-(** Current mode as the {!Plan} transition-table code: 0 normal / 1 high /
-    2 low. *)
-val mode_code : t -> int
-
-(** [apply_packed t ~packed ~pc ~target ~guard] — apply one compiled
-    wish-FSM transition-table entry (see {!Plan.wish_table} for the
-    encoding); returns the followed direction. *)
-val apply_packed :
-  t -> packed:int -> pc:int -> target:int -> guard:Wish_isa.Reg.preg -> bool
-
 (** [loop_generation t ~pc] — the front end's current visit generation for
     a static wish loop; a predicted exit starts a new visit. *)
 val loop_generation : t -> pc:int -> int

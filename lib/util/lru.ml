@@ -41,8 +41,6 @@ let create ~sets ~ways ~default =
    Identical results for the non-negative indices callers pass. *)
 let base t set = (if t.smask >= 0 then set land t.smask else set mod t.sets) * t.ways
 
-let sets t = t.sets
-let ways t = t.ways
 let valid_at t i = Bytes.unsafe_get t.valids i <> '\000'
 
 let touch t i =
@@ -142,31 +140,3 @@ let copy t =
     valids = Bytes.copy t.valids;
     payloads = Array.copy t.payloads;
   }
-
-(* ----------------------------------------------------------------- *)
-(* Slot-level access                                                   *)
-(* ----------------------------------------------------------------- *)
-
-(** [find_slot t ~set ~tag] — the slot handle of the matching entry, or
-    [-1] on a miss, with no recency update. Slot handles stay valid until
-    the entry is evicted; fused hot paths use them to
-    probe once and then apply several recency/payload steps to the same
-    entry without rescanning the ways. *)
-let find_slot t ~set ~tag = slot_of t ~set ~tag
-
-(** [touch_slot t slot] — exactly one recency refresh (one clock bump) on
-    a slot returned by {!find_slot}. *)
-let touch_slot t slot = touch t slot
-
-(** [slot_matches t slot ~tag] — does [slot] still hold a valid entry
-    with [tag]? Re-validates a cached handle from {!find_slot} in two
-    loads instead of a way scan (tags are unique within a set, so a
-    matching slot is THE entry for that set/tag). *)
-let slot_matches t slot ~tag = valid_at t slot && Array.unsafe_get t.tags slot = tag
-
-(** [slot_payload t slot] reads the payload of a slot from {!find_slot}. *)
-let slot_payload t slot = Array.unsafe_get t.payloads slot
-
-(** [set_slot_payload t slot p] writes a slot's payload (no recency
-    change — pair with {!touch_slot} to mirror {!update}). *)
-let set_slot_payload t slot p = Array.unsafe_set t.payloads slot p

@@ -10,9 +10,6 @@ type 'a t
     invalid entries. *)
 val create : sets:int -> ways:int -> default:(unit -> 'a) -> 'a t
 
-val sets : 'a t -> int
-val ways : 'a t -> int
-
 (** [hit t ~set ~tag] reports presence and refreshes the entry's recency
     on a hit. [set] is reduced modulo the set count. *)
 val hit : 'a t -> set:int -> tag:int -> bool
@@ -36,28 +33,3 @@ val insert_quiet : 'a t -> set:int -> tag:int -> 'a -> unit
 (** [copy t] — an independent structure with the same contents; payloads
     are shared, so they should be immutable. *)
 val copy : 'a t -> 'a t
-
-(** {1 Slot-level access}
-
-    For fused warming paths that probe an entry and then apply several
-    recency/payload steps to it without rescanning the ways. A slot
-    handle from {!find_slot} stays valid until that entry is evicted. *)
-
-(** [find_slot t ~set ~tag] — the matching entry's slot handle, or [-1]
-    on a miss; no recency update. *)
-val find_slot : 'a t -> set:int -> tag:int -> int
-
-(** [touch_slot t slot] — exactly one recency refresh (the same clock
-    bump {!hit} or {!update} would apply). *)
-val touch_slot : 'a t -> int -> unit
-
-(** [slot_matches t slot ~tag] — does [slot] still hold a valid entry
-    with [tag]? Re-validates a cached handle in two loads instead of a
-    way scan (tags are unique within a set). *)
-val slot_matches : 'a t -> int -> tag:int -> bool
-
-val slot_payload : 'a t -> int -> 'a
-
-(** [set_slot_payload t slot p] — payload write with no recency change
-    (pair with {!touch_slot} to mirror {!update}). *)
-val set_slot_payload : 'a t -> int -> 'a -> unit

@@ -13,8 +13,6 @@ let create seed =
   Bytes.set_int64_le t 0 (Int64.of_int (if seed = 0 then 0x9E3779B9 else seed));
   t
 
-let copy = Bytes.copy
-
 let[@inline] next_int64 t =
   let open Int64 in
   let x = Bytes.get_int64_le t 0 in

@@ -10,9 +10,6 @@ type t
     a fixed non-zero constant (the all-zero state is a fixed point). *)
 val create : int -> t
 
-(** [copy t] duplicates the generator state. *)
-val copy : t -> t
-
 (** [next_int64 t] returns the raw 64-bit output and advances the state. *)
 val next_int64 : t -> int64
 

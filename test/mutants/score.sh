@@ -7,8 +7,9 @@
 # WORKDIR (default: a fresh directory under $TMPDIR), builds the copy, and
 # then, for each test/mutants/*.patch in turn: applies the patch, rebuilds,
 # runs every check below, and reverts the patch. With --only, only the
-# patches that touch a file whose path matches PATTERN (a grep regex,
-# e.g. lib/experiments) are scored. Prints a Markdown table
+# patches that touch a file whose path matches PATTERN (an extended
+# regex, e.g. lib/experiments or 'lib/(sim|bpred)') are scored; no
+# matching patch is a usage error (exit 2). Prints a Markdown table
 # with one row per mutant: K where a check kills it (fails), . where the
 # mutant survives it. Columns, one per check:
 #
@@ -33,6 +34,14 @@ if [ "${1:-}" = --only ]; then
   shift 2
 fi
 root=$(cd "$(dirname "$0")/../.." && pwd)
+patches=()
+for p in "$root"/test/mutants/*.patch; do
+  if [ -z "$only" ] || sed -n 's|^+++ b/||p' "$p" | grep -qE -- "$only"; then patches+=("$p"); fi
+done
+if [ ${#patches[@]} -eq 0 ]; then
+  echo "score.sh: no patch under test/mutants touches a file matching '$only'" >&2
+  exit 2
+fi
 work=${1:-$(mktemp -d "${TMPDIR:-/tmp}/wish-mutants.XXXXXX")}
 mkdir -p "$work"
 tree=$work/tree
@@ -74,9 +83,8 @@ header="$header bin | sample | test_sim | test_experiments | killed |"
 echo "$header"
 echo "$header" | sed 's/[^|][^|]*/---/g'
 
-for p in "$root"/test/mutants/*.patch; do
+for p in "${patches[@]}"; do
   name=$(basename "$p" .patch)
-  if [ -n "$only" ] && ! sed -n 's|^+++ b/||p' "$p" | grep -q -- "$only"; then continue; fi
   area=$(head -n 1 "$p" | cut -d: -f1)
   row="| $name | $area |"
   if ! patch -s -p1 <"$p"; then

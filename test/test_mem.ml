@@ -88,6 +88,41 @@ let test_stats_accumulate () =
   check Alcotest.int "l1d misses" 1 s.l1d_misses;
   check Alcotest.int "l2 misses" 1 s.l2_misses
 
+(* Functional warming drives the caches through [warm_inst]/[warm_data]
+   instead of the timed accessors: one mixed stream through each must
+   leave the same counters and the same resident lines (bank timing is
+   the one thing the warm accessors leave out). Small caches so the
+   stream evicts at every level. *)
+let test_warm_accessors_match_timed () =
+  let small size ways = { Cache.size_bytes = size; ways; line_bytes = 64; latency = 2 } in
+  let cfg = { cfg with Hierarchy.l1i = small 512 2; l1d = small 512 2; l2 = small 2048 2 } in
+  let warm = Hierarchy.create cfg and timed = Hierarchy.create cfg in
+  let rng = Wish_util.Rng.create 7 in
+  let lines = 96 in
+  for now = 0 to 3999 do
+    let byte_addr = (Wish_util.Rng.int rng (lines * 64)) land lnot 7 in
+    if Wish_util.Rng.bool rng then begin
+      Hierarchy.warm_inst warm ~byte_addr;
+      ignore (Hierarchy.access_inst timed ~now ~byte_addr)
+    end
+    else begin
+      Hierarchy.warm_data warm ~byte_addr;
+      ignore (Hierarchy.access_data timed ~now ~byte_addr)
+    end
+  done;
+  let s = Hierarchy.stats warm in
+  Alcotest.(check bool) "the stream hits and misses at every level" true
+    (s.l1i_misses > 0 && s.l1i_misses < s.l1i_accesses && s.l1d_misses > 0
+   && s.l1d_misses < s.l1d_accesses && s.l2_misses > 0 && s.l2_misses < s.l2_accesses);
+  Alcotest.(check bool) "same counters" true (s = Hierarchy.stats timed);
+  for line = 0 to lines - 1 do
+    let byte_addr = line * 64 in
+    Alcotest.(check bool)
+      (Printf.sprintf "line %d: same residency" line)
+      true
+      (Hierarchy.resident warm ~byte_addr = Hierarchy.resident timed ~byte_addr)
+  done
+
 let () =
   Alcotest.run "wish_mem"
     [
@@ -105,5 +140,6 @@ let () =
           Alcotest.test_case "inst path" `Quick test_hierarchy_inst_path;
           Alcotest.test_case "bank contention" `Quick test_bank_contention;
           Alcotest.test_case "stats accumulate" `Quick test_stats_accumulate;
+          Alcotest.test_case "warm accessors match timed" `Quick test_warm_accessors_match_timed;
         ] );
     ]

@@ -177,81 +177,6 @@ let test_fsm_reset () =
   check Alcotest.int "forwarding cleared" (-1) (Wish_fsm.forwarded_code fsm 1);
   check Alcotest.int "loop buffer cleared" (-1) (Wish_fsm.last_loop_gen fsm ~pc:11)
 
-(* Wish FSM × compiled transition table --------------------------------------- *)
-
-(* Exhaustive equivalence check: for every (mode, branch kind, confidence,
-   predicted direction) input — the full 48-entry axis of
-   {!Plan.wish_table} — drive two fresh FSMs into the same starting mode,
-   apply the interpreted transition ({!Wish_fsm.on_wish_branch}) to one
-   and the compiled packed entry ({!Wish_fsm.apply_packed}) to the other,
-   and compare every observable: returned direction, resulting mode, the
-   forwarding buffer (guard and complement), and the two low-mode exit
-   behaviors (region-exit fetch, loop predicted-exit). *)
-
-let kind_of_code = function
-  | 0 -> Inst.Cond
-  | 1 -> Inst.Wish_jump
-  | 2 -> Inst.Wish_join
-  | _ -> Inst.Wish_loop
-
-let fsm_in_mode mode =
-  let fsm = Wish_fsm.create () in
-  Wish_fsm.set_complement fsm ~pt:1 ~pf:2;
-  (match mode with
-  | 0 -> ()
-  | 1 ->
-    ignore
-      (Wish_fsm.on_wish_branch fsm ~kind:Inst.Wish_jump ~pc:900 ~target:910 ~conf_high:true
-         ~predictor_dir:true ~guard:3)
-  | _ ->
-    ignore
-      (Wish_fsm.on_wish_branch fsm ~kind:Inst.Wish_jump ~pc:900 ~target:910 ~conf_high:false
-         ~predictor_dir:true ~guard:3));
-  Alcotest.(check int)
-    (Printf.sprintf "prep mode %d" mode)
-    mode (Wish_fsm.mode_code fsm);
-  fsm
-
-let test_fsm_table_exhaustive () =
-  for mode = 0 to 2 do
-    for kind = 0 to 3 do
-      List.iter
-        (fun conf_high ->
-          List.iter
-            (fun dir ->
-              let tag =
-                Printf.sprintf "mode=%d kind=%d conf=%b dir=%b" mode kind conf_high dir
-              in
-              let a = fsm_in_mode mode and b = fsm_in_mode mode in
-              let dir_a =
-                Wish_fsm.on_wish_branch a ~kind:(kind_of_code kind) ~pc:10 ~target:20
-                  ~conf_high ~predictor_dir:dir ~guard:1
-              in
-              let packed = Plan.wish_table.(Plan.wish_index ~mode ~kind ~conf_high ~dir) in
-              let dir_b = Wish_fsm.apply_packed b ~packed ~pc:10 ~target:20 ~guard:1 in
-              check Alcotest.bool (tag ^ ": direction") dir_a dir_b;
-              check Alcotest.int (tag ^ ": mode") (Wish_fsm.mode_code a) (Wish_fsm.mode_code b);
-              check Alcotest.int (tag ^ ": guard forwarding") (Wish_fsm.forwarded_code a 1)
-                (Wish_fsm.forwarded_code b 1);
-              check Alcotest.int (tag ^ ": complement forwarding") (Wish_fsm.forwarded_code a 2)
-                (Wish_fsm.forwarded_code b 2);
-              (* Low-mode region exit: fetching the branch target must
-                 leave (or not leave) low mode identically. *)
-              Wish_fsm.on_fetch_pc a ~pc:20;
-              Wish_fsm.on_fetch_pc b ~pc:20;
-              check Alcotest.int (tag ^ ": mode after target fetch") (Wish_fsm.mode_code a)
-                (Wish_fsm.mode_code b);
-              (* Low-mode loop exit: a predicted loop exit at this pc must
-                 leave (or not leave) low mode identically. *)
-              Wish_fsm.record_loop_prediction a ~pc:10 ~dir:false;
-              Wish_fsm.record_loop_prediction b ~pc:10 ~dir:false;
-              check Alcotest.int (tag ^ ": mode after loop exit") (Wish_fsm.mode_code a)
-                (Wish_fsm.mode_code b))
-            [ false; true ])
-        [ false; true ]
-    done
-  done
-
 (* The wish-loop misprediction classes (paper Section 3.2): a resolved
    low-confidence wish loop classifies as early-exit (actual taken — the
    loop must run longer), late-exit (the front end already finished that
@@ -518,7 +443,6 @@ let () =
           Alcotest.test_case "loop generations" `Quick test_fsm_loop_generations;
           Alcotest.test_case "loop exit leaves low" `Quick test_fsm_loop_exit_leaves_low_mode;
           Alcotest.test_case "reset" `Quick test_fsm_reset;
-          Alcotest.test_case "compiled table exhaustive" `Quick test_fsm_table_exhaustive;
           Alcotest.test_case "loop misprediction classes" `Quick test_fsm_loop_classes;
         ] );
       ( "wheel",
